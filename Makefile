@@ -1,7 +1,7 @@
 GO ?= go
 BENCHFLAGS ?= -benchmem
 
-.PHONY: build vet lint lint-fixtures test test-chaos test-ddp race ci bench bench-smoke bench-baseline bench-kernels codec-smoke obs-smoke profile profile-smoke
+.PHONY: build vet lint lint-fixtures test test-purego cross-arm64 test-chaos test-ddp race ci bench bench-smoke bench-baseline bench-kernels codec-smoke obs-smoke profile profile-smoke
 
 build:
 	$(GO) build ./...
@@ -32,6 +32,20 @@ lint-fixtures:
 test:
 	$(GO) test ./...
 
+# test-purego reruns the kernel packages and the two model packages on top of
+# them with -tags purego, which swaps the AVX2 axpy assembly for the Go loops
+# every non-amd64 build uses: the fallback is the reference the assembly is
+# tested against, so it must pass the same bit-identity and AllocsPerRun pins.
+test-purego:
+	$(GO) test -tags purego -count=1 ./internal/tensor/ ./internal/nn/ ./internal/diffusion/ ./internal/autoencoder/
+
+# cross-arm64 proves the tree builds, and the tensor package vets, for an
+# architecture that has no assembly file (build-tag or declaration drift
+# between axpy_amd64.go and axpy_generic.go shows here).
+cross-arm64:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/tensor/
+
 # test-chaos runs the deterministic fault-injection suite under the race
 # detector: the chaos matrix (every fault class against stacked training,
 # VFL and synthesis), crash recovery over TCP, and the retransmit byte
@@ -51,7 +65,11 @@ test-ddp:
 # the silo package trains real models, so give it a generous timeout. The
 # tensor package is included because its worker pool is the one piece of
 # hand-rolled concurrency under every training loop; core and experiments
-# ride along because they drive the concurrent protocols end to end.
+# ride along because they drive the concurrent protocols end to end. The
+# detector instruments Go code only: it does not see the loads and stores of
+# the axpy assembly, so a race on a matrix that only the AVX2 kernels touch
+# goes unreported here; `go test -race -tags purego` covers the same kernels
+# as instrumented Go loops.
 race:
 	$(GO) test -race -timeout 30m ./internal/silo/... ./internal/obs/... ./internal/tensor/... ./internal/core/... ./internal/experiments/... ./internal/diffusion/...
 
@@ -122,12 +140,13 @@ obs-smoke:
 	else echo "obs-smoke: injected regression caught"; fi
 	$(OBS_SMOKE_DIR)/silofuse-obs diff BENCH_silofuse.json BENCH_silofuse.json
 
-# bench-kernels runs the hot-path microbenchmarks (tensor kernels, Linear
-# forward/backward, diffusion train/sample steps) with allocation reporting.
+# bench-kernels runs the hot-path microbenchmarks (the axpy primitive as Go
+# loop vs AVX2, tensor kernels, Linear forward/backward, diffusion
+# train/sample steps) with allocation reporting.
 # CI invokes it with BENCHFLAGS='-benchtime=1x' as a does-it-run smoke test;
 # for real numbers use the default and prefer -count=8 medians on busy hosts.
 bench-kernels:
-	$(GO) test -run '^$$' -bench 'MatMul|Linear|TrainStep|SampleStep' $(BENCHFLAGS) ./internal/tensor/ ./internal/nn/ ./internal/diffusion/
+	$(GO) test -run '^$$' -bench 'Axpy4|MatMul|Linear|TrainStep|SampleStep' $(BENCHFLAGS) ./internal/tensor/ ./internal/nn/ ./internal/diffusion/
 
 # profile-smoke exercises the phase-profiling pipeline end to end:
 #   1. two tiny training runs capture per-phase CPU/heap/mutex/block pprof
@@ -162,7 +181,7 @@ profile:
 	@echo "profiles: /tmp/silofuse_cpu.pprof /tmp/silofuse_mem.pprof"
 
 ci:
-	$(MAKE) lint-fixtures && $(MAKE) lint && $(GO) build ./... && $(GO) test ./... && $(MAKE) race && $(MAKE) test-chaos && $(MAKE) test-ddp && $(MAKE) bench-smoke && $(MAKE) codec-smoke && $(MAKE) obs-smoke && $(MAKE) profile-smoke && $(MAKE) bench-kernels BENCHFLAGS='-benchtime=1x'
+	$(MAKE) lint-fixtures && $(MAKE) lint && $(GO) build ./... && $(GO) test ./... && $(MAKE) test-purego && $(MAKE) cross-arm64 && $(MAKE) race && $(MAKE) test-chaos && $(MAKE) test-ddp && $(MAKE) bench-smoke && $(MAKE) codec-smoke && $(MAKE) obs-smoke && $(MAKE) profile-smoke && $(MAKE) bench-kernels BENCHFLAGS='-benchtime=1x'
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -16,10 +16,13 @@ import (
 // entry, the functions the steady-state allocation tests exercise:
 //
 //   - tensor kernels: TestSteadyStateKernelAllocs and TestPooledDispatchAllocs
-//     (pool_test.go) pin the *Into matmul/elementwise/workspace family;
+//     (pool_test.go) pin the *Into matmul/elementwise/GELU/transpose/workspace
+//     family;
 //   - nn warm paths: TestLinearSteadyStateAllocs (gradcheck_test.go) pins
-//     Linear.Forward/Backward, and MSELossInto sits inside the diffusion
-//     train-step loop below;
+//     Linear.Forward/Backward/BackwardParams, GELU.Forward/Backward and
+//     CrossEntropyRowInto (which also sits under the autoencoder's
+//     TestReconstructionLossRowwise), and MSELossInto sits inside the
+//     diffusion train-step loop below;
 //   - diffusion: TestTrainStepSteadyStateAllocs and TestSamplePerStepAllocs
 //     (perf_test.go) pin TrainStep/SampleWithRng, the backbone
 //     Forward/Backward they drive, and the QSample/timestep kernels;
@@ -46,11 +49,15 @@ var noallocPinned = []string{
 	"nn.DiffusionMLP.Backward",
 	"nn.DiffusionMLP.Forward",
 	"nn.DiffusionMLP32.Forward",
+	"nn.GELU.Backward",
+	"nn.GELU.Forward",
 	"nn.GELU32.Forward",
 	"nn.Linear.Backward",
+	"nn.Linear.BackwardParams",
 	"nn.Linear.Forward",
 	"nn.Linear32.Forward",
 	"nn.Sequential32.Forward",
+	"nn.CrossEntropyRowInto",
 	"nn.FlattenGradsInto",
 	"nn.MSELossInto",
 	"nn.SetGrads",
@@ -59,6 +66,8 @@ var noallocPinned = []string{
 	"tensor.ConvertInto32",
 	"tensor.ConvertInto64",
 	"tensor.CopyInto",
+	"tensor.GELUGradInto",
+	"tensor.GELUInto",
 	"tensor.MatMul32Into",
 	"tensor.MatMulAddRow32Into",
 	"tensor.Matrix.ColSumsInto",
@@ -72,6 +81,7 @@ var noallocPinned = []string{
 	"tensor.ReduceScale",
 	"tensor.ReduceZero",
 	"tensor.SubInto",
+	"tensor.TransposeInto",
 }
 
 // TestNoallocAnnotationCoverage scans the kernel packages' non-test sources

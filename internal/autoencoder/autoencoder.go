@@ -69,6 +69,8 @@ type Autoencoder struct {
 	spans   []headSpan
 	opt     *nn.Adam
 	rng     *rand.Rand
+
+	lossGrad *tensor.Matrix // reconstructionLoss's persistent gradient workspace
 }
 
 // New builds an autoencoder for the columns of train and fits the input
@@ -133,7 +135,7 @@ func (a *Autoencoder) TrainStep(batch *tabular.Table) float64 {
 	out := a.decoder.Forward(z, true)
 	loss, grad := a.reconstructionLoss(out, batch)
 	gz := a.decoder.Backward(grad)
-	a.encoder.Backward(gz)
+	a.encoder.BackwardParams(gz)
 	a.opt.Step()
 	return loss
 }
@@ -179,41 +181,37 @@ func (a *Autoencoder) Train(train *tabular.Table, iters, batch int) float64 {
 }
 
 // reconstructionLoss computes the summed per-column NLL and the gradient
-// with respect to the head outputs.
+// with respect to the head outputs. The gradient is written row-wise into a
+// workspace the autoencoder owns, valid until the next call; each head's
+// arithmetic and the loss summation order (rows within a column, then
+// columns in schema order) are those of nn.GaussianNLLLoss and
+// nn.CrossEntropyLoss applied to the column's span.
 func (a *Autoencoder) reconstructionLoss(out *tensor.Matrix, batch *tabular.Table) (float64, *tensor.Matrix) {
-	grad := tensor.New(out.Rows, out.Cols)
+	a.lossGrad = tensor.Ensure(a.lossGrad, out.Rows, out.Cols)
+	grad := a.lossGrad
+	n := float64(out.Rows)
 	total := 0.0
 	for _, sp := range a.spans {
+		loss := 0.0
 		if sp.kind == tabular.Numeric {
-			mean := out.SliceCols(sp.lo, sp.lo+1)
-			logVar := out.SliceCols(sp.lo+1, sp.hi)
-			target := a.standardisedColumn(batch, sp.col)
-			loss, gMean, gLV := nn.GaussianNLLLoss(mean, logVar, target)
-			total += loss
-			grad.SetCol(sp.lo, gMean.Col(0))
-			grad.SetCol(sp.lo+1, gLV.Col(0))
+			mean, std := a.Enc.Mean[sp.col], a.Enc.Std[sp.col]
+			for i := 0; i < out.Rows; i++ {
+				head, g := out.Row(i)[sp.lo:sp.hi], grad.Row(i)[sp.lo:sp.hi]
+				target := (batch.Data.At(i, sp.col) - mean) / std
+				nll, gMean, gLogVar := nn.GaussianNLLElem(head[0], head[1], target)
+				loss += nll
+				g[0] = gMean / n
+				g[1] = gLogVar / n
+			}
 		} else {
-			logits := out.SliceCols(sp.lo, sp.hi)
-			labels := batch.CatColumn(sp.col)
-			loss, g := nn.CrossEntropyLoss(logits, labels)
-			total += loss
-			for k := 0; k < g.Cols; k++ {
-				grad.SetCol(sp.lo+k, g.Col(k))
+			for i := 0; i < out.Rows; i++ {
+				label := int(batch.Data.At(i, sp.col))
+				loss += nn.CrossEntropyRowInto(grad.Row(i)[sp.lo:sp.hi], out.Row(i)[sp.lo:sp.hi], label, n)
 			}
 		}
+		total += loss / n
 	}
 	return total, grad
-}
-
-// standardisedColumn returns column col of batch standardised with the
-// fitted featuriser statistics, as an (n,1) matrix.
-func (a *Autoencoder) standardisedColumn(batch *tabular.Table, col int) *tensor.Matrix {
-	vals := batch.NumColumn(col)
-	out := tensor.New(len(vals), 1)
-	for i, v := range vals {
-		out.Data[i] = (v - a.Enc.Mean[col]) / a.Enc.Std[col]
-	}
-	return out
 }
 
 // Encode maps a table to its latent representation Z_i = E_i(X_i) in

@@ -8,8 +8,10 @@ import (
 	"testing"
 
 	"silofuse/internal/datagen"
+	"silofuse/internal/nn"
 	"silofuse/internal/stats"
 	"silofuse/internal/tabular"
+	"silofuse/internal/tensor"
 )
 
 func loanTable(t *testing.T, rows int) *tabular.Table {
@@ -185,5 +187,60 @@ func TestLoadWrongArchitecture(t *testing.T) {
 	other := New(rand.New(rand.NewSource(22)), tb, Config{Hidden: 32, Embed: 8, LR: 1e-3})
 	if err := other.Load(&buf); err == nil {
 		t.Fatal("expected architecture mismatch error")
+	}
+}
+
+// columnwiseReconstructionLoss is the formulation reconstructionLoss
+// replaced: slice each head's columns out, run the matrix-level nn losses,
+// copy the gradients back column by column.
+func columnwiseReconstructionLoss(a *Autoencoder, out *tensor.Matrix, batch *tabular.Table) (float64, *tensor.Matrix) {
+	grad := tensor.New(out.Rows, out.Cols)
+	total := 0.0
+	for _, sp := range a.spans {
+		if sp.kind == tabular.Numeric {
+			target := tensor.New(out.Rows, 1)
+			for i, v := range batch.NumColumn(sp.col) {
+				target.Data[i] = (v - a.Enc.Mean[sp.col]) / a.Enc.Std[sp.col]
+			}
+			loss, gMean, gLV := nn.GaussianNLLLoss(out.SliceCols(sp.lo, sp.lo+1), out.SliceCols(sp.lo+1, sp.hi), target)
+			total += loss
+			grad.SetCol(sp.lo, gMean.Col(0))
+			grad.SetCol(sp.lo+1, gLV.Col(0))
+		} else {
+			loss, g := nn.CrossEntropyLoss(out.SliceCols(sp.lo, sp.hi), batch.CatColumn(sp.col))
+			total += loss
+			for k := 0; k < g.Cols; k++ {
+				grad.SetCol(sp.lo+k, g.Col(k))
+			}
+		}
+	}
+	return total, grad
+}
+
+// TestReconstructionLossRowwise pins the row-wise, workspace-backed loss to
+// the bits of the column-wise formulation — head outputs scaled so some
+// log-variances leave the clamp — and pins its warm path to zero
+// allocations.
+func TestReconstructionLossRowwise(t *testing.T) {
+	tb := loanTable(t, 64)
+	a := New(rand.New(rand.NewSource(11)), tb, DefaultConfig(0))
+	rng := rand.New(rand.NewSource(12))
+	width := a.spans[len(a.spans)-1].hi
+	for round := 0; round < 3; round++ {
+		out := tensor.New(tb.Rows(), width).Randn(rng, 6)
+		wantLoss, wantGrad := columnwiseReconstructionLoss(a, out, tb)
+		gotLoss, gotGrad := a.reconstructionLoss(out, tb) // rounds 1, 2: dirty workspace
+		if wantLoss != gotLoss {
+			t.Fatalf("round %d: loss %v, column-wise reference %v", round, gotLoss, wantLoss)
+		}
+		for i := range wantGrad.Data {
+			if wantGrad.Data[i] != gotGrad.Data[i] {
+				t.Fatalf("round %d: grad differs at %d: %v vs %v", round, i, gotGrad.Data[i], wantGrad.Data[i])
+			}
+		}
+	}
+	out := tensor.New(tb.Rows(), width).Randn(rng, 1)
+	if allocs := testing.AllocsPerRun(20, func() { a.reconstructionLoss(out, tb) }); allocs != 0 {
+		t.Fatalf("warm reconstructionLoss performs %v allocs, want 0", allocs)
 	}
 }

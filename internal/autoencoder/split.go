@@ -28,7 +28,7 @@ func (a *Autoencoder) DecoderLossGrad(z *tensor.Matrix, batch *tabular.Table, tr
 // BackwardEncoder propagates a latent gradient through the encoder,
 // accumulating its parameter gradients.
 func (a *Autoencoder) BackwardEncoder(gradZ *tensor.Matrix) {
-	a.encoder.Backward(gradZ)
+	a.encoder.BackwardParams(gradZ)
 }
 
 // Step applies the optimiser to all accumulated gradients.

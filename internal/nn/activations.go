@@ -20,25 +20,22 @@ type GELU struct {
 	out, gin *tensor.Matrix
 }
 
-// Forward applies gelu elementwise.
+// Forward applies gelu elementwise, on the tensor worker pool once the
+// batch is large enough.
+//
+//silofuse:noalloc
 func (g *GELU) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
 	g.input = x
 	g.out = tensor.Ensure(g.out, x.Rows, x.Cols)
-	for i, v := range x.Data {
-		g.out.Data[i] = 0.5 * v * (1 + math.Erf(v*invSqrt2))
-	}
-	return g.out
+	return tensor.GELUInto(g.out, x)
 }
 
 // Backward multiplies by gelu'(x) = Φ(x) + x·φ(x).
+//
+//silofuse:noalloc
 func (g *GELU) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 	g.gin = tensor.Ensure(g.gin, gradOut.Rows, gradOut.Cols)
-	for i, v := range g.input.Data {
-		cdf := 0.5 * (1 + math.Erf(v*invSqrt2))
-		pdf := math.Exp(-0.5*v*v) / math.Sqrt(2*math.Pi)
-		g.gin.Data[i] = gradOut.Data[i] * (cdf + v*pdf)
-	}
-	return g.gin
+	return tensor.GELUGradInto(g.gin, g.input, gradOut)
 }
 
 // Params returns nil; GELU has no parameters.

@@ -96,7 +96,7 @@ func (d *DiffusionMLP) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 	g := d.outProj.Backward(gradOut)
 	g = d.blocks.Backward(g)
 	// The add node fans the gradient to both the input and time projections.
-	d.timeProj.Backward(g) // gradient w.r.t. sinusoidal features is discarded
+	d.timeProj.BackwardParams(g) // nobody reads the gradient w.r.t. the sinusoidal features
 	return d.inProj.Backward(g)
 }
 

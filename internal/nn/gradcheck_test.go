@@ -4,6 +4,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"silofuse/internal/tensor"
@@ -397,20 +398,113 @@ func TestDropoutWorkspaceKeepsRNGStream(t *testing.T) {
 }
 
 // TestLinearSteadyStateAllocs pins the zero-allocation contract for the
-// densest layer on the hot path.
+// densest layer on the hot path — including the transposed-weight workspace
+// Backward refreshes every call and the params-only backward — and for the
+// GELU that follows it (its pooled dispatch is pinned with the kernels, in
+// tensor's TestPooledDispatchAllocs).
 func TestLinearSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	l := NewLinear(rng, 64, 64)
+	act := &GELU{}
 	x := tensor.New(128, 64).Randn(rng, 1)
 	g := tensor.New(128, 64).Randn(rng, 1)
-	l.Forward(x, true)
-	l.Backward(g)
-	if allocs := testing.AllocsPerRun(50, func() {
-		l.Forward(x, true)
-		l.Backward(g)
-	}); allocs != 0 {
-		t.Fatalf("warm Linear step performs %v allocs, want 0", allocs)
+	logits, ceGrad := x.Row(0), make([]float64, 64)
+	steps := map[string]func(){
+		"Linear step": func() {
+			l.Forward(x, true)
+			l.Backward(g)
+		},
+		"Linear params-only step": func() {
+			l.Forward(x, true)
+			l.BackwardParams(g)
+		},
+		"GELU step": func() {
+			act.Forward(x, true)
+			act.Backward(g)
+		},
+		"CrossEntropyRowInto": func() { CrossEntropyRowInto(ceGrad, logits, 3, 128) },
 	}
+	for name, step := range steps {
+		step()
+		if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
+			t.Errorf("warm %s performs %v allocs, want 0", name, allocs)
+		}
+	}
+}
+
+// sparseGrad returns a gradient with exact zeros sprinkled in, as ReLU and
+// dropout produce, so the coefficient skip paths of g·Wᵀ run.
+func sparseGrad(rng *rand.Rand, rows, cols int) *tensor.Matrix {
+	g := tensor.New(rows, cols).Randn(rng, 1)
+	for i := range g.Data {
+		if rng.Intn(3) == 0 {
+			g.Data[i] = 0
+		}
+	}
+	return g
+}
+
+// TestLinearBackwardMatchesDotForm pins the input gradient to the bits of
+// the dot-product form g·Wᵀ = MatMulT2Into(g, W) that Backward computed
+// before it moved to a transposed-weight workspace, on dense and sparse
+// gradients, serially and through the pool, warm and after a weight update.
+func TestLinearBackwardMatchesDotForm(t *testing.T) {
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		rng := rand.New(rand.NewSource(52))
+		for _, d := range [][3]int{{3, 5, 2}, {128, 64, 96}, {33, 47, 130}} {
+			rows, in, out := d[0], d[1], d[2]
+			l := NewLinear(rng, in, out)
+			x := tensor.New(rows, in).Randn(rng, 1)
+			for step, g := range []*tensor.Matrix{tensor.New(rows, out).Randn(rng, 1), sparseGrad(rng, rows, out)} {
+				l.Forward(x, true)
+				got := l.Backward(g)
+				want := tensor.MatMulT2Into(tensor.New(rows, in), g, l.W.Value)
+				for i := range want.Data {
+					if want.Data[i] != got.Data[i] {
+						t.Fatalf("procs=%d %v step %d: input grad differs from dot form at %d: %v vs %v", procs, d, step, i, want.Data[i], got.Data[i])
+					}
+				}
+				// Move the weights so a stale transposed copy would show.
+				l.W.Value.AddScaled(l.W.Grad, -0.01)
+			}
+		}
+		runtime.GOMAXPROCS(prev)
+	}
+}
+
+// TestBackwardParamsMatchesBackward proves the params-only backward leaves
+// exactly the parameter gradients Backward leaves, for a lone Linear and for
+// a Sequential whose first layer is one.
+func TestBackwardParamsMatchesBackward(t *testing.T) {
+	dataRng := rand.New(rand.NewSource(53))
+	x := tensor.New(17, 12).Randn(dataRng, 1)
+	g := tensor.New(17, 6).Randn(dataRng, 1)
+	mk := func() *Sequential {
+		rng := rand.New(rand.NewSource(54))
+		return NewSequential(NewLinear(rng, 12, 9), &GELU{}, NewLinear(rng, 9, 6))
+	}
+	full, params := mk(), mk()
+	// Two accumulating passes: the second adds onto non-zero grads.
+	for pass := 0; pass < 2; pass++ {
+		full.Forward(x, true)
+		full.Backward(g)
+		params.Forward(x, true)
+		params.BackwardParams(g)
+	}
+	fp, pp := full.Params(), params.Params()
+	for pi := range fp {
+		for i := range fp[pi].Grad.Data {
+			if fp[pi].Grad.Data[i] != pp[pi].Grad.Data[i] {
+				t.Fatalf("param %d (%s): grad differs at %d: %v vs %v", pi, fp[pi].Name, i, fp[pi].Grad.Data[i], pp[pi].Grad.Data[i])
+			}
+		}
+	}
+	// A first layer that is not a Linear still gets its Backward.
+	act := NewSequential(&GELU{}, NewLinear(rand.New(rand.NewSource(55)), 12, 6))
+	act.Forward(x, true)
+	act.BackwardParams(g)
+	NewSequential().BackwardParams(g)
 }
 
 func BenchmarkLinearForward(b *testing.B) {

@@ -70,6 +70,23 @@ func (s *Sequential) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 	return gradOut
 }
 
+// BackwardParams is Backward for callers that do not read dL/d(input): when
+// the first layer is a *Linear its input gradient is not computed. Parameter
+// gradients accumulate exactly as in Backward.
+func (s *Sequential) BackwardParams(gradOut *tensor.Matrix) {
+	if len(s.Layers) == 0 {
+		return
+	}
+	for i := len(s.Layers) - 1; i > 0; i-- {
+		gradOut = s.Layers[i].Backward(gradOut)
+	}
+	if lin, ok := s.Layers[0].(*Linear); ok {
+		lin.BackwardParams(gradOut)
+		return
+	}
+	s.Layers[0].Backward(gradOut)
+}
+
 // Params returns the concatenated parameters of all layers.
 func (s *Sequential) Params() []*Param {
 	var ps []*Param

@@ -13,9 +13,10 @@ type Linear struct {
 	input *tensor.Matrix // cached for Backward
 
 	// Persistent workspaces, reused verbatim while the batch shape is
-	// unchanged; see the layer contract in layer.go.
-	out, dW, gin *tensor.Matrix
-	bsums        []float64
+	// unchanged; see the layer contract in layer.go. wT is a transposed-shape
+	// view of dW's storage.
+	out, dW, gin, wT *tensor.Matrix
+	bsums            []float64
 }
 
 // NewLinear creates a Linear layer with Kaiming-uniform initialised weights.
@@ -35,11 +36,34 @@ func (l *Linear) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
 	return tensor.MatMulAddRowInto(l.out, x, l.W.Value, l.B.Value)
 }
 
-// Backward accumulates dW = xᵀg, db = Σ_rows g and returns g Wᵀ.
+// Backward accumulates dW = xᵀg, db = Σ_rows g and returns g Wᵀ. The product
+// is taken as g @ (Wᵀ) on a transposed copy of the weights refreshed every
+// call, which puts it on the same column-vectorised kernel as Forward; each
+// output element is still summed in ascending-k order from +0, so for finite
+// weights the bits equal the dot-product form tensor.MatMulT2Into.
 //
 //silofuse:noalloc
 func (l *Linear) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
-	l.dW = tensor.Ensure(l.dW, l.W.Value.Rows, l.W.Value.Cols)
+	l.BackwardParams(gradOut)
+	w := l.W.Value
+	tensor.TransposeInto(l.wT, w) // into dW's storage, dead since BackwardParams added it to W.Grad
+	l.gin = tensor.Ensure(l.gin, gradOut.Rows, w.Rows)
+	return tensor.MatMulInto(l.gin, gradOut, l.wT)
+}
+
+// BackwardParams is Backward without the input gradient: it accumulates dW
+// and db exactly as Backward does and skips g Wᵀ. For the first layer of a
+// network, whose input gradient nobody reads.
+//
+//silofuse:noalloc
+func (l *Linear) BackwardParams(gradOut *tensor.Matrix) {
+	w := l.W.Value
+	if dW := tensor.Ensure(l.dW, w.Rows, w.Cols); dW != l.dW {
+		// Wᵀ has as many elements as dW, and dW is dead once it has been
+		// added into W.Grad: Backward's transposed copy borrows dW's
+		// storage under its own shape, so it costs the layer no memory.
+		l.dW, l.wT = dW, tensor.FromSlice(w.Cols, w.Rows, dW.Data)
+	}
 	tensor.MatMulT1Into(l.dW, l.input, gradOut)
 	l.W.Grad.Add(l.W.Grad, l.dW)
 	// Two-phase bias reduction: column sums land in a scratch vector first
@@ -50,8 +74,6 @@ func (l *Linear) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 	for j, v := range l.bsums {
 		l.B.Grad.Data[j] += v
 	}
-	l.gin = tensor.Ensure(l.gin, gradOut.Rows, l.W.Value.Rows)
-	return tensor.MatMulT2Into(l.gin, gradOut, l.W.Value)
 }
 
 // Params returns the weight and bias parameters.

@@ -36,46 +36,58 @@ func MSELossInto(pred, target, grad *tensor.Matrix) float64 {
 func Softmax(logits *tensor.Matrix) *tensor.Matrix {
 	out := tensor.New(logits.Rows, logits.Cols)
 	for i := 0; i < logits.Rows; i++ {
-		row := logits.Row(i)
-		max := math.Inf(-1)
-		for _, v := range row {
-			if v > max {
-				max = v
-			}
-		}
-		orow := out.Row(i)
-		sum := 0.0
-		for j, v := range row {
-			e := math.Exp(v - max)
-			orow[j] = e
-			sum += e
-		}
-		for j := range orow {
-			orow[j] /= sum
-		}
+		softmaxRowInto(out.Row(i), logits.Row(i))
 	}
 	return out
+}
+
+// softmaxRowInto stores softmax(row) into dst, which must have row's length.
+func softmaxRowInto(dst, row []float64) {
+	max := math.Inf(-1)
+	for _, v := range row {
+		if v > max {
+			max = v
+		}
+	}
+	sum := 0.0
+	for j, v := range row {
+		e := math.Exp(v - max)
+		dst[j] = e
+		sum += e
+	}
+	for j := range dst {
+		dst[j] /= sum
+	}
 }
 
 // CrossEntropyLoss computes the mean categorical cross-entropy of logits
 // against integer class labels, returning the loss and dLoss/dLogits
 // (softmax - onehot)/batch.
 func CrossEntropyLoss(logits *tensor.Matrix, labels []int) (float64, *tensor.Matrix) {
-	probs := Softmax(logits)
 	n := float64(logits.Rows)
 	loss := 0.0
 	grad := tensor.New(logits.Rows, logits.Cols)
 	for i := 0; i < logits.Rows; i++ {
-		p := probs.Row(i)
-		g := grad.Row(i)
-		y := labels[i]
-		loss -= math.Log(math.Max(p[y], 1e-12))
-		for j := range g {
-			g[j] = p[j] / n
-		}
-		g[y] -= 1 / n
+		loss += CrossEntropyRowInto(grad.Row(i), logits.Row(i), labels[i], n)
 	}
 	return loss / n, grad
+}
+
+// CrossEntropyRowInto is one row of CrossEntropyLoss: it stores
+// (softmax(logits) - onehot(label))/n into g, which must have logits'
+// length, and returns the row's loss term -log p[label] (not divided by n).
+// It is the allocation-free form for callers whose logits are a span of a
+// wider row.
+//
+//silofuse:noalloc
+func CrossEntropyRowInto(g, logits []float64, label int, n float64) float64 {
+	softmaxRowInto(g, logits)
+	term := -math.Log(math.Max(g[label], 1e-12))
+	for j := range g {
+		g[j] /= n
+	}
+	g[label] -= 1 / n
+	return term
 }
 
 // BCEWithLogitsLoss computes the mean binary cross-entropy of logits against
@@ -111,18 +123,31 @@ func GaussianNLLLoss(mean, logVar, target *tensor.Matrix) (float64, *tensor.Matr
 	gMean := tensor.New(mean.Rows, mean.Cols)
 	gLV := tensor.New(mean.Rows, mean.Cols)
 	loss := 0.0
-	const logVarClamp = 10
 	for i := range mean.Data {
-		lv := math.Max(-logVarClamp, math.Min(logVarClamp, logVar.Data[i]))
-		inv := math.Exp(-lv)
-		d := mean.Data[i] - target.Data[i]
-		loss += 0.5 * (lv + d*d*inv)
-		gMean.Data[i] = d * inv / n
-		if logVar.Data[i] == lv { //silofuse:bitwise-ok inside clamp: gradient flows
-			gLV.Data[i] = 0.5 * (1 - d*d*inv) / n
-		}
+		nll, gm, glv := GaussianNLLElem(mean.Data[i], logVar.Data[i], target.Data[i])
+		loss += nll
+		gMean.Data[i] = gm / n
+		gLV.Data[i] = glv / n
 	}
 	return loss / n, gMean, gLV
+}
+
+// GaussianNLLElem is one element of GaussianNLLLoss: the negative
+// log-likelihood of target under Normal(mean, exp(logVar)) with logVar
+// clamped to ±10, and its gradients with respect to mean and logVar (zero
+// for logVar outside the clamp). None of the three is divided by the batch
+// size.
+func GaussianNLLElem(mean, logVar, target float64) (nll, gMean, gLogVar float64) {
+	const logVarClamp = 10
+	lv := math.Max(-logVarClamp, math.Min(logVarClamp, logVar))
+	inv := math.Exp(-lv)
+	d := mean - target
+	nll = 0.5 * (lv + d*d*inv)
+	gMean = d * inv
+	if logVar == lv { //silofuse:bitwise-ok inside clamp: gradient flows
+		gLogVar = 0.5 * (1 - d*d*inv)
+	}
+	return nll, gMean, gLogVar
 }
 
 // KLStandardNormal computes the KL divergence of N(mu, exp(logVar)) from

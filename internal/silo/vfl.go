@@ -166,7 +166,7 @@ func (v *VFLClassifier) TrainFrom(bus Bus, parts []*tabular.Table, labels []int,
 			if err != nil {
 				return 0, err
 			}
-			v.bottoms[ci].Backward(env.Payload)
+			v.bottoms[ci].BackwardParams(env.Payload)
 			v.optBot[ci].Step()
 		}
 	}

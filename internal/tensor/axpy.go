@@ -1,0 +1,42 @@
+package tensor
+
+// The axpy primitives are the one inner loop under every accumulating
+// matmul kernel (axpyRows, matmulT1Cols and, through them, MatMulInto,
+// MatMulAddRowInto, MatMulT1Into and Linear.Backward's g·Wᵀ). axpy4 and
+// axpy1 dispatch to the AVX2 assembly on amd64 CPUs that have it
+// (axpy_amd64.go) and to the Go loops below everywhere else
+// (axpy_generic.go); both produce the same bits.
+//
+// The rule that makes SIMD compatible with the repository's bit-identity
+// contract: vectorise across output columns j only. Each dst[j] then keeps
+// its own add chain in ascending coefficient order, every step is one
+// rounded multiply followed by one rounded add (never a fused
+// multiply-add), and nothing is ever summed across k — so a lane computes
+// exactly what the scalar loop computes for that j.
+
+// axpy4Go is the Go reference for axpy4:
+//
+//	dst[j] = (((dst[j] + a0·b0[j]) + a1·b1[j]) + a2·b2[j]) + a3·b3[j]
+//
+// Every operand must be at least len(dst) long.
+func axpy4Go(dst, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64) {
+	b0 = b0[:len(dst)]
+	b1 = b1[:len(dst)]
+	b2 = b2[:len(dst)]
+	b3 = b3[:len(dst)]
+	for j := range dst {
+		v := dst[j] + a0*b0[j]
+		v += a1 * b1[j]
+		v += a2 * b2[j]
+		v += a3 * b3[j]
+		dst[j] = v
+	}
+}
+
+// axpy1Go is the Go reference for axpy1: dst[j] += a·b[j].
+func axpy1Go(dst, b []float64, a float64) {
+	b = b[:len(dst)]
+	for j, bv := range b {
+		dst[j] += a * bv
+	}
+}

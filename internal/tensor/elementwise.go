@@ -1,5 +1,7 @@
 package tensor
 
+import "math"
+
 // Pool-backed elementwise helpers. Unlike the matmul kernels these
 // parallelise over flat element ranges; each element of dst depends only on
 // the same element of a and b, so dst may alias either operand and chunk
@@ -49,4 +51,47 @@ func SubInto(dst, a, b *Matrix) *Matrix { return elementwiseInto(subElems, dst, 
 //silofuse:noalloc
 func MulElemInto(dst, a, b *Matrix) *Matrix {
 	return elementwiseInto(mulElems, dst, a, b, "MulElemInto")
+}
+
+// invSqrt2 is 1/sqrt(2), the erf argument scale of the exact GELU.
+const invSqrt2 = 0.7071067811865476
+
+// geluElems and geluGradElems evaluate the exact GELU and its derivative
+// per element. erf and exp dominate their cost, so unlike the arithmetic
+// helpers above they are compute-bound and the pool pays off as soon as
+// the element count clears parallelThreshold.
+
+func geluElems(x, _, _, dst *Matrix, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		v := x.Data[i]
+		dst.Data[i] = 0.5 * v * (1 + math.Erf(v*invSqrt2))
+	}
+}
+
+func geluGradElems(x, gradOut, _, dst *Matrix, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		v := x.Data[i]
+		cdf := 0.5 * (1 + math.Erf(v*invSqrt2))
+		pdf := math.Exp(-0.5*v*v) / math.Sqrt(2*math.Pi)
+		dst.Data[i] = gradOut.Data[i] * (cdf + v*pdf)
+	}
+}
+
+// GELUInto stores gelu(x) = x·Φ(x) into dst (dst may alias x) and returns
+// dst.
+//
+//silofuse:noalloc
+func GELUInto(dst, x *Matrix) *Matrix {
+	dst.assertSameShape(x, "GELUInto")
+	n := len(dst.Data)
+	dispatchKernel(geluElems, x, nil, nil, dst, n, n)
+	return dst
+}
+
+// GELUGradInto stores gradOut · gelu'(x), with gelu'(x) = Φ(x) + x·φ(x),
+// into dst (dst may alias either operand) and returns dst.
+//
+//silofuse:noalloc
+func GELUGradInto(dst, x, gradOut *Matrix) *Matrix {
+	return elementwiseInto(geluGradElems, dst, x, gradOut, "GELUGradInto")
 }

@@ -72,58 +72,59 @@ func MatMulAddRowInto(dst, a, b, bias *Matrix) *Matrix {
 }
 
 func matmulRows(a, b, _, out *Matrix, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		orow := out.Row(i)
-		clear(orow)
-		axpyRow(a.Row(i), b, orow)
+	for i0 := lo; i0 < hi; i0 += rowBlock {
+		axpyRows(a, b, out, i0, min(i0+rowBlock, hi))
 	}
 }
 
 func matmulAddRowRows(a, b, bias, out *Matrix, lo, hi int) {
 	brow0 := bias.Data
-	for i := lo; i < hi; i++ {
-		orow := out.Row(i)
-		clear(orow)
-		axpyRow(a.Row(i), b, orow)
-		dst := orow[:len(brow0)]
-		for j, bv := range brow0 {
-			dst[j] += bv
+	for i0 := lo; i0 < hi; i0 += rowBlock {
+		i1 := min(i0+rowBlock, hi)
+		axpyRows(a, b, out, i0, i1)
+		for i := i0; i < i1; i++ {
+			dst := out.Row(i)[:len(brow0)]
+			for j, bv := range brow0 {
+				dst[j] += bv
+			}
 		}
 	}
 }
 
-// axpyRow accumulates arow @ b into orow. Four k-rows of b are fused per
-// pass so the output row is loaded and stored once per four inputs, with
-// four independent multiply chains in flight. Per output element the adds
-// still land in ascending-k order, and any zero coefficient falls back to
-// the scalar skip loop, so the result is bit-identical to one k-row at a
-// time.
-func axpyRow(arow []float64, b *Matrix, orow []float64) {
-	n := b.Cols
+// rowBlock is how many output rows share one sweep over b. With the inner
+// loop vectorised, a row-at-a-time sweep is bound by streaming b from L2 (or
+// memory, for the 2964-wide decoder head) once per output row; a block reads
+// each group of four b rows once for all its rows while they stay
+// cache-resident. The order of adds within an output element does not change.
+const rowBlock = 8
+
+// axpyRows stores a[i0:i1] @ b into out rows [i0, i1). Four k-rows of b are
+// fused per axpy4 pass so an output row is loaded and stored once per four
+// inputs. Per output element the adds land in ascending-k order starting
+// from +0, and any zero coefficient in a group falls back to the
+// one-row-at-a-time skip loop for that row, so the result is bit-identical
+// to one row and one k at a time.
+func axpyRows(a, b, out *Matrix, i0, i1 int) {
+	n, kw := b.Cols, a.Cols
+	clear(out.Data[i0*n : i1*n])
 	k := 0
-	for ; k+3 < len(arow); k += 4 {
-		av0, av1, av2, av3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
-		if av0 == 0 || av1 == 0 || av2 == 0 || av3 == 0 { //silofuse:bitwise-ok zero-skip sparsity fast path
-			axpyScalar(arow[k:k+4], b, orow, k)
-			continue
-		}
-		b0 := b.Data[k*n : (k+1)*n]
-		b1 := b.Data[(k+1)*n : (k+2)*n]
-		b2 := b.Data[(k+2)*n : (k+3)*n]
-		b3 := b.Data[(k+3)*n : (k+4)*n]
-		dst := orow[:len(b0)]
-		b1 = b1[:len(b0)]
-		b2 = b2[:len(b0)]
-		b3 = b3[:len(b0)]
-		for j := range dst {
-			v := dst[j] + av0*b0[j]
-			v += av1 * b1[j]
-			v += av2 * b2[j]
-			v += av3 * b3[j]
-			dst[j] = v
+	for ; k+3 < kw; k += 4 {
+		rows := b.Data[k*n : (k+4)*n]
+		b0, b1, b2, b3 := rows[:n], rows[n:2*n], rows[2*n:3*n], rows[3*n:]
+		for i := i0; i < i1; i++ {
+			avs := a.Data[i*kw+k : i*kw+k+4]
+			orow := out.Data[i*n : (i+1)*n]
+			av0, av1, av2, av3 := avs[0], avs[1], avs[2], avs[3]
+			if av0 == 0 || av1 == 0 || av2 == 0 || av3 == 0 { //silofuse:bitwise-ok zero-skip sparsity fast path
+				axpyScalar(avs, b, orow, k)
+				continue
+			}
+			axpy4(orow, b0, b1, b2, b3, av0, av1, av2, av3)
 		}
 	}
-	axpyScalar(arow[k:], b, orow, k)
+	for i := i0; i < i1; i++ {
+		axpyScalar(a.Data[i*kw+k:(i+1)*kw], b, out.Data[i*n:(i+1)*n], k)
+	}
 }
 
 // axpyScalar is the one-k-row-at-a-time tail/fallback with the sparse skip.
@@ -134,11 +135,7 @@ func axpyScalar(avs []float64, b *Matrix, orow []float64, k0 int) {
 			continue
 		}
 		k := k0 + dk
-		brow := b.Data[k*n : (k+1)*n]
-		dst := orow[:len(brow)]
-		for j, bv := range brow {
-			dst[j] += av * bv
-		}
+		axpy1(orow, b.Data[k*n:(k+1)*n], av)
 	}
 }
 
@@ -166,8 +163,8 @@ func MatMulT1Into(dst, a, b *Matrix) *Matrix {
 }
 
 // matmulT1Cols accumulates aᵀ@b for output rows [lo, hi). Four r-rows are
-// fused per pass (same scheme as axpyRow: ascending-r adds per output
-// element, scalar skip fallback on zeros), so the b rows stay cache-hot
+// fused per axpy4 pass (same scheme as axpyRows: ascending-r adds per output
+// element, one-row skip fallback on zeros), so the b rows stay cache-hot
 // across the whole i sweep.
 func matmulT1Cols(a, b, _, out *Matrix, lo, hi int) {
 	n := b.Cols
@@ -175,10 +172,8 @@ func matmulT1Cols(a, b, _, out *Matrix, lo, hi int) {
 	r := 0
 	for ; r+3 < a.Rows; r += 4 {
 		a0, a1, a2, a3 := a.Row(r), a.Row(r+1), a.Row(r+2), a.Row(r+3)
-		b0 := b.Data[r*n : (r+1)*n]
-		b1 := b.Data[(r+1)*n : (r+2)*n][:len(b0)]
-		b2 := b.Data[(r+2)*n : (r+3)*n][:len(b0)]
-		b3 := b.Data[(r+3)*n : (r+4)*n][:len(b0)]
+		rows := b.Data[r*n : (r+4)*n]
+		b0, b1, b2, b3 := rows[:n], rows[n:2*n], rows[2*n:3*n], rows[3*n:]
 		for i := lo; i < hi; i++ {
 			av0, av1, av2, av3 := a0[i], a1[i], a2[i], a3[i]
 			orow := out.Data[i*n : (i+1)*n]
@@ -186,14 +181,7 @@ func matmulT1Cols(a, b, _, out *Matrix, lo, hi int) {
 				matmulT1Scalar(a, b, orow, i, r, r+4)
 				continue
 			}
-			dst := orow[:len(b0)]
-			for j := range dst {
-				v := dst[j] + av0*b0[j]
-				v += av1 * b1[j]
-				v += av2 * b2[j]
-				v += av3 * b3[j]
-				dst[j] = v
-			}
+			axpy4(orow, b0, b1, b2, b3, av0, av1, av2, av3)
 		}
 	}
 	for i := lo; i < hi; i++ {
@@ -210,11 +198,7 @@ func matmulT1Scalar(a, b *Matrix, orow []float64, i, r0, r1 int) {
 		if av == 0 { //silofuse:bitwise-ok zero-skip sparsity fast path
 			continue
 		}
-		brow := b.Data[r*n : (r+1)*n]
-		dst := orow[:len(brow)]
-		for j, bv := range brow {
-			dst[j] += av * bv
-		}
+		axpy1(orow, b.Data[r*n:(r+1)*n], av)
 	}
 }
 

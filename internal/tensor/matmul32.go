@@ -77,8 +77,9 @@ func matmulAddRow32Rows(a, b, bias, out *Matrix32, lo, hi int) {
 
 // axpyRow32 accumulates arow @ b into orow: four k-rows of b fused per
 // pass, adds landing in ascending-k order per output element, zero
-// coefficients falling back to the scalar skip loop — structurally
-// identical to axpyRow, one rounding per float32 add.
+// coefficients falling back to the scalar skip loop — the scheme of
+// the float64 axpyRows for a single output row, one rounding per float32
+// add.
 func axpyRow32(arow []float32, b *Matrix32, orow []float32) {
 	n := b.Cols
 	k := 0

@@ -120,16 +120,7 @@ func (m *Matrix) RandUniform(rng *rand.Rand, lo, hi float64) *Matrix {
 }
 
 // T returns the transpose of m as a new matrix.
-func (m *Matrix) T() *Matrix {
-	out := New(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			out.Data[j*m.Rows+i] = v
-		}
-	}
-	return out
-}
+func (m *Matrix) T() *Matrix { return TransposeInto(New(m.Cols, m.Rows), m) }
 
 // Add stores a+b into m (m may alias a or b) and returns m.
 func (m *Matrix) Add(a, b *Matrix) *Matrix {

@@ -2,6 +2,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -66,19 +67,43 @@ func sprinkleZeros(rng *rand.Rand, m *Matrix) *Matrix {
 	return m
 }
 
+// oneHot returns a rows x cols matrix with a single 1 per row: the
+// featurised form of a wide categorical column, where every coefficient
+// group but one takes the skip path.
+func oneHot(rng *rand.Rand, rows, cols int) *Matrix {
+	m := New(rows, cols)
+	for i := 0; i < rows; i++ {
+		m.Set(i, rng.Intn(cols), 1)
+	}
+	return m
+}
+
+// TestMatMulMatchesNaiveReference pins every accumulating kernel to the
+// bits of the ascending-k reference — the bits these kernels produced before
+// their inner loop moved to the axpy primitives — on dense-with-zeros and
+// one-hot coefficients, on widths with every vector-tail length, serially
+// and through the pool.
 func TestMatMulMatchesNaiveReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(20))
-	for _, dims := range [][3]int{{1, 1, 1}, {2, 7, 3}, {5, 4, 9}, {128, 64, 64}, {65, 33, 47}, {31, 130, 17}} {
-		m, k, n := dims[0], dims[1], dims[2]
-		a := sprinkleZeros(rng, randMat(rng, m, k))
-		b := randMat(rng, k, n)
-		assertSameBits(t, "MatMul vs naive", naiveMatMulSkip(a, b), MatMul(a, b))
-		// xᵀ@b via the T1 kernel against the same reference on xᵀ.
-		x := sprinkleZeros(rng, randMat(rng, k, m))
-		assertSameBits(t, "MatMulT1 vs naive", naiveMatMulSkip(x.T(), b), MatMulT1(x, b))
-		// a@bᵀ via the T2 kernel.
-		bt := randMat(rng, n, k)
-		assertSameBits(t, "MatMulT2 vs naive", naiveMatMulSkip(a, bt.T()), MatMulT2(a, bt))
+	dims := [][3]int{{1, 1, 1}, {2, 7, 3}, {5, 4, 9}, {128, 64, 64}, {65, 33, 47}, {31, 130, 17}, {20, 37, 257}, {9, 300, 70}}
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		rng := rand.New(rand.NewSource(20))
+		for _, d := range dims {
+			m, k, n := d[0], d[1], d[2]
+			b := randMat(rng, k, n)
+			bias := randMat(rng, 1, n)
+			for _, a := range []*Matrix{sprinkleZeros(rng, randMat(rng, m, k)), oneHot(rng, m, k)} {
+				want := naiveMatMulSkip(a, b)
+				assertSameBits(t, "MatMul vs naive", want, MatMul(a, b))
+				assertSameBits(t, "MatMulInto vs naive", want, MatMulInto(dirty(m, n), a, b))
+				// xᵀ@b via the T1 kernel against the same reference.
+				assertSameBits(t, "MatMulT1Into vs naive", want, MatMulT1Into(dirty(m, n), a.T(), b))
+				// a@bᵀ via the dot-form T2 kernel: no skip, same bits for finite b.
+				assertSameBits(t, "MatMulT2Into vs naive", want, MatMulT2Into(dirty(m, n), a, b.T()))
+				assertSameBits(t, "MatMulAddRowInto vs naive", want.AddRowVector(bias.Data), MatMulAddRowInto(dirty(m, n), a, b, bias))
+			}
+		}
+		runtime.GOMAXPROCS(prev)
 	}
 }
 
@@ -139,6 +164,57 @@ func TestElementwiseIntoParity(t *testing.T) {
 	want := New(70, 90).Add(a, b)
 	got := AddInto(a, a, b)
 	assertSameBits(t, "AddInto aliased", want, got)
+}
+
+// TestGELUIntoMatchesFormula pins the pooled GELU kernels to the expressions
+// the nn layer evaluated inline, serially and through the pool, including
+// the in-place form.
+func TestGELUIntoMatchesFormula(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	x, g := randMat(rng, 300, 256), randMat(rng, 300, 256)
+	want, wantGrad := New(300, 256), New(300, 256)
+	for i, v := range x.Data {
+		want.Data[i] = 0.5 * v * (1 + math.Erf(v*invSqrt2))
+		cdf := 0.5 * (1 + math.Erf(v*invSqrt2))
+		pdf := math.Exp(-0.5*v*v) / math.Sqrt(2*math.Pi)
+		wantGrad.Data[i] = g.Data[i] * (cdf + v*pdf)
+	}
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		assertSameBits(t, "GELUInto", want, GELUInto(dirty(300, 256), x))
+		assertSameBits(t, "GELUGradInto", wantGrad, GELUGradInto(dirty(300, 256), x, g))
+		inPlace := x.Clone()
+		assertSameBits(t, "GELUInto in place", want, GELUInto(inPlace, inPlace))
+		runtime.GOMAXPROCS(prev)
+	}
+}
+
+func TestTransposeInto(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for _, d := range [][2]int{{0, 0}, {1, 1}, {1, 7}, {31, 33}, {32, 32}, {70, 129}} {
+		m := randMat(rng, d[0], d[1])
+		got := TransposeInto(dirty(d[1], d[0]), m)
+		for i := 0; i < m.Rows; i++ {
+			for j := 0; j < m.Cols; j++ {
+				if got.At(j, i) != m.At(i, j) {
+					t.Fatalf("%dx%d: element (%d,%d) not transposed", d[0], d[1], i, j)
+				}
+			}
+		}
+	}
+	for name, fn := range map[string]func(){
+		"shape": func() { TransposeInto(New(3, 3), New(2, 3)) },
+		"alias": func() { m := New(3, 3); TransposeInto(m, m) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("TransposeInto %s mismatch did not panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
 }
 
 func TestIntoAliasPanics(t *testing.T) {
@@ -252,6 +328,9 @@ func TestSteadyStateKernelAllocs(t *testing.T) {
 		"MatMulAddRowInto": func() { MatMulAddRowInto(dst, a, b, bias) },
 		"AddInto":          func() { AddInto(dst, a, b) },
 		"CopyInto":         func() { CopyInto(dst, a) },
+		"TransposeInto":    func() { TransposeInto(dst, a) },
+		"GELUInto":         func() { GELUInto(dst, a) },
+		"GELUGradInto":     func() { GELUGradInto(dst, a, b) },
 	}
 	for name, fn := range checks {
 		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
@@ -269,20 +348,28 @@ func TestPooledDispatchAllocs(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
 	rng := rand.New(rand.NewSource(11))
-	a, b := randMat(rng, 96, 96), randMat(rng, 96, 96)
-	dst := New(96, 96)
-	MatMulInto(dst, a, b) // warm pool + state
-	var total float64
-	const rounds = 200
-	for i := 0; i < rounds; i++ {
-		var ms0, ms1 runtime.MemStats
-		runtime.ReadMemStats(&ms0)
-		MatMulInto(dst, a, b)
-		runtime.ReadMemStats(&ms1)
-		total += float64(ms1.Mallocs - ms0.Mallocs)
+	// Big enough to clear parallelThreshold on the elementwise kernels too.
+	a, b := randMat(rng, 256, 256), randMat(rng, 256, 256)
+	dst := New(256, 256)
+	checks := map[string]func(){
+		"MatMulInto":   func() { MatMulInto(dst, a, b) },
+		"GELUInto":     func() { GELUInto(dst, a) },
+		"GELUGradInto": func() { GELUGradInto(dst, a, b) },
 	}
-	if avg := total / rounds; avg > 0.5 {
-		t.Errorf("pooled MatMulInto averages %v allocs per call, want < 0.5", avg)
+	for name, fn := range checks {
+		fn() // warm pool + state
+		var total float64
+		const rounds = 100
+		for i := 0; i < rounds; i++ {
+			var ms0, ms1 runtime.MemStats
+			runtime.ReadMemStats(&ms0)
+			fn()
+			runtime.ReadMemStats(&ms1)
+			total += float64(ms1.Mallocs - ms0.Mallocs)
+		}
+		if avg := total / rounds; avg > 0.5 {
+			t.Errorf("pooled %s averages %v allocs per call, want < 0.5", name, avg)
+		}
 	}
 }
 

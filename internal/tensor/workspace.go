@@ -46,6 +46,35 @@ func CopyInto(dst, src *Matrix) *Matrix {
 	return dst
 }
 
+// TransposeInto stores mᵀ into dst, which must be m.Cols x m.Rows and must
+// not alias m, and returns dst. The copy walks square tiles so both the
+// row-wise reads and the column-wise writes stay within a few cache lines
+// per tile, which is what keeps a per-step weight transpose cheap next to
+// the matmul that consumes it.
+//
+//silofuse:noalloc
+func TransposeInto(dst, m *Matrix) *Matrix {
+	if dst.Rows != m.Cols || dst.Cols != m.Rows {
+		panic(fmt.Sprintf("tensor: TransposeInto dst shape %dx%d, want %dx%d", dst.Rows, dst.Cols, m.Cols, m.Rows))
+	}
+	if sharesData(dst, m) {
+		panic("tensor: TransposeInto dst aliases its operand")
+	}
+	const tile = 32
+	for i0 := 0; i0 < m.Rows; i0 += tile {
+		i1 := min(i0+tile, m.Rows)
+		for j0 := 0; j0 < m.Cols; j0 += tile {
+			j1 := min(j0+tile, m.Cols)
+			for i := i0; i < i1; i++ {
+				for j, v := range m.Data[i*m.Cols+j0 : i*m.Cols+j1] {
+					dst.Data[(j0+j)*m.Rows+i] = v
+				}
+			}
+		}
+	}
+	return dst
+}
+
 // GatherRowsInto copies the rows of m selected by idx into dst, in order.
 // dst must be len(idx) x m.Cols.
 //
