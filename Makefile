@@ -35,9 +35,12 @@ test:
 # test-purego reruns the kernel packages and the two model packages on top of
 # them with -tags purego, which swaps the AVX2 axpy assembly for the Go loops
 # every non-amd64 build uses: the fallback is the reference the assembly is
-# tested against, so it must pass the same bit-identity and AllocsPerRun pins.
+# tested against, so it must pass the same bit-identity and AllocsPerRun pins
+# — and reproduce the whole-fit weight and sampled-table hashes of core's
+# fingerprint oracle.
 test-purego:
 	$(GO) test -tags purego -count=1 ./internal/tensor/ ./internal/nn/ ./internal/diffusion/ ./internal/autoencoder/
+	$(GO) test -tags purego -count=1 -run 'FitFingerprintOracle' ./internal/core/
 
 # cross-arm64 proves the tree builds, and the tensor package vets, for an
 # architecture that has no assembly file (build-tag or declaration drift
@@ -142,11 +145,13 @@ obs-smoke:
 
 # bench-kernels runs the hot-path microbenchmarks (the axpy primitive as Go
 # loop vs AVX2, tensor kernels, Linear forward/backward, diffusion
-# train/sample steps) with allocation reporting.
+# train/sample steps, and BenchmarkAETrainStepWide — one autoencoder step on
+# a single 2932-way column at batch 256, hidden 256, the straggler client of
+# the churn fit) with allocation reporting.
 # CI invokes it with BENCHFLAGS='-benchtime=1x' as a does-it-run smoke test;
 # for real numbers use the default and prefer -count=8 medians on busy hosts.
 bench-kernels:
-	$(GO) test -run '^$$' -bench 'Axpy4|MatMul|Linear|TrainStep|SampleStep' $(BENCHFLAGS) ./internal/tensor/ ./internal/nn/ ./internal/diffusion/
+	$(GO) test -run '^$$' -bench 'Axpy4|MatMul|Linear|TrainStep|SampleStep' $(BENCHFLAGS) ./internal/tensor/ ./internal/nn/ ./internal/diffusion/ ./internal/autoencoder/
 
 # profile-smoke exercises the phase-profiling pipeline end to end:
 #   1. two tiny training runs capture per-phase CPU/heap/mutex/block pprof

@@ -17,12 +17,14 @@ import (
 //
 //   - tensor kernels: TestSteadyStateKernelAllocs and TestPooledDispatchAllocs
 //     (pool_test.go) pin the *Into matmul/elementwise/GELU/transpose/workspace
-//     family;
+//     family and ParallelRange, the pool's entry for range kernels;
 //   - nn warm paths: TestLinearSteadyStateAllocs (gradcheck_test.go) pins
-//     Linear.Forward/Backward/BackwardParams, GELU.Forward/Backward and
-//     CrossEntropyRowInto (which also sits under the autoencoder's
-//     TestReconstructionLossRowwise), and MSELossInto sits inside the
-//     diffusion train-step loop below;
+//     Linear.Forward/Backward/BackwardParams, GELU.Forward/Backward,
+//     Adam.Step, SoftmaxRowInto and CrossEntropyRowInto (which also sits
+//     under the autoencoder's TestReconstructionLossRowwise), and
+//     MSELossInto sits inside the diffusion train-step loop below;
+//   - autoencoder: TestTrainStepWarmAllocs (input_test.go) pins TrainStep
+//     with the gather/scatter input layer's Forward/BackwardParams under it;
 //   - diffusion: TestTrainStepSteadyStateAllocs and TestSamplePerStepAllocs
 //     (perf_test.go) pin TrainStep/SampleWithRng, the backbone
 //     Forward/Backward they drive, and the QSample/timestep kernels;
@@ -40,12 +42,16 @@ import (
 // Adding an annotation without extending this list (or vice versa) fails the
 // test, so the annotation set cannot drift from the perf suite it documents.
 var noallocPinned = []string{
+	"autoencoder.Autoencoder.TrainStep",
+	"autoencoder.inputLayer.BackwardParams",
+	"autoencoder.inputLayer.Forward",
 	"diffusion.Gaussian.QSampleInto",
 	"diffusion.Gaussian.SampleTimestepsInto",
 	"diffusion.Model.SampleBatchWithRngs",
 	"diffusion.Model.SampleWithRng",
 	"diffusion.Model.TrainStep",
 	"diffusion.Model.TrainStepGrad",
+	"nn.Adam.Step",
 	"nn.DiffusionMLP.Backward",
 	"nn.DiffusionMLP.Forward",
 	"nn.DiffusionMLP32.Forward",
@@ -61,6 +67,7 @@ var noallocPinned = []string{
 	"nn.FlattenGradsInto",
 	"nn.MSELossInto",
 	"nn.SetGrads",
+	"nn.SoftmaxRowInto",
 	"tensor.Add32Into",
 	"tensor.AddInto",
 	"tensor.ConvertInto32",
@@ -77,6 +84,7 @@ var noallocPinned = []string{
 	"tensor.MatMulT1Into",
 	"tensor.MatMulT2Into",
 	"tensor.MulElemInto",
+	"tensor.ParallelRange",
 	"tensor.ReduceAccumulate",
 	"tensor.ReduceScale",
 	"tensor.ReduceZero",
@@ -90,7 +98,7 @@ var noallocPinned = []string{
 func TestNoallocAnnotationCoverage(t *testing.T) {
 	var got []string
 	fset := token.NewFileSet()
-	for _, pkg := range []string{"tensor", "nn", "diffusion"} {
+	for _, pkg := range []string{"tensor", "nn", "diffusion", "autoencoder"} {
 		dir := filepath.Join("..", pkg)
 		entries, err := os.ReadDir(dir)
 		if err != nil {

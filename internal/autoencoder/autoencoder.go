@@ -4,6 +4,12 @@
 // Gaussian (mean, log-variance) head per numeric feature and a multinomial
 // (softmax) head per categorical feature — trained by negative
 // log-likelihood (paper eq. 4, following TVAE-style heads).
+//
+// Two rules keep its memory independent of the one-hot width and the table
+// size: categorical cells travel as codes (the encoder's first layer gathers
+// rows of its weights, the loss and the decoder index their heads; no
+// one-hot matrix is built), and no activation is ever table-sized (Encode
+// walks the table in chunks of the training batch shape).
 package autoencoder
 
 import (
@@ -52,7 +58,7 @@ type headSpan struct {
 type Autoencoder struct {
 	Schema *tabular.Schema
 	Cfg    Config
-	Enc    *tabular.Encoder // input featuriser (one-hot + standardise)
+	Enc    *tabular.Encoder // featuriser statistics: spans, mean, std (its Transform is not called)
 	// Rec, when non-nil, receives per-step loss/throughput telemetry from
 	// Train (stage "ae"). Shared safely across clients training in parallel.
 	Rec *obs.Recorder
@@ -64,13 +70,17 @@ type Autoencoder struct {
 	// pipeline sets this and measures the whole parallel phase instead.
 	SkipAllocStats bool
 
-	encoder *nn.Sequential
+	input   *inputLayer    // encoder.Layers[0]
+	encoder *nn.Sequential // takes raw table rows
 	decoder *nn.Sequential // trunk + final head linear
 	spans   []headSpan
 	opt     *nn.Adam
 	rng     *rand.Rand
 
 	lossGrad *tensor.Matrix // reconstructionLoss's persistent gradient workspace
+	ce       ceRows         // reconstructionLoss's softmax-CE kernel and per-row terms
+	encPad   *tensor.Matrix // Encode's padded final chunk
+	probs    []float64      // Decode's softmax row, as long as the widest categorical head
 }
 
 // New builds an autoencoder for the columns of train and fits the input
@@ -80,12 +90,11 @@ func New(rng *rand.Rand, train *tabular.Table, cfg Config) *Autoencoder {
 		cfg.Latent = train.Schema.NumColumns()
 	}
 	enc := tabular.NewEncoder(train)
-	in := enc.Width()
 
 	// Head layout: [mean, logVar] per numeric column, card logits per
 	// categorical column, in schema order.
 	var spans []headSpan
-	off := 0
+	off, widest := 0, 0
 	for j, c := range train.Schema.Columns {
 		sp := headSpan{col: j, kind: c.Kind, lo: off}
 		if c.Kind == tabular.Numeric {
@@ -95,14 +104,17 @@ func New(rng *rand.Rand, train *tabular.Table, cfg Config) *Autoencoder {
 		}
 		sp.hi = off
 		spans = append(spans, sp)
+		widest = max(widest, c.Cardinality)
 	}
 
+	input := newInputLayer(rng, enc, cfg.Hidden)
 	a := &Autoencoder{
 		Schema: train.Schema,
 		Cfg:    cfg,
 		Enc:    enc,
+		input:  input,
 		encoder: nn.NewSequential(
-			nn.NewLinear(rng, in, cfg.Hidden), &nn.GELU{},
+			input, &nn.GELU{},
 			nn.NewLinear(rng, cfg.Hidden, cfg.Embed), &nn.GELU{},
 			nn.NewLinear(rng, cfg.Embed, cfg.Latent),
 		),
@@ -113,6 +125,7 @@ func New(rng *rand.Rand, train *tabular.Table, cfg Config) *Autoencoder {
 		),
 		spans: spans,
 		rng:   rng,
+		probs: make([]float64, widest),
 	}
 	params := append(a.encoder.Params(), a.decoder.Params()...)
 	a.opt = nn.NewAdam(params, cfg.LR)
@@ -129,9 +142,10 @@ func (a *Autoencoder) LatentDim() int { return a.Cfg.Latent }
 
 // TrainStep runs one optimisation step on a batch table and returns the
 // total reconstruction NLL.
+//
+//silofuse:noalloc
 func (a *Autoencoder) TrainStep(batch *tabular.Table) float64 {
-	x := a.Enc.Transform(batch)
-	z := a.encoder.Forward(x, true)
+	z := a.encoder.Forward(batch.Data, true)
 	out := a.decoder.Forward(z, true)
 	loss, grad := a.reconstructionLoss(out, batch)
 	gz := a.decoder.Backward(grad)
@@ -150,6 +164,7 @@ func (a *Autoencoder) Train(train *tabular.Table, iters, batch int) float64 {
 	var tailLoss float64
 	var tailCount int
 	idx := make([]int, batch)
+	mini := &tabular.Table{Schema: train.Schema, Data: tensor.New(batch, train.Data.Cols)}
 	measureAllocs := a.Rec != nil && !a.SkipAllocStats
 	var ms0 runtime.MemStats
 	if measureAllocs {
@@ -160,7 +175,8 @@ func (a *Autoencoder) Train(train *tabular.Table, iters, batch int) float64 {
 			idx[i] = a.rng.Intn(train.Rows())
 		}
 		t0 := a.Rec.Now()
-		loss := a.TrainStep(train.SelectRows(idx))
+		train.Data.GatherRowsInto(mini.Data, idx)
+		loss := a.TrainStep(mini)
 		if a.Rec != nil {
 			a.Rec.TrainStep("ae", loss, batch, a.Rec.Since(t0))
 		}
@@ -204,9 +220,17 @@ func (a *Autoencoder) reconstructionLoss(out *tensor.Matrix, batch *tabular.Tabl
 				g[1] = gLogVar / n
 			}
 		} else {
-			for i := 0; i < out.Rows; i++ {
-				label := int(batch.Data.At(i, sp.col))
-				loss += nn.CrossEntropyRowInto(grad.Row(i)[sp.lo:sp.hi], out.Row(i)[sp.lo:sp.hi], label, n)
+			// Rows are independent, so a wide head's exp-heavy softmax rows
+			// go to the worker pool; each row leaves its loss term behind
+			// and the terms are summed here, in row order, as the serial
+			// loop summed them.
+			ce := &a.ce
+			ce.grad, ce.out, ce.labels = grad, out, batch.Data
+			ce.col, ce.lo, ce.hi, ce.n = sp.col, sp.lo, sp.hi, n
+			ce.terms = tensor.EnsureVec(ce.terms, out.Rows)
+			tensor.ParallelRange(ce, out.Rows, out.Rows*(sp.hi-sp.lo))
+			for _, term := range ce.terms {
+				loss += term
 			}
 		}
 		total += loss / n
@@ -214,15 +238,61 @@ func (a *Autoencoder) reconstructionLoss(out *tensor.Matrix, batch *tabular.Tabl
 	return total, grad
 }
 
+// ceRows is the softmax cross-entropy of one categorical head as a
+// tensor.RangeKernel over batch rows.
+type ceRows struct {
+	grad, out, labels *tensor.Matrix // labels: the batch's raw rows, codes in column col
+	col, lo, hi       int            // source column; the head's span of out and grad
+	n                 float64
+	terms             []float64 // per-row -log p[label]
+}
+
+func (k *ceRows) RunRange(r0, r1 int) {
+	for i := r0; i < r1; i++ {
+		label := int(k.labels.At(i, k.col))
+		k.terms[i] = nn.CrossEntropyRowInto(k.grad.Row(i)[k.lo:k.hi], k.out.Row(i)[k.lo:k.hi], label, k.n)
+	}
+}
+
 // Encode maps a table to its latent representation Z_i = E_i(X_i) in
 // evaluation mode.
+//
+// The table goes through the encoder in chunks of the shape the layer
+// workspaces already have — the training batch, or encodeChunk rows on a
+// model that has not run yet — and each chunk's latents are copied into the
+// result, which the caller owns (the pipeline retains it, and DP noising
+// mutates it in place). Rows are independent in every encoder layer, so the
+// latents are those of one table-sized batch; what differs is that no
+// workspace grows to table size and stays that way for the life of the
+// model, and that a training step after Encode finds its workspaces as it
+// left them. The final, shorter chunk is padded to the chunk shape for the
+// same reason.
 func (a *Autoencoder) Encode(t *tabular.Table) *tensor.Matrix {
-	// The encoder's Forward output is a per-layer workspace that the next
-	// Forward through the same encoder overwrites; latents are retained
-	// long-term by the pipeline (and mutated in place by DP noising), so
-	// hand the caller its own copy.
-	return a.encoder.Forward(a.Enc.Transform(t), false).Clone()
+	rows, cols, latent := t.Rows(), t.Data.Cols, a.Cfg.Latent
+	z := tensor.New(rows, latent)
+	chunk := encodeChunk
+	if a.input.out != nil {
+		chunk = a.input.out.Rows
+	}
+	for lo := 0; lo < rows; lo += chunk {
+		n := min(chunk, rows-lo)
+		in := t.Data.Data[lo*cols : (lo+n)*cols]
+		if n < chunk {
+			a.encPad = tensor.Ensure(a.encPad, chunk, cols)
+			copy(a.encPad.Data, in)
+			for r := n; r < chunk; r++ {
+				copy(a.encPad.Row(r), in[:cols]) // any valid row will do
+			}
+			in = a.encPad.Data
+		}
+		out := a.encoder.Forward(tensor.FromSlice(chunk, cols, in), false)
+		copy(z.Data[lo*latent:], out.Data[:n*latent])
+	}
+	return z
 }
+
+// encodeChunk is Encode's chunk on a model whose encoder has not run yet.
+const encodeChunk = 256
 
 // Decode maps latents back to the data space. When sample is true, numeric
 // values are drawn from the Gaussian heads and categories from the softmax
@@ -248,10 +318,9 @@ func (a *Autoencoder) Decode(z *tensor.Matrix, sample bool, rng *rand.Rand) (*ta
 				data.Set(i, sp.col, v*a.Enc.Std[sp.col]+a.Enc.Mean[sp.col])
 			}
 		case tabular.Categorical:
-			logits := out.SliceCols(sp.lo, sp.hi)
-			probs := nn.Softmax(logits)
+			row := a.probs[:sp.hi-sp.lo]
 			for i := 0; i < z.Rows; i++ {
-				row := probs.Row(i)
+				nn.SoftmaxRowInto(row, out.Row(i)[sp.lo:sp.hi])
 				var code int
 				if sample {
 					code = sampleIndex(rng, row)

@@ -3,8 +3,10 @@ package autoencoder
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"silofuse/internal/datagen"
@@ -220,27 +222,71 @@ func columnwiseReconstructionLoss(a *Autoencoder, out *tensor.Matrix, batch *tab
 // TestReconstructionLossRowwise pins the row-wise, workspace-backed loss to
 // the bits of the column-wise formulation — head outputs scaled so some
 // log-variances leave the clamp — and pins its warm path to zero
-// allocations.
+// allocations. The 2932-way head at 32 rows clears tensor's parallel
+// threshold, so with four workers its softmax-CE rows run on the pool and
+// the per-row terms are summed afterwards; at 16 rows and on the loan
+// schema they run inline.
 func TestReconstructionLossRowwise(t *testing.T) {
-	tb := loanTable(t, 64)
-	a := New(rand.New(rand.NewSource(11)), tb, DefaultConfig(0))
-	rng := rand.New(rand.NewSource(12))
-	width := a.spans[len(a.spans)-1].hi
-	for round := 0; round < 3; round++ {
-		out := tensor.New(tb.Rows(), width).Randn(rng, 6)
-		wantLoss, wantGrad := columnwiseReconstructionLoss(a, out, tb)
-		gotLoss, gotGrad := a.reconstructionLoss(out, tb) // rounds 1, 2: dirty workspace
-		if wantLoss != gotLoss {
-			t.Fatalf("round %d: loss %v, column-wise reference %v", round, gotLoss, wantLoss)
-		}
-		for i := range wantGrad.Data {
-			if wantGrad.Data[i] != gotGrad.Data[i] {
-				t.Fatalf("round %d: grad differs at %d: %v vs %v", round, i, gotGrad.Data[i], wantGrad.Data[i])
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		for name, tb := range map[string]*tabular.Table{"loan": loanTable(t, 64), "wide 32": wideTable(t, 32), "wide 16": wideTable(t, 16)} {
+			a := New(rand.New(rand.NewSource(11)), tb, DefaultConfig(0))
+			rng := rand.New(rand.NewSource(12))
+			width := a.spans[len(a.spans)-1].hi
+			for round := 0; round < 3; round++ {
+				out := tensor.New(tb.Rows(), width).Randn(rng, 6)
+				wantLoss, wantGrad := columnwiseReconstructionLoss(a, out, tb)
+				gotLoss, gotGrad := a.reconstructionLoss(out, tb) // rounds 1, 2: dirty workspace
+				if wantLoss != gotLoss {
+					t.Fatalf("%s, procs %d, round %d: loss %v, column-wise reference %v", name, procs, round, gotLoss, wantLoss)
+				}
+				sameBits(t, fmt.Sprintf("%s, procs %d, round %d: grad", name, procs, round), wantGrad, gotGrad)
+			}
+			out := tensor.New(tb.Rows(), width).Randn(rng, 1)
+			if allocs := testing.AllocsPerRun(20, func() { a.reconstructionLoss(out, tb) }); allocs != 0 {
+				t.Fatalf("%s: warm reconstructionLoss performs %v allocs, want 0", name, allocs)
 			}
 		}
+		runtime.GOMAXPROCS(prev)
 	}
-	out := tensor.New(tb.Rows(), width).Randn(rng, 1)
-	if allocs := testing.AllocsPerRun(20, func() { a.reconstructionLoss(out, tb) }); allocs != 0 {
-		t.Fatalf("warm reconstructionLoss performs %v allocs, want 0", allocs)
+}
+
+// TestDecodeMatchesMatrixSoftmax pins Decode's one-scratch-row softmax to
+// the formulation it replaced — slice each categorical head's logits out,
+// softmax the matrix, sample or arg-max per row — including the order of
+// rng draws (heads in schema order, rows within a head).
+func TestDecodeMatchesMatrixSoftmax(t *testing.T) {
+	tb := loanTable(t, 40)
+	a := New(rand.New(rand.NewSource(13)), tb, DefaultConfig(0))
+	z := tensor.New(25, a.LatentDim()).Randn(rand.New(rand.NewSource(14)), 1)
+	for _, sample := range []bool{false, true} {
+		got, err := a.Decode(z, sample, rand.New(rand.NewSource(15)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(15))
+		out := a.decoder.Forward(z, false)
+		want := tensor.New(z.Rows, a.Schema.NumColumns())
+		for _, sp := range a.spans {
+			if sp.kind == tabular.Numeric {
+				for i := 0; i < z.Rows; i++ {
+					v := out.At(i, sp.lo)
+					if sample {
+						v += math.Exp(math.Max(-10, math.Min(10, out.At(i, sp.lo+1)))/2) * rng.NormFloat64()
+					}
+					want.Set(i, sp.col, v*a.Enc.Std[sp.col]+a.Enc.Mean[sp.col])
+				}
+				continue
+			}
+			probs := nn.Softmax(out.SliceCols(sp.lo, sp.hi))
+			for i := 0; i < z.Rows; i++ {
+				if sample {
+					want.Set(i, sp.col, float64(sampleIndex(rng, probs.Row(i))))
+				} else {
+					want.Set(i, sp.col, float64(argmax(probs.Row(i))))
+				}
+			}
+		}
+		sameBits(t, fmt.Sprintf("decode, sample %v", sample), want, got.Data)
 	}
 }

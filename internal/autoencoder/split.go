@@ -13,7 +13,7 @@ import (
 // ForwardEncode runs the encoder on a raw batch, caching activations for a
 // later BackwardEncoder call.
 func (a *Autoencoder) ForwardEncode(batch *tabular.Table, train bool) *tensor.Matrix {
-	return a.encoder.Forward(a.Enc.Transform(batch), train)
+	return a.encoder.Forward(batch.Data, train)
 }
 
 // DecoderLossGrad runs the decoder on latents z, computes the

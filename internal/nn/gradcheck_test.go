@@ -409,7 +409,10 @@ func TestLinearSteadyStateAllocs(t *testing.T) {
 	x := tensor.New(128, 64).Randn(rng, 1)
 	g := tensor.New(128, 64).Randn(rng, 1)
 	logits, ceGrad := x.Row(0), make([]float64, 64)
+	opt := NewAdam(l.Params(), 1e-3)
 	steps := map[string]func(){
+		"Adam step":      opt.Step,
+		"SoftmaxRowInto": func() { SoftmaxRowInto(ceGrad, logits) },
 		"Linear step": func() {
 			l.Forward(x, true)
 			l.Backward(g)
@@ -429,6 +432,64 @@ func TestLinearSteadyStateAllocs(t *testing.T) {
 		if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
 			t.Errorf("warm %s performs %v allocs, want 0", name, allocs)
 		}
+	}
+}
+
+// adamReference is Adam.Step as one serial loop per parameter followed by a
+// separate zeroing pass — the form the pooled sweep replaced.
+func adamReference(ps []*Param, m, v [][]float64, t int, lr float64) {
+	beta1, beta2, eps := 0.9, 0.999, 1e-8 // variables: 1-beta1 must round as it does at run time
+	bc1 := 1 - math.Pow(beta1, float64(t))
+	bc2 := 1 - math.Pow(beta2, float64(t))
+	for i, p := range ps {
+		for j, g := range p.Grad.Data {
+			m[i][j] = beta1*m[i][j] + (1-beta1)*g
+			v[i][j] = beta2*v[i][j] + (1-beta2)*g*g
+			mHat := m[i][j] / bc1
+			vHat := v[i][j] / bc2
+			p.Value.Data[j] -= lr * mHat / (math.Sqrt(vHat) + eps)
+		}
+	}
+	ZeroGrads(ps)
+}
+
+// TestAdamSweepMatchesSerial pins the pooled Adam sweep to the serial loop's
+// bits over three steps, on parameters one element either side of tensor's
+// parallel threshold (2^16 elements) and exactly on it, with one worker and
+// with four, and checks Step leaves every gradient zero.
+func TestAdamSweepMatchesSerial(t *testing.T) {
+	const threshold = 1 << 16
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		rng := rand.New(rand.NewSource(48))
+		var got, want []*Param
+		var m, v [][]float64
+		for _, n := range []int{7, threshold - 1, threshold, threshold + 1} {
+			w := tensor.New(1, n).Randn(rng, 1)
+			got = append(got, NewParam("w", w))
+			want = append(want, NewParam("w", w.Clone()))
+			m, v = append(m, make([]float64, n)), append(v, make([]float64, n))
+		}
+		opt := NewAdam(got, 1e-3)
+		for step := 1; step <= 3; step++ {
+			for i := range got {
+				got[i].Grad.Randn(rng, 1)
+				tensor.CopyInto(want[i].Grad, got[i].Grad)
+			}
+			opt.Step()
+			adamReference(want, m, v, step, 1e-3)
+			for i := range got {
+				for j := range got[i].Value.Data {
+					if got[i].Value.Data[j] != want[i].Value.Data[j] {
+						t.Fatalf("procs %d step %d param %d: weight %d is %v, serial form %v", procs, step, i, j, got[i].Value.Data[j], want[i].Value.Data[j])
+					}
+					if got[i].Grad.Data[j] != 0 {
+						t.Fatalf("procs %d step %d param %d: gradient %d left at %v", procs, step, i, j, got[i].Grad.Data[j])
+					}
+				}
+			}
+		}
+		runtime.GOMAXPROCS(prev)
 	}
 }
 

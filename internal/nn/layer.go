@@ -70,9 +70,16 @@ func (s *Sequential) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 	return gradOut
 }
 
-// BackwardParams is Backward for callers that do not read dL/d(input): when
-// the first layer is a *Linear its input gradient is not computed. Parameter
-// gradients accumulate exactly as in Backward.
+// paramsBackwarder is a layer that can accumulate its parameter gradients
+// without computing its input gradient.
+type paramsBackwarder interface {
+	BackwardParams(gradOut *tensor.Matrix)
+}
+
+// BackwardParams is Backward for callers that do not read dL/d(input): a
+// first layer that has a params-only backward (a *Linear, or a layer whose
+// input is data and has no gradient at all) runs that. Parameter gradients
+// accumulate exactly as in Backward.
 func (s *Sequential) BackwardParams(gradOut *tensor.Matrix) {
 	if len(s.Layers) == 0 {
 		return
@@ -80,8 +87,8 @@ func (s *Sequential) BackwardParams(gradOut *tensor.Matrix) {
 	for i := len(s.Layers) - 1; i > 0; i-- {
 		gradOut = s.Layers[i].Backward(gradOut)
 	}
-	if lin, ok := s.Layers[0].(*Linear); ok {
-		lin.BackwardParams(gradOut)
+	if first, ok := s.Layers[0].(paramsBackwarder); ok {
+		first.BackwardParams(gradOut)
 		return
 	}
 	s.Layers[0].Backward(gradOut)

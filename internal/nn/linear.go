@@ -65,7 +65,7 @@ func (l *Linear) BackwardParams(gradOut *tensor.Matrix) {
 		l.dW, l.wT = dW, tensor.FromSlice(w.Cols, w.Rows, dW.Data)
 	}
 	tensor.MatMulT1Into(l.dW, l.input, gradOut)
-	l.W.Grad.Add(l.W.Grad, l.dW)
+	tensor.AddInto(l.W.Grad, l.W.Grad, l.dW)
 	// Two-phase bias reduction: column sums land in a scratch vector first
 	// and are added to the grad in one pass, preserving the FP accumulation
 	// order of the old ColSums-then-add code across repeated Backwards.

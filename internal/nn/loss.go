@@ -36,13 +36,17 @@ func MSELossInto(pred, target, grad *tensor.Matrix) float64 {
 func Softmax(logits *tensor.Matrix) *tensor.Matrix {
 	out := tensor.New(logits.Rows, logits.Cols)
 	for i := 0; i < logits.Rows; i++ {
-		softmaxRowInto(out.Row(i), logits.Row(i))
+		SoftmaxRowInto(out.Row(i), logits.Row(i))
 	}
 	return out
 }
 
-// softmaxRowInto stores softmax(row) into dst, which must have row's length.
-func softmaxRowInto(dst, row []float64) {
+// SoftmaxRowInto stores softmax(row) into dst, which must have row's length
+// (dst may be row itself). It is one row of Softmax, for callers whose
+// logits are a span of a wider row.
+//
+//silofuse:noalloc
+func SoftmaxRowInto(dst, row []float64) {
 	max := math.Inf(-1)
 	for _, v := range row {
 		if v > max {
@@ -81,7 +85,7 @@ func CrossEntropyLoss(logits *tensor.Matrix, labels []int) (float64, *tensor.Mat
 //
 //silofuse:noalloc
 func CrossEntropyRowInto(g, logits []float64, label int, n float64) float64 {
-	softmaxRowInto(g, logits)
+	SoftmaxRowInto(g, logits)
 	term := -math.Log(math.Max(g[label], 1e-12))
 	for j := range g {
 		g[j] /= n

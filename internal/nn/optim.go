@@ -56,6 +56,7 @@ type Adam struct {
 	params []*Param
 	m, v   []*tensor.Matrix
 	t      int
+	sweep  adamSweep
 }
 
 // NewAdam creates an Adam optimiser with standard defaults
@@ -70,7 +71,33 @@ func NewAdam(params []*Param, lr float64) *Adam {
 	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, params: params, m: m, v: v}
 }
 
+// adamSweep is the update of one parameter as a tensor.RangeKernel: every
+// element depends on its own weight, gradient and moments only, so a
+// parameter past tensor's parallel threshold (the autoencoder's one-hot-wide
+// head, a backbone's hidden x hidden block) is swept by the worker pool and
+// smaller ones inline, with the same bits either way.
+type adamSweep struct {
+	w, g, m, v                      []float64
+	lr, beta1, beta2, eps, bc1, bc2 float64
+}
+
+// RunRange updates elements [lo, hi) and clears their gradients, which
+// nothing reads between the update and the zeroing Step promises.
+func (s *adamSweep) RunRange(lo, hi int) {
+	w, g, m, v := s.w[lo:hi], s.g[lo:hi], s.m[lo:hi], s.v[lo:hi]
+	for j, gj := range g {
+		m[j] = s.beta1*m[j] + (1-s.beta1)*gj
+		v[j] = s.beta2*v[j] + (1-s.beta2)*gj*gj
+		mHat := m[j] / s.bc1
+		vHat := v[j] / s.bc2
+		w[j] -= s.lr * mHat / (math.Sqrt(vHat) + s.eps)
+		g[j] = 0
+	}
+}
+
 // Step applies one Adam update and zeroes gradients.
+//
+//silofuse:noalloc
 func (a *Adam) Step() {
 	a.t++
 	if a.ClipNorm > 0 {
@@ -88,19 +115,14 @@ func (a *Adam) Step() {
 			}
 		}
 	}
-	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	s := &a.sweep
+	s.lr, s.beta1, s.beta2, s.eps = a.LR, a.Beta1, a.Beta2, a.Eps
+	s.bc1 = 1 - math.Pow(a.Beta1, float64(a.t))
+	s.bc2 = 1 - math.Pow(a.Beta2, float64(a.t))
 	for i, p := range a.params {
-		m, v := a.m[i], a.v[i]
-		for j, g := range p.Grad.Data {
-			m.Data[j] = a.Beta1*m.Data[j] + (1-a.Beta1)*g
-			v.Data[j] = a.Beta2*v.Data[j] + (1-a.Beta2)*g*g
-			mHat := m.Data[j] / bc1
-			vHat := v.Data[j] / bc2
-			p.Value.Data[j] -= a.LR * mHat / (math.Sqrt(vHat) + a.Eps)
-		}
+		s.w, s.g, s.m, s.v = p.Value.Data, p.Grad.Data, a.m[i].Data, a.v[i].Data
+		tensor.ParallelRange(s, len(s.w), len(s.w))
 	}
-	a.ZeroGrads()
 }
 
 // ZeroGrads clears all parameter gradients.

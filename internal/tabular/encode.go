@@ -89,7 +89,7 @@ func (e *Encoder) Transform(t *Table) *tensor.Matrix {
 		dst := out.Row(i)
 		for _, sp := range e.Spans {
 			if sp.Kind == Categorical {
-				dst[sp.Lo+int(src[sp.Col])] = 1
+				dst[sp.Lo+e.Schema.Columns[sp.Col].Code(src[sp.Col])] = 1
 			} else {
 				dst[sp.Lo] = (src[sp.Col] - e.Mean[sp.Col]) / e.Std[sp.Col]
 			}

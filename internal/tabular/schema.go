@@ -33,6 +33,26 @@ type Column struct {
 	Cardinality int // number of categories; 0 for numeric columns
 }
 
+// code converts a cell of categorical column c to its category code; ok is
+// false unless the cell holds an integer in [0, Cardinality).
+func (c *Column) code(v float64) (k int, ok bool) {
+	k = int(v)
+	return k, float64(k) == v && k >= 0 && k < c.Cardinality //silofuse:bitwise-ok integrality check of category code
+}
+
+// Code returns the category code held by a cell of categorical column c.
+// NewTable admits only integers in [0, Cardinality), so any other value means
+// a Table was assembled around unchecked data; an encoder that read on would
+// light a neighbouring column's one-hot slot (or gather its weights) and
+// produce a silently wrong model, so Code panics, naming the column.
+func (c *Column) Code(v float64) int {
+	k, ok := c.code(v)
+	if !ok {
+		panic(fmt.Sprintf("tabular: column %q: invalid category code %v (cardinality %d)", c.Name, v, c.Cardinality))
+	}
+	return k
+}
+
 // Schema is an ordered list of column descriptions.
 type Schema struct {
 	Columns []Column

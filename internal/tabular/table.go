@@ -21,14 +21,14 @@ func NewTable(schema *Schema, data *tensor.Matrix) (*Table, error) {
 	if data.Cols != schema.NumColumns() {
 		return nil, fmt.Errorf("tabular: data has %d cols, schema has %d", data.Cols, schema.NumColumns())
 	}
-	for j, c := range schema.Columns {
+	for j := range schema.Columns {
+		c := &schema.Columns[j]
 		if c.Kind != Categorical {
 			continue
 		}
 		for i := 0; i < data.Rows; i++ {
 			v := data.At(i, j)
-			code := int(v)
-			if float64(code) != v || code < 0 || code >= c.Cardinality { //silofuse:bitwise-ok integrality check of category code
+			if _, ok := c.code(v); !ok {
 				return nil, fmt.Errorf("tabular: row %d col %q: invalid category code %v (cardinality %d)", i, c.Name, v, c.Cardinality)
 			}
 		}

@@ -276,6 +276,28 @@ func TestEncoderOneHot(t *testing.T) {
 	}
 }
 
+// TestTransformRejectsBadCode: a table that did not come from NewTable
+// (SelectRows and friends wrap data unchecked) may hold a code outside its
+// column's cardinality. Transform used to write that one-hot slot anyway —
+// color=3 lit the first slot of "income" — and must now panic naming the
+// column.
+func TestTransformRejectsBadCode(t *testing.T) {
+	tb := testTable(t)
+	enc := NewEncoder(tb)
+	for _, code := range []float64{3, -1, 0.5, math.NaN()} {
+		bad := tb.SelectRows([]int{0, 1})
+		bad.Data.Set(1, 1, code)
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, `"color"`) {
+					t.Errorf("code %v: want a panic naming column color, got %q", code, msg)
+				}
+			}()
+			enc.Transform(bad)
+		}()
+	}
+}
+
 func TestCSVRoundTrip(t *testing.T) {
 	tb := testTable(t)
 	var buf bytes.Buffer

@@ -40,3 +40,12 @@ func axpy1Go(dst, b []float64, a float64) {
 		dst[j] += a * bv
 	}
 }
+
+// Axpy adds a·b to dst element by element, dst[j] += a·b[j], with one
+// rounded multiply and one rounded add per element — the step every
+// accumulating matmul kernel takes for one coefficient. It exists for
+// callers that know which coefficients of a row are non-zero (a category
+// code in place of its one-hot row) and can therefore apply exactly the
+// steps the dense zero-skip kernels would, and no others. b must be at
+// least len(dst) long.
+func Axpy(dst, b []float64, a float64) { axpy1(dst, b, a) }

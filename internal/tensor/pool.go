@@ -28,9 +28,20 @@ type kernelFn func(a, b, c, dst *Matrix, lo, hi int)
 // same worker pool.
 type kernel32Fn func(a, b, c, dst *Matrix32, lo, hi int)
 
+// RangeKernel is a kernel that carries its own operands: RunRange computes
+// the elements or rows [lo, hi) of its parallel axis, which may be empty.
+// It is the pool's entry for work kernelFn's four matrices cannot describe
+// — an optimiser sweep with its scalars, loss rows with their labels.
+// Every index must be computed independently of every other, so that where
+// the chunk boundaries fall cannot change the result. Implementations are
+// pointers to state the caller keeps, which makes a dispatch allocation-free.
+type RangeKernel interface {
+	RunRange(lo, hi int)
+}
+
 // chunkTask describes one contiguous chunk of a kernel invocation. It is
-// sent by value so enqueueing does not allocate. Exactly one of kern/kern32
-// is set; the worker dispatches on which.
+// sent by value so enqueueing does not allocate. Exactly one of
+// kern/kern32/ranger is set; run dispatches on which.
 type chunkTask struct {
 	kern         kernelFn
 	a, b, c, dst *Matrix
@@ -38,8 +49,21 @@ type chunkTask struct {
 	kern32               kernel32Fn
 	a32, b32, c32, dst32 *Matrix32
 
+	ranger RangeKernel
+
 	lo, hi int
 	state  *callState
+}
+
+func (t *chunkTask) run() {
+	switch {
+	case t.kern != nil:
+		t.kern(t.a, t.b, t.c, t.dst, t.lo, t.hi)
+	case t.kern32 != nil:
+		t.kern32(t.a32, t.b32, t.c32, t.dst32, t.lo, t.hi)
+	default:
+		t.ranger.RunRange(t.lo, t.hi)
+	}
 }
 
 // callState tracks completion of one parallel kernel invocation. done is
@@ -80,11 +104,7 @@ func ensurePool() {
 
 func poolWorker() {
 	for t := range workCh {
-		if t.kern != nil {
-			t.kern(t.a, t.b, t.c, t.dst, t.lo, t.hi)
-		} else {
-			t.kern32(t.a32, t.b32, t.c32, t.dst32, t.lo, t.hi)
-		}
+		t.run()
 		finishChunk(t.state)
 	}
 }
@@ -99,18 +119,19 @@ func finishChunk(s *callState) bool {
 	return false
 }
 
-// dispatchKernel runs kern over [0, n) on the parallel axis, either inline
-// (when the work is too small, or only one P is available) or sliced into
-// chunks fed to the worker pool. work is the multiply-add count used
-// against parallelThreshold. The caller always executes the final chunk
-// itself, so at most parts-1 chunks cross the channel.
-func dispatchKernel(kern kernelFn, a, b, c, dst *Matrix, n, work int) {
+// dispatch runs the kernel t describes over [0, n) on the parallel axis,
+// either inline (when the work is too small, or only one P is available) or
+// sliced into chunks fed to the worker pool. work is the multiply-add (or
+// element) count used against parallelThreshold. The caller always executes
+// the final chunk itself, so at most parts-1 chunks cross the channel.
+func dispatch(t chunkTask, n, work int) {
 	if n <= 0 {
 		return
 	}
 	parts := runtime.GOMAXPROCS(0)
 	if work < parallelThreshold || n < 2 || parts == 1 {
-		kern(a, b, c, dst, 0, n)
+		t.lo, t.hi = 0, n
+		t.run()
 		return
 	}
 	ensurePool()
@@ -119,17 +140,16 @@ func dispatchKernel(kern kernelFn, a, b, c, dst *Matrix, n, work int) {
 	}
 	s := statePool.Get().(*callState)
 	s.remain.Store(int64(parts))
+	t.state = s
 	chunk := (n + parts - 1) / parts
 	lo := 0
 	for p := 0; p < parts-1; p++ {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		workCh <- chunkTask{kern: kern, a: a, b: b, c: c, dst: dst, lo: lo, hi: hi, state: s}
-		lo = hi
+		t.lo, t.hi = lo, min(lo+chunk, n)
+		workCh <- t
+		lo = t.hi
 	}
-	kern(a, b, c, dst, lo, n)
+	t.lo, t.hi = lo, n
+	t.run()
 	// Exactly one chunk completion sends on done (the last one, possibly
 	// this caller's own); receiving it both waits for stragglers and
 	// drains the channel so the state is clean for reuse.
@@ -138,39 +158,28 @@ func dispatchKernel(kern kernelFn, a, b, c, dst *Matrix, n, work int) {
 	statePool.Put(s)
 }
 
+// dispatchKernel is dispatch for a float64 matrix kernel.
+func dispatchKernel(kern kernelFn, a, b, c, dst *Matrix, n, work int) {
+	dispatch(chunkTask{kern: kern, a: a, b: b, c: c, dst: dst}, n, work)
+}
+
 // dispatchKernel32 is dispatchKernel for float32 kernels: same thresholds,
-// same chunking, same caller-runs-the-last-chunk discipline, same pool.
-// Chunk boundaries never change the result because every f32 kernel keeps a
-// fixed per-output-element reduction order too.
+// same chunking, same pool. Chunk boundaries never change the result because
+// every f32 kernel keeps a fixed per-output-element reduction order too.
 func dispatchKernel32(kern kernel32Fn, a, b, c, dst *Matrix32, n, work int) {
-	if n <= 0 {
-		return
-	}
-	parts := runtime.GOMAXPROCS(0)
-	if work < parallelThreshold || n < 2 || parts == 1 {
-		kern(a, b, c, dst, 0, n)
-		return
-	}
-	ensurePool()
-	if parts > n {
-		parts = n
-	}
-	s := statePool.Get().(*callState)
-	s.remain.Store(int64(parts))
-	chunk := (n + parts - 1) / parts
-	lo := 0
-	for p := 0; p < parts-1; p++ {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		workCh <- chunkTask{kern32: kern, a32: a, b32: b, c32: c, dst32: dst, lo: lo, hi: hi, state: s}
-		lo = hi
-	}
-	kern(a, b, c, dst, lo, n)
-	finishChunk(s)
-	<-s.done
-	statePool.Put(s)
+	dispatch(chunkTask{kern32: kern, a32: a, b32: b, c32: c, dst32: dst}, n, work)
+}
+
+// ParallelRange runs k over [0, n): inline when work (one unit per
+// multiply-add or per element) is below parallelThreshold or only one P is
+// available, otherwise in chunks on the worker pool, returning when every
+// chunk has finished.
+//
+//silofuse:noalloc
+func ParallelRange(k RangeKernel, n, work int) {
+	var t chunkTask
+	t.ranger = k
+	dispatch(t, n, work)
 }
 
 var startedWorkers atomic.Int64

@@ -191,16 +191,23 @@ func TestGELUIntoMatchesFormula(t *testing.T) {
 
 func TestTransposeInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	for _, d := range [][2]int{{0, 0}, {1, 1}, {1, 7}, {31, 33}, {32, 32}, {70, 129}} {
-		m := randMat(rng, d[0], d[1])
-		got := TransposeInto(dirty(d[1], d[0]), m)
-		for i := 0; i < m.Rows; i++ {
-			for j := 0; j < m.Cols; j++ {
-				if got.At(j, i) != m.At(i, j) {
-					t.Fatalf("%dx%d: element (%d,%d) not transposed", d[0], d[1], i, j)
+	// The last three shapes straddle parallelThreshold elements, where the
+	// copy starts going to the pool in bands of rows.
+	shapes := [][2]int{{0, 0}, {1, 1}, {1, 7}, {31, 33}, {32, 32}, {70, 129}, {255, 257}, {256, 256}, {257, 256}}
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		for _, d := range shapes {
+			m := randMat(rng, d[0], d[1])
+			got := TransposeInto(dirty(d[1], d[0]), m)
+			for i := 0; i < m.Rows; i++ {
+				for j := 0; j < m.Cols; j++ {
+					if got.At(j, i) != m.At(i, j) {
+						t.Fatalf("%dx%d procs %d: element (%d,%d) not transposed", d[0], d[1], procs, i, j)
+					}
 				}
 			}
 		}
+		runtime.GOMAXPROCS(prev)
 	}
 	for name, fn := range map[string]func(){
 		"shape": func() { TransposeInto(New(3, 3), New(2, 3)) },
@@ -284,8 +291,9 @@ func TestPoolParityUnderParallelism(t *testing.T) {
 	}
 }
 
-// TestPoolConcurrentCallers hammers the shared pool from many goroutines to
-// shake out races in the chunk channel and callState recycling (run under
+// TestPoolConcurrentCallers hammers the shared pool from many goroutines,
+// with matmul chunks and range-kernel chunks interleaved on the one channel,
+// to shake out races in the chunk channel and callState recycling (run under
 // -race).
 func TestPoolConcurrentCallers(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
@@ -299,8 +307,10 @@ func TestPoolConcurrentCallers(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			dst := New(80, 80)
+			k := &countRange{visits: make([]int32, 300), out: make([]float64, 300), scale: 2}
 			for it := 0; it < 50; it++ {
 				MatMulInto(dst, a, b)
+				ParallelRange(k, len(k.out), parallelThreshold)
 			}
 			for i := range want.Data {
 				if dst.Data[i] != want.Data[i] {
@@ -308,9 +318,52 @@ func TestPoolConcurrentCallers(t *testing.T) {
 					return
 				}
 			}
+			for i, n := range k.visits {
+				if n != 50 {
+					t.Errorf("concurrent range kernel visited index %d %d times in 50 calls", i, n)
+					return
+				}
+			}
 		}()
 	}
 	wg.Wait()
+}
+
+// countRange is a RangeKernel that records how often each index was
+// visited and computes a value from the index and a carried scalar.
+type countRange struct {
+	visits []int32
+	out    []float64
+	scale  float64
+}
+
+func (k *countRange) RunRange(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		k.visits[i]++
+		k.out[i] = k.scale * float64(i)
+	}
+}
+
+// TestParallelRangeCoversEveryIndexOnce runs a range kernel inline and
+// through the pool, at work estimates either side of parallelThreshold and
+// at lengths that do not divide by the worker count: every index is computed
+// exactly once, and n <= 0 is a no-op.
+func TestParallelRangeCoversEveryIndexOnce(t *testing.T) {
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		for _, n := range []int{0, 1, 2, 3, 5, 9, 257, 1000} {
+			for _, work := range []int{parallelThreshold - 1, parallelThreshold, parallelThreshold + 1} {
+				k := &countRange{visits: make([]int32, n), out: make([]float64, n), scale: 0.5}
+				ParallelRange(k, n, work)
+				for i := 0; i < n; i++ {
+					if k.visits[i] != 1 || k.out[i] != 0.5*float64(i) {
+						t.Fatalf("procs %d n %d work %d: index %d visited %d times, value %v", procs, n, work, i, k.visits[i], k.out[i])
+					}
+				}
+			}
+		}
+		runtime.GOMAXPROCS(prev)
+	}
 }
 
 // TestSteadyStateKernelAllocs pins the headline claim: destination-passing
@@ -321,6 +374,7 @@ func TestSteadyStateKernelAllocs(t *testing.T) {
 	a, b := randMat(rng, 64, 64), randMat(rng, 64, 64)
 	bias := randMat(rng, 1, 64)
 	dst := New(64, 64)
+	ranger := &countRange{visits: make([]int32, 64), out: make([]float64, 64)}
 	checks := map[string]func(){
 		"MatMulInto":       func() { MatMulInto(dst, a, b) },
 		"MatMulT1Into":     func() { MatMulT1Into(dst, a, b) },
@@ -331,6 +385,7 @@ func TestSteadyStateKernelAllocs(t *testing.T) {
 		"TransposeInto":    func() { TransposeInto(dst, a) },
 		"GELUInto":         func() { GELUInto(dst, a) },
 		"GELUGradInto":     func() { GELUGradInto(dst, a, b) },
+		"ParallelRange":    func() { ParallelRange(ranger, len(ranger.out), parallelThreshold) },
 	}
 	for name, fn := range checks {
 		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
@@ -351,10 +406,14 @@ func TestPooledDispatchAllocs(t *testing.T) {
 	// Big enough to clear parallelThreshold on the elementwise kernels too.
 	a, b := randMat(rng, 256, 256), randMat(rng, 256, 256)
 	dst := New(256, 256)
+	ranger := &countRange{visits: make([]int32, 256), out: make([]float64, 256)}
 	checks := map[string]func(){
-		"MatMulInto":   func() { MatMulInto(dst, a, b) },
-		"GELUInto":     func() { GELUInto(dst, a) },
-		"GELUGradInto": func() { GELUGradInto(dst, a, b) },
+		"MatMulInto":    func() { MatMulInto(dst, a, b) },
+		"GELUInto":      func() { GELUInto(dst, a) },
+		"GELUGradInto":  func() { GELUGradInto(dst, a, b) },
+		"AddInto":       func() { AddInto(dst, a, b) },
+		"TransposeInto": func() { TransposeInto(dst, a) },
+		"ParallelRange": func() { ParallelRange(ranger, len(ranger.out), parallelThreshold) },
 	}
 	for name, fn := range checks {
 		fn() // warm pool + state

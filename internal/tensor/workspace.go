@@ -50,7 +50,9 @@ func CopyInto(dst, src *Matrix) *Matrix {
 // not alias m, and returns dst. The copy walks square tiles so both the
 // row-wise reads and the column-wise writes stay within a few cache lines
 // per tile, which is what keeps a per-step weight transpose cheap next to
-// the matmul that consumes it.
+// the matmul that consumes it. Bands of source rows go to the worker pool
+// once the matrix clears parallelThreshold elements; every element is a
+// plain copy, so the split cannot change the result.
 //
 //silofuse:noalloc
 func TransposeInto(dst, m *Matrix) *Matrix {
@@ -60,9 +62,15 @@ func TransposeInto(dst, m *Matrix) *Matrix {
 	if sharesData(dst, m) {
 		panic("tensor: TransposeInto dst aliases its operand")
 	}
+	dispatchKernel(transposeRows, m, nil, nil, dst, m.Rows, len(m.Data))
+	return dst
+}
+
+// transposeRows writes rows [lo, hi) of m into the matching columns of dst.
+func transposeRows(m, _, _, dst *Matrix, lo, hi int) {
 	const tile = 32
-	for i0 := 0; i0 < m.Rows; i0 += tile {
-		i1 := min(i0+tile, m.Rows)
+	for i0 := lo; i0 < hi; i0 += tile {
+		i1 := min(i0+tile, hi)
 		for j0 := 0; j0 < m.Cols; j0 += tile {
 			j1 := min(j0+tile, m.Cols)
 			for i := i0; i < i1; i++ {
@@ -72,7 +80,6 @@ func TransposeInto(dst, m *Matrix) *Matrix {
 			}
 		}
 	}
-	return dst
 }
 
 // GatherRowsInto copies the rows of m selected by idx into dst, in order.
