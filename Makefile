@@ -1,7 +1,7 @@
 GO ?= go
 BENCHFLAGS ?= -benchmem
 
-.PHONY: build vet lint lint-fixtures test test-purego cross-arm64 test-chaos test-ddp race ci bench bench-smoke bench-baseline bench-kernels codec-smoke obs-smoke profile profile-smoke
+.PHONY: build vet lint lint-fixtures test test-purego cross-arm64 test-chaos race ci bench bench-smoke bench-baseline bench-kernels codec-smoke obs-smoke profile profile-smoke
 
 build:
 	$(GO) build ./...
@@ -56,14 +56,6 @@ cross-arm64:
 test-chaos:
 	$(GO) test -race -timeout 20m -run 'Chaos|Resilient|Recovery|Heartbeat' -count=1 ./internal/silo/
 
-# test-ddp runs the data-parallel training proof obligations: the
-# equivalence matrix (N in {1,2,3,8} workers x {gaussian, multinomial}
-# bit-identical to the single-worker baseline), the grad-traffic chaos
-# matrix with exact byte accounting, and the batched-sampling
-# bitwise-equality and zero-alloc regression tests.
-test-ddp:
-	$(GO) test -run 'DDP|SampleBatch|TrainWorkers|Grad' -count=1 ./internal/diffusion/ ./internal/silo/ ./internal/core/
-
 # The transport and telemetry layers are exercised under the race detector;
 # the silo package trains real models, so give it a generous timeout. The
 # tensor package is included because its worker pool is the one piece of
@@ -78,17 +70,20 @@ race:
 
 # bench-smoke runs a tiny end-to-end bench invocation, validates the perf
 # snapshot it writes, and gates the fresh snapshot against the committed
-# baseline (per-metric tolerances, per-phase delta table), so CI catches both
-# a broken bench pipeline and a perf/loss regression without paying for a
-# full benchmark run. Regenerate the baseline with `make bench-baseline`.
+# baseline on what repeats: losses and wire bytes must be equal, allocations
+# per step and codec error stay inside their tolerances. rows/sec, step p95
+# and phase times are printed in the same delta table but never fail the
+# target — a neighbour on a shared box moves them more than any threshold
+# worth having. Speed claims belong to `go run ./benchmark -compare` alone.
+# Regenerate the baseline with `make bench-baseline`.
 bench-smoke:
-	$(GO) run ./cmd/silofuse-bench -exp fig10,fig10x,ddp -datasets abalone -rows 300 -scale fast -bench-json /tmp/BENCH_silofuse_smoke.json -bench-baseline BENCH_silofuse.json
+	$(GO) run ./cmd/silofuse-bench -exp fig10,fig10x -datasets abalone -rows 300 -scale fast -bench-json /tmp/BENCH_silofuse_smoke.json -bench-baseline BENCH_silofuse.json
 	$(GO) run ./cmd/silofuse-bench -check-bench /tmp/BENCH_silofuse_smoke.json
 
 # bench-baseline refreshes the committed regression baseline with the exact
 # bench-smoke invocation, so the gate always compares identical configs.
 bench-baseline:
-	$(GO) run ./cmd/silofuse-bench -exp fig10,fig10x,ddp -datasets abalone -rows 300 -scale fast -bench-json BENCH_silofuse.json
+	$(GO) run ./cmd/silofuse-bench -exp fig10,fig10x -datasets abalone -rows 300 -scale fast -bench-json BENCH_silofuse.json
 
 # codec-smoke exercises the precision-tiered wire codecs end to end:
 #   1. the default f64 raw framing must produce bit-identical synthetic data
@@ -186,7 +181,7 @@ profile:
 	@echo "profiles: /tmp/silofuse_cpu.pprof /tmp/silofuse_mem.pprof"
 
 ci:
-	$(MAKE) lint-fixtures && $(MAKE) lint && $(GO) build ./... && $(GO) test ./... && $(MAKE) test-purego && $(MAKE) cross-arm64 && $(MAKE) race && $(MAKE) test-chaos && $(MAKE) test-ddp && $(MAKE) bench-smoke && $(MAKE) codec-smoke && $(MAKE) obs-smoke && $(MAKE) profile-smoke && $(MAKE) bench-kernels BENCHFLAGS='-benchtime=1x'
+	$(MAKE) lint-fixtures && $(MAKE) lint && $(GO) build ./... && $(GO) test ./... && $(MAKE) test-purego && $(MAKE) cross-arm64 && $(MAKE) race && $(MAKE) test-chaos && $(MAKE) bench-smoke && $(MAKE) codec-smoke && $(MAKE) obs-smoke && $(MAKE) profile-smoke && $(MAKE) bench-kernels BENCHFLAGS='-benchtime=1x'
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

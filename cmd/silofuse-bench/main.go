@@ -6,9 +6,7 @@
 //	silofuse-bench -exp all -scale standard -trials 3
 //	silofuse-bench -exp fig11 -datasets heloc,loan,churn
 //
-// Experiments: table2, table3 (resemblance), table4 (utility), table5
-// (correlation differences), table6 (privacy), table7 (privacy vs steps),
-// fig10 (communication), fig11 (robustness), all.
+// Experiment ids are listed by -h, from experimentTable below.
 package main
 
 import (
@@ -16,6 +14,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -24,7 +23,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id or comma-separated list: table2..table7, quality (tables 3+4 in one pass), fig10, fig10x (wire codec sweep), fig11, ddp (data-parallel worker scaling), all")
+	exp := flag.String("exp", "all", "experiment id or comma-separated list: "+experimentHelp())
 	scale := flag.String("scale", "fast", "fast or standard")
 	datasets := flag.String("datasets", "", "comma-separated dataset subset (default: experiment's own)")
 	models := flag.String("models", "", "comma-separated model subset (default: experiment's own)")
@@ -41,7 +40,7 @@ func main() {
 	listen := flag.String("listen", "", "serve live telemetry (/metrics, /healthz, /runs, /debug/pprof) on this address during the run")
 	benchJSON := flag.String("bench-json", "BENCH_silofuse.json", "write a perf snapshot (phases, rows/sec, bytes by kind) to this path; empty disables")
 	checkBench := flag.String("check-bench", "", "validate an existing bench snapshot and exit (CI smoke check)")
-	benchBaseline := flag.String("bench-baseline", "", "after the run, diff the fresh -bench-json snapshot against this committed baseline and exit non-zero on regression (per-metric tolerances, per-phase delta table)")
+	benchBaseline := flag.String("bench-baseline", "", "after the run, diff the fresh -bench-json snapshot against this committed baseline and exit non-zero on regression (losses and wire bytes must be equal, allocations and codec error within tolerance; timings are printed, not gated)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU pprof profile covering the whole run to this path (captured by the phase profiler as the \"all\" phase)")
 	memProfile := flag.String("memprofile", "", "write an allocation pprof profile at the end of the run to this path (the phase profiler's final heap snapshot)")
 	profilePhases := flag.Bool("profile-phases", false, "capture per-phase CPU/heap/mutex/block pprof profiles into results/<run>/profiles (requires -run)")
@@ -51,6 +50,12 @@ func main() {
 	wireCodec := flag.String("wire-codec", "", "wire codec framing dense tensor payloads: none/gob (default), f64 (raw binary), f32 (half the payload bytes), q8 (int8 quantization); fig10x sweeps all codecs regardless")
 	computePrecision := flag.String("compute-precision", "", "kernel precision for sampling and decode (training is always f64): f64 (default) or f32")
 	flag.Parse()
+
+	exps, err := resolveExperiments(*exp)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	// One capture path: -cpuprofile/-memprofile delegate to the phase
 	// profiler (whole-run capture as the "all" phase), and -profile-phases
@@ -71,7 +76,6 @@ func main() {
 			pcfg.CPU = true
 			pcfg.WholeRunCPU = true
 		}
-		var err error
 		if prof, err = silofuse.NewPhaseProfiler(pcfg); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -182,21 +186,17 @@ func main() {
 		fmt.Printf("telemetry listening on http://%s (/metrics /healthz /runs /debug/pprof /debug/phaseprofiles)\n", srv.Addr())
 	}
 
-	ids := strings.Split(*exp, ",")
-	if *exp == "all" {
-		ids = []string{"table2", "quality", "table5", "table6", "table7", "fig10", "fig10x", "fig11", "ddp"}
-	}
 	wallStart := time.Now()
-	for _, id := range ids {
+	for _, e := range exps {
 		start := time.Now()
-		if err := run(id, cfg); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", id, err)
+		if err := e.run(cfg); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", e.id, err)
 			os.Exit(1)
 		}
 		elapsed := time.Since(start)
-		fmt.Printf("\n[%s done in %s]\n\n", id, elapsed.Round(time.Millisecond))
+		fmt.Printf("\n[%s done in %s]\n\n", e.id, elapsed.Round(time.Millisecond))
 		if rec != nil {
-			rec.Events.Emit("experiment", map[string]any{"exp": id, "dur_sec": elapsed.Seconds()})
+			rec.Events.Emit("experiment", map[string]any{"exp": e.id, "dur_sec": elapsed.Seconds()})
 		}
 	}
 	// Close the profiler before any gate can exit: it stops the whole-run
@@ -226,7 +226,7 @@ func main() {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
-			rep := experiments.DiffMetrics(experiments.BenchMetrics(base), experiments.BenchMetrics(snap), experiments.DefaultDiffThresholds())
+			rep := experiments.DiffMetrics(experiments.BenchMetrics(base), experiments.BenchMetrics(snap), experiments.BenchGateThresholds())
 			fmt.Printf("\nbench regression gate vs %s:\n", *benchBaseline)
 			if err := rep.WriteTable(os.Stdout); err != nil {
 				fmt.Fprintln(os.Stderr, err)
@@ -283,27 +283,43 @@ func writeTelemetry(rec *silofuse.Recorder, prof *silofuse.PhaseProfiler, traceP
 	return nil
 }
 
-func run(id string, cfg experiments.Config) error {
-	switch id {
-	case "table2":
+// experiment is one runnable -exp id.
+type experiment struct {
+	id    string
+	gloss string // shown after the id in the flag help; may be empty
+	inAll bool   // part of "-exp all" (table3/table4 are not: quality runs both in one pass)
+	run   func(experiments.Config) error
+}
+
+// experimentTable is the one ordered list of experiment ids: the -exp help
+// text, the "all" expansion and the up-front validation of -exp all read it,
+// so adding or dropping an experiment is a change to this table alone.
+var experimentTable = []experiment{
+	{"table2", "", true, func(cfg experiments.Config) error {
 		rows, err := cfg.TableII()
 		if err != nil {
 			return err
 		}
 		experiments.PrintTableII(os.Stdout, rows)
-	case "table3":
+		return nil
+	}},
+	{"table3", "resemblance", false, func(cfg experiments.Config) error {
 		g, err := cfg.TableIII()
 		if err != nil {
 			return err
 		}
 		experiments.PrintGrid(os.Stdout, g)
-	case "table4":
+		return nil
+	}},
+	{"table4", "utility", false, func(cfg experiments.Config) error {
 		g, err := cfg.TableIV()
 		if err != nil {
 			return err
 		}
 		experiments.PrintGrid(os.Stdout, g)
-	case "quality":
+		return nil
+	}},
+	{"quality", "tables 3+4 in one pass", true, func(cfg experiments.Config) error {
 		res, util, err := cfg.Quality()
 		if err != nil {
 			return err
@@ -311,56 +327,104 @@ func run(id string, cfg experiments.Config) error {
 		experiments.PrintGrid(os.Stdout, res)
 		fmt.Println()
 		experiments.PrintGrid(os.Stdout, util)
-	case "table5":
+		return nil
+	}},
+	{"table5", "correlation differences", true, func(cfg experiments.Config) error {
 		cells, err := cfg.TableV()
 		if err != nil {
 			return err
 		}
 		experiments.PrintTableV(os.Stdout, cells)
-	case "table6":
+		return nil
+	}},
+	{"table6", "privacy", true, func(cfg experiments.Config) error {
 		g, err := cfg.TableVI()
 		if err != nil {
 			return err
 		}
 		experiments.PrintGrid(os.Stdout, g)
-	case "table7":
+		return nil
+	}},
+	{"table7", "privacy vs steps", true, func(cfg experiments.Config) error {
 		rows, err := cfg.TableVII()
 		if err != nil {
 			return err
 		}
 		experiments.PrintTableVII(os.Stdout, rows)
-	case "ddp":
-		rows, err := cfg.DDPScaling()
-		if err != nil {
-			return err
-		}
-		experiments.PrintDDPScaling(os.Stdout, rows)
-	case "fig10":
+		return nil
+	}},
+	{"fig10", "communication", true, func(cfg experiments.Config) error {
 		series, err := cfg.Figure10()
 		if err != nil {
 			return err
 		}
 		experiments.PrintFigure10(os.Stdout, series)
-	case "fig10x":
+		return nil
+	}},
+	{"fig10x", "wire codec sweep", true, func(cfg experiments.Config) error {
 		rows, err := cfg.Figure10X()
 		if err != nil {
 			return err
 		}
 		experiments.PrintFigure10X(os.Stdout, rows)
-	case "fig11":
+		return nil
+	}},
+	{"fig11", "robustness", true, func(cfg experiments.Config) error {
 		points, err := cfg.Figure11()
 		if err != nil {
 			return err
 		}
 		experiments.PrintFigure11(os.Stdout, points)
-	case "ablations":
+		return nil
+	}},
+	{"ablations", "", false, func(cfg experiments.Config) error {
 		rows, err := cfg.Ablations()
 		if err != nil {
 			return err
 		}
 		experiments.PrintAblations(os.Stdout, rows)
-	default:
-		return fmt.Errorf("unknown experiment %q", id)
+		return nil
+	}},
+}
+
+// experimentHelp renders the table as the id list of the -exp flag text.
+func experimentHelp() string {
+	var b strings.Builder
+	for _, e := range experimentTable {
+		b.WriteString(e.id)
+		if e.gloss != "" {
+			b.WriteString(" (" + e.gloss + ")")
+		}
+		b.WriteString(", ")
 	}
-	return nil
+	b.WriteString("all")
+	return b.String()
+}
+
+// resolveExperiments turns a -exp value — "all" or a comma-separated id
+// list — into the experiments to run, in the order given. Any unknown id
+// fails the whole list, so a typo is reported before the first experiment
+// starts rather than after the ones ahead of it have run.
+func resolveExperiments(spec string) ([]experiment, error) {
+	var out []experiment
+	if spec == "all" {
+		for _, e := range experimentTable {
+			if e.inAll {
+				out = append(out, e)
+			}
+		}
+		return out, nil
+	}
+	for _, id := range strings.Split(spec, ",") {
+		i := slices.IndexFunc(experimentTable, func(e experiment) bool { return e.id == id })
+		if i < 0 {
+			valid := make([]string, len(experimentTable))
+			for k, e := range experimentTable {
+				valid[k] = e.id
+			}
+			return nil, fmt.Errorf("unknown experiment %q in -exp %q (want all, or a comma-separated list of: %s)", id, spec, strings.Join(valid, ", "))
+		}
+		out = append(out, experimentTable[i])
+	}
+	return out, nil
 }

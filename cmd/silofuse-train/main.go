@@ -41,8 +41,6 @@ type config struct {
 	debugSpin          int
 	wireCodec          string
 	computePrecision   string
-	trainWorkers       int
-	trainShards        int
 	batchSample        bool
 }
 
@@ -70,8 +68,6 @@ func main() {
 	flag.IntVar(&c.debugSpin, "debug-spin", 0, "inject N iterations of deterministic busy-work per diffusion step (wall time only; for profiling attribution tests)")
 	flag.StringVar(&c.wireCodec, "wire-codec", "f64", "precision tier framing tensor payloads on the wire: none (gob), f64 (lossless raw, default), f32, q8")
 	flag.StringVar(&c.computePrecision, "compute-precision", "f64", "kernel precision for sampling and decode (training is always f64): f64 or f32")
-	flag.IntVar(&c.trainWorkers, "train-workers", 0, "train the diffusion model data-parallel across N workers with a bit-identical all-reduce (0 = single-process training; silofuse only)")
-	flag.IntVar(&c.trainShards, "train-shards", 0, "logical shard count for -train-workers (0 = default; the shard count, not the worker count, fixes the reduction)")
 	flag.BoolVar(&c.batchSample, "batch-sample", false, "route synthesis through the batched sampler: concurrent requests stack into one denoising pass (silofuse only)")
 	flag.Parse()
 
@@ -128,11 +124,6 @@ func run(c config) error {
 		return fmt.Errorf("unknown compute precision %q (want f64 or f32)", c.computePrecision)
 	}
 	opts.ComputePrecision = c.computePrecision
-	if c.trainWorkers < 0 || c.trainShards < 0 {
-		return fmt.Errorf("-train-workers and -train-shards must be >= 0")
-	}
-	opts.TrainWorkers = c.trainWorkers
-	opts.TrainShards = c.trainShards
 	opts.BatchSampling = c.batchSample
 	var rec *silofuse.Recorder
 	if c.tracePath != "" || c.metrics || c.runName != "" || c.listen != "" {

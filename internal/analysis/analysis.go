@@ -153,7 +153,6 @@ func All() []*Analyzer {
 		GuardedBy,
 		GoroutineLife,
 		ChanSafety,
-		FixedReduce,
 	}
 }
 

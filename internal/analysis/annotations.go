@@ -56,11 +56,6 @@ const (
 	// close-then-send pair or closed-channel receive whose safety argument
 	// lives outside what the analyzer can see. It requires a justification.
 	AnnotChanOK = "chan-ok"
-	// AnnotFixedReduce marks a function as an all-reduce accumulation site:
-	// its body must fold contributions in a fixed ascending order — no map
-	// ranges, go statements, selects, or descending loops (see the
-	// fixedreduce analyzer).
-	AnnotFixedReduce = "fixedreduce"
 )
 
 const annotPrefix = "silofuse:"

@@ -8,7 +8,7 @@ import (
 )
 
 // GuardedBy enforces the mutex discipline declared by field annotations.
-// It has three halves:
+// It has two halves:
 //
 //  1. A struct field carrying //silofuse:guardedby <mu> (trailing its line
 //     or on the line above) may only be read or written in functions that
@@ -26,10 +26,8 @@ import (
 //     <mu>.Unlock() (or RLock without RUnlock) on the same mutex leaks the
 //     lock on every path.
 //
-//  3. Lock-copy detection: a receiver, parameter, result, or assignment
-//     that moves a sync.Mutex, sync.RWMutex, or sync.WaitGroup by value
-//     copies live lock state, which the sync package forbids. This half
-//     runs in test files too.
+// Copying a sync primitive by value is not checked here: `go vet`'s
+// copylocks pass, which `make lint` runs next to this analyzer, reports it.
 //
 // The check is intra-package and identity-based: b.mu.Lock() counts for
 // any access through the mu field object, so it cannot distinguish two
@@ -37,7 +35,7 @@ import (
 // positional approximation cannot.
 var GuardedBy = &Analyzer{
 	Name: "guardedby",
-	Doc:  "enforce //silofuse:guardedby mutex discipline, unlock pairing, and lock-copy rules",
+	Doc:  "enforce //silofuse:guardedby mutex discipline and unlock pairing",
 	Run:  runGuardedBy,
 }
 
@@ -57,14 +55,9 @@ func runGuardedBy(p *Pass) {
 		inTest := strings.HasSuffix(fname, "_test.go")
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
+			if !ok || fd.Body == nil {
 				continue
 			}
-			checkLockCopySig(p, fd)
-			if fd.Body == nil {
-				continue
-			}
-			checkLockCopyBody(p, fd)
 			ops := collectLockOps(p.Info, fd.Body)
 			checkLockPairing(p, fd, ops)
 			lockedSet := lockedMutexes(p, fd)
@@ -255,62 +248,6 @@ func checkLockPairing(p *Pass, fd *ast.FuncDecl, ops []lockOp) {
 			p.Report(t.firstRLock, "%s.RLock in %s has no matching RUnlock on any path", obj.Name(), fd.Name.Name)
 		}
 	}
-}
-
-// checkLockCopySig flags receivers, parameters, and results that move a sync
-// primitive by value through the function signature.
-func checkLockCopySig(p *Pass, fd *ast.FuncDecl) {
-	check := func(fl *ast.FieldList, what string) {
-		if fl == nil {
-			return
-		}
-		for _, field := range fl.List {
-			t := p.Info.TypeOf(field.Type)
-			if t != nil && containsSyncPrimitive(t) {
-				p.Report(field.Type.Pos(), "%s of %s carries a sync primitive by value; pass a pointer", what, fd.Name.Name)
-			}
-		}
-	}
-	check(fd.Recv, "receiver")
-	check(fd.Type.Params, "parameter")
-	check(fd.Type.Results, "result")
-}
-
-// checkLockCopyBody flags assignments that copy an existing value containing
-// a sync primitive (x := other.state, s = *ptr, v := arr[i]). Fresh
-// composite literals and zero-value declarations create new primitives and
-// are fine.
-func checkLockCopyBody(p *Pass, fd *ast.FuncDecl) {
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		a, ok := n.(*ast.AssignStmt)
-		if !ok || len(a.Lhs) != len(a.Rhs) {
-			return true
-		}
-		for i, rhs := range a.Rhs {
-			if id, ok := a.Lhs[i].(*ast.Ident); ok && id.Name == "_" {
-				continue // a blank assignment discards the copy
-			}
-			if !copiesExistingValue(rhs) {
-				continue
-			}
-			t := p.Info.TypeOf(rhs)
-			if t != nil && containsSyncPrimitive(t) {
-				p.Report(rhs.Pos(), "assignment in %s copies a value containing a sync primitive", fd.Name.Name)
-			}
-		}
-		return true
-	})
-}
-
-// copiesExistingValue reports whether e reads an existing memory location
-// (so assigning it copies that location's state), as opposed to producing a
-// fresh value.
-func copiesExistingValue(e ast.Expr) bool {
-	switch ast.Unparen(e).(type) {
-	case *ast.Ident, *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-		return true
-	}
-	return false
 }
 
 // baseIdent unwraps parens and derefs to the root identifier of a selector

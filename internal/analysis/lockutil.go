@@ -8,15 +8,12 @@ import (
 
 // Shared machinery for the concurrency-discipline analyzers (guardedby,
 // goroutinelife, chansafety): resolving mutex lock/unlock calls to the
-// mutex object they act on, finding same-package function bodies for
-// interprocedural checks, and detecting sync primitives inside types.
+// mutex object they act on and finding same-package function bodies for
+// interprocedural checks.
 
 // syncLockTypes are the sync types whose Lock family the discipline
-// analyzers track; syncCopyTypes additionally may never be copied by value.
-var (
-	syncLockTypes = map[string]bool{"Mutex": true, "RWMutex": true}
-	syncCopyTypes = map[string]bool{"Mutex": true, "RWMutex": true, "WaitGroup": true}
-)
+// analyzers track.
+var syncLockTypes = map[string]bool{"Mutex": true, "RWMutex": true}
 
 // lockOpKind classifies one mutex method call.
 type lockOpKind int
@@ -153,39 +150,4 @@ func funcDecls(p *Pass) map[*types.Func]*ast.FuncDecl {
 		}
 	}
 	return decls
-}
-
-// containsSyncPrimitive reports whether a value of type t embeds a
-// sync.Mutex, sync.RWMutex or sync.WaitGroup by value, so copying the value
-// copies live lock state. Pointers, slices, maps and channels are
-// indirections and stop the search.
-func containsSyncPrimitive(t types.Type) bool {
-	return containsSyncPrim(t, make(map[types.Type]bool))
-}
-
-func containsSyncPrim(t types.Type, seen map[types.Type]bool) bool {
-	if t == nil || seen[t] {
-		return false
-	}
-	seen[t] = true
-	if _, ok := t.Underlying().(*types.Pointer); ok {
-		// A pointer to a lock is exactly how locks should travel; only the
-		// pointed-to value holds state. (namedSyncType unwraps pointers for
-		// method-receiver resolution, so check before calling it.)
-		return false
-	}
-	if syncCopyTypes[namedSyncType(t)] {
-		return true
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if containsSyncPrim(u.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsSyncPrim(u.Elem(), seen)
-	}
-	return false
 }

@@ -33,11 +33,8 @@ import (
 //     TestForward32SteadyStateAllocs (forward32_test.go) pins
 //     DiffusionMLP32.Forward with the Linear32/GELU32/Sequential32 forwards
 //     it drives;
-//   - DDP/batched sampling: TestDDPWarmPathAllocs (ddp_test.go) pins
-//     TrainStepGrad with the reduce/flatten kernels it feeds
-//     (tensor.Reduce*, nn.FlattenGradsInto/SetGrads), and
-//     TestSampleBatchWarmAllocs (sample_batch_test.go) pins
-//     SampleBatchWithRngs.
+//   - batched sampling: TestSampleBatchWarmAllocs (sample_batch_test.go)
+//     pins SampleBatchWithRngs.
 //
 // Adding an annotation without extending this list (or vice versa) fails the
 // test, so the annotation set cannot drift from the perf suite it documents.
@@ -50,7 +47,6 @@ var noallocPinned = []string{
 	"diffusion.Model.SampleBatchWithRngs",
 	"diffusion.Model.SampleWithRng",
 	"diffusion.Model.TrainStep",
-	"diffusion.Model.TrainStepGrad",
 	"nn.Adam.Step",
 	"nn.DiffusionMLP.Backward",
 	"nn.DiffusionMLP.Forward",
@@ -64,9 +60,7 @@ var noallocPinned = []string{
 	"nn.Linear32.Forward",
 	"nn.Sequential32.Forward",
 	"nn.CrossEntropyRowInto",
-	"nn.FlattenGradsInto",
 	"nn.MSELossInto",
-	"nn.SetGrads",
 	"nn.SoftmaxRowInto",
 	"tensor.Add32Into",
 	"tensor.AddInto",
@@ -85,9 +79,6 @@ var noallocPinned = []string{
 	"tensor.MatMulT2Into",
 	"tensor.MulElemInto",
 	"tensor.ParallelRange",
-	"tensor.ReduceAccumulate",
-	"tensor.ReduceScale",
-	"tensor.ReduceZero",
 	"tensor.SubInto",
 	"tensor.TransposeInto",
 }

@@ -1,4 +1,4 @@
-//silofuse:bitwise-ok ddp option tests pin bit-reproducible outputs with exact comparisons
+//silofuse:bitwise-ok batched-sampling tests pin bit-reproducible outputs with exact comparisons
 package core
 
 import (
@@ -6,17 +6,6 @@ import (
 
 	"silofuse/internal/tabular"
 )
-
-// ddpOptions scales the fast options down to a quick DDP fit.
-func ddpOptions(workers int) Options {
-	o := FastOptions()
-	o.AEIters = 40
-	o.DiffIters = 60
-	o.Batch = 64
-	o.TrainWorkers = workers
-	o.TrainShards = 8
-	return o
-}
 
 func fitSiloFuse(t *testing.T, opts Options) *SiloFuse {
 	t.Helper()
@@ -39,30 +28,14 @@ func sameCoreTable(t *testing.T, label string, a, b *tabular.Table) {
 	}
 }
 
-// TestOptionsTrainWorkersEquivalence pins the public-API form of the
-// worker-invariance guarantee: fitting with TrainWorkers set to any count
-// yields bit-identical samples to the single-worker fit.
-func TestOptionsTrainWorkersEquivalence(t *testing.T) {
-	base, err := fitSiloFuse(t, ddpOptions(1)).Sample(25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range []int{2, 4} {
-		out, err := fitSiloFuse(t, ddpOptions(n)).Sample(25)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameCoreTable(t, "train-workers", base, out)
-	}
-}
-
 // TestSampleBatchAPI pins the batched-sampling surface: with BatchSampling
 // on, Sample(n) runs as a one-lane batch and matches SampleBatch([n])[0]
 // from an identically fitted model, requests keep their row counts and
 // schema, and the per-call lane-seed counter advances so consecutive
 // batches draw fresh rows.
 func TestSampleBatchAPI(t *testing.T) {
-	opts := ddpOptions(2)
+	opts := FastOptions() // scaled down to a quick fit
+	opts.AEIters, opts.DiffIters, opts.Batch = 40, 60, 64
 	opts.BatchSampling = true
 
 	s := fitSiloFuse(t, opts)

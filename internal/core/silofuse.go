@@ -115,8 +115,6 @@ func (s *SiloFuse) pipelineConfig() silo.PipelineConfig {
 		SynthSteps:             s.Opts.SynthSteps,
 		Seed:                   s.Opts.Seed,
 		SplitWidths:            s.Opts.SplitWidths,
-		TrainWorkers:           s.Opts.TrainWorkers,
-		TrainShards:            s.Opts.TrainShards,
 	}
 }
 

@@ -101,16 +101,6 @@ type Options struct {
 	// Training always runs in float64.
 	ComputePrecision string
 
-	// TrainWorkers > 0 trains the coordinator's diffusion model
-	// data-parallel across that many workers with a fixed-reduction-order
-	// all-reduce over the bus (KindGrad envelopes). Results are
-	// bit-identical across worker counts for a fixed TrainShards; 0 keeps
-	// the single-worker in-process path.
-	TrainWorkers int
-	// TrainShards fixes the logical shard count of data-parallel training
-	// (0 means diffusion.DefaultShards). It — not TrainWorkers — decides
-	// the reduction geometry.
-	TrainShards int
 	// BatchSampling routes Sample through the batched sampler: concurrent
 	// synthesis requests stack into one denoising ping-pong (SampleBatch),
 	// and single Sample calls run as a one-lane batch.

@@ -142,45 +142,6 @@ func (m *Model) TrainStep(x0 *tensor.Matrix) float64 {
 	return loss
 }
 
-// TrainStepGrad is the gradient half of TrainStep for data-parallel
-// training: it draws (t, ε) and any dropout masks from the supplied rng —
-// not the model's own stream — noises the batch, and accumulates parameter
-// gradients without stepping the optimiser. The caller flattens the grads,
-// all-reduces them, and applies the averaged update via ApplyUpdate. The
-// step is a pure function of (params, x0, rng), which is what makes the
-// N-worker schedule bit-reproducible.
-//
-//silofuse:noalloc
-func (m *Model) TrainStepGrad(rng *rand.Rand, x0 *tensor.Matrix) float64 {
-	m.Net.SetDropoutRng(rng)
-	m.tsBuf = tensor.EnsureInts(m.tsBuf, x0.Rows)
-	ts := m.tsBuf
-	m.G.SampleTimestepsInto(rng, ts)
-	m.epsBuf = tensor.Ensure(m.epsBuf, x0.Rows, x0.Cols)
-	eps := m.epsBuf.Randn(rng, 1)
-	m.xtBuf = tensor.Ensure(m.xtBuf, x0.Rows, x0.Cols)
-	xt := m.G.QSampleInto(m.xtBuf, x0, ts, eps)
-	pred := m.Net.Forward(xt, ts, true)
-	target := eps
-	if m.PredictX0 {
-		target = x0
-	}
-	m.gradBuf = tensor.Ensure(m.gradBuf, pred.Rows, pred.Cols)
-	loss := nn.MSELossInto(pred, target, m.gradBuf)
-	m.Net.Backward(m.gradBuf)
-	return loss
-}
-
-// ApplyUpdate steps the optimiser on whatever gradients are currently
-// loaded into the parameters (a reduced gradient set via nn.SetGrads) and
-// advances the EMA — the second half of a data-parallel TrainStep.
-func (m *Model) ApplyUpdate() {
-	m.Opt.Step()
-	if m.EMA != nil {
-		m.EMA.Update()
-	}
-}
-
 // Train runs iters optimisation steps with minibatches of size batch drawn
 // uniformly from data, returning the mean loss of the final 10% of steps.
 func (m *Model) Train(data *tensor.Matrix, iters, batch int) float64 {

@@ -13,6 +13,29 @@ import (
 // bit-identical to a sequential SampleWithRng call with the same rng and
 // row count — the property the batched-sampling equivalence test pins.
 
+// laneTag keeps the lane-rng derivation apart from any other stream a
+// caller derives from the same seed.
+const laneTag uint64 = 0x4c414e4553414d50 // "LANESAMP"
+
+// mix64 is the splitmix64 finaliser — the same full-avalanche mix the chaos
+// bus uses for fault decisions (internal/silo/chaos.go); duplicated here
+// because diffusion cannot import silo.
+func mix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
+// LaneRng derives the rng for one batched-sampling lane. The chain of mixes
+// is order-sensitive, so distinct (seed, lane) pairs land on unrelated
+// streams.
+func LaneRng(seed int64, lane int) *rand.Rand {
+	h := mix64(uint64(seed) ^ laneTag)
+	h = mix64(h ^ uint64(lane))
+	return rand.New(rand.NewSource(int64(h)))
+}
+
 // SampleBatchWithRngs draws len(rngs) lanes in one stacked denoising loop:
 // lane k contributes ns[k] rows filled from rngs[k], and the returned
 // matrix holds the lanes vertically in lane order. Deterministic DDIM

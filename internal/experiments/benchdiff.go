@@ -23,7 +23,11 @@ import (
 //	phase_sec/<phase>             phase wall time (informational by default)
 //
 // — and compared under per-class thresholds: loose for machine-variant
-// metrics, tight for deterministic ones.
+// metrics, tight for deterministic ones. A zero threshold tolerates nothing,
+// which means two things by class: a wall-clock metric (rows_per_sec,
+// step_p95_sec, phase_sec) never repeats, so zero makes it informational —
+// printed, never gated; a bit-deterministic one (loss, wire_bytes,
+// wire_enc_bytes) does repeat, so zero compares it for equality.
 
 // DiffThresholds sets the allowed regression per metric class. Fractions
 // are relative ("0.1" = 10% growth); AllocGrowth is absolute (allocations
@@ -31,7 +35,8 @@ import (
 // allocations per step").
 type DiffThresholds struct {
 	// ThroughputDrop is the allowed fractional drop in rows_per_sec and rise
-	// in step_p95_sec (machine-variant: CI boxes differ widely).
+	// in step_p95_sec (machine-variant: CI boxes differ widely); zero leaves
+	// both informational.
 	ThroughputDrop float64
 	// AllocGrowth is the allowed absolute growth in allocs_per_step.
 	AllocGrowth float64
@@ -40,7 +45,7 @@ type DiffThresholds struct {
 	AllocBytesGrowth float64
 	// WireGrowth is the allowed fractional growth in wire_bytes and
 	// wire_enc_bytes (the byte model is deterministic, so growth means the
-	// protocol or codec framing itself changed).
+	// protocol or codec framing itself changed); zero requires equality.
 	WireGrowth float64
 	// WireErrGrowth is the allowed fractional growth in wire_err_max: the
 	// reconstruction error a lossy codec introduces is deterministic for a
@@ -48,7 +53,8 @@ type DiffThresholds struct {
 	// accuracy degraded.
 	WireErrGrowth float64
 	// LossGrowth is the allowed fractional growth in loss (bit-identical
-	// across runs of the same configuration and seed).
+	// across runs of the same configuration and seed); zero requires
+	// equality.
 	LossGrowth float64
 	// PhaseGrowth, when > 0, also gates phase_sec wall times; zero leaves
 	// them informational.
@@ -66,6 +72,18 @@ func DefaultDiffThresholds() DiffThresholds {
 		WireErrGrowth:    0.10,
 		LossGrowth:       0.25,
 	}
+}
+
+// BenchGateThresholds returns the -bench-baseline policy, for two snapshots
+// of one configuration and seed: losses and wire bytes must be equal,
+// allocations and codec error keep the default tolerances, and every
+// wall-clock metric is informational — a neighbour on a shared box moves a
+// step tail further than any threshold worth having, so speed is judged by
+// `go run ./benchmark -compare` alone.
+func BenchGateThresholds() DiffThresholds {
+	th := DefaultDiffThresholds()
+	th.ThroughputDrop, th.WireGrowth, th.LossGrowth = 0, 0, 0
+	return th
 }
 
 // DiffEntry is one compared metric.
@@ -215,11 +233,11 @@ func regressed(key string, base, cur float64, th DiffThresholds) (bool, string) 
 	class, _, _ := strings.Cut(key, "/")
 	switch class {
 	case "rows_per_sec":
-		if base > 0 && cur < base*(1-th.ThroughputDrop) {
+		if th.ThroughputDrop > 0 && base > 0 && cur < base*(1-th.ThroughputDrop) {
 			return true, fmt.Sprintf("throughput dropped > %.0f%%", th.ThroughputDrop*100)
 		}
 	case "step_p95_sec":
-		if base > 0 && cur > base*(1+th.ThroughputDrop) {
+		if th.ThroughputDrop > 0 && base > 0 && cur > base*(1+th.ThroughputDrop) {
 			return true, fmt.Sprintf("step tail grew > %.0f%%", th.ThroughputDrop*100)
 		}
 	case "allocs_per_step":
@@ -231,6 +249,9 @@ func regressed(key string, base, cur float64, th DiffThresholds) (bool, string) 
 			return true, fmt.Sprintf("alloc bytes/step grew > %.0f%%", th.AllocBytesGrowth*100)
 		}
 	case "wire_bytes", "wire_enc_bytes":
+		if th.WireGrowth == 0 { //silofuse:bitwise-ok a zero threshold is the caller's request for an exact compare
+			return differs(base, cur, "wire bytes differ (exact compare)")
+		}
 		if cur > base*(1+th.WireGrowth)+256 {
 			return true, fmt.Sprintf("wire bytes grew > %.0f%%", th.WireGrowth*100)
 		}
@@ -242,6 +263,9 @@ func regressed(key string, base, cur float64, th DiffThresholds) (bool, string) 
 			return true, fmt.Sprintf("codec reconstruction error grew > %.0f%%", th.WireErrGrowth*100)
 		}
 	case "loss":
+		if th.LossGrowth == 0 { //silofuse:bitwise-ok a zero threshold is the caller's request for an exact compare
+			return differs(base, cur, "loss differs (exact compare)")
+		}
 		// Growth is measured against |base|: autoencoder NLL goes negative,
 		// where base*(1+g) would shrink the allowance below the baseline
 		// itself and flag even bit-identical losses.
@@ -252,6 +276,14 @@ func regressed(key string, base, cur float64, th DiffThresholds) (bool, string) 
 		if th.PhaseGrowth > 0 && base > 0 && cur > base*(1+th.PhaseGrowth) {
 			return true, fmt.Sprintf("phase time grew > %.0f%%", th.PhaseGrowth*100)
 		}
+	}
+	return false, ""
+}
+
+// differs is the exact compare of a bit-deterministic metric.
+func differs(base, cur float64, note string) (bool, string) {
+	if cur != base { //silofuse:bitwise-ok exact compare of values that repeat bit for bit
+		return true, note
 	}
 	return false, ""
 }

@@ -126,6 +126,40 @@ func TestDiffMetricsPerClassGates(t *testing.T) {
 		}
 	}
 
+	// The -bench-baseline policy zeroes the wall-clock and bit-deterministic
+	// thresholds: timings become informational however far they move,
+	// losses and wire bytes must be equal in either direction, and the
+	// allocation and codec-error tolerances are the default ones.
+	gate := BenchGateThresholds()
+	gateCases := []struct {
+		metric string
+		value  float64
+		flag   bool
+	}{
+		{"rows_per_sec/ae", 1, false},
+		{"step_p95_sec/ae", 10, false},
+		{"phase_sec/diffusion-train", 100, false},
+		{"loss/diffusion-train", 0.85, false},
+		{"loss/diffusion-train", 0.85 + 1e-12, true},
+		{"loss/diffusion-train", 0.85 - 1e-12, true},
+		{"wire_bytes/latents", 100_000, false},
+		{"wire_bytes/latents", 100_001, true},
+		{"wire_bytes/latents", 99_999, true},
+		{"wire_enc_bytes/f32/latents", 50_001, true},
+		{"allocs_per_step/ae", 4 + gate.AllocGrowth, false},
+		{"allocs_per_step/ae", 4 + gate.AllocGrowth + 1, true},
+		{"alloc_bytes_per_step/ae", 4096*(1+gate.AllocBytesGrowth) + 100, true},
+		{"wire_err_max/f32/latents", 2e-7 * (1 + gate.WireErrGrowth) * 1.1, true},
+	}
+	for _, c := range gateCases {
+		cur := baseMetrics()
+		cur[c.metric] = c.value
+		rep := DiffMetrics(baseMetrics(), cur, gate)
+		if got := rep.Regressions > 0; got != c.flag {
+			t.Errorf("bench gate %s=%v: regressed=%v, want %v", c.metric, c.value, got, c.flag)
+		}
+	}
+
 	// Opting into the phase gate flags wall-time growth.
 	th.PhaseGrowth = 0.5
 	cur := baseMetrics()

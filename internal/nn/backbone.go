@@ -108,15 +108,3 @@ func (d *DiffusionMLP) Params() []*Param {
 	ps = append(ps, d.outProj.Params()...)
 	return ps
 }
-
-// SetDropoutRng points every dropout layer in the backbone at rng. The DDP
-// shard step calls this before each forward pass so mask draws come from
-// the per-shard stream rather than the construction-time rng, keeping the
-// step a pure function of (params, batch, shard rng).
-func (d *DiffusionMLP) SetDropoutRng(rng *rand.Rand) {
-	for _, l := range d.blocks.Layers {
-		if drop, ok := l.(*Dropout); ok {
-			drop.SetRng(rng)
-		}
-	}
-}

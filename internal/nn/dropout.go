@@ -55,8 +55,3 @@ func (d *Dropout) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 
 // Params returns nil; Dropout has no parameters.
 func (d *Dropout) Params() []*Param { return nil }
-
-// SetRng swaps the rng that draws dropout masks. Data-parallel training
-// pins the whole of an iteration's randomness to a per-shard stream, so the
-// shard driver redirects every dropout layer at it before each TrainStep.
-func (d *Dropout) SetRng(rng *rand.Rand) { d.rng = rng }

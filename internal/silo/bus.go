@@ -27,11 +27,6 @@ const (
 	KindDenoised    Kind = "denoised"     // coordinator -> client, E2E denoised latents
 	KindGradUp      Kind = "grad-up"      // client -> coordinator, E2E decoder-loss gradients
 	KindGradDown    Kind = "grad-down"    // coordinator -> client, E2E encoder gradients
-	// KindGrad carries data-parallel diffusion training traffic in both
-	// directions: per-shard gradients (worker -> root) and the reduced
-	// update broadcast (root -> worker), as a binary frame in Blob with
-	// Codec 0 (see internal/silo/ddp.go for the layout).
-	KindGrad Kind = "grad"
 )
 
 // Control and accounting kinds of the fault-tolerance layer. KindRetransmit

@@ -26,10 +26,6 @@ type Coordinator struct {
 	// Pipeline.EnableFederation).
 	Fed *Federation
 	rng *rand.Rand
-	// seed is the construction seed, kept so data-parallel training can
-	// rebuild bit-identical model replicas on a chaos-driven phase retry —
-	// the live rng stream has already been consumed by then.
-	seed int64
 
 	latents     []*tensor.Matrix // received per client, in client order
 	latentDims  []int
@@ -46,7 +42,7 @@ type Coordinator struct {
 // clients in order, with the diffusion model built lazily once the total
 // latent width is known.
 func NewCoordinator(id string, clients []string, seed int64) *Coordinator {
-	return &Coordinator{ID: id, rng: rand.New(rand.NewSource(seed)), seed: seed, clientOrder: clients}
+	return &Coordinator{ID: id, rng: rand.New(rand.NewSource(seed)), clientOrder: clients}
 }
 
 // CollectLatents receives one latents message per client from bus and
@@ -99,45 +95,6 @@ func (c *Coordinator) TrainDiffusion(z *tensor.Matrix, cfg diffusion.ModelConfig
 	}
 	c.Model.Rec = c.Rec
 	return c.Model.Train(zw, iters, batch)
-}
-
-// TrainDiffusionDDP is the data-parallel counterpart of TrainDiffusion:
-// it builds `workers` bit-identical model replicas (each from a fresh rng
-// seeded with the coordinator's construction seed), shards the whitened
-// latent table across `shards` logical shards, and drives
-// diffusion.TrainDDP with gradient traffic carried over bus as KindGrad
-// envelopes. On success the coordinator adopts replica 0 as its model; on
-// error the coordinator is left without a model, and a retry rebuilds the
-// replicas bit-identically because the construction seed — unlike the live
-// rng stream — never advances.
-func (c *Coordinator) TrainDiffusionDDP(bus Bus, z *tensor.Matrix, cfg diffusion.ModelConfig, iters, batch, workers, shards int) (float64, error) {
-	zw := z
-	if !c.DisableWhitening {
-		c.fitLatentScaler(z)
-		zw = c.whiten(z)
-	}
-	cfg.Dim = z.Cols
-	steppers := make([]diffusion.ShardStepper, workers)
-	replicas := make([]*diffusion.Model, workers)
-	for w := range steppers {
-		replicas[w] = diffusion.NewModel(rand.New(rand.NewSource(c.seed)), cfg)
-		steppers[w] = diffusion.NewGaussianShardStepper(replicas[w], zw)
-	}
-	res, err := diffusion.TrainDDP(steppers, NewBusGradTransport(bus), diffusion.DDPConfig{
-		Workers: workers,
-		Shards:  shards,
-		Iters:   iters,
-		Batch:   batch,
-		Rows:    zw.Rows,
-		Seed:    c.seed,
-		Rec:     c.Rec,
-	})
-	if err != nil {
-		return 0, err
-	}
-	c.Model = replicas[0]
-	c.Model.Rec = c.Rec
-	return res.TailLoss, nil
 }
 
 // SampleLatents draws n synthetic latent rows with steps inference steps,

@@ -33,15 +33,6 @@ type PipelineConfig struct {
 	// LatentNoiseStd adds Gaussian noise to uploaded latents — a
 	// differential-privacy style knob trading quality for obfuscation.
 	LatentNoiseStd float64
-	// TrainWorkers > 0 trains the coordinator's diffusion model
-	// data-parallel across that many workers, with gradient traffic on the
-	// bus as KindGrad envelopes. 0 keeps the single-worker in-process path.
-	TrainWorkers int
-	// TrainShards fixes the logical shard count of data-parallel training
-	// (0 means diffusion.DefaultShards). The shard count — not the worker
-	// count — decides the reduction geometry, so results are bit-identical
-	// across TrainWorkers for a fixed TrainShards.
-	TrainShards int
 }
 
 // Pipeline wires M clients and a coordinator over a Bus and runs the
@@ -277,18 +268,7 @@ func (p *Pipeline) TrainStackedFrom(ck *Checkpoint) (aeLoss, diffLoss float64, e
 		dspan := p.Rec.StartSpan("diffusion-train")
 		dspan.SetAttr("iters", p.Cfg.DiffIters)
 		p.Rec.ProfilePhaseStart("diffusion-train")
-		if p.Cfg.TrainWorkers > 0 {
-			dspan.SetAttr("workers", p.Cfg.TrainWorkers)
-			diffLoss, err = p.Coord.TrainDiffusionDDP(p.Bus, ck.latents, p.Cfg.Diff,
-				p.Cfg.DiffIters, p.Cfg.Batch, p.Cfg.TrainWorkers, p.Cfg.TrainShards)
-			if err != nil {
-				p.Rec.ProfilePhaseEnd("diffusion-train")
-				dspan.End()
-				return aeLoss, 0, err
-			}
-		} else {
-			diffLoss = p.Coord.TrainDiffusion(ck.latents, p.Cfg.Diff, p.Cfg.DiffIters, p.Cfg.Batch)
-		}
+		diffLoss = p.Coord.TrainDiffusion(ck.latents, p.Cfg.Diff, p.Cfg.DiffIters, p.Cfg.Batch)
 		p.Rec.ProfilePhaseEnd("diffusion-train")
 		dspan.SetAttr("loss", diffLoss)
 		dspan.End()
@@ -312,19 +292,13 @@ type RecoveryConfig struct {
 	OnPeerDead func(peer string) error
 }
 
-// parties lists every actor name on the bus, clients first. With
-// data-parallel training enabled the gradient plane's parties are included,
-// so a transport reset clears their in-flight state too.
+// parties lists every actor name on the bus, clients first.
 func (p *Pipeline) parties() []string {
 	out := make([]string, 0, len(p.Clients)+1)
 	for _, c := range p.Clients {
 		out = append(out, c.ID)
 	}
-	out = append(out, p.Coord.ID)
-	if p.Cfg.TrainWorkers > 0 {
-		out = append(out, DDPParties(p.Cfg.TrainWorkers)...)
-	}
-	return out
+	return append(out, p.Coord.ID)
 }
 
 // TrainStackedResilient runs stacked training with phase-level crash

@@ -419,7 +419,7 @@ var ReadEventsFile = obs.ReadEventsFile
 // ReadBenchSnapshot loads and validates a BENCH_silofuse.json.
 var ReadBenchSnapshot = experiments.ReadBenchSnapshot
 
-// DefaultDiffThresholds returns the CI regression-gate policy.
+// DefaultDiffThresholds returns the default `silofuse-obs diff` policy.
 var DefaultDiffThresholds = experiments.DefaultDiffThresholds
 
 // DiffMetrics compares two flattened metric sets under thresholds.
