@@ -33,9 +33,10 @@ test:
 	$(GO) test ./...
 
 # test-purego reruns the kernel packages and the two model packages on top of
-# them with -tags purego, which swaps the AVX2 axpy assembly for the Go loops
-# every non-amd64 build uses: the fallback is the reference the assembly is
-# tested against, so it must pass the same bit-identity and AllocsPerRun pins
+# them with -tags purego, which swaps the assembly kernels (the AVX-512
+# register tile and the AVX2 axpy) for the Go loops every non-amd64 build
+# uses: the fallback is the reference the assembly is tested against, so it
+# must pass the same bit-identity and AllocsPerRun pins
 # — and reproduce the whole-fit weight and sampled-table hashes of core's
 # fingerprint oracle.
 test-purego:
@@ -62,8 +63,8 @@ test-chaos:
 # hand-rolled concurrency under every training loop; core and experiments
 # ride along because they drive the concurrent protocols end to end. The
 # detector instruments Go code only: it does not see the loads and stores of
-# the axpy assembly, so a race on a matrix that only the AVX2 kernels touch
-# goes unreported here; `go test -race -tags purego` covers the same kernels
+# the tile and axpy assembly, so a race on a matrix that only those kernels
+# touch goes unreported here; `go test -race -tags purego` covers the same kernels
 # as instrumented Go loops.
 race:
 	$(GO) test -race -timeout 30m ./internal/silo/... ./internal/obs/... ./internal/tensor/... ./internal/core/... ./internal/experiments/... ./internal/diffusion/...
@@ -139,14 +140,17 @@ obs-smoke:
 	$(OBS_SMOKE_DIR)/silofuse-obs diff BENCH_silofuse.json BENCH_silofuse.json
 
 # bench-kernels runs the hot-path microbenchmarks (the axpy primitive as Go
-# loop vs AVX2, tensor kernels, Linear forward/backward, diffusion
+# loop vs AVX2; BenchmarkMatMulShapes — GFLOP/s of the products the fits and
+# the sampler run, per kernel tier, with a one-hot row where every tier must
+# stay on the zero-skip path; BenchmarkDispatchOverhead — what a two-chunk pool
+# dispatch costs beyond its chunks; tensor kernels, Linear forward/backward, diffusion
 # train/sample steps, and BenchmarkAETrainStepWide — one autoencoder step on
 # a single 2932-way column at batch 256, hidden 256, the straggler client of
 # the churn fit) with allocation reporting.
 # CI invokes it with BENCHFLAGS='-benchtime=1x' as a does-it-run smoke test;
 # for real numbers use the default and prefer -count=8 medians on busy hosts.
 bench-kernels:
-	$(GO) test -run '^$$' -bench 'Axpy4|MatMul|Linear|TrainStep|SampleStep' $(BENCHFLAGS) ./internal/tensor/ ./internal/nn/ ./internal/diffusion/ ./internal/autoencoder/
+	$(GO) test -run '^$$' -bench 'Axpy4|MatMul|Dispatch|Linear|TrainStep|SampleStep' $(BENCHFLAGS) ./internal/tensor/ ./internal/nn/ ./internal/diffusion/ ./internal/autoencoder/
 
 # profile-smoke exercises the phase-profiling pipeline end to end:
 #   1. two tiny training runs capture per-phase CPU/heap/mutex/block pprof

@@ -186,6 +186,9 @@ func main() {
 		fmt.Printf("telemetry listening on http://%s (/metrics /healthz /runs /debug/pprof /debug/phaseprofiles)\n", srv.Addr())
 	}
 
+	rt := experiments.CurrentRuntime()
+	fmt.Printf("runtime: %s %s/%s, %d CPUs, GOMAXPROCS %d, matmul kernel %s\n\n",
+		rt.GoVersion, rt.GOOS, rt.GOARCH, rt.NumCPU, rt.GOMAXPROCS, rt.Kernel)
 	wallStart := time.Now()
 	for _, e := range exps {
 		start := time.Now()

@@ -17,7 +17,9 @@ import (
 //
 //   - tensor kernels: TestSteadyStateKernelAllocs and TestPooledDispatchAllocs
 //     (pool_test.go) pin the *Into matmul/elementwise/GELU/transpose/workspace
-//     family and ParallelRange, the pool's entry for range kernels;
+//     family and ParallelRange, the pool's entry for range kernels — and,
+//     under the matmuls on an AVX-512 CPU, the register tile's loop nest
+//     (matmulRange, tilePanels), whose 32 KB panel must stay on the stack;
 //   - nn warm paths: TestLinearSteadyStateAllocs (gradcheck_test.go) pins
 //     Linear.Forward/Backward/BackwardParams, GELU.Forward/Backward,
 //     Adam.Step, SoftmaxRowInto and CrossEntropyRowInto (which also sits
@@ -68,7 +70,9 @@ var noallocPinned = []string{
 	"tensor.ConvertInto64",
 	"tensor.CopyInto",
 	"tensor.GELUGradInto",
+	"tensor.GELUGradKeptInto",
 	"tensor.GELUInto",
+	"tensor.GELUKeepInto",
 	"tensor.MatMul32Into",
 	"tensor.MatMulAddRow32Into",
 	"tensor.Matrix.ColSumsInto",
@@ -81,6 +85,8 @@ var noallocPinned = []string{
 	"tensor.ParallelRange",
 	"tensor.SubInto",
 	"tensor.TransposeInto",
+	"tensor.matmulRange",
+	"tensor.tilePanels",
 }
 
 // TestNoallocAnnotationCoverage scans the kernel packages' non-test sources

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"silofuse/internal/obs"
+	"silofuse/internal/tensor"
 )
 
 func TestBenchSnapshotFromRecorder(t *testing.T) {
@@ -151,8 +152,18 @@ func TestBenchSnapshotValidation(t *testing.T) {
 		"created_at": now, "exp": "fig10", "scale": "fast", "wall_seconds": 1.0,
 		"runtime": map[string]any{"go_version": "go1.22"},
 	}
-	if _, err := ReadBenchSnapshot(write("ok.json", valid)); err != nil {
+	// valid's runtime predates the kernel field: -check-bench must read it
+	// and the -bench-baseline gate must diff a fresh snapshot against it.
+	old, err := ReadBenchSnapshot(write("ok.json", valid))
+	if err != nil {
 		t.Fatalf("valid snapshot rejected: %v", err)
+	}
+	fresh := NewBenchSnapshot("fig10", "fast")
+	if old.Runtime.Kernel != "" || fresh.Runtime.Kernel != tensor.KernelTier() {
+		t.Fatalf("kernel stamps: old %q, fresh %q, want \"\" and %q", old.Runtime.Kernel, fresh.Runtime.Kernel, tensor.KernelTier())
+	}
+	if rep := DiffMetrics(BenchMetrics(old), BenchMetrics(fresh), BenchGateThresholds()); rep.Regressions != 0 {
+		t.Fatalf("gate against a baseline without runtime.kernel: %+v", rep.Entries)
 	}
 	for field, wantErr := range map[string]string{
 		"created_at":   "created_at",
@@ -185,7 +196,7 @@ func TestBenchSnapshotValidation(t *testing.T) {
 
 func TestManifestRuntimeStamp(t *testing.T) {
 	m := NewManifest("run", 1)
-	if m.Runtime.GoVersion != runtime.Version() || m.Runtime.GOOS != runtime.GOOS ||
+	if m.Runtime.Kernel != tensor.KernelTier() || m.Runtime.GoVersion != runtime.Version() || m.Runtime.GOOS != runtime.GOOS ||
 		m.Runtime.GOARCH != runtime.GOARCH || m.Runtime.NumCPU != runtime.NumCPU() ||
 		m.Runtime.GOMAXPROCS != runtime.GOMAXPROCS(0) {
 		t.Fatalf("manifest runtime = %+v", m.Runtime)

@@ -12,6 +12,7 @@ import (
 	"silofuse/internal/obs"
 	"silofuse/internal/obs/profile"
 	"silofuse/internal/silo"
+	"silofuse/internal/tensor"
 )
 
 // RuntimeInfo pins the toolchain and machine a run executed on, so manifests
@@ -25,6 +26,10 @@ type RuntimeInfo struct {
 	// that actually bounds kernel-pool parallelism, which can differ from
 	// NumCPU under cgroup limits or an explicit GOMAXPROCS override.
 	GOMAXPROCS int `json:"gomaxprocs"`
+	// Kernel is the matmul inner loop a start-up CPU probe selected
+	// (tensor.KernelTier): results do not depend on it, every timing does.
+	// Absent from records written before the field existed.
+	Kernel string `json:"kernel,omitempty"`
 }
 
 // CurrentRuntime captures this process's RuntimeInfo.
@@ -35,6 +40,7 @@ func CurrentRuntime() RuntimeInfo {
 		GOARCH:     runtime.GOARCH,
 		NumCPU:     runtime.NumCPU(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Kernel:     tensor.KernelTier(),
 	}
 }
 

@@ -18,22 +18,37 @@ const invSqrt2 = 0.7071067811865476 // 1/sqrt(2)
 type GELU struct {
 	input    *tensor.Matrix
 	out, gin *tensor.Matrix
+
+	// kept says gin holds 1 + erf(x/√2) of the current input: a training
+	// Forward parks it there, in the workspace that is idle until Backward
+	// overwrites it with the gradient, so keeping it costs no memory.
+	kept bool
 }
 
 // Forward applies gelu elementwise, on the tensor worker pool once the
-// batch is large enough.
+// batch is large enough. A training Forward also keeps the erf term for
+// Backward; an evaluation Forward allocates and stores nothing for it.
 //
 //silofuse:noalloc
-func (g *GELU) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
-	g.input = x
+func (g *GELU) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
+	g.input, g.kept = x, train
 	g.out = tensor.Ensure(g.out, x.Rows, x.Cols)
-	return tensor.GELUInto(g.out, x)
+	if !train {
+		return tensor.GELUInto(g.out, x)
+	}
+	g.gin = tensor.Ensure(g.gin, x.Rows, x.Cols)
+	return tensor.GELUKeepInto(g.out, g.gin, x)
 }
 
-// Backward multiplies by gelu'(x) = Φ(x) + x·φ(x).
+// Backward multiplies by gelu'(x) = Φ(x) + x·φ(x), with Φ from the erf the
+// Forward kept when there is one and recomputed otherwise — the same bits.
 //
 //silofuse:noalloc
 func (g *GELU) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
+	if g.kept {
+		g.kept = false // the gradient replaces the erf, element by element
+		return tensor.GELUGradKeptInto(g.gin, g.input, g.gin, gradOut)
+	}
 	g.gin = tensor.Ensure(g.gin, gradOut.Rows, gradOut.Cols)
 	return tensor.GELUGradInto(g.gin, g.input, gradOut)
 }

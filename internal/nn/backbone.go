@@ -20,7 +20,8 @@ type DiffusionMLP struct {
 	blocks   *Sequential
 	outProj  *Linear
 
-	tfeat *tensor.Matrix // cached sinusoidal features for Backward
+	tfeat  *tensor.Matrix // cached sinusoidal features for Backward
+	tfeat1 *tensor.Matrix // the one embedding row of a uniform-timestep eval batch
 
 	// embed caches one sinusoidal row per timestep (grown on demand, or
 	// all at once via WarmTimesteps), so a steady-state Forward only
@@ -76,16 +77,41 @@ func (d *DiffusionMLP) WarmTimesteps(maxT int) {
 //
 //silofuse:noalloc
 func (d *DiffusionMLP) Forward(x *tensor.Matrix, ts []int, train bool) *tensor.Matrix {
-	d.tfeat = tensor.Ensure(d.tfeat, len(ts), d.TimeDim)
-	for i, t := range ts {
-		copy(d.tfeat.Row(i), d.embedRow(t))
-	}
 	h := d.inProj.Forward(x, train)
-	te := d.timeProj.Forward(d.tfeat, train)
-	d.hsum = tensor.Ensure(d.hsum, h.Rows, h.Cols)
-	h = tensor.AddInto(d.hsum, h, te)
+	if !train && uniformTimestep(ts) {
+		// A denoising step: every row carries the same t, so its embedding
+		// is projected once and that row added to every row of h — per
+		// element the same h + te the stacked form below computes, without
+		// len(ts) copies of one row and a len(ts)-row product. Nothing here
+		// is kept for Backward, which only follows a training Forward.
+		d.tfeat1 = tensor.Ensure(d.tfeat1, 1, d.TimeDim)
+		copy(d.tfeat1.Data, d.embedRow(ts[0]))
+		h.AddRowVector(d.timeProj.Forward(d.tfeat1, false).Data)
+	} else {
+		d.tfeat = tensor.Ensure(d.tfeat, len(ts), d.TimeDim)
+		for i, t := range ts {
+			copy(d.tfeat.Row(i), d.embedRow(t))
+		}
+		te := d.timeProj.Forward(d.tfeat, train)
+		d.hsum = tensor.Ensure(d.hsum, h.Rows, h.Cols)
+		h = tensor.AddInto(d.hsum, h, te)
+	}
 	h = d.blocks.Forward(h, train)
 	return d.outProj.Forward(h, train)
+}
+
+// uniformTimestep reports whether ts has more than one entry and all are
+// equal, as in every step of Gaussian.Sample, Denoise and SampleBatchWithRngs.
+func uniformTimestep(ts []int) bool {
+	if len(ts) < 2 {
+		return false
+	}
+	for _, t := range ts[1:] {
+		if t != ts[0] {
+			return false
+		}
+	}
+	return true
 }
 
 // Backward propagates the output gradient, accumulating parameter gradients,

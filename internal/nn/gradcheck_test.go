@@ -593,3 +593,89 @@ func BenchmarkLinearBackward(b *testing.B) {
 		l.Backward(g)
 	}
 }
+
+// TestGELUKeptErfMatchesRecomputed pins the training GELU, whose Backward
+// reads the 1 + erf its Forward kept, to the evaluation-mode pair that takes
+// the erf twice: same outputs and same input gradients, bit for bit, serially
+// and through the pool — and an evaluation Forward keeps nothing.
+func TestGELUKeptErfMatchesRecomputed(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	x := tensor.New(300, 256).Randn(rng, 2)
+	g := tensor.New(300, 256).Randn(rng, 1)
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		recompute, kept := &GELU{}, &GELU{}
+		wantOut := recompute.Forward(x, false)
+		if recompute.gin != nil {
+			t.Error("evaluation Forward allocated a workspace for the erf")
+		}
+		wantGrad := recompute.Backward(g)
+		if recompute.kept {
+			t.Error("evaluation Forward claims to have kept the erf")
+		}
+		gotOut := kept.Forward(x, true)
+		gotGrad := kept.Backward(g)
+		for i := range wantOut.Data {
+			if wantOut.Data[i] != gotOut.Data[i] || wantGrad.Data[i] != gotGrad.Data[i] {
+				t.Fatalf("GOMAXPROCS=%d element %d: out %v vs %v, grad %v vs %v", procs, i, wantOut.Data[i], gotOut.Data[i], wantGrad.Data[i], gotGrad.Data[i])
+			}
+		}
+		// The gradient overwrote the kept erf: a second Backward recomputes.
+		again := kept.Backward(g)
+		for i := range wantGrad.Data {
+			if wantGrad.Data[i] != again.Data[i] {
+				t.Fatalf("GOMAXPROCS=%d element %d: second Backward read its own output as the kept erf", procs, i)
+			}
+		}
+		// A later evaluation Forward must not leave Backward on stale erf.
+		kept.Forward(x, true)
+		kept.Forward(g, false)
+		stale := kept.Backward(g)
+		recompute.Forward(g, false)
+		fresh := recompute.Backward(g)
+		for i := range fresh.Data {
+			if fresh.Data[i] != stale.Data[i] {
+				t.Fatalf("GOMAXPROCS=%d element %d: Backward after an evaluation Forward read the kept erf of an older input", procs, i)
+			}
+		}
+		runtime.GOMAXPROCS(prev)
+	}
+}
+
+// TestUniformTimestepForwardMatchesPerRow pins the denoising-step shortcut —
+// one projected embedding row added to every row — to the stacked per-row
+// form, which a training-mode Forward of a dropout-free backbone still runs,
+// at 1, 64 and 500 rows; and the shortcut is allocation-free once warm.
+func TestUniformTimestepForwardMatchesPerRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	d := NewDiffusionMLP(rng, 12, 64, 12, 2, 32, 0)
+	d.WarmTimesteps(50)
+	for _, rows := range []int{1, 64, 500} {
+		x := tensor.New(rows, 12).Randn(rng, 1)
+		ts := make([]int, rows)
+		for i := range ts {
+			ts[i] = 37
+		}
+		want := d.Forward(x, ts, true).Clone()
+		got := d.Forward(x, ts, false)
+		for i := range want.Data {
+			if want.Data[i] != got.Data[i] {
+				t.Fatalf("%d rows, element %d: per-row %v, uniform %v", rows, i, want.Data[i], got.Data[i])
+			}
+		}
+		if allocs := testing.AllocsPerRun(20, func() { d.Forward(x, ts, false) }); allocs != 0 {
+			t.Errorf("%d rows: warm uniform-timestep Forward performs %v allocs, want 0", rows, allocs)
+		}
+		// A batch with one different t takes the stacked form, to the same bits
+		// for the rows that did not change.
+		if rows > 1 {
+			ts[rows-1] = 3
+			mixed := d.Forward(x, ts, false)
+			for i := range want.Data[:(rows-1)*12] {
+				if want.Data[i] != mixed.Data[i] {
+					t.Fatalf("%d rows, element %d: mixed-timestep batch moved a row whose t did not change", rows, i)
+				}
+			}
+		}
+	}
+}

@@ -1,11 +1,39 @@
 package tensor
 
-// The axpy primitives are the one inner loop under every accumulating
-// matmul kernel (axpyRows, matmulT1Cols and, through them, MatMulInto,
-// MatMulAddRowInto, MatMulT1Into and Linear.Backward's g·Wᵀ). axpy4 and
-// axpy1 dispatch to the AVX2 assembly on amd64 CPUs that have it
-// (axpy_amd64.go) and to the Go loops below everywhere else
-// (axpy_generic.go); both produce the same bits.
+// tier names the inner loop the accumulating matmul kernels run on. It is
+// read from the CPU once at start-up (axpy_amd64.go) and is tierGo on every
+// build without the assembly (axpy_generic.go). Every tier produces the same
+// bits; a higher tier includes the ones below it, which it still uses for
+// the shapes its own kernel does not take.
+type tier int
+
+const (
+	tierGo     tier = iota // the Go loops of this file
+	tierAVX2               // axpy4/axpy1 in AVX2 assembly
+	tierAVX512             // dense strips on the 8 x 16 register tile (tile.go)
+)
+
+// KernelTier reports which matmul inner loop this process runs on:
+// "avx512-tile8x16", "avx2-axpy" or "go". Speed depends on it and results do
+// not, so a timing record should carry it.
+func KernelTier() string { return kernelTier.String() }
+
+func (t tier) String() string {
+	switch t {
+	case tierAVX512:
+		return "avx512-tile8x16"
+	case tierAVX2:
+		return "avx2-axpy"
+	}
+	return "go"
+}
+
+// The axpy primitives are the inner loop under every accumulating matmul
+// kernel (axpyRows, matmulT1Axpy and, through them, MatMulInto,
+// MatMulAddRowInto, MatMulT1Into and Linear.Backward's g·Wᵀ) wherever the
+// register tile of tile.go does not run. axpy4 and axpy1 dispatch to the AVX2
+// assembly on amd64 CPUs that have it (axpy_amd64.go) and to the Go loops
+// below everywhere else (axpy_generic.go); both produce the same bits.
 //
 // The rule that makes SIMD compatible with the repository's bit-identity
 // contract: vectorise across output columns j only. Each dst[j] then keeps

@@ -72,7 +72,7 @@ func assertSameFloats(t *testing.T, op string, want, got []float64) {
 // for every length, unaligned operands and special values included, axpy4
 // and axpy1 must leave exactly what the Go loops leave.
 func TestAxpyMatchesGoReference(t *testing.T) {
-	if !haveAVX2 {
+	if kernelTier == tierGo {
 		t.Skip("no AVX2 kernel in use (CPU without AVX2, non-amd64, or -tags purego): axpy4/axpy1 are the Go reference itself")
 	}
 	rng := rand.New(rand.NewSource(30))
@@ -135,7 +135,7 @@ func BenchmarkAxpy4(b *testing.B) {
 			})
 		}
 		run("go", axpy4Go)
-		if haveAVX2 {
+		if kernelTier != tierGo {
 			run("avx2", axpy4)
 		}
 	}

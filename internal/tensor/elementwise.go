@@ -77,6 +77,29 @@ func geluGradElems(x, gradOut, _, dst *Matrix, lo, hi int) {
 	}
 }
 
+// geluKeepElems is geluElems that also stores t = 1 + erf(x/√2) into keep,
+// and geluGradKeptElems is geluGradElems reading that t back instead of
+// taking the erf again: 0.5·x·t and 0.5·t are the products the recomputing
+// forms take of the same rounded t, so both pairs produce the same bits.
+
+func geluKeepElems(x, _, keep, dst *Matrix, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		v := x.Data[i]
+		t := 1 + math.Erf(v*invSqrt2)
+		keep.Data[i] = t
+		dst.Data[i] = 0.5 * v * t
+	}
+}
+
+func geluGradKeptElems(x, gradOut, keep, dst *Matrix, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		v := x.Data[i]
+		cdf := 0.5 * keep.Data[i]
+		pdf := math.Exp(-0.5*v*v) / math.Sqrt(2*math.Pi)
+		dst.Data[i] = gradOut.Data[i] * (cdf + v*pdf)
+	}
+}
+
 // GELUInto stores gelu(x) = x·Φ(x) into dst (dst may alias x) and returns
 // dst.
 //
@@ -85,6 +108,34 @@ func GELUInto(dst, x *Matrix) *Matrix {
 	dst.assertSameShape(x, "GELUInto")
 	n := len(dst.Data)
 	dispatchKernel(geluElems, x, nil, nil, dst, n, n)
+	return dst
+}
+
+// GELUKeepInto is GELUInto that also stores 1 + erf(x/√2) into keep (which
+// must not alias x or dst), for GELUGradKeptInto to read: erf is most of both
+// kernels' cost, and a training step would otherwise take it twice per
+// element.
+//
+//silofuse:noalloc
+func GELUKeepInto(dst, keep, x *Matrix) *Matrix {
+	dst.assertSameShape(x, "GELUKeepInto")
+	keep.assertSameShape(x, "GELUKeepInto")
+	n := len(dst.Data)
+	dispatchKernel(geluKeepElems, x, nil, keep, dst, n, n)
+	return dst
+}
+
+// GELUGradKeptInto is GELUGradInto for an x whose 1 + erf(x/√2) GELUKeepInto
+// left in keep; same bits, one erf fewer per element. dst may alias keep (or
+// either other operand): each element is read before it is written.
+//
+//silofuse:noalloc
+func GELUGradKeptInto(dst, x, keep, gradOut *Matrix) *Matrix {
+	x.assertSameShape(gradOut, "GELUGradKeptInto")
+	keep.assertSameShape(x, "GELUGradKeptInto")
+	dst.assertSameShape(x, "GELUGradKeptInto")
+	n := len(dst.Data)
+	dispatchKernel(geluGradKeptElems, x, gradOut, keep, dst, n, n)
 	return dst
 }
 

@@ -35,7 +35,7 @@ func MatMul(a, b *Matrix) *Matrix {
 		panic(fmt.Sprintf("tensor: MatMul shape mismatch %dx%d @ %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	out := New(a.Rows, b.Cols)
-	dispatchKernel(matmulRows, a, b, nil, out, a.Rows, a.Rows*a.Cols*b.Cols)
+	dispatchMatmul(matmulRows, a, b, nil, out, a.Rows, a.Rows*a.Cols*b.Cols)
 	return out
 }
 
@@ -49,7 +49,7 @@ func MatMulInto(dst, a, b *Matrix) *Matrix {
 		panic(fmt.Sprintf("tensor: MatMulInto shape mismatch %dx%d @ %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	checkInto(dst, a, b, a.Rows, b.Cols, "MatMulInto")
-	dispatchKernel(matmulRows, a, b, nil, dst, a.Rows, a.Rows*a.Cols*b.Cols)
+	dispatchMatmul(matmulRows, a, b, nil, dst, a.Rows, a.Rows*a.Cols*b.Cols)
 	return dst
 }
 
@@ -67,26 +67,32 @@ func MatMulAddRowInto(dst, a, b, bias *Matrix) *Matrix {
 		panic(fmt.Sprintf("tensor: MatMulAddRowInto bias shape %dx%d, want 1x%d", bias.Rows, bias.Cols, b.Cols))
 	}
 	checkInto(dst, a, b, a.Rows, b.Cols, "MatMulAddRowInto")
-	dispatchKernel(matmulAddRowRows, a, b, bias, dst, a.Rows, a.Rows*a.Cols*b.Cols)
+	dispatchMatmul(matmulAddRowRows, a, b, bias, dst, a.Rows, a.Rows*a.Cols*b.Cols)
 	return dst
 }
 
-func matmulRows(a, b, _, out *Matrix, lo, hi int) {
-	for i0 := lo; i0 < hi; i0 += rowBlock {
-		axpyRows(a, b, out, i0, min(i0+rowBlock, hi))
-	}
-}
+func matmulRows(a, b, _, out *Matrix, lo, hi int) { matmulRange(a, b, out, lo, hi, false) }
 
 func matmulAddRowRows(a, b, bias, out *Matrix, lo, hi int) {
-	brow0 := bias.Data
+	if useTile(a.Cols, b.Cols) {
+		matmulRange(a, b, out, lo, hi, false)
+		addRowRange(out, bias.Data, lo, hi)
+		return
+	}
 	for i0 := lo; i0 < hi; i0 += rowBlock {
 		i1 := min(i0+rowBlock, hi)
 		axpyRows(a, b, out, i0, i1)
-		for i := i0; i < i1; i++ {
-			dst := out.Row(i)[:len(brow0)]
-			for j, bv := range brow0 {
-				dst[j] += bv
-			}
+		addRowRange(out, bias.Data, i0, i1) // while the block is cache-hot
+	}
+}
+
+// addRowRange adds the row vector to output rows [lo, hi), each of which has
+// finished accumulating.
+func addRowRange(out *Matrix, row []float64, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		dst := out.Row(i)[:len(row)]
+		for j, v := range row {
+			dst[j] += v
 		}
 	}
 }
@@ -145,7 +151,7 @@ func MatMulT1(a, b *Matrix) *Matrix {
 		panic(fmt.Sprintf("tensor: MatMulT1 shape mismatch %dx%d, %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	out := New(a.Cols, b.Cols)
-	dispatchKernel(matmulT1Cols, a, b, nil, out, a.Cols, a.Rows*a.Cols*b.Cols)
+	dispatchMatmul(matmulT1Cols, a, b, nil, out, a.Cols, a.Rows*a.Cols*b.Cols)
 	return out
 }
 
@@ -158,15 +164,18 @@ func MatMulT1Into(dst, a, b *Matrix) *Matrix {
 		panic(fmt.Sprintf("tensor: MatMulT1Into shape mismatch %dx%d, %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	checkInto(dst, a, b, a.Cols, b.Cols, "MatMulT1Into")
-	dispatchKernel(matmulT1Cols, a, b, nil, dst, a.Cols, a.Rows*a.Cols*b.Cols)
+	dispatchMatmul(matmulT1Cols, a, b, nil, dst, a.Cols, a.Rows*a.Cols*b.Cols)
 	return dst
 }
 
-// matmulT1Cols accumulates aᵀ@b for output rows [lo, hi). Four r-rows are
-// fused per axpy4 pass (same scheme as axpyRows: ascending-r adds per output
-// element, one-row skip fallback on zeros), so the b rows stay cache-hot
-// across the whole i sweep.
-func matmulT1Cols(a, b, _, out *Matrix, lo, hi int) {
+// matmulT1Cols stores aᵀ@b for output rows [lo, hi).
+func matmulT1Cols(a, b, _, out *Matrix, lo, hi int) { matmulRange(a, b, out, lo, hi, true) }
+
+// matmulT1Axpy accumulates aᵀ@b for output rows [lo, hi) on the axpy
+// kernels. Four r-rows are fused per axpy4 pass (same scheme as axpyRows:
+// ascending-r adds per output element, one-row skip fallback on zeros), so
+// the b rows stay cache-hot across the whole i sweep.
+func matmulT1Axpy(a, b, out *Matrix, lo, hi int) {
 	n := b.Cols
 	clear(out.Data[lo*n : hi*n])
 	r := 0

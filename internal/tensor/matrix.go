@@ -174,12 +174,7 @@ func (m *Matrix) AddRowVector(v []float64) *Matrix {
 	if len(v) != m.Cols {
 		panic(fmt.Sprintf("tensor: AddRowVector length %d != cols %d", len(v), m.Cols))
 	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j := range row {
-			row[j] += v[j]
-		}
-	}
+	addRowRange(m, v, 0, m.Rows)
 	return m
 }
 

@@ -122,32 +122,43 @@ func finishChunk(s *callState) bool {
 // dispatch runs the kernel t describes over [0, n) on the parallel axis,
 // either inline (when the work is too small, or only one P is available) or
 // sliced into chunks fed to the worker pool. work is the multiply-add (or
-// element) count used against parallelThreshold. The caller always executes
-// the final chunk itself, so at most parts-1 chunks cross the channel.
-func dispatch(t chunkTask, n, work int) {
+// element) count used against parallelThreshold. Chunks are cut on multiples
+// of granule, so that only the last one can end off a multiple. The caller
+// always executes the final chunk itself, so at most parts-1 chunks cross the
+// channel.
+func dispatch(t chunkTask, n, work, granule int) {
 	if n <= 0 {
 		return
 	}
-	parts := runtime.GOMAXPROCS(0)
-	if work < parallelThreshold || n < 2 || parts == 1 {
+	parts := min(runtime.GOMAXPROCS(0), n)
+	chunk := (n + parts - 1) / parts
+	chunk = (chunk + granule - 1) / granule * granule
+	parts = (n + chunk - 1) / chunk
+	if work < parallelThreshold || parts == 1 {
 		t.lo, t.hi = 0, n
 		t.run()
 		return
 	}
 	ensurePool()
-	if parts > n {
-		parts = n
-	}
 	s := statePool.Get().(*callState)
 	s.remain.Store(int64(parts))
 	t.state = s
-	chunk := (n + parts - 1) / parts
 	lo := 0
 	for p := 0; p < parts-1; p++ {
 		t.lo, t.hi = lo, min(lo+chunk, n)
 		workCh <- t
 		lo = t.hi
 	}
+	// A send that wakes a parked worker leaves it in this P's runnext slot,
+	// and a second P takes a goroutine from there only after sleeping (the
+	// scheduler's usleep(3) in runqgrab, 60-200 µs on a VM and whatever the
+	// host's timers make of it): the worker's chunk started that late on
+	// every dispatch, a fixed cost per call that neither shrinks with the
+	// kernels nor holds still from run to run. Yielding here runs the worker
+	// on this P at once and puts the caller on the global queue, from which
+	// the P the send woke takes it without that sleep. With nothing woken,
+	// or no second P free, the caller simply continues.
+	runtime.Gosched()
 	t.lo, t.hi = lo, n
 	t.run()
 	// Exactly one chunk completion sends on done (the last one, possibly
@@ -160,14 +171,22 @@ func dispatch(t chunkTask, n, work int) {
 
 // dispatchKernel is dispatch for a float64 matrix kernel.
 func dispatchKernel(kern kernelFn, a, b, c, dst *Matrix, n, work int) {
-	dispatch(chunkTask{kern: kern, a: a, b: b, c: c, dst: dst}, n, work)
+	dispatch(chunkTask{kern: kern, a: a, b: b, c: c, dst: dst}, n, work, 1)
+}
+
+// dispatchMatmul is dispatchKernel for the accumulating matmul kernels. Their
+// register tile takes whole strips of tileM output rows and leaves a chunk's
+// remainder to the slower axpy kernels, so chunks are cut on strip multiples
+// (which, like any chunking, never changes bits).
+func dispatchMatmul(kern kernelFn, a, b, c, dst *Matrix, n, work int) {
+	dispatch(chunkTask{kern: kern, a: a, b: b, c: c, dst: dst}, n, work, tileM)
 }
 
 // dispatchKernel32 is dispatchKernel for float32 kernels: same thresholds,
 // same chunking, same pool. Chunk boundaries never change the result because
 // every f32 kernel keeps a fixed per-output-element reduction order too.
 func dispatchKernel32(kern kernel32Fn, a, b, c, dst *Matrix32, n, work int) {
-	dispatch(chunkTask{kern32: kern, a32: a, b32: b, c32: c, dst32: dst}, n, work)
+	dispatch(chunkTask{kern32: kern, a32: a, b32: b, c32: c, dst32: dst}, n, work, 1)
 }
 
 // ParallelRange runs k over [0, n): inline when work (one unit per
@@ -179,7 +198,7 @@ func dispatchKernel32(kern kernel32Fn, a, b, c, dst *Matrix32, n, work int) {
 func ParallelRange(k RangeKernel, n, work int) {
 	var t chunkTask
 	t.ranger = k
-	dispatch(t, n, work)
+	dispatch(t, n, work, 1)
 }
 
 var startedWorkers atomic.Int64

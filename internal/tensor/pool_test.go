@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 // The Into kernels promise bit-identical results to their allocating
@@ -81,29 +82,34 @@ func oneHot(rng *rand.Rand, rows, cols int) *Matrix {
 // TestMatMulMatchesNaiveReference pins every accumulating kernel to the
 // bits of the ascending-k reference — the bits these kernels produced before
 // their inner loop moved to the axpy primitives — on dense-with-zeros and
-// one-hot coefficients, on widths with every vector-tail length, serially
-// and through the pool.
+// one-hot coefficients (which the AVX-512 tier must leave on the skip path),
+// on widths with every vector-tail length, serially and through the pool.
 func TestMatMulMatchesNaiveReference(t *testing.T) {
-	dims := [][3]int{{1, 1, 1}, {2, 7, 3}, {5, 4, 9}, {128, 64, 64}, {65, 33, 47}, {31, 130, 17}, {20, 37, 257}, {9, 300, 70}}
-	for _, procs := range []int{1, 4} {
-		prev := runtime.GOMAXPROCS(procs)
-		rng := rand.New(rand.NewSource(20))
-		for _, d := range dims {
-			m, k, n := d[0], d[1], d[2]
-			b := randMat(rng, k, n)
-			bias := randMat(rng, 1, n)
-			for _, a := range []*Matrix{sprinkleZeros(rng, randMat(rng, m, k)), oneHot(rng, m, k)} {
-				want := naiveMatMulSkip(a, b)
+	dims := [][3]int{{1, 1, 1}, {2, 7, 3}, {5, 4, 9}, {128, 64, 64}, {65, 33, 47}, {31, 130, 17}, {20, 37, 257}, {9, 300, 70},
+		// Tile territory: whole strips with a tail, the 256-block seam, the
+		// churn head in all three orientations, and a ragged everything.
+		{500, 256, 256}, {256, 256, 2932}, {256, 2932, 256}, {13, 300, 19}}
+	rng := rand.New(rand.NewSource(20))
+	for _, d := range dims {
+		m, k, n := d[0], d[1], d[2]
+		b := randMat(rng, k, n)
+		bias := randMat(rng, 1, n)
+		for _, a := range []*Matrix{sprinkleZeros(rng, randMat(rng, m, k)), oneHot(rng, m, k)} {
+			want := naiveMatMulSkip(a, b)
+			wantBias := want.Clone().AddRowVector(bias.Data)
+			at, bt := a.T(), b.T()
+			for _, procs := range []int{1, 4} {
+				prev := runtime.GOMAXPROCS(procs)
 				assertSameBits(t, "MatMul vs naive", want, MatMul(a, b))
 				assertSameBits(t, "MatMulInto vs naive", want, MatMulInto(dirty(m, n), a, b))
 				// xᵀ@b via the T1 kernel against the same reference.
-				assertSameBits(t, "MatMulT1Into vs naive", want, MatMulT1Into(dirty(m, n), a.T(), b))
+				assertSameBits(t, "MatMulT1Into vs naive", want, MatMulT1Into(dirty(m, n), at, b))
 				// a@bᵀ via the dot-form T2 kernel: no skip, same bits for finite b.
-				assertSameBits(t, "MatMulT2Into vs naive", want, MatMulT2Into(dirty(m, n), a, b.T()))
-				assertSameBits(t, "MatMulAddRowInto vs naive", want.AddRowVector(bias.Data), MatMulAddRowInto(dirty(m, n), a, b, bias))
+				assertSameBits(t, "MatMulT2Into vs naive", want, MatMulT2Into(dirty(m, n), a, bt))
+				assertSameBits(t, "MatMulAddRowInto vs naive", wantBias, MatMulAddRowInto(dirty(m, n), a, b, bias))
+				runtime.GOMAXPROCS(prev)
 			}
 		}
-		runtime.GOMAXPROCS(prev)
 	}
 }
 
@@ -168,7 +174,7 @@ func TestElementwiseIntoParity(t *testing.T) {
 
 // TestGELUIntoMatchesFormula pins the pooled GELU kernels to the expressions
 // the nn layer evaluated inline, serially and through the pool, including
-// the in-place form.
+// the in-place form and the pair that hands 1 + erf from forward to backward.
 func TestGELUIntoMatchesFormula(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	x, g := randMat(rng, 300, 256), randMat(rng, 300, 256)
@@ -183,6 +189,9 @@ func TestGELUIntoMatchesFormula(t *testing.T) {
 		prev := runtime.GOMAXPROCS(procs)
 		assertSameBits(t, "GELUInto", want, GELUInto(dirty(300, 256), x))
 		assertSameBits(t, "GELUGradInto", wantGrad, GELUGradInto(dirty(300, 256), x, g))
+		keep := dirty(300, 256)
+		assertSameBits(t, "GELUKeepInto", want, GELUKeepInto(dirty(300, 256), keep, x))
+		assertSameBits(t, "GELUGradKeptInto", wantGrad, GELUGradKeptInto(dirty(300, 256), x, keep, g))
 		inPlace := x.Clone()
 		assertSameBits(t, "GELUInto in place", want, GELUInto(inPlace, inPlace))
 		runtime.GOMAXPROCS(prev)
@@ -373,7 +382,7 @@ func TestSteadyStateKernelAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	a, b := randMat(rng, 64, 64), randMat(rng, 64, 64)
 	bias := randMat(rng, 1, 64)
-	dst := New(64, 64)
+	dst, keep := New(64, 64), New(64, 64)
 	ranger := &countRange{visits: make([]int32, 64), out: make([]float64, 64)}
 	checks := map[string]func(){
 		"MatMulInto":       func() { MatMulInto(dst, a, b) },
@@ -385,6 +394,8 @@ func TestSteadyStateKernelAllocs(t *testing.T) {
 		"TransposeInto":    func() { TransposeInto(dst, a) },
 		"GELUInto":         func() { GELUInto(dst, a) },
 		"GELUGradInto":     func() { GELUGradInto(dst, a, b) },
+		"GELUKeepInto":     func() { GELUKeepInto(dst, keep, a) },
+		"GELUGradKeptInto": func() { GELUGradKeptInto(dst, a, keep, b) },
 		"ParallelRange":    func() { ParallelRange(ranger, len(ranger.out), parallelThreshold) },
 	}
 	for name, fn := range checks {
@@ -430,6 +441,33 @@ func TestPooledDispatchAllocs(t *testing.T) {
 			t.Errorf("pooled %s averages %v allocs per call, want < 0.5", name, avg)
 		}
 	}
+}
+
+// busyRange is a RangeKernel whose every chunk takes a fixed time, whatever
+// its bounds: what a dispatch costs on top is then the pool's own.
+type busyRange struct{ d time.Duration }
+
+func (k *busyRange) RunRange(lo, hi int) {
+	//silofuse:walltime-ok a benchmark's fixed-length chunk; it computes nothing
+	for t0 := time.Now(); time.Since(t0) < k.d; {
+	}
+}
+
+// BenchmarkDispatchOverhead reports what a two-chunk dispatch costs beyond the
+// chunks themselves, each 200 µs (a 250-row half of a 500 x 256 x 256
+// product): the wait for the second P to start on its chunk, and the wait for
+// whichever finishes last. A denoising step pays it about ten times.
+func BenchmarkDispatchOverhead(b *testing.B) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		b.Skip("needs two Ps")
+	}
+	k := &busyRange{d: 200 * time.Microsecond}
+	ParallelRange(k, 2, parallelThreshold) // start the pool
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ParallelRange(k, 2, parallelThreshold)
+	}
+	b.ReportMetric(float64(b.Elapsed()-time.Duration(b.N)*k.d)/float64(b.N)/1e3, "overhead-µs/op")
 }
 
 const benchM, benchK, benchN = 128, 64, 64 // fast-scale diffusion step shapes

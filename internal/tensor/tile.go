@@ -1,0 +1,168 @@
+package tensor
+
+import "math"
+
+// The register tile is the inner loop of the accumulating matmul kernels on
+// CPUs with AVX-512 (tile8x16, tile_amd64.s): an 8 x 16 block of the output
+// stays in registers while k runs, where the axpy kernels load and store the
+// output once per four k. The loop nest here feeds it and decides what it
+// does not take.
+//
+// Bits. A lane is one output column and k only ascends, so an element's add
+// chain is the reference's — except that the tile multiplies a zero
+// coefficient where the axpy kernels skip it. That is the identity: a chain
+// that starts at +0 can never hold -0 under round-to-nearest (x + -x is +0,
+// +0 + -0 is +0), so adding the ±0 product of a zero coefficient and a
+// finite b leaves every bit alone. A k block boundary stores the chain's
+// value and loads it back, which is no arithmetic at all.
+//
+// Not taken, and left to the axpy kernels: strips whose coefficients are
+// mostly zero (one-hot inputs, where skipping beats multiplying), the
+// rows mod 8 of a chunk, products narrower than 8 columns, and every CPU,
+// architecture and build without AVX-512.
+
+const (
+	tileM  = 8   // output rows per tile, one strip
+	tileN  = 16  // output columns per tile, two ZMM registers
+	tileKC = 256 // coefficients per packed panel: 256 x 16 x 8 B = 32 KB, L1-resident
+
+	// stripGroup strips are classified dense or sparse per pass, one bit
+	// each; a group shares the packed panels.
+	stripGroup = 64
+)
+
+// useTile reports whether a product with k coefficients per output element
+// and n output columns runs on the register tile. k == 0 stays with the axpy
+// kernels because they are the ones that clear the output.
+func useTile(k, n int) bool { return kernelTier == tierAVX512 && k > 0 && n >= tileM }
+
+// matmulRange stores output rows [lo, hi) of a@b (or of aᵀ@b when t1) on
+// this process's tier: dense strips through the tile where there is one,
+// everything else through the axpy kernels.
+//
+//silofuse:noalloc
+func matmulRange(a, b, out *Matrix, lo, hi int, t1 bool) {
+	kw := a.Cols
+	if t1 {
+		kw = a.Rows
+	}
+	if !useTile(kw, b.Cols) {
+		axpyRange(a, b, out, lo, hi, t1)
+		return
+	}
+	for g0 := lo; g0 < hi; g0 += stripGroup * tileM {
+		g1 := min(g0+stripGroup*tileM, hi)
+		strips := (g1 - g0) / tileM
+		var dense uint64
+		for s := 0; s < strips; s++ {
+			if !sparseStrip(a, g0+s*tileM, t1) {
+				dense |= 1 << s
+			}
+		}
+		if dense != 0 {
+			tilePanels(a, b, out, g0, dense, t1)
+		}
+		// Runs of sparse strips, and the rows past the last whole strip.
+		i := g0
+		for s := 0; s < strips; s++ {
+			if dense>>s&1 != 0 {
+				axpyRange(a, b, out, i, g0+s*tileM, t1)
+				i = g0 + (s+1)*tileM
+			}
+		}
+		axpyRange(a, b, out, i, g1, t1)
+	}
+}
+
+// sparseStrip reports whether the skip path is the faster one for the strip
+// of output rows [i0, i0+8): at least three of every four coefficients are
+// zero. Counting costs at most 8·K compares against the 8·K·n multiply-adds
+// it steers, and stops at the row where the answer can no longer change.
+func sparseStrip(a *Matrix, i0 int, t1 bool) bool {
+	rows, width, first, stride := tileM, a.Cols, i0*a.Cols, a.Cols
+	if t1 {
+		rows, width, first = a.Rows, tileM, i0
+	}
+	dense := rows*width/4 + 1 // this many non-zeros make the strip dense
+	nonzero := 0
+	for r := 0; r < rows; r++ {
+		row := a.Data[first+r*stride:][:width]
+		// ±0 is all zero bits below the sign. Eight at a time, so that the
+		// runs of zeros a one-hot strip is made of cost one test per eight.
+		for ; len(row) >= 8; row = row[8:] {
+			v := (*[8]float64)(row)
+			if (math.Float64bits(v[0])|math.Float64bits(v[1])|math.Float64bits(v[2])|math.Float64bits(v[3])|
+				math.Float64bits(v[4])|math.Float64bits(v[5])|math.Float64bits(v[6])|math.Float64bits(v[7]))<<1 != 0 {
+				nonzero += countNonzero(v[:])
+			}
+		}
+		nonzero += countNonzero(row)
+		if nonzero >= dense {
+			return false
+		}
+		if (r+1)*width-nonzero > rows*width-dense {
+			return true
+		}
+	}
+	return true
+}
+
+func countNonzero(vs []float64) int {
+	n := 0
+	for _, v := range vs {
+		if math.Float64bits(v)<<1 != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// tilePanels runs the strips of the group starting at output row g0 whose
+// bit is set in dense. k is cut into blocks of tileKC, outermost, so the
+// group's block of a stays in L2 while every column panel passes over it; one
+// packed kc x 16 panel of b then serves every strip of the group from L1. A
+// later k block resumes each chain from the value the previous one stored.
+//
+//silofuse:noalloc
+func tilePanels(a, b, out *Matrix, g0 int, dense uint64, t1 bool) {
+	var panel [tileKC * tileN]float64
+	n, lda := b.Cols, a.Cols
+	// a@b reads coefficient (i, k) at a[i][k]; aᵀ@b reads it at a[k][i].
+	kw, aRow, aStep := a.Cols, lda, 1
+	if t1 {
+		kw, aRow, aStep = a.Rows, 1, lda
+	}
+	for k0 := 0; k0 < kw; k0 += tileKC {
+		kc := min(tileKC, kw-k0)
+		for j0 := 0; j0 < n; j0 += tileN {
+			mask := uint32(1)<<min(tileN, n-j0) - 1
+			// The tile streams b from a packed, zero-padded copy of the
+			// panel whatever b's width is: unpacked, a power-of-two width
+			// strides the panel's rows onto a handful of cache sets and a
+			// 2932-wide one onto a page per k.
+			packPanel16(&panel[0], &b.Data[k0*n+j0], uintptr(n)*8, kc, mask)
+			for s, m := 0, dense; m != 0; s, m = s+1, m>>1 {
+				if m&1 == 0 {
+					continue
+				}
+				i0 := g0 + s*tileM
+				tile8x16(&out.Data[i0*n+j0], uintptr(n)*8,
+					&a.Data[i0*aRow+k0*aStep], uintptr(aRow)*8, uintptr(aStep)*8,
+					&panel[0], kc, mask, k0 > 0)
+			}
+		}
+	}
+}
+
+// axpyRange stores output rows [lo, hi) through the axpy kernels.
+func axpyRange(a, b, out *Matrix, lo, hi int, t1 bool) {
+	if t1 {
+		if lo < hi {
+			matmulT1Axpy(a, b, out, lo, hi)
+		}
+		return
+	}
+	for i0 := lo; i0 < hi; i0 += rowBlock {
+		axpyRows(a, b, out, i0, min(i0+rowBlock, hi))
+	}
+}
