@@ -34,8 +34,8 @@ test:
 
 # test-purego reruns the kernel packages and the two model packages on top of
 # them with -tags purego, which swaps the assembly kernels (the AVX-512
-# register tile and the AVX2 axpy) for the Go loops every non-amd64 build
-# uses: the fallback is the reference the assembly is tested against, so it
+# register tile and lane-wise erf/exp/GELU/Adam, the AVX2 axpy) for the Go
+# loops every non-amd64 build uses: the fallback is the reference the assembly is tested against, so it
 # must pass the same bit-identity and AllocsPerRun pins
 # — and reproduce the whole-fit weight and sampled-table hashes of core's
 # fingerprint oracle.
@@ -45,7 +45,7 @@ test-purego:
 
 # cross-arm64 proves the tree builds, and the tensor package vets, for an
 # architecture that has no assembly file (build-tag or declaration drift
-# between axpy_amd64.go and axpy_generic.go shows here).
+# between axpy_amd64.go / vmath_amd64.go and axpy_generic.go shows here).
 cross-arm64:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/tensor/
@@ -63,7 +63,7 @@ test-chaos:
 # hand-rolled concurrency under every training loop; core and experiments
 # ride along because they drive the concurrent protocols end to end. The
 # detector instruments Go code only: it does not see the loads and stores of
-# the tile and axpy assembly, so a race on a matrix that only those kernels
+# the tile, axpy and lane-kernel assembly, so a race on a matrix that only those kernels
 # touch goes unreported here; `go test -race -tags purego` covers the same kernels
 # as instrumented Go loops.
 race:
@@ -143,14 +143,18 @@ obs-smoke:
 # loop vs AVX2; BenchmarkMatMulShapes — GFLOP/s of the products the fits and
 # the sampler run, per kernel tier, with a one-hot row where every tier must
 # stay on the zero-skip path; BenchmarkDispatchOverhead — what a two-chunk pool
-# dispatch costs beyond its chunks; tensor kernels, Linear forward/backward, diffusion
+# dispatch costs beyond its chunks; BenchmarkElementwiseShapes — ns per element
+# of the lane kernels per tier: GELU eval/keep/grad at the sampler's and the
+# trainer's batch with synth_bulk's erf branch mix (printed with -v), a
+# 2932-way softmax's exponentials, the Adam sweep at 65,536 and 1.5 M weights;
+# tensor kernels, Linear forward/backward, diffusion
 # train/sample steps, and BenchmarkAETrainStepWide — one autoencoder step on
 # a single 2932-way column at batch 256, hidden 256, the straggler client of
 # the churn fit) with allocation reporting.
 # CI invokes it with BENCHFLAGS='-benchtime=1x' as a does-it-run smoke test;
 # for real numbers use the default and prefer -count=8 medians on busy hosts.
 bench-kernels:
-	$(GO) test -run '^$$' -bench 'Axpy4|MatMul|Dispatch|Linear|TrainStep|SampleStep' $(BENCHFLAGS) ./internal/tensor/ ./internal/nn/ ./internal/diffusion/ ./internal/autoencoder/
+	$(GO) test -run '^$$' -bench 'Axpy4|MatMul|Dispatch|Elementwise|Linear|TrainStep|SampleStep' $(BENCHFLAGS) ./internal/tensor/ ./internal/nn/ ./internal/diffusion/ ./internal/autoencoder/
 
 # profile-smoke exercises the phase-profiling pipeline end to end:
 #   1. two tiny training runs capture per-phase CPU/heap/mutex/block pprof

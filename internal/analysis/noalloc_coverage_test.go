@@ -20,6 +20,9 @@ import (
 //     family and ParallelRange, the pool's entry for range kernels — and,
 //     under the matmuls on an AVX-512 CPU, the register tile's loop nest
 //     (matmulRange, tilePanels), whose 32 KB panel must stay on the stack;
+//     TestLaneKernelAllocs (vmath_test.go) pins ExpSubInto and AdamUpdate,
+//     the lane kernels that are called outside the *Into matrix family,
+//     fix-up vectors included;
 //   - nn warm paths: TestLinearSteadyStateAllocs (gradcheck_test.go) pins
 //     Linear.Forward/Backward/BackwardParams, GELU.Forward/Backward,
 //     Adam.Step, SoftmaxRowInto and CrossEntropyRowInto (which also sits
@@ -64,11 +67,13 @@ var noallocPinned = []string{
 	"nn.CrossEntropyRowInto",
 	"nn.MSELossInto",
 	"nn.SoftmaxRowInto",
+	"tensor.AdamUpdate",
 	"tensor.Add32Into",
 	"tensor.AddInto",
 	"tensor.ConvertInto32",
 	"tensor.ConvertInto64",
 	"tensor.CopyInto",
+	"tensor.ExpSubInto",
 	"tensor.GELUGradInto",
 	"tensor.GELUGradKeptInto",
 	"tensor.GELUInto",

@@ -53,10 +53,11 @@ func SoftmaxRowInto(dst, row []float64) {
 			max = v
 		}
 	}
+	// The exponentials go lane-wise where the CPU has the lanes; their sum
+	// stays serial, in column order, which is what fixes its bits.
+	tensor.ExpSubInto(dst, row, max)
 	sum := 0.0
-	for j, v := range row {
-		e := math.Exp(v - max)
-		dst[j] = e
+	for _, e := range dst {
 		sum += e
 	}
 	for j := range dst {

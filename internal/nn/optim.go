@@ -77,22 +77,14 @@ func NewAdam(params []*Param, lr float64) *Adam {
 // head, a backbone's hidden x hidden block) is swept by the worker pool and
 // smaller ones inline, with the same bits either way.
 type adamSweep struct {
-	w, g, m, v                      []float64
-	lr, beta1, beta2, eps, bc1, bc2 float64
+	w, g, m, v []float64
+	c          tensor.AdamCoef
 }
 
 // RunRange updates elements [lo, hi) and clears their gradients, which
 // nothing reads between the update and the zeroing Step promises.
 func (s *adamSweep) RunRange(lo, hi int) {
-	w, g, m, v := s.w[lo:hi], s.g[lo:hi], s.m[lo:hi], s.v[lo:hi]
-	for j, gj := range g {
-		m[j] = s.beta1*m[j] + (1-s.beta1)*gj
-		v[j] = s.beta2*v[j] + (1-s.beta2)*gj*gj
-		mHat := m[j] / s.bc1
-		vHat := v[j] / s.bc2
-		w[j] -= s.lr * mHat / (math.Sqrt(vHat) + s.eps)
-		g[j] = 0
-	}
+	tensor.AdamUpdate(s.w[lo:hi], s.g[lo:hi], s.m[lo:hi], s.v[lo:hi], &s.c)
 }
 
 // Step applies one Adam update and zeroes gradients.
@@ -116,9 +108,9 @@ func (a *Adam) Step() {
 		}
 	}
 	s := &a.sweep
-	s.lr, s.beta1, s.beta2, s.eps = a.LR, a.Beta1, a.Beta2, a.Eps
-	s.bc1 = 1 - math.Pow(a.Beta1, float64(a.t))
-	s.bc2 = 1 - math.Pow(a.Beta2, float64(a.t))
+	s.c.LR, s.c.Beta1, s.c.Beta2, s.c.Eps = a.LR, a.Beta1, a.Beta2, a.Eps
+	s.c.BC1 = 1 - math.Pow(a.Beta1, float64(a.t))
+	s.c.BC2 = 1 - math.Pow(a.Beta2, float64(a.t))
 	for i, p := range a.params {
 		s.w, s.g, s.m, s.v = p.Value.Data, p.Grad.Data, a.m[i].Data, a.v[i].Data
 		tensor.ParallelRange(s, len(s.w), len(s.w))

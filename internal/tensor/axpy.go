@@ -15,8 +15,14 @@ const (
 
 // KernelTier reports which matmul inner loop this process runs on:
 // "avx512-tile8x16", "avx2-axpy" or "go". Speed depends on it and results do
-// not, so a timing record should carry it.
-func KernelTier() string { return kernelTier.String() }
+// not, so a timing record should carry it — and says so when the AVX-512 tier
+// runs without its exp, erf and GELU lane kernels (lanes).
+func KernelTier() string {
+	if kernelTier == tierAVX512 && !lanesMatch {
+		return kernelTier.String() + ", scalar exp and erf"
+	}
+	return kernelTier.String()
+}
 
 func (t tier) String() string {
 	switch t {

@@ -27,11 +27,12 @@ func axpy1AVX2(dst, b []float64, a float64)
 // tile_amd64.s. dst and a are walked with byte strides (ldd between output
 // rows, aRow between the strip's eight coefficient rows, aStep between
 // consecutive k), panel holds kc packed 16-wide rows of b, bit j of mask
-// enables output column j, and accumulate resumes the chains from dst instead
-// of starting them at +0.
+// enables output column j, accumulate resumes the chains from dst instead of
+// starting them at +0, and a non-nil bias points at sixteen addends (as many
+// as mask enables are read) that every row takes before it is stored.
 //
 //go:noescape
-func tile8x16(dst *float64, ldd uintptr, a *float64, aRow, aStep uintptr, panel *float64, kc int, mask uint32, accumulate bool)
+func tile8x16(dst *float64, ldd uintptr, a *float64, aRow, aStep uintptr, panel *float64, kc int, mask uint32, accumulate bool, bias *float64)
 
 // packPanel16 packs one kc x 16 panel of b for tile8x16; see tile_amd64.s.
 //

@@ -7,7 +7,10 @@ package tensor
 // tests that walk the tiers compile everywhere.)
 var kernelTier = tierGo
 
-func tile8x16(dst *float64, ldd uintptr, a *float64, aRow, aStep uintptr, panel *float64, kc int, mask uint32, accumulate bool) {
+// lanesMatch is false where there are no lane kernels to match math.Exp.
+const lanesMatch = false
+
+func tile8x16(dst *float64, ldd uintptr, a *float64, aRow, aStep uintptr, panel *float64, kc int, mask uint32, accumulate bool, bias *float64) {
 	panic("tensor: tile kernel called on a build without it")
 }
 
@@ -20,3 +23,21 @@ func axpy4(dst, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64) {
 }
 
 func axpy1(dst, b []float64, a float64) { axpy1Go(dst, b, a) }
+
+func erfAVX512(dst, x []float64) int { panic("tensor: lane kernel called on a build without it") }
+
+func expSubAVX512(dst, x []float64, sub float64) int {
+	panic("tensor: lane kernel called on a build without it")
+}
+
+func geluAVX512(dst, keep, x []float64) int {
+	panic("tensor: lane kernel called on a build without it")
+}
+
+func geluGradAVX512(dst, x, keep, g []float64) int {
+	panic("tensor: lane kernel called on a build without it")
+}
+
+func adamAVX512(w, g, m, v []float64, c *AdamCoef) {
+	panic("tensor: lane kernel called on a build without it")
+}

@@ -56,48 +56,70 @@ func MulElemInto(dst, a, b *Matrix) *Matrix {
 // invSqrt2 is 1/sqrt(2), the erf argument scale of the exact GELU.
 const invSqrt2 = 0.7071067811865476
 
-// geluElems and geluGradElems evaluate the exact GELU and its derivative
-// per element. erf and exp dominate their cost, so unlike the arithmetic
-// helpers above they are compute-bound and the pool pays off as soon as
-// the element count clears parallelThreshold.
+// The GELU kernels evaluate the exact GELU and its derivative. With a keep
+// they pass t = 1 + erf(x/√2) from the forward to the backward through it:
+// 0.5·x·t and 0.5·t are the products the recomputing forms take of the same
+// rounded t, so with and without keep they produce the same bits. erf and exp
+// are all of their cost. On AVX-512 they run on the lane kernels under
+// vmath.go's fix-up protocol; the Go loops are every other tier and the
+// reference.
 
-func geluElems(x, _, _, dst *Matrix, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		v := x.Data[i]
-		dst.Data[i] = 0.5 * v * (1 + math.Erf(v*invSqrt2))
-	}
-}
-
-func geluGradElems(x, gradOut, _, dst *Matrix, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		v := x.Data[i]
-		cdf := 0.5 * (1 + math.Erf(v*invSqrt2))
-		pdf := math.Exp(-0.5*v*v) / math.Sqrt(2*math.Pi)
-		dst.Data[i] = gradOut.Data[i] * (cdf + v*pdf)
-	}
-}
-
-// geluKeepElems is geluElems that also stores t = 1 + erf(x/√2) into keep,
-// and geluGradKeptElems is geluGradElems reading that t back instead of
-// taking the erf again: 0.5·x·t and 0.5·t are the products the recomputing
-// forms take of the same rounded t, so both pairs produce the same bits.
-
-func geluKeepElems(x, _, keep, dst *Matrix, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		v := x.Data[i]
+// geluGo stores gelu(x[i]) into dst[i], and t into keep[i] unless keep is nil.
+func geluGo(dst, keep, x []float64) {
+	for i, v := range x {
 		t := 1 + math.Erf(v*invSqrt2)
-		keep.Data[i] = t
-		dst.Data[i] = 0.5 * v * t
+		if keep != nil {
+			keep[i] = t
+		}
+		dst[i] = 0.5 * v * t
 	}
 }
 
-func geluGradKeptElems(x, gradOut, keep, dst *Matrix, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		v := x.Data[i]
-		cdf := 0.5 * keep.Data[i]
+// geluGradGo stores g[i]·gelu'(x[i]) into dst[i], reading t from keep[i]
+// unless keep is nil.
+func geluGradGo(dst, x, keep, g []float64) {
+	for i, v := range x {
+		var t float64
+		if keep != nil {
+			t = keep[i]
+		} else {
+			t = 1 + math.Erf(v*invSqrt2)
+		}
 		pdf := math.Exp(-0.5*v*v) / math.Sqrt(2*math.Pi)
-		dst.Data[i] = gradOut.Data[i] * (cdf + v*pdf)
+		dst[i] = g[i] * (0.5*t + v*pdf)
 	}
+}
+
+// geluElems is GELUInto's kernel (keep nil) and GELUKeepInto's.
+func geluElems(x, _, keep, dst *Matrix, lo, hi int) {
+	d, xs := dst.Data[lo:hi], x.Data[lo:hi]
+	var k []float64
+	if keep != nil {
+		k = keep.Data[lo:hi]
+	}
+	for lanes() && len(d) > 0 {
+		n := geluAVX512(d, k, xs)
+		fix := min(n+8, len(d))
+		geluGo(d[n:fix], span(k, n, fix), xs[n:fix])
+		d, k, xs = d[fix:], span(k, fix, len(k)), xs[fix:]
+	}
+	geluGo(d, k, xs)
+}
+
+// geluGradElems is GELUGradInto's kernel (keep nil) and GELUGradKeptInto's.
+func geluGradElems(x, gradOut, keep, dst *Matrix, lo, hi int) {
+	d, xs, g := dst.Data[lo:hi], x.Data[lo:hi], gradOut.Data[lo:hi]
+	var k []float64
+	if keep != nil {
+		k = keep.Data[lo:hi]
+	}
+	for lanes() && len(d) > 0 {
+		n := geluGradAVX512(d, xs, k, g)
+		fix := min(n+8, len(d))
+		geluGradGo(d[n:fix], xs[n:fix], span(k, n, fix), g[n:fix])
+		d, xs, k, g = d[fix:], xs[fix:], span(k, fix, len(k)), g[fix:]
+	}
+	geluGradGo(d, xs, k, g)
 }
 
 // GELUInto stores gelu(x) = x·Φ(x) into dst (dst may alias x) and returns
@@ -121,7 +143,7 @@ func GELUKeepInto(dst, keep, x *Matrix) *Matrix {
 	dst.assertSameShape(x, "GELUKeepInto")
 	keep.assertSameShape(x, "GELUKeepInto")
 	n := len(dst.Data)
-	dispatchKernel(geluKeepElems, x, nil, keep, dst, n, n)
+	dispatchKernel(geluElems, x, nil, keep, dst, n, n)
 	return dst
 }
 
@@ -135,7 +157,7 @@ func GELUGradKeptInto(dst, x, keep, gradOut *Matrix) *Matrix {
 	keep.assertSameShape(x, "GELUGradKeptInto")
 	dst.assertSameShape(x, "GELUGradKeptInto")
 	n := len(dst.Data)
-	dispatchKernel(geluGradKeptElems, x, gradOut, keep, dst, n, n)
+	dispatchKernel(geluGradElems, x, gradOut, keep, dst, n, n)
 	return dst
 }
 

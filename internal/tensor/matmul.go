@@ -2,10 +2,19 @@ package tensor
 
 import "fmt"
 
-// parallelThreshold is the minimum number of multiply-adds before a kernel
-// spreads row blocks across the persistent worker pool. Below it, the
-// scheduling overhead dominates.
-const parallelThreshold = 1 << 16
+// A kernel spreads its range across the persistent worker pool once its work
+// clears a threshold; below it the 27 µs a dispatch costs
+// (BenchmarkDispatchOverhead) outweigh what the second core saves.
+const (
+	// parallelThreshold counts elements of the elementwise, optimiser and
+	// loss kernels and multiply-adds of the Go-loop matmuls (a@bᵀ, float32).
+	parallelThreshold = 1 << 16
+	// matmulParallelThreshold counts multiply-adds of the accumulating
+	// matmuls on the assembly tiers, whose tile and axpy kernels run them
+	// several times faster than the Go loops the first constant was set for
+	// (and still holds for: dispatchMatmul).
+	matmulParallelThreshold = 1 << 20
+)
 
 // Every kernel in this file keeps a fixed per-output-row reduction order,
 // so serial, pooled, and destination-passing execution are bit-identical.
@@ -71,24 +80,19 @@ func MatMulAddRowInto(dst, a, b, bias *Matrix) *Matrix {
 	return dst
 }
 
-func matmulRows(a, b, _, out *Matrix, lo, hi int) { matmulRange(a, b, out, lo, hi, false) }
+func matmulRows(a, b, _, out *Matrix, lo, hi int) { matmulRange(a, b, out, nil, lo, hi, false) }
 
 func matmulAddRowRows(a, b, bias, out *Matrix, lo, hi int) {
-	if useTile(a.Cols, b.Cols) {
-		matmulRange(a, b, out, lo, hi, false)
-		addRowRange(out, bias.Data, lo, hi)
-		return
-	}
-	for i0 := lo; i0 < hi; i0 += rowBlock {
-		i1 := min(i0+rowBlock, hi)
-		axpyRows(a, b, out, i0, i1)
-		addRowRange(out, bias.Data, i0, i1) // while the block is cache-hot
-	}
+	matmulRange(a, b, out, bias.Data, lo, hi, false)
 }
 
 // addRowRange adds the row vector to output rows [lo, hi), each of which has
-// finished accumulating.
+// finished accumulating. It is the bias add wherever the tile's store does
+// not make it: the axpy tiers, and the rows the tile leaves to them.
 func addRowRange(out *Matrix, row []float64, lo, hi int) {
+	if row == nil {
+		return
+	}
 	for i := lo; i < hi; i++ {
 		dst := out.Row(i)[:len(row)]
 		for j, v := range row {
@@ -169,7 +173,7 @@ func MatMulT1Into(dst, a, b *Matrix) *Matrix {
 }
 
 // matmulT1Cols stores aᵀ@b for output rows [lo, hi).
-func matmulT1Cols(a, b, _, out *Matrix, lo, hi int) { matmulRange(a, b, out, lo, hi, true) }
+func matmulT1Cols(a, b, _, out *Matrix, lo, hi int) { matmulRange(a, b, out, nil, lo, hi, true) }
 
 // matmulT1Axpy accumulates aᵀ@b for output rows [lo, hi) on the axpy
 // kernels. Four r-rows are fused per axpy4 pass (same scheme as axpyRows:

@@ -122,11 +122,11 @@ func finishChunk(s *callState) bool {
 // dispatch runs the kernel t describes over [0, n) on the parallel axis,
 // either inline (when the work is too small, or only one P is available) or
 // sliced into chunks fed to the worker pool. work is the multiply-add (or
-// element) count used against parallelThreshold. Chunks are cut on multiples
-// of granule, so that only the last one can end off a multiple. The caller
+// element) count held against threshold. Chunks are cut on multiples of
+// granule, so that only the last one can end off a multiple. The caller
 // always executes the final chunk itself, so at most parts-1 chunks cross the
 // channel.
-func dispatch(t chunkTask, n, work, granule int) {
+func dispatch(t chunkTask, n, work, granule, threshold int) {
 	if n <= 0 {
 		return
 	}
@@ -134,7 +134,7 @@ func dispatch(t chunkTask, n, work, granule int) {
 	chunk := (n + parts - 1) / parts
 	chunk = (chunk + granule - 1) / granule * granule
 	parts = (n + chunk - 1) / chunk
-	if work < parallelThreshold || parts == 1 {
+	if work < threshold || parts == 1 {
 		t.lo, t.hi = 0, n
 		t.run()
 		return
@@ -171,22 +171,27 @@ func dispatch(t chunkTask, n, work, granule int) {
 
 // dispatchKernel is dispatch for a float64 matrix kernel.
 func dispatchKernel(kern kernelFn, a, b, c, dst *Matrix, n, work int) {
-	dispatch(chunkTask{kern: kern, a: a, b: b, c: c, dst: dst}, n, work, 1)
+	dispatch(chunkTask{kern: kern, a: a, b: b, c: c, dst: dst}, n, work, 1, parallelThreshold)
 }
 
 // dispatchMatmul is dispatchKernel for the accumulating matmul kernels. Their
 // register tile takes whole strips of tileM output rows and leaves a chunk's
 // remainder to the slower axpy kernels, so chunks are cut on strip multiples
-// (which, like any chunking, never changes bits).
+// (which, like any chunking, never changes bits), and on the assembly tiers
+// their multiply-adds are cheap enough to have a threshold of their own.
 func dispatchMatmul(kern kernelFn, a, b, c, dst *Matrix, n, work int) {
-	dispatch(chunkTask{kern: kern, a: a, b: b, c: c, dst: dst}, n, work, tileM)
+	threshold := matmulParallelThreshold
+	if kernelTier == tierGo {
+		threshold = parallelThreshold
+	}
+	dispatch(chunkTask{kern: kern, a: a, b: b, c: c, dst: dst}, n, work, tileM, threshold)
 }
 
 // dispatchKernel32 is dispatchKernel for float32 kernels: same thresholds,
 // same chunking, same pool. Chunk boundaries never change the result because
 // every f32 kernel keeps a fixed per-output-element reduction order too.
 func dispatchKernel32(kern kernel32Fn, a, b, c, dst *Matrix32, n, work int) {
-	dispatch(chunkTask{kern32: kern, a32: a, b32: b, c32: c, dst32: dst}, n, work, 1)
+	dispatch(chunkTask{kern32: kern, a32: a, b32: b, c32: c, dst32: dst}, n, work, 1, parallelThreshold)
 }
 
 // ParallelRange runs k over [0, n): inline when work (one unit per
@@ -198,7 +203,7 @@ func dispatchKernel32(kern kernel32Fn, a, b, c, dst *Matrix32, n, work int) {
 func ParallelRange(k RangeKernel, n, work int) {
 	var t chunkTask
 	t.ranger = k
-	dispatch(t, n, work, 1)
+	dispatch(t, n, work, 1, parallelThreshold)
 }
 
 var startedWorkers atomic.Int64

@@ -2,6 +2,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -147,16 +148,24 @@ func TestMatMulT2IntoParity(t *testing.T) {
 }
 
 // TestMatMulAddRowIntoParity proves the fused kernel matches the exact
-// two-pass arithmetic it replaces (matmul, then row-broadcast bias add).
+// two-pass arithmetic it replaces (matmul, then row-broadcast bias add) on
+// every tier: where the tile adds the bias in its last store — masked column
+// tails, K over several k blocks and rows left to the axpy kernels included —
+// and where the sweep behind the axpy kernels does.
 func TestMatMulAddRowIntoParity(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for _, dims := range [][3]int{{1, 2, 3}, {128, 64, 64}, {61, 37, 29}} {
-		m, k, n := dims[0], dims[1], dims[2]
-		a, b := randMat(rng, m, k), randMat(rng, k, n)
-		bias := randMat(rng, 1, n)
-		want := MatMul(a, b).AddRowVector(bias.Data)
-		got := MatMulAddRowInto(dirty(m, n), a, b, bias)
-		assertSameBits(t, "MatMulAddRowInto", want, got)
+	for _, tr := range allTiers {
+		t.Run(tr.String(), func(t *testing.T) {
+			forceTier(t, tr)
+			rng := rand.New(rand.NewSource(4))
+			for _, dims := range [][3]int{{1, 2, 3}, {128, 64, 64}, {61, 37, 29}, {500, 256, 256}, {20, 600, 41}, {64, 513, 7}} {
+				m, k, n := dims[0], dims[1], dims[2]
+				a, b := sprinkleZeros(rng, randMat(rng, m, k)), randMat(rng, k, n)
+				bias := randMat(rng, 1, n)
+				want := naiveMatMulSkip(a, b).AddRowVector(bias.Data)
+				got := MatMulAddRowInto(dirty(m, n), a, b, bias)
+				assertSameBits(t, fmt.Sprintf("MatMulAddRowInto %dx%dx%d", m, k, n), want, got)
+			}
+		})
 	}
 }
 

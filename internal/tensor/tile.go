@@ -38,16 +38,18 @@ func useTile(k, n int) bool { return kernelTier == tierAVX512 && k > 0 && n >= t
 
 // matmulRange stores output rows [lo, hi) of a@b (or of aᵀ@b when t1) on
 // this process's tier: dense strips through the tile where there is one,
-// everything else through the axpy kernels.
+// everything else through the axpy kernels. A non-nil bias, one addend per
+// output column, is added to every row once its accumulation has finished:
+// in the tile's last store, or by a sweep behind the axpy kernels.
 //
 //silofuse:noalloc
-func matmulRange(a, b, out *Matrix, lo, hi int, t1 bool) {
+func matmulRange(a, b, out *Matrix, bias []float64, lo, hi int, t1 bool) {
 	kw := a.Cols
 	if t1 {
 		kw = a.Rows
 	}
 	if !useTile(kw, b.Cols) {
-		axpyRange(a, b, out, lo, hi, t1)
+		axpyRange(a, b, out, bias, lo, hi, t1)
 		return
 	}
 	for g0 := lo; g0 < hi; g0 += stripGroup * tileM {
@@ -60,17 +62,17 @@ func matmulRange(a, b, out *Matrix, lo, hi int, t1 bool) {
 			}
 		}
 		if dense != 0 {
-			tilePanels(a, b, out, g0, dense, t1)
+			tilePanels(a, b, out, bias, g0, dense, t1)
 		}
 		// Runs of sparse strips, and the rows past the last whole strip.
 		i := g0
 		for s := 0; s < strips; s++ {
 			if dense>>s&1 != 0 {
-				axpyRange(a, b, out, i, g0+s*tileM, t1)
+				axpyRange(a, b, out, bias, i, g0+s*tileM, t1)
 				i = g0 + (s+1)*tileM
 			}
 		}
-		axpyRange(a, b, out, i, g1, t1)
+		axpyRange(a, b, out, bias, i, g1, t1)
 	}
 }
 
@@ -121,10 +123,11 @@ func countNonzero(vs []float64) int {
 // bit is set in dense. k is cut into blocks of tileKC, outermost, so the
 // group's block of a stays in L2 while every column panel passes over it; one
 // packed kc x 16 panel of b then serves every strip of the group from L1. A
-// later k block resumes each chain from the value the previous one stored.
+// later k block resumes each chain from the value the previous one stored, and
+// the last one adds the bias, if there is one, as it stores.
 //
 //silofuse:noalloc
-func tilePanels(a, b, out *Matrix, g0 int, dense uint64, t1 bool) {
+func tilePanels(a, b, out *Matrix, bias []float64, g0 int, dense uint64, t1 bool) {
 	var panel [tileKC * tileN]float64
 	n, lda := b.Cols, a.Cols
 	// a@b reads coefficient (i, k) at a[i][k]; aᵀ@b reads it at a[k][i].
@@ -141,6 +144,10 @@ func tilePanels(a, b, out *Matrix, g0 int, dense uint64, t1 bool) {
 			// strides the panel's rows onto a handful of cache sets and a
 			// 2932-wide one onto a page per k.
 			packPanel16(&panel[0], &b.Data[k0*n+j0], uintptr(n)*8, kc, mask)
+			var addend *float64
+			if bias != nil && k0+kc == kw {
+				addend = &bias[j0]
+			}
 			for s, m := 0, dense; m != 0; s, m = s+1, m>>1 {
 				if m&1 == 0 {
 					continue
@@ -148,21 +155,25 @@ func tilePanels(a, b, out *Matrix, g0 int, dense uint64, t1 bool) {
 				i0 := g0 + s*tileM
 				tile8x16(&out.Data[i0*n+j0], uintptr(n)*8,
 					&a.Data[i0*aRow+k0*aStep], uintptr(aRow)*8, uintptr(aStep)*8,
-					&panel[0], kc, mask, k0 > 0)
+					&panel[0], kc, mask, k0 > 0, addend)
 			}
 		}
 	}
 }
 
-// axpyRange stores output rows [lo, hi) through the axpy kernels.
-func axpyRange(a, b, out *Matrix, lo, hi int, t1 bool) {
+// axpyRange stores output rows [lo, hi) through the axpy kernels, and adds
+// the bias row, if there is one, to each block of rows while it is cache-hot.
+func axpyRange(a, b, out *Matrix, bias []float64, lo, hi int, t1 bool) {
 	if t1 {
 		if lo < hi {
 			matmulT1Axpy(a, b, out, lo, hi)
+			addRowRange(out, bias, lo, hi)
 		}
 		return
 	}
 	for i0 := lo; i0 < hi; i0 += rowBlock {
-		axpyRows(a, b, out, i0, min(i0+rowBlock, hi))
+		i1 := min(i0+rowBlock, hi)
+		axpyRows(a, b, out, i0, i1)
+		addRowRange(out, bias, i0, i1)
 	}
 }

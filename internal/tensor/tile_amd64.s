@@ -21,6 +21,11 @@
 // row, aRow 8). Only AVX-512F instructions are used (KMOVW, VPXORQ — not the
 // BW/DQ forms KMOVQ, VXORPD), and VZEROUPPER precedes RET as in the axpy
 // kernels.
+//
+// A non-nil bias is a row of sixteen addends for the tile's columns, read
+// through the same opmasks and added to every row of the tile before the
+// store: (chain) + bias, the add the row-vector sweep made as a second pass
+// over the output. The caller passes it on the last k block only.
 
 // One row of the tile for one k: broadcast the coefficient, multiply both
 // halves of the B row by it, add into the row's two accumulators.
@@ -36,13 +41,17 @@
 	VMOVUPD.Z 64(DI), K2, acc1 \
 	ADDQ      DX, DI
 
+#define TILE_BIAS(acc0, acc1) \
+	VADDPD Z16, acc0, acc0 \
+	VADDPD Z17, acc1, acc1
+
 #define TILE_STORE(acc0, acc1) \
 	VMOVUPD acc0, K1, (DI)   \
 	VMOVUPD acc1, K2, 64(DI) \
 	ADDQ    DX, DI
 
-// func tile8x16(dst *float64, ldd uintptr, a *float64, aRow, aStep uintptr, panel *float64, kc int, mask uint32, accumulate bool)
-TEXT ·tile8x16(SB), NOSPLIT, $0-61
+// func tile8x16(dst *float64, ldd uintptr, a *float64, aRow, aStep uintptr, panel *float64, kc int, mask uint32, accumulate bool, bias *float64)
+TEXT ·tile8x16(SB), NOSPLIT, $0-72
 	MOVQ  dst+0(FP), DI
 	MOVQ  ldd+8(FP), DX
 	MOVQ  a+16(FP), SI
@@ -111,6 +120,21 @@ tile_k:
 	DECQ CX
 	JNZ  tile_k
 
+	MOVQ  bias+64(FP), AX
+	TESTQ AX, AX
+	JZ    tile_store
+	VMOVUPD.Z (AX), K1, Z16
+	VMOVUPD.Z 64(AX), K2, Z17
+	TILE_BIAS(Z0, Z1)
+	TILE_BIAS(Z2, Z3)
+	TILE_BIAS(Z4, Z5)
+	TILE_BIAS(Z6, Z7)
+	TILE_BIAS(Z8, Z9)
+	TILE_BIAS(Z10, Z11)
+	TILE_BIAS(Z12, Z13)
+	TILE_BIAS(Z14, Z15)
+
+tile_store:
 	TILE_STORE(Z0, Z1)
 	TILE_STORE(Z2, Z3)
 	TILE_STORE(Z4, Z5)

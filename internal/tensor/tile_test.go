@@ -63,7 +63,10 @@ func offsetMatrix(rows, cols int, guard float64) (*Matrix, []float64) {
 // seam, and requires the bits of the ascending-k zero-skip reference. b holds
 // ±Inf and NaN only in rows whose coefficients are all non-zero: multiplying
 // a zero by them is the one place the tile and the skip differ, and it is
-// outside the contract (as it is for MatMulT2Into).
+// outside the contract (as it is for MatMulT2Into). Each shape runs again with
+// a bias row (edge values included): the tile adds it in the store of the last
+// k block, the rows it leaves to the axpy kernels get it from the sweep, and
+// both must end in the bits of the reference followed by AddRowVector.
 func TestTileMatchesGoReference(t *testing.T) {
 	forceTier(t, tierAVX512)
 	const guard = 1234.5
@@ -96,20 +99,28 @@ func TestTileMatchesGoReference(t *testing.T) {
 					}
 				}
 				want := naiveMatMulSkip(a, b)
+				bias, _ := offsetMatrix(1, n, guard)
+				for j := range bias.Data {
+					bias.Data[j] = axpyEdge(rng)
+				}
+				wantBiased := want.Clone().AddRowVector(bias.Data)
 				at, _ := offsetMatrix(k, m, guard)
 				TransposeInto(at, a)
 				for _, form := range []struct {
 					name string
 					a    *Matrix
 					t1   bool
-				}{{"a@b", a, false}, {"aT@b", at, true}} {
+					bias []float64
+					want *Matrix
+				}{{"a@b", a, false, nil, want}, {"aT@b", at, true, nil, want},
+					{"a@b+bias", a, false, bias.Data, wantBiased}, {"aT@b+bias", at, true, bias.Data, wantBiased}} {
 					got, buf := offsetMatrix(m, n, guard)
 					// 500 rows go as two ragged chunks of 250, so row tails run
 					// beside tiles; the others as one chunk after an empty one.
 					cut := m / 500 * 250
-					matmulRange(form.a, b, got, 0, cut, form.t1)
-					matmulRange(form.a, b, got, cut, m, form.t1)
-					assertSameFloats(t, fmt.Sprintf("%s %dx%dx%d", form.name, m, k, n), want.Data, got.Data)
+					matmulRange(form.a, b, got, form.bias, 0, cut, form.t1)
+					matmulRange(form.a, b, got, form.bias, cut, m, form.t1)
+					assertSameFloats(t, fmt.Sprintf("%s %dx%dx%d", form.name, m, k, n), form.want.Data, got.Data)
 					if buf[2] != guard || buf[3+m*n] != guard {
 						t.Fatalf("%s %dx%dx%d: element outside dst changed", form.name, m, k, n)
 					}
@@ -137,7 +148,7 @@ func TestTileMaskedStoreGuards(t *testing.T) {
 			packPanel16(&panel[0], &b.Data[k0*w], uintptr(w)*8, kc, uint32(1)<<w-1)
 			for i0 := 0; i0 < m; i0 += tileM {
 				tile8x16(&window.Data[i0*wide+3], wide*8, &a.Data[i0*k+k0], uintptr(k)*8, 8,
-					&panel[0], kc, uint32(1)<<w-1, k0 > 0)
+					&panel[0], kc, uint32(1)<<w-1, k0 > 0, nil)
 			}
 		}
 		for i := 0; i < m; i++ {
