@@ -5,6 +5,7 @@
 //	silofuse-bench -exp table3 -scale fast
 //	silofuse-bench -exp all -scale standard -trials 3
 //	silofuse-bench -exp fig11 -datasets heloc,loan,churn
+//	silofuse-bench -exp fig10 -run fig10   # perf record: results/fig10/manifest.json
 //
 // Experiment ids are listed by -h, from experimentTable below.
 package main
@@ -36,18 +37,14 @@ func main() {
 	utilCols := flag.Int("util-cols", 0, "cap on utility target columns (0 = all)")
 	tracePath := flag.String("trace", "", "write a Chrome-trace JSON covering every model fitted")
 	metricsFlag := flag.Bool("metrics", false, "print the metrics text exposition to stderr at the end")
-	runName := flag.String("run", "", "write results/<run>/manifest.json for the whole invocation, and stream results/<run>/events.jsonl")
+	runName := flag.String("run", "", "write results/<run>/manifest.json — the run's perf record: phases, step histograms, wire bytes by kind and codec — and stream results/<run>/events.jsonl")
 	listen := flag.String("listen", "", "serve live telemetry (/metrics, /healthz, /runs, /debug/pprof) on this address during the run")
-	benchJSON := flag.String("bench-json", "BENCH_silofuse.json", "write a perf snapshot (phases, rows/sec, bytes by kind) to this path; empty disables")
-	checkBench := flag.String("check-bench", "", "validate an existing bench snapshot and exit (CI smoke check)")
-	benchBaseline := flag.String("bench-baseline", "", "after the run, diff the fresh -bench-json snapshot against this committed baseline and exit non-zero on regression (losses and wire bytes must be equal, allocations and codec error within tolerance; timings are printed, not gated)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU pprof profile covering the whole run to this path (captured by the phase profiler as the \"all\" phase)")
 	memProfile := flag.String("memprofile", "", "write an allocation pprof profile at the end of the run to this path (the phase profiler's final heap snapshot)")
 	profilePhases := flag.Bool("profile-phases", false, "capture per-phase CPU/heap/mutex/block pprof profiles into results/<run>/profiles (requires -run)")
-	debugSpin := flag.Int("debug-spin", 0, "inject N iterations of deterministic busy-work per diffusion step (wall time only; for profiling attribution tests)")
 	chaosProfile := flag.String("chaos-profile", "", "inject transport faults during distributed training: drop, dup, reorder, delay, corrupt, flaky, blackhole, crash (empty disables)")
 	chaosSeed := flag.Int64("chaos-seed", 1, "seed of the deterministic fault schedule (with -chaos-profile)")
-	wireCodec := flag.String("wire-codec", "", "wire codec framing dense tensor payloads: none/gob (default), f64 (raw binary), f32 (half the payload bytes), q8 (int8 quantization); fig10x sweeps all codecs regardless")
+	wireCodec := flag.String("wire-codec", "", "wire codec framing dense tensor payloads: f64 (raw binary, lossless; the default), f32 (half the payload bytes), q8 (int8 quantization), none (native gob payloads); fig10x sweeps all codecs regardless")
 	computePrecision := flag.String("compute-precision", "", "kernel precision for sampling and decode (training is always f64): f64 (default) or f32")
 	flag.Parse()
 
@@ -80,17 +77,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-	}
-
-	if *checkBench != "" {
-		snap, err := experiments.ReadBenchSnapshot(*checkBench)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("%s ok: exp=%s scale=%s wall=%.2fs phases=%d stages=%d\n",
-			*checkBench, snap.Exp, snap.Scale, snap.WallSeconds, len(snap.Phases), len(snap.StepSeconds))
-		return
 	}
 
 	var cfg experiments.Config
@@ -138,13 +124,11 @@ func main() {
 		cfg.Opts.ChaosProfile = *chaosProfile
 		cfg.Opts.ChaosSeed = *chaosSeed
 	}
-	switch *wireCodec {
-	case "", "none", "f64", "f32", "q8":
-		cfg.Opts.WireCodec = *wireCodec
-	default:
-		fmt.Fprintf(os.Stderr, "unknown wire codec %q (want none, f64, f32 or q8)\n", *wireCodec)
+	if _, err := silofuse.WireCodecByName(*wireCodec); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	cfg.Opts.WireCodec = *wireCodec
 	switch *computePrecision {
 	case "", "f64", "f32":
 		cfg.Opts.ComputePrecision = *computePrecision
@@ -152,9 +136,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown compute precision %q (want f64 or f32)\n", *computePrecision)
 		os.Exit(2)
 	}
-	cfg.Opts.DebugSpin = *debugSpin
 	var rec *silofuse.Recorder
-	if *tracePath != "" || *metricsFlag || *runName != "" || *listen != "" || *benchJSON != "" || prof != nil {
+	if *tracePath != "" || *metricsFlag || *runName != "" || *listen != "" || prof != nil {
 		rec = silofuse.NewRecorder()
 		cfg.Opts.Recorder = rec
 		rec.SetProfiler(prof)
@@ -189,7 +172,6 @@ func main() {
 	rt := experiments.CurrentRuntime()
 	fmt.Printf("runtime: %s %s/%s, %d CPUs, GOMAXPROCS %d, matmul kernel %s\n\n",
 		rt.GoVersion, rt.GOOS, rt.GOARCH, rt.NumCPU, rt.GOMAXPROCS, rt.Kernel)
-	wallStart := time.Now()
 	for _, e := range exps {
 		start := time.Now()
 		if err := e.run(cfg); err != nil {
@@ -202,8 +184,8 @@ func main() {
 			rec.Events.Emit("experiment", map[string]any{"exp": e.id, "dur_sec": elapsed.Seconds()})
 		}
 	}
-	// Close the profiler before any gate can exit: it stops the whole-run
-	// CPU capture, writes the final heap profile and profiles/index.json.
+	// Closing the profiler stops the whole-run CPU capture and writes the
+	// final heap profile and profiles/index.json.
 	if err := prof.Close(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -213,33 +195,6 @@ func main() {
 	}
 	if prof != nil && *memProfile != "" {
 		fmt.Printf("wrote heap profile %s\n", *memProfile)
-	}
-	if *benchJSON != "" {
-		snap := experiments.NewBenchSnapshot(*exp, *scale)
-		snap.WallSeconds = time.Since(wallStart).Seconds()
-		snap.FromRecorder(rec)
-		if err := snap.Write(*benchJSON); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote bench snapshot %s\n", *benchJSON)
-		if *benchBaseline != "" {
-			base, err := experiments.ReadBenchSnapshot(*benchBaseline)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			rep := experiments.DiffMetrics(experiments.BenchMetrics(base), experiments.BenchMetrics(snap), experiments.BenchGateThresholds())
-			fmt.Printf("\nbench regression gate vs %s:\n", *benchBaseline)
-			if err := rep.WriteTable(os.Stdout); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			if rep.Regressions > 0 {
-				fmt.Fprintf(os.Stderr, "bench gate: %d regression(s) vs %s\n", rep.Regressions, *benchBaseline)
-				os.Exit(1)
-			}
-		}
 	}
 	if err := writeTelemetry(rec, prof, *tracePath, *metricsFlag, *runName, *exp, cfg.Seed); err != nil {
 		fmt.Fprintln(os.Stderr, err)

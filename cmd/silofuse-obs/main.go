@@ -1,22 +1,14 @@
 // Command silofuse-obs analyzes run telemetry offline: it summarizes a run
-// directory's event stream into a per-phase table, renders top-N tables
-// from phase-scoped pprof captures, and diffs two runs or two bench
-// snapshots under configurable regression thresholds, exiting non-zero on
-// regression so it can gate CI.
+// directory's event stream into a per-phase table and renders top-N tables
+// from phase-scoped pprof captures.
 //
 // Usage:
 //
 //	silofuse-obs summary <run-dir|events.jsonl>
 //	silofuse-obs profile [flags] <run-dir|profiles-dir|profile.pb.gz>
-//	silofuse-obs diff [flags] <base> <current>
 //
-// diff accepts run directories (their events.jsonl is read), .jsonl event
-// logs, or BENCH_silofuse.json snapshots, in any combination — both sides
-// are flattened to the same metric keys before comparison. Event logs may be
-// crash-truncated: a partial trailing line is skipped, all prior lines
-// parse. When both operands are run directories carrying profiles/ and a
-// metric regresses, the report appends attribution tables naming the
-// functions whose profile weight grew most in the regressed phase.
+// Event logs may be crash-truncated: a partial trailing line is skipped,
+// all prior lines parse.
 package main
 
 import (
@@ -44,8 +36,6 @@ func main() {
 		err = runSummary(os.Args[2:])
 	case "profile":
 		err = runProfile(os.Args[2:])
-	case "diff":
-		err = runDiff(os.Args[2:])
 	case "-h", "--help", "help":
 		usage()
 		return
@@ -64,49 +54,22 @@ func usage() {
 	fmt.Fprintf(os.Stderr, `usage:
   silofuse-obs summary <run-dir|events.jsonl>
   silofuse-obs profile [flags] <run-dir|profiles-dir|profile.pb.gz>
-  silofuse-obs diff [flags] <base> <current>
 
 profile flags:
   -phase            phase to show (default: every captured phase)
   -kind             profile kind: cpu|heap|mutex|block       (default cpu)
   -sample           sample type to aggregate (default: cpu or alloc_space)
   -top              rows in the function table               (default 20)
-
-diff flags:
-  -throughput-drop  allowed fractional rows/sec drop        (default 0.60)
-  -alloc-growth     allowed absolute allocs/step growth     (default 2)
-  -alloc-bytes-growth allowed fractional alloc bytes growth (default 0.25)
-  -wire-growth      allowed fractional wire-byte growth     (default 0.10)
-  -loss-growth      allowed fractional loss growth          (default 0.25)
-  -phase-growth     allowed fractional phase-time growth    (default 0 = off)
-  -attr-top         functions per attribution table         (default 5)
 `)
 }
 
 // eventsPath resolves a run-dir-or-file argument to its events file.
-func eventsPath(arg string) (string, bool) {
+func eventsPath(arg string) string {
 	st, err := os.Stat(arg)
 	if err == nil && st.IsDir() {
-		return filepath.Join(arg, "events.jsonl"), true
+		return filepath.Join(arg, "events.jsonl")
 	}
-	return arg, strings.HasSuffix(arg, ".jsonl")
-}
-
-// loadMetrics flattens one diff operand — run dir, events log, or bench
-// snapshot — into the shared metric key space.
-func loadMetrics(arg string) (map[string]float64, error) {
-	if path, isEvents := eventsPath(arg); isEvents {
-		events, err := obs.ReadEventsFile(path)
-		if err != nil {
-			return nil, err
-		}
-		return experiments.EventMetrics(events), nil
-	}
-	snap, err := experiments.ReadBenchSnapshot(arg)
-	if err != nil {
-		return nil, err
-	}
-	return experiments.BenchMetrics(snap), nil
+	return arg
 }
 
 func runSummary(args []string) error {
@@ -117,7 +80,7 @@ func runSummary(args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("summary wants one run directory or events.jsonl")
 	}
-	path, _ := eventsPath(fs.Arg(0))
+	path := eventsPath(fs.Arg(0))
 	events, err := obs.ReadEventsFile(path)
 	if err != nil {
 		// A run dir without an event stream (crashed before the first
@@ -354,48 +317,6 @@ func printProfileTop(path, sample string, top int) error {
 	for _, st := range rows {
 		fmt.Printf("  %-*s  %12s  %12s\n", width, st.Name,
 			profile.FormatValue(st.Self, flat.Unit), profile.FormatValue(st.Cum, flat.Unit))
-	}
-	return nil
-}
-
-func runDiff(args []string) error {
-	fs := flag.NewFlagSet("diff", flag.ExitOnError)
-	th := experiments.DefaultDiffThresholds()
-	fs.Float64Var(&th.ThroughputDrop, "throughput-drop", th.ThroughputDrop, "allowed fractional rows/sec drop")
-	fs.Float64Var(&th.AllocGrowth, "alloc-growth", th.AllocGrowth, "allowed absolute allocs/step growth")
-	fs.Float64Var(&th.AllocBytesGrowth, "alloc-bytes-growth", th.AllocBytesGrowth, "allowed fractional alloc bytes/step growth")
-	fs.Float64Var(&th.WireGrowth, "wire-growth", th.WireGrowth, "allowed fractional wire-byte growth")
-	fs.Float64Var(&th.LossGrowth, "loss-growth", th.LossGrowth, "allowed fractional loss growth")
-	fs.Float64Var(&th.PhaseGrowth, "phase-growth", th.PhaseGrowth, "allowed fractional phase-time growth (0 disables)")
-	attrTop := fs.Int("attr-top", 5, "functions per attribution table")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() != 2 {
-		return fmt.Errorf("diff wants <base> and <current>")
-	}
-	base, err := loadMetrics(fs.Arg(0))
-	if err != nil {
-		return fmt.Errorf("base: %w", err)
-	}
-	cur, err := loadMetrics(fs.Arg(1))
-	if err != nil {
-		return fmt.Errorf("current: %w", err)
-	}
-	rep := experiments.DiffMetrics(base, cur, th)
-	if err := rep.WriteTable(os.Stdout); err != nil {
-		return err
-	}
-	if rep.Regressions > 0 {
-		if experiments.HasProfiles(fs.Arg(0)) && experiments.HasProfiles(fs.Arg(1)) {
-			atts := experiments.AttributeRegressions(rep, fs.Arg(0), fs.Arg(1), *attrTop)
-			if err := experiments.WriteAttributions(os.Stdout, atts); err != nil {
-				return err
-			}
-		} else {
-			fmt.Println("(no phase profiles on both sides; capture runs with -profile-phases for attribution)")
-		}
-		return fmt.Errorf("%d regression(s) against %s", rep.Regressions, fs.Arg(0))
 	}
 	return nil
 }

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"silofuse/internal/datagen"
+	"silofuse/internal/obs"
+	"silofuse/internal/silo"
 )
 
 // TestFitFingerprintOracle pins a whole stacked fit and a draw from it to
@@ -19,6 +21,12 @@ import (
 // to "same bits" by this test; `make test-purego` repeats it on the Go
 // kernels. A change that is meant to alter the arithmetic updates the
 // hashes and says why.
+//
+// Beside the hashes sit the other quantities that repeat bit for bit: the
+// stacked fit's single latent upload in bytes (the benchmark's wire_bytes at
+// the same shapes), and an E2EDistr fit under the f32 wire codec — its last
+// step's loss bits and its four per-iteration message kinds, equal to each
+// other and linear in the iteration count (paper Fig. 10).
 func TestFitFingerprintOracle(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("hashes were recorded on amd64; a compiler that fuses multiply-adds rounds differently")
@@ -31,9 +39,10 @@ func TestFitFingerprintOracle(t *testing.T) {
 		rows, diffIters          int
 		sampleRows, steps        int
 		wantWeights, wantSampled uint64
+		wantLatentBytes          int64
 	}{
-		{"adult", 4000, 22, 500, 25, 0xaf798c649637b2b2, 0xadfaef4b8c6463d3},
-		{"churn", 2000, 2, 64, 5, 0xf4b9aab0660108ff, 0x72d9f39046383eb4},
+		{"adult", 4000, 22, 500, 25, 0xaf798c649637b2b2, 0xadfaef4b8c6463d3, 448256},
+		{"churn", 2000, 2, 64, 5, 0xf4b9aab0660108ff, 0x72d9f39046383eb4, 224256},
 	}
 	for _, c := range cases {
 		spec, err := datagen.ByName(c.dataset)
@@ -45,6 +54,9 @@ func TestFitFingerprintOracle(t *testing.T) {
 		m := NewSiloFuse(o)
 		if err := m.Fit(spec.Generate(c.rows, 1)); err != nil {
 			t.Fatal(err)
+		}
+		if st := m.CommStats(); st.Bytes != c.wantLatentBytes || len(st.ByKind) != 1 || st.ByKind[silo.KindLatents] != c.wantLatentBytes {
+			t.Errorf("%s: fit moved %d bytes %v, oracle %d of latents alone", c.dataset, st.Bytes, st.ByKind, c.wantLatentBytes)
 		}
 		weights := fnv.New64a()
 		if err := m.Save(weights); err != nil {
@@ -68,6 +80,39 @@ func TestFitFingerprintOracle(t *testing.T) {
 		}
 		if got := sampled.Sum64(); got != c.wantSampled {
 			t.Errorf("%s: sampled-table hash %016x, oracle %016x", c.dataset, got, c.wantSampled)
+		}
+	}
+
+	adult, err := datagen.ByName("adult")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bytesPerKindPerIter = 7424 // 128 × 14 f32 values in four frames with a 64-byte header each
+	for _, c := range []struct {
+		iters    int
+		wantLoss uint64
+	}{
+		{10, 0x4018542aed95c8f0},
+		{20, 0x40185a9ac377739c},
+	} {
+		o := FastOptions()
+		o.Seed, o.AEIters, o.DiffIters, o.WireCodec = 1, c.iters/2, c.iters/2, "f32"
+		o.Recorder = obs.NewRecorder()
+		m := NewE2EDistr(o)
+		if err := m.Fit(adult.Generate(4000, 1)); err != nil {
+			t.Fatal(err)
+		}
+		if got := math.Float64bits(o.Recorder.Reg.Gauge("e2e_loss").Value()); got != c.wantLoss {
+			t.Errorf("e2edistr/f32, %d iterations: last loss bits %016x, oracle %016x", c.iters, got, c.wantLoss)
+		}
+		st, want := m.CommStats(), int64(c.iters*bytesPerKindPerIter)
+		if len(st.ByKind) != 4 || st.Bytes != 4*want {
+			t.Errorf("e2edistr/f32, %d iterations: %d bytes over %v, oracle %d in four kinds", c.iters, st.Bytes, st.ByKind, 4*want)
+		}
+		for _, k := range []silo.Kind{silo.KindActivation, silo.KindDenoised, silo.KindGradUp, silo.KindGradDown} {
+			if st.ByKind[k] != want {
+				t.Errorf("e2edistr/f32, %d iterations: %s moved %d bytes, oracle %d", c.iters, k, st.ByKind[k], want)
+			}
 		}
 	}
 }

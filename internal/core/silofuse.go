@@ -105,7 +105,7 @@ func (s *SiloFuse) pipelineConfig() silo.PipelineConfig {
 			Hidden: s.Opts.DiffHidden, Depth: s.Opts.DiffDepth,
 			TimeDim: s.Opts.DiffTimeDim, T: s.Opts.T, LR: s.Opts.LR, Dropout: 0.01,
 			EMADecay: s.Opts.EMADecay, CosineSch: s.Opts.CosineSchedule,
-			DebugSpin: s.Opts.DebugSpin, Precision: s.Opts.ComputePrecision,
+			Precision: s.Opts.ComputePrecision,
 		},
 		DisableLatentWhitening: s.Opts.DisableLatentWhitening,
 		LatentNoiseStd:         s.Opts.LatentNoiseStd,

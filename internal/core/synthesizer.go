@@ -105,12 +105,6 @@ type Options struct {
 	// synthesis requests stack into one denoising ping-pong (SampleBatch),
 	// and single Sample calls run as a one-lane batch.
 	BatchSampling bool
-
-	// DebugSpin, when > 0, injects that many iterations of deterministic
-	// busy-work after every diffusion training step (see
-	// diffusion.ModelConfig.DebugSpin). Wall time only; results are
-	// bit-identical. Exists for the profiling attribution smoke tests.
-	DebugSpin int
 }
 
 // DefaultOptions returns CPU-scaled settings that preserve the paper's

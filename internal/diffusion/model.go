@@ -30,12 +30,6 @@ type ModelConfig struct {
 	// implied ε. Useful at very low step counts where ε-prediction is
 	// ill-conditioned near t≈T.
 	PredictX0 bool
-	// DebugSpin, when > 0, burns that many iterations of deterministic
-	// arithmetic after every training step. It changes nothing but wall
-	// time — losses stay bit-identical — and exists so the profiling
-	// attribution path (silofuse-obs diff, make profile-smoke) can inject
-	// a slowdown with a known culprit function.
-	DebugSpin int
 	// Precision selects the sampling compute tier: "" or "f64" runs the
 	// historical float64 path (bit-identical, the default); "f32" runs the
 	// DDIM sampling loop — backbone forward, ping-pong buffers and
@@ -66,11 +60,6 @@ type Model struct {
 	// precision is ModelConfig.Precision; "f32" routes Sample through the
 	// float32 kernel path.
 	precision string
-
-	// debugSpin/spinSink implement ModelConfig.DebugSpin; the sink lives on
-	// the model (not a package global) so concurrent models stay race-free.
-	debugSpin int
-	spinSink  float64
 
 	// Persistent training/sampling workspaces: reused across steps while
 	// the batch shape is unchanged, so a steady-state TrainStep allocates
@@ -105,7 +94,6 @@ func NewModel(rng *rand.Rand, cfg ModelConfig) *Model {
 		Opt:       nn.NewAdam(net.Params(), cfg.LR),
 		PredictX0: cfg.PredictX0,
 		rng:       rng,
-		debugSpin: cfg.DebugSpin,
 		precision: cfg.Precision,
 	}
 	if cfg.EMADecay > 0 {
@@ -163,9 +151,6 @@ func (m *Model) Train(data *tensor.Matrix, iters, batch int) float64 {
 		}
 		t0 := m.Rec.Now()
 		loss := m.TrainStep(data.GatherRowsInto(m.batchBuf, idx))
-		if m.debugSpin > 0 {
-			m.debugSpinStep()
-		}
 		if m.Rec != nil {
 			m.Rec.TrainStep("diffusion", loss, batch, m.Rec.Since(t0))
 		}
@@ -183,19 +168,6 @@ func (m *Model) Train(data *tensor.Matrix, iters, batch int) float64 {
 		return 0
 	}
 	return tailLoss / float64(tailCount)
-}
-
-// debugSpinStep burns DebugSpin iterations of deterministic float
-// arithmetic. Kept out of line so CPU profiles attribute the injected
-// slowdown to exactly this frame.
-//
-//go:noinline
-func (m *Model) debugSpinStep() {
-	x := m.spinSink + 1
-	for i := 0; i < m.debugSpin; i++ {
-		x += float64(i&7) * 1e-12
-	}
-	m.spinSink = x
 }
 
 // Predict implements NoisePredictor in evaluation mode (no dropout). Under

@@ -185,7 +185,7 @@ func TestFigure10Shape(t *testing.T) {
 // gob/f64 byte model, f32 at least halves-ish (≥1.8x) the tensor payloads of
 // both distributed models with rounding-scale error, q8 cuts further with
 // quantization-scale error, and the replayed accounting reaches the main
-// recorder so bench snapshots see it.
+// recorder so the run manifest sees it.
 func TestFigure10XCodecSweep(t *testing.T) {
 	c := tinyConfig()
 	c.Datasets = []string{"abalone"}
@@ -231,8 +231,8 @@ func TestFigure10XCodecSweep(t *testing.T) {
 		}
 	}
 	// The replayed accounting lands in the main recorder under the same
-	// wire_* families the bench snapshot parses.
-	snap := NewBenchSnapshot("fig10x", "fast")
+	// wire_* families the run manifest parses.
+	snap := NewManifest("fig10x", 1)
 	snap.FromRecorder(main)
 	lat := snap.Wire["f32/latents"]
 	if lat.Messages == 0 || lat.Bytes == 0 || lat.MaxErr == 0 {

@@ -135,7 +135,7 @@ type Figure10XRow struct {
 // distributed models and reports bytes vs reconstruction error per codec:
 // SiloFuse exercises the latent upload and synthesis path, E2EDistr the
 // activation/gradient exchange. Every run is deterministic, so the numbers
-// are comparable across invocations and gateable by the bench baseline.
+// are comparable across invocations.
 func (c Config) Figure10X() ([]Figure10XRow, error) {
 	cc := c
 	if cc.Datasets == nil {
@@ -190,7 +190,7 @@ func (c Config) Figure10X() ([]Figure10XRow, error) {
 
 // figure10xRow aggregates one run's wire_* metrics into a sweep row and
 // replays the per-kind accounting into the invocation's main recorder (if
-// any), so the sweep's numbers reach the bench snapshot and manifest.
+// any), so the sweep's numbers reach the run manifest.
 func figure10xRow(dataset, model, codecName string, total int64, rec, main *obs.Recorder) Figure10XRow {
 	row := Figure10XRow{Dataset: dataset, Model: model, Codec: codecName, TotalBytes: total}
 	wire := parseWireMetrics(rec.Snapshot())

@@ -16,7 +16,7 @@ import (
 )
 
 // RuntimeInfo pins the toolchain and machine a run executed on, so manifests
-// and bench snapshots from different hosts are comparable.
+// from different hosts are comparable.
 type RuntimeInfo struct {
 	GoVersion string `json:"go_version"`
 	GOOS      string `json:"goos"`
@@ -161,4 +161,120 @@ func (m *Manifest) Write(dir string) error {
 		return fmt.Errorf("experiments: manifest write: %w", err)
 	}
 	return nil
+}
+
+// ProfilesSubdir is the run-directory subdirectory holding phase profiles.
+const ProfilesSubdir = "profiles"
+
+// WireCodecStats is one codec/kind row of the wire compression accounting.
+type WireCodecStats struct {
+	Messages int64   `json:"messages"`
+	RawBytes int64   `json:"raw_bytes"` // modelled f64 framing bytes (header + 8·values)
+	Bytes    int64   `json:"bytes"`     // bytes actually framed under the codec
+	MaxErr   float64 `json:"max_err"`
+	MeanErr  float64 `json:"mean_err"`
+}
+
+// mergeWire folds src into dst (allocating dst if nil): counts accumulate,
+// errors keep the worst observed value, so merging several parties'
+// recorders yields fleet-wide totals with the fleet-worst error.
+func mergeWire(dst, src map[string]WireCodecStats) map[string]WireCodecStats {
+	if len(src) == 0 {
+		return dst
+	}
+	if dst == nil {
+		dst = make(map[string]WireCodecStats, len(src))
+	}
+	for k, st := range src {
+		prev := dst[k]
+		prev.Messages += st.Messages
+		prev.RawBytes += st.RawBytes
+		prev.Bytes += st.Bytes
+		if st.MaxErr > prev.MaxErr {
+			prev.MaxErr = st.MaxErr
+		}
+		if st.MeanErr > prev.MeanErr {
+			prev.MeanErr = st.MeanErr
+		}
+		dst[k] = prev
+	}
+	return dst
+}
+
+// parseWireMetrics reassembles the per-codec wire accounting from the
+// wire_* metric families (see obs.Recorder.WireCodec). Codec names carry no
+// underscore, so the "<codec>_<kind>" suffix splits at the first one.
+func parseWireMetrics(snap obs.Snapshot) map[string]WireCodecStats {
+	out := make(map[string]WireCodecStats)
+	key := func(suffix string) (string, bool) {
+		codec, kind, ok := strings.Cut(suffix, "_")
+		return codec + "/" + kind, ok
+	}
+	update := func(suffix string, f func(*WireCodecStats)) {
+		k, ok := key(suffix)
+		if !ok {
+			return
+		}
+		st := out[k]
+		f(&st)
+		out[k] = st
+	}
+	for name, v := range snap.Counters {
+		if suffix, ok := strings.CutPrefix(name, "wire_messages_total_"); ok {
+			update(suffix, func(st *WireCodecStats) { st.Messages += v })
+		}
+		if suffix, ok := strings.CutPrefix(name, "wire_raw_bytes_total_"); ok {
+			update(suffix, func(st *WireCodecStats) { st.RawBytes += v })
+		}
+		if suffix, ok := strings.CutPrefix(name, "wire_bytes_total_"); ok {
+			update(suffix, func(st *WireCodecStats) { st.Bytes += v })
+		}
+	}
+	for name, v := range snap.Gauges {
+		if suffix, ok := strings.CutPrefix(name, "wire_err_max_"); ok {
+			update(suffix, func(st *WireCodecStats) {
+				if v > st.MaxErr {
+					st.MaxErr = v
+				}
+			})
+		}
+		if suffix, ok := strings.CutPrefix(name, "wire_err_mean_"); ok {
+			update(suffix, func(st *WireCodecStats) {
+				if v > st.MeanErr {
+					st.MeanErr = v
+				}
+			})
+		}
+	}
+	if len(out) == 0 {
+		return nil
+	}
+	return out
+}
+
+// replayWireMetrics re-emits an aggregated wire accounting into rec's
+// wire_* metric families: counters accumulate, error gauges keep the worst
+// value already recorded. Sweeps that measure isolated runs on private
+// recorders (Figure10X) use it to surface their per-codec accounting in the
+// run's main recorder, and hence in the run manifest.
+func replayWireMetrics(rec *obs.Recorder, wire map[string]WireCodecStats) {
+	if rec == nil {
+		return
+	}
+	for key, st := range wire {
+		codecName, kind, ok := strings.Cut(key, "/")
+		if !ok {
+			continue
+		}
+		suffix := codecName + "_" + kind
+		rec.Reg.Counter("wire_messages_total_" + suffix).Add(st.Messages)
+		rec.Reg.Counter("wire_raw_bytes_total_" + suffix).Add(st.RawBytes)
+		rec.Reg.Counter("wire_bytes_total_" + suffix).Add(st.Bytes)
+		if g := rec.Reg.Gauge("wire_err_max_" + suffix); st.MaxErr > g.Value() {
+			g.Set(st.MaxErr)
+		}
+		if g := rec.Reg.Gauge("wire_err_mean_" + suffix); st.MeanErr > g.Value() {
+			g.Set(st.MeanErr)
+		}
+	}
 }

@@ -5,11 +5,13 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
 	"silofuse/internal/obs"
 	"silofuse/internal/silo"
+	"silofuse/internal/tensor"
 )
 
 func TestManifestFromRecorderAndWrite(t *testing.T) {
@@ -95,5 +97,60 @@ func TestManifestNilRecorder(t *testing.T) {
 	}
 	if err := m.Write(t.TempDir()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestManifestWireSection(t *testing.T) {
+	rec := obs.NewRecorder()
+	// Two sends on one stream (counters accumulate, gauges carry the
+	// caller's running aggregates) plus a hyphenated kind, which must not
+	// confuse the first-underscore codec/kind split.
+	rec.WireCodec("f32", "latents", 1000, 520, 1e-7, 3e-8)
+	rec.WireCodec("f32", "latents", 1000, 520, 2e-7, 4e-8)
+	rec.WireCodec("q8", "synth-latent", 2048, 580, 3e-3, 9e-4)
+
+	m := NewManifest("fig10", 1)
+	m.FromRecorder(rec)
+	lat := m.Wire["f32/latents"]
+	if lat.Messages != 2 || lat.RawBytes != 2000 || lat.Bytes != 1040 {
+		t.Fatalf("f32/latents = %+v", lat)
+	}
+	if lat.MaxErr != 2e-7 || lat.MeanErr != 4e-8 {
+		t.Fatalf("f32/latents errors = %+v", lat)
+	}
+	syn := m.Wire["q8/synth-latent"]
+	if syn.Messages != 1 || syn.Bytes != 580 || syn.MaxErr != 3e-3 {
+		t.Fatalf("q8/synth-latent = %+v", syn)
+	}
+
+	// Merging a second party's recorder sums counts and keeps the worst
+	// error, so the manifest reflects fleet totals.
+	rec2 := obs.NewRecorder()
+	rec2.WireCodec("f32", "latents", 1000, 520, 5e-7, 1e-8)
+	m.FromRecorder(rec2)
+	lat = m.Wire["f32/latents"]
+	if lat.Messages != 3 || lat.Bytes != 1560 || lat.MaxErr != 5e-7 || lat.MeanErr != 4e-8 {
+		t.Fatalf("merged f32/latents = %+v", lat)
+	}
+
+	// A recorder without wire metrics leaves the section alone, and a
+	// manifest that never saw a codec has no section at all.
+	m.FromRecorder(obs.NewRecorder())
+	if len(m.Wire) != 2 {
+		t.Fatalf("wire section grew on empty recorder: %v", m.Wire)
+	}
+	plain := NewManifest("fig10", 1)
+	plain.FromRecorder(obs.NewRecorder())
+	if plain.Wire != nil {
+		t.Fatalf("unexpected wire section: %v", plain.Wire)
+	}
+}
+
+func TestManifestRuntimeStamp(t *testing.T) {
+	m := NewManifest("run", 1)
+	if m.Runtime.Kernel != tensor.KernelTier() || m.Runtime.GoVersion != runtime.Version() || m.Runtime.GOOS != runtime.GOOS ||
+		m.Runtime.GOARCH != runtime.GOARCH || m.Runtime.NumCPU != runtime.NumCPU() ||
+		m.Runtime.GOMAXPROCS != runtime.GOMAXPROCS(0) {
+		t.Fatalf("manifest runtime = %+v", m.Runtime)
 	}
 }

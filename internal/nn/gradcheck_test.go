@@ -301,7 +301,7 @@ func TestKLStandardNormalGradients(t *testing.T) {
 // the cold-start path: a layer that has already run (and whose buffers are
 // dirty with previous results) must produce exactly the same output, input
 // gradient and parameter gradients as a freshly constructed twin. Compared
-// with ==, not a tolerance — the bench snapshot's losses must not move when
+// with ==, not a tolerance — a fit's losses must not move when
 // workspaces warm up.
 func checkWarmMatchesCold(t *testing.T, name string, mk func() Layer, x, g *tensor.Matrix) {
 	t.Helper()

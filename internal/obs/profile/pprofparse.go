@@ -11,7 +11,7 @@ import (
 
 // Pure-stdlib decoder for the pprof profile.proto wire format. The Go
 // runtime emits gzipped protobuf (pprof.Profile debug=0); this file parses
-// exactly the subset the attribution engine needs — sample types, samples,
+// exactly the subset the function tables need — sample types, samples,
 // locations, lines, functions, and the string table — with a hand-rolled
 // varint walker so the module gains no protobuf dependency (the same
 // philosophy as silofuse-vet's source-importer loader).
@@ -508,58 +508,6 @@ func (f *FlatProfile) Top(n int) []FuncStat {
 	if n > 0 && len(out) > n {
 		out = out[:n]
 	}
-	return out
-}
-
-// FuncDelta is one function's movement between two flattened profiles.
-type FuncDelta struct {
-	Name      string
-	BaseSelf  int64
-	CurSelf   int64
-	DeltaSelf int64
-	BaseCum   int64
-	CurCum    int64
-	DeltaCum  int64
-}
-
-// Diff compares two flattened profiles function-by-function, sorted by
-// self-weight growth (largest regression first). Functions present on only
-// one side diff against zero.
-func Diff(base, cur *FlatProfile) []FuncDelta {
-	names := make(map[string]bool)
-	if base != nil {
-		for name := range base.funcs {
-			names[name] = true
-		}
-	}
-	if cur != nil {
-		for name := range cur.funcs {
-			names[name] = true
-		}
-	}
-	out := make([]FuncDelta, 0, len(names))
-	for name := range names {
-		b := base.Lookup(name)
-		c := cur.Lookup(name)
-		out = append(out, FuncDelta{
-			Name:      name,
-			BaseSelf:  b.Self,
-			CurSelf:   c.Self,
-			DeltaSelf: c.Self - b.Self,
-			BaseCum:   b.Cum,
-			CurCum:    c.Cum,
-			DeltaCum:  c.Cum - b.Cum,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].DeltaSelf != out[j].DeltaSelf {
-			return out[i].DeltaSelf > out[j].DeltaSelf
-		}
-		if out[i].DeltaCum != out[j].DeltaCum {
-			return out[i].DeltaCum > out[j].DeltaCum
-		}
-		return out[i].Name < out[j].Name
-	})
 	return out
 }
 

@@ -141,38 +141,6 @@ func flatFromPairs(unit string, pairs map[string][2]int64) *FlatProfile {
 	return fp
 }
 
-func TestDiffOrdersByRegression(t *testing.T) {
-	base := flatFromPairs("nanoseconds", map[string][2]int64{
-		"stable": {100, 100},
-		"gone":   {50, 50},
-	})
-	cur := flatFromPairs("nanoseconds", map[string][2]int64{
-		"stable":  {105, 105},
-		"newSpin": {900, 900},
-	})
-	deltas := Diff(base, cur)
-	if len(deltas) != 3 {
-		t.Fatalf("got %d deltas, want 3", len(deltas))
-	}
-	if deltas[0].Name != "newSpin" || deltas[0].DeltaSelf != 900 {
-		t.Errorf("top delta = %+v, want newSpin +900", deltas[0])
-	}
-	if deltas[len(deltas)-1].Name != "gone" || deltas[len(deltas)-1].DeltaSelf != -50 {
-		t.Errorf("bottom delta = %+v, want gone -50", deltas[len(deltas)-1])
-	}
-}
-
-func TestDiffNilSides(t *testing.T) {
-	cur := flatFromPairs("bytes", map[string][2]int64{"alloc": {10, 10}})
-	deltas := Diff(nil, cur)
-	if len(deltas) != 1 || deltas[0].DeltaSelf != 10 {
-		t.Fatalf("diff vs nil base = %+v", deltas)
-	}
-	if got := Diff(nil, nil); len(got) != 0 {
-		t.Fatalf("diff of nils = %+v", got)
-	}
-}
-
 func TestTopLimitsAndSorts(t *testing.T) {
 	fp := flatFromPairs("nanoseconds", map[string][2]int64{
 		"a": {5, 10}, "b": {20, 20}, "c": {1, 30},

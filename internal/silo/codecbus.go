@@ -58,8 +58,8 @@ type wireAgg struct {
 //
 // Every framed send is accounted per kind: raw vs encoded bytes and the
 // reconstruction error bound, exposed through WireReport and — when a
-// recorder is attached — the wire_* metric family that BENCH_silofuse.json
-// and run manifests pick up.
+// recorder is attached — the wire_* metric family that run manifests pick
+// up.
 type CodecBus struct {
 	inner Bus
 	id    codec.ID

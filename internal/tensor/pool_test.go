@@ -6,13 +6,14 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sort"
 	"sync"
 	"testing"
 	"time"
 )
 
 // The Into kernels promise bit-identical results to their allocating
-// counterparts — the bench snapshot's losses must not move when training
+// counterparts — a fit's losses must not move when training
 // switches to the destination-passing path. Every parity test therefore
 // compares with ==, not a tolerance, and runs against a dirty destination
 // buffer to prove the kernels do not depend on a zeroed dst.
@@ -414,8 +415,17 @@ func TestSteadyStateKernelAllocs(t *testing.T) {
 	}
 }
 
-// TestPooledDispatchAllocs allows a small tolerance: the pooled path reuses
-// callState via a sync.Pool, which the GC may occasionally clear.
+// TestPooledDispatchAllocs holds a pooled dispatch to less than half an
+// allocation per call. The path is not allocation-free by construction: the
+// caller's wait on the done channel takes a runtime sudog on the P it parks
+// on and returns it on the P it wakes on, and callState comes from a
+// sync.Pool. Both caches are emptied by a GC cycle and refill in a burst of
+// up to 64 allocations, so the test collects once, warms the caches with a
+// fixed number of calls, and judges the median of several batches measured
+// with one MemStats pair each (the structs are hoisted: two fresh 5.8 KB
+// MemStats per call were themselves the garbage that started a cycle inside
+// the measured loop). One refill cannot move a median; an allocation made on
+// every call reads at least 1.0 in every batch.
 func TestPooledDispatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime allocates in the background, polluting MemStats deltas")
@@ -435,19 +445,25 @@ func TestPooledDispatchAllocs(t *testing.T) {
 		"TransposeInto": func() { TransposeInto(dst, a) },
 		"ParallelRange": func() { ParallelRange(ranger, len(ranger.out), parallelThreshold) },
 	}
+	const warmup, batches, calls = 1000, 5, 100
+	var ms0, ms1 runtime.MemStats
 	for name, fn := range checks {
-		fn() // warm pool + state
-		var total float64
-		const rounds = 100
-		for i := 0; i < rounds; i++ {
-			var ms0, ms1 runtime.MemStats
-			runtime.ReadMemStats(&ms0)
+		runtime.GC()
+		for i := 0; i < warmup; i++ {
 			fn()
-			runtime.ReadMemStats(&ms1)
-			total += float64(ms1.Mallocs - ms0.Mallocs)
 		}
-		if avg := total / rounds; avg > 0.5 {
-			t.Errorf("pooled %s averages %v allocs per call, want < 0.5", name, avg)
+		var perCall [batches]float64
+		for k := range perCall {
+			runtime.ReadMemStats(&ms0)
+			for i := 0; i < calls; i++ {
+				fn()
+			}
+			runtime.ReadMemStats(&ms1)
+			perCall[k] = float64(ms1.Mallocs-ms0.Mallocs) / calls
+		}
+		sort.Float64s(perCall[:])
+		if median := perCall[batches/2]; median > 0.5 {
+			t.Errorf("pooled %s: median batch makes %v allocs per call (batches %v), want < 0.5", name, median, perCall)
 		}
 	}
 }

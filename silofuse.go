@@ -329,9 +329,6 @@ type (
 	RunManifest = experiments.Manifest
 	// RuntimeInfo pins the toolchain and machine a run executed on.
 	RuntimeInfo = experiments.RuntimeInfo
-	// BenchSnapshot is the perf record silofuse-bench writes
-	// (BENCH_silofuse.json).
-	BenchSnapshot = experiments.BenchSnapshot
 	// FleetAggregator folds federated telemetry updates into a fleet-wide
 	// view: per-party labelled /metrics, merged traces, federation health.
 	FleetAggregator = obs.FleetAggregator
@@ -346,11 +343,6 @@ type (
 	FlightEntry = obs.FlightEntry
 	// PostmortemDump is the on-disk schema of a flight-recorder dump.
 	PostmortemDump = obs.PostmortemDump
-	// DiffThresholds sets per-metric-class regression tolerances for run
-	// and bench diffing (silofuse-obs diff, the -bench-baseline gate).
-	DiffThresholds = experiments.DiffThresholds
-	// DiffReport is the result of comparing two metric sets.
-	DiffReport = experiments.DiffReport
 	// PhaseProfiler captures phase-scoped CPU/heap/mutex/block pprof
 	// profiles (results/<run>/profiles, /debug/phaseprofiles).
 	PhaseProfiler = profile.PhaseProfiler
@@ -416,18 +408,6 @@ var ReadEvents = obs.ReadEvents
 // ReadEventsFile is ReadEvents over a file path.
 var ReadEventsFile = obs.ReadEventsFile
 
-// ReadBenchSnapshot loads and validates a BENCH_silofuse.json.
-var ReadBenchSnapshot = experiments.ReadBenchSnapshot
-
-// DefaultDiffThresholds returns the default `silofuse-obs diff` policy.
-var DefaultDiffThresholds = experiments.DefaultDiffThresholds
-
-// DiffMetrics compares two flattened metric sets under thresholds.
-var DiffMetrics = experiments.DiffMetrics
-
-// BenchMetrics flattens a bench snapshot into diffable metric keys.
-var BenchMetrics = experiments.BenchMetrics
-
 // NewPhaseProfiler builds a phase-scoped profiler from its config.
 var NewPhaseProfiler = profile.New
 
@@ -440,10 +420,3 @@ var ParsePprof = profile.ParsePprof
 
 // ParsePprofFile is ParsePprof over a file path.
 var ParsePprofFile = profile.ParsePprofFile
-
-// DiffProfiles compares two flattened profiles, largest self-weight
-// regression first.
-var DiffProfiles = profile.Diff
-
-// EventMetrics flattens a run's event stream into diffable metric keys.
-var EventMetrics = experiments.EventMetrics
