@@ -44,7 +44,7 @@ func main() {
 	profilePhases := flag.Bool("profile-phases", false, "capture per-phase CPU/heap/mutex/block pprof profiles into results/<run>/profiles (requires -run)")
 	chaosProfile := flag.String("chaos-profile", "", "inject transport faults during distributed training: drop, dup, reorder, delay, corrupt, flaky, blackhole, crash (empty disables)")
 	chaosSeed := flag.Int64("chaos-seed", 1, "seed of the deterministic fault schedule (with -chaos-profile)")
-	wireCodec := flag.String("wire-codec", "", "wire codec framing dense tensor payloads: f64 (raw binary, lossless; the default), f32 (half the payload bytes), q8 (int8 quantization), none (native gob payloads); fig10x sweeps all codecs regardless")
+	wireCodec := flag.String("wire-codec", "", "wire codec framing dense tensor payloads: f64 (raw binary, lossless; the default), f32 (half the payload bytes), q8 (int8 quantization); fig10x sweeps all codecs regardless")
 	computePrecision := flag.String("compute-precision", "", "kernel precision for sampling and decode (training is always f64): f64 (default) or f32")
 	flag.Parse()
 

@@ -11,12 +11,9 @@
 // -trace merges everything into one Chrome-trace JSON whose process lanes
 // share a single timeline with send→recv flow arrows between them.
 //
-// Telemetry federates over the same sockets: each client ships registry
-// deltas to the coordinator as `telemetry` envelopes at phase boundaries, so
-// -listen's /metrics serves the whole fleet with per-party labels and
-// -fleet-metrics writes that exposition to a file after the run. Every party
-// also keeps a flight recorder (a fixed-size ring of recent operations,
-// served live at /debug/flightrecorder); when -chaos-profile injects faults
+// Every party also keeps a flight recorder (a fixed-size ring of recent
+// operations, the coordinator's served live at /debug/flightrecorder); when
+// -chaos-profile injects faults
 // and a typed transport error escapes recovery (e.g. -chaos-revive=false
 // exhausts the retry budget on a crashed peer), the rings are dumped to
 // results/<run>/postmortem/<party>.json for offline analysis with
@@ -26,7 +23,6 @@
 //
 //	silofuse-demo -dataset loan -clients 3 -rows 600
 //	silofuse-demo -clients 3 -trace demo.json -run demo -listen 127.0.0.1:8080
-//	silofuse-demo -clients 2 -run fleet -fleet-metrics fleet.prom
 //	silofuse-demo -clients 2 -run crash -chaos-profile crash -chaos-revive=false
 package main
 
@@ -39,7 +35,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"time"
 
 	"silofuse"
@@ -59,7 +54,6 @@ type config struct {
 	chaosRevive        bool
 	wireCodec          string
 	computePrecision   string
-	fleetMetrics       string
 	profilePhases      bool
 }
 
@@ -79,7 +73,6 @@ func main() {
 	flag.BoolVar(&c.chaosRevive, "chaos-revive", true, "revive crashed peers during phase recovery; =false lets a crash exhaust the retry budget and dump postmortems")
 	flag.StringVar(&c.wireCodec, "wire-codec", "f64", "precision tier framing tensor payloads on the wire: f64 (lossless), f32, q8")
 	flag.StringVar(&c.computePrecision, "compute-precision", "f64", "kernel precision for sampling and decode (training is always f64): f64 or f32")
-	flag.StringVar(&c.fleetMetrics, "fleet-metrics", "", "write the fleet-wide Prometheus exposition (per-party labels) to this file after the run")
 	flag.BoolVar(&c.profilePhases, "profile-phases", false, "capture per-phase CPU/heap/mutex/block pprof profiles into results/<run>/profiles (requires -run)")
 	flag.Parse()
 
@@ -100,12 +93,10 @@ func run(c config) error {
 	// their canonical names while each party keeps a private trace lane.
 	var coordRec *silofuse.Recorder
 	var clientRecs []*silofuse.Recorder
-	var agg *silofuse.FleetAggregator
 	flights := map[string]*silofuse.FlightRecorder{}
-	telemetry := c.tracePath != "" || c.metrics || c.runName != "" || c.listen != "" || c.fleetMetrics != ""
+	telemetry := c.tracePath != "" || c.metrics || c.runName != "" || c.listen != ""
 	if telemetry {
 		reg := silofuse.NewMetricsRegistry()
-		agg = silofuse.NewFleetAggregator()
 		coordRec = silofuse.NewPartyRecorder(reg, 1, "coord")
 		flights["coord"] = silofuse.NewFlightRecorder(0)
 		coordRec.SetFlight(flights["coord"])
@@ -178,8 +169,7 @@ func run(c config) error {
 		srv, err := silofuse.StartTelemetry(c.listen, silofuse.TelemetryConfig{
 			Rec:           coordRec,
 			RunsDir:       "results",
-			Fleet:         agg,
-			FleetLocal:    "coord",
+			Party:         "coord",
 			Flight:        flights["coord"],
 			PhaseProfiles: prof,
 			Health: func() map[string]any {
@@ -259,10 +249,6 @@ func run(c config) error {
 		if err := pipe.SetPartyRecorders(coordRec, clientRecs); err != nil {
 			return err
 		}
-		// Every party federates its telemetry to the coordinator over the
-		// same TCP links the protocol uses; agg serves the fleet-wide
-		// /metrics and merged /trace.
-		pipe.EnableFederation(agg)
 	}
 
 	fmt.Printf("\n== Algorithm 1: stacked training (%d AE iters, %d DDPM iters) ==\n", cfg.AEIters, cfg.DiffIters)
@@ -311,7 +297,7 @@ func run(c config) error {
 		return err
 	}
 	fmt.Printf("\njoined synthetic resemblance: %.1f/100\n", rep.Score)
-	return writeTelemetry(c, hub, peers, coordRec, clientRecs, agg, prof, rep.Score)
+	return writeTelemetry(c, hub, peers, coordRec, clientRecs, prof, rep.Score)
 }
 
 // dumpCrash writes every party's flight-recorder ring to
@@ -344,27 +330,13 @@ func dumpCrash(c config, flights map[string]*silofuse.FlightRecorder, err error)
 // writeTelemetry emits the merged trace, metrics exposition and run manifest
 // once the protocol has finished.
 func writeTelemetry(c config, hub *silofuse.TCPHub, peers map[string]*silofuse.TCPPeer,
-	coordRec *silofuse.Recorder, clientRecs []*silofuse.Recorder, agg *silofuse.FleetAggregator,
+	coordRec *silofuse.Recorder, clientRecs []*silofuse.Recorder,
 	prof *silofuse.PhaseProfiler, resemblance float64) error {
 	if coordRec == nil {
 		return nil
 	}
 	if err := prof.Close(); err != nil {
 		fmt.Fprintln(os.Stderr, "profile close:", err)
-	}
-	if c.fleetMetrics != "" && agg != nil {
-		f, err := os.Create(c.fleetMetrics)
-		if err != nil {
-			return err
-		}
-		if err := agg.WritePrometheus(f, "coord", coordRec.Snapshot()); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote fleet metrics %s (federated parties: %s)\n", c.fleetMetrics, strings.Join(agg.Parties(), " "))
 	}
 	if c.tracePath != "" {
 		// Each party exports its own Chrome trace (as separate processes

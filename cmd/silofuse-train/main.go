@@ -64,7 +64,7 @@ func main() {
 	flag.StringVar(&c.chaosProfile, "chaos-profile", "", "inject transport faults during distributed training: drop, dup, reorder, delay, corrupt, flaky, blackhole, crash (empty disables)")
 	flag.Int64Var(&c.chaosSeed, "chaos-seed", 1, "seed of the deterministic fault schedule (with -chaos-profile)")
 	flag.BoolVar(&c.profilePhases, "profile-phases", false, "capture per-phase CPU/heap/mutex/block pprof profiles into results/<run>/profiles (requires -run)")
-	flag.StringVar(&c.wireCodec, "wire-codec", "f64", "precision tier framing tensor payloads on the wire: none (gob), f64 (lossless raw, default), f32, q8")
+	flag.StringVar(&c.wireCodec, "wire-codec", "f64", "precision tier framing tensor payloads on the wire: f64 (lossless, default), f32, q8")
 	flag.StringVar(&c.computePrecision, "compute-precision", "f64", "kernel precision for sampling and decode (training is always f64): f64 or f32")
 	flag.BoolVar(&c.batchSample, "batch-sample", false, "route synthesis through the batched sampler: concurrent requests stack into one denoising pass (silofuse only)")
 	flag.Parse()

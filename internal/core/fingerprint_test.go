@@ -41,8 +41,8 @@ func TestFitFingerprintOracle(t *testing.T) {
 		wantWeights, wantSampled uint64
 		wantLatentBytes          int64
 	}{
-		{"adult", 4000, 22, 500, 25, 0xaf798c649637b2b2, 0xadfaef4b8c6463d3, 448256},
-		{"churn", 2000, 2, 64, 5, 0xf4b9aab0660108ff, 0x72d9f39046383eb4, 224256},
+		{"adult", 4000, 22, 500, 25, 0xaf798c649637b2b2, 0xadfaef4b8c6463d3, 448108},
+		{"churn", 2000, 2, 64, 5, 0xf4b9aab0660108ff, 0x72d9f39046383eb4, 224108},
 	}
 	for _, c := range cases {
 		spec, err := datagen.ByName(c.dataset)
@@ -87,7 +87,7 @@ func TestFitFingerprintOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const bytesPerKindPerIter = 7424 // 128 × 14 f32 values in four frames with a 64-byte header each
+	const bytesPerKindPerIter = 7276 // 128 × 14 f32 values in four frames with a 27-byte header each
 	for _, c := range []struct {
 		iters    int
 		wantLoss uint64

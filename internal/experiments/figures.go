@@ -114,9 +114,9 @@ func humanBytes(b int64) string {
 
 // Figure10XRow is one (dataset, model, codec) cell of the bytes-vs-error
 // sweep: how many bytes the precision tier moved for the codec-framed
-// tensor kinds, against the modelled raw-f64 cost, and the reconstruction
-// error it introduced. "none" rows are the gob baseline the other codecs
-// are compared to.
+// tensor kinds, against what the same frames cost with an f64 body, and the
+// reconstruction error it introduced. The f64 rows are the lossless baseline
+// the other codecs are compared to.
 type Figure10XRow struct {
 	Dataset string
 	Model   string // "silofuse" (latents + synth path) or "e2edistr" (activations + gradients)
@@ -152,7 +152,7 @@ func (c Config) Figure10X() ([]Figure10XRow, error) {
 	var out []Figure10XRow
 	for _, spec := range specs {
 		train, _ := cc.prepare(spec)
-		for _, codecName := range []string{"none", "f64", "f32", "q8"} {
+		for _, codecName := range []string{"f64", "f32", "q8"} {
 			// SiloFuse: stacked fit plus a synthesis pass, so both the
 			// latent upload and the synth-latent return leg are framed.
 			sfOpts := cc.Opts
@@ -210,18 +210,17 @@ func figure10xRow(dataset, model, codecName string, total int64, rec, main *obs.
 }
 
 // PrintFigure10X renders the sweep with each codec's total-byte ratio
-// against the gob baseline ("none", which emits no codec accounting) of the
-// same dataset and model.
+// against the lossless f64 run of the same dataset and model.
 func PrintFigure10X(w io.Writer, rows []Figure10XRow) {
 	fmt.Fprintln(w, "Figure 10x: wire codec sweep — tensor bytes vs reconstruction error")
 	base := make(map[string]int64)
 	for _, r := range rows {
-		if r.Codec == "none" {
+		if r.Codec == "f64" {
 			base[r.Dataset+"/"+r.Model] = r.TotalBytes
 		}
 	}
 	fmt.Fprintf(w, "%-10s %-9s %-6s %10s %12s %12s %8s %10s %10s\n",
-		"Dataset", "Model", "Codec", "Messages", "TensorBytes", "TotalBytes", "vs gob", "MaxErr", "MeanErr")
+		"Dataset", "Model", "Codec", "Messages", "TensorBytes", "TotalBytes", "vs f64", "MaxErr", "MeanErr")
 	for _, r := range rows {
 		ratio := "--"
 		if b := base[r.Dataset+"/"+r.Model]; b > 0 && r.TotalBytes > 0 {

@@ -169,7 +169,7 @@ const ProfilesSubdir = "profiles"
 // WireCodecStats is one codec/kind row of the wire compression accounting.
 type WireCodecStats struct {
 	Messages int64   `json:"messages"`
-	RawBytes int64   `json:"raw_bytes"` // modelled f64 framing bytes (header + 8·values)
+	RawBytes int64   `json:"raw_bytes"` // the same frames with f64 bodies (header + 8·values)
 	Bytes    int64   `json:"bytes"`     // bytes actually framed under the codec
 	MaxErr   float64 `json:"max_err"`
 	MeanErr  float64 `json:"mean_err"`

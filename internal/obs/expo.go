@@ -115,14 +115,9 @@ type TelemetryConfig struct {
 	// RunsDir is the directory holding per-run subdirectories
 	// (results/<run>/manifest.json); empty disables /runs.
 	RunsDir string
-	// Fleet, when non-nil, turns /metrics into the fleet-wide exposition
-	// (every series labelled with its party), makes /trace serve the live
-	// merged Chrome trace, and adds federation liveness to /healthz.
-	Fleet *FleetAggregator
-	// FleetLocal names the party whose series come from Rec's own registry in
-	// the fleet exposition (usually the coordinator); empty means federated
-	// parties only.
-	FleetLocal string
+	// Party names this process in /debug/flightrecorder dumps; empty means
+	// "local".
+	Party string
 	// Flight, when non-nil, enables /debug/flightrecorder: an on-demand dump
 	// of the recent-operations ring.
 	Flight *FlightRecorder
@@ -149,10 +144,6 @@ func NewTelemetryMux(cfg TelemetryConfig) *http.ServeMux {
 		if cfg.Rec != nil {
 			snap = cfg.Rec.Snapshot()
 		}
-		if cfg.Fleet != nil {
-			_ = cfg.Fleet.WritePrometheus(w, cfg.FleetLocal, snap)
-			return
-		}
 		_ = WritePrometheus(w, snap)
 	})
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
@@ -160,10 +151,6 @@ func NewTelemetryMux(cfg TelemetryConfig) *http.ServeMux {
 		var tr *Tracer
 		if cfg.Rec != nil {
 			tr = cfg.Rec.Trace
-		}
-		if cfg.Fleet != nil {
-			_ = cfg.Fleet.WriteChromeTrace(w, tr)
-			return
 		}
 		_ = tr.WriteChromeTraceLive(w)
 	})
@@ -173,7 +160,7 @@ func NewTelemetryMux(cfg TelemetryConfig) *http.ServeMux {
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
-		party := cfg.FleetLocal
+		party := cfg.Party
 		if party == "" {
 			party = "local"
 		}
@@ -189,12 +176,6 @@ func NewTelemetryMux(cfg TelemetryConfig) *http.ServeMux {
 		if cfg.Health != nil {
 			for k, v := range cfg.Health() {
 				h[k] = v
-			}
-		}
-		if cfg.Fleet != nil {
-			h["fleet"] = cfg.Fleet.FleetHealth()
-			if faults := cfg.Fleet.Faults(); len(faults) > 0 {
-				h["fleet_faults"] = faults
 			}
 		}
 		writeJSON(w, h)

@@ -113,63 +113,6 @@ func (h *Histogram) Stats() HistogramStats {
 	}
 }
 
-// MergeHistogramStats combines two histogram summaries from independent
-// sources (e.g. the same metric observed by two parties of a federated run).
-// Count and Sum add exactly and Min/Max are preserved exactly; the quantile
-// fields cannot be reconstructed from summaries alone, so they are combined
-// as the count-weighted average of the inputs' estimates, clamped to the
-// merged [Min, Max] — the same bounded-error contract the streaming
-// histogram itself offers. Merging with an empty summary returns the other
-// side unchanged.
-func MergeHistogramStats(a, b HistogramStats) HistogramStats {
-	if a.Count == 0 {
-		return b
-	}
-	if b.Count == 0 {
-		return a
-	}
-	out := HistogramStats{
-		Count: a.Count + b.Count,
-		Sum:   a.Sum + b.Sum,
-		Min:   math.Min(a.Min, b.Min),
-		Max:   math.Max(a.Max, b.Max),
-	}
-	wa := float64(a.Count) / float64(out.Count)
-	wb := float64(b.Count) / float64(out.Count)
-	clamp := func(v float64) float64 {
-		if v < out.Min {
-			return out.Min
-		}
-		if v > out.Max {
-			return out.Max
-		}
-		return v
-	}
-	out.P50 = clamp(wa*a.P50 + wb*b.P50)
-	out.P95 = clamp(wa*a.P95 + wb*b.P95)
-	out.P99 = clamp(wa*a.P99 + wb*b.P99)
-	return out
-}
-
-// DeltaHistogramStats returns the increment from prev (an earlier summary of
-// the same histogram) to cur: Count and Sum are exact differences, while
-// Min/Max/quantiles carry cur's values (a histogram's min/max only widen, so
-// cur's bounds are correct for the union; per-window bounds are not
-// recoverable from summaries). A delta with Count 0 means nothing new was
-// observed.
-func DeltaHistogramStats(prev, cur HistogramStats) HistogramStats {
-	if prev.Count == 0 {
-		return cur
-	}
-	d := cur
-	d.Count = cur.Count - prev.Count
-	d.Sum = cur.Sum - prev.Sum
-	if d.Count <= 0 {
-		return HistogramStats{}
-	}
-	return d
-}
-
 // Quantile estimates the q-th quantile (q in [0,1]); 0 on a nil histogram.
 func (h *Histogram) Quantile(q float64) float64 {
 	if h == nil {

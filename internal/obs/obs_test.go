@@ -130,6 +130,35 @@ func TestHistogramEmptyAndEdgeValues(t *testing.T) {
 	}
 }
 
+// TestQuantileEdgeCases pins the histogram's boundary behavior: empty
+// histograms report zeros everywhere, and a single observation reports
+// itself at every quantile (bucket interpolation clamped to exact bounds).
+func TestQuantileEdgeCases(t *testing.T) {
+	h := NewHistogram()
+	if q := h.Quantile(0.5); q != 0 {
+		t.Fatalf("empty quantile = %v, want 0", q)
+	}
+	if s := h.Stats(); s.Count != 0 || s.Min != 0 || s.Max != 0 || s.P99 != 0 {
+		t.Fatalf("empty stats = %+v, want zero value", s)
+	}
+
+	h.Observe(0.37)
+	s := h.Stats()
+	if s.Count != 1 || s.Min != 0.37 || s.Max != 0.37 {
+		t.Fatalf("single-observation stats = %+v", s)
+	}
+	for _, q := range []float64{0, 0.5, 0.95, 0.99, 1} {
+		if got := h.Quantile(q); got != 0.37 {
+			t.Fatalf("single-observation q%.2f = %v, want exactly 0.37", q, got)
+		}
+	}
+
+	var nilH *Histogram
+	if nilH.Quantile(0.5) != 0 {
+		t.Fatal("nil histogram quantile must be 0")
+	}
+}
+
 func TestWriteTextFormat(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("ae_steps_total").Add(3)

@@ -104,8 +104,8 @@ func (t *Tracer) SetOnSpanEnd(fn func(SpanInfo)) {
 }
 
 // AddOnSpanEnd registers fn alongside any existing span-end hooks, so
-// several consumers (an event log, a telemetry federator, a flight
-// recorder) can observe span ends independently.
+// several consumers (an event log, a flight recorder) can observe span
+// ends independently.
 func (t *Tracer) AddOnSpanEnd(fn func(SpanInfo)) {
 	if t == nil {
 		return
@@ -113,19 +113,6 @@ func (t *Tracer) AddOnSpanEnd(fn func(SpanInfo)) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.onEnd = append(t.onEnd, fn)
-}
-
-// Epoch returns the tracer's wall-clock start in microseconds since the
-// Unix epoch (0 on a nil tracer) — the alignment key MergeChromeTraces and
-// the telemetry federation use to place traces from different processes on
-// one timeline.
-func (t *Tracer) Epoch() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.epoch
 }
 
 // StartSpan opens a span named name. The caller must End it. Calling on a

@@ -1,9 +1,10 @@
 // Package silo implements the cross-silo fabric of the paper: clients that
 // own vertical feature partitions and private autoencoders, a coordinator
-// that owns the diffusion backbone, message transports with exact byte
-// accounting, the stacked training protocol (Algorithm 1), distributed
-// synthesis (Algorithm 2), and the end-to-end split-learning baseline
-// (E2EDistr) whose communication grows with the iteration count.
+// that owns the diffusion backbone, message transports that all charge the
+// length of one wire frame (frame.go), the stacked training protocol
+// (Algorithm 1), distributed synthesis (Algorithm 2), and the end-to-end
+// split-learning baseline (E2EDistr) whose communication grows with the
+// iteration count.
 package silo
 
 import (
@@ -39,40 +40,31 @@ const (
 	KindPeerDown   Kind = "peer-down"  // transport-injected death notice; From = dead peer
 )
 
-// KindTelemetry carries telemetry federation updates (party -> coordinator,
-// JSON-encoded obs.TelemetryUpdate in Envelope.Blob). It rides the same
-// sequenced, checksummed delivery path as application traffic, but its bytes
-// land in their own Stats.ByKind bucket so the paper's communication tables
-// (goodput per application kind) never include observability overhead.
-const KindTelemetry Kind = "telemetry"
-
 // Envelope is one protocol message. Payload may be nil for control
 // messages.
 //
 // Flow is the distributed trace context: a run-unique id stamped by the
 // sending transport when a recorder is attached (obs.Recorder.NextFlow folds
-// the sender's trace pid into the high bits). It travels in the wire framing,
-// and both endpoints record matching flow events, so traces from separate
+// the sender's trace pid into the high bits). It travels in the frame, and
+// both endpoints record matching flow events, so traces from separate
 // processes merge into one timeline with send→recv arrows between lanes.
-// Zero means "no trace context".
+// Zero means "no trace context"; the field is fixed-width on the wire, so a
+// traced run moves exactly the bytes of an untraced one.
 // Seq, Sum and Rexmit belong to the resilient delivery layer and are zero
-// on a bare bus (gob omits zero fields, so unwrapped runs pay no wire
-// bytes for them): Seq numbers each From->To link's messages from 1 for
+// on a bare bus: Seq numbers each From->To link's messages from 1 for
 // receiver-side dedup and reordering, Sum is an FNV-1a checksum over the
-// routing fields and payload bits, and Rexmit marks a retry attempt so
+// routing fields and payload bits (the pair costs 16 frame bytes, only on
+// messages that layer stamped), and Rexmit marks a retry attempt so
 // transports account its bytes under KindRetransmit instead of the
 // message's own kind.
-// Blob carries opaque non-tensor payloads: telemetry federation updates
-// (Codec zero) and codec-framed tensor payloads (Codec non-zero). Like the
-// resilient fields it is zero on plain application traffic, so gob pays no
-// wire bytes for it when unused; its length is charged to WireSize so blob
-// traffic is accounted exactly.
-// Codec, Rows and Cols belong to the wire-codec layer (see CodecBus): when
-// Codec is non-zero, Blob holds the tensor payload encoded by
+// Codec, Rows, Cols and Blob belong to the wire-codec layer (see CodecBus):
+// when Codec is non-zero, Blob holds the tensor payload encoded by
 // internal/silo/codec and Rows/Cols are its dimensions (the dims ride the
-// envelope, never the blob, so the f64 blob is exactly 8 bytes per value
-// and default-mode byte accounting matches the historical payload model).
-// All three are zero on unframed envelopes, costing no wire bytes.
+// frame header, never the blob, so the f64 blob is exactly 8 bytes per
+// value). All four are zero on an envelope that holds a native Payload or
+// no tensor at all; an envelope holds its tensor once, never both ways.
+//
+// WireSize and the frame layout live in frame.go.
 type Envelope struct {
 	From, To string
 	Kind     Kind
@@ -95,59 +87,6 @@ func (e *Envelope) statKind() Kind {
 	}
 	return e.Kind
 }
-
-// WireSize returns the message's size in bytes under the deterministic cost
-// model: a fixed header plus 8 bytes per float64 payload element plus the
-// blob length. Experiments use this exact arithmetic so Figure 10 is
-// reproducible bit-for-bit.
-//
-// Codec-framed envelopes (Codec != 0) carry their tensor as Blob, whose
-// length is exactly codec.ID.EncodedSize(Rows, Cols), so the model is
-// closed-form per codec for an n-value, c-column payload:
-//
-//	f64: 64 + 8n   (identical to the native payload model — default runs
-//	               keep bit-identical per-kind byte accounting)
-//	f32: 64 + 4n
-//	q8:  64 + 16c + n
-//
-// TestWireSizeCodecModel pins this arithmetic against the codec package.
-//
-// The TCP transport's gob framing does NOT match the model exactly; the
-// mismatch depends on the payload representation, so the tolerance is
-// per stream kind (enforced by TestWireSizeTolerance):
-//
-//   - Native float64 payloads: gob varint-encodes floats (dense random
-//     float64 payloads measure ~9 bytes per element, ~12% over the 8-byte
-//     model) and emits a one-time ~120-byte type descriptor per stream.
-//     Measured <= WireSizeFactor*modelled + WireSizeSlack.
-//   - Codec-framed blobs: gob moves []byte verbatim (1 byte/byte plus a
-//     ~10-byte frame), so measured bytes sit slightly BELOW the modelled
-//     64-byte header on small messages and within ~0.4% of the model on
-//     dense ones. Measured <= CodecWireSizeFactor*modelled +
-//     CodecWireSizeSlack.
-func (e *Envelope) WireSize() int64 {
-	const header = 64 // from/to/kind strings + matrix dims + framing
-	size := int64(header) + int64(len(e.Blob))
-	if e.Payload != nil {
-		size += int64(8 * len(e.Payload.Data))
-	}
-	return size
-}
-
-// Tolerance of measured gob bytes versus the WireSize model, per stream:
-// measured <= factor*modelled + slack. The native-payload constants date
-// from the gob float64 framing measurements (PR 1); the codec constants
-// were re-derived from measured streams of f64/f32/q8-framed envelopes
-// (raw []byte framing has no per-value varint waste, so the factor is
-// within rounding of 1 and the slack covers the per-stream gob type
-// descriptor).
-const (
-	WireSizeFactor = 1.13
-	WireSizeSlack  = 256
-
-	CodecWireSizeFactor = 1.01
-	CodecWireSizeSlack  = 256
-)
 
 // Stats aggregates transport traffic.
 type Stats struct {
@@ -193,8 +132,8 @@ type Resetter interface {
 }
 
 // LocalBus is an in-process Bus using buffered channels. It is
-// deterministic for single-producer/single-consumer pairs and counts wire
-// sizes exactly as the TCP transport would.
+// deterministic for single-producer/single-consumer pairs and books each
+// envelope's WireSize, the bytes the TCP transport writes for it.
 //
 // Close and Send coordinate through closeMu: Send holds the read side for
 // the duration of the inbox send, Close takes the write side before closing

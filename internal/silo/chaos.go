@@ -293,8 +293,7 @@ func (c *ChaosBus) checkCrash(e *Envelope) (bool, error) {
 }
 
 // corruptible reports whether e carries tensor data the corrupt fault can
-// flip a bit in: a native float64 payload or a codec-framed blob. Telemetry
-// blobs (Codec zero) are exempt, matching the pre-codec behaviour.
+// flip a bit in: a native float64 payload or a codec-framed blob.
 func corruptible(e *Envelope) bool {
 	if e.Payload != nil && len(e.Payload.Data) > 0 {
 		return true

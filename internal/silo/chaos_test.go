@@ -327,15 +327,15 @@ func TestChaosBlackholeFailsTyped(t *testing.T) {
 }
 
 // TestResilientByteAccounting pins the goodput/retransmit split the bench
-// tables rely on: total modelled bytes decompose exactly into per-kind
-// goodput plus the retransmit bucket, goodput is invariant across chaos
-// seeds (first transmissions are the application's message stream, which
-// recovery replays exactly), and a fault-free resilient run costs the same
-// modelled bytes as a bare LocalBus run.
+// tables rely on: total bytes decompose exactly into per-kind goodput plus
+// the retransmit bucket, goodput is invariant across chaos seeds (first
+// transmissions are the application's message stream, which recovery
+// replays exactly), and a fault-free resilient run costs a bare LocalBus
+// run's bytes plus the 16 frame bytes of Seq and Sum on every message. The
+// baseline for the faulty runs is therefore the fault-free resilient stack.
 func TestResilientByteAccounting(t *testing.T) {
 	bare := NewLocalBus()
 	baseLoss, _ := chaosVFLRun(t, bare)
-	bareBytes := bare.Stats().Bytes
 
 	cfgR := DefaultResilientConfig()
 	cfgR.Sleep = func(time.Duration) {}
@@ -344,8 +344,9 @@ func TestResilientByteAccounting(t *testing.T) {
 		t.Fatalf("fault-free resilient run loss %v diverges from bare bus %v", loss, baseLoss)
 	}
 	cleanStats := clean.Stats()
-	if cleanStats.Bytes != bareBytes {
-		t.Fatalf("fault-free resilient bytes %d != bare bus bytes %d (sequencing must not change the cost model)", cleanStats.Bytes, bareBytes)
+	if want := bare.Stats().Bytes + 16*cleanStats.Messages; cleanStats.Bytes != want || cleanStats.Messages != bare.Stats().Messages {
+		t.Fatalf("fault-free resilient run: %d B in %d msgs, want the bare bus's %d B in %d msgs plus 16 B of sequencing each = %d B",
+			cleanStats.Bytes, cleanStats.Messages, bare.Stats().Bytes, bare.Stats().Messages, want)
 	}
 	if cleanStats.ByKind[KindRetransmit] != 0 {
 		t.Fatalf("fault-free run booked %d retransmit bytes", cleanStats.ByKind[KindRetransmit])
@@ -365,8 +366,8 @@ func TestResilientByteAccounting(t *testing.T) {
 			t.Fatalf("seed %d: ByKind sums to %d, Bytes = %d", seed, byKind, st.Bytes)
 		}
 		goodput := st.Bytes - st.ByKind[KindRetransmit]
-		if goodput != bareBytes {
-			t.Fatalf("seed %d: goodput %d != fault-free bytes %d", seed, goodput, bareBytes)
+		if goodput != cleanStats.Bytes {
+			t.Fatalf("seed %d: goodput %d != fault-free bytes %d", seed, goodput, cleanStats.Bytes)
 		}
 		if st.Messages != cleanStats.Messages {
 			t.Fatalf("seed %d: %d goodput messages, want %d", seed, st.Messages, cleanStats.Messages)
@@ -385,11 +386,12 @@ func TestResilientByteAccounting(t *testing.T) {
 	}
 }
 
-// TestResilientWireSizePinnedOverTCP pins the resilient layer's modelled
-// byte accounting against real gob framing: the sequencing and checksum
-// fields it adds to every envelope must stay inside the documented
-// WireSizeFactor/WireSizeSlack tolerance, so Table VIII numbers computed
-// from the modelled split remain faithful to measured traffic.
+// TestResilientWireSizePinnedOverTCP pins the resilient layer's byte
+// accounting against the sockets under it: over a whole stacked fit and a
+// synthesis, the bytes the hub and the peers wrote are exactly the bytes the
+// resilient layer booked (sequencing and checksum fields included) plus the
+// one hello that opened each peer's stream, so Table VIII numbers computed
+// from the goodput/retransmit split are measured traffic.
 func TestResilientWireSizePinnedOverTCP(t *testing.T) {
 	hub, err := NewTCPHub("coord", "127.0.0.1:0")
 	if err != nil {
@@ -424,21 +426,14 @@ func TestResilientWireSizePinnedOverTCP(t *testing.T) {
 	}
 
 	measured := hub.Stats().Bytes
-	for _, p := range peers {
+	var hellos int64
+	for name, p := range peers {
 		measured += p.Stats().Bytes
+		hellos += (&Envelope{From: name, Kind: kindHello}).WireSize()
 	}
-	modelled := rb.Stats().Bytes
-	// The WireSizeFactor/WireSizeSlack tolerance is documented per gob
-	// stream (each encoder emits its own one-time type descriptor); this
-	// run aggregates four send streams — two peer->hub, two hub->peer — so
-	// the slack applies once per stream.
-	const streams = 4
-	bound := int64(WireSizeFactor*float64(modelled)) + streams*WireSizeSlack
-	if measured == 0 || modelled == 0 {
-		t.Fatalf("no traffic recorded: measured %d, modelled %d", measured, modelled)
-	}
-	if measured > bound {
-		t.Fatalf("measured %d bytes exceed tolerance %d of modelled %d", measured, bound, modelled)
+	booked := rb.Stats().Bytes
+	if booked == 0 || measured != booked+hellos {
+		t.Fatalf("sockets carried %d bytes, the resilient layer booked %d + %d of hellos", measured, booked, hellos)
 	}
 }
 

@@ -1,7 +1,6 @@
 // Package codec implements the precision-tiered wire encodings for dense
 // float64 matrices crossing the silo bus. Values are framed as raw
-// little-endian binary — no gob per-value varint overhead — at one of three
-// precision tiers:
+// little-endian binary at one of three precision tiers:
 //
 //   - f64: 8 bytes/value, bit-lossless (Float64bits round-trip)
 //   - f32: 4 bytes/value, IEEE round-to-nearest float32
@@ -11,9 +10,7 @@
 // Encode reports the exact reconstruction error it introduces so transports
 // can account the bytes-vs-error trade-off per message kind. Decode is a
 // pure function of (id, blob, rows, cols): the tensor dimensions ride the
-// envelope, never the blob, so the f64 blob is exactly 8·n bytes and the
-// framing-level byte accounting of a default run matches the historical
-// float64 payload model bit-for-bit.
+// frame header, never the blob, so the f64 blob is exactly 8·n bytes.
 //
 // This package is the only place (together with internal/tensor's conversion
 // kernels) where float64↔float32 conversions are legal; the silofuse-vet
@@ -24,19 +21,19 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"silofuse/internal/tensor"
 )
 
-// ID identifies a wire codec. The zero value means "not codec-framed" (the
-// payload rides the bus as a native tensor), so gob pays no wire bytes for
-// the field on unframed envelopes.
+// ID identifies a wire codec. The zero value means "no tensor body": a
+// control message, or an envelope still holding its native tensor.
 type ID uint8
 
 // Wire codec identifiers. The numeric values ride envelopes and checksum
 // inputs; never renumber them.
 const (
-	None ID = 0 // native tensor payload, no codec framing
+	None ID = 0 // no tensor body
 	F64  ID = 1 // raw little-endian float64, lossless
 	F32  ID = 2 // raw little-endian float32, round-to-nearest
 	Q8   ID = 3 // per-column affine int8 quantization
@@ -58,7 +55,7 @@ func (id ID) String() string {
 }
 
 // ByName resolves a codec name. The empty string means f64, the lossless
-// default tier; "none" disables framing entirely (native tensor payloads).
+// default tier.
 func ByName(name string) (ID, error) {
 	switch name {
 	case "", "f64":
@@ -67,10 +64,8 @@ func ByName(name string) (ID, error) {
 		return F32, nil
 	case "q8":
 		return Q8, nil
-	case "none":
-		return None, nil
 	}
-	return None, fmt.Errorf("codec: unknown wire codec %q (want none, f64, f32 or q8)", name)
+	return None, fmt.Errorf("codec: unknown wire codec %q (want f64, f32 or q8)", name)
 }
 
 // q8 layout constants: each column stores a float64 scale and offset, then
@@ -81,8 +76,7 @@ const (
 )
 
 // EncodedSize returns the exact blob size in bytes for an rows×cols matrix
-// under this codec. It is the codec's contribution to Envelope.WireSize, so
-// the byte model stays closed-form per codec.
+// under this codec — the body length of the frame that carries it.
 func (id ID) EncodedSize(rows, cols int) int {
 	n := rows * cols
 	switch id {
@@ -94,6 +88,26 @@ func (id ID) EncodedSize(rows, cols int) int {
 		return q8TableBytes*cols + n
 	}
 	return 0
+}
+
+// CheckSize reports whether a blob of n bytes can be an rows×cols matrix
+// under this codec. Dimensions arrive from the network, so the product is
+// taken in 128 bits before EncodedSize multiplies it: every codec spends at
+// least one byte per value (q8 another 16 per column), and dims that claim
+// more values than the blob has bytes are rejected before their size can
+// wrap — 1<<32 × 1<<32 wraps to 0 and would otherwise match an empty blob.
+func (id ID) CheckSize(n, rows, cols int) error {
+	if rows < 0 || cols < 0 {
+		return fmt.Errorf("codec: negative dimensions %dx%d", rows, cols)
+	}
+	hi, values := bits.Mul64(uint64(rows), uint64(cols))
+	if hi != 0 || values > uint64(n) || (id == Q8 && cols > n/q8TableBytes) {
+		return fmt.Errorf("codec: dimensions %dx%d exceed a %d-byte blob", rows, cols, n)
+	}
+	if want := id.EncodedSize(rows, cols); n != want {
+		return fmt.Errorf("codec: %s blob for %dx%d is %d bytes, want %d", id, rows, cols, n, want)
+	}
+	return nil
 }
 
 // ErrStats is the reconstruction error an encode introduced: the maximum and
@@ -196,11 +210,8 @@ func encodeQ8(blob []byte, m *tensor.Matrix, rows, cols int) ([]byte, ErrStats, 
 // with the same codec and dimensions. The blob length must match
 // EncodedSize exactly.
 func Decode(id ID, blob []byte, rows, cols int) (*tensor.Matrix, error) {
-	if rows < 0 || cols < 0 {
-		return nil, fmt.Errorf("codec: negative dimensions %dx%d", rows, cols)
-	}
-	if want := id.EncodedSize(rows, cols); len(blob) != want {
-		return nil, fmt.Errorf("codec: %s blob for %dx%d is %d bytes, want %d", id, rows, cols, len(blob), want)
+	if err := id.CheckSize(len(blob), rows, cols); err != nil {
+		return nil, err
 	}
 	m := tensor.New(rows, cols)
 	switch id {

@@ -208,15 +208,36 @@ func TestDecodeRejectsWrongLength(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsHostileDims pins the overflow guard: 8·2³²·2³² wraps to 0
+// and used to match an empty blob, handing the caller a matrix whose first
+// index panics; a q8 table for 2⁶⁰ columns wraps the same way.
+func TestDecodeRejectsHostileDims(t *testing.T) {
+	if m, err := Decode(F64, nil, 1<<32, 1<<32); err == nil {
+		t.Fatalf("Decode(F64, nil, 1<<32, 1<<32) = %dx%d matrix with %d values, want an error", m.Rows, m.Cols, len(m.Data))
+	}
+	for _, id := range []ID{F64, F32, Q8} {
+		for _, d := range [][2]int{{1 << 32, 1 << 32}, {1 << 62, 8}, {0, 1 << 60}, {1 << 61, 1}, {math.MaxInt, math.MaxInt}} {
+			if id != Q8 && d[0] == 0 {
+				continue // an empty f64/f32 matrix may be any width
+			}
+			if _, err := Decode(id, nil, d[0], d[1]); err == nil {
+				t.Errorf("%s: %dx%d decoded from an empty blob", id, d[0], d[1])
+			}
+		}
+	}
+}
+
 func TestByName(t *testing.T) {
-	cases := map[string]ID{"": F64, "f64": F64, "f32": F32, "q8": Q8, "none": None}
+	cases := map[string]ID{"": F64, "f64": F64, "f32": F32, "q8": Q8}
 	for name, want := range cases {
 		id, err := ByName(name)
 		if err != nil || id != want {
 			t.Fatalf("ByName(%q) = %v, %v; want %v", name, id, err, want)
 		}
 	}
-	if _, err := ByName("f16"); err == nil {
-		t.Fatal("expected error for unknown codec name")
+	for _, name := range []string{"f16", "none"} {
+		if _, err := ByName(name); err == nil {
+			t.Fatalf("ByName(%q): expected an unknown-codec error", name)
+		}
 	}
 }

@@ -11,7 +11,7 @@ import (
 
 // codecEligible reports whether a message kind carries a dense tensor
 // payload the wire codec should frame. Control kinds (synth-req, heartbeat,
-// peer-down) and opaque blobs (telemetry) pass through untouched.
+// peer-down) pass through untouched.
 func codecEligible(k Kind) bool {
 	switch k {
 	case KindLatents, KindSynthLatent, KindActivation, KindDenoised, KindGradUp, KindGradDown:
@@ -21,10 +21,11 @@ func codecEligible(k Kind) bool {
 }
 
 // WireKindStats is one message kind's bytes-vs-error record under a wire
-// codec: how many tensor messages were framed, the modelled float64 bytes
-// they would have cost (8 per value), the encoded bytes actually framed,
-// and the maximum / value-weighted mean absolute reconstruction error the
-// codec introduced. For the lossless f64 codec both errors are exactly 0.
+// codec: how many tensor messages were framed, the bytes their frames would
+// have been with a float64 body (8 per value), the bytes of the frames
+// actually sent, and the maximum / value-weighted mean absolute
+// reconstruction error the codec introduced. For the lossless f64 codec
+// both errors are exactly 0.
 type WireKindStats struct {
 	Codec    string  `json:"codec"`
 	Messages int64   `json:"messages"`
@@ -51,9 +52,9 @@ type wireAgg struct {
 // retries, dedup, chaos faults, byte accounting — operates on the encoded
 // blob, exactly as a real network stack would.
 //
-// The default f64 codec is bit-lossless and its blob is exactly 8 bytes per
-// value, so a default run's losses and per-kind byte accounting are
-// bit-identical to the historical native-payload path (pinned by
+// The default f64 codec is bit-lossless and its blob is the body a native
+// Payload is framed with, so a default run's losses and per-kind byte
+// accounting are bit-identical to a run without the wrapper (pinned by
 // TestCodecBusDefaultBitIdentity).
 //
 // Every framed send is accounted per kind: raw vs encoded bytes and the
@@ -69,8 +70,8 @@ type CodecBus struct {
 	wire map[Kind]*wireAgg
 }
 
-// NewCodecBus wraps inner with the given wire codec. It is the identity for
-// ineligible kinds; codec.None disables framing entirely.
+// NewCodecBus wraps inner with the given wire codec (f64, f32 or q8). It is
+// the identity for ineligible kinds.
 func NewCodecBus(inner Bus, id codec.ID) *CodecBus {
 	return &CodecBus{inner: inner, id: id, wire: make(map[Kind]*wireAgg)}
 }
@@ -92,7 +93,7 @@ func (b *CodecBus) SetRecorder(rec *obs.Recorder) {
 // The caller's envelope is never mutated — the frame is a shallow copy — so
 // senders retain their payload for retransmission or reuse.
 func (b *CodecBus) Send(e *Envelope) error {
-	if b.id == codec.None || !codecEligible(e.Kind) || e.Payload == nil || e.Codec != 0 {
+	if !codecEligible(e.Kind) || e.Payload == nil || e.Codec != 0 {
 		return b.inner.Send(e)
 	}
 	blob, st, err := codec.Encode(b.id, e.Payload)
@@ -104,14 +105,13 @@ func (b *CodecBus) Send(e *Envelope) error {
 	enc.Codec = b.id
 	enc.Rows, enc.Cols = e.Payload.Rows, e.Payload.Cols
 	enc.Payload = nil
-	b.record(e.Kind, int64(8*len(e.Payload.Data)), enc.WireSize(), int64(len(e.Payload.Data)), st)
+	b.record(e.Kind, e.WireSize(), enc.WireSize(), int64(len(e.Payload.Data)), st)
 	return b.inner.Send(&enc)
 }
 
 // record folds one framed send into the per-kind accounting and mirrors the
 // running aggregates to the recorder's wire_* metrics.
-func (b *CodecBus) record(kind Kind, rawPayload, encWire, values int64, st codec.ErrStats) {
-	const header = 64 // same fixed-header model as Envelope.WireSize
+func (b *CodecBus) record(kind Kind, rawWire, encWire, values int64, st codec.ErrStats) {
 	b.mu.Lock()
 	a := b.wire[kind]
 	if a == nil {
@@ -119,7 +119,7 @@ func (b *CodecBus) record(kind Kind, rawPayload, encWire, values int64, st codec
 		b.wire[kind] = a
 	}
 	a.messages++
-	a.rawBytes += header + rawPayload
+	a.rawBytes += rawWire
 	a.encBytes += encWire
 	a.values += values
 	a.errSum += st.Mean * float64(values)
@@ -131,7 +131,7 @@ func (b *CodecBus) record(kind Kind, rawPayload, encWire, values int64, st codec
 		meanErr = a.errSum / float64(a.values)
 	}
 	b.mu.Unlock()
-	b.rec.WireCodec(b.id.String(), string(kind), header+rawPayload, encWire, maxErr, meanErr)
+	b.rec.WireCodec(b.id.String(), string(kind), rawWire, encWire, maxErr, meanErr)
 }
 
 // decode reconstructs a codec-framed envelope's tensor payload; unframed

@@ -21,10 +21,6 @@ type Coordinator struct {
 	// Rec, when non-nil, is forwarded to the diffusion model when it is
 	// built, so per-step training telemetry flows to the same recorder.
 	Rec *obs.Recorder
-	// Fed, when non-nil, ingests telemetry envelopes interleaved with
-	// application traffic on the coordinator's inbox (set by
-	// Pipeline.EnableFederation).
-	Fed *Federation
 	rng *rand.Rand
 
 	latents     []*tensor.Matrix // received per client, in client order
@@ -49,13 +45,10 @@ func NewCoordinator(id string, clients []string, seed int64) *Coordinator {
 // concatenates them in client order (Z = Z1 || ... || ZM).
 func (c *Coordinator) CollectLatents(bus Bus) (*tensor.Matrix, error) {
 	byClient := make(map[string]*tensor.Matrix, len(c.clientOrder))
-	for len(byClient) < len(c.clientOrder) {
+	for range c.clientOrder {
 		env, err := bus.Recv(c.ID)
 		if err != nil {
 			return nil, err
-		}
-		if c.Fed.Observe(env) {
-			continue // federated telemetry rides the same inbox
 		}
 		if env.Kind != KindLatents {
 			return nil, fmt.Errorf("silo: coordinator expected latents, got %q from %s", env.Kind, env.From)

@@ -50,11 +50,12 @@ type deadlineSetter interface {
 // that survive the retry budget surface as typed errors: ErrPeerDead when
 // a party is unreachable, ErrCorruptPayload when a checksum fails.
 //
-// Stats reports the modelled wire cost of every transmission attempt,
-// split so Table VIII numbers stay faithful under faults: ByKind[app kind]
-// counts first transmissions only (goodput, invariant across chaos seeds)
-// and ByKind[KindRetransmit] collects all re-sent bytes; Bytes is their
-// sum. Transport-measured bytes remain available on the wrapped bus.
+// Stats reports the frame bytes of every transmission attempt (Seq and Sum
+// included: 16 bytes a message), split so Table VIII numbers stay faithful
+// under faults: ByKind[app kind] counts first transmissions only (goodput,
+// invariant across chaos seeds) and ByKind[KindRetransmit] collects all
+// re-sent bytes; Bytes is their sum. What actually reached the wrapped
+// transport (duplicates a chaos layer injected, say) is on its own Stats.
 type ResilientBus struct {
 	inner Bus
 	cfg   ResilientConfig
@@ -170,7 +171,7 @@ func (r *ResilientBus) sleep(d time.Duration) {
 	time.Sleep(d)
 }
 
-// account books one transmission attempt in the modelled stats.
+// account books one transmission attempt.
 func (r *ResilientBus) account(e *Envelope, size int64) {
 	r.mu.Lock()
 	if e.Rexmit {
@@ -347,8 +348,8 @@ func (r *ResilientBus) Reset(parties []string) {
 	r.mu.Unlock()
 }
 
-// Stats implements Bus with the modelled attempt-level accounting
-// described on the type.
+// Stats implements Bus with the attempt-level accounting described on the
+// type.
 func (r *ResilientBus) Stats() Stats {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -9,6 +9,7 @@ import (
 	"silofuse/internal/autoencoder"
 	"silofuse/internal/datagen"
 	"silofuse/internal/diffusion"
+	"silofuse/internal/silo/codec"
 	"silofuse/internal/tabular"
 	"silofuse/internal/tensor"
 )
@@ -53,18 +54,19 @@ func TestLocalBusSendRecv(t *testing.T) {
 
 func TestLocalBusAccounting(t *testing.T) {
 	bus := NewLocalBus()
-	m := tensor.New(4, 5) // 20 float64s = 160 bytes + 64 header
-	bus.Send(&Envelope{From: "a", To: "b", Kind: KindLatents, Payload: m})
-	bus.Send(&Envelope{From: "b", To: "a", Kind: KindSynthReq})
+	data := &Envelope{From: "a", To: "b", Kind: KindLatents, Payload: tensor.New(4, 5)}
+	ctrl := &Envelope{From: "b", To: "a", Kind: KindSynthReq}
+	bus.Send(data)
+	bus.Send(ctrl)
 	st := bus.Stats()
 	if st.Messages != 2 {
 		t.Fatalf("messages = %d", st.Messages)
 	}
-	if st.Bytes != 160+64+64 {
-		t.Fatalf("bytes = %d", st.Bytes)
+	if st.Bytes != data.WireSize()+ctrl.WireSize() {
+		t.Fatalf("bytes = %d, want the two frames' %d + %d", st.Bytes, data.WireSize(), ctrl.WireSize())
 	}
-	if st.BytesByDir["a->b"] != 224 {
-		t.Fatalf("directional bytes = %v", st.BytesByDir)
+	if st.BytesByDir["a->b"] != data.WireSize() || st.ByKind[KindSynthReq] != ctrl.WireSize() {
+		t.Fatalf("directional bytes = %v, by kind = %v", st.BytesByDir, st.ByKind)
 	}
 	// Drain so nothing leaks into other tests.
 	bus.Recv("b")
@@ -78,14 +80,40 @@ func TestLocalBusRejectsNoRecipient(t *testing.T) {
 	}
 }
 
+// TestEnvelopeWireSize: WireSize is the length of the frame, field by field —
+// a header that grows with the names and the dimension varints, 16 bytes
+// when the resilient layer stamped the message, nothing for a flow id or the
+// retransmit flag, and the codec's body.
 func TestEnvelopeWireSize(t *testing.T) {
-	e := &Envelope{From: "a", To: "b", Kind: KindSynthReq}
-	if e.WireSize() != 64 {
-		t.Fatalf("control size = %d", e.WireSize())
+	size := func(e *Envelope) int64 {
+		t.Helper()
+		frame, err := appendFrame(nil, e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int64(len(frame)) != e.WireSize() {
+			t.Fatalf("%+v: frame is %d bytes, WireSize says %d", e, len(frame), e.WireSize())
+		}
+		return e.WireSize()
 	}
-	e.Payload = tensor.New(10, 10)
-	if e.WireSize() != 64+800 {
-		t.Fatalf("payload size = %d", e.WireSize())
+	ctrl := size(&Envelope{From: "a", To: "b", Kind: KindSynthReq})
+	if ctrl != frameMin+2 {
+		t.Fatalf("control size = %d, want the smallest frame plus two one-byte names", ctrl)
+	}
+	if got := size(&Envelope{From: "c12", To: "coord", Kind: KindSynthReq}); got != ctrl+6 {
+		t.Fatalf("longer names cost %d, want %d", got, ctrl+6)
+	}
+	if got := size(&Envelope{From: "a", To: "b", Kind: KindSynthReq, Flow: 1 << 40, Rexmit: true}); got != ctrl {
+		t.Fatalf("flow id and retransmit flag cost %d bytes", got-ctrl)
+	}
+	if got := size(&Envelope{From: "a", To: "b", Kind: KindSynthReq, Seq: 1, Sum: 9}); got != ctrl+16 {
+		t.Fatalf("sequencing costs %d bytes, want 16", got-ctrl)
+	}
+	if got := size(&Envelope{From: "a", To: "b", Kind: KindLatents, Payload: tensor.New(10, 10)}); got != ctrl+int64(codec.F64.EncodedSize(10, 10)) {
+		t.Fatalf("10x10 payload size = %d", got)
+	}
+	if got := size(&Envelope{From: "a", To: "b", Kind: KindLatents, Payload: tensor.New(200, 10)}); got != ctrl+1+int64(codec.F64.EncodedSize(200, 10)) {
+		t.Fatalf("200x10 payload size = %d, want one more varint byte for the rows", got)
 	}
 }
 

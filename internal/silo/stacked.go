@@ -48,10 +48,6 @@ type Pipeline struct {
 	// Rec, when non-nil, receives phase spans and per-step telemetry from
 	// every actor in the pipeline. Set it with SetRecorder.
 	Rec *obs.Recorder
-	// Fed, when non-nil, federates per-party telemetry to the coordinator at
-	// phase boundaries. Enable it with EnableFederation (after
-	// SetPartyRecorders, so each party has its own delta source).
-	Fed *Federation
 }
 
 // SetRecorder threads rec through the pipeline: phase spans on the pipeline
@@ -235,10 +231,6 @@ func (p *Pipeline) TrainStackedFrom(ck *Checkpoint) (aeLoss, diffLoss float64, e
 			wg.Add(1)
 			go func(i int, c *Client) {
 				defer wg.Done()
-				// Federation flush precedes the upload on the same link, so
-				// the coordinator sees each client's telemetry before its
-				// latents — a deterministic skip in CollectLatents.
-				p.Fed.Flush(p.Bus, c.ID)
 				errs[i] = c.UploadLatents(p.Bus, p.Coord.ID, p.Cfg.LatentNoiseStd)
 			}(i, c)
 		}
@@ -272,7 +264,6 @@ func (p *Pipeline) TrainStackedFrom(ck *Checkpoint) (aeLoss, diffLoss float64, e
 		p.Rec.ProfilePhaseEnd("diffusion-train")
 		dspan.SetAttr("loss", diffLoss)
 		dspan.End()
-		p.Fed.FlushLocal()
 		ck.Phase, ck.DiffLoss = PhaseDiffusion, diffLoss
 	} else {
 		diffLoss = ck.DiffLoss
@@ -350,18 +341,10 @@ func (p *Pipeline) SynthesizePartitioned(requester int, n int, sample bool) ([]*
 	if err := p.Bus.Send(req); err != nil {
 		return nil, err
 	}
-	for {
-		env, err := p.Bus.Recv(p.Coord.ID)
-		if err != nil {
-			return nil, err
-		}
-		if p.Fed.Observe(env) {
-			continue // leftover federated telemetry
-		}
-		if env.Kind != KindSynthReq {
-			return nil, fmt.Errorf("silo: coordinator expected synth request, got %q", env.Kind)
-		}
-		break
+	if env, err := p.Bus.Recv(p.Coord.ID); err != nil {
+		return nil, err
+	} else if env.Kind != KindSynthReq {
+		return nil, fmt.Errorf("silo: coordinator expected synth request, got %q", env.Kind)
 	}
 
 	parts, err := p.Coord.SampleLatents(n, p.Cfg.SynthSteps)
@@ -389,9 +372,6 @@ func (p *Pipeline) SynthesizePartitioned(requester int, n int, sample bool) ([]*
 				return
 			}
 			out[i], errs[i] = c.DecodeLatents(env.Payload, sample)
-			// End-of-synthesis federation flush: the run's final deterministic
-			// phase boundary for this party.
-			p.Fed.Flush(p.Bus, c.ID)
 		}(i, c)
 	}
 	wg.Wait()
@@ -400,10 +380,6 @@ func (p *Pipeline) SynthesizePartitioned(requester int, n int, sample bool) ([]*
 			return nil, e
 		}
 	}
-	if err := p.Fed.Drain(p.Bus); err != nil {
-		return nil, err
-	}
-	p.Fed.FlushLocal()
 	return out, nil
 }
 
@@ -460,18 +436,10 @@ func (p *Pipeline) synthesizeSharedStacked(requester int, seed int64, lane0 int,
 	if err := p.Bus.Send(req); err != nil {
 		return nil, err
 	}
-	for {
-		env, err := p.Bus.Recv(p.Coord.ID)
-		if err != nil {
-			return nil, err
-		}
-		if p.Fed.Observe(env) {
-			continue // leftover federated telemetry
-		}
-		if env.Kind != KindSynthReq {
-			return nil, fmt.Errorf("silo: coordinator expected synth request, got %q", env.Kind)
-		}
-		break
+	if env, err := p.Bus.Recv(p.Coord.ID); err != nil {
+		return nil, err
+	} else if env.Kind != KindSynthReq {
+		return nil, fmt.Errorf("silo: coordinator expected synth request, got %q", env.Kind)
 	}
 
 	parts, err := p.Coord.SampleLatentsBatch(seed, lane0, ns, p.Cfg.SynthSteps)
@@ -499,7 +467,6 @@ func (p *Pipeline) synthesizeSharedStacked(requester int, seed int64, lane0 int,
 				return
 			}
 			out[i], errs[i] = c.DecodeLatents(env.Payload, sample)
-			p.Fed.Flush(p.Bus, c.ID)
 		}(i, c)
 	}
 	wg.Wait()
@@ -508,10 +475,6 @@ func (p *Pipeline) synthesizeSharedStacked(requester int, seed int64, lane0 int,
 			return nil, e
 		}
 	}
-	if err := p.Fed.Drain(p.Bus); err != nil {
-		return nil, err
-	}
-	p.Fed.FlushLocal()
 	return tabular.JoinVertical(p.Schema, p.Parts, out)
 }
 

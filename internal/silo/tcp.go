@@ -1,94 +1,119 @@
 package silo
 
 import (
-	"encoding/gob"
+	"bufio"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"silofuse/internal/obs"
-	"silofuse/internal/silo/codec"
-	"silofuse/internal/tensor"
 )
 
-// wireEnvelope is the gob wire format; tensor payloads are flattened. Flow
-// carries the distributed trace context across the socket (gob omits the
-// field entirely when zero, so untraced runs pay no wire bytes for it).
-// Rows/Cols serve double duty: the dimensions of a native Data payload, or —
-// when Codec is non-zero — of the codec-framed tensor carried in Blob.
-type wireEnvelope struct {
-	From, To string
-	Kind     Kind
-	Rows     int
-	Cols     int
-	Data     []float64
-	Blob     []byte   // opaque payload (telemetry, codec frames); omitted when empty
-	Codec    codec.ID // wire codec id for Blob tensors; omitted when zero
-	Flow     uint64
-	// Resilient-delivery fields; gob omits them when zero, so unwrapped
-	// transports pay no wire bytes (see Envelope).
-	Seq    uint64
-	Sum    uint64
-	Rexmit bool
+// endpoint is what TCPHub and TCPPeer share: the traffic counters of one
+// party's sockets, the write deadline and the recorder its links book into.
+type endpoint struct {
+	rec *obs.Recorder
+
+	statsMu   sync.Mutex
+	stats     Stats         //silofuse:guardedby statsMu
+	ioTimeout time.Duration //silofuse:guardedby statsMu
 }
 
-func toWire(e *Envelope) wireEnvelope {
-	w := wireEnvelope{From: e.From, To: e.To, Kind: e.Kind, Blob: e.Blob, Codec: e.Codec, Flow: e.Flow, Seq: e.Seq, Sum: e.Sum, Rexmit: e.Rexmit}
-	if e.Payload != nil {
-		w.Rows, w.Cols, w.Data = e.Payload.Rows, e.Payload.Cols, e.Payload.Data
-	} else if e.Codec != 0 {
-		w.Rows, w.Cols = e.Rows, e.Cols
-	}
-	return w
+func newEndpoint() endpoint {
+	return endpoint{stats: Stats{BytesByDir: make(map[string]int64), ByKind: make(map[Kind]int64)}}
 }
 
-func fromWire(w wireEnvelope) *Envelope {
-	e := &Envelope{From: w.From, To: w.To, Kind: w.Kind, Blob: w.Blob, Codec: w.Codec, Flow: w.Flow, Seq: w.Seq, Sum: w.Sum, Rexmit: w.Rexmit}
-	if w.Data != nil {
-		e.Payload = tensor.FromSlice(w.Rows, w.Cols, w.Data)
-	} else if w.Codec != 0 {
-		e.Rows, e.Cols = w.Rows, w.Cols
-	}
-	return e
+// SetRecorder implements RecorderSetter.
+func (ep *endpoint) SetRecorder(rec *obs.Recorder) { ep.rec = rec }
+
+// SetIOTimeout installs a per-message write deadline on this endpoint's
+// sends; the resilient layer forwards its SendDeadline here. Zero disables
+// deadlines.
+func (ep *endpoint) SetIOTimeout(d time.Duration) {
+	ep.statsMu.Lock()
+	ep.ioTimeout = d
+	ep.statsMu.Unlock()
 }
 
-// statKind mirrors Envelope.statKind for the wire format.
-func (w *wireEnvelope) statKind() Kind {
-	if w.Rexmit {
-		return KindRetransmit
-	}
-	return w.Kind
+// Stats implements Bus. Each endpoint counts only what it writes to its
+// sockets; received bytes are the sending side's to count.
+func (ep *endpoint) Stats() Stats {
+	ep.statsMu.Lock()
+	defer ep.statsMu.Unlock()
+	return copyStats(ep.stats)
 }
 
-// countingWriter counts bytes flowing to the underlying connection.
-type countingWriter struct {
-	c     net.Conn
-	n     *int64
-	mu    *sync.Mutex
-	total *Stats
-	dir   string
-}
+// link is one framed TCP stream, the send and receive path of both the hub
+// side and the peer side of a connection. sendMu serialises writers so
+// frames never interleave; recvMu does the same for readers of r.
+type link struct {
+	ep   *endpoint
+	conn net.Conn
+	dir  string // this direction's Stats.BytesByDir bucket
 
-func (w countingWriter) Write(p []byte) (int, error) {
-	n, err := w.c.Write(p)
-	w.mu.Lock()
-	*w.n += int64(n)
-	w.total.Bytes += int64(n)
-	w.total.BytesByDir[w.dir] += int64(n)
-	w.mu.Unlock()
-	return n, err
-}
-
-// hubPeer is one connected client as seen from the hub. sendMu serialises
-// encodes on the shared gob stream so the byte delta observed around an
-// Encode can be attributed to that message's kind.
-type hubPeer struct {
-	conn   net.Conn
-	enc    *gob.Encoder
 	sendMu sync.Mutex
-	sent   int64 // bytes written to this peer; guarded by the hub mutex
+	buf    []byte //silofuse:guardedby sendMu
+
+	recvMu sync.Mutex
+	r      *bufio.Reader //silofuse:guardedby recvMu
+}
+
+func (ep *endpoint) newLink(conn net.Conn, dir string) *link {
+	return &link{ep: ep, conn: conn, dir: dir, r: bufio.NewReader(conn)}
+}
+
+// send frames e, writes the frame with one conn.Write and books the bytes
+// written — the frame's length, e.WireSize(), unless the write failed part
+// way — under the envelope's kind. A hello opens the stream and counts as
+// bytes only, not as a message.
+func (l *link) send(e *Envelope) error {
+	ep := l.ep
+	t0 := ep.rec.Now()
+	kind := e.statKind()
+	ep.statsMu.Lock()
+	timeout := ep.ioTimeout
+	ep.statsMu.Unlock()
+	l.sendMu.Lock()
+	frame, err := appendFrame(l.buf[:0], e)
+	if err != nil {
+		l.sendMu.Unlock()
+		return err
+	}
+	l.buf = frame
+	if timeout > 0 {
+		// Per-message write deadline so a dead socket fails the send instead
+		// of blocking forever. The deadline is IO plumbing, never observed by
+		// the deterministic protocol logic.
+		//silofuse:walltime-ok socket write deadline, not on the deterministic data path
+		l.conn.SetWriteDeadline(time.Now().Add(timeout))
+	}
+	written, err := l.conn.Write(frame)
+	l.sendMu.Unlock()
+	n, message := int64(written), e.Kind != kindHello
+	ep.statsMu.Lock()
+	ep.stats.Bytes += n
+	ep.stats.BytesByDir[l.dir] += n
+	if message {
+		ep.stats.Messages++
+		ep.stats.ByKind[kind] += n
+	}
+	ep.statsMu.Unlock()
+	if message && ep.rec != nil {
+		ep.rec.Message(string(kind), n, ep.rec.Since(t0))
+	}
+	return err
+}
+
+// recv reads the next frame off the stream.
+func (l *link) recv() (*Envelope, error) {
+	l.recvMu.Lock()
+	defer l.recvMu.Unlock()
+	return readFrame(l.r)
 }
 
 // TCPHub is the coordinator-side transport: it listens for client
@@ -97,29 +122,30 @@ type hubPeer struct {
 // to the destination peer. It implements Bus with real measured wire bytes.
 type TCPHub struct {
 	Name string
+	endpoint
 
-	ln net.Listener
+	ln    net.Listener
+	inbox chan *Envelope
+	done  chan struct{} // closed by Close; releases a route blocked on a full inbox
+	wg    sync.WaitGroup
+
 	mu sync.Mutex
 	//silofuse:guardedby mu
-	peers map[string]*hubPeer
-	inbox chan *Envelope
-	stats Stats //silofuse:guardedby mu
-	rec   *obs.Recorder
-	wg    sync.WaitGroup
+	conns map[net.Conn]struct{} // every accepted connection still being served, registered or not
+	//silofuse:guardedby mu
+	peers map[string]*link
 	//silofuse:guardedby mu
 	closing bool
 	//silofuse:guardedby mu
 	beats map[string]int64 // heartbeats received per peer
 	//silofuse:guardedby mu
 	reconnects map[string]int64 // re-registrations per peer
-	//silofuse:guardedby mu
-	ioTimeout time.Duration // per-message write deadline; 0 = none
 }
 
 // PeerHealth is the hub-side liveness view of one peer, surfaced through
 // the /healthz endpoint: whether a connection is registered, how many
-// heartbeats it has delivered, and how many times it has re-registered
-// after a disconnect.
+// heartbeats it has delivered, how many times it has re-registered after a
+// disconnect, and the bytes the hub has written to it.
 type PeerHealth struct {
 	Connected  bool  `json:"connected"`
 	Heartbeats int64 `json:"heartbeats"`
@@ -135,10 +161,12 @@ func NewTCPHub(name, addr string) (*TCPHub, error) {
 	}
 	h := &TCPHub{
 		Name:       name,
+		endpoint:   newEndpoint(),
 		ln:         ln,
-		peers:      make(map[string]*hubPeer),
 		inbox:      make(chan *Envelope, 1024),
-		stats:      Stats{BytesByDir: make(map[string]int64), ByKind: make(map[Kind]int64)},
+		done:       make(chan struct{}), //silofuse:unbuffered-ok close-only stop signal, never sent on
+		conns:      make(map[net.Conn]struct{}),
+		peers:      make(map[string]*link),
 		beats:      make(map[string]int64),
 		reconnects: make(map[string]int64),
 	}
@@ -146,9 +174,6 @@ func NewTCPHub(name, addr string) (*TCPHub, error) {
 	go h.acceptLoop()
 	return h, nil
 }
-
-// SetRecorder implements RecorderSetter.
-func (h *TCPHub) SetRecorder(rec *obs.Recorder) { h.rec = rec }
 
 // Addr returns the hub's listen address.
 func (h *TCPHub) Addr() string { return h.ln.Addr().String() }
@@ -173,28 +198,43 @@ func (h *TCPHub) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
+		h.mu.Lock()
+		if h.closing {
+			h.mu.Unlock()
+			conn.Close()
+			return
+		}
+		h.conns[conn] = struct{}{}
 		h.wg.Add(1)
+		h.mu.Unlock()
 		go h.serveConn(conn)
 	}
 }
 
+// serveConn owns one accepted connection: it reads the hello, registers the
+// peer, routes its frames until the stream ends, then deregisters it and
+// announces the death.
 func (h *TCPHub) serveConn(conn net.Conn) {
 	defer h.wg.Done()
-	dec := gob.NewDecoder(conn)
-	var hello wireEnvelope
-	if err := dec.Decode(&hello); err != nil {
+	defer func() {
 		conn.Close()
+		h.mu.Lock()
+		delete(h.conns, conn)
+		h.mu.Unlock()
+	}()
+	pc := h.newLink(conn, "")
+	hello, err := pc.recv()
+	if err != nil || hello.Kind != kindHello {
 		return
 	}
 	name := hello.From
-	pc := &hubPeer{conn: conn}
-	pc.enc = gob.NewEncoder(countingWriter{c: conn, n: &pc.sent, mu: &h.mu, total: &h.stats, dir: h.Name + "->" + name})
+	pc.dir = h.Name + "->" + name // before the link is shared
 	h.mu.Lock()
 	// A re-dial is visible two ways: a fresh connection superseding a live
 	// registration, or a hello that announces itself as a reconnect (Seq > 0)
 	// after the dead conn already deregistered. Count both.
 	redial := hello.Seq > 0
-	if old := h.peers[name]; old != nil && old.conn != conn {
+	if old := h.peers[name]; old != nil {
 		redial = true
 		old.conn.Close() // superseded; its serveConn exits without deregistering us
 	}
@@ -206,104 +246,77 @@ func (h *TCPHub) serveConn(conn net.Conn) {
 	if h.rec != nil && hello.Seq > 0 {
 		h.rec.Reconnect(name) // peer announced a re-dial in its hello
 	}
-	defer func() {
-		// Deregister and announce the death unless a reconnect has already
-		// replaced this conn or the hub itself is shutting down.
-		h.mu.Lock()
-		stale := h.peers[name] != pc
-		closing := h.closing
-		if !stale {
-			delete(h.peers, name)
+
+	err = h.route(pc, name)
+
+	// Deregister and announce the death unless a reconnect has already
+	// replaced this conn or the hub itself is shutting down.
+	h.mu.Lock()
+	stale := h.peers[name] != pc
+	closing := h.closing
+	if !stale {
+		delete(h.peers, name)
+	}
+	h.mu.Unlock()
+	if stale || closing {
+		return
+	}
+	if h.rec != nil {
+		if errors.Is(err, ErrCorruptPayload) {
+			h.rec.CorruptPayload("frame") // the flight recorder says why the peer was dropped
 		}
-		h.mu.Unlock()
-		if stale || closing {
-			return
-		}
-		if h.rec != nil {
-			h.rec.PeerDown(name)
-		}
-		select { // non-blocking: a full inbox must not wedge the accept path
-		case h.inbox <- &Envelope{From: name, To: h.Name, Kind: KindPeerDown}:
-		default:
-		}
-	}()
+		h.rec.PeerDown(name)
+	}
+	select { // non-blocking: a full inbox must not wedge the accept path
+	case h.inbox <- &Envelope{From: name, To: h.Name, Kind: KindPeerDown}:
+	default:
+	}
+}
+
+// route delivers one peer's frames until its stream ends and returns why it
+// ended: io.EOF for a clean close or a hub shutdown, an
+// ErrCorruptPayload-class error for bytes that were not a frame, the
+// connection's own error otherwise.
+func (h *TCPHub) route(pc *link, name string) error {
 	for {
-		var w wireEnvelope
-		if err := dec.Decode(&w); err != nil {
-			return
+		e, err := pc.recv()
+		if err != nil {
+			return err
 		}
-		if w.Kind == KindHeartbeat {
+		switch {
+		case e.Kind == KindHeartbeat:
 			h.mu.Lock()
 			h.beats[name]++
 			h.mu.Unlock()
-			continue
-		}
-		e := fromWire(w)
-		// Received bytes are counted by the sender side (the peer's
-		// countingWriter); the hub only counts what it forwards or sends.
-		if e.To == h.Name {
-			h.inbox <- e
-			continue
-		}
-		if dst := h.waitPeer(e.To); dst != nil {
-			_ = h.sendWire(dst, w)
+		case e.To == h.Name:
+			select {
+			case h.inbox <- e:
+			case <-h.done:
+				return io.EOF
+			}
+		default:
+			if dst := h.waitPeer(e.To); dst != nil {
+				_ = dst.send(e)
+			}
 		}
 	}
 }
 
-// waitPeer returns the destination's connection, waiting briefly for its
-// hello to be processed: peers dial concurrently, so a forwarded message can
-// otherwise race the recipient's registration and be dropped.
-func (h *TCPHub) waitPeer(name string) *hubPeer {
+// waitPeer returns the destination's link, waiting briefly for its hello to
+// be processed: peers dial concurrently, so a forwarded message can
+// otherwise race the recipient's registration and be dropped. A closing hub
+// stops waiting.
+func (h *TCPHub) waitPeer(name string) *link {
 	for i := 0; i < 1000; i++ {
 		h.mu.Lock()
-		pc := h.peers[name]
+		pc, closing := h.peers[name], h.closing
 		h.mu.Unlock()
-		if pc != nil {
+		if pc != nil || closing {
 			return pc
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
 	return nil
-}
-
-// sendWire encodes w to pc, attributing the measured byte delta to the
-// message kind. The per-peer sendMu keeps delta attribution exact when
-// several goroutines send to the same peer.
-func (h *TCPHub) sendWire(pc *hubPeer, w wireEnvelope) error {
-	t0 := h.rec.Now()
-	kind := w.statKind()
-	pc.sendMu.Lock()
-	h.mu.Lock()
-	before := pc.sent
-	timeout := h.ioTimeout
-	h.mu.Unlock()
-	if timeout > 0 {
-		// Per-message write deadline so a dead socket fails the send instead
-		// of blocking forever. The deadline is IO plumbing, never observed by
-		// the deterministic protocol logic.
-		//silofuse:walltime-ok socket write deadline, not on the deterministic data path
-		pc.conn.SetWriteDeadline(time.Now().Add(timeout))
-	}
-	err := pc.enc.Encode(w)
-	h.mu.Lock()
-	delta := pc.sent - before
-	h.stats.Messages++
-	h.stats.ByKind[kind] += delta
-	h.mu.Unlock()
-	pc.sendMu.Unlock()
-	if h.rec != nil {
-		h.rec.Message(string(kind), delta, h.rec.Since(t0))
-	}
-	return err
-}
-
-// SetIOTimeout installs a per-message write deadline on hub sends; the
-// resilient layer forwards its SendDeadline here. Zero disables deadlines.
-func (h *TCPHub) SetIOTimeout(d time.Duration) {
-	h.mu.Lock()
-	h.ioTimeout = d
-	h.mu.Unlock()
 }
 
 // Send implements Bus for the hub side.
@@ -315,9 +328,9 @@ func (h *TCPHub) Send(e *Envelope) error {
 		h.rec.Trace.FlowSend(string(e.Kind), e.Flow)
 	}
 	if e.To == h.Name {
-		h.mu.Lock()
+		h.statsMu.Lock()
 		h.stats.Messages++
-		h.mu.Unlock()
+		h.statsMu.Unlock()
 		if h.rec != nil {
 			h.rec.Message(string(e.Kind), 0, 0) // local delivery, no wire bytes
 		}
@@ -328,7 +341,7 @@ func (h *TCPHub) Send(e *Envelope) error {
 	if dst == nil {
 		return fmt.Errorf("silo: hub has no peer %q", e.To)
 	}
-	return h.sendWire(dst, toWire(e))
+	return dst.send(e)
 }
 
 // Recv implements Bus for the hub side. A peer-down notice (injected when
@@ -381,11 +394,12 @@ func (h *TCPHub) TryRecv(to string) (*Envelope, bool) {
 // PeerHealth reports the hub-side liveness view of every peer it has ever
 // seen — the payload behind /healthz.
 func (h *TCPHub) PeerHealth() map[string]PeerHealth {
+	sent := h.Stats().BytesByDir
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	out := make(map[string]PeerHealth)
-	for name, pc := range h.peers {
-		out[name] = PeerHealth{Connected: true, SentBytes: pc.sent}
+	for name := range h.peers {
+		out[name] = PeerHealth{Connected: true}
 	}
 	for name, n := range h.beats {
 		ph := out[name]
@@ -397,108 +411,77 @@ func (h *TCPHub) PeerHealth() map[string]PeerHealth {
 		ph.Reconnects = n
 		out[name] = ph
 	}
+	for name, ph := range out {
+		ph.SentBytes = sent[h.Name+"->"+name]
+		out[name] = ph
+	}
 	return out
 }
 
-// Stats implements Bus.
-func (h *TCPHub) Stats() Stats {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return copyStats(h.stats)
-}
-
-// Close shuts the hub down.
+// Close shuts the hub down and returns once the accept loop and every
+// connection goroutine have exited. Closing the sockets ends their reads
+// and done releases one blocked on a full inbox, so Close cannot hang on a
+// caller that has stopped receiving.
 func (h *TCPHub) Close() error {
 	h.mu.Lock()
+	first := !h.closing
 	h.closing = true
-	h.mu.Unlock()
-	err := h.ln.Close()
-	h.mu.Lock()
-	for _, pc := range h.peers {
-		pc.conn.Close()
+	for conn := range h.conns {
+		conn.Close()
 	}
 	h.mu.Unlock()
+	if !first {
+		return nil
+	}
+	close(h.done)
+	err := h.ln.Close()
+	h.wg.Wait()
 	return err
 }
 
 // TCPPeer is a client-side transport connected to a TCPHub.
 type TCPPeer struct {
 	Name string
+	endpoint
 
-	conn net.Conn     //silofuse:guardedby mu
-	enc  *gob.Encoder //silofuse:guardedby sendMu
-	//silofuse:guardedby recvMu
-	dec    *gob.Decoder
-	mu     sync.Mutex
-	sendMu sync.Mutex
-	recvMu sync.Mutex // guards dec, so Reconnect can swap streams safely
-	stats  Stats      //silofuse:guardedby mu
-	rec    *obs.Recorder
-	sent   int64 // written through countingWriter's pointer, under mu
-	//silofuse:guardedby mu
-	ioTimeout time.Duration
+	link atomic.Pointer[link] // replaced whole by Reconnect
+}
+
+// dial opens a stream to the hub and writes the hello, the first frame the
+// hub reads on it; seq > 0 announces a re-dial.
+func (p *TCPPeer) dial(addr string, seq uint64) (*link, error) {
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	l := p.newLink(conn, p.Name+"->hub")
+	if err := l.send(&Envelope{From: p.Name, Kind: kindHello, Seq: seq}); err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("hello: %w", err)
+	}
+	return l, nil
 }
 
 // DialHub connects to a hub and announces the peer's name.
 func DialHub(name, addr string) (*TCPPeer, error) {
-	conn, err := net.Dial("tcp", addr)
+	p := &TCPPeer{Name: name, endpoint: newEndpoint()}
+	l, err := p.dial(addr, 0)
 	if err != nil {
 		return nil, fmt.Errorf("silo: dial hub: %w", err)
 	}
-	p := &TCPPeer{Name: name, conn: conn, stats: Stats{BytesByDir: make(map[string]int64), ByKind: make(map[Kind]int64)}}
-	p.enc = gob.NewEncoder(countingWriter{c: conn, n: &p.sent, mu: &p.mu, total: &p.stats, dir: name + "->hub"})
-	p.dec = gob.NewDecoder(conn)
-	if err := p.enc.Encode(wireEnvelope{From: name, Kind: "hello"}); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("silo: hello: %w", err)
-	}
+	p.link.Store(l)
 	return p, nil
-}
-
-// SetRecorder implements RecorderSetter.
-func (p *TCPPeer) SetRecorder(rec *obs.Recorder) { p.rec = rec }
-
-// SetIOTimeout installs a per-message write deadline on peer sends; the
-// resilient layer forwards its SendDeadline here. Zero disables deadlines.
-func (p *TCPPeer) SetIOTimeout(d time.Duration) {
-	p.mu.Lock()
-	p.ioTimeout = d
-	p.mu.Unlock()
 }
 
 // Send implements Bus (all traffic is routed via the hub).
 func (p *TCPPeer) Send(e *Envelope) error {
-	t0 := p.rec.Now()
 	if p.rec != nil && e.Kind != KindHeartbeat {
 		if e.Flow == 0 {
 			e.Flow = p.rec.NextFlow()
 		}
 		p.rec.Trace.FlowSend(string(e.Kind), e.Flow)
 	}
-	w := toWire(e)
-	kind := w.statKind()
-	p.sendMu.Lock()
-	p.mu.Lock()
-	before := p.sent
-	conn, timeout := p.conn, p.ioTimeout
-	p.mu.Unlock()
-	if timeout > 0 {
-		// Write deadline so a send into a dead hub fails instead of blocking;
-		// IO plumbing only, never observed by the protocol logic.
-		//silofuse:walltime-ok socket write deadline, not on the deterministic data path
-		conn.SetWriteDeadline(time.Now().Add(timeout))
-	}
-	err := p.enc.Encode(w)
-	p.mu.Lock()
-	delta := p.sent - before
-	p.stats.Messages++
-	p.stats.ByKind[kind] += delta
-	p.mu.Unlock()
-	p.sendMu.Unlock()
-	if p.rec != nil {
-		p.rec.Message(string(kind), delta, p.rec.Since(t0))
-	}
-	return err
+	return p.link.Load().send(e)
 }
 
 // Recv implements Bus; only the peer's own inbox is reachable.
@@ -506,47 +489,30 @@ func (p *TCPPeer) Recv(to string) (*Envelope, error) {
 	if to != p.Name {
 		return nil, fmt.Errorf("silo: peer %q cannot receive for %q", p.Name, to)
 	}
-	p.recvMu.Lock()
-	var w wireEnvelope
-	err := p.dec.Decode(&w)
-	p.recvMu.Unlock()
+	e, err := p.link.Load().recv()
 	if err != nil {
 		return nil, err
 	}
 	if p.rec != nil {
-		p.rec.Trace.FlowRecv(string(w.Kind), w.Flow)
+		p.rec.Trace.FlowRecv(string(e.Kind), e.Flow)
 	}
-	return fromWire(w), nil
+	return e, nil
 }
 
 // Reconnect re-dials the hub after a connection loss and announces the
 // peer under its existing name, superseding the dead registration at the
 // hub. Any Recv blocked on the old stream is unblocked with an error
-// first. The peer's traffic counters carry over — a restarted transport
-// keeps its byte accounting.
+// first, and a Send still holding the old stream fails on its closed
+// socket. The hello is written before the new stream is published, so it is
+// the first frame on it. The peer's traffic counters live on the endpoint,
+// not the stream — a restarted transport keeps its byte accounting.
 func (p *TCPPeer) Reconnect(addr string) error {
-	p.mu.Lock()
-	old := p.conn
-	p.mu.Unlock()
-	old.Close()
-	p.sendMu.Lock()
-	defer p.sendMu.Unlock()
-	p.recvMu.Lock()
-	defer p.recvMu.Unlock()
-	conn, err := net.Dial("tcp", addr)
+	p.link.Load().conn.Close()
+	l, err := p.dial(addr, 1)
 	if err != nil {
 		return fmt.Errorf("silo: reconnect %s: %w", p.Name, err)
 	}
-	p.mu.Lock()
-	p.conn = conn
-	p.mu.Unlock()
-	p.enc = gob.NewEncoder(countingWriter{c: conn, n: &p.sent, mu: &p.mu, total: &p.stats, dir: p.Name + "->hub"})
-	p.dec = gob.NewDecoder(conn)
-	// Seq 1 in the hello marks this as a re-dial for the hub's telemetry.
-	if err := p.enc.Encode(wireEnvelope{From: p.Name, Kind: "hello", Seq: 1}); err != nil {
-		conn.Close()
-		return fmt.Errorf("silo: reconnect hello: %w", err)
-	}
+	p.link.Store(l)
 	if p.rec != nil {
 		p.rec.Reconnect(p.Name)
 	}
@@ -584,17 +550,5 @@ func (p *TCPPeer) StartHeartbeat(every time.Duration) (stop func()) {
 	}
 }
 
-// Stats implements Bus.
-func (p *TCPPeer) Stats() Stats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return copyStats(p.stats)
-}
-
 // Close closes the connection.
-func (p *TCPPeer) Close() error {
-	p.mu.Lock()
-	conn := p.conn
-	p.mu.Unlock()
-	return conn.Close()
-}
+func (p *TCPPeer) Close() error { return p.link.Load().conn.Close() }

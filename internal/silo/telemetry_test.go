@@ -207,72 +207,6 @@ func TestTCPHubConcurrentHammer(t *testing.T) {
 	}
 }
 
-// TestWireSizeTolerance pins the documented relationship between the
-// WireSize cost model and real gob framing: measured bytes for a message
-// stream stay within WireSizeFactor times the modelled total plus
-// WireSizeSlack, for both dense payloads and control-only traffic.
-func TestWireSizeTolerance(t *testing.T) {
-	hub, err := NewTCPHub("coord", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hub.Close()
-
-	bound := func(modelled int64) int64 {
-		return int64(WireSizeFactor*float64(modelled)) + WireSizeSlack
-	}
-
-	// Dense payloads: gob varint framing runs ~12% over the 8-bytes-per-
-	// element model, plus a one-time type descriptor.
-	dense, err := DialHub("dense", hub.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dense.Close()
-	rng := rand.New(rand.NewSource(3))
-	var modelled int64
-	for i := 0; i < 3; i++ {
-		e := &Envelope{From: "dense", To: "coord", Kind: KindLatents, Payload: tensor.New(50, 20).Randn(rng, 1)}
-		modelled += e.WireSize()
-		if err := dense.Send(e); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := hub.Recv("coord"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	measured := dense.Stats().Bytes
-	if measured > bound(modelled) {
-		t.Fatalf("dense stream measured %d B, above tolerance %d B (modelled %d)", measured, bound(modelled), modelled)
-	}
-	if measured <= modelled {
-		t.Fatalf("dense stream measured %d B, expected above the %d B model (gob overhead)", measured, modelled)
-	}
-
-	// Control messages: gob frames them in fewer bytes than the 64-byte
-	// header model, so only the upper bound applies.
-	ctrl, err := DialHub("ctrl", hub.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ctrl.Close()
-	modelled = 0
-	for i := 0; i < 5; i++ {
-		e := &Envelope{From: "ctrl", To: "coord", Kind: KindSynthReq}
-		modelled += e.WireSize()
-		if err := ctrl.Send(e); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := hub.Recv("coord"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	measured = ctrl.Stats().Bytes
-	if measured <= 0 || measured > bound(modelled) {
-		t.Fatalf("control stream measured %d B, want within (0, %d] (modelled %d)", measured, bound(modelled), modelled)
-	}
-}
-
 // TestStackedPipelineTelemetry runs Algorithm 1 + 2 with a recorder attached
 // and checks the full telemetry surface: the four phase spans, per-stage
 // training counters, and per-kind transport counters that agree with the

@@ -247,9 +247,6 @@ type (
 	PeerHealth = silo.PeerHealth
 	// PeerDeadError reports which peer died; it unwraps to ErrPeerDead.
 	PeerDeadError = silo.PeerDeadError
-	// Federation couples a Pipeline to telemetry federation: per-party
-	// metric deltas ship over the bus at deterministic phase boundaries.
-	Federation = silo.Federation
 )
 
 // Typed transport failures surfaced by the fault-tolerant bus stack.
@@ -296,7 +293,7 @@ var DefaultResilientConfig = silo.DefaultResilientConfig
 var NewCodecBus = silo.NewCodecBus
 
 // WireCodecByName resolves a wire codec name: "" or "f64" (lossless
-// default), "f32", "q8", "none" (disable framing).
+// default), "f32" or "q8".
 var WireCodecByName = codec.ByName
 
 // WireReportKinds lists a wire report's framed kinds in sorted order.
@@ -329,13 +326,6 @@ type (
 	RunManifest = experiments.Manifest
 	// RuntimeInfo pins the toolchain and machine a run executed on.
 	RuntimeInfo = experiments.RuntimeInfo
-	// FleetAggregator folds federated telemetry updates into a fleet-wide
-	// view: per-party labelled /metrics, merged traces, federation health.
-	FleetAggregator = obs.FleetAggregator
-	// Federator computes one party's telemetry deltas for federation.
-	Federator = obs.Federator
-	// TelemetryUpdate is one party's shipped telemetry delta.
-	TelemetryUpdate = obs.TelemetryUpdate
 	// FlightRecorder is the fixed-capacity ring of recent operations dumped
 	// as a postmortem when a run dies.
 	FlightRecorder = obs.FlightRecorder
@@ -386,12 +376,6 @@ var NewRunManifest = experiments.NewManifest
 
 // CurrentRuntime captures this process's RuntimeInfo.
 var CurrentRuntime = experiments.CurrentRuntime
-
-// NewFleetAggregator builds an empty fleet telemetry aggregator.
-var NewFleetAggregator = obs.NewFleetAggregator
-
-// NewFederator builds a party's telemetry federator over its recorder.
-var NewFederator = obs.NewFederator
 
 // NewFlightRecorder preallocates a flight-recorder ring (default capacity
 // when given a non-positive one).
