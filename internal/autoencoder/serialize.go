@@ -11,16 +11,18 @@ import (
 // via the parameter stream ordering; callers must rebuild the autoencoder
 // with the same training table schema before Load.
 func (a *Autoencoder) Save(w io.Writer) error {
-	return nn.SaveParams(w, a.allParams())
+	return nn.SaveParams(w, a.Params())
 }
 
 // Load restores weights written by Save into an autoencoder constructed
 // with the same configuration and schema.
 func (a *Autoencoder) Load(r io.Reader) error {
-	return nn.LoadParams(r, a.allParams())
+	return nn.LoadParams(r, a.Params())
 }
 
-func (a *Autoencoder) allParams() []*nn.Param {
+// Params returns the encoder's parameters followed by the decoder's, the
+// order Save writes them in.
+func (a *Autoencoder) Params() []*nn.Param {
 	return append(append([]*nn.Param{}, a.encoder.Params()...), a.decoder.Params()...)
 }
 
@@ -29,7 +31,7 @@ func (a *Autoencoder) allParams() []*nn.Param {
 // resume from a checkpoint bit-identically. Save alone is enough for a
 // finished model; a *resumed optimiser* also needs its momenta.
 func (a *Autoencoder) SaveTraining(w io.Writer) error {
-	if err := nn.SaveParams(w, a.allParams()); err != nil {
+	if err := nn.SaveParams(w, a.Params()); err != nil {
 		return err
 	}
 	return a.opt.Save(w)
@@ -39,7 +41,7 @@ func (a *Autoencoder) SaveTraining(w io.Writer) error {
 // accumulated gradients, discarding whatever a half-finished iteration left
 // behind.
 func (a *Autoencoder) LoadTraining(r io.Reader) error {
-	if err := nn.LoadParams(r, a.allParams()); err != nil {
+	if err := nn.LoadParams(r, a.Params()); err != nil {
 		return err
 	}
 	return a.opt.Load(r)

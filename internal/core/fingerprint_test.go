@@ -2,6 +2,8 @@
 package core
 
 import (
+	"encoding/binary"
+	"hash"
 	"hash/fnv"
 	"math"
 	"runtime"
@@ -39,10 +41,11 @@ func TestFitFingerprintOracle(t *testing.T) {
 		rows, diffIters          int
 		sampleRows, steps        int
 		wantWeights, wantSampled uint64
+		wantDigest               uint64
 		wantLatentBytes          int64
 	}{
-		{"adult", 4000, 22, 500, 25, 0xaf798c649637b2b2, 0xadfaef4b8c6463d3, 448108},
-		{"churn", 2000, 2, 64, 5, 0xf4b9aab0660108ff, 0x72d9f39046383eb4, 224108},
+		{"adult", 4000, 22, 500, 25, 0xaf798c649637b2b2, 0xadfaef4b8c6463d3, 0xca7aab42035bbed5, 448108},
+		{"churn", 2000, 2, 64, 5, 0xf4b9aab0660108ff, 0x72d9f39046383eb4, 0x4c4d457d516bfdd2, 224108},
 	}
 	for _, c := range cases {
 		spec, err := datagen.ByName(c.dataset)
@@ -65,19 +68,15 @@ func TestFitFingerprintOracle(t *testing.T) {
 		if got := weights.Sum64(); got != c.wantWeights {
 			t.Errorf("%s: weight hash %016x, oracle %016x", c.dataset, got, c.wantWeights)
 		}
+		if got := weightDigest(m.pipe); got != c.wantDigest {
+			t.Errorf("%s: weight digest %016x, oracle %016x", c.dataset, got, c.wantDigest)
+		}
 		drawn, err := m.Sample(c.sampleRows)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sampled := fnv.New64a()
-		var b [8]byte
-		for _, v := range drawn.Data.Data {
-			u := math.Float64bits(v)
-			for i := range b {
-				b[i] = byte(u >> (8 * i))
-			}
-			sampled.Write(b[:])
-		}
+		hashFloats(sampled, drawn.Data.Data)
 		if got := sampled.Sum64(); got != c.wantSampled {
 			t.Errorf("%s: sampled-table hash %016x, oracle %016x", c.dataset, got, c.wantSampled)
 		}
@@ -115,4 +114,34 @@ func TestFitFingerprintOracle(t *testing.T) {
 			}
 		}
 	}
+}
+
+// hashFloats feeds the little-endian bit pattern of every value to h.
+func hashFloats(h hash.Hash64, vs []float64) {
+	var b [8]byte
+	for _, v := range vs {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+}
+
+// weightDigest hashes what a stacked fit learned without going through Save:
+// every parameter's bits in Params() order, clients then backbone, then the
+// latent scaler. It cannot move when the checkpoint container does, so a
+// changed Save-stream hash beside an unchanged digest is a format change and
+// nothing else.
+func weightDigest(p *silo.Pipeline) uint64 {
+	h := fnv.New64a()
+	for _, c := range p.Clients {
+		for _, q := range c.AE.Params() {
+			hashFloats(h, q.Value.Data)
+		}
+	}
+	for _, q := range p.Coord.Model.Net.Params() {
+		hashFloats(h, q.Value.Data)
+	}
+	mean, std := p.Coord.LatentScaler()
+	hashFloats(h, mean)
+	hashFloats(h, std)
+	return h.Sum64()
 }

@@ -146,6 +146,10 @@ func (c *Coordinator) fitLatentScaler(z *tensor.Matrix) {
 	}
 }
 
+// LatentScaler returns the per-dimension mean and std fitLatentScaler
+// recorded (nil when whitening is disabled or nothing was trained).
+func (c *Coordinator) LatentScaler() (mean, std []float64) { return c.latMean, c.latStd }
+
 // whiten returns (z - mean) / std as a new matrix.
 func (c *Coordinator) whiten(z *tensor.Matrix) *tensor.Matrix {
 	out := tensor.New(z.Rows, z.Cols)
