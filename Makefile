@@ -13,10 +13,13 @@ vet:
 # (silofuse-vet) plus go vet and a gofmt check. The tree must stay clean:
 # silofuse-vet exits nonzero on any finding, and unformatted files fail the
 # gofmt step. -stats prints per-analyzer finding counts and wall-time so an
-# analyzer that suddenly gets slow or noisy is visible in the CI log.
+# analyzer that suddenly gets slow or noisy is visible in the CI log. The grep
+# keeps encoding/gob out of the module: frames (internal/silo/frame.go) and
+# checkpoints (internal/nn/checkpoint.go) are the two formats it speaks.
 lint:
 	$(GO) run ./cmd/silofuse-vet -stats .
 	$(GO) vet ./...
+	@! grep -rn '"encoding/gob"' --include='*.go' . || { echo "encoding/gob is not used in this module"; exit 1; }
 	@unformatted=$$(gofmt -l . | grep -v testdata); \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
@@ -69,11 +72,15 @@ test-chaos:
 race:
 	$(GO) test -race -timeout 30m ./internal/silo/... ./internal/obs/... ./internal/tensor/... ./internal/core/... ./internal/experiments/... ./internal/diffusion/...
 
-# fuzz-smoke runs the one wire decoder against mutated frames for a fixed
-# short budget: malformed input must come back as ErrCorruptPayload, never a
-# panic, and whatever decodes must re-encode to the bytes it was read from.
+# fuzz-smoke runs the two decoders of outside bytes against mutated input for
+# a fixed short budget each. The wire decoder on frames: malformed input must
+# come back as ErrCorruptPayload. The three checkpoint loaders (stacked, E2E,
+# VFL) on streams: a refusal must wrap nn.ErrCheckpoint and allocate no more
+# than a valid stream does. Both: never a panic, and whatever decodes must
+# re-encode to the bytes it was read from.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime 10s ./internal/silo/
+	$(GO) test -run '^$$' -fuzz FuzzCheckpointLoad -fuzztime 10s ./internal/silo/
 
 # codec-smoke exercises the precision-tiered wire codecs end to end:
 #   1. an f32-codec + f32-compute run must complete and emit data (tolerance

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -202,15 +203,7 @@ func run(c config) error {
 		if !ok {
 			return fmt.Errorf("-save requires the silofuse model, got %s", m.Name())
 		}
-		f, err := os.Create(c.saveModel)
-		if err != nil {
-			return err
-		}
-		if err := sf.Save(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFileAtomic(c.saveModel, sf.Save); err != nil {
 			return err
 		}
 		fmt.Printf("saved model state to %s\n", c.saveModel)
@@ -334,6 +327,30 @@ func writeTelemetry(c config, m silofuse.Synthesizer, rec *silofuse.Recorder, pr
 		rec.Events.Emit("run-end", fields)
 	}
 	return nil
+}
+
+// writeFileAtomic writes path through a temporary file in the same directory
+// and renames it into place once it is complete and on disk, so a crash, a
+// full disk or a failed write never leaves a truncated file under the name
+// the next -load opens.
+func writeFileAtomic(path string, write func(io.Writer) error) error {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	if err = write(f); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return err
 }
 
 func writeCSV(path string, t *silofuse.Table) error {

@@ -7,9 +7,8 @@ import (
 )
 
 // Save writes the encoder and decoder weights to w. The input featuriser
-// statistics are part of the schema-derived architecture and are saved too
-// via the parameter stream ordering; callers must rebuild the autoencoder
-// with the same training table schema before Load.
+// statistics are not weights and are not saved: callers must rebuild the
+// autoencoder from the same training table and configuration before Load.
 func (a *Autoencoder) Save(w io.Writer) error {
 	return nn.SaveParams(w, a.Params())
 }
@@ -26,23 +25,11 @@ func (a *Autoencoder) Params() []*nn.Param {
 	return append(append([]*nn.Param{}, a.encoder.Params()...), a.decoder.Params()...)
 }
 
-// SaveTraining writes the full mid-training state — weights plus the Adam
-// moment estimates and step counter — so joint training (E2EDistr) can
-// resume from a checkpoint bit-identically. Save alone is enough for a
-// finished model; a *resumed optimiser* also needs its momenta.
-func (a *Autoencoder) SaveTraining(w io.Writer) error {
-	if err := nn.SaveParams(w, a.Params()); err != nil {
-		return err
-	}
-	return a.opt.Save(w)
-}
-
-// LoadTraining restores state written by SaveTraining and zeroes any
-// accumulated gradients, discarding whatever a half-finished iteration left
-// behind.
-func (a *Autoencoder) LoadTraining(r io.Reader) error {
-	if err := nn.LoadParams(r, a.Params()); err != nil {
-		return err
-	}
-	return a.opt.Load(r)
+// Training saves or loads the full mid-training state as one section of c —
+// weights plus the Adam moments and step counter a *resumed optimiser* needs
+// for joint training (E2EDistr) to continue bit-identically. A load zeroes
+// the gradients a half-finished iteration left behind.
+func (a *Autoencoder) Training(c *nn.Checkpoint, section string) {
+	c.Params(section, a.Params())
+	c.Adam(section, a.opt)
 }

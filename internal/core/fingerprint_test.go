@@ -15,10 +15,11 @@ import (
 )
 
 // TestFitFingerprintOracle pins a whole stacked fit and a draw from it to
-// the FNV-1a hashes CHANGES.md records since PR 13: the hash of Save's
-// stream (every weight) and the hash of the sampled table's cell bits, on
-// the narrow schema and on the wide one, at the benchmark's shapes and
-// seed 1. Kernel and layer rewrites (the AVX2 axpy, the gather/scatter
+// FNV-1a hashes: of Save's stream (every weight, in the checkpoint format —
+// re-pinned in PR 26 when the container changed from gob), of the weights
+// themselves (weightDigest, which did not move then) and of the sampled
+// table's cell bits (recorded in CHANGES.md since PR 13), on the narrow
+// schema and on the wide one, at the benchmark's shapes and seed 1. Kernel and layer rewrites (the AVX2 axpy, the gather/scatter
 // autoencoder input layer, chunked Encode, the pooled Adam sweep) are held
 // to "same bits" by this test; `make test-purego` repeats it on the Go
 // kernels. A change that is meant to alter the arithmetic updates the
@@ -44,8 +45,8 @@ func TestFitFingerprintOracle(t *testing.T) {
 		wantDigest               uint64
 		wantLatentBytes          int64
 	}{
-		{"adult", 4000, 22, 500, 25, 0xaf798c649637b2b2, 0xadfaef4b8c6463d3, 0xca7aab42035bbed5, 448108},
-		{"churn", 2000, 2, 64, 5, 0xf4b9aab0660108ff, 0x72d9f39046383eb4, 0x4c4d457d516bfdd2, 224108},
+		{"adult", 4000, 22, 500, 25, 0x8867f8ab01363bb2, 0xadfaef4b8c6463d3, 0xca7aab42035bbed5, 448108},
+		{"churn", 2000, 2, 64, 5, 0xb2dee736ffe4e254, 0x72d9f39046383eb4, 0x4c4d457d516bfdd2, 224108},
 	}
 	for _, c := range cases {
 		spec, err := datagen.ByName(c.dataset)

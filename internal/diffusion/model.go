@@ -1,7 +1,6 @@
 package diffusion
 
 import (
-	"io"
 	"math"
 	"math/rand"
 	"runtime"
@@ -265,10 +264,3 @@ func (p *predictor32) Predict32(x *tensor.Matrix32, ts []int) *tensor.Matrix32 {
 	}
 	return eps
 }
-
-// Save writes the backbone weights to w.
-func (m *Model) Save(w io.Writer) error { return nn.SaveParams(w, m.Net.Params()) }
-
-// Load restores backbone weights written by Save into a model built with
-// the same configuration.
-func (m *Model) Load(r io.Reader) error { return nn.LoadParams(r, m.Net.Params()) }

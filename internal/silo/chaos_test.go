@@ -98,7 +98,7 @@ func TestChaosMatrixStackedTransparent(t *testing.T) {
 
 // chaosVFLSetup builds the partitioned-features classification task shared
 // by the VFL chaos tests.
-func chaosVFLSetup(t *testing.T) (silos []*tabular.Table, labels []int, cfg VFLConfig) {
+func chaosVFLSetup(t testing.TB) (silos []*tabular.Table, labels []int, cfg VFLConfig) {
 	t.Helper()
 	spec, err := datagen.ByName("cardio")
 	if err != nil {

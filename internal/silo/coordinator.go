@@ -146,8 +146,7 @@ func (c *Coordinator) fitLatentScaler(z *tensor.Matrix) {
 	}
 }
 
-// LatentScaler returns the per-dimension mean and std fitLatentScaler
-// recorded (nil when whitening is disabled or nothing was trained).
+// LatentScaler returns the fitted per-dimension mean and std, nil unwhitened.
 func (c *Coordinator) LatentScaler() (mean, std []float64) { return c.latMean, c.latStd }
 
 // whiten returns (z - mean) / std as a new matrix.

@@ -1,9 +1,6 @@
 package silo
 
 import (
-	"bytes"
-	"encoding/gob"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -43,6 +40,7 @@ type E2EPipeline struct {
 	net   *nn.DiffusionMLP
 	opt   *nn.Adam
 	rng   *rand.Rand
+	index clientIndex
 }
 
 // SetRecorder threads rec through the joint pipeline and its transport, the
@@ -67,9 +65,11 @@ func NewE2EPipeline(bus Bus, data *tabular.Table, cfg PipelineConfig) (*E2EPipel
 	}
 	total := 0
 	dims := make([]int, len(base.Clients))
+	index := make(clientIndex, len(base.Clients))
 	for i, c := range base.Clients {
 		dims[i] = c.LatentDim()
 		total += dims[i]
+		index[c.ID] = i
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed + 777_777))
 	var sch *diffusion.Schedule
@@ -84,6 +84,7 @@ func NewE2EPipeline(bus Bus, data *tabular.Table, cfg PipelineConfig) (*E2EPipel
 		gauss: diffusion.NewGaussian(sch),
 		net:   nn.NewDiffusionMLP(rng, total, cfg.Diff.Hidden, total, cfg.Diff.Depth, cfg.Diff.TimeDim, cfg.Diff.Dropout),
 		rng:   rng,
+		index: index,
 	}
 	p.net.WarmTimesteps(cfg.Diff.T)
 	p.opt = nn.NewAdam(p.net.Params(), cfg.Diff.LR)
@@ -189,7 +190,11 @@ func (p *E2EPipeline) trainStep(rng *rand.Rand, idx []int) (float64, error) {
 		if env.Kind != KindActivation {
 			return 0, fmt.Errorf("silo: e2e expected activation, got %q", env.Kind)
 		}
-		zParts[clientIndex(env.From)] = env.Payload
+		ci, err := p.index.of(env.From)
+		if err != nil {
+			return 0, err
+		}
+		zParts[ci] = env.Payload
 	}
 	z := tensor.HStack(zParts...)
 	n := z.Rows
@@ -224,7 +229,7 @@ func (p *E2EPipeline) trainStep(rng *rand.Rand, idx []int) (float64, error) {
 
 	// 3. Clients: decoder loss on the denoised latents, gradient back up.
 	var lossAE float64
-	for _, c := range p.Clients {
+	for ci, c := range p.Clients {
 		env, err := p.Bus.Recv(c.ID)
 		if err != nil {
 			return 0, err
@@ -232,7 +237,6 @@ func (p *E2EPipeline) trainStep(rng *rand.Rand, idx []int) (float64, error) {
 		if env.Kind != KindDenoised {
 			return 0, fmt.Errorf("silo: e2e expected denoised latents, got %q", env.Kind)
 		}
-		ci := clientIndex(c.ID)
 		loss, gradX0 := c.AE.DecoderLossGrad(env.Payload, batches[ci], true)
 		lossAE += loss
 		if err := p.Bus.Send(&Envelope{From: c.ID, To: p.Coord.ID, Kind: KindGradUp, Payload: gradX0}); err != nil {
@@ -254,7 +258,11 @@ func (p *E2EPipeline) trainStep(rng *rand.Rand, idx []int) (float64, error) {
 		if env.Kind != KindGradUp {
 			return 0, fmt.Errorf("silo: e2e expected gradient, got %q", env.Kind)
 		}
-		gradX0Parts[clientIndex(env.From)] = env.Payload
+		ci, err := p.index.of(env.From)
+		if err != nil {
+			return 0, err
+		}
+		gradX0Parts[ci] = env.Payload
 	}
 	gradX0 := tensor.HStack(gradX0Parts...)
 	combined := gradPred.Clone()
@@ -299,138 +307,62 @@ func (p *E2EPipeline) trainStep(rng *rand.Rand, idx []int) (float64, error) {
 	return lossG + lossAE, nil
 }
 
-// e2eCheckpoint is the gob wire format of a mid-training E2E checkpoint.
-// Sections are nested []byte blobs so each inner gob stream decodes from
-// its own bytes.Reader without over-reading the next one.
-type e2eCheckpoint struct {
-	Iter int
-	Net  []byte   // backbone weights
-	Opt  []byte   // backbone Adam state
-	AEs  [][]byte // per-client autoencoder training state, in order
+// checkpoint describes the joint-training state: the iteration reached, then
+// weights plus Adam momenta of the backbone and of every client autoencoder.
+func (p *E2EPipeline) checkpoint(c *nn.Checkpoint, iter int) (int, error) {
+	it := []int{iter}
+	c.Ints("iter", it)
+	c.Params("net", p.net.Params())
+	c.Adam("net", p.opt)
+	for _, cl := range p.Clients {
+		cl.AE.Training(c, cl.ID)
+	}
+	return it[0], c.Close()
 }
 
-// SaveCheckpoint writes the full joint-training state — backbone weights
-// plus Adam momenta, and every client autoencoder's weights plus momenta —
-// so TrainFrom(iter, …) resumes bit-identically (for Dropout = 0 models,
-// whose forward passes draw no randomness beyond the per-iteration stream).
+// SaveCheckpoint streams the joint-training state to w, so TrainFrom(iter, …)
+// resumes bit-identically (for Dropout = 0 models, whose forward passes draw
+// no randomness beyond the per-iteration stream).
 func (p *E2EPipeline) SaveCheckpoint(w io.Writer, iter int) error {
-	ck := e2eCheckpoint{Iter: iter}
-	var buf bytes.Buffer
-	if err := nn.SaveParams(&buf, p.net.Params()); err != nil {
-		return err
-	}
-	ck.Net = buf.Bytes()
-	var obuf bytes.Buffer
-	if err := p.opt.Save(&obuf); err != nil {
-		return err
-	}
-	ck.Opt = obuf.Bytes()
-	for _, c := range p.Clients {
-		var ab bytes.Buffer
-		if err := c.AE.SaveTraining(&ab); err != nil {
-			return fmt.Errorf("silo: e2e checkpoint client %s: %w", c.ID, err)
-		}
-		ck.AEs = append(ck.AEs, ab.Bytes())
-	}
-	return gob.NewEncoder(w).Encode(ck)
+	_, err := p.checkpoint(nn.NewCheckpointWriter(w, kindE2E), iter)
+	return err
 }
 
 // LoadCheckpoint restores state written by SaveCheckpoint and returns the
 // iteration to resume from. Accumulated gradients from a half-finished
 // iteration are zeroed.
 func (p *E2EPipeline) LoadCheckpoint(r io.Reader) (int, error) {
-	var ck e2eCheckpoint
-	if err := gob.NewDecoder(r).Decode(&ck); err != nil {
-		return 0, fmt.Errorf("silo: decode e2e checkpoint: %w", err)
-	}
-	if len(ck.AEs) != len(p.Clients) {
-		return 0, fmt.Errorf("silo: e2e checkpoint has %d clients, pipeline has %d", len(ck.AEs), len(p.Clients))
-	}
-	if err := nn.LoadParams(bytes.NewReader(ck.Net), p.net.Params()); err != nil {
-		return 0, err
-	}
-	if err := p.opt.Load(bytes.NewReader(ck.Opt)); err != nil {
-		return 0, err
-	}
-	for i, c := range p.Clients {
-		if err := c.AE.LoadTraining(bytes.NewReader(ck.AEs[i])); err != nil {
-			return 0, fmt.Errorf("silo: e2e checkpoint client %s: %w", c.ID, err)
-		}
-	}
-	return ck.Iter, nil
+	return p.checkpoint(nn.NewCheckpointReader(r, kindE2E), 0)
 }
 
-func (p *E2EPipeline) parties() []string {
-	ps := make([]string, 0, len(p.Clients)+1)
-	for _, c := range p.Clients {
-		ps = append(ps, c.ID)
-	}
-	return append(ps, p.Coord.ID)
-}
-
-// TrainResilient runs joint training with an in-memory checkpoint every
-// `every` iterations. A chunk that dies with ErrPeerDead triggers the
-// recovery hook, a bus reset and a replay from the last checkpoint;
-// per-iteration rng derivation makes the recovered run bit-identical to a
-// fault-free one. The returned loss is the same final-10% tail mean Train
-// reports.
+// TrainResilient runs joint training under trainResilient; per-iteration rng
+// derivation makes a recovered run bit-identical to a fault-free one. The
+// returned loss is the same final-10% tail mean Train reports.
 func (p *E2EPipeline) TrainResilient(iters, every int, rc RecoveryConfig) (float64, error) {
-	if every <= 0 {
-		every = 50
-	}
-	if rc.MaxPhaseRetries <= 0 {
-		rc.MaxPhaseRetries = 2
-	}
-	var ckBuf bytes.Buffer
-	if err := p.SaveCheckpoint(&ckBuf, 0); err != nil {
-		return 0, err
-	}
 	var tailSum float64
 	var tailCount int
-	start, retries := 0, 0
-	for start < iters {
-		end := start + every
-		if end > iters {
-			end = iters
-		}
+	err := trainResilient("e2e", p.Bus, parties(p.Clients, p.Coord), iters, every, rc, p.SaveCheckpoint, p.LoadCheckpoint, func(start, end int) error {
 		sum, count, err := p.trainRange(start, end, iters)
-		if err != nil {
-			if !errors.Is(err, ErrPeerDead) || retries >= rc.MaxPhaseRetries {
-				return 0, err
-			}
-			retries++
-			if rc.OnPeerDead != nil {
-				if herr := rc.OnPeerDead(DeadPeerName(err)); herr != nil {
-					return 0, fmt.Errorf("silo: e2e recovery aborted: %w", herr)
-				}
-			}
-			if rs, ok := p.Bus.(Resetter); ok {
-				rs.Reset(p.parties())
-			}
-			if _, lerr := p.LoadCheckpoint(bytes.NewReader(ckBuf.Bytes())); lerr != nil {
-				return 0, lerr
-			}
-			continue // replay the interrupted chunk
-		}
-		tailSum += sum
-		tailCount += count
-		start = end
-		ckBuf.Reset()
-		if err := p.SaveCheckpoint(&ckBuf, start); err != nil {
-			return 0, err
-		}
-	}
-	if tailCount == 0 {
-		return 0, nil
+		tailSum, tailCount = tailSum+sum, tailCount+count
+		return err
+	})
+	if err != nil || tailCount == 0 {
+		return 0, err
 	}
 	return tailSum / float64(tailCount), nil
 }
 
-// clientIndex parses the numeric suffix of a client ID ("c3" -> 3).
-func clientIndex(id string) int {
-	var i int
-	fmt.Sscanf(id, "c%d", &i)
-	return i
+// clientIndex maps a client's bus ID to its position, built once per model:
+// a message from the coordinator, from a client the run does not have or
+// under a garbage name is an error, not a write to slot 0 or past the slice.
+type clientIndex map[string]int
+
+func (ci clientIndex) of(id string) (int, error) {
+	i, ok := ci[id]
+	if !ok {
+		return 0, fmt.Errorf("%w %q", ErrUnknownSender, id)
+	}
+	return i, nil
 }
 
 // Synthesize draws n rows end-to-end: the backbone samples latents from
@@ -452,12 +384,11 @@ func (p *E2EPipeline) Synthesize(n int, sample bool) (*tabular.Table, error) {
 		return nil, err
 	}
 	out := make([]*tabular.Table, len(p.Clients))
-	for _, c := range p.Clients {
+	for ci, c := range p.Clients {
 		env, err := p.Bus.Recv(c.ID)
 		if err != nil {
 			return nil, err
 		}
-		ci := clientIndex(c.ID)
 		out[ci], err = c.DecodeLatents(env.Payload, sample)
 		if err != nil {
 			return nil, err

@@ -20,6 +20,8 @@ var (
 	// ErrBusClosed means a send was attempted on a transport whose Close has
 	// already begun; the message was not delivered and never will be.
 	ErrBusClosed = errors.New("silo: bus closed")
+	// ErrUnknownSender means a training step got a message from a non-client.
+	ErrUnknownSender = errors.New("silo: message from unknown sender")
 )
 
 // PeerDeadError carries the name of the dead peer; it unwraps to

@@ -1,8 +1,6 @@
 package silo
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"io"
 
@@ -11,163 +9,111 @@ import (
 	"silofuse/internal/tensor"
 )
 
-// snapshot is the gob wire format of a trained pipeline's state. Model
-// architectures are not stored — Load rebuilds them from the same training
-// table and configuration, then restores weights; the snapshot carries only
-// what training produced.
-type snapshot struct {
-	LatentDims   []int
-	LatMean      []float64
-	LatStd       []float64
-	ClientBlobs  [][]byte // autoencoder weights per client, in order
-	BackboneBlob []byte   // coordinator diffusion weights
-
-	// Checkpoint extensions (zero for a plain SaveState snapshot): the
-	// training phase reached, phase losses, and the collected latents so a
-	// resumed run can train the diffusion backbone without re-shipping.
-	Phase            int
-	AELoss, DiffLoss float64
-	LatRows, LatCols int
-	Latents          []float64
-}
+// Checkpoint stream kinds (nn/checkpoint.go's header byte).
+const (
+	kindStacked byte = 'S'
+	kindE2E     byte = 'E'
+	kindVFL     byte = 'V'
+)
 
 // SaveState writes the trained pipeline state (client autoencoders,
-// coordinator backbone, latent scaler) to w. The pipeline must have been
-// trained.
+// coordinator backbone, latent scaler) to w: a PhaseDiffusion checkpoint
+// without the training latents. The pipeline must have been trained.
 func (p *Pipeline) SaveState(w io.Writer) error {
-	if p.Coord.Model == nil {
-		return fmt.Errorf("silo: SaveState before training")
-	}
-	snap := snapshot{
-		LatentDims: append([]int(nil), p.Coord.latentDims...),
-		LatMean:    append([]float64(nil), p.Coord.latMean...),
-		LatStd:     append([]float64(nil), p.Coord.latStd...),
-	}
-	for _, c := range p.Clients {
-		var buf bytes.Buffer
-		if err := c.AE.Save(&buf); err != nil {
-			return fmt.Errorf("silo: save client %s: %w", c.ID, err)
-		}
-		snap.ClientBlobs = append(snap.ClientBlobs, buf.Bytes())
-	}
-	var buf bytes.Buffer
-	if err := p.Coord.Model.Save(&buf); err != nil {
-		return fmt.Errorf("silo: save backbone: %w", err)
-	}
-	snap.BackboneBlob = buf.Bytes()
-	return gob.NewEncoder(w).Encode(snap)
+	return p.SaveCheckpoint(w, &Checkpoint{Phase: PhaseDiffusion})
 }
 
 // LoadState restores state written by SaveState into a pipeline built with
 // the same configuration and training table (the table supplies the schema
 // and the featuriser statistics baked into each client's architecture).
 func (p *Pipeline) LoadState(r io.Reader) error {
-	var snap snapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return fmt.Errorf("silo: decode snapshot: %w", err)
+	ck, err := p.LoadCheckpoint(r)
+	if err == nil && ck.Phase != PhaseDiffusion {
+		err = fmt.Errorf("silo: %w: training stopped after phase %d", nn.ErrCheckpoint, ck.Phase)
 	}
-	if len(snap.ClientBlobs) != len(p.Clients) {
-		return fmt.Errorf("silo: snapshot has %d clients, pipeline has %d", len(snap.ClientBlobs), len(p.Clients))
-	}
-	for i, c := range p.Clients {
-		if err := c.AE.Load(bytes.NewReader(snap.ClientBlobs[i])); err != nil {
-			return fmt.Errorf("silo: load client %s: %w", c.ID, err)
-		}
-	}
-	// Rebuild the backbone at the snapshot's latent width, then restore.
-	total := 0
-	for _, d := range snap.LatentDims {
-		total += d
-	}
-	cfg := p.Cfg.Diff
-	cfg.Dim = total
-	model := diffusion.NewModel(p.Coord.rng, cfg)
-	if err := model.Load(bytes.NewReader(snap.BackboneBlob)); err != nil {
-		return fmt.Errorf("silo: load backbone: %w", err)
-	}
-	p.Coord.Model = model
-	p.Coord.latentDims = snap.LatentDims
-	p.Coord.latMean = snap.LatMean
-	p.Coord.latStd = snap.LatStd
-	return nil
+	return err
 }
 
-// SaveCheckpoint writes a mid-training checkpoint to w: the client
-// autoencoder weights from PhaseAE on, plus the collected latents from
-// PhaseLatents on, plus the backbone and latent scaler once training
-// completed. A checkpoint written after any phase lets a restarted process
-// resume with LoadCheckpoint and TrainStackedFrom without redoing the
-// completed phases.
+// SaveCheckpoint streams a mid-training checkpoint to w. A checkpoint
+// written after any phase lets a restarted process resume with
+// LoadCheckpoint and TrainStackedFrom without redoing the completed phases.
 func (p *Pipeline) SaveCheckpoint(w io.Writer, ck *Checkpoint) error {
 	if ck == nil {
 		return fmt.Errorf("silo: nil checkpoint")
 	}
-	snap := snapshot{Phase: int(ck.Phase), AELoss: ck.AELoss, DiffLoss: ck.DiffLoss}
-	if ck.Phase >= PhaseAE {
-		for _, c := range p.Clients {
-			var buf bytes.Buffer
-			if err := c.AE.Save(&buf); err != nil {
-				return fmt.Errorf("silo: checkpoint client %s: %w", c.ID, err)
-			}
-			snap.ClientBlobs = append(snap.ClientBlobs, buf.Bytes())
-		}
+	if ck.Phase >= PhaseDiffusion && p.Coord.Model == nil {
+		return fmt.Errorf("silo: SaveState before training")
 	}
-	if ck.Phase >= PhaseLatents && ck.latents != nil {
-		snap.LatRows, snap.LatCols = ck.latents.Rows, ck.latents.Cols
-		snap.Latents = ck.latents.Data
-		snap.LatentDims = append([]int(nil), p.Coord.latentDims...)
-	}
-	if ck.Phase >= PhaseDiffusion && p.Coord.Model != nil {
-		var buf bytes.Buffer
-		if err := p.Coord.Model.Save(&buf); err != nil {
-			return fmt.Errorf("silo: checkpoint backbone: %w", err)
-		}
-		snap.BackboneBlob = buf.Bytes()
-		snap.LatMean = append([]float64(nil), p.Coord.latMean...)
-		snap.LatStd = append([]float64(nil), p.Coord.latStd...)
-	}
-	return gob.NewEncoder(w).Encode(snap)
+	return p.checkpoint(nn.NewCheckpointWriter(w, kindStacked), ck)
 }
 
 // LoadCheckpoint restores a checkpoint written by SaveCheckpoint into a
 // pipeline built with the same configuration and training table, returning
 // the Checkpoint to hand to TrainStackedFrom.
 func (p *Pipeline) LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
-	var snap snapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("silo: decode checkpoint: %w", err)
-	}
-	ck := &Checkpoint{Phase: TrainPhase(snap.Phase), AELoss: snap.AELoss, DiffLoss: snap.DiffLoss}
-	if ck.Phase >= PhaseAE {
-		if len(snap.ClientBlobs) != len(p.Clients) {
-			return nil, fmt.Errorf("silo: checkpoint has %d clients, pipeline has %d", len(snap.ClientBlobs), len(p.Clients))
-		}
-		for i, c := range p.Clients {
-			if err := c.AE.Load(bytes.NewReader(snap.ClientBlobs[i])); err != nil {
-				return nil, fmt.Errorf("silo: checkpoint client %s: %w", c.ID, err)
-			}
-		}
-	}
-	if ck.Phase >= PhaseLatents && snap.Latents != nil {
-		ck.latents = tensor.FromSlice(snap.LatRows, snap.LatCols, snap.Latents)
-		p.Coord.latentDims = snap.LatentDims
-	}
-	if ck.Phase >= PhaseDiffusion && snap.BackboneBlob != nil {
-		total := 0
-		for _, d := range snap.LatentDims {
-			total += d
-		}
-		cfg := p.Cfg.Diff
-		cfg.Dim = total
-		model := diffusion.NewModel(p.Coord.rng, cfg)
-		if err := model.Load(bytes.NewReader(snap.BackboneBlob)); err != nil {
-			return nil, fmt.Errorf("silo: checkpoint backbone: %w", err)
-		}
-		p.Coord.Model = model
-		p.Coord.latMean = snap.LatMean
-		p.Coord.latStd = snap.LatStd
+	ck := &Checkpoint{}
+	if err := p.checkpoint(nn.NewCheckpointReader(r, kindStacked), ck); err != nil {
+		return nil, err
 	}
 	return ck, nil
+}
+
+// checkpoint describes a stacked checkpoint: the phase reached and the phase
+// losses; the client autoencoder weights from PhaseAE on; the collected
+// latents when ck holds them; the latent scaler and the backbone once
+// training completed. Every shape a load fills is the pipeline's own: the
+// clients' latent widths, the training table's row count, the configured
+// backbone.
+func (p *Pipeline) checkpoint(c *nn.Checkpoint, ck *Checkpoint) error {
+	head := []int{int(ck.Phase), 0}
+	if ck.Phase >= PhaseLatents && ck.latents != nil {
+		head[1] = 1
+	}
+	loss := []float64{ck.AELoss, ck.DiffLoss}
+	c.Ints("phase", head)
+	c.Tensor("loss", 1, 2, loss)
+	if err := c.Err(); err != nil {
+		return err
+	}
+	ck.Phase, ck.AELoss, ck.DiffLoss = TrainPhase(head[0]), loss[0], loss[1]
+	if ck.Phase < PhaseNone || ck.Phase > PhaseDiffusion || head[1] < 0 || head[1] > 1 || (head[1] == 1 && ck.Phase < PhaseLatents) {
+		return fmt.Errorf("silo: %w: phase %d, latents %d", nn.ErrCheckpoint, head[0], head[1])
+	}
+	if ck.Phase >= PhaseAE {
+		for _, cl := range p.Clients {
+			c.Params(cl.ID, cl.AE.Params())
+		}
+	}
+	dims, total := make([]int, len(p.Clients)), 0
+	for i, cl := range p.Clients {
+		dims[i] = cl.LatentDim()
+		total += dims[i]
+	}
+	if c.Loading() {
+		p.Coord.latentDims = dims // architecture, not stored: a wrong width fails in c<i>/…
+	}
+	if head[1] == 1 && c.Err() == nil {
+		if c.Loading() {
+			ck.latents = tensor.New(p.Clients[0].Data.Rows(), total)
+		}
+		c.Tensor("latents", ck.latents.Rows, ck.latents.Cols, ck.latents.Data)
+	}
+	if ck.Phase >= PhaseDiffusion && c.Err() == nil {
+		if c.Loading() {
+			cfg := p.Cfg.Diff
+			cfg.Dim = total
+			p.Coord.Model = diffusion.NewModel(p.Coord.rng, cfg)
+			if !p.Coord.DisableWhitening {
+				p.Coord.latMean, p.Coord.latStd = make([]float64, total), make([]float64, total)
+			}
+		}
+		if !p.Coord.DisableWhitening {
+			c.Tensor("latent.mean", 1, len(p.Coord.latMean), p.Coord.latMean)
+			c.Tensor("latent.std", 1, len(p.Coord.latStd), p.Coord.latStd)
+		}
+		c.Params("backbone", p.Coord.Model.Net.Params())
+	}
+	return c.Close()
 }
 
 // ParamCount reports the total trainable scalars across all actors (clients

@@ -1,8 +1,10 @@
 package silo
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"sync"
 
@@ -283,13 +285,59 @@ type RecoveryConfig struct {
 	OnPeerDead func(peer string) error
 }
 
+// trainResilient runs chunk over [0, iters) in pieces of `every` iterations
+// (default 50), saving an in-memory checkpoint into one reused buffer after
+// each. A piece that dies with ErrPeerDead invokes the recovery hook, resets
+// the bus sequencing, restores the last checkpoint and is replayed; any other
+// error, and retry exhaustion, aborts.
+func trainResilient(what string, bus Bus, names []string, iters, every int, rc RecoveryConfig,
+	save func(io.Writer, int) error, load func(io.Reader) (int, error), chunk func(start, end int) error) error {
+	if every <= 0 {
+		every = 50
+	}
+	if rc.MaxPhaseRetries <= 0 {
+		rc.MaxPhaseRetries = 2
+	}
+	var ck bytes.Buffer
+	if err := save(&ck, 0); err != nil {
+		return err
+	}
+	for start, retries := 0, 0; start < iters; {
+		end := min(start+every, iters)
+		if err := chunk(start, end); err != nil {
+			if !errors.Is(err, ErrPeerDead) || retries >= rc.MaxPhaseRetries {
+				return err
+			}
+			retries++
+			if rc.OnPeerDead != nil {
+				if herr := rc.OnPeerDead(DeadPeerName(err)); herr != nil {
+					return fmt.Errorf("silo: %s recovery aborted: %w", what, herr)
+				}
+			}
+			if rs, ok := bus.(Resetter); ok {
+				rs.Reset(names)
+			}
+			if _, err := load(bytes.NewReader(ck.Bytes())); err != nil {
+				return err
+			}
+			continue // replay the interrupted chunk
+		}
+		start = end
+		ck.Reset()
+		if err := save(&ck, start); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // parties lists every actor name on the bus, clients first.
-func (p *Pipeline) parties() []string {
-	out := make([]string, 0, len(p.Clients)+1)
-	for _, c := range p.Clients {
+func parties(clients []*Client, coord *Coordinator) []string {
+	out := make([]string, 0, len(clients)+1)
+	for _, c := range clients {
 		out = append(out, c.ID)
 	}
-	return append(out, p.Coord.ID)
+	return append(out, coord.ID)
 }
 
 // TrainStackedResilient runs stacked training with phase-level crash
@@ -317,7 +365,7 @@ func (p *Pipeline) TrainStackedResilient(rc RecoveryConfig) (aeLoss, diffLoss fl
 			}
 		}
 		if rs, ok := p.Bus.(Resetter); ok {
-			rs.Reset(p.parties())
+			rs.Reset(parties(p.Clients, p.Coord))
 		}
 	}
 }

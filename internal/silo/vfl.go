@@ -1,9 +1,6 @@
 package silo
 
 import (
-	"bytes"
-	"encoding/gob"
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -48,6 +45,7 @@ type VFLClassifier struct {
 	optHead *nn.Adam
 	rng     *rand.Rand
 	seed    int64
+	index   clientIndex
 }
 
 // VFLConfig configures the federated classifier.
@@ -75,8 +73,9 @@ func NewVFLClassifier(parts []*tabular.Table, cfg VFLConfig) (*VFLClassifier, er
 		cfg.LR = 1e-3
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	v := &VFLClassifier{Classes: cfg.Classes, EmbedDim: cfg.EmbedDim, rng: rng, seed: cfg.Seed}
-	for _, p := range parts {
+	v := &VFLClassifier{Classes: cfg.Classes, EmbedDim: cfg.EmbedDim, rng: rng, seed: cfg.Seed, index: clientIndex{}}
+	for i, p := range parts {
+		v.index[fmt.Sprintf("c%d", i)] = i
 		enc := tabular.NewEncoder(p)
 		bottom := nn.NewSequential(
 			nn.NewLinear(rng, enc.Width(), cfg.EmbedDim), &nn.GELU{},
@@ -139,7 +138,11 @@ func (v *VFLClassifier) TrainFrom(bus Bus, parts []*tabular.Table, labels []int,
 			if err != nil {
 				return 0, err
 			}
-			embs[clientIndex(env.From)] = env.Payload
+			ci, err := v.index.of(env.From)
+			if err != nil {
+				return 0, err
+			}
+			embs[ci] = env.Payload
 		}
 		// Coordinator: head forward/backward on the concatenated embedding.
 		h := tensor.HStack(embs...)
@@ -197,66 +200,32 @@ func (v *VFLClassifier) Predict(parts []*tabular.Table) ([]int, error) {
 	return pred, nil
 }
 
-// vflCheckpoint is the gob wire format of a mid-training VFL checkpoint.
-// Nested []byte sections keep each gob stream self-contained (a decoder
-// reading from a bytes.Reader never over-reads into the next section).
-type vflCheckpoint struct {
-	Iter   int
-	Params []byte   // all bottoms' params followed by the head's
-	Opts   [][]byte // Adam state per bottom optimiser, then the head's
-}
-
-func (v *VFLClassifier) allParams() []*nn.Param {
-	var ps []*nn.Param
-	for _, b := range v.bottoms {
-		ps = append(ps, b.Params()...)
+// checkpoint describes the full mid-training state: the iteration reached,
+// then each bottom's and the head's weights and Adam momenta.
+func (v *VFLClassifier) checkpoint(c *nn.Checkpoint, iter int) (int, error) {
+	it := []int{iter}
+	c.Ints("iter", it)
+	for i, b := range v.bottoms {
+		section := fmt.Sprint("bottom", i)
+		c.Params(section, b.Params())
+		c.Adam(section, v.optBot[i])
 	}
-	return append(ps, v.head.Params()...)
+	c.Params("head", v.head.Params())
+	c.Adam("head", v.optHead)
+	return it[0], c.Close()
 }
 
-func (v *VFLClassifier) opts() []*nn.Adam {
-	return append(append([]*nn.Adam{}, v.optBot...), v.optHead)
-}
-
-// SaveCheckpoint writes the full mid-training state — weights, Adam momenta
-// and the iteration reached — so TrainFrom can resume bit-identically.
+// SaveCheckpoint streams the mid-training state to w, so TrainFrom can
+// resume bit-identically.
 func (v *VFLClassifier) SaveCheckpoint(w io.Writer, iter int) error {
-	ck := vflCheckpoint{Iter: iter}
-	var pbuf bytes.Buffer
-	if err := nn.SaveParams(&pbuf, v.allParams()); err != nil {
-		return err
-	}
-	ck.Params = pbuf.Bytes()
-	for _, o := range v.opts() {
-		var b bytes.Buffer
-		if err := o.Save(&b); err != nil {
-			return err
-		}
-		ck.Opts = append(ck.Opts, b.Bytes())
-	}
-	return gob.NewEncoder(w).Encode(ck)
+	_, err := v.checkpoint(nn.NewCheckpointWriter(w, kindVFL), iter)
+	return err
 }
 
 // LoadCheckpoint restores state written by SaveCheckpoint and returns the
 // iteration to resume from.
 func (v *VFLClassifier) LoadCheckpoint(r io.Reader) (int, error) {
-	var ck vflCheckpoint
-	if err := gob.NewDecoder(r).Decode(&ck); err != nil {
-		return 0, fmt.Errorf("silo: decode vfl checkpoint: %w", err)
-	}
-	if err := nn.LoadParams(bytes.NewReader(ck.Params), v.allParams()); err != nil {
-		return 0, err
-	}
-	opts := v.opts()
-	if len(ck.Opts) != len(opts) {
-		return 0, fmt.Errorf("silo: vfl checkpoint has %d optimisers, model has %d", len(ck.Opts), len(opts))
-	}
-	for i, o := range opts {
-		if err := o.Load(bytes.NewReader(ck.Opts[i])); err != nil {
-			return 0, err
-		}
-	}
-	return ck.Iter, nil
+	return v.checkpoint(nn.NewCheckpointReader(r, kindVFL), 0)
 }
 
 func vflParties(clients int) []string {
@@ -267,55 +236,17 @@ func vflParties(clients int) []string {
 	return append(ps, "coord")
 }
 
-// TrainResilient runs split training with an in-memory checkpoint every
-// `every` iterations. When a chunk dies with ErrPeerDead it invokes the
-// recovery hook, resets the bus sequencing, restores the last checkpoint
-// and replays the chunk; because each iteration's randomness is derived
-// from (seed, iteration), the recovered run is bit-identical to a
-// fault-free one. Non-peer-death errors (and retry exhaustion) abort.
+// TrainResilient runs split training under trainResilient; because each
+// iteration's randomness is derived from (seed, iteration), the recovered
+// run is bit-identical to a fault-free one.
 func (v *VFLClassifier) TrainResilient(bus Bus, parts []*tabular.Table, labels []int, iters, batch, every int, rc RecoveryConfig) (float64, error) {
-	if every <= 0 {
-		every = 50
-	}
-	if rc.MaxPhaseRetries <= 0 {
-		rc.MaxPhaseRetries = 2
-	}
-	var ckBuf bytes.Buffer
-	if err := v.SaveCheckpoint(&ckBuf, 0); err != nil {
-		return 0, err
-	}
 	var loss float64
-	start, retries := 0, 0
-	for start < iters {
-		end := start + every
-		if end > iters {
-			end = iters
-		}
-		l, err := v.TrainFrom(bus, parts, labels, start, end, batch)
-		if err != nil {
-			if !errors.Is(err, ErrPeerDead) || retries >= rc.MaxPhaseRetries {
-				return 0, err
-			}
-			retries++
-			if rc.OnPeerDead != nil {
-				if herr := rc.OnPeerDead(DeadPeerName(err)); herr != nil {
-					return 0, fmt.Errorf("silo: vfl recovery aborted: %w", herr)
-				}
-			}
-			if rs, ok := bus.(Resetter); ok {
-				rs.Reset(vflParties(len(parts)))
-			}
-			if _, lerr := v.LoadCheckpoint(bytes.NewReader(ckBuf.Bytes())); lerr != nil {
-				return 0, lerr
-			}
-			continue // replay the interrupted chunk
-		}
-		loss = l
-		start = end
-		ckBuf.Reset()
-		if err := v.SaveCheckpoint(&ckBuf, start); err != nil {
-			return 0, err
-		}
+	err := trainResilient("vfl", bus, vflParties(len(parts)), iters, every, rc, v.SaveCheckpoint, v.LoadCheckpoint, func(start, end int) (err error) {
+		loss, err = v.TrainFrom(bus, parts, labels, start, end, batch)
+		return err
+	})
+	if err != nil {
+		return 0, err
 	}
 	return loss, nil
 }

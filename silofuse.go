@@ -24,6 +24,7 @@ import (
 	"silofuse/internal/diffusion"
 	"silofuse/internal/experiments"
 	"silofuse/internal/metrics"
+	"silofuse/internal/nn"
 	"silofuse/internal/obs"
 	"silofuse/internal/obs/profile"
 	"silofuse/internal/privacy"
@@ -249,12 +250,14 @@ type (
 	PeerDeadError = silo.PeerDeadError
 )
 
-// Typed transport failures surfaced by the fault-tolerant bus stack.
+// Typed failures of the fault-tolerant bus stack and of loading a model.
 var (
 	// ErrPeerDead marks a party as unreachable after the retry budget.
 	ErrPeerDead = silo.ErrPeerDead
 	// ErrCorruptPayload marks a payload that failed its checksum.
 	ErrCorruptPayload = silo.ErrCorruptPayload
+	// ErrCheckpoint marks a model file or checkpoint Load refused (format, shapes, length).
+	ErrCheckpoint = nn.ErrCheckpoint
 )
 
 // NewLocalBus builds the in-process transport.
