@@ -1,7 +1,7 @@
 GO ?= go
 BENCHFLAGS ?= -benchmem
 
-.PHONY: build vet lint lint-fixtures test test-purego cross-arm64 test-chaos race fuzz-smoke ci bench bench-kernels codec-smoke obs-smoke profile profile-smoke
+.PHONY: build vet lint lint-fixtures test test-purego cross-arm64 test-chaos race fuzz-smoke ci bench bench-kernels bench-layout codec-smoke obs-smoke profile profile-smoke
 
 build:
 	$(GO) build ./...
@@ -174,3 +174,15 @@ ci:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# bench-layout prints where the linker put the inner loop of the benchmark's
+# reference kernel (benchmark/speed.go) and that address mod 64. The loop is
+# faster inside one 64-byte line than across two, every setup_s / rows_per_s /
+# op_ms_p50 is divided by its speed, and any change to the size of a linked
+# package moves it (ROADMAP item 8). Run it on the parent and on the change
+# before believing a timing delta: unless both print the same mod 64, the
+# delta is layout.
+bench-layout:
+	@bin=$$(mktemp) && $(GO) build -o $$bin ./benchmark && \
+	addr=$$($(GO) tool nm $$bin | awk '$$3 == "main.kernel.func1" { print $$1 }') && rm -f $$bin && \
+	echo "main.kernel.func1 at 0x$$addr, $$((0x$$addr % 64)) mod 64"

@@ -132,6 +132,19 @@ func New(rng *rand.Rand, train *tabular.Table, cfg Config) *Autoencoder {
 	return a
 }
 
+// ReleaseTraining drops everything only a training step or the encoder writes
+// — gradients, Adam's moments and step count, every layer's batch-shaped
+// workspaces, the loss workspaces, Encode's padding — and keeps the weights
+// and the featuriser. The model is then what Load builds: Decode sizes the
+// decoder's workspaces for its own batch, and training it again starts a
+// fresh optimiser.
+func (a *Autoencoder) ReleaseTraining() {
+	a.encoder.ReleaseTraining()
+	a.decoder.ReleaseTraining()
+	a.opt.ReleaseTraining()
+	a.lossGrad, a.ce, a.encPad = nil, ceRows{}, nil
+}
+
 // ParamCount returns the number of trainable scalars.
 func (a *Autoencoder) ParamCount() int {
 	return nn.ParamCount(a.encoder.Params()) + nn.ParamCount(a.decoder.Params())

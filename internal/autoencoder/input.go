@@ -89,7 +89,7 @@ func (l *inputLayer) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
 //
 //silofuse:noalloc
 func (l *inputLayer) BackwardParams(gradOut *tensor.Matrix) {
-	wGrad := l.W.Grad
+	wGrad := l.W.EnsureGrad()
 	for r := 0; r < gradOut.Rows; r++ {
 		src, g := l.input.Row(r), gradOut.Row(r)
 		for _, sp := range l.enc.Spans {
@@ -103,10 +103,14 @@ func (l *inputLayer) BackwardParams(gradOut *tensor.Matrix) {
 	// Column sums first, then one add into the gradient: nn.Linear's order.
 	l.bsums = tensor.EnsureVec(l.bsums, gradOut.Cols)
 	gradOut.ColSumsInto(l.bsums)
+	bGrad := l.B.EnsureGrad().Data
 	for j, v := range l.bsums {
-		l.B.Grad.Data[j] += v
+		bGrad[j] += v
 	}
 }
+
+// ReleaseTraining drops the cached input and both workspaces.
+func (l *inputLayer) ReleaseTraining() { *l = inputLayer{W: l.W, B: l.B, enc: l.enc} }
 
 // Backward is BackwardParams; it returns nil because raw table cells have
 // no gradient.

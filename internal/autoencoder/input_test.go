@@ -233,6 +233,8 @@ func TestEncodeChunksMatchWholeTable(t *testing.T) {
 			t.Errorf("the training step after Encode(%d rows) allocates %d times, want 0", rows, n)
 		}
 	}
+	a.ReleaseTraining()
+	check(encodeChunk) // a released model has no batch shape to follow, like a fresh one
 }
 
 // TestTrainStepWarmAllocs pins the whole autoencoder step — gather input

@@ -339,21 +339,51 @@ func TestModelX0Parameterisation(t *testing.T) {
 	}
 }
 
-// TestEMASamplingDiffersFromLive verifies EMA weights are actually applied
-// during sampling and restored afterwards.
-func TestEMASamplingAppliesAndRestores(t *testing.T) {
-	rng := rand.New(rand.NewSource(18))
-	cfg := ModelConfig{Dim: 2, Hidden: 16, Depth: 1, TimeDim: 8, T: 20, LR: 5e-2, EMADecay: 0.99}
-	m := NewModel(rng, cfg)
-	data := tensor.New(64, 2).Randn(rng, 1)
-	m.Train(data, 50, 32)
-	// Live weights after aggressive training differ from the EMA shadow.
-	live := append([]float64(nil), m.Net.Params()[0].Value.Data...)
+// TestReleaseFoldsEMA: while a model trains, EMADecay keeps an average beside
+// the live weights and changes nothing else; ReleaseTraining makes that
+// average the weights, which is what Sample then reads and leaves alone.
+func TestReleaseFoldsEMA(t *testing.T) {
+	decay := 0.99 // a variable: 1-decay must round as it does at run time
+	cfg := ModelConfig{Dim: 2, Hidden: 16, Depth: 1, TimeDim: 8, T: 20, LR: 5e-2, EMADecay: decay}
+	m := NewModel(rand.New(rand.NewSource(18)), cfg)
+	cfg.EMADecay = 0
+	live := NewModel(rand.New(rand.NewSource(18)), cfg)
+	data := tensor.New(32, 2).Randn(rand.New(rand.NewSource(19)), 1)
+	var avg [][]float64
+	for _, p := range live.Net.Params() {
+		avg = append(avg, append([]float64(nil), p.Value.Data...))
+	}
+	for step := 0; step < 50; step++ {
+		m.TrainStep(data)
+		live.TrainStep(data)
+		for i, p := range live.Net.Params() {
+			for j, v := range p.Value.Data {
+				if m.Net.Params()[i].Value.Data[j] != v {
+					t.Fatalf("step %d: keeping an average moved live weight %d/%d", step, i, j)
+				}
+				avg[i][j] = decay*avg[i][j] + (1-decay)*v
+			}
+		}
+	}
+	m.ReleaseTraining()
+	differ := false
+	for i, p := range m.Net.Params() {
+		for j, v := range p.Value.Data {
+			if v != avg[i][j] {
+				t.Fatalf("released weight %d/%d is %v, the average is %v", i, j, v, avg[i][j])
+			}
+			differ = differ || v != live.Net.Params()[i].Value.Data[j]
+		}
+	}
+	if !differ {
+		t.Fatal("after aggressive training the average equals the live weights: the test shows nothing")
+	}
 	_ = m.Sample(4, 5)
-	after := m.Net.Params()[0].Value.Data
-	for i := range live {
-		if live[i] != after[i] {
-			t.Fatal("sampling must restore live weights")
+	for i, p := range m.Net.Params() {
+		for j, v := range p.Value.Data {
+			if v != avg[i][j] {
+				t.Fatal("sampling must leave the weights alone")
+			}
 		}
 	}
 }

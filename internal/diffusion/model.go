@@ -20,8 +20,9 @@ type ModelConfig struct {
 	Dropout   float64 // backbone dropout (paper: 0.01)
 	CosineSch bool    // cosine schedule instead of linear
 	// EMADecay, when > 0, maintains an exponential moving average of the
-	// backbone weights and samples with the averaged weights — the standard
-	// diffusion training stabiliser.
+	// backbone weights while the model trains — the standard diffusion
+	// training stabiliser. ReleaseTraining makes the average the model's
+	// weights, so sampling, Save and Load all read it.
 	EMADecay float64
 	// PredictX0 switches the network parameterisation from ε-prediction
 	// (the paper's eq. 2) to x0-prediction: the backbone regresses the
@@ -49,7 +50,6 @@ type Model struct {
 	G         *Gaussian
 	Net       *nn.DiffusionMLP
 	Opt       *nn.Adam
-	EMA       *nn.EMA // nil unless cfg.EMADecay > 0
 	PredictX0 bool
 	// Rec, when non-nil, receives per-step loss/throughput telemetry from
 	// Train (stage "diffusion"). nil means telemetry off at zero cost.
@@ -60,12 +60,16 @@ type Model struct {
 	// float32 kernel path.
 	precision string
 
-	// Persistent training/sampling workspaces: reused across steps while
-	// the batch shape is unchanged, so a steady-state TrainStep allocates
-	// nothing.
+	// Training state, allocated by the step that first writes it and dropped
+	// by ReleaseTraining: the weight average (EMADecay > 0 only) and the
+	// workspaces, reused across steps while the batch shape is unchanged, so
+	// a steady-state TrainStep allocates nothing.
+	emaDecay                         float64
+	ema                              *nn.EMA
 	tsBuf                            []int
 	epsBuf, xtBuf, gradBuf, batchBuf *tensor.Matrix
-	predEps                          *tensor.Matrix
+
+	predEps *tensor.Matrix // Predict's x0→ε workspace
 
 	// Batched-sampling workspaces (SampleBatchWithRngs): the stacked
 	// ping-pong matrices, the shared timestep slice, and the strided
@@ -94,11 +98,25 @@ func NewModel(rng *rand.Rand, cfg ModelConfig) *Model {
 		PredictX0: cfg.PredictX0,
 		rng:       rng,
 		precision: cfg.Precision,
-	}
-	if cfg.EMADecay > 0 {
-		m.EMA = nn.NewEMA(net.Params(), cfg.EMADecay)
+		emaDecay:  cfg.EMADecay,
 	}
 	return m
+}
+
+// ReleaseTraining ends a training run. The weight average, if one was kept,
+// becomes the weights; gradients, Adam's moments and step count, the
+// backbone's batch-shaped workspaces and the step's own are dropped. The
+// model is then what loading its Save stream into NewModel builds: it samples
+// from the weights it holds, and training it again starts a fresh optimiser
+// and a fresh average.
+func (m *Model) ReleaseTraining() {
+	if m.ema != nil {
+		m.ema.Fold()
+		m.ema = nil
+	}
+	m.Net.ReleaseTraining()
+	m.Opt.ReleaseTraining()
+	m.tsBuf, m.epsBuf, m.xtBuf, m.gradBuf, m.batchBuf = nil, nil, nil, nil, nil
 }
 
 // TrainStep performs one optimisation step on a batch of clean data x0:
@@ -107,6 +125,9 @@ func NewModel(rng *rand.Rand, cfg ModelConfig) *Model {
 //
 //silofuse:noalloc
 func (m *Model) TrainStep(x0 *tensor.Matrix) float64 {
+	if m.emaDecay > 0 && m.ema == nil {
+		m.ema = nn.NewEMA(m.Net.Params(), m.emaDecay) // the average starts at the weights the run starts at
+	}
 	m.tsBuf = tensor.EnsureInts(m.tsBuf, x0.Rows)
 	ts := m.tsBuf
 	m.G.SampleTimestepsInto(m.rng, ts)
@@ -123,8 +144,8 @@ func (m *Model) TrainStep(x0 *tensor.Matrix) float64 {
 	loss := nn.MSELossInto(pred, target, m.gradBuf)
 	m.Net.Backward(m.gradBuf)
 	m.Opt.Step()
-	if m.EMA != nil {
-		m.EMA.Update()
+	if m.ema != nil {
+		m.ema.Update()
 	}
 	return loss
 }
@@ -195,8 +216,8 @@ func (m *Model) Predict(x *tensor.Matrix, ts []int) *tensor.Matrix {
 	return eps
 }
 
-// Sample draws n synthetic rows using steps inference timesteps. When EMA
-// is enabled the averaged weights are used for the whole sampling loop.
+// Sample draws n synthetic rows using steps inference timesteps, from the
+// weights the model holds.
 func (m *Model) Sample(n, steps int) *tensor.Matrix {
 	return m.SampleWithRng(m.rng, n, steps)
 }
@@ -206,10 +227,6 @@ func (m *Model) Sample(n, steps int) *tensor.Matrix {
 //
 //silofuse:noalloc
 func (m *Model) SampleWithRng(rng *rand.Rand, n, steps int) *tensor.Matrix {
-	if m.EMA != nil {
-		m.EMA.Apply()
-		defer m.EMA.Restore()
-	}
 	if m.precision == "f32" {
 		return tensor.To64(m.sample32(rng, n, steps))
 	}
@@ -217,8 +234,7 @@ func (m *Model) SampleWithRng(rng *rand.Rand, n, steps int) *tensor.Matrix {
 }
 
 // sample32 runs the reduced-precision sampling loop. The backbone weights
-// are snapshotted to float32 here — after EMA.Apply, so averaged weights
-// are what the snapshot narrows — and the result stays float32 until the
+// are snapshotted to float32 here and the result stays float32 until the
 // caller converts it once at the boundary.
 func (m *Model) sample32(rng *rand.Rand, n, steps int) *tensor.Matrix32 {
 	net32, err := m.Net.Snapshot32()

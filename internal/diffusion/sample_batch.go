@@ -58,10 +58,6 @@ func (m *Model) SampleBatchWithRngs(rngs []*rand.Rand, ns []int, steps int) *ten
 		total += n
 	}
 	dim := m.Net.In
-	if m.EMA != nil {
-		m.EMA.Apply()
-		defer m.EMA.Restore()
-	}
 	m.sbX = tensor.Ensure(m.sbX, total, dim)
 	m.sbBuf = tensor.Ensure(m.sbBuf, total, dim)
 	// Initial noise, one lane at a time: lane k's row block consumes
@@ -101,7 +97,7 @@ func (m *Model) SampleBatchWithRngs(rngs []*rand.Rand, ns []int, steps int) *ten
 }
 
 // sampleBatchSequential is the f32 fallback: per-lane SampleWithRng calls
-// (each manages its own EMA apply/restore and float32 snapshot) stacked
+// (each takes its own float32 snapshot) stacked
 // into one output matrix.
 func (m *Model) sampleBatchSequential(rngs []*rand.Rand, ns []int, steps int) *tensor.Matrix {
 	total := 0

@@ -10,8 +10,7 @@ import (
 )
 
 // batchSampleModel builds a briefly trained small model so sampling runs
-// over non-trivial weights (EMA on, exercising the batched path's
-// apply/restore bracket).
+// over non-trivial weights (EMA on and folded in, as a fitted coordinator's).
 func batchSampleModel(t *testing.T, seed int64) *Model {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -21,6 +20,7 @@ func batchSampleModel(t *testing.T, seed int64) *Model {
 	for i := 0; i < 30; i++ {
 		m.TrainStep(x0)
 	}
+	m.ReleaseTraining()
 	return m
 }
 

@@ -24,7 +24,8 @@ type AblationResult struct {
 //     output heads;
 //   - cosine-schedule: cosine instead of linear variance schedule;
 //   - ema: sample with exponentially averaged backbone weights;
-//   - steps-5: 5 instead of 25 inference denoising steps.
+//   - steps-5: 5 inference denoising steps instead of the scale's SynthSteps
+//     (15 at fast, 25 at standard).
 //
 // The default dataset is cardio (one of the paper's showcase datasets).
 func (c Config) Ablations() ([]AblationResult, error) {

@@ -56,6 +56,9 @@ func (g *GELU) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 // Params returns nil; GELU has no parameters.
 func (g *GELU) Params() []*Param { return nil }
 
+// ReleaseTraining drops the cached input and both workspaces.
+func (g *GELU) ReleaseTraining() { *g = GELU{} }
+
 // LeakyReLU with negative slope Alpha, used by the GAN baselines.
 type LeakyReLU struct {
 	Alpha    float64

@@ -126,6 +126,17 @@ func (d *DiffusionMLP) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 	return d.inProj.Backward(g)
 }
 
+// ReleaseTraining drops every layer's workspaces and the backbone's own. The
+// sinusoidal table stays: it depends on nothing a step writes, and sampling
+// reads it.
+func (d *DiffusionMLP) ReleaseTraining() {
+	d.inProj.ReleaseTraining()
+	d.timeProj.ReleaseTraining()
+	d.blocks.ReleaseTraining()
+	d.outProj.ReleaseTraining()
+	d.tfeat, d.tfeat1, d.hsum = nil, nil, nil
+}
+
 // Params returns all trainable parameters of the backbone.
 func (d *DiffusionMLP) Params() []*Param {
 	ps := append([]*Param{}, d.inProj.Params()...)

@@ -119,6 +119,7 @@ func (b *BatchNorm) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 	g := b.Gamma.Value.Data
 	b.gin = tensor.Ensure(b.gin, gradOut.Rows, d)
 	out := b.gin
+	gGrad, bGrad := b.Gamma.EnsureGrad().Data, b.Beta.EnsureGrad().Data
 
 	if b.invStd == nil {
 		// Inference-mode forward: running stats are constants, so the input
@@ -127,8 +128,8 @@ func (b *BatchNorm) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 			src, dst := gradOut.Row(i), out.Row(i)
 			xh := b.xhat.Row(i)
 			for j := range dst {
-				b.Gamma.Grad.Data[j] += src[j] * xh[j]
-				b.Beta.Grad.Data[j] += src[j]
+				gGrad[j] += src[j] * xh[j]
+				bGrad[j] += src[j]
 				dst[j] = src[j] * g[j] / math.Sqrt(b.runVar[j]+b.Eps)
 			}
 		}
@@ -145,8 +146,8 @@ func (b *BatchNorm) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 		grow := gradOut.Row(i)
 		xh := b.xhat.Row(i)
 		for j, gv := range grow {
-			b.Gamma.Grad.Data[j] += gv * xh[j]
-			b.Beta.Grad.Data[j] += gv
+			gGrad[j] += gv * xh[j]
+			bGrad[j] += gv
 			dxh := gv * g[j]
 			sumD[j] += dxh
 			sumDXh[j] += dxh * xh[j]

@@ -185,13 +185,15 @@ func (c *Checkpoint) Params(section string, ps []*Param) {
 }
 
 // Adam saves or loads the step counter and moment estimates a bit-identical
-// resume needs (the bias correction depends on t, the updates on m and v). A
-// load also zeroes the parameter gradients, so a half-finished iteration
-// cannot leak accumulated gradient into the resumed run.
+// resume needs (the bias correction depends on t, the updates on m and v). An
+// optimiser that has not stepped yet saves the zero moments it would start
+// from. A load also zeroes the parameter gradients, so a half-finished
+// iteration cannot leak accumulated gradient into the resumed run.
 func (c *Checkpoint) Adam(section string, a *Adam) {
 	t := []int{a.t}
 	c.Ints(section+"/adam.t", t)
 	a.t = t[0]
+	a.moments()
 	for i := range a.m {
 		c.Tensor(paramRecord(section, i, "adam.m"), a.m[i].Rows, a.m[i].Cols, a.m[i].Data)
 		c.Tensor(paramRecord(section, i, "adam.v"), a.v[i].Rows, a.v[i].Cols, a.v[i].Data)

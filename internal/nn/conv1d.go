@@ -78,19 +78,20 @@ func (c *Conv1D) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 	ol := c.OutLen(c.inLen)
 	c.gin = tensor.Ensure(c.gin, c.input.Rows, c.input.Cols)
 	gin := c.gin.Zero() // the loop below accumulates with +=
+	wGrad, bGrad := c.W.EnsureGrad(), c.B.EnsureGrad().Data
 	for r := 0; r < c.input.Rows; r++ {
 		xr := c.input.Row(r)
 		gr := gradOut.Row(r)
 		gi := gin.Row(r)
 		for oc := 0; oc < c.OutC; oc++ {
 			wrow := c.W.Value.Row(oc)
-			gwrow := c.W.Grad.Row(oc)
+			gwrow := wGrad.Row(oc)
 			for op := 0; op < ol; op++ {
 				g := gr[oc*ol+op]
 				if g == 0 { //silofuse:bitwise-ok zero-skip sparsity fast path
 					continue
 				}
-				c.B.Grad.Data[oc] += g
+				bGrad[oc] += g
 				base := op*c.Stride - c.Pad
 				for ic := 0; ic < c.InC; ic++ {
 					for k := 0; k < c.K; k++ {
@@ -186,18 +187,19 @@ func (c *ConvTranspose1D) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 	ol := c.OutLen(c.inLen)
 	c.gin = tensor.Ensure(c.gin, c.input.Rows, c.input.Cols)
 	gin := c.gin.Zero() // the loop below accumulates with +=
+	wGrad, bGrad := c.W.EnsureGrad(), c.B.EnsureGrad().Data
 	for r := 0; r < c.input.Rows; r++ {
 		xr := c.input.Row(r)
 		gr := gradOut.Row(r)
 		gi := gin.Row(r)
 		for oc := 0; oc < c.OutC; oc++ {
 			for op := 0; op < ol; op++ {
-				c.B.Grad.Data[oc] += gr[oc*ol+op]
+				bGrad[oc] += gr[oc*ol+op]
 			}
 		}
 		for ic := 0; ic < c.InC; ic++ {
 			wrow := c.W.Value.Row(ic)
-			gwrow := c.W.Grad.Row(ic)
+			gwrow := wGrad.Row(ic)
 			for ip := 0; ip < c.inLen; ip++ {
 				xv := xr[ic*c.inLen+ip]
 				gsum := 0.0

@@ -55,3 +55,6 @@ func (d *Dropout) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 
 // Params returns nil; Dropout has no parameters.
 func (d *Dropout) Params() []*Param { return nil }
+
+// ReleaseTraining drops the mask and both workspaces.
+func (d *Dropout) ReleaseTraining() { *d = Dropout{P: d.P, rng: d.rng} }

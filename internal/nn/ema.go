@@ -1,15 +1,13 @@
 package nn
 
 // EMA maintains an exponential moving average of a parameter set — the
-// standard stabiliser for diffusion model weights. Apply swaps the averaged
-// values into the live parameters (keeping a restore copy), Restore undoes
-// the swap.
+// standard stabiliser for diffusion model weights — while the set trains.
+// Fold ends that: the average becomes the parameters' values, which is what
+// sampling, Save and Load then all see, and the tracker is done.
 type EMA struct {
-	Decay   float64
-	params  []*Param
-	shadow  [][]float64
-	backup  [][]float64 // persistent workspace, valid only while applied
-	applied bool
+	Decay  float64
+	params []*Param
+	shadow [][]float64
 }
 
 // NewEMA creates an EMA tracker initialised to the current values.
@@ -33,27 +31,9 @@ func (e *EMA) Update() {
 	}
 }
 
-// Apply swaps the averaged values into the live parameters. The restore
-// copy lives in a persistent workspace, so a warm Apply/Restore bracket —
-// every batched sampling call runs one — does not allocate.
-func (e *EMA) Apply() {
-	if e.backup == nil {
-		e.backup = make([][]float64, len(e.params))
-	}
+// Fold overwrites the live parameter values with the average.
+func (e *EMA) Fold() {
 	for i, p := range e.params {
-		e.backup[i] = append(e.backup[i][:0], p.Value.Data...)
 		copy(p.Value.Data, e.shadow[i])
 	}
-	e.applied = true
-}
-
-// Restore puts the live training values back after Apply.
-func (e *EMA) Restore() {
-	if !e.applied {
-		return
-	}
-	for i, p := range e.params {
-		copy(p.Value.Data, e.backup[i])
-	}
-	e.applied = false
 }

@@ -21,22 +21,16 @@ func TestEMATracksAverage(t *testing.T) {
 	}
 }
 
-func TestEMAApplyRestore(t *testing.T) {
+func TestEMAFold(t *testing.T) {
 	p := NewParam("w", tensor.FromSlice(1, 1, []float64{5}))
 	e := NewEMA([]*Param{p}, 0.9)
 	p.Value.Data[0] = 10
 	e.Update() // shadow = 0.9*5 + 0.1*10 = 5.5
-	e.Apply()
+	if p.Value.Data[0] != 10 {
+		t.Fatalf("Update moved the live value to %v", p.Value.Data[0])
+	}
+	e.Fold()
 	if p.Value.Data[0] != 5.5 {
-		t.Fatalf("Apply: value = %v", p.Value.Data[0])
-	}
-	e.Restore()
-	if p.Value.Data[0] != 10 {
-		t.Fatalf("Restore: value = %v", p.Value.Data[0])
-	}
-	// Restore without Apply is a no-op.
-	e.Restore()
-	if p.Value.Data[0] != 10 {
-		t.Fatal("double Restore corrupted value")
+		t.Fatalf("Fold: value = %v", p.Value.Data[0])
 	}
 }

@@ -14,9 +14,8 @@ import (
 // optimiser state and every Backward stay float64 — so the snapshots carry
 // no Param machinery, only weight copies and persistent workspaces.
 //
-// Snapshots are taken from live layers (NewLinear32FromLinear narrows
-// whatever the Param currently holds), so callers that use EMA-averaged
-// weights must snapshot while the average is applied.
+// Snapshots are taken from live layers: NewLinear32FromLinear narrows
+// whatever the Param currently holds.
 
 // Linear32 is a forward-only float32 copy of a Linear layer: y = xW + b.
 type Linear32 struct {
@@ -116,8 +115,7 @@ type DiffusionMLP32 struct {
 }
 
 // Snapshot32 narrows the backbone's current weights into a forward-only
-// float32 twin. Call it after EMA.Apply when sampling with averaged
-// weights; the snapshot does not track later weight updates.
+// float32 twin; the snapshot does not track later weight updates.
 func (d *DiffusionMLP) Snapshot32() (*DiffusionMLP32, error) {
 	blocks, err := NewSequential32(d.blocks)
 	if err != nil {

@@ -473,8 +473,8 @@ func TestAdamSweepMatchesSerial(t *testing.T) {
 		opt := NewAdam(got, 1e-3)
 		for step := 1; step <= 3; step++ {
 			for i := range got {
-				got[i].Grad.Randn(rng, 1)
-				tensor.CopyInto(want[i].Grad, got[i].Grad)
+				got[i].EnsureGrad().Randn(rng, 1)
+				tensor.CopyInto(want[i].EnsureGrad(), got[i].Grad)
 			}
 			opt.Step()
 			adamReference(want, m, v, step, 1e-3)

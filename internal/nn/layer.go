@@ -15,20 +15,38 @@
 // next Forward/Backward — callers that need a result to survive a later
 // call through the same layer must Clone it. A shape change transparently
 // falls back to a fresh allocation (the cold-start path).
+//
+// None of that outlives the phase that trains: constructors allocate values
+// only, gradients (Param.EnsureGrad), Adam's moments and every workspace
+// appear when a step first writes them, and ReleaseTraining — on a layer, a
+// Sequential, the backbone, the optimiser — drops them again, leaving what
+// a checkpoint stores.
 package nn
 
 import "silofuse/internal/tensor"
 
-// Param is a trainable parameter with its accumulated gradient.
+// Param is a trainable parameter with its accumulated gradient. The gradient
+// is training state: nil until the first Backward through the parameter's
+// layer (EnsureGrad), and nil again once the optimiser's ReleaseTraining has
+// run, so a model that is not training holds its values and nothing else.
 type Param struct {
 	Name  string
 	Value *tensor.Matrix
 	Grad  *tensor.Matrix
 }
 
-// NewParam allocates a parameter and a zeroed gradient of the same shape.
+// NewParam wraps value as a parameter; its gradient is allocated on first use.
 func NewParam(name string, value *tensor.Matrix) *Param {
-	return &Param{Name: name, Value: value, Grad: tensor.New(value.Rows, value.Cols)}
+	return &Param{Name: name, Value: value}
+}
+
+// EnsureGrad returns the gradient every Backward accumulates into and every
+// optimiser step reads, allocating it zeroed if nothing has written it yet.
+func (p *Param) EnsureGrad() *tensor.Matrix {
+	if p.Grad == nil {
+		p.Grad = tensor.New(p.Value.Rows, p.Value.Cols)
+	}
+	return p.Grad
 }
 
 // Size returns the number of scalar parameters.
@@ -112,9 +130,27 @@ func ParamCount(ps []*Param) int {
 	return n
 }
 
-// ZeroGrads clears the gradient of every parameter.
+// ZeroGrads clears the gradient of every parameter that has one.
 func ZeroGrads(ps []*Param) {
 	for _, p := range ps {
-		p.Grad.Zero()
+		if p.Grad != nil {
+			p.Grad.Zero()
+		}
+	}
+}
+
+// releaser is a layer that holds more than its parameters: workspaces shaped
+// by the last batch, inputs cached for Backward.
+type releaser interface {
+	ReleaseTraining()
+}
+
+// ReleaseTraining drops every layer's workspaces, leaving the parameters: the
+// next Forward sizes them again for whatever batch it is given.
+func (s *Sequential) ReleaseTraining() {
+	for _, l := range s.Layers {
+		if r, ok := l.(releaser); ok {
+			r.ReleaseTraining()
+		}
 	}
 }

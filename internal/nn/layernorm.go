@@ -67,13 +67,14 @@ func (l *LayerNorm) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 	l.gin = tensor.Ensure(l.gin, gradOut.Rows, gradOut.Cols)
 	out := l.gin
 	g := l.Gamma.Value.Data
+	gGrad, bGrad := l.Gamma.EnsureGrad().Data, l.Beta.EnsureGrad().Data
 	for i := 0; i < gradOut.Rows; i++ {
 		grow := gradOut.Row(i)
 		xh := l.xhat.Row(i)
 		// Accumulate parameter gradients.
 		for j, gv := range grow {
-			l.Gamma.Grad.Data[j] += gv * xh[j]
-			l.Beta.Grad.Data[j] += gv
+			gGrad[j] += gv * xh[j]
+			bGrad[j] += gv
 		}
 		// dL/dxhat = gradOut * gamma
 		sumDxh := 0.0

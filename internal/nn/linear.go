@@ -65,16 +65,21 @@ func (l *Linear) BackwardParams(gradOut *tensor.Matrix) {
 		l.dW, l.wT = dW, tensor.FromSlice(w.Cols, w.Rows, dW.Data)
 	}
 	tensor.MatMulT1Into(l.dW, l.input, gradOut)
-	tensor.AddInto(l.W.Grad, l.W.Grad, l.dW)
+	wGrad := l.W.EnsureGrad()
+	tensor.AddInto(wGrad, wGrad, l.dW)
 	// Two-phase bias reduction: column sums land in a scratch vector first
 	// and are added to the grad in one pass, preserving the FP accumulation
 	// order of the old ColSums-then-add code across repeated Backwards.
 	l.bsums = tensor.EnsureVec(l.bsums, gradOut.Cols)
 	gradOut.ColSumsInto(l.bsums)
+	bGrad := l.B.EnsureGrad().Data
 	for j, v := range l.bsums {
-		l.B.Grad.Data[j] += v
+		bGrad[j] += v
 	}
 }
+
+// ReleaseTraining drops the cached input and every workspace.
+func (l *Linear) ReleaseTraining() { *l = Linear{W: l.W, B: l.B} }
 
 // Params returns the weight and bias parameters.
 func (l *Linear) Params() []*Param { return []*Param{l.W, l.B} }

@@ -51,7 +51,7 @@ func TestSGDReducesQuadratic(t *testing.T) {
 	p := NewParam("w", tensor.FromSlice(1, 1, []float64{5}))
 	opt := NewSGD([]*Param{p}, 0.1, 0.9)
 	for i := 0; i < 200; i++ {
-		p.Grad.Data[0] = 2 * p.Value.Data[0] // d/dw w^2
+		p.EnsureGrad().Data[0] = 2 * p.Value.Data[0] // d/dw w^2
 		opt.Step()
 	}
 	if math.Abs(p.Value.Data[0]) > 1e-3 {
@@ -64,7 +64,7 @@ func TestAdamReducesQuadratic(t *testing.T) {
 	opt := NewAdam([]*Param{p}, 0.1)
 	for i := 0; i < 500; i++ {
 		for j := range p.Value.Data {
-			p.Grad.Data[j] = 2 * p.Value.Data[j]
+			p.EnsureGrad().Data[j] = 2 * p.Value.Data[j]
 		}
 		opt.Step()
 	}
@@ -79,7 +79,7 @@ func TestAdamGradClipping(t *testing.T) {
 	p := NewParam("w", tensor.FromSlice(1, 1, []float64{0}))
 	opt := NewAdam([]*Param{p}, 0.001)
 	opt.ClipNorm = 1
-	p.Grad.Data[0] = 1000
+	p.EnsureGrad().Data[0] = 1000
 	opt.Step()
 	// After clipping, the first Adam step magnitude is ≈ lr.
 	if math.Abs(p.Value.Data[0]) > 0.0011 {
@@ -188,9 +188,9 @@ func TestParamCountAndZeroGrads(t *testing.T) {
 	if got := ParamCount(l.Params()); got != 3*2+2 {
 		t.Fatalf("ParamCount = %d", got)
 	}
-	l.W.Grad.Fill(1)
-	ZeroGrads(l.Params())
-	if l.W.Grad.Sum() != 0 {
+	l.W.EnsureGrad().Fill(1)
+	ZeroGrads(l.Params()) // the bias has no gradient yet: nothing to clear, nothing allocated
+	if l.W.Grad.Sum() != 0 || l.B.Grad != nil {
 		t.Fatal("ZeroGrads did not clear")
 	}
 }

@@ -33,9 +33,9 @@ func NewSGD(params []*Param, lr, momentum float64) *SGD {
 // Step applies v = m·v - lr·g; w += v, then zeroes gradients.
 func (s *SGD) Step() {
 	for i, p := range s.params {
-		v := s.velocity[i]
+		v, g := s.velocity[i], p.EnsureGrad().Data
 		for j := range p.Value.Data {
-			v.Data[j] = s.Momentum*v.Data[j] - s.LR*p.Grad.Data[j]
+			v.Data[j] = s.Momentum*v.Data[j] - s.LR*g[j]
 			p.Value.Data[j] += v.Data[j]
 		}
 	}
@@ -46,7 +46,10 @@ func (s *SGD) Step() {
 func (s *SGD) ZeroGrads() { ZeroGrads(s.params) }
 
 // Adam implements the Adam optimiser (Kingma & Ba) with bias correction.
-// The paper trains every model with Adam at lr=1e-3.
+// The paper trains every model with Adam at lr=1e-3. The moment estimates are
+// training state: allocated by the first Step (or a checkpoint that carries
+// them) and dropped by ReleaseTraining, so an optimiser that is not stepping
+// holds nothing.
 type Adam struct {
 	LR, Beta1, Beta2, Eps float64
 	// ClipNorm, when > 0, rescales the global gradient norm to at most this
@@ -62,13 +65,30 @@ type Adam struct {
 // NewAdam creates an Adam optimiser with standard defaults
 // (β1=0.9, β2=0.999, ε=1e-8).
 func NewAdam(params []*Param, lr float64) *Adam {
-	m := make([]*tensor.Matrix, len(params))
-	v := make([]*tensor.Matrix, len(params))
-	for i, p := range params {
-		m[i] = tensor.New(p.Value.Rows, p.Value.Cols)
-		v[i] = tensor.New(p.Value.Rows, p.Value.Cols)
+	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, params: params}
+}
+
+// moments allocates the zero moment estimates a run starts from.
+func (a *Adam) moments() {
+	if a.m != nil {
+		return
 	}
-	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, params: params, m: m, v: v}
+	a.m = make([]*tensor.Matrix, len(a.params))
+	a.v = make([]*tensor.Matrix, len(a.params))
+	for i, p := range a.params {
+		a.m[i] = tensor.New(p.Value.Rows, p.Value.Cols)
+		a.v[i] = tensor.New(p.Value.Rows, p.Value.Cols)
+	}
+}
+
+// ReleaseTraining drops the moments, the step count and every parameter's
+// gradient. What is left is what NewAdam returned, so a later Step starts a
+// fresh run — as it does on a model loaded from a checkpoint without moments.
+func (a *Adam) ReleaseTraining() {
+	a.m, a.v, a.t, a.sweep = nil, nil, 0, adamSweep{}
+	for _, p := range a.params {
+		p.Grad = nil
+	}
 }
 
 // adamSweep is the update of one parameter as a tensor.RangeKernel: every
@@ -92,10 +112,11 @@ func (s *adamSweep) RunRange(lo, hi int) {
 //silofuse:noalloc
 func (a *Adam) Step() {
 	a.t++
+	a.moments()
 	if a.ClipNorm > 0 {
 		total := 0.0
 		for _, p := range a.params {
-			for _, g := range p.Grad.Data {
+			for _, g := range p.EnsureGrad().Data {
 				total += g * g
 			}
 		}
@@ -112,7 +133,7 @@ func (a *Adam) Step() {
 	s.c.BC1 = 1 - math.Pow(a.Beta1, float64(a.t))
 	s.c.BC2 = 1 - math.Pow(a.Beta2, float64(a.t))
 	for i, p := range a.params {
-		s.w, s.g, s.m, s.v = p.Value.Data, p.Grad.Data, a.m[i].Data, a.v[i].Data
+		s.w, s.g, s.m, s.v = p.Value.Data, p.EnsureGrad().Data, a.m[i].Data, a.v[i].Data
 		tensor.ParallelRange(s, len(s.w), len(s.w))
 	}
 }

@@ -37,12 +37,15 @@ func NewClient(id string, data *tabular.Table, cfg autoencoder.Config, seed int6
 }
 
 // TrainLocal runs the client's autoencoder training (Algorithm 1 lines
-// 1-7), entirely on-premise: no messages are exchanged.
+// 1-7), entirely on-premise: no messages are exchanged. The phase is the
+// whole run, so the training state goes when it returns: calling it again
+// trains the weights further with a fresh optimiser.
 func (c *Client) TrainLocal(iters, batch int) float64 {
 	span := c.Rec.StartSpan("ae-train-local")
 	span.SetAttr("client", c.ID)
 	span.SetAttr("iters", iters)
 	loss := c.AE.Train(c.Data, iters, batch)
+	c.AE.ReleaseTraining()
 	span.SetAttr("loss", loss)
 	span.End()
 	return loss
@@ -61,6 +64,7 @@ func (c *Client) EncodeLocal() *tensor.Matrix { return c.AE.Encode(c.Data) }
 // style knob the paper discusses as a privacy/quality trade-off).
 func (c *Client) UploadLatents(bus Bus, coordinator string, noiseStd float64) error {
 	z := c.EncodeLocal()
+	c.AE.ReleaseTraining() // the encoder has run for the last time; synthesis only decodes
 	if noiseStd > 0 {
 		for i := range z.Data {
 			z.Data[i] += noiseStd * c.rng.NormFloat64()

@@ -23,7 +23,6 @@ type Coordinator struct {
 	Rec *obs.Recorder
 	rng *rand.Rand
 
-	latents     []*tensor.Matrix // received per client, in client order
 	latentDims  []int
 	clientOrder []string
 
@@ -68,14 +67,17 @@ func (c *Coordinator) CollectLatents(bus Bus) (*tensor.Matrix, error) {
 		parts[i] = z
 		c.latentDims[i] = z.Cols
 	}
-	c.latents = parts
 	return tensor.HStack(parts...), nil
 }
 
 // TrainDiffusion builds (if needed) and trains the backbone on the
 // concatenated latents for iters steps (Algorithm 1 lines 12-17). cfg.Dim
 // is overridden with the latent width; latents are whitened per dimension
-// first so the diffusion prior matches the data scale.
+// first so the diffusion prior matches the data scale. The phase is the whole
+// run: when it returns the whitened copy and the model's training state are
+// gone and the weights are the ones Sample reads and SaveState writes (the
+// average, under EMADecay), so calling it again trains them further with a
+// fresh optimiser.
 func (c *Coordinator) TrainDiffusion(z *tensor.Matrix, cfg diffusion.ModelConfig, iters, batch int) float64 {
 	zw := z
 	if !c.DisableWhitening {
@@ -87,7 +89,9 @@ func (c *Coordinator) TrainDiffusion(z *tensor.Matrix, cfg diffusion.ModelConfig
 		c.Model = diffusion.NewModel(c.rng, cfg)
 	}
 	c.Model.Rec = c.Rec
-	return c.Model.Train(zw, iters, batch)
+	loss := c.Model.Train(zw, iters, batch)
+	c.Model.ReleaseTraining()
+	return loss
 }
 
 // SampleLatents draws n synthetic latent rows with steps inference steps,
