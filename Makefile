@@ -1,7 +1,7 @@
 GO ?= go
 BENCHFLAGS ?= -benchmem
 
-.PHONY: build vet lint lint-fixtures test test-purego cross-arm64 test-chaos race fuzz-smoke ci bench bench-kernels bench-layout codec-smoke obs-smoke profile profile-smoke
+.PHONY: build vet lint lint-fixtures test test-purego cross-arm64 test-chaos race fuzz-smoke ci bench bench-kernels bench-layout codec-smoke obs-smoke profile
 
 build:
 	$(GO) build ./...
@@ -13,13 +13,14 @@ vet:
 # (silofuse-vet) plus go vet and a gofmt check. The tree must stay clean:
 # silofuse-vet exits nonzero on any finding, and unformatted files fail the
 # gofmt step. -stats prints per-analyzer finding counts and wall-time so an
-# analyzer that suddenly gets slow or noisy is visible in the CI log. The grep
-# keeps encoding/gob out of the module: frames (internal/silo/frame.go) and
-# checkpoints (internal/nn/checkpoint.go) are the two formats it speaks.
+# analyzer that suddenly gets slow or noisy is visible in the CI log. The greps
+# keep three imports out of the module, each with its reason beside it.
 lint:
 	$(GO) run ./cmd/silofuse-vet -stats .
 	$(GO) vet ./...
-	@! grep -rn '"encoding/gob"' --include='*.go' . || { echo "encoding/gob is not used in this module"; exit 1; }
+	@! grep -rn '"encoding/gob"' --include='*.go' . || { echo "encoding/gob: frames (internal/silo/frame.go) and checkpoints (internal/nn/checkpoint.go) are the two formats this module speaks"; exit 1; }
+	@! grep -rnE '"net/http(/[a-z]+)?"' --include='*.go' . || { echo "net/http: a run is read from the files it leaves (-trace, -metrics, results/<run>/); nothing is served live"; exit 1; }
+	@! grep -rn 'internal/obs/profile"' --include='*.go' . || { echo "internal/obs/profile: go tool pprof reads profiles; the in-repo decoder and phase profiler were deleted"; exit 1; }
 	@unformatted=$$(gofmt -l . | grep -v testdata); \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
@@ -144,33 +145,20 @@ obs-smoke:
 bench-kernels:
 	$(GO) test -run '^$$' -bench 'Axpy4|MatMul|Dispatch|Elementwise|Linear|TrainStep|SampleStep' $(BENCHFLAGS) ./internal/tensor/ ./internal/nn/ ./internal/diffusion/ ./internal/autoencoder/
 
-# profile-smoke exercises the phase-profiling pipeline end to end:
-#   1. a tiny training run captures per-phase CPU/heap/mutex/block pprof
-#      profiles;
-#   2. the stdlib pprof decoder must parse the captures and render a
-#      non-empty function table for the diffusion-train phase;
-#   3. silofuse-obs summary must degrade gracefully on a run directory
-#      carrying profiles but no event stream.
-PROFILE_SMOKE_DIR ?= /tmp/silofuse_profile_smoke
-profile-smoke:
-	rm -rf $(PROFILE_SMOKE_DIR) && mkdir -p $(PROFILE_SMOKE_DIR)
-	$(GO) build -o $(PROFILE_SMOKE_DIR)/silofuse-train ./cmd/silofuse-train
-	$(GO) build -o $(PROFILE_SMOKE_DIR)/silofuse-obs ./cmd/silofuse-obs
-	cd $(PROFILE_SMOKE_DIR) && ./silofuse-train -dataset abalone -clients 2 -train-rows 300 -iters 100 -rows 40 -out base.csv -run prof -profile-phases
-	$(PROFILE_SMOKE_DIR)/silofuse-obs profile -phase diffusion-train $(PROFILE_SMOKE_DIR)/results/prof > $(PROFILE_SMOKE_DIR)/profile.out
-	cat $(PROFILE_SMOKE_DIR)/profile.out
-	grep -q 'silofuse/internal/' $(PROFILE_SMOKE_DIR)/profile.out
-	cp -r $(PROFILE_SMOKE_DIR)/results/prof $(PROFILE_SMOKE_DIR)/results/noevents && rm $(PROFILE_SMOKE_DIR)/results/noevents/events.jsonl
-	$(PROFILE_SMOKE_DIR)/silofuse-obs summary $(PROFILE_SMOKE_DIR)/results/noevents | grep -q 'phase profiles'
-
-# profile captures CPU and heap profiles from a fast fig10 bench run into
-# /tmp, ready for `go tool pprof`.
+# profile captures CPU and heap profiles from a fast fig10 bench run and reads
+# the CPU profile back with `go tool pprof`, the only profile reader there is:
+# its top table must name a frame of this module.
+PROFILE_DIR ?= /tmp/silofuse_profile
 profile:
-	$(GO) run ./cmd/silofuse-bench -exp fig10 -datasets abalone -rows 2000 -scale fast -cpuprofile /tmp/silofuse_cpu.pprof -memprofile /tmp/silofuse_mem.pprof
-	@echo "profiles: /tmp/silofuse_cpu.pprof /tmp/silofuse_mem.pprof"
+	rm -rf $(PROFILE_DIR) && mkdir -p $(PROFILE_DIR)
+	$(GO) build -o $(PROFILE_DIR)/silofuse-bench ./cmd/silofuse-bench
+	cd $(PROFILE_DIR) && ./silofuse-bench -exp fig10 -datasets abalone -rows 2000 -scale fast -cpuprofile cpu.pprof -memprofile mem.pprof
+	$(GO) tool pprof -top -nodecount=10 $(PROFILE_DIR)/silofuse-bench $(PROFILE_DIR)/cpu.pprof > $(PROFILE_DIR)/top.out
+	cat $(PROFILE_DIR)/top.out
+	grep -q 'silofuse/internal/' $(PROFILE_DIR)/top.out
 
 ci:
-	$(MAKE) lint-fixtures && $(MAKE) lint && $(GO) build ./... && $(GO) test ./... && $(MAKE) test-purego && $(MAKE) cross-arm64 && $(MAKE) race && $(MAKE) test-chaos && $(MAKE) fuzz-smoke && $(MAKE) codec-smoke && $(MAKE) obs-smoke && $(MAKE) profile-smoke && $(MAKE) bench-kernels BENCHFLAGS='-benchtime=1x'
+	$(MAKE) lint-fixtures && $(MAKE) lint && $(GO) build ./... && $(GO) test ./... && $(MAKE) test-purego && $(MAKE) cross-arm64 && $(MAKE) race && $(MAKE) test-chaos && $(MAKE) fuzz-smoke && $(MAKE) codec-smoke && $(MAKE) obs-smoke && $(MAKE) profile && $(MAKE) bench-kernels BENCHFLAGS='-benchtime=1x'
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"slices"
 	"strings"
 	"time"
@@ -38,10 +40,8 @@ func main() {
 	tracePath := flag.String("trace", "", "write a Chrome-trace JSON covering every model fitted")
 	metricsFlag := flag.Bool("metrics", false, "print the metrics text exposition to stderr at the end")
 	runName := flag.String("run", "", "write results/<run>/manifest.json — the run's perf record: phases, step histograms, wire bytes by kind and codec — and stream results/<run>/events.jsonl")
-	listen := flag.String("listen", "", "serve live telemetry (/metrics, /healthz, /runs, /debug/pprof) on this address during the run")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU pprof profile covering the whole run to this path (captured by the phase profiler as the \"all\" phase)")
-	memProfile := flag.String("memprofile", "", "write an allocation pprof profile at the end of the run to this path (the phase profiler's final heap snapshot)")
-	profilePhases := flag.Bool("profile-phases", false, "capture per-phase CPU/heap/mutex/block pprof profiles into results/<run>/profiles (requires -run)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU pprof profile covering the whole run to this path (read it with go tool pprof)")
+	memProfile := flag.String("memprofile", "", "write a heap pprof profile at the end of the run to this path")
 	chaosProfile := flag.String("chaos-profile", "", "inject transport faults during distributed training: drop, dup, reorder, delay, corrupt, flaky, blackhole, crash (empty disables)")
 	chaosSeed := flag.Int64("chaos-seed", 1, "seed of the deterministic fault schedule (with -chaos-profile)")
 	wireCodec := flag.String("wire-codec", "", "wire codec framing dense tensor payloads: f64 (raw binary, lossless; the default), f32 (half the payload bytes), q8 (int8 quantization); fig10x sweeps all codecs regardless")
@@ -54,26 +54,12 @@ func main() {
 		os.Exit(2)
 	}
 
-	// One capture path: -cpuprofile/-memprofile delegate to the phase
-	// profiler (whole-run capture as the "all" phase), and -profile-phases
-	// adds per-phase slices under results/<run>/profiles.
-	var prof *silofuse.PhaseProfiler
-	if *profilePhases || *cpuProfile != "" || *memProfile != "" {
-		if *profilePhases && *runName == "" {
-			fmt.Fprintln(os.Stderr, "-profile-phases requires -run <name>")
-			os.Exit(2)
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err == nil {
+			err = pprof.StartCPUProfile(f)
 		}
-		pcfg := silofuse.ProfileConfig{CPUPath: *cpuProfile, HeapPath: *memProfile}
-		if *profilePhases {
-			pcfg = silofuse.DefaultProfileConfig(filepath.Join("results", *runName, "profiles"))
-			pcfg.CPUPath = *cpuProfile
-			pcfg.HeapPath = *memProfile
-		}
-		if *cpuProfile != "" {
-			pcfg.CPU = true
-			pcfg.WholeRunCPU = true
-		}
-		if prof, err = silofuse.NewPhaseProfiler(pcfg); err != nil {
+		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -137,10 +123,9 @@ func main() {
 		os.Exit(2)
 	}
 	var rec *silofuse.Recorder
-	if *tracePath != "" || *metricsFlag || *runName != "" || *listen != "" || prof != nil {
+	if *tracePath != "" || *metricsFlag || *runName != "" {
 		rec = silofuse.NewRecorder()
 		cfg.Opts.Recorder = rec
-		rec.SetProfiler(prof)
 	}
 	if *runName != "" {
 		ew, err := silofuse.OpenEventLog(filepath.Join("results", *runName, "events.jsonl"))
@@ -152,23 +137,6 @@ func main() {
 		rec.SetEvents(ew)
 		ew.Emit("run-start", map[string]any{"run": *runName, "exp": *exp, "scale": *scale, "seed": cfg.Seed})
 	}
-	if *listen != "" {
-		srv, err := silofuse.StartTelemetry(*listen, silofuse.TelemetryConfig{
-			Rec:           rec,
-			RunsDir:       "results",
-			PhaseProfiles: prof,
-			Health: func() map[string]any {
-				return map[string]any{"binary": "silofuse-bench", "exp": *exp, "scale": *scale}
-			},
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		fmt.Printf("telemetry listening on http://%s (/metrics /healthz /runs /debug/pprof /debug/phaseprofiles)\n", srv.Addr())
-	}
-
 	rt := experiments.CurrentRuntime()
 	fmt.Printf("runtime: %s %s/%s, %d CPUs, GOMAXPROCS %d, matmul kernel %s\n\n",
 		rt.GoVersion, rt.GOOS, rt.GOARCH, rt.NumCPU, rt.GOMAXPROCS, rt.Kernel)
@@ -184,27 +152,41 @@ func main() {
 			rec.Events.Emit("experiment", map[string]any{"exp": e.id, "dur_sec": elapsed.Seconds()})
 		}
 	}
-	// Closing the profiler stops the whole-run CPU capture and writes the
-	// final heap profile and profiles/index.json.
-	if err := prof.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if prof != nil && *cpuProfile != "" {
+	if *cpuProfile != "" {
+		pprof.StopCPUProfile()
 		fmt.Printf("wrote cpu profile %s\n", *cpuProfile)
 	}
-	if prof != nil && *memProfile != "" {
+	if *memProfile != "" {
+		if err := writeHeapProfile(*memProfile); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
 		fmt.Printf("wrote heap profile %s\n", *memProfile)
 	}
-	if err := writeTelemetry(rec, prof, *tracePath, *metricsFlag, *runName, *exp, cfg.Seed); err != nil {
+	if err := writeTelemetry(rec, *tracePath, *metricsFlag, *runName, *exp, cfg.Seed); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 }
 
+// writeHeapProfile collects garbage, so the profile shows what the run still
+// holds, and writes the heap profile to path.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
 // writeTelemetry emits the optional trace file, metrics exposition and run
 // manifest once all experiments have finished.
-func writeTelemetry(rec *silofuse.Recorder, prof *silofuse.PhaseProfiler, tracePath string, metrics bool, runName, exp string, seed int64) error {
+func writeTelemetry(rec *silofuse.Recorder, tracePath string, metrics bool, runName, exp string, seed int64) error {
 	if rec == nil {
 		return nil
 	}
@@ -231,7 +213,6 @@ func writeTelemetry(rec *silofuse.Recorder, prof *silofuse.PhaseProfiler, traceP
 		man := silofuse.NewRunManifest(runName, seed)
 		man.Config["exp"] = exp
 		man.FromRecorder(rec)
-		man.Profiles = prof.Entries()
 		dir := filepath.Join("results", runName)
 		if err := man.Write(dir); err != nil {
 			return err

@@ -12,8 +12,7 @@
 // share a single timeline with send→recv flow arrows between them.
 //
 // Every party also keeps a flight recorder (a fixed-size ring of recent
-// operations, the coordinator's served live at /debug/flightrecorder); when
-// -chaos-profile injects faults
+// operations); when -chaos-profile injects faults
 // and a typed transport error escapes recovery (e.g. -chaos-revive=false
 // exhausts the retry budget on a crashed peer), the rings are dumped to
 // results/<run>/postmortem/<party>.json for offline analysis with
@@ -22,7 +21,7 @@
 // Usage:
 //
 //	silofuse-demo -dataset loan -clients 3 -rows 600
-//	silofuse-demo -clients 3 -trace demo.json -run demo -listen 127.0.0.1:8080
+//	silofuse-demo -clients 3 -trace demo.json -run demo
 //	silofuse-demo -clients 2 -run crash -chaos-profile crash -chaos-revive=false
 package main
 
@@ -48,13 +47,11 @@ type config struct {
 	tracePath          string
 	metrics            bool
 	runName            string
-	listen             string
 	chaosProfile       string
 	chaosSeed          int64
 	chaosRevive        bool
 	wireCodec          string
 	computePrecision   string
-	profilePhases      bool
 }
 
 func main() {
@@ -65,15 +62,13 @@ func main() {
 	flag.IntVar(&c.synth, "synth", 100, "synthetic rows to generate")
 	flag.IntVar(&c.iters, "iters", 300, "training iterations per phase")
 	flag.StringVar(&c.tracePath, "trace", "", "write a merged Chrome-trace JSON (one process lane per party) to this path")
-	flag.BoolVar(&c.metrics, "metrics", false, "print the Prometheus text exposition to stderr after the run")
+	flag.BoolVar(&c.metrics, "metrics", false, "print the metrics text exposition to stderr after the run")
 	flag.StringVar(&c.runName, "run", "", "write results/<run>/manifest.json and stream results/<run>/events.jsonl")
-	flag.StringVar(&c.listen, "listen", "", "serve live telemetry (/metrics, /healthz, /runs, /debug/pprof, /debug/phaseprofiles) on this address during the run")
 	flag.StringVar(&c.chaosProfile, "chaos-profile", "", "inject transport faults on top of the TCP links: drop, dup, reorder, delay, corrupt, flaky, blackhole, crash (empty disables)")
 	flag.Int64Var(&c.chaosSeed, "chaos-seed", 1, "seed of the deterministic fault schedule (with -chaos-profile)")
 	flag.BoolVar(&c.chaosRevive, "chaos-revive", true, "revive crashed peers during phase recovery; =false lets a crash exhaust the retry budget and dump postmortems")
 	flag.StringVar(&c.wireCodec, "wire-codec", "f64", "precision tier framing tensor payloads on the wire: f64 (lossless), f32, q8")
 	flag.StringVar(&c.computePrecision, "compute-precision", "f64", "kernel precision for sampling and decode (training is always f64): f64 or f32")
-	flag.BoolVar(&c.profilePhases, "profile-phases", false, "capture per-phase CPU/heap/mutex/block pprof profiles into results/<run>/profiles (requires -run)")
 	flag.Parse()
 
 	if err := run(c); err != nil {
@@ -94,7 +89,7 @@ func run(c config) error {
 	var coordRec *silofuse.Recorder
 	var clientRecs []*silofuse.Recorder
 	flights := map[string]*silofuse.FlightRecorder{}
-	telemetry := c.tracePath != "" || c.metrics || c.runName != "" || c.listen != ""
+	telemetry := c.tracePath != "" || c.metrics || c.runName != ""
 	if telemetry {
 		reg := silofuse.NewMetricsRegistry()
 		coordRec = silofuse.NewPartyRecorder(reg, 1, "coord")
@@ -107,21 +102,6 @@ func run(c config) error {
 			flights[name] = silofuse.NewFlightRecorder(0)
 			clientRecs[i].SetFlight(flights[name])
 		}
-	}
-	var prof *silofuse.PhaseProfiler
-	if c.profilePhases {
-		if c.runName == "" {
-			return fmt.Errorf("-profile-phases requires -run <name>")
-		}
-		prof, err = silofuse.NewPhaseProfiler(silofuse.DefaultProfileConfig(filepath.Join("results", c.runName, "profiles")))
-		if err != nil {
-			return err
-		}
-		// The coordinator drives the phase boundaries, so its recorder owns
-		// the profiler. Close is idempotent; the deferred call flushes the
-		// profile index even when the protocol errors out.
-		coordRec.SetProfiler(prof)
-		defer prof.Close()
 	}
 	if c.runName != "" {
 		ew, err := silofuse.OpenEventLog(filepath.Join("results", c.runName, "events.jsonl"))
@@ -163,34 +143,6 @@ func run(c config) error {
 		stop := p.StartHeartbeat(200 * time.Millisecond)
 		defer stop()
 		fmt.Printf("client %s connected\n", name)
-	}
-
-	if c.listen != "" {
-		srv, err := silofuse.StartTelemetry(c.listen, silofuse.TelemetryConfig{
-			Rec:           coordRec,
-			RunsDir:       "results",
-			Party:         "coord",
-			Flight:        flights["coord"],
-			PhaseProfiles: prof,
-			Health: func() map[string]any {
-				st := hub.Stats()
-				peerInfo := make(map[string]any, c.clients)
-				for name, ph := range hub.PeerHealth() {
-					peerInfo[name] = map[string]any{
-						"connected":     ph.Connected,
-						"heartbeats":    ph.Heartbeats,
-						"reconnects":    ph.Reconnects,
-						"bytes_to_peer": st.BytesByDir["coord->"+name],
-					}
-				}
-				return map[string]any{"binary": "silofuse-demo", "peers": peerInfo}
-			},
-		})
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Printf("telemetry listening on http://%s (/metrics /healthz /runs /debug/pprof /debug/phaseprofiles)\n", srv.Addr())
 	}
 
 	// With a chaos profile the routed TCP bus gains the same fault-injection
@@ -297,7 +249,7 @@ func run(c config) error {
 		return err
 	}
 	fmt.Printf("\njoined synthetic resemblance: %.1f/100\n", rep.Score)
-	return writeTelemetry(c, hub, peers, coordRec, clientRecs, prof, rep.Score)
+	return writeTelemetry(c, hub, peers, coordRec, clientRecs, rep.Score)
 }
 
 // dumpCrash writes every party's flight-recorder ring to
@@ -330,13 +282,9 @@ func dumpCrash(c config, flights map[string]*silofuse.FlightRecorder, err error)
 // writeTelemetry emits the merged trace, metrics exposition and run manifest
 // once the protocol has finished.
 func writeTelemetry(c config, hub *silofuse.TCPHub, peers map[string]*silofuse.TCPPeer,
-	coordRec *silofuse.Recorder, clientRecs []*silofuse.Recorder,
-	prof *silofuse.PhaseProfiler, resemblance float64) error {
+	coordRec *silofuse.Recorder, clientRecs []*silofuse.Recorder, resemblance float64) error {
 	if coordRec == nil {
 		return nil
-	}
-	if err := prof.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, "profile close:", err)
 	}
 	if c.tracePath != "" {
 		// Each party exports its own Chrome trace (as separate processes
@@ -364,7 +312,7 @@ func writeTelemetry(c config, hub *silofuse.TCPHub, peers map[string]*silofuse.T
 		fmt.Printf("wrote merged trace %s (%d process lanes)\n", c.tracePath, 1+len(clientRecs))
 	}
 	if c.metrics {
-		if err := silofuse.WritePrometheus(os.Stderr, coordRec.Snapshot()); err != nil {
+		if err := coordRec.Reg.WriteText(os.Stderr); err != nil {
 			return err
 		}
 	}
@@ -381,9 +329,6 @@ func writeTelemetry(c config, hub *silofuse.TCPHub, peers map[string]*silofuse.T
 		// complete metric snapshot and wire counters; per-link byte
 		// breakdowns come from each endpoint's own measured stats.
 		man.FromRecorder(coordRec)
-		if prof != nil {
-			man.Profiles = prof.Entries()
-		}
 		man.FromStats(hub.Stats())
 		for _, p := range peers {
 			man.FromStats(p.Stats())

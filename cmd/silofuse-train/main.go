@@ -35,10 +35,8 @@ type config struct {
 	tracePath          string
 	metrics            bool
 	runName            string
-	listen             string
 	chaosProfile       string
 	chaosSeed          int64
-	profilePhases      bool
 	wireCodec          string
 	computePrecision   string
 	batchSample        bool
@@ -61,10 +59,8 @@ func main() {
 	flag.StringVar(&c.tracePath, "trace", "", "write a Chrome-trace JSON of the run to this path")
 	flag.BoolVar(&c.metrics, "metrics", false, "print the metrics text exposition to stderr after the run")
 	flag.StringVar(&c.runName, "run", "", "write results/<run>/manifest.json with config, phases and wire stats, and stream results/<run>/events.jsonl")
-	flag.StringVar(&c.listen, "listen", "", "serve live telemetry (/metrics, /healthz, /runs, /debug/pprof, /debug/phaseprofiles) on this address during the run")
 	flag.StringVar(&c.chaosProfile, "chaos-profile", "", "inject transport faults during distributed training: drop, dup, reorder, delay, corrupt, flaky, blackhole, crash (empty disables)")
 	flag.Int64Var(&c.chaosSeed, "chaos-seed", 1, "seed of the deterministic fault schedule (with -chaos-profile)")
-	flag.BoolVar(&c.profilePhases, "profile-phases", false, "capture per-phase CPU/heap/mutex/block pprof profiles into results/<run>/profiles (requires -run)")
 	flag.StringVar(&c.wireCodec, "wire-codec", "f64", "precision tier framing tensor payloads on the wire: f64 (lossless, default), f32, q8")
 	flag.StringVar(&c.computePrecision, "compute-precision", "f64", "kernel precision for sampling and decode (training is always f64): f64 or f32")
 	flag.BoolVar(&c.batchSample, "batch-sample", false, "route synthesis through the batched sampler: concurrent requests stack into one denoising pass (silofuse only)")
@@ -124,27 +120,12 @@ func run(c config) error {
 	opts.ComputePrecision = c.computePrecision
 	opts.BatchSampling = c.batchSample
 	var rec *silofuse.Recorder
-	if c.tracePath != "" || c.metrics || c.runName != "" || c.listen != "" {
+	if c.tracePath != "" || c.metrics || c.runName != "" {
 		rec = silofuse.NewRecorder()
 		// The flight recorder keeps the last operations in a fixed ring; on a
 		// typed transport failure the tail is dumped as a postmortem.
 		rec.SetFlight(silofuse.NewFlightRecorder(0))
 		opts.Recorder = rec
-	}
-	var prof *silofuse.PhaseProfiler
-	if c.profilePhases {
-		if c.runName == "" {
-			return fmt.Errorf("-profile-phases requires -run <name>")
-		}
-		var err error
-		prof, err = silofuse.NewPhaseProfiler(silofuse.DefaultProfileConfig(filepath.Join("results", c.runName, "profiles")))
-		if err != nil {
-			return err
-		}
-		rec.SetProfiler(prof)
-		// Close is idempotent; the deferred call flushes the profile index
-		// even when the run errors out before writeTelemetry.
-		defer prof.Close()
 	}
 	if c.runName != "" {
 		ew, err := silofuse.OpenEventLog(filepath.Join("results", c.runName, "events.jsonl"))
@@ -157,22 +138,6 @@ func run(c config) error {
 			"run": c.runName, "dataset": c.dataset, "model": c.model,
 			"clients": c.clients, "seed": c.seed,
 		})
-	}
-	if c.listen != "" {
-		srv, err := silofuse.StartTelemetry(c.listen, silofuse.TelemetryConfig{
-			Rec:           rec,
-			RunsDir:       "results",
-			PhaseProfiles: prof,
-			Health: func() map[string]any {
-				return map[string]any{"binary": "silofuse-train", "dataset": c.dataset, "model": c.model}
-			},
-			Flight: rec.Flight,
-		})
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Printf("telemetry listening on http://%s (/metrics /healthz /runs /debug/pprof /debug/phaseprofiles)\n", srv.Addr())
 	}
 	m, err := silofuse.NewSynthesizer(c.model, opts)
 	if err != nil {
@@ -226,7 +191,7 @@ func run(c config) error {
 			}
 			fmt.Printf("client %d: wrote %s (%d columns)\n", i, path, p.Schema.NumColumns())
 		}
-		return writeTelemetry(c, m, rec, prof, final)
+		return writeTelemetry(c, m, rec, final)
 	}
 
 	synth, err := m.Sample(c.rows)
@@ -242,7 +207,7 @@ func run(c config) error {
 	}
 	fmt.Printf("wrote %s (%d rows); resemblance %.1f/100\n", c.out, synth.Rows(), rep.Score)
 	final["resemblance"] = rep.Score
-	return writeTelemetry(c, m, rec, prof, final)
+	return writeTelemetry(c, m, rec, final)
 }
 
 // dumpCrash writes the flight-recorder tail to
@@ -265,12 +230,9 @@ func dumpCrash(c config, rec *silofuse.Recorder, err error) error {
 
 // writeTelemetry emits the optional trace file, metrics exposition and run
 // manifest once the run has finished.
-func writeTelemetry(c config, m silofuse.Synthesizer, rec *silofuse.Recorder, prof *silofuse.PhaseProfiler, final map[string]float64) error {
+func writeTelemetry(c config, m silofuse.Synthesizer, rec *silofuse.Recorder, final map[string]float64) error {
 	if rec == nil {
 		return nil
-	}
-	if err := prof.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, "profile close:", err)
 	}
 	if c.tracePath != "" {
 		f, err := os.Create(c.tracePath)
@@ -305,9 +267,6 @@ func writeTelemetry(c config, m silofuse.Synthesizer, rec *silofuse.Recorder, pr
 			man.FinalMetrics[k] = v
 		}
 		man.FromRecorder(rec)
-		if prof != nil {
-			man.Profiles = prof.Entries()
-		}
 		if cs, ok := m.(interface {
 			CommStats() silofuse.TransportStats
 		}); ok {

@@ -6,9 +6,9 @@ import (
 )
 
 // NilRecorder pins the telemetry layer's documented nil-safety contract: a
-// nil *Recorder (and every handle it gives out, including the phase
-// profiler) is "telemetry off", so every exported pointer-receiver method
-// in packages obs and profile must begin with a nil-receiver guard.
+// nil *Recorder (and every handle it gives out) is "telemetry off", so
+// every exported pointer-receiver method in package obs must begin with a
+// nil-receiver guard.
 // Accepted forms:
 //
 //	func (r *T) M() { if r == nil { ... } ... }   // guard as first statement
@@ -19,12 +19,12 @@ import (
 // contract exists to prevent.
 var NilRecorder = &Analyzer{
 	Name: "nilrecorder",
-	Doc:  "require nil-receiver guards on exported obs and profile pointer methods",
+	Doc:  "require nil-receiver guards on exported obs pointer methods",
 	Run:  runNilRecorder,
 }
 
 func runNilRecorder(p *Pass) {
-	if p.Pkg.Name() != "obs" && p.Pkg.Name() != "profile" {
+	if p.Pkg.Name() != "obs" {
 		return
 	}
 	for _, f := range p.Files {

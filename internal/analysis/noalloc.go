@@ -23,11 +23,9 @@ import (
 //     the contract and removing an annotation fails the repo self-check.
 //
 //  3. Annotated bodies may not invoke profile capture: calls into
-//     runtime/pprof or the phase profiler (silofuse/internal/obs/profile,
-//     or any method named ProfilePhase*) snapshot the whole heap or write
-//     gzipped protobuf — allocation and I/O that have no place inside a
-//     zero-allocation kernel. Phase boundaries live in the orchestration
-//     layer, never inside the kernels they measure.
+//     runtime/pprof snapshot the whole heap or write gzipped protobuf —
+//     allocation and I/O that have no place inside a zero-allocation
+//     kernel. A profile brackets the run, in the binary that owns it.
 var NoAlloc = &Analyzer{
 	Name: "noalloc",
 	Doc:  "keep //silofuse:noalloc kernels free of allocating constructs",
@@ -77,8 +75,8 @@ func checkNoAllocBody(p *Pass, fd *ast.FuncDecl) {
 					}
 				}
 			}
-			if f := calleeFunc(p.Info, n); f != nil && isProfileCapture(f) {
-				p.Report(n.Pos(), "profile capture %s in noalloc function %s (capture allocates; hook phases in the orchestration layer)", f.Name(), name)
+			if f := calleeFunc(p.Info, n); f != nil && f.Pkg() != nil && f.Pkg().Path() == "runtime/pprof" {
+				p.Report(n.Pos(), "profile capture %s in noalloc function %s (capture allocates; profile the whole run from its binary)", f.Name(), name)
 			}
 		case *ast.BinaryExpr:
 			if n.Op == token.ADD && isStringExpr(p.Info, n) {
@@ -91,21 +89,6 @@ func checkNoAllocBody(p *Pass, fd *ast.FuncDecl) {
 		}
 		return true
 	})
-}
-
-// isProfileCapture reports whether f is a profiling-capture entry point: a
-// function of runtime/pprof or the phase-profiler package, or any method
-// named ProfilePhase* (the Recorder's phase hooks keep that prefix exactly
-// so this rule can spot them without resolving the module path).
-func isProfileCapture(f *types.Func) bool {
-	if strings.HasPrefix(f.Name(), "ProfilePhase") {
-		return true
-	}
-	if f.Pkg() == nil {
-		return false
-	}
-	path := f.Pkg().Path()
-	return path == "runtime/pprof" || strings.HasSuffix(path, "obs/profile")
 }
 
 func isStringExpr(info *types.Info, e ast.Expr) bool {

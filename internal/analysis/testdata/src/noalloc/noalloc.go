@@ -47,20 +47,12 @@ func grow(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// recorder mimics the telemetry recorder's phase hooks by name; the
-// profile-capture rule keys on the ProfilePhase* method-name prefix.
-type recorder struct{ n int }
-
-func (r recorder) ProfilePhaseStart(phase string) {}
-
 // profiled claims the contract but snapshots profiles mid-kernel: capture
-// belongs at phase boundaries in the orchestration layer, never inside the
-// hot loop it measures.
+// brackets the whole run from the binary, never the hot loop it measures.
 //
 //silofuse:noalloc
-func profiled(dst []float64, rec recorder) {
-	_ = pprof.StartCPUProfile(nil)  // want "profile capture StartCPUProfile in noalloc function profiled"
-	rec.ProfilePhaseStart("kernel") // want "profile capture ProfilePhaseStart in noalloc function profiled"
+func profiled(dst []float64) {
+	_ = pprof.StartCPUProfile(nil) // want "profile capture StartCPUProfile in noalloc function profiled"
 	for i := range dst {
 		dst[i] = 0
 	}

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"silofuse/internal/obs"
-	"silofuse/internal/obs/profile"
 	"silofuse/internal/silo"
 	"silofuse/internal/tensor"
 )
@@ -76,9 +75,6 @@ type Manifest struct {
 	// precision tier introduced (zero for lossless codecs).
 	Wire    map[string]WireCodecStats `json:"wire,omitempty"`
 	Metrics obs.Snapshot              `json:"metrics"`
-	// Profiles indexes the phase-scoped pprof captures under the run's
-	// profiles/ subdirectory (see internal/obs/profile).
-	Profiles []profile.Entry `json:"profiles,omitempty"`
 }
 
 // NewManifest starts a manifest for the named run.
@@ -162,9 +158,6 @@ func (m *Manifest) Write(dir string) error {
 	}
 	return nil
 }
-
-// ProfilesSubdir is the run-directory subdirectory holding phase profiles.
-const ProfilesSubdir = "profiles"
 
 // WireCodecStats is one codec/kind row of the wire compression accounting.
 type WireCodecStats struct {

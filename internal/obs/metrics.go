@@ -24,21 +24,22 @@ type Counter struct {
 	v atomic.Int64
 }
 
-// Add increments the counter by n. A nil counter (from a nil registry) is a
-// no-op.
-func (c *Counter) Add(n int64) {
+// Add increments the counter by n and returns the new count, so a caller
+// that acts on the value sees its own increment and no one else's. A nil
+// counter (from a nil registry) is a no-op returning 0.
+func (c *Counter) Add(n int64) int64 {
 	if c == nil {
-		return
+		return 0
 	}
-	c.v.Add(n)
+	return c.v.Add(n)
 }
 
-// Inc increments the counter by one.
-func (c *Counter) Inc() {
+// Inc increments the counter by one and returns the new count.
+func (c *Counter) Inc() int64 {
 	if c == nil {
-		return
+		return 0
 	}
-	c.v.Add(1)
+	return c.v.Add(1)
 }
 
 // Value returns the current count (0 on a nil counter).

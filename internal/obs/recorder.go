@@ -4,9 +4,10 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
-
-	"silofuse/internal/obs/profile"
 )
+
+// trainEventEvery is the per-stage step interval between "train" events.
+const trainEventEvery = 50
 
 // Recorder bundles a metrics registry and a tracer into the single
 // telemetry sink that instrumented code holds. A nil *Recorder is the
@@ -25,21 +26,14 @@ type Recorder struct {
 	Reg   *Registry
 	Trace *Tracer
 	// Events, when non-nil, receives streaming run records: one "train"
-	// event every EventEvery optimisation steps per stage, and one "phase"
-	// event per finished trace span. Attach it with SetEvents so the phase
-	// hook is installed too.
+	// event every trainEventEvery optimisation steps per stage, and one
+	// "phase" event per finished trace span. Attach it with SetEvents so the
+	// phase hook is installed too.
 	Events *EventWriter
-	// EventEvery is the per-stage step interval between "train" events.
-	// Zero means the default (50); negative disables train events.
-	EventEvery int
 	// Flight, when non-nil, receives a bounded trail of recent operations
 	// (train steps, span ends, bus traffic) for post-mortem dumps. Attach it
 	// with SetFlight so the span-end hook is installed too.
 	Flight *FlightRecorder
-	// Prof, when non-nil, captures phase-scoped pprof profiles. The
-	// pipeline calls ProfilePhaseStart/ProfilePhaseEnd at its phase
-	// boundaries; both are no-ops when the profiler (or recorder) is nil.
-	Prof *profile.PhaseProfiler
 
 	flow atomic.Uint64
 }
@@ -62,8 +56,8 @@ func NewPartyRecorder(reg *Registry, pid int, name string) *Recorder {
 // SetEvents attaches the event sink and installs the span-end hook that
 // streams "phase" records (name, duration, attributes, cumulative wire bytes
 // by kind). Several recorders may share one EventWriter; it serialises
-// internally. The hook is added alongside any other span-end consumers
-// (flight recorder, telemetry federator) — call SetEvents once per recorder.
+// internally. The hook is added alongside the flight recorder's span-end
+// hook, if any — call SetEvents once per recorder.
 // A nil recorder or nil sink is a no-op.
 func (r *Recorder) SetEvents(ew *EventWriter) {
 	if r == nil || ew == nil {
@@ -97,35 +91,6 @@ func (r *Recorder) SetFlight(fr *FlightRecorder) {
 	r.Trace.AddOnSpanEnd(func(sp SpanInfo) {
 		fr.Note("span", sp.Name, "", sp.DurSec)
 	})
-}
-
-// SetProfiler attaches the phase profiler. A nil recorder is a no-op; a
-// nil profiler detaches.
-func (r *Recorder) SetProfiler(p *profile.PhaseProfiler) {
-	if r == nil {
-		return
-	}
-	r.Prof = p
-}
-
-// ProfilePhaseStart begins phase-scoped profile capture. It sits directly
-// at phase boundaries (never inside step loops), so the disabled cost is
-// one nil check here and one inside the profiler.
-func (r *Recorder) ProfilePhaseStart(phase string) {
-	if r == nil {
-		return
-	}
-	r.Prof.Start(phase)
-}
-
-// ProfilePhaseEnd finishes phase-scoped capture and snapshots the
-// point-in-time profiles (heap, mutex, block) for the phase. Safe on every
-// exit path: mismatched or repeated calls are no-ops.
-func (r *Recorder) ProfilePhaseEnd(phase string) {
-	if r == nil {
-		return
-	}
-	r.Prof.Stop(phase)
 }
 
 // FlightNote forwards one operation to the attached flight recorder; a nil
@@ -192,31 +157,21 @@ func (r *Recorder) TrainStep(stage string, loss float64, rows int, d time.Durati
 	if r == nil {
 		return
 	}
-	steps := r.Reg.Counter(stage + "_steps_total")
-	steps.Inc()
+	n := r.Reg.Counter(stage + "_steps_total").Inc()
 	r.Reg.Counter(stage + "_rows_total").Add(int64(rows))
 	r.Reg.Gauge(stage + "_loss").Set(loss)
 	r.Reg.Histogram(stage + "_step_seconds").Observe(d.Seconds())
 	r.Flight.Note("train", stage, "", loss)
-	if r.Events != nil {
-		every := r.EventEvery
-		if every == 0 {
-			every = 50
-		}
-		if n := steps.Value(); every > 0 && n%int64(every) == 0 {
-			rps := 0.0
-			if d > 0 {
-				rps = float64(rows) / d.Seconds()
-			}
-			r.Events.Emit("train", map[string]any{
-				"stage":        stage,
-				"step":         n,
-				"loss":         loss,
-				"rows":         rows,
-				"rows_per_sec": rps,
-				"step_seconds": d.Seconds(),
-			})
-		}
+	// n is this call's own post-increment value: concurrent callers on one
+	// stage each see a distinct n, so every multiple fires exactly once.
+	if r.Events != nil && n%trainEventEvery == 0 {
+		r.Events.Emit("train", map[string]any{
+			"stage":        stage,
+			"step":         n,
+			"loss":         loss,
+			"rows":         rows,
+			"step_seconds": d.Seconds(),
+		})
 	}
 }
 

@@ -5,188 +5,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
-
-	"silofuse/internal/obs/profile"
 )
-
-// TestWritePrometheusGolden pins the exposition format: # HELP and # TYPE
-// headers, name sanitisation of message-kind suffixes, exact quantiles for a
-// constant histogram, and deterministic family ordering.
-func TestWritePrometheusGolden(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("bus_bytes_total_synth-req").Add(96)
-	r.Gauge("diffusion_loss").Set(0.5)
-	for i := 0; i < 10; i++ {
-		r.Histogram("ae_step_seconds").Observe(0.25)
-	}
-	var buf bytes.Buffer
-	if err := WritePrometheus(&buf, r.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	want := strings.Join([]string{
-		"# HELP ae_step_seconds silofuse metric ae_step_seconds",
-		"# TYPE ae_step_seconds summary",
-		`ae_step_seconds{quantile="0.5"} 0.25`,
-		`ae_step_seconds{quantile="0.95"} 0.25`,
-		`ae_step_seconds{quantile="0.99"} 0.25`,
-		"ae_step_seconds_sum 2.5",
-		"ae_step_seconds_count 10",
-		"# HELP bus_bytes_total_synth_req modeled wire bytes through the silo bus",
-		"# TYPE bus_bytes_total_synth_req counter",
-		"bus_bytes_total_synth_req 96",
-		"# HELP diffusion_loss silofuse metric diffusion_loss",
-		"# TYPE diffusion_loss gauge",
-		"diffusion_loss 0.5",
-		"",
-	}, "\n")
-	if got := buf.String(); got != want {
-		t.Fatalf("exposition mismatch:\n--- got ---\n%s\n--- want ---\n%s", got, want)
-	}
-}
-
-func TestPromNameSanitisation(t *testing.T) {
-	for in, want := range map[string]string{
-		"bus_bytes_total_synth-req": "bus_bytes_total_synth_req",
-		"ok_name:with_colon":        "ok_name:with_colon",
-		"9starts_with_digit":        "_9starts_with_digit",
-		"spaces and.dots":           "spaces_and_dots",
-	} {
-		if got := promName(in); got != want {
-			t.Errorf("promName(%q) = %q, want %q", in, got, want)
-		}
-	}
-}
-
-// TestTelemetryEndpoints starts the live endpoint on an ephemeral port and
-// exercises /metrics, /healthz, /runs and the path-traversal guard.
-func TestTelemetryEndpoints(t *testing.T) {
-	runs := t.TempDir()
-	dir := filepath.Join(runs, "demo")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), []byte(`{"run":"demo"}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "events.jsonl"), []byte(`{"type":"run-start"}`+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// A directory without a manifest must not be listed as a run.
-	if err := os.MkdirAll(filepath.Join(runs, "stray"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-
-	prof, err := profile.New(profile.Config{Dir: t.TempDir(), Heap: true, Phases: []string{"ae-train"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prof.Start("ae-train")
-	prof.Stop("ae-train")
-
-	rec := NewRecorder()
-	rec.Message("latents", 4096, time.Millisecond)
-	rec.TrainStep("diffusion", 0.5, 32, time.Millisecond)
-	srv, err := StartTelemetry("127.0.0.1:0", TelemetryConfig{
-		Rec:           rec,
-		RunsDir:       runs,
-		PhaseProfiles: prof,
-		Health:        func() map[string]any { return map[string]any{"peers": 3} },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	base := "http://" + srv.Addr()
-
-	get := func(path string) (int, string, http.Header) {
-		t.Helper()
-		resp, err := http.Get(base + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp.StatusCode, string(body), resp.Header
-	}
-
-	code, body, hdr := get("/metrics")
-	if code != http.StatusOK {
-		t.Fatalf("/metrics status = %d", code)
-	}
-	if ct := hdr.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
-		t.Fatalf("/metrics content-type = %q", ct)
-	}
-	for _, want := range []string{
-		"bus_bytes_total_latents 4096",
-		"# TYPE diffusion_step_seconds summary",
-		`diffusion_step_seconds{quantile="0.99"}`,
-	} {
-		if !strings.Contains(body, want) {
-			t.Fatalf("/metrics missing %q:\n%s", want, body)
-		}
-	}
-
-	code, body, _ = get("/healthz")
-	if code != http.StatusOK {
-		t.Fatalf("/healthz status = %d", code)
-	}
-	var health map[string]any
-	if err := json.Unmarshal([]byte(body), &health); err != nil {
-		t.Fatalf("/healthz not JSON: %v", err)
-	}
-	if health["status"] != "ok" || health["peers"] != float64(3) {
-		t.Fatalf("/healthz = %v", health)
-	}
-	if _, ok := health["go_version"]; !ok {
-		t.Fatalf("/healthz missing go_version: %v", health)
-	}
-
-	code, body, _ = get("/runs")
-	if code != http.StatusOK {
-		t.Fatalf("/runs status = %d", code)
-	}
-	var runsResp struct{ Runs []string }
-	if err := json.Unmarshal([]byte(body), &runsResp); err != nil {
-		t.Fatal(err)
-	}
-	if len(runsResp.Runs) != 1 || runsResp.Runs[0] != "demo" {
-		t.Fatalf("/runs = %v, want [demo]", runsResp.Runs)
-	}
-
-	if code, body, _ = get("/runs/demo"); code != http.StatusOK || !strings.Contains(body, `"run"`) {
-		t.Fatalf("/runs/demo = %d %q", code, body)
-	}
-	if code, body, _ = get("/runs/demo/events"); code != http.StatusOK || !strings.Contains(body, "run-start") {
-		t.Fatalf("/runs/demo/events = %d %q", code, body)
-	}
-	for _, path := range []string{"/runs/../secret", "/runs/%2e%2e/secret", "/runs/a/b/c"} {
-		if code, _, _ = get(path); code == http.StatusOK {
-			t.Fatalf("GET %s = 200, want rejection", path)
-		}
-	}
-	if code, _, _ = get("/debug/pprof/cmdline"); code != http.StatusOK {
-		t.Fatalf("/debug/pprof/cmdline status = %d", code)
-	}
-
-	code, body, _ = get("/debug/phaseprofiles")
-	if code != http.StatusOK || !strings.Contains(body, "ae-train.heap.pb.gz") {
-		t.Fatalf("/debug/phaseprofiles = %d %q", code, body)
-	}
-	if code, body, _ = get("/debug/phaseprofiles/ae-train.heap.pb.gz"); code != http.StatusOK {
-		t.Fatalf("/debug/phaseprofiles/ae-train.heap.pb.gz = %d %q", code, body)
-	}
-}
 
 func TestEventWriter(t *testing.T) {
 	var buf bytes.Buffer
@@ -279,15 +104,14 @@ func TestOpenEventLogAppends(t *testing.T) {
 	}
 }
 
-// TestRecorderEvents: SetEvents streams train records at the configured
-// cadence and phase records when spans end.
+// TestRecorderEvents: SetEvents streams train records every
+// trainEventEvery steps and phase records when spans end.
 func TestRecorderEvents(t *testing.T) {
 	var buf bytes.Buffer
 	r := NewRecorder()
-	r.EventEvery = 2
 	r.SetEvents(NewEventWriter(&buf))
 	sp := r.StartSpan("ae-train")
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 2*trainEventEvery; i++ {
 		r.TrainStep("ae", 1.0, 32, time.Millisecond)
 	}
 	r.Message("latents", 2048, time.Microsecond)
@@ -317,11 +141,49 @@ func TestRecorderEvents(t *testing.T) {
 			}
 		}
 	}
-	if train != 2 { // steps 2 and 4 with EventEvery=2
+	if train != 2 { // steps 50 and 100
 		t.Fatalf("train events = %d, want 2", train)
 	}
 	if phase != 1 {
 		t.Fatalf("phase events = %d, want 1", phase)
+	}
+}
+
+// TestTrainEventsConcurrentClients: the AE phase steps every client's
+// autoencoder on its own goroutine against one recorder and one stage, so
+// the gate must act on each call's own post-increment count — exactly one
+// train event per multiple of trainEventEvery, none doubled, none skipped.
+func TestTrainEventsConcurrentClients(t *testing.T) {
+	const goroutines, steps = 8, 5000
+	var buf bytes.Buffer
+	r := NewRecorder()
+	r.SetEvents(NewEventWriter(&buf))
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < steps; i++ {
+				r.TrainStep("ae", 1.0, 32, time.Microsecond)
+			}
+		}()
+	}
+	wg.Wait()
+
+	seen := make(map[float64]bool)
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatal(err)
+		}
+		step := rec["step"].(float64)
+		if seen[step] {
+			t.Fatalf("train event for step %v emitted twice", step)
+		}
+		seen[step] = true
+	}
+	if want := goroutines * steps / trainEventEvery; len(seen) != want {
+		t.Fatalf("train events = %d, want %d (a multiple of %d was skipped)", len(seen), want, trainEventEvery)
 	}
 }
 

@@ -294,36 +294,6 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	return enc.Encode(out)
 }
 
-// WriteChromeTraceLive writes the trace as it stands right now: spans still
-// open are emitted with a synthetic end at the current time but remain open
-// in the tracer. This is the non-destructive variant of WriteChromeTrace
-// for live endpoints — serving /trace mid-run must not end the run's spans.
-func (t *Tracer) WriteChromeTraceLive(w io.Writer) error {
-	if t == nil {
-		return json.NewEncoder(w).Encode(chromeTrace{TraceEvents: []traceEvent{}, DisplayTimeUnit: "ms"})
-	}
-	t.mu.Lock()
-	events := make([]traceEvent, 0, len(t.events)+len(t.open)+1)
-	if t.proc != "" {
-		events = append(events, traceEvent{
-			Name: "process_name", Phase: "M", PID: t.pid, TID: 1,
-			Args: map[string]any{"name": t.proc},
-		})
-	}
-	events = append(events, t.events...)
-	now := float64(time.Since(t.start)) / float64(time.Microsecond)
-	for i := len(t.open) - 1; i >= 0; i-- {
-		s := t.open[i]
-		events = append(events, traceEvent{
-			Name: s.name, Cat: "silofuse", Phase: "E",
-			TS: now, PID: t.pid, TID: 1, Args: s.attrs,
-		})
-	}
-	out := chromeTrace{TraceEvents: events, DisplayTimeUnit: "ms", EpochMicros: t.epoch}
-	t.mu.Unlock()
-	return json.NewEncoder(w).Encode(out)
-}
-
 // MergeChromeTraces stitches several Chrome trace JSON documents (each
 // written by WriteChromeTrace, typically one per process of a distributed
 // run) into a single trace sharing one timeline. Timestamps are aligned via

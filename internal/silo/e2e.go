@@ -129,8 +129,6 @@ func (p *E2EPipeline) trainRange(start, end, total int) (float64, int, error) {
 	span.SetAttr("clients", len(p.Clients))
 	span.SetAttr("iters", end-start)
 	defer span.End()
-	p.Rec.ProfilePhaseStart("e2e-train")
-	defer p.Rec.ProfilePhaseEnd("e2e-train")
 	tail := total - total/10
 	var tailLoss float64
 	var tailCount int
@@ -373,8 +371,6 @@ func (p *E2EPipeline) Synthesize(n int, sample bool) (*tabular.Table, error) {
 	span.SetAttr("rows", n)
 	span.SetAttr("steps", p.Cfg.SynthSteps)
 	defer span.End()
-	p.Rec.ProfilePhaseStart("synthesis")
-	defer p.Rec.ProfilePhaseEnd("synthesis")
 	z := p.gauss.Sample(p.rng, netPredictor{p.net}, n, p.net.In, p.Cfg.SynthSteps, 0)
 	parts, err := p.Coord.splitLatents(z)
 	if err != nil {

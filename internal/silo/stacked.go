@@ -188,7 +188,6 @@ func (p *Pipeline) TrainStackedFrom(ck *Checkpoint) (aeLoss, diffLoss float64, e
 		span := p.Rec.StartSpan("ae-train")
 		span.SetAttr("clients", len(p.Clients))
 		span.SetAttr("iters", p.Cfg.AEIters)
-		p.Rec.ProfilePhaseStart("ae-train")
 		losses := make([]float64, len(p.Clients))
 		// Allocation accounting brackets the whole parallel phase: a single
 		// global MemStats window over all clients is deterministic, where
@@ -215,7 +214,6 @@ func (p *Pipeline) TrainStackedFrom(ck *Checkpoint) (aeLoss, diffLoss float64, e
 			aeLoss += l
 		}
 		aeLoss /= float64(len(losses))
-		p.Rec.ProfilePhaseEnd("ae-train")
 		span.SetAttr("loss", aeLoss)
 		span.End()
 		ck.Phase, ck.AELoss = PhaseAE, aeLoss
@@ -226,7 +224,6 @@ func (p *Pipeline) TrainStackedFrom(ck *Checkpoint) (aeLoss, diffLoss float64, e
 	// Phase 2: single latent upload per client (the one communication round).
 	if ck.Phase < PhaseLatents {
 		ship := p.Rec.StartSpan("latent-ship")
-		p.Rec.ProfilePhaseStart("latent-ship")
 		errs := make([]error, len(p.Clients))
 		var wg sync.WaitGroup
 		for i, c := range p.Clients {
@@ -239,20 +236,17 @@ func (p *Pipeline) TrainStackedFrom(ck *Checkpoint) (aeLoss, diffLoss float64, e
 		wg.Wait()
 		for _, e := range errs {
 			if e != nil {
-				p.Rec.ProfilePhaseEnd("latent-ship")
 				ship.End()
 				return aeLoss, 0, e
 			}
 		}
 		z, err := p.Coord.CollectLatents(p.Bus)
 		if err != nil {
-			p.Rec.ProfilePhaseEnd("latent-ship")
 			ship.End()
 			return aeLoss, 0, err
 		}
 		ship.SetAttr("rows", z.Rows)
 		ship.SetAttr("width", z.Cols)
-		p.Rec.ProfilePhaseEnd("latent-ship")
 		ship.End()
 		ck.Phase, ck.latents = PhaseLatents, z
 	}
@@ -261,9 +255,7 @@ func (p *Pipeline) TrainStackedFrom(ck *Checkpoint) (aeLoss, diffLoss float64, e
 	if ck.Phase < PhaseDiffusion {
 		dspan := p.Rec.StartSpan("diffusion-train")
 		dspan.SetAttr("iters", p.Cfg.DiffIters)
-		p.Rec.ProfilePhaseStart("diffusion-train")
 		diffLoss = p.Coord.TrainDiffusion(ck.latents, p.Cfg.Diff, p.Cfg.DiffIters, p.Cfg.Batch)
-		p.Rec.ProfilePhaseEnd("diffusion-train")
 		dspan.SetAttr("loss", diffLoss)
 		dspan.End()
 		ck.Phase, ck.DiffLoss = PhaseDiffusion, diffLoss
@@ -382,8 +374,6 @@ func (p *Pipeline) SynthesizePartitioned(requester int, n int, sample bool) ([]*
 	span.SetAttr("rows", n)
 	span.SetAttr("steps", p.Cfg.SynthSteps)
 	defer span.End()
-	p.Rec.ProfilePhaseStart("synthesis")
-	defer p.Rec.ProfilePhaseEnd("synthesis")
 	// Request message (control only).
 	req := &Envelope{From: p.Clients[requester].ID, To: p.Coord.ID, Kind: KindSynthReq}
 	if err := p.Bus.Send(req); err != nil {
@@ -478,8 +468,6 @@ func (p *Pipeline) synthesizeSharedStacked(requester int, seed int64, lane0 int,
 	span.SetAttr("lanes", len(ns))
 	span.SetAttr("steps", p.Cfg.SynthSteps)
 	defer span.End()
-	p.Rec.ProfilePhaseStart("synthesis")
-	defer p.Rec.ProfilePhaseEnd("synthesis")
 	req := &Envelope{From: p.Clients[requester].ID, To: p.Coord.ID, Kind: KindSynthReq}
 	if err := p.Bus.Send(req); err != nil {
 		return nil, err

@@ -142,8 +142,8 @@ type TCPHub struct {
 	reconnects map[string]int64 // re-registrations per peer
 }
 
-// PeerHealth is the hub-side liveness view of one peer, surfaced through
-// the /healthz endpoint: whether a connection is registered, how many
+// PeerHealth is the hub-side liveness view of one peer, which the heartbeat
+// and recovery tests observe: whether a connection is registered, how many
 // heartbeats it has delivered, how many times it has re-registered after a
 // disconnect, and the bytes the hub has written to it.
 type PeerHealth struct {
@@ -178,8 +178,7 @@ func NewTCPHub(name, addr string) (*TCPHub, error) {
 // Addr returns the hub's listen address.
 func (h *TCPHub) Addr() string { return h.ln.Addr().String() }
 
-// Peers lists the names of currently registered peers in sorted order —
-// the hub-side liveness view a health endpoint reports.
+// Peers lists the names of currently registered peers in sorted order.
 func (h *TCPHub) Peers() []string {
 	h.mu.Lock()
 	names := make([]string, 0, len(h.peers))
@@ -392,7 +391,7 @@ func (h *TCPHub) TryRecv(to string) (*Envelope, bool) {
 }
 
 // PeerHealth reports the hub-side liveness view of every peer it has ever
-// seen — the payload behind /healthz.
+// seen.
 func (h *TCPHub) PeerHealth() map[string]PeerHealth {
 	sent := h.Stats().BytesByDir
 	h.mu.Lock()

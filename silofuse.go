@@ -26,7 +26,6 @@ import (
 	"silofuse/internal/metrics"
 	"silofuse/internal/nn"
 	"silofuse/internal/obs"
-	"silofuse/internal/obs/profile"
 	"silofuse/internal/privacy"
 	"silofuse/internal/silo"
 	"silofuse/internal/silo/codec"
@@ -319,11 +318,6 @@ type (
 	TraceSpan = obs.Span
 	// EventWriter streams run events as JSON lines (events.jsonl).
 	EventWriter = obs.EventWriter
-	// TelemetryConfig wires the live telemetry endpoint to a run's state.
-	TelemetryConfig = obs.TelemetryConfig
-	// TelemetryServer is a running live telemetry HTTP endpoint
-	// (/metrics, /healthz, /runs, /debug/pprof).
-	TelemetryServer = obs.TelemetryServer
 	// RunManifest is the machine-readable per-run record
 	// (results/<run>/manifest.json).
 	RunManifest = experiments.Manifest
@@ -336,17 +330,6 @@ type (
 	FlightEntry = obs.FlightEntry
 	// PostmortemDump is the on-disk schema of a flight-recorder dump.
 	PostmortemDump = obs.PostmortemDump
-	// PhaseProfiler captures phase-scoped CPU/heap/mutex/block pprof
-	// profiles (results/<run>/profiles, /debug/phaseprofiles).
-	PhaseProfiler = profile.PhaseProfiler
-	// ProfileConfig selects what a PhaseProfiler captures and where.
-	ProfileConfig = profile.Config
-	// ProfileEntry indexes one captured profile file.
-	ProfileEntry = profile.Entry
-	// PprofProfile is a decoded pprof profile (stdlib-only decoder).
-	PprofProfile = profile.Profile
-	// FlatProfile is a profile flattened to per-function self/cum weights.
-	FlatProfile = profile.FlatProfile
 )
 
 // NewRecorder builds an enabled Recorder with a fresh registry and tracer.
@@ -364,12 +347,6 @@ var NewTracer = obs.NewTracer
 
 // MergeChromeTraces stitches per-process Chrome traces into one timeline.
 var MergeChromeTraces = obs.MergeChromeTraces
-
-// WritePrometheus writes a metrics snapshot in Prometheus text exposition.
-var WritePrometheus = obs.WritePrometheus
-
-// StartTelemetry serves the live telemetry endpoint until Close.
-var StartTelemetry = obs.StartTelemetry
 
 // OpenEventLog opens (appending) a streaming run-event JSONL file.
 var OpenEventLog = obs.OpenEventLog
@@ -394,16 +371,3 @@ var ReadEvents = obs.ReadEvents
 
 // ReadEventsFile is ReadEvents over a file path.
 var ReadEventsFile = obs.ReadEventsFile
-
-// NewPhaseProfiler builds a phase-scoped profiler from its config.
-var NewPhaseProfiler = profile.New
-
-// DefaultProfileConfig captures all profile kinds for every phase into dir.
-var DefaultProfileConfig = profile.DefaultConfig
-
-// ParsePprof decodes a pprof profile from raw or gzipped protobuf bytes
-// with the stdlib-only decoder.
-var ParsePprof = profile.ParsePprof
-
-// ParsePprofFile is ParsePprof over a file path.
-var ParsePprofFile = profile.ParsePprofFile
