@@ -73,14 +73,17 @@ test-chaos:
 race:
 	$(GO) test -race -timeout 30m ./internal/silo/... ./internal/obs/... ./internal/tensor/... ./internal/core/... ./internal/experiments/... ./internal/diffusion/...
 
-# fuzz-smoke runs the two decoders of outside bytes against mutated input for
-# a fixed short budget each. The wire decoder on frames: malformed input must
-# come back as ErrCorruptPayload. The three checkpoint loaders (stacked, E2E,
-# VFL) on streams: a refusal must wrap nn.ErrCheckpoint and allocate no more
-# than a valid stream does. Both: never a panic, and whatever decodes must
-# re-encode to the bytes it was read from.
+# fuzz-smoke runs the three decoders of outside bytes against mutated input
+# for a fixed short budget each. The wire decoder on frames: malformed input
+# must come back as ErrCorruptPayload. The codec decoder on tensor bodies,
+# dense and row dictionary: a refusal allocates no more than the body's own
+# rows, an accepted body no more than its dense expansion on top. The three
+# checkpoint loaders (stacked, E2E, VFL) on streams: a refusal must wrap
+# nn.ErrCheckpoint and allocate no more than a valid stream does. All: never
+# a panic, and whatever decodes must re-encode to the bytes it was read from.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime 10s ./internal/silo/
+	$(GO) test -run '^$$' -fuzz FuzzCodecDecode -fuzztime 10s ./internal/silo/codec/
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointLoad -fuzztime 10s ./internal/silo/
 
 # codec-smoke exercises the precision-tiered wire codecs end to end:
@@ -90,7 +93,10 @@ fuzz-smoke:
 #      and asking for none must fail with codec.ByName's message;
 #   3. the fig10x sweep must write a run manifest whose wire section
 #      carries f32 and q8 accounting, with reconstruction errors recorded,
-#      for both the latent path (silofuse) and activations/gradients (e2e).
+#      for both the latent path (silofuse) and activations/gradients (e2e);
+#   4. a default silofuse run on adult, whose categorical-only silos upload
+#      repeated latent rows, must show f64/latents bytes below raw_bytes in
+#      its manifest: the row dictionary engages from the CLI.
 CODEC_SMOKE_DIR ?= /tmp/silofuse_codec_smoke
 codec-smoke:
 	rm -rf $(CODEC_SMOKE_DIR) && mkdir -p $(CODEC_SMOKE_DIR)
@@ -105,6 +111,10 @@ codec-smoke:
 	grep -q '"f32/latents"' $(CODEC_SMOKE_DIR)/results/codec/manifest.json
 	grep -q '"q8/activation"' $(CODEC_SMOKE_DIR)/results/codec/manifest.json
 	grep -q '"max_err"' $(CODEC_SMOKE_DIR)/results/codec/manifest.json
+	cd $(CODEC_SMOKE_DIR) && ./silofuse-train -dataset adult -train-rows 1000 -iters 30 -rows 50 -run adult -out adult.csv
+	awk '/"f64\/latents"/ { on = 1 } on && /"raw_bytes"/ { raw = $$2 + 0 } on && /"bytes"/ { sent = $$2 + 0; exit } \
+		END { printf "codec-smoke: adult f64/latents %d of %d raw bytes\n", sent, raw; exit !(sent > 0 && sent < raw) }' \
+		$(CODEC_SMOKE_DIR)/results/adult/manifest.json
 
 # obs-smoke exercises the fleet observability stack end to end:
 #   1. a healthy demo run over the TCP hub must write a run manifest that

@@ -10,6 +10,7 @@ import (
 
 	"silofuse/internal/datagen"
 	"silofuse/internal/diffusion"
+	"silofuse/internal/silo"
 	"silofuse/internal/stats"
 	"silofuse/internal/tabular"
 )
@@ -166,6 +167,26 @@ func TestSiloFuseCommStatsSingleRound(t *testing.T) {
 	st := m.CommStats()
 	if st.Messages != int64(m.Opts.Clients) {
 		t.Fatalf("training messages = %d, want %d", st.Messages, m.Opts.Clients)
+	}
+}
+
+// TestLatentNoiseKeepsUploadDense: equal categorical cells give bit-equal
+// latents, which the wire codec ships as a row dictionary; Gaussian noise on
+// the upload (LatentNoiseStd > 0) makes every row distinct, so each upload
+// then costs exactly its dense frame.
+func TestLatentNoiseKeepsUploadDense(t *testing.T) {
+	tb := loanTable(t, 200)
+	for _, noise := range []float64{0, 0.1} {
+		o := tinyOptions()
+		o.AEIters, o.DiffIters, o.LatentNoiseStd = 20, 20, noise
+		m := NewSiloFuse(o)
+		if err := m.Fit(tb); err != nil {
+			t.Fatal(err)
+		}
+		lat := m.WireReport()[string(silo.KindLatents)]
+		if lat.Messages != int64(o.Clients) || (lat.Bytes == lat.RawBytes) != (noise > 0) || lat.Bytes > lat.RawBytes {
+			t.Fatalf("noise %v: latent upload %+v, want dense exactly when noised", noise, lat)
+		}
 	}
 }
 

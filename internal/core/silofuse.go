@@ -29,15 +29,6 @@ type SiloFuse struct {
 	sampleCalls int64
 }
 
-// chaosBus builds the training transport for opts: a LocalBus, optionally
-// wrapped — when a chaos profile is configured — in a seeded ChaosBus
-// (fault injection) and a ResilientBus (retries, dedup, checksums), and
-// always topped by a CodecBus framing dense tensor payloads through the
-// configured wire codec (f64 by default, which is bit-lossless and keeps
-// byte accounting identical to the native payload model). The returned
-// ChaosBus is non-nil only under a chaos profile; it is needed for crash
-// recovery (Revive). The CodecBus is returned for its per-kind
-// bytes-vs-error report.
 // validComputePrecision rejects anything but the two supported compute
 // tiers, so a typo fails loudly at Fit instead of silently running f64.
 func validComputePrecision(p string) error {
@@ -48,6 +39,15 @@ func validComputePrecision(p string) error {
 	return fmt.Errorf("unknown compute precision %q (want f64 or f32)", p)
 }
 
+// chaosBus builds the training transport for opts: a LocalBus, optionally
+// wrapped — when a chaos profile is configured — in a seeded ChaosBus
+// (fault injection) and a ResilientBus (retries, dedup, checksums), and
+// always topped by a CodecBus framing dense tensor payloads through the
+// configured wire codec (f64 by default, which is bit-lossless; a tensor
+// that repeats rows goes as a row dictionary, smaller than its native
+// frame). The returned ChaosBus is non-nil only under a chaos profile; it
+// is needed for crash recovery (Revive). The CodecBus is returned for its
+// per-kind bytes-vs-error report.
 func chaosBus(opts Options) (silo.Bus, *silo.ChaosBus, *silo.CodecBus, error) {
 	id, err := codec.ByName(opts.WireCodec)
 	if err != nil {

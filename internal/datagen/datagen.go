@@ -133,13 +133,17 @@ func (s Spec) Generate(rows int, seed int64) *tabular.Table {
 
 	data := tensor.New(rows, d)
 	z := make([]float64, s.Factors)
+	logits := make([][]float64, nCat)
+	for c, card := range s.CatCards {
+		logits[c] = make([]float64, card)
+	}
 	for i := 0; i < rows; i++ {
 		for f := range z {
 			z[f] = rng.NormFloat64()
 		}
 		row := data.Row(i)
-		for c, card := range s.CatCards {
-			row[c] = float64(sampleCategory(rng, catW[c], catB[c], z, card, s.Factors))
+		for c := range s.CatCards {
+			row[c] = float64(sampleCategory(rng, logits[c], catW[c], catB[c], z, s.Factors))
 		}
 		for j := 0; j < s.NumCols; j++ {
 			raw := dot(numW[j], z) + s.NoiseStd*rng.NormFloat64()
@@ -179,11 +183,11 @@ func dot(w, z []float64) float64 {
 	return s
 }
 
-// sampleCategory draws from softmax(Wz + b) over card choices.
-func sampleCategory(rng *rand.Rand, w, b, z []float64, card, factors int) int {
+// sampleCategory draws from softmax(Wz + b) over len(logits) choices,
+// using logits as scratch.
+func sampleCategory(rng *rand.Rand, logits, w, b, z []float64, factors int) int {
 	max := math.Inf(-1)
-	logits := make([]float64, card)
-	for k := 0; k < card; k++ {
+	for k := range logits {
 		l := b[k] + dot(w[k*factors:(k+1)*factors], z)
 		logits[k] = l
 		if l > max {
@@ -203,7 +207,7 @@ func sampleCategory(rng *rand.Rand, w, b, z []float64, card, factors int) int {
 			return k
 		}
 	}
-	return card - 1
+	return len(logits) - 1
 }
 
 // numericTransform applies a mild monotone nonlinearity that varies by

@@ -2,6 +2,8 @@
 package datagen
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -164,5 +166,43 @@ func TestSchemaColumnOrder(t *testing.T) {
 		if s.Columns[i].Kind != tabular.Numeric {
 			t.Fatalf("column %d should be numeric", i)
 		}
+	}
+}
+
+// TestGenerateFingerprint pins every spec's Generate output bit for bit, so
+// a change to how the generator runs cannot move a table it draws.
+func TestGenerateFingerprint(t *testing.T) {
+	want := map[string]uint64{
+		"abalone":   0xa0827b7a95827210,
+		"adult":     0x99aafa2b5438eebc,
+		"cardio":    0x6565226ba8a95a2e,
+		"churn":     0x364c445e6a12082f,
+		"cover":     0x128bf834aea9ff10,
+		"diabetes":  0x9e9f53eec44702b0,
+		"heloc":     0x174c8904465e8e19,
+		"intrusion": 0x4b35ee43984924f9,
+		"loan":      0x18062af992e97e32,
+	}
+	for _, spec := range All {
+		h := fnv.New64a()
+		var b [8]byte
+		for _, v := range spec.Generate(300, 5).Data.Data {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
+		if got := h.Sum64(); got != want[spec.Name] {
+			t.Errorf("%s: Generate(300, 5) hashes to %#016x, want %#016x", spec.Name, got, want[spec.Name])
+		}
+	}
+}
+
+// TestGenerateAllocsFlat: Generate allocates per table and per column, never
+// per row.
+func TestGenerateAllocsFlat(t *testing.T) {
+	spec, _ := ByName("churn")
+	small := testing.AllocsPerRun(3, func() { spec.Generate(10, 1) })
+	large := testing.AllocsPerRun(3, func() { spec.Generate(1000, 1) })
+	if large != small {
+		t.Fatalf("Generate allocates %v times for 10 rows and %v for 1000", small, large)
 	}
 }

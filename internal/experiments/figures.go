@@ -8,23 +8,38 @@ import (
 	"silofuse/internal/core"
 	"silofuse/internal/metrics"
 	"silofuse/internal/obs"
+	"silofuse/internal/silo"
 )
 
 // Figure10Series is one dataset's communication-cost comparison: total
 // bytes transferred for SiloFuse (stacked) vs E2EDistr (end-to-end) at each
-// iteration count. SiloFuse bytes come from a real measured run and are
+// iteration count, every tensor counted in its dense f64 frame as the paper
+// counts it. SiloFuse bytes come from a real measured run and are
 // iteration-invariant by construction; E2EDistr bytes are measured per
-// iteration on a real short run (every iteration moves identical sizes) and
-// scaled exactly to the paper's iteration counts.
+// iteration on a real short run (every iteration moves identical dense
+// sizes) and scaled exactly to the paper's iteration counts. The Sent
+// fields are what the wire actually carried, row dictionaries included.
 type Figure10Series struct {
-	Dataset       string
-	Iterations    []int
-	SiloFuseBytes []int64
-	E2EDistrBytes []int64
-	// MeasuredE2EIters and MeasuredE2EBytes document the actual run used to
-	// establish the per-iteration cost.
-	MeasuredE2EIters int
-	MeasuredE2EBytes int64
+	Dataset           string
+	Iterations        []int
+	SiloFuseBytes     []int64
+	E2EDistrBytes     []int64
+	SiloFuseSentBytes int64
+	// MeasuredE2EIters, MeasuredE2EBytes (dense) and MeasuredE2ESentBytes
+	// document the actual run used to establish the per-iteration cost.
+	MeasuredE2EIters     int
+	MeasuredE2EBytes     int64
+	MeasuredE2ESentBytes int64
+}
+
+// denseBytes is what a run moving sent bytes would have moved with every
+// codec-framed tensor in its dense f64 frame: the sent bytes plus what the
+// row dictionaries saved.
+func denseBytes(sent int64, rep map[string]silo.WireKindStats) int64 {
+	for _, st := range rep {
+		sent += st.RawBytes - st.Bytes
+	}
+	return sent
 }
 
 // Figure10 reproduces the communication experiment on Abalone and Intrusion
@@ -54,7 +69,8 @@ func (c Config) Figure10() ([]Figure10Series, error) {
 		if err := sf.Fit(train); err != nil {
 			return nil, err
 		}
-		sfBytes := sf.CommStats().Bytes
+		sfSent := sf.CommStats().Bytes
+		sfBytes := denseBytes(sfSent, sf.WireReport())
 
 		// E2EDistr: measure a short real run, derive the exact per-iteration
 		// cost, scale.
@@ -66,17 +82,20 @@ func (c Config) Figure10() ([]Figure10Series, error) {
 		if err := e2e.Fit(train); err != nil {
 			return nil, err
 		}
-		e2eBytes := e2e.CommStats().Bytes
+		e2eSent := e2e.CommStats().Bytes
+		e2eBytes := denseBytes(e2eSent, e2e.WireReport())
 		if e2eBytes%measured != 0 {
 			return nil, fmt.Errorf("experiments: E2E bytes %d not iteration-uniform", e2eBytes)
 		}
 		perIter := e2eBytes / measured
 
 		series := Figure10Series{
-			Dataset:          spec.Name,
-			Iterations:       iterCounts,
-			MeasuredE2EIters: measured,
-			MeasuredE2EBytes: e2eBytes,
+			Dataset:              spec.Name,
+			Iterations:           iterCounts,
+			SiloFuseSentBytes:    sfSent,
+			MeasuredE2EIters:     measured,
+			MeasuredE2EBytes:     e2eBytes,
+			MeasuredE2ESentBytes: e2eSent,
 		}
 		for _, it := range iterCounts {
 			series.SiloFuseBytes = append(series.SiloFuseBytes, sfBytes)
@@ -89,13 +108,15 @@ func (c Config) Figure10() ([]Figure10Series, error) {
 
 // PrintFigure10 renders the communication series.
 func PrintFigure10(w io.Writer, series []Figure10Series) {
-	fmt.Fprintln(w, "Figure 10: bytes communicated during training (4 clients)")
+	fmt.Fprintln(w, "Figure 10: bytes communicated during training (4 clients), tensors in dense frames")
 	for _, s := range series {
-		fmt.Fprintf(w, "\n%s (E2EDistr measured: %d iters -> %s)\n", s.Dataset, s.MeasuredE2EIters, humanBytes(s.MeasuredE2EBytes))
+		fmt.Fprintf(w, "\n%s (E2EDistr measured: %d iters -> %s dense, %s as sent)\n", s.Dataset,
+			s.MeasuredE2EIters, humanBytes(s.MeasuredE2EBytes), humanBytes(s.MeasuredE2ESentBytes))
 		fmt.Fprintf(w, "%12s %14s %14s\n", "iterations", "SiloFuse", "E2EDistr")
 		for i, it := range s.Iterations {
 			fmt.Fprintf(w, "%12d %14s %14s\n", it, humanBytes(s.SiloFuseBytes[i]), humanBytes(s.E2EDistrBytes[i]))
 		}
+		fmt.Fprintf(w, "%12s %14s\n", "as sent", humanBytes(s.SiloFuseSentBytes))
 	}
 }
 
@@ -122,7 +143,8 @@ type Figure10XRow struct {
 	Model   string // "silofuse" (latents + synth path) or "e2edistr" (activations + gradients)
 	Codec   string
 	// Messages / RawBytes / EncBytes aggregate the codec-framed tensor
-	// kinds only; TotalBytes counts every transport byte of the run.
+	// kinds only — RawBytes with dense f64 bodies (the paper's count),
+	// EncBytes as sent; TotalBytes counts every transport byte of the run.
 	Messages   int64
 	RawBytes   int64
 	EncBytes   int64
@@ -219,15 +241,15 @@ func PrintFigure10X(w io.Writer, rows []Figure10XRow) {
 			base[r.Dataset+"/"+r.Model] = r.TotalBytes
 		}
 	}
-	fmt.Fprintf(w, "%-10s %-9s %-6s %10s %12s %12s %8s %10s %10s\n",
-		"Dataset", "Model", "Codec", "Messages", "TensorBytes", "TotalBytes", "vs f64", "MaxErr", "MeanErr")
+	fmt.Fprintf(w, "%-10s %-9s %-6s %10s %12s %12s %12s %8s %10s %10s\n",
+		"Dataset", "Model", "Codec", "Messages", "DenseBytes", "TensorBytes", "TotalBytes", "vs f64", "MaxErr", "MeanErr")
 	for _, r := range rows {
 		ratio := "--"
 		if b := base[r.Dataset+"/"+r.Model]; b > 0 && r.TotalBytes > 0 {
 			ratio = fmt.Sprintf("%.2fx", float64(b)/float64(r.TotalBytes))
 		}
-		fmt.Fprintf(w, "%-10s %-9s %-6s %10d %12s %12s %8s %10.2e %10.2e\n",
-			r.Dataset, r.Model, r.Codec, r.Messages, humanBytes(r.EncBytes), humanBytes(r.TotalBytes), ratio, r.MaxErr, r.MeanErr)
+		fmt.Fprintf(w, "%-10s %-9s %-6s %10d %12s %12s %12s %8s %10.2e %10.2e\n",
+			r.Dataset, r.Model, r.Codec, r.Messages, humanBytes(r.RawBytes), humanBytes(r.EncBytes), humanBytes(r.TotalBytes), ratio, r.MaxErr, r.MeanErr)
 	}
 }
 

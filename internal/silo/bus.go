@@ -60,8 +60,8 @@ const (
 // Codec, Rows, Cols and Blob belong to the wire-codec layer (see CodecBus):
 // when Codec is non-zero, Blob holds the tensor payload encoded by
 // internal/silo/codec and Rows/Cols are its dimensions (the dims ride the
-// frame header, never the blob, so the f64 blob is exactly 8 bytes per
-// value). All four are zero on an envelope that holds a native Payload or
+// frame header, never the blob, so a dense f64 blob is exactly 8 bytes per
+// value and a row dictionary fewer). All four are zero on an envelope that holds a native Payload or
 // no tensor at all; an envelope holds its tensor once, never both ways.
 //
 // WireSize and the frame layout live in frame.go.

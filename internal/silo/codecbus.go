@@ -22,8 +22,8 @@ func codecEligible(k Kind) bool {
 
 // WireKindStats is one message kind's bytes-vs-error record under a wire
 // codec: how many tensor messages were framed, the bytes their frames would
-// have been with a float64 body (8 per value), the bytes of the frames
-// actually sent, and the maximum / value-weighted mean absolute
+// have been with a dense float64 body (8 per value), the bytes of the frames
+// actually sent (dense or row dictionary), and the maximum / value-weighted mean absolute
 // reconstruction error the codec introduced. For the lossless f64 codec
 // both errors are exactly 0.
 type WireKindStats struct {
@@ -52,9 +52,11 @@ type wireAgg struct {
 // retries, dedup, chaos faults, byte accounting — operates on the encoded
 // blob, exactly as a real network stack would.
 //
-// The default f64 codec is bit-lossless and its blob is the body a native
-// Payload is framed with, so a default run's losses and per-kind byte
-// accounting are bit-identical to a run without the wrapper (pinned by
+// The default f64 codec is bit-lossless, so a default run's losses and
+// outputs are bit-identical to a run without the wrapper. Its dense blob is
+// the body a native Payload is framed with; a tensor that repeats rows goes
+// as a row dictionary instead, so its frame costs less than the native one
+// and the difference is the report's RawBytes − Bytes (pinned by
 // TestCodecBusDefaultBitIdentity).
 //
 // Every framed send is accounted per kind: raw vs encoded bytes and the

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"math/bits"
 	"slices"
 
@@ -25,14 +26,16 @@ import (
 //	u64   flow    trace context, zero when untraced
 //	u64   seq     \ only when frameSequenced is set
 //	u64   sum     /
-//	...   body    exactly codec.EncodedSize(rows, cols) bytes
+//	...   body    the codec's blob: codec.EncodedSize(rows, cols) bytes
+//	              dense, fewer as a row dictionary (package codec)
 //
 // Three rules keep the accounting honest. The flow id is fixed-width and
 // always present, so attaching a recorder moves exactly the bytes an
 // untraced run moves. Seq and Sum cost their 16 bytes only on messages the
 // resilient layer stamped, and Rexmit is a flag bit. A native Payload is
-// written as the f64 codec's body with frameNative set, which only tells the
-// reader to hand the tensor back as Payload: there is one float encoding.
+// written as the f64 codec's dense body with frameNative set, which only
+// tells the reader to hand the tensor back as Payload: there is one float
+// encoding, and the uncompressed reference stays uncompressed.
 const (
 	frameSequenced = 1 << iota // Seq and Sum follow Flow
 	frameRexmit                // Envelope.Rexmit
@@ -42,9 +45,9 @@ const (
 )
 
 // MaxFrame caps the length prefix a reader accepts and a writer emits, and
-// with it every dimension field; the largest frame a run sends (one
-// client's latent upload) is far below it.
-const MaxFrame = 1 << 30
+// with it every dimension field and the f64 expansion of a row dictionary;
+// the largest frame a run sends (one client's latent upload) is far below it.
+const MaxFrame = codec.MaxBytes
 
 // frameFixed is the fixed-width part of every header: the length prefix,
 // flags, kind, the two name-length bytes, codec and the flow id. The
@@ -157,11 +160,10 @@ func appendFrame(dst []byte, e *Envelope) ([]byte, error) {
 	if e.Payload == nil {
 		return append(dst, e.Blob...), nil
 	}
-	blob, _, err := codec.Encode(codec.F64, e.Payload)
-	if err != nil {
-		return dst, err
+	for _, v := range e.Payload.Data {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 	}
-	return append(dst, blob...), nil
+	return dst, nil
 }
 
 // corruptFrame builds the error every malformed frame resolves to.
@@ -272,8 +274,8 @@ func decodeFrame(b []byte) (*Envelope, error) {
 		return nil, corruptFrame("unknown codec id %d", id)
 	case id == codec.None && (rows != 0 || cols != 0 || len(body) != 0 || flags&frameNative != 0):
 		return nil, corruptFrame("frame without a codec declares a %dx%d body of %d bytes", rows, cols, len(body))
-	case flags&frameNative != 0 && id != codec.F64:
-		return nil, corruptFrame("native payload framed as %s", id)
+	case flags&frameNative != 0 && (id != codec.F64 || uint64(len(body)) != 8*rows*cols):
+		return nil, corruptFrame("native payload framed as a %d-byte %s body for %dx%d", len(body), id, rows, cols)
 	}
 	e.Kind = kindTable[code]
 	e.Rexmit = flags&frameRexmit != 0

@@ -86,7 +86,8 @@ func sameEnvelope(sent, got *Envelope) error {
 }
 
 // TestWireSizeExactOverTCP is the measured-equals-counted check: for every
-// kind, body and stamp, over a loopback hub, the bytes the hub and the peers
+// kind, body and stamp, with no rows, some rows or all rows of the payload
+// repeated, over a loopback hub, the bytes the hub and the peers
 // wrote to their sockets are exactly the sum of the envelopes' WireSize —
 // once per hop, so twice for a message the hub forwards — and the frame
 // appendFrame builds is WireSize long. Hellos open the streams and count as
@@ -150,28 +151,40 @@ func TestWireSizeExactOverTCP(t *testing.T) {
 		}
 	}
 
+	// Three payloads of 130 rows (a two-byte dimension varint): none
+	// repeated, four distinct rows, every row equal. Codec bodies of the
+	// last two are row dictionaries; a native payload is always dense.
 	rng := rand.New(rand.NewSource(25))
-	m := tensor.New(130, 3).Randn(rng, 1) // 130 rows: a two-byte dimension varint
-	for _, kind := range kindTable[1:] {
-		if kind == kindHello || kind == KindPeerDown || kind == KindHeartbeat {
-			continue // stream opener, hub-injected notice, and hub-consumed beacon: below
-		}
-		for _, body := range frameBodies {
-			for _, stamp := range frameStamps {
-				up := buildEnvelope(t, "c0", "coord", kind, body, stamp, m)
-				hop(up, 1)
-				got, err := hub.Recv("coord")
-				check(up, got, err)
+	few := tensor.New(130, 3).Randn(rng, 1)
+	for r := 4; r < few.Rows; r++ {
+		copy(few.Row(r), few.Row(r%4))
+	}
+	payloads := []*tensor.Matrix{tensor.New(130, 3).Randn(rng, 1), few, tensor.New(130, 3)}
+	for p, m := range payloads {
+		for _, kind := range kindTable[1:] {
+			if kind == kindHello || kind == KindPeerDown || kind == KindHeartbeat {
+				continue // stream opener, hub-injected notice, and hub-consumed beacon: below
+			}
+			for _, body := range frameBodies {
+				for _, stamp := range frameStamps {
+					up := buildEnvelope(t, "c0", "coord", kind, body, stamp, m)
+					if dense := up.Codec.EncodedSize(m.Rows, m.Cols); body != "native" && (len(up.Blob) < dense) != (p > 0) {
+						t.Fatalf("payload %d under %s: %d-byte body, %d dense", p, body, len(up.Blob), dense)
+					}
+					hop(up, 1)
+					got, err := hub.Recv("coord")
+					check(up, got, err)
 
-				across := buildEnvelope(t, "c0", "c1", kind, body, stamp, m)
-				hop(across, 2)
-				got, err = c1.Recv("c1")
-				check(across, got, err)
+					across := buildEnvelope(t, "c0", "c1", kind, body, stamp, m)
+					hop(across, 2)
+					got, err = c1.Recv("c1")
+					check(across, got, err)
 
-				down := buildEnvelope(t, "coord", "c1", kind, body, stamp, m)
-				hop(down, 1)
-				got, err = c1.Recv("c1")
-				check(down, got, err)
+					down := buildEnvelope(t, "coord", "c1", kind, body, stamp, m)
+					hop(down, 1)
+					got, err = c1.Recv("c1")
+					check(down, got, err)
+				}
 			}
 		}
 	}
@@ -239,6 +252,18 @@ var goldenFrames = []struct {
 		hex: "32000000" + "03" + "04" + "026330" + "05636f6f7264" + "02" + "02" + "01" +
 			"0000000000000000" + "0500000000000000" + "8877665544332211" +
 			"0000803f" + "000000c0",
+	},
+	{
+		name: "f64 row dictionary",
+		env: &Envelope{From: "c0", To: "coord", Kind: KindLatents,
+			Codec: codec.F64, Rows: 3, Cols: 1, Blob: []byte{
+				0x02,
+				0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0x3f,
+				0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x40,
+				0x00, 0x00, 0x01}},
+		hex: "2e000000" + "00" + "01" + "026330" + "05636f6f7264" + "01" + "03" + "01" +
+			"0000000000000000" +
+			"02" + "000000000000f03f" + "0000000000000040" + "000001",
 	},
 	{
 		name: "q8 wide",
@@ -342,8 +367,9 @@ func TestAppendFrameRefuses(t *testing.T) {
 }
 
 // frameMutants derives hostile inputs from the golden frames: truncated at
-// every offset, one bit flipped in every byte, and the length prefix and the
-// dimension fields overwritten with boundary values.
+// every offset, one bit flipped in every byte, the native flag toggled (a
+// native body must be dense f64), and the length prefix and the dimension
+// fields overwritten with boundary values.
 func frameMutants() [][]byte {
 	var out [][]byte
 	for _, g := range goldenFrames {
@@ -351,6 +377,9 @@ func frameMutants() [][]byte {
 		for n := 0; n <= len(frame); n++ {
 			out = append(out, append([]byte(nil), frame[:n]...))
 		}
+		native := append([]byte(nil), frame...)
+		native[4] ^= frameNative
+		out = append(out, native)
 		for i := range frame {
 			flipped := append([]byte(nil), frame...)
 			flipped[i] ^= 1 << (i % 8)
