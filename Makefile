@@ -75,12 +75,14 @@ race:
 
 # fuzz-smoke runs the three decoders of outside bytes against mutated input
 # for a fixed short budget each. The wire decoder on frames: malformed input
-# must come back as ErrCorruptPayload. The codec decoder on tensor bodies,
-# dense and row dictionary: a refusal allocates no more than the body's own
-# rows, an accepted body no more than its dense expansion on top. The three
-# checkpoint loaders (stacked, E2E, VFL) on streams: a refusal must wrap
-# nn.ErrCheckpoint and allocate no more than a valid stream does. All: never
-# a panic, and whatever decodes must re-encode to the bytes it was read from.
+# must come back as ErrCorruptPayload. The codec decoder on tensor bodies —
+# dense, row dictionary and Huffman-coded: a refusal allocates no more than
+# the body a coded blob stands for (eight bytes per blob byte, a bit per
+# symbol) and a hash table of its rows, an accepted body no more than its
+# dense expansion on top. The three checkpoint loaders (stacked, E2E, VFL) on
+# streams: a refusal must wrap nn.ErrCheckpoint and allocate no more than a
+# valid stream does. All: never a panic, and whatever decodes must re-encode
+# to the bytes it was read from.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime 10s ./internal/silo/
 	$(GO) test -run '^$$' -fuzz FuzzCodecDecode -fuzztime 10s ./internal/silo/codec/
@@ -96,8 +98,13 @@ fuzz-smoke:
 #      for both the latent path (silofuse) and activations/gradients (e2e);
 #   4. a default silofuse run on adult, whose categorical-only silos upload
 #      repeated latent rows, must show f64/latents bytes below raw_bytes in
-#      its manifest: the row dictionary engages from the CLI.
+#      its manifest: the row dictionary engages from the CLI;
+#   5. so must a default run on abalone over two silos, each of which holds
+#      continuous columns, so no two latent rows are equal and no dictionary
+#      applies: only Huffman coding of the byte planes can make it true.
 CODEC_SMOKE_DIR ?= /tmp/silofuse_codec_smoke
+LATENTS_BELOW_RAW = awk '/"f64\/latents"/ { on = 1 } on && /"raw_bytes"/ { raw = $$2 + 0 } on && /"bytes"/ { sent = $$2 + 0; exit } \
+	END { printf "codec-smoke: %s f64/latents %d of %d raw bytes\n", FILENAME, sent, raw; exit !(sent > 0 && sent < raw) }'
 codec-smoke:
 	rm -rf $(CODEC_SMOKE_DIR) && mkdir -p $(CODEC_SMOKE_DIR)
 	$(GO) build -o $(CODEC_SMOKE_DIR)/silofuse-train ./cmd/silofuse-train
@@ -112,9 +119,9 @@ codec-smoke:
 	grep -q '"q8/activation"' $(CODEC_SMOKE_DIR)/results/codec/manifest.json
 	grep -q '"max_err"' $(CODEC_SMOKE_DIR)/results/codec/manifest.json
 	cd $(CODEC_SMOKE_DIR) && ./silofuse-train -dataset adult -train-rows 1000 -iters 30 -rows 50 -run adult -out adult.csv
-	awk '/"f64\/latents"/ { on = 1 } on && /"raw_bytes"/ { raw = $$2 + 0 } on && /"bytes"/ { sent = $$2 + 0; exit } \
-		END { printf "codec-smoke: adult f64/latents %d of %d raw bytes\n", sent, raw; exit !(sent > 0 && sent < raw) }' \
-		$(CODEC_SMOKE_DIR)/results/adult/manifest.json
+	$(LATENTS_BELOW_RAW) $(CODEC_SMOKE_DIR)/results/adult/manifest.json
+	cd $(CODEC_SMOKE_DIR) && ./silofuse-train -dataset abalone -clients 2 -train-rows 300 -iters 30 -rows 50 -run abalone -out abalone.csv
+	$(LATENTS_BELOW_RAW) $(CODEC_SMOKE_DIR)/results/abalone/manifest.json
 
 # obs-smoke exercises the fleet observability stack end to end:
 #   1. a healthy demo run over the TCP hub must write a run manifest that

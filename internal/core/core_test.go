@@ -171,9 +171,11 @@ func TestSiloFuseCommStatsSingleRound(t *testing.T) {
 }
 
 // TestLatentNoiseKeepsUploadDense: equal categorical cells give bit-equal
-// latents, which the wire codec ships as a row dictionary; Gaussian noise on
-// the upload (LatentNoiseStd > 0) makes every row distinct, so each upload
-// then costs exactly its dense frame.
+// latents, which the wire codec ships as a row dictionary, here at about
+// half the dense bytes; Gaussian noise on the upload (LatentNoiseStd > 0)
+// makes every row distinct, so each upload's body stays dense and only its
+// byte planes code shorter — the sign and exponent bytes of continuous f64
+// values, under a quarter of the dense bytes.
 func TestLatentNoiseKeepsUploadDense(t *testing.T) {
 	tb := loanTable(t, 200)
 	for _, noise := range []float64{0, 0.1} {
@@ -184,8 +186,8 @@ func TestLatentNoiseKeepsUploadDense(t *testing.T) {
 			t.Fatal(err)
 		}
 		lat := m.WireReport()[string(silo.KindLatents)]
-		if lat.Messages != int64(o.Clients) || (lat.Bytes == lat.RawBytes) != (noise > 0) || lat.Bytes > lat.RawBytes {
-			t.Fatalf("noise %v: latent upload %+v, want dense exactly when noised", noise, lat)
+		if lat.Messages != int64(o.Clients) || lat.Bytes >= lat.RawBytes || (4*lat.Bytes > 3*lat.RawBytes) != (noise > 0) {
+			t.Fatalf("noise %v: latent upload %+v, want a dictionary's saving exactly when not noised", noise, lat)
 		}
 	}
 }

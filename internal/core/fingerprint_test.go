@@ -28,13 +28,16 @@ import (
 // Beside the hashes sit the other quantities that repeat bit for bit: the
 // stacked fit's single latent upload in bytes (the benchmark's wire_bytes at
 // the same shapes), and an E2EDistr fit under the f32 wire codec — its last
-// step's loss bits and its four message kinds. Three are linear in the
-// iteration count (paper Fig. 10); the activations of categorical-only
-// clients repeat rows within a batch and go as row dictionaries, so their
-// bytes are pinned per run. The latent bytes were re-pinned once when the
-// row dictionary came in: adult 448,108 → 208,810, churn 224,108 →
-// 133,814, activations at 10 / 20 iterations 72,760 / 145,520 → 58,990 /
-// 118,364; every hash and loss bit stayed.
+// step's loss bits and its four message kinds. Each kind's dense bytes are
+// linear in the iteration count (paper Fig. 10); what is sent depends on
+// which rows repeat and how well each frame's byte planes code, so it is
+// pinned per run. The bytes were re-pinned once for each wire-codec stage,
+// every hash and loss bit staying: the row dictionary took adult 448,108 →
+// 208,810, churn 224,108 → 133,814 and the activations at 10 / 20
+// iterations 72,760 / 145,520 → 58,990 / 118,364; the coded form took
+// adult to 175,122, churn to 115,638, the activations to 49,803 / 100,036
+// and denoised, grad-up and grad-down from 7,276 B per iteration to the
+// values below.
 func TestFitFingerprintOracle(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("hashes were recorded on amd64; a compiler that fuses multiply-adds rounds differently")
@@ -50,8 +53,8 @@ func TestFitFingerprintOracle(t *testing.T) {
 		wantDigest               uint64
 		wantLatentBytes          int64
 	}{
-		{"adult", 4000, 22, 500, 25, 0x8867f8ab01363bb2, 0xadfaef4b8c6463d3, 0xca7aab42035bbed5, 208810},
-		{"churn", 2000, 2, 64, 5, 0xb2dee736ffe4e254, 0x72d9f39046383eb4, 0x4c4d457d516bfdd2, 133814},
+		{"adult", 4000, 22, 500, 25, 0x8867f8ab01363bb2, 0xadfaef4b8c6463d3, 0xca7aab42035bbed5, 175122},
+		{"churn", 2000, 2, 64, 5, 0xb2dee736ffe4e254, 0x72d9f39046383eb4, 0x4c4d457d516bfdd2, 115638},
 	}
 	for _, c := range cases {
 		spec, err := datagen.ByName(c.dataset)
@@ -92,14 +95,14 @@ func TestFitFingerprintOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const bytesPerKindPerIter = 7276 // 128 × 14 f32 values in four frames with a 27-byte header each
+	const densePerKindPerIter = 14444 // 128 × 14 values as dense f64 frames with four 27-byte headers
 	for _, c := range []struct {
-		iters          int
-		wantLoss       uint64
-		wantActivation int64
+		iters    int
+		wantLoss uint64
+		wantSent map[silo.Kind]int64
 	}{
-		{10, 0x4018542aed95c8f0, 58990},
-		{20, 0x40185a9ac377739c, 118364},
+		{10, 0x4018542aed95c8f0, map[silo.Kind]int64{silo.KindActivation: 49803, silo.KindDenoised: 61905, silo.KindGradUp: 61679, silo.KindGradDown: 61688}},
+		{20, 0x40185a9ac377739c, map[silo.Kind]int64{silo.KindActivation: 100036, silo.KindDenoised: 123802, silo.KindGradUp: 123401, silo.KindGradDown: 123422}},
 	} {
 		o := FastOptions()
 		o.Seed, o.AEIters, o.DiffIters, o.WireCodec = 1, c.iters/2, c.iters/2, "f32"
@@ -111,17 +114,19 @@ func TestFitFingerprintOracle(t *testing.T) {
 		if got := math.Float64bits(o.Recorder.Reg.Gauge("e2e_loss").Value()); got != c.wantLoss {
 			t.Errorf("e2edistr/f32, %d iterations: last loss bits %016x, oracle %016x", c.iters, got, c.wantLoss)
 		}
-		st, want := m.CommStats(), int64(c.iters*bytesPerKindPerIter)
-		if len(st.ByKind) != 4 || st.Bytes != 3*want+c.wantActivation {
-			t.Errorf("e2edistr/f32, %d iterations: %d bytes over %v, oracle %d in four kinds", c.iters, st.Bytes, st.ByKind, 3*want+c.wantActivation)
-		}
-		if got := st.ByKind[silo.KindActivation]; got != c.wantActivation {
-			t.Errorf("e2edistr/f32, %d iterations: activation moved %d bytes, oracle %d", c.iters, got, c.wantActivation)
-		}
-		for _, k := range []silo.Kind{silo.KindDenoised, silo.KindGradUp, silo.KindGradDown} {
+		st, rep := m.CommStats(), m.WireReport()
+		var total int64
+		for k, want := range c.wantSent {
+			total += want
 			if st.ByKind[k] != want {
 				t.Errorf("e2edistr/f32, %d iterations: %s moved %d bytes, oracle %d", c.iters, k, st.ByKind[k], want)
 			}
+			if raw := rep[string(k)].RawBytes; raw != int64(c.iters*densePerKindPerIter) {
+				t.Errorf("e2edistr/f32, %d iterations: %s is %d bytes as dense frames, want %d", c.iters, k, raw, c.iters*densePerKindPerIter)
+			}
+		}
+		if len(st.ByKind) != len(c.wantSent) || st.Bytes != total {
+			t.Errorf("e2edistr/f32, %d iterations: %d bytes over %v, oracle %d in four kinds", c.iters, st.Bytes, st.ByKind, total)
 		}
 	}
 }

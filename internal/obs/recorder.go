@@ -224,8 +224,8 @@ func (r *Recorder) WireCodec(codec, kind string, raw, enc int64, maxErr, meanErr
 }
 
 // Retry records one transport retransmission of the given message kind
-// after a backoff of d: it bumps bus_retries_total_<kind> and observes the
-// backoff in bus_backoff_seconds_<kind>. Retransmitted bytes themselves are
+// after a backoff of d: it bumps bus_retries_total_<kind> and notes the
+// backoff in the flight recorder. Retransmitted bytes themselves are
 // accounted by Message under the "retransmit" kind, keeping goodput
 // counters invariant under faults.
 func (r *Recorder) Retry(kind string, d time.Duration) {
@@ -233,17 +233,15 @@ func (r *Recorder) Retry(kind string, d time.Duration) {
 		return
 	}
 	r.Reg.Counter("bus_retries_total_" + kind).Inc()
-	r.Reg.Histogram("bus_backoff_seconds_" + kind).Observe(d.Seconds())
 	r.Flight.Note("retry", kind, "", d.Seconds())
 }
 
-// Redelivery records a receiver-side duplicate discard (an envelope whose
-// sequence number was already delivered): bus_redeliveries_total_<kind>.
+// Redelivery notes a receiver-side duplicate discard (an envelope whose
+// sequence number was already delivered) in the flight recorder.
 func (r *Recorder) Redelivery(kind string) {
 	if r == nil {
 		return
 	}
-	r.Reg.Counter("bus_redeliveries_total_" + kind).Inc()
 	r.Flight.Note("redelivery", kind, "", 0)
 }
 
@@ -257,23 +255,21 @@ func (r *Recorder) CorruptPayload(kind string) {
 	r.Flight.Note("corrupt", kind, "", 0)
 }
 
-// Reconnect records a transport reconnect for the named peer:
-// bus_reconnects_total_<peer>.
+// Reconnect notes a transport reconnect for the named peer in the flight
+// recorder.
 func (r *Recorder) Reconnect(peer string) {
 	if r == nil {
 		return
 	}
-	r.Reg.Counter("bus_reconnects_total_" + peer).Inc()
 	r.Flight.Note("reconnect", "", peer, 0)
 }
 
-// PeerDown records a peer-death detection for the named peer:
-// bus_peer_down_total_<peer>.
+// PeerDown notes a peer-death detection for the named peer in the flight
+// recorder, whose postmortem dump says which peer died.
 func (r *Recorder) PeerDown(peer string) {
 	if r == nil {
 		return
 	}
-	r.Reg.Counter("bus_peer_down_total_" + peer).Inc()
 	r.Flight.Note("peer-down", "", peer, 0)
 }
 

@@ -12,11 +12,10 @@
 // pure function of (id, blob, rows, cols): the tensor dimensions ride the
 // frame header, never the blob.
 //
-// A blob has one of two forms, told apart by its length alone. The dense
-// form is exactly EncodedSize(rows, cols) bytes: the q8 table, then every
-// encoded row in order — so the f64 blob of a tensor with no repeated row
-// is exactly 8·n bytes. When the encoded rows repeat, Encode writes the
-// dictionary form instead, if and only if it is strictly smaller:
+// A blob has one of three forms, told apart by its length and first byte.
+// The dense form is exactly EncodedSize(rows, cols) bytes: the q8 table,
+// then every encoded row in order. When the encoded rows repeat, Encode
+// writes the dictionary form instead, if and only if it is strictly smaller:
 //
 //	uvar  d      number of distinct encoded rows, 1 ≤ d < rows
 //	...   rows   the dense blob of those d rows (q8: the whole tensor's
@@ -31,6 +30,12 @@
 // occurrence, every one of them used — and only when its dense expansion
 // fits MaxBytes, so what decodes re-encodes to the same bytes and a short
 // blob cannot claim a tensor no frame could carry.
+//
+// Whichever of the two Encode chose, it then Huffman-codes the body's byte
+// planes where that pays, and sends the coded form when the whole is
+// strictly smaller (entropy.go has its layout). A coded blob starts with a
+// zero byte, which no dictionary does, so the f64 blob of a tensor is 8·n
+// bytes only when neither its rows repeat nor its bytes code shorter.
 //
 // This package is the only place (together with internal/tensor's conversion
 // kernels) where float64↔float32 conversions are legal; the silofuse-vet
@@ -61,10 +66,10 @@ const (
 	Q8   ID = 3 // per-column affine int8 quantization
 )
 
-// MaxBytes bounds the tensor a dictionary blob may stand for: rows·cols·8
-// bytes, its f64 expansion, at most MaxBytes. It is the frame cap of the
-// silo transports, so a dictionary never decodes to more than a dense frame
-// could have carried.
+// MaxBytes bounds the tensor a blob shorter than dense (a dictionary or a
+// coded blob) may stand for: rows·cols·8 bytes, its f64 expansion, at most
+// MaxBytes. It is the frame cap of the silo transports, so such a blob never
+// decodes to more than a dense frame could have carried.
 const MaxBytes = 1 << 30
 
 // String returns the codec's canonical name.
@@ -104,7 +109,7 @@ const (
 )
 
 // EncodedSize returns the exact size in bytes of the dense blob for an
-// rows×cols matrix under this codec; a dictionary blob is shorter.
+// rows×cols matrix under this codec; a dictionary or coded blob is shorter.
 func (id ID) EncodedSize(rows, cols int) int {
 	n := rows * cols
 	switch id {
@@ -126,10 +131,11 @@ func (id ID) rowSize(cols int) int   { return id.EncodedSize(1, cols) - id.table
 // CheckSize reports whether a blob of n bytes can be an rows×cols matrix
 // under this codec (None and unknown ids carry no tensor): n is the dense
 // size, or n is shorter, the dense expansion fits MaxBytes and n is at
-// least the smallest dictionary. Dimensions arrive from the network, so the
-// product is taken in 128 bits before EncodedSize multiplies it — 1<<32 ×
-// 1<<32 wraps to 0 and would otherwise match an empty blob. Decode checks
-// the rest of a dictionary.
+// least the smallest coded blob — three header bytes, the q8 table and a bit
+// per row. Dimensions arrive from the network, so the product is taken in
+// 128 bits before EncodedSize multiplies it — 1<<32 × 1<<32 wraps to 0 and
+// would otherwise match an empty blob. Decode checks the rest of a
+// dictionary or coded blob.
 func (id ID) CheckSize(n, rows, cols int) error {
 	switch {
 	case id == None || id > Q8:
@@ -148,9 +154,9 @@ func (id ID) CheckSize(n, rows, cols int) error {
 	case n > dense:
 		return fmt.Errorf("codec: %s blob for %dx%d is %d bytes, want %d", id, rows, cols, n, dense)
 	case values > MaxBytes/8:
-		return fmt.Errorf("codec: %d-byte %s dictionary for %dx%d expands past %d bytes", n, id, rows, cols, MaxBytes)
-	case n < 1+id.EncodedSize(1, cols)+rows: // one distinct row, one-byte indices
-		return fmt.Errorf("codec: %s blob for %dx%d is %d bytes, shorter than any dictionary and than %d dense", id, rows, cols, n, dense)
+		return fmt.Errorf("codec: %d-byte %s blob for %dx%d expands past %d bytes", n, id, rows, cols, MaxBytes)
+	case n < 3+id.tableSize(cols)+(rows+7)/8:
+		return fmt.Errorf("codec: %s blob for %dx%d is %d bytes, shorter than any coded blob and than %d dense", id, rows, cols, n, dense)
 	}
 	return nil
 }
@@ -165,8 +171,22 @@ type ErrStats struct {
 
 // Encode serializes m under the codec and reports the reconstruction error.
 // A nil or empty matrix encodes to an empty (q8: table-only) blob. The blob
-// is in the dictionary form when that is strictly smaller than the dense one.
+// is in the dictionary form when that is strictly smaller than the dense one,
+// and in the coded form when that is strictly smaller again.
 func Encode(id ID, m *tensor.Matrix) ([]byte, ErrStats, error) {
+	blob, st, err := EncodeUncoded(id, m)
+	if err == nil && m != nil {
+		if coded := id.code(blob, m.Rows, m.Cols); coded != nil {
+			blob = coded
+		}
+	}
+	return blob, st, err
+}
+
+// EncodeUncoded is Encode without the coded form: the dense blob or the row
+// dictionary. Its length is a function of the shape and of which rows repeat,
+// never of how predictable the bytes are.
+func EncodeUncoded(id ID, m *tensor.Matrix) ([]byte, ErrStats, error) {
 	blob, st, err := encodeDense(id, m)
 	if err == nil && m != nil {
 		if dict := id.dictionary(blob, m.Rows, m.Cols); dict != nil {
@@ -367,17 +387,27 @@ func index(idx []byte, r, iw int) int {
 func uvarintLen(v int) int { return (bits.Len64(uint64(v)|1) + 6) / 7 }
 
 // Decode reconstructs an rows×cols matrix from a blob produced by Encode
-// with the same codec and dimensions, in either form. Anything else —
-// a length that is neither form, a dictionary not in Encode's canonical
-// form — is an error, and a refused blob allocates at most a hash table
-// the size of its own distinct rows.
+// with the same codec and dimensions, in any form. Anything else — a length
+// that is no form, a dictionary or coded blob not in Encode's canonical form
+// — is an error with no matrix. Allocation is bounded by the blob: a coded
+// blob stands for at most eight body bytes per blob byte (every coded symbol
+// costs a bit), and checking a dictionary takes a hash table of at most 16
+// bytes per distinct row, so a refused blob allocates at most 136 bytes per
+// byte (plus a constant), and an accepted one its rows·cols matrix on top.
 func Decode(id ID, blob []byte, rows, cols int) (*tensor.Matrix, error) {
 	if err := id.CheckSize(len(blob), rows, cols); err != nil {
 		return nil, err
 	}
+	dense := id.EncodedSize(rows, cols)
+	if len(blob) < dense && blob[0] == 0 {
+		var err error
+		if blob, err = id.uncode(blob, rows, cols); err != nil {
+			return nil, err
+		}
+	}
 	// A dense blob reads as d = rows distinct rows at offset 0, no index.
 	d, k := rows, 0
-	if len(blob) < id.EncodedSize(rows, cols) {
+	if len(blob) < dense {
 		var err error
 		if d, err = id.checkDictionary(blob, rows, cols); err != nil {
 			return nil, err

@@ -38,7 +38,7 @@ func TestF64RoundTripBitExact(t *testing.T) {
 		if st.Max != 0 || st.Mean != 0 { //silofuse:bitwise-ok lossless codec must report exactly zero error
 			t.Fatalf("f64 reported error %+v, want zero", st)
 		}
-		if dense := 8 * len(m.Data); len(blob) > dense || (len(blob) == dense) == repeatsRow(m) {
+		if dense := 8 * len(m.Data); len(blob) > dense || len(blob) == dense && repeatsRow(m) {
 			t.Fatalf("f64 blob %d bytes, dense %d, rows repeat: %v", len(blob), dense, repeatsRow(m))
 		}
 		got, err := Decode(F64, blob, m.Rows, m.Cols)

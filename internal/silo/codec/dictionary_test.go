@@ -52,6 +52,20 @@ func sameBits(t testing.TB, label string, a, b *tensor.Matrix) {
 	}
 }
 
+// uncoded returns the dense or dictionary body a blob stands for: the blob
+// itself unless it is in the coded form.
+func uncoded(t testing.TB, id ID, blob []byte, rows, cols int) []byte {
+	t.Helper()
+	if len(blob) == id.EncodedSize(rows, cols) || blob[0] != 0 {
+		return blob
+	}
+	body, err := id.uncode(blob, rows, cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
 // expand rebuilds the dense blob a dictionary blob stands for.
 func expand(t testing.TB, id ID, blob []byte, rows, cols int) []byte {
 	t.Helper()
@@ -90,10 +104,10 @@ func TestDictionaryGolden(t *testing.T) {
 }
 
 // TestDictionaryRoundTrip: under every codec, a tensor whose rows repeat
-// decodes to exactly what its dense blob decodes to, the blob is the
-// dictionary exactly when that is smaller, and its size is the layout's
-// arithmetic. Rows are compared as encoded bytes, so q8 also folds rows
-// that differ only below its quantum.
+// decodes to exactly what its dense blob decodes to, the body the blob
+// codes is the dictionary exactly when that is smaller, and its size is the
+// layout's arithmetic. Rows are compared as encoded bytes, so q8 also folds
+// rows that differ only below its quantum.
 func TestDictionaryRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	nearlyEqual := repeated(rng, 64, 4, 5)
@@ -130,21 +144,23 @@ func TestDictionaryRoundTrip(t *testing.T) {
 			}
 			sameBits(t, label, got, want)
 
+			body := uncoded(t, id, blob, m.Rows, m.Cols)
 			ord, d := distinct(dense[id.tableSize(m.Cols):], id.rowSize(m.Cols), m.Rows)
 			dict := uvarintLen(d) + id.EncodedSize(d, m.Cols) + m.Rows*indexWidth(d)
 			switch {
-			case ord == nil && !bytes.Equal(blob, dense):
-				t.Fatalf("%s: no encoded row repeats, yet the blob is not dense", label)
-			case ord != nil && dict < len(dense) && len(blob) != dict:
-				t.Fatalf("%s: %d distinct rows, blob %d bytes, want the %d-byte dictionary", label, d, len(blob), dict)
-			case ord != nil && dict >= len(dense) && !bytes.Equal(blob, dense):
+			case ord == nil && !bytes.Equal(body, dense):
+				t.Fatalf("%s: no encoded row repeats, yet the body is not dense", label)
+			case ord != nil && dict < len(dense) && len(body) != dict:
+				t.Fatalf("%s: %d distinct rows, body %d bytes, want the %d-byte dictionary", label, d, len(body), dict)
+			case ord != nil && dict >= len(dense) && !bytes.Equal(body, dense):
 				t.Fatalf("%s: a %d-byte dictionary is not smaller than %d dense, yet was sent", label, dict, len(dense))
 			}
 		}
 	}
 	// q8 folds the nearly-equal rows (f64 cannot): 5 distinct encoded rows.
-	if blob, _, _ := Encode(Q8, nearlyEqual); len(blob) != 1+Q8.EncodedSize(5, 4)+64 {
-		t.Fatalf("q8 nearly-equal rows: %d bytes, want the 5-row dictionary", len(blob))
+	blob, _, _ := Encode(Q8, nearlyEqual)
+	if body := uncoded(t, Q8, blob, 64, 4); len(body) != 1+Q8.EncodedSize(5, 4)+64 {
+		t.Fatalf("q8 nearly-equal rows: %d bytes, want the 5-row dictionary", len(body))
 	}
 }
 
@@ -160,8 +176,8 @@ func TestDictionaryIndexWidths(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := uvarintLen(c.d) + 8*c.d + c.rows*c.width; len(blob) != want {
-			t.Fatalf("%d distinct of %d rows: %d bytes, want %d (%d-byte indices)", c.d, c.rows, len(blob), want, c.width)
+		if want, body := uvarintLen(c.d)+8*c.d+c.rows*c.width, uncoded(t, F64, blob, c.rows, 1); len(body) != want {
+			t.Fatalf("%d distinct of %d rows: %d bytes, want %d (%d-byte indices)", c.d, c.rows, len(body), want, c.width)
 		}
 		got, err := Decode(F64, blob, c.rows, 1)
 		if err != nil {
@@ -218,28 +234,40 @@ func TestDictionaryExpansionBound(t *testing.T) {
 }
 
 // TestEncodeRepeatFreeAllocs: a tensor with no repeated row costs its dense
-// blob and the row hash table, nothing more.
+// blob and the row hash table, and the coded blob when that is what is sent:
+// planning the code lives on the stack.
 func TestEncodeRepeatFreeAllocs(t *testing.T) {
-	m := tensor.New(256, 16).Randn(rand.New(rand.NewSource(1)), 1)
-	for _, id := range []ID{F64, F32, Q8} {
-		if n := testing.AllocsPerRun(20, func() { Encode(id, m) }); n != 2 {
-			t.Errorf("%s: Encode of a repeat-free tensor allocates %v times, want 2", id, n)
+	rng := rand.New(rand.NewSource(1))
+	for _, m := range []*tensor.Matrix{tensor.New(256, 16).Randn(rng, 1), tensor.New(3, 2).Randn(rng, 1)} {
+		for _, id := range []ID{F64, F32, Q8} {
+			blob, _, _ := Encode(id, m)
+			want := 2.0
+			if len(blob) < id.EncodedSize(m.Rows, m.Cols) {
+				want++
+			}
+			if n := testing.AllocsPerRun(20, func() { Encode(id, m) }); n != want {
+				t.Errorf("%s: Encode of a repeat-free %d-byte tensor allocates %v times, want %v", id, len(blob), n, want)
+			}
 		}
 	}
 }
 
 // checkDecode is Decode's contract on arbitrary input: never a panic; a
-// refusal is an error with no matrix and allocates no more than the hash
-// table of the blob's own rows; an accepted blob allocates its matrix on
-// top, decodes to what its dense expansion decodes to, and — when it is a
-// dictionary — is exactly the dictionary Encode writes for that expansion.
+// refusal is an error with no matrix; allocation stays within the bound
+// Decode states; an accepted blob decodes to what its dense expansion
+// decodes to and is exactly what Encode writes in its form — a coded blob
+// re-codes from its body to the same bytes, and a dictionary body is the
+// dictionary of its expansion.
 func checkDecode(t testing.TB, id ID, blob []byte, rows, cols int) {
 	t.Helper()
 	if id.CheckSize(len(blob), rows, cols) == nil && rows*cols > 1<<20 {
 		return // MaxBytes, not this test's memory, is the cap; TestDictionaryExpansionBound pins it
 	}
 	m, err := Decode(id, blob, rows, cols)
-	budget := uint64(16*len(blob) + 4<<10)
+	// A coded blob stands for at most eight body bytes per byte, a bit per
+	// symbol; the dictionary check's hash table costs at most 16 bytes per
+	// distinct row of that body.
+	budget := uint64(8*len(blob) + 16*8*len(blob) + 4<<10)
 	if err == nil {
 		budget += uint64(8 * rows * cols)
 	}
@@ -266,18 +294,28 @@ func checkDecode(t testing.TB, id ID, blob []byte, rows, cols int) {
 	if m.Rows != rows || m.Cols != cols {
 		t.Fatalf("%s: decoded %dx%d, want %dx%d", id, m.Rows, m.Cols, rows, cols)
 	}
-	if len(blob) == id.EncodedSize(rows, cols) {
+	dense := id.EncodedSize(rows, cols)
+	if len(blob) == dense {
 		return
 	}
-	dense := expand(t, id, blob, rows, cols)
-	if again := id.dictionary(dense, rows, cols); !bytes.Equal(again, blob) {
-		t.Fatalf("%s %dx%d: accepted %x, which re-encodes to %x", id, rows, cols, blob, again)
+	body := uncoded(t, id, blob, rows, cols)
+	if len(body) != len(blob) {
+		if again := id.code(body, rows, cols); !bytes.Equal(again, blob) {
+			t.Fatalf("%s %dx%d: accepted coded %x, which re-codes to %x", id, rows, cols, blob, again)
+		}
 	}
-	want, err := Decode(id, dense, rows, cols)
+	expansion := body
+	if len(body) < dense {
+		expansion = expand(t, id, body, rows, cols)
+		if again := id.dictionary(expansion, rows, cols); !bytes.Equal(again, body) {
+			t.Fatalf("%s %dx%d: accepted dictionary %x, which re-encodes to %x", id, rows, cols, body, again)
+		}
+	}
+	want, err := Decode(id, expansion, rows, cols)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameBits(t, id.String()+" dictionary against its expansion", m, want)
+	sameBits(t, id.String()+" blob against its expansion", m, want)
 }
 
 // decodeSeed is one input of FuzzCodecDecode.
@@ -287,41 +325,68 @@ type decodeSeed struct {
 	blob       []byte
 }
 
-// decodeSeeds derives hostile blobs from dense and dictionary blobs of all
-// three codecs: each whole, cut at every section boundary and inside the
-// row and index sections, and with each bit of the count byte and of the
-// first and last index bytes flipped.
+// decodeSeeds derives hostile blobs from the dense, dictionary and coded
+// blobs of all three codecs: each whole and cut at every section boundary;
+// a dictionary also cut inside its row and index sections and with each bit
+// of its count byte and first and last index bytes flipped; a coded blob
+// also cut at each plane and table boundary and with each bit of its header
+// fields and of the first and last byte of every table flipped.
 func decodeSeeds() []decodeSeed {
 	rng := rand.New(rand.NewSource(2404))
 	mats := []*tensor.Matrix{
 		repeated(rng, 12, 4, 3),    // a dictionary under every codec
 		repeated(rng, 300, 4, 260), // two-byte indices; q8 stays dense
 		tensor.New(5, 3).Randn(rng, 1),
+		tensor.New(64, 3).Randn(rng, 1), // coded dense bodies
+		repeated(rng, 400, 2, 5),        // coded dictionaries
 	}
 	var out []decodeSeed
 	for _, id := range []ID{F64, F32, Q8} {
 		for _, m := range mats {
-			blob, _, _ := Encode(id, m)
 			add := func(b []byte) { out = append(out, decodeSeed{id, m.Rows, m.Cols, b}) }
-			add(blob)
-			table, width := id.tableSize(m.Cols), id.rowSize(m.Cols)
-			cuts := []int{0, table, table + width, len(blob) - 1}
-			var flips []int
-			if len(blob) < id.EncodedSize(m.Rows, m.Cols) {
-				d, _ := id.checkDictionary(blob, m.Rows, m.Cols)
-				k := uvarintLen(d)
-				end, iw := k+id.EncodedSize(d, m.Cols), indexWidth(d)
-				cuts = append(cuts, k, k+table, k+table+width, end-width, end, end+iw, len(blob)-iw)
-				flips = append(flips, 0, end, end+iw-1, len(blob)-iw, len(blob)-1)
+			flip := func(b []byte, at ...int) {
+				for _, i := range at {
+					for bit := 0; bit < 8; bit++ {
+						flipped := append([]byte(nil), b...)
+						flipped[i] ^= 1 << bit
+						add(flipped)
+					}
+				}
 			}
-			for _, n := range cuts {
-				add(blob[:n])
+			dense, _, _ := encodeDense(id, m)
+			bodies := [][]byte{dense}
+			if dict := id.dictionary(dense, m.Rows, m.Cols); dict != nil {
+				bodies = append(bodies, dict)
 			}
-			for _, i := range flips {
-				for bit := 0; bit < 8; bit++ {
-					flipped := append([]byte(nil), blob...)
-					flipped[i] ^= 1 << bit
-					add(flipped)
+			for _, body := range bodies {
+				add(body)
+				table, width := id.tableSize(m.Cols), id.rowSize(m.Cols)
+				cuts := []int{0, table, table + width, len(body) - 1}
+				if len(body) < len(dense) {
+					d, _ := id.checkDictionary(body, m.Rows, m.Cols)
+					k := uvarintLen(d)
+					end, iw := k+id.EncodedSize(d, m.Cols), indexWidth(d)
+					cuts = append(cuts, k, k+table, k+table+width, end-width, end, end+iw, len(body)-iw)
+					flip(body, 0, end, end+iw-1, len(body)-iw, len(body)-1)
+				}
+				for _, n := range cuts {
+					add(body[:n])
+				}
+				coded := id.code(body, m.Rows, m.Cols)
+				if coded == nil {
+					continue
+				}
+				add(coded)
+				fields, starts, tables := codedSections(id, body, m.Rows, m.Cols)
+				for _, n := range append([]int{1, fields - 1, fields, len(coded) - 1}, starts...) {
+					add(coded[:n])
+				}
+				for i := range fields {
+					flip(coded, i)
+				}
+				for _, tb := range tables {
+					add(coded[:tb[1]])
+					flip(coded, tb[0], tb[1]-1)
 				}
 			}
 		}

@@ -23,7 +23,7 @@ func codecEligible(k Kind) bool {
 // WireKindStats is one message kind's bytes-vs-error record under a wire
 // codec: how many tensor messages were framed, the bytes their frames would
 // have been with a dense float64 body (8 per value), the bytes of the frames
-// actually sent (dense or row dictionary), and the maximum / value-weighted mean absolute
+// actually sent (dense, row dictionary or coded), and the maximum / value-weighted mean absolute
 // reconstruction error the codec introduced. For the lossless f64 codec
 // both errors are exactly 0.
 type WireKindStats struct {
@@ -55,9 +55,12 @@ type wireAgg struct {
 // The default f64 codec is bit-lossless, so a default run's losses and
 // outputs are bit-identical to a run without the wrapper. Its dense blob is
 // the body a native Payload is framed with; a tensor that repeats rows goes
-// as a row dictionary instead, so its frame costs less than the native one
-// and the difference is the report's RawBytes − Bytes (pinned by
-// TestCodecBusDefaultBitIdentity).
+// as a row dictionary, and one whose byte planes Huffman-code shorter in the
+// coded form, so its frame costs less than the native one and the
+// difference is the report's RawBytes − Bytes (pinned by
+// TestCodecBusDefaultBitIdentity). Synthesis latents never take the coded
+// form: a synthesis request's bytes depend on its size, not on the noise
+// the sampler drew.
 //
 // Every framed send is accounted per kind: raw vs encoded bytes and the
 // reconstruction error bound, exposed through WireReport and — when a
@@ -98,7 +101,13 @@ func (b *CodecBus) Send(e *Envelope) error {
 	if !codecEligible(e.Kind) || e.Payload == nil || e.Codec != 0 {
 		return b.inner.Send(e)
 	}
-	blob, st, err := codec.Encode(b.id, e.Payload)
+	encode := codec.Encode
+	if e.Kind == KindSynthLatent {
+		// Sampled latents are fresh noise every request: coded, a request's
+		// bytes would vary by a few from one draw to the next.
+		encode = codec.EncodeUncoded
+	}
+	blob, st, err := encode(b.id, e.Payload)
 	if err != nil {
 		return fmt.Errorf("silo: wire codec %s encode %s: %w", b.id, e.Kind, err)
 	}

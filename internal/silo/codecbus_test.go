@@ -11,11 +11,11 @@ import (
 	"silofuse/internal/tensor"
 )
 
-// TestWireSizeCodecModel pins Envelope.WireSize per codec against the codec
-// package's EncodedSize arithmetic — the frame is its header plus exactly
-// the codec's bytes — and checks that an f64-framed envelope costs exactly
-// what the same tensor costs as a native Payload, the invariant the default
-// run's byte accounting rests on.
+// TestWireSizeCodecModel pins Envelope.WireSize per codec: the frame is its
+// header plus exactly the blob, the uncoded blob of a tensor with no repeated
+// row is EncodedSize bytes — under f64 exactly what the same tensor costs as
+// a native Payload, the invariant the default run's byte accounting rests on
+// — and the coded form is never longer.
 func TestWireSizeCodecModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, shape := range [][2]int{{1, 1}, {7, 3}, {50, 20}, {128, 16}} {
@@ -24,16 +24,25 @@ func TestWireSizeCodecModel(t *testing.T) {
 		native := &Envelope{From: "a", To: "b", Kind: KindLatents, Payload: m}
 		header := native.WireSize() - int64(codec.F64.EncodedSize(rows, cols))
 		for _, id := range []codec.ID{codec.F64, codec.F32, codec.Q8} {
+			uncoded, _, err := codec.EncodeUncoded(id, m)
+			if err != nil {
+				t.Fatal(err)
+			}
 			blob, _, err := codec.Encode(id, m)
 			if err != nil {
 				t.Fatal(err)
 			}
-			framed := &Envelope{From: "a", To: "b", Kind: KindLatents, Blob: blob, Codec: id, Rows: rows, Cols: cols}
-			if got, want := framed.WireSize(), header+int64(id.EncodedSize(rows, cols)); got != want {
-				t.Fatalf("%s %dx%d: WireSize = %d, want header %d + EncodedSize = %d", id, rows, cols, got, header, want)
+			if len(uncoded) != id.EncodedSize(rows, cols) || len(blob) > len(uncoded) {
+				t.Fatalf("%s %dx%d: uncoded %d bytes, coded %d, EncodedSize %d", id, rows, cols, len(uncoded), len(blob), id.EncodedSize(rows, cols))
 			}
-			if id == codec.F64 && framed.WireSize() != native.WireSize() {
-				t.Fatalf("%dx%d: f64-framed WireSize %d != native payload WireSize %d", rows, cols, framed.WireSize(), native.WireSize())
+			for _, b := range [][]byte{uncoded, blob} {
+				framed := &Envelope{From: "a", To: "b", Kind: KindLatents, Blob: b, Codec: id, Rows: rows, Cols: cols}
+				if got, want := framed.WireSize(), header+int64(len(b)); got != want {
+					t.Fatalf("%s %dx%d: WireSize = %d, want header %d + blob %d = %d", id, rows, cols, got, header, len(b), want)
+				}
+				if id == codec.F64 && len(b) == len(uncoded) && framed.WireSize() != native.WireSize() {
+					t.Fatalf("%dx%d: f64-framed WireSize %d != native payload WireSize %d", rows, cols, framed.WireSize(), native.WireSize())
+				}
 			}
 		}
 	}
@@ -142,8 +151,12 @@ func TestCodecBusWireReport(t *testing.T) {
 		var wantRaw, wantEnc int64
 		for _, m := range []*tensor.Matrix{a, b} {
 			raw := (&Envelope{From: "c0", To: "coord", Kind: KindLatents, Payload: m}).WireSize()
+			blob, _, err := codec.Encode(id, m)
+			if err != nil {
+				t.Fatal(err)
+			}
 			wantRaw += raw
-			wantEnc += raw - int64(codec.F64.EncodedSize(m.Rows, m.Cols)) + int64(id.EncodedSize(m.Rows, m.Cols))
+			wantEnc += raw - int64(codec.F64.EncodedSize(m.Rows, m.Cols)) + int64(len(blob))
 		}
 		if rep.RawBytes != wantRaw {
 			t.Fatalf("%s: raw bytes %d, want %d", id, rep.RawBytes, wantRaw)
@@ -172,8 +185,9 @@ func TestCodecBusWireReport(t *testing.T) {
 // run — training losses, synthesised output and message counts match
 // exactly. The bare bus charges every tensor as its dense native frame,
 // which is what the codec layer reports as RawBytes per kind; the codec
-// layer charges that less what its row dictionaries saved, and on this
-// run's categorical silos they save something.
+// layer charges that less what its row dictionaries and coded forms saved.
+// The latent upload saves; synthesis latents, which never take the coded
+// form and never repeat a row, save nothing.
 func TestCodecBusDefaultBitIdentity(t *testing.T) {
 	bare := NewLocalBus()
 	baseAE, baseDiff, baseOut := chaosStackedRun(t, bare)
@@ -202,7 +216,10 @@ func TestCodecBusDefaultBitIdentity(t *testing.T) {
 		saved += want - got
 	}
 	if saved <= 0 || ws.Bytes != bs.Bytes-saved {
-		t.Fatalf("f64 codec moved %d B against the bare bus's %d, %d saved by row dictionaries", ws.Bytes, bs.Bytes, saved)
+		t.Fatalf("f64 codec moved %d B against the bare bus's %d, %d saved by dictionaries and coding", ws.Bytes, bs.Bytes, saved)
+	}
+	if lat, syn := rep[string(KindLatents)], rep[string(KindSynthLatent)]; lat.Bytes >= lat.RawBytes || syn.Messages == 0 || syn.Bytes != syn.RawBytes {
+		t.Fatalf("f64 codec: latents %+v should save, synth-latent %+v should cost its dense frames", lat, syn)
 	}
 	for _, kind := range WireReportKinds(rep) {
 		if r := rep[kind]; r.MaxErr != 0 || r.MeanErr != 0 {

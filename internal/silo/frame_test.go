@@ -86,8 +86,8 @@ func sameEnvelope(sent, got *Envelope) error {
 }
 
 // TestWireSizeExactOverTCP is the measured-equals-counted check: for every
-// kind, body and stamp, with no rows, some rows or all rows of the payload
-// repeated, over a loopback hub, the bytes the hub and the peers
+// kind, body and stamp, with codec bodies in each of the three forms, over a
+// loopback hub, the bytes the hub and the peers
 // wrote to their sockets are exactly the sum of the envelopes' WireSize —
 // once per hop, so twice for a message the hub forwards — and the frame
 // appendFrame builds is WireSize long. Hellos open the streams and count as
@@ -151,16 +151,45 @@ func TestWireSizeExactOverTCP(t *testing.T) {
 		}
 	}
 
-	// Three payloads of 130 rows (a two-byte dimension varint): none
-	// repeated, four distinct rows, every row equal. Codec bodies of the
-	// last two are row dictionaries; a native payload is always dense.
+	// Five payloads of 130 rows (a two-byte dimension varint): random bit
+	// patterns with none, then 100 distinct rows repeated, go dense and as a
+	// plain row dictionary under f64; normals code their exponent bytes,
+	// four distinct rows and all-equal rows code their dictionary's index.
+	// A native payload is always dense.
 	rng := rand.New(rand.NewSource(25))
-	few := tensor.New(130, 3).Randn(rng, 1)
-	for r := 4; r < few.Rows; r++ {
-		copy(few.Row(r), few.Row(r%4))
+	randomBits := func(rows int) *tensor.Matrix {
+		m := tensor.New(rows, 3)
+		for i := range m.Data {
+			m.Data[i] = math.Float64frombits(rng.Uint64() &^ (1 << 62)) // finite
+		}
+		return m
 	}
-	payloads := []*tensor.Matrix{tensor.New(130, 3).Randn(rng, 1), few, tensor.New(130, 3)}
+	withRepeats := func(m *tensor.Matrix, distinct int) *tensor.Matrix {
+		for r := distinct; r < m.Rows; r++ {
+			copy(m.Row(r), m.Row(r%distinct))
+		}
+		return m
+	}
+	payloads := []*tensor.Matrix{
+		randomBits(130), withRepeats(randomBits(130), 100),
+		tensor.New(130, 3).Randn(rng, 1), withRepeats(tensor.New(130, 3).Randn(rng, 1), 4), tensor.New(130, 3),
+	}
+	f64Forms := []string{"dense", "dictionary", "coded", "coded", "coded"}
 	for p, m := range payloads {
+		blob, _, err := codec.Encode(codec.F64, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		form := "dictionary"
+		switch {
+		case len(blob) == codec.F64.EncodedSize(m.Rows, m.Cols):
+			form = "dense"
+		case blob[0] == 0:
+			form = "coded"
+		}
+		if form != f64Forms[p] {
+			t.Fatalf("payload %d: f64 body is %s (%d bytes), want %s", p, form, len(blob), f64Forms[p])
+		}
 		for _, kind := range kindTable[1:] {
 			if kind == kindHello || kind == KindPeerDown || kind == KindHeartbeat {
 				continue // stream opener, hub-injected notice, and hub-consumed beacon: below
@@ -168,9 +197,6 @@ func TestWireSizeExactOverTCP(t *testing.T) {
 			for _, body := range frameBodies {
 				for _, stamp := range frameStamps {
 					up := buildEnvelope(t, "c0", "coord", kind, body, stamp, m)
-					if dense := up.Codec.EncodedSize(m.Rows, m.Cols); body != "native" && (len(up.Blob) < dense) != (p > 0) {
-						t.Fatalf("payload %d under %s: %d-byte body, %d dense", p, body, len(up.Blob), dense)
-					}
 					hop(up, 1)
 					got, err := hub.Recv("coord")
 					check(up, got, err)
@@ -264,6 +290,18 @@ var goldenFrames = []struct {
 		hex: "2e000000" + "00" + "01" + "026330" + "05636f6f7264" + "01" + "03" + "01" +
 			"0000000000000000" +
 			"02" + "000000000000f03f" + "0000000000000040" + "000001",
+	},
+	{
+		// The coded f32 dictionary of 1, 2, 1, 2, … (codec's TestCodedGolden).
+		name: "f32 coded dictionary",
+		env: &Envelope{From: "c0", To: "coord", Kind: KindLatents,
+			Codec: codec.F32, Rows: 16, Cols: 1, Blob: []byte{
+				0x00, 0x02, 0x10,
+				0x00, 0x00, 0x00, 0x00, 0x80, 0x00, 0x3f, 0x40,
+				0x11, 0xaf, 0x0f, 0xaa, 0xaa}},
+		hex: "2a000000" + "00" + "01" + "026330" + "05636f6f7264" + "02" + "10" + "01" +
+			"0000000000000000" +
+			"000210" + "0000000080003f40" + "11af0f" + "aaaa",
 	},
 	{
 		name: "q8 wide",

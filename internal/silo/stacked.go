@@ -367,14 +367,23 @@ func (p *Pipeline) TrainStackedResilient(rc RecoveryConfig) (aeLoss, diffLoss fl
 // partition, and every client decodes locally. The result stays vertically
 // partitioned — the paper's strong-privacy mode.
 func (p *Pipeline) SynthesizePartitioned(requester int, n int, sample bool) ([]*tabular.Table, error) {
-	if requester < 0 || requester >= len(p.Clients) {
-		return nil, fmt.Errorf("silo: invalid requesting client %d", requester)
-	}
 	span := p.Rec.StartSpan("synthesis")
 	span.SetAttr("rows", n)
 	span.SetAttr("steps", p.Cfg.SynthSteps)
 	defer span.End()
-	// Request message (control only).
+	return p.synthesize(requester, sample, func() ([]*tensor.Matrix, error) {
+		return p.Coord.SampleLatents(n, p.Cfg.SynthSteps)
+	})
+}
+
+// synthesize runs one Algorithm 2 round for the requesting client: its
+// synth-req reaches the coordinator, draw samples the latent partitions, the
+// coordinator distributes them and every client decodes its own
+// concurrently. The partitions come back in client order.
+func (p *Pipeline) synthesize(requester int, sample bool, draw func() ([]*tensor.Matrix, error)) ([]*tabular.Table, error) {
+	if requester < 0 || requester >= len(p.Clients) {
+		return nil, fmt.Errorf("silo: invalid requesting client %d", requester)
+	}
 	req := &Envelope{From: p.Clients[requester].ID, To: p.Coord.ID, Kind: KindSynthReq}
 	if err := p.Bus.Send(req); err != nil {
 		return nil, err
@@ -385,7 +394,7 @@ func (p *Pipeline) SynthesizePartitioned(requester int, n int, sample bool) ([]*
 		return nil, fmt.Errorf("silo: coordinator expected synth request, got %q", env.Kind)
 	}
 
-	parts, err := p.Coord.SampleLatents(n, p.Cfg.SynthSteps)
+	parts, err := draw()
 	if err != nil {
 		return nil, err
 	}
@@ -456,9 +465,6 @@ func (p *Pipeline) SynthesizeSharedLane(requester int, seed int64, lane, n int, 
 // distribution, parallel decode, vertical join. The returned table holds
 // the lanes' rows stacked in lane order.
 func (p *Pipeline) synthesizeSharedStacked(requester int, seed int64, lane0 int, ns []int, sample bool) (*tabular.Table, error) {
-	if requester < 0 || requester >= len(p.Clients) {
-		return nil, fmt.Errorf("silo: invalid requesting client %d", requester)
-	}
 	total := 0
 	for _, n := range ns {
 		total += n
@@ -468,48 +474,11 @@ func (p *Pipeline) synthesizeSharedStacked(requester int, seed int64, lane0 int,
 	span.SetAttr("lanes", len(ns))
 	span.SetAttr("steps", p.Cfg.SynthSteps)
 	defer span.End()
-	req := &Envelope{From: p.Clients[requester].ID, To: p.Coord.ID, Kind: KindSynthReq}
-	if err := p.Bus.Send(req); err != nil {
-		return nil, err
-	}
-	if env, err := p.Bus.Recv(p.Coord.ID); err != nil {
-		return nil, err
-	} else if env.Kind != KindSynthReq {
-		return nil, fmt.Errorf("silo: coordinator expected synth request, got %q", env.Kind)
-	}
-
-	parts, err := p.Coord.SampleLatentsBatch(seed, lane0, ns, p.Cfg.SynthSteps)
+	out, err := p.synthesize(requester, sample, func() ([]*tensor.Matrix, error) {
+		return p.Coord.SampleLatentsBatch(seed, lane0, ns, p.Cfg.SynthSteps)
+	})
 	if err != nil {
 		return nil, err
-	}
-	if err := p.Coord.DistributeLatents(p.Bus, parts); err != nil {
-		return nil, err
-	}
-
-	out := make([]*tabular.Table, len(p.Clients))
-	errs := make([]error, len(p.Clients))
-	var wg sync.WaitGroup
-	for i, c := range p.Clients {
-		wg.Add(1)
-		go func(i int, c *Client) {
-			defer wg.Done()
-			env, err := p.Bus.Recv(c.ID)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if env.Kind != KindSynthLatent {
-				errs[i] = fmt.Errorf("silo: client %s expected synth latents, got %q", c.ID, env.Kind)
-				return
-			}
-			out[i], errs[i] = c.DecodeLatents(env.Payload, sample)
-		}(i, c)
-	}
-	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			return nil, e
-		}
 	}
 	return tabular.JoinVertical(p.Schema, p.Parts, out)
 }
