@@ -1,7 +1,7 @@
 GO ?= go
 BENCHFLAGS ?= -benchmem
 
-.PHONY: build vet lint lint-fixtures test test-purego cross-arm64 test-chaos race fuzz-smoke ci bench bench-kernels bench-layout codec-smoke obs-smoke profile
+.PHONY: build vet lint lint-fixtures test test-purego cross-arm64 test-chaos race fuzz-smoke ci bench bench-kernels bench-layout codec-smoke obs-smoke experiments-smoke profile
 
 build:
 	$(GO) build ./...
@@ -145,6 +145,23 @@ obs-smoke:
 	grep -q '"cause"' $(OBS_SMOKE_DIR)/results/crash/postmortem/coord.json
 	$(OBS_SMOKE_DIR)/silofuse-obs summary $(OBS_SMOKE_DIR)/results/fleet
 
+# experiments-smoke runs the experiment cell engine end to end from the CLI.
+# Tables III, IV and VI on loan read 7 cells between them — Table VI scores
+# three of Table III's fits — so the run must leave:
+#   1. results/cells/cells.jsonl with 26 lines: resemblance and utility of
+#      7 cells, the privacy composite and its three attacks of 3;
+#   2. a merged trace with one process lane per cell;
+#   3. a run directory silofuse-obs can summarize.
+EXPERIMENTS_SMOKE_DIR ?= /tmp/silofuse_experiments_smoke
+experiments-smoke:
+	rm -rf $(EXPERIMENTS_SMOKE_DIR) && mkdir -p $(EXPERIMENTS_SMOKE_DIR)
+	$(GO) build -o $(EXPERIMENTS_SMOKE_DIR)/silofuse-bench ./cmd/silofuse-bench
+	$(GO) build -o $(EXPERIMENTS_SMOKE_DIR)/silofuse-obs ./cmd/silofuse-obs
+	cd $(EXPERIMENTS_SMOKE_DIR) && ./silofuse-bench -exp table3,table4,table6 -datasets loan -rows 300 -scale fast -run cells -trace cells.json
+	test $$(wc -l < $(EXPERIMENTS_SMOKE_DIR)/results/cells/cells.jsonl) -eq 26
+	test $$(grep -o '"process_name"' $(EXPERIMENTS_SMOKE_DIR)/cells.json | wc -l) -eq 7
+	$(EXPERIMENTS_SMOKE_DIR)/silofuse-obs summary $(EXPERIMENTS_SMOKE_DIR)/results/cells
+
 # bench-kernels runs the hot-path microbenchmarks (the axpy primitive as Go
 # loop vs AVX2; BenchmarkMatMulShapes — GFLOP/s of the products the fits and
 # the sampler run, per kernel tier, with a one-hot row where every tier must
@@ -175,7 +192,7 @@ profile:
 	grep -q 'silofuse/internal/' $(PROFILE_DIR)/top.out
 
 ci:
-	$(MAKE) lint-fixtures && $(MAKE) lint && $(GO) build ./... && $(GO) test ./... && $(MAKE) test-purego && $(MAKE) cross-arm64 && $(MAKE) race && $(MAKE) test-chaos && $(MAKE) fuzz-smoke && $(MAKE) codec-smoke && $(MAKE) obs-smoke && $(MAKE) profile && $(MAKE) bench-kernels BENCHFLAGS='-benchtime=1x'
+	$(MAKE) lint-fixtures && $(MAKE) lint && $(GO) build ./... && $(GO) test ./... && $(MAKE) test-purego && $(MAKE) cross-arm64 && $(MAKE) race && $(MAKE) test-chaos && $(MAKE) fuzz-smoke && $(MAKE) codec-smoke && $(MAKE) obs-smoke && $(MAKE) experiments-smoke && $(MAKE) profile && $(MAKE) bench-kernels BENCHFLAGS='-benchtime=1x'
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -6,13 +6,16 @@
 //	silofuse-bench -exp all -scale standard -trials 3
 //	silofuse-bench -exp fig11 -datasets heloc,loan,churn
 //	silofuse-bench -exp fig10 -run fig10   # perf record: results/fig10/manifest.json
+//	silofuse-bench -exp table3,table6 -run t36   # + every cell's scores: results/t36/cells.jsonl
 //
 // Experiment ids are listed by -h, from experimentTable below.
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -37,9 +40,9 @@ func main() {
 	diffIters := flag.Int("diff-iters", 0, "override diffusion iterations")
 	ganIters := flag.Int("gan-iters", 0, "override GAN iterations")
 	utilCols := flag.Int("util-cols", 0, "cap on utility target columns (0 = all)")
-	tracePath := flag.String("trace", "", "write a Chrome-trace JSON covering every model fitted")
+	tracePath := flag.String("trace", "", "write a Chrome-trace JSON covering every model fitted, one lane per cell")
 	metricsFlag := flag.Bool("metrics", false, "print the metrics text exposition to stderr at the end")
-	runName := flag.String("run", "", "write results/<run>/manifest.json — the run's perf record: phases, step histograms, wire bytes by kind and codec — and stream results/<run>/events.jsonl")
+	runName := flag.String("run", "", "write results/<run>/manifest.json — the run's perf record: phases, step histograms, wire bytes by kind and codec — and cells.jsonl, every cell's scores, and stream results/<run>/events.jsonl")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU pprof profile covering the whole run to this path (read it with go tool pprof)")
 	memProfile := flag.String("memprofile", "", "write a heap pprof profile at the end of the run to this path")
 	chaosProfile := flag.String("chaos-profile", "", "inject transport faults during distributed training: drop, dup, reorder, delay, corrupt, flaky, blackhole, crash (empty disables)")
@@ -49,20 +52,14 @@ func main() {
 	flag.Parse()
 
 	exps, err := resolveExperiments(*exp)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
+	exitOn(err, 2)
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err == nil {
 			err = pprof.StartCPUProfile(f)
 		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		exitOn(err, 1)
 	}
 
 	var cfg experiments.Config
@@ -72,8 +69,7 @@ func main() {
 	case "standard":
 		cfg = experiments.Standard()
 	default:
-		fmt.Fprintf(os.Stderr, "unknown scale %q (want fast or standard)\n", *scale)
-		os.Exit(2)
+		exitOn(fmt.Errorf("unknown scale %q (want fast or standard)", *scale), 2)
 	}
 	if *datasets != "" {
 		cfg.Datasets = strings.Split(*datasets, ",")
@@ -81,249 +77,180 @@ func main() {
 	if *models != "" {
 		cfg.Models = strings.Split(*models, ",")
 	}
-	if *trials > 0 {
-		cfg.Trials = *trials
-	}
-	if *rows > 0 {
-		cfg.RowCap = *rows
-	}
 	if *seed != 0 {
 		cfg.Seed = *seed
 	}
-	if *aeIters > 0 {
-		cfg.Opts.AEIters = *aeIters
-	}
-	if *diffIters > 0 {
-		cfg.Opts.DiffIters = *diffIters
-	}
-	if *ganIters > 0 {
-		cfg.Opts.GANIters = *ganIters
-	}
-	if *utilCols > 0 {
-		cfg.UtilCfg.MaxColumns = *utilCols
+	// A positive count overrides the scale's.
+	for _, o := range []struct{ dst, flag *int }{{&cfg.Trials, trials}, {&cfg.RowCap, rows}, {&cfg.Opts.AEIters, aeIters},
+		{&cfg.Opts.DiffIters, diffIters}, {&cfg.Opts.GANIters, ganIters}, {&cfg.UtilCfg.MaxColumns, utilCols}} {
+		if *o.flag > 0 {
+			*o.dst = *o.flag
+		}
 	}
 	if *chaosProfile != "" {
-		if _, err := silofuse.ChaosProfileByName(*chaosProfile); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
+		_, err := silofuse.ChaosProfileByName(*chaosProfile)
+		exitOn(err, 2)
 		cfg.Opts.ChaosProfile = *chaosProfile
 		cfg.Opts.ChaosSeed = *chaosSeed
 	}
-	if _, err := silofuse.WireCodecByName(*wireCodec); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
+	_, err = silofuse.WireCodecByName(*wireCodec)
+	exitOn(err, 2)
 	cfg.Opts.WireCodec = *wireCodec
 	switch *computePrecision {
 	case "", "f64", "f32":
 		cfg.Opts.ComputePrecision = *computePrecision
 	default:
-		fmt.Fprintf(os.Stderr, "unknown compute precision %q (want f64 or f32)\n", *computePrecision)
-		os.Exit(2)
+		exitOn(fmt.Errorf("unknown compute precision %q (want f64 or f32)", *computePrecision), 2)
 	}
 	var rec *silofuse.Recorder
 	if *tracePath != "" || *metricsFlag || *runName != "" {
 		rec = silofuse.NewRecorder()
 		cfg.Opts.Recorder = rec
 	}
+	var ew *silofuse.EventWriter // nil without -run: Emit is a no-op
 	if *runName != "" {
-		ew, err := silofuse.OpenEventLog(filepath.Join("results", *runName, "events.jsonl"))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		ew, err = silofuse.OpenEventLog(filepath.Join("results", *runName, "events.jsonl"))
+		exitOn(err, 1)
 		defer ew.Close()
 		rec.SetEvents(ew)
 		ew.Emit("run-start", map[string]any{"run": *runName, "exp": *exp, "scale": *scale, "seed": cfg.Seed})
 	}
+	// Every experiment that fits models reads its cells from one set: each
+	// projection is called once on the empty set to gather what it reads,
+	// the set runs each distinct cell once, and the projections print.
+	cells := experiments.NewCells(cfg)
+	for _, e := range exps {
+		if e.cells != nil {
+			exitOn(e.cells(cells, io.Discard), 2)
+		}
+	}
 	rt := experiments.CurrentRuntime()
-	fmt.Printf("runtime: %s %s/%s, %d CPUs, GOMAXPROCS %d, matmul kernel %s\n\n",
+	fmt.Printf("runtime: %s %s/%s, %d CPUs, GOMAXPROCS %d, matmul kernel %s\n",
 		rt.GoVersion, rt.GOOS, rt.GOARCH, rt.NumCPU, rt.GOMAXPROCS, rt.Kernel)
+	if cells.Len() > 0 {
+		start := time.Now()
+		exitOn(cells.Run(), 1)
+		elapsed := time.Since(start)
+		fmt.Printf("[%d cells done in %s]\n", cells.Len(), elapsed.Round(time.Millisecond))
+		ew.Emit("experiment", map[string]any{"exp": "cells", "cells": cells.Len(), "dur_sec": elapsed.Seconds()})
+	}
+	fmt.Println()
 	for _, e := range exps {
 		start := time.Now()
-		if err := e.run(cfg); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", e.id, err)
-			os.Exit(1)
+		var err error
+		if e.cells != nil {
+			err = e.cells(cells, os.Stdout)
+		} else {
+			err = e.run(cfg, os.Stdout)
+		}
+		if err != nil {
+			exitOn(fmt.Errorf("%s: %w", e.id, err), 1)
 		}
 		elapsed := time.Since(start)
 		fmt.Printf("\n[%s done in %s]\n\n", e.id, elapsed.Round(time.Millisecond))
-		if rec != nil {
-			rec.Events.Emit("experiment", map[string]any{"exp": e.id, "dur_sec": elapsed.Seconds()})
-		}
+		ew.Emit("experiment", map[string]any{"exp": e.id, "dur_sec": elapsed.Seconds()})
 	}
 	if *cpuProfile != "" {
 		pprof.StopCPUProfile()
 		fmt.Printf("wrote cpu profile %s\n", *cpuProfile)
 	}
 	if *memProfile != "" {
-		if err := writeHeapProfile(*memProfile); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		// Collect garbage first, so the profile shows what the run still holds.
+		exitOn(writeFile(*memProfile, func(w io.Writer) error { runtime.GC(); return pprof.WriteHeapProfile(w) }), 1)
 		fmt.Printf("wrote heap profile %s\n", *memProfile)
 	}
-	if err := writeTelemetry(rec, *tracePath, *metricsFlag, *runName, *exp, cfg.Seed); err != nil {
+	writeTelemetry(rec, cells, *tracePath, *metricsFlag, *runName, *exp, cfg.Seed)
+}
+
+// exitOn prints a non-nil err and exits with code.
+func exitOn(err error, code int) {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		os.Exit(code)
 	}
 }
 
-// writeHeapProfile collects garbage, so the profile shows what the run still
-// holds, and writes the heap profile to path.
-func writeHeapProfile(path string) error {
+// writeTelemetry emits the optional trace file, metrics exposition and run
+// manifest once all experiments have finished. The trace merges rec's lane
+// with one lane per cell, in cell order; the manifest's phases are every
+// lane's; a -run also records the cells' scores in cells.jsonl.
+func writeTelemetry(rec *silofuse.Recorder, cells *experiments.Cells, tracePath string, metrics bool, runName, exp string, seed int64) {
+	if rec == nil {
+		return
+	}
+	if tracePath != "" {
+		var docs []io.Reader
+		for _, r := range append([]*silofuse.Recorder{rec}, cells.Recorders()...) {
+			var buf bytes.Buffer
+			exitOn(r.Trace.WriteChromeTrace(&buf), 1)
+			docs = append(docs, &buf)
+		}
+		exitOn(writeFile(tracePath, func(w io.Writer) error { return silofuse.MergeChromeTraces(w, docs...) }), 1)
+		fmt.Printf("wrote trace %s\n", tracePath)
+	}
+	if metrics {
+		exitOn(rec.Reg.WriteText(os.Stderr), 1)
+	}
+	if runName != "" {
+		man := silofuse.NewRunManifest(runName, seed)
+		man.Config["exp"] = exp
+		man.FromRecorder(rec, cells.Recorders()...)
+		dir := filepath.Join("results", runName)
+		exitOn(man.Write(dir), 1)
+		exitOn(writeFile(filepath.Join(dir, "cells.jsonl"), cells.WriteRecord), 1)
+		fmt.Printf("wrote manifest %s and cells %s\n", filepath.Join(dir, "manifest.json"), filepath.Join(dir, "cells.jsonl"))
+	}
+}
+
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	runtime.GC()
-	if err := pprof.WriteHeapProfile(f); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}
 	return f.Close()
 }
 
-// writeTelemetry emits the optional trace file, metrics exposition and run
-// manifest once all experiments have finished.
-func writeTelemetry(rec *silofuse.Recorder, tracePath string, metrics bool, runName, exp string, seed int64) error {
-	if rec == nil {
-		return nil
-	}
-	if tracePath != "" {
-		f, err := os.Create(tracePath)
-		if err != nil {
-			return err
-		}
-		if err := rec.Trace.WriteChromeTrace(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote trace %s\n", tracePath)
-	}
-	if metrics {
-		if err := rec.Reg.WriteText(os.Stderr); err != nil {
-			return err
-		}
-	}
-	if runName != "" {
-		man := silofuse.NewRunManifest(runName, seed)
-		man.Config["exp"] = exp
-		man.FromRecorder(rec)
-		dir := filepath.Join("results", runName)
-		if err := man.Write(dir); err != nil {
-			return err
-		}
-		fmt.Printf("wrote manifest %s\n", filepath.Join(dir, "manifest.json"))
-	}
-	return nil
-}
-
-// experiment is one runnable -exp id.
+// experiment is one runnable -exp id: a projection of the run's cell set
+// (cells), or an experiment that fits no cells and runs on its own (run).
 type experiment struct {
 	id    string
 	gloss string // shown after the id in the flag help; may be empty
-	inAll bool   // part of "-exp all" (table3/table4 are not: quality runs both in one pass)
-	run   func(experiments.Config) error
+	inAll bool   // part of "-exp all"
+	cells func(*experiments.Cells, io.Writer) error
+	run   func(experiments.Config, io.Writer) error
+}
+
+// show runs an experiment — a projection of the cell set, or one that fits
+// no cells — and prints its result with print.
+func show[A, T any](f func(A) (T, error), print func(io.Writer, T)) func(A, io.Writer) error {
+	return func(a A, w io.Writer) error {
+		v, err := f(a)
+		if err == nil {
+			print(w, v)
+		}
+		return err
+	}
 }
 
 // experimentTable is the one ordered list of experiment ids: the -exp help
 // text, the "all" expansion and the up-front validation of -exp all read it,
 // so adding or dropping an experiment is a change to this table alone.
 var experimentTable = []experiment{
-	{"table2", "", true, func(cfg experiments.Config) error {
-		rows, err := cfg.TableII()
-		if err != nil {
-			return err
-		}
-		experiments.PrintTableII(os.Stdout, rows)
-		return nil
-	}},
-	{"table3", "resemblance", false, func(cfg experiments.Config) error {
-		g, err := cfg.TableIII()
-		if err != nil {
-			return err
-		}
-		experiments.PrintGrid(os.Stdout, g)
-		return nil
-	}},
-	{"table4", "utility", false, func(cfg experiments.Config) error {
-		g, err := cfg.TableIV()
-		if err != nil {
-			return err
-		}
-		experiments.PrintGrid(os.Stdout, g)
-		return nil
-	}},
-	{"quality", "tables 3+4 in one pass", true, func(cfg experiments.Config) error {
-		res, util, err := cfg.Quality()
-		if err != nil {
-			return err
-		}
-		experiments.PrintGrid(os.Stdout, res)
-		fmt.Println()
-		experiments.PrintGrid(os.Stdout, util)
-		return nil
-	}},
-	{"table5", "correlation differences", true, func(cfg experiments.Config) error {
-		cells, err := cfg.TableV()
-		if err != nil {
-			return err
-		}
-		experiments.PrintTableV(os.Stdout, cells)
-		return nil
-	}},
-	{"table6", "privacy", true, func(cfg experiments.Config) error {
-		g, err := cfg.TableVI()
-		if err != nil {
-			return err
-		}
-		experiments.PrintGrid(os.Stdout, g)
-		return nil
-	}},
-	{"table7", "privacy vs steps", true, func(cfg experiments.Config) error {
-		rows, err := cfg.TableVII()
-		if err != nil {
-			return err
-		}
-		experiments.PrintTableVII(os.Stdout, rows)
-		return nil
-	}},
-	{"fig10", "communication", true, func(cfg experiments.Config) error {
-		series, err := cfg.Figure10()
-		if err != nil {
-			return err
-		}
-		experiments.PrintFigure10(os.Stdout, series)
-		return nil
-	}},
-	{"fig10x", "wire codec sweep", true, func(cfg experiments.Config) error {
-		rows, err := cfg.Figure10X()
-		if err != nil {
-			return err
-		}
-		experiments.PrintFigure10X(os.Stdout, rows)
-		return nil
-	}},
-	{"fig11", "robustness", true, func(cfg experiments.Config) error {
-		points, err := cfg.Figure11()
-		if err != nil {
-			return err
-		}
-		experiments.PrintFigure11(os.Stdout, points)
-		return nil
-	}},
-	{"ablations", "", false, func(cfg experiments.Config) error {
-		rows, err := cfg.Ablations()
-		if err != nil {
-			return err
-		}
-		experiments.PrintAblations(os.Stdout, rows)
-		return nil
-	}},
+	{id: "table2", inAll: true, run: show(experiments.Config.TableII, experiments.PrintTableII)},
+	{id: "table3", gloss: "resemblance", inAll: true, cells: show((*experiments.Cells).TableIII, experiments.PrintGrid)},
+	{id: "table4", gloss: "utility", inAll: true, cells: show((*experiments.Cells).TableIV, experiments.PrintGrid)},
+	{id: "table5", gloss: "correlation differences", inAll: true, cells: show((*experiments.Cells).TableV, experiments.PrintTableV)},
+	{id: "table6", gloss: "privacy", inAll: true, cells: show((*experiments.Cells).TableVI, experiments.PrintGrid)},
+	{id: "table7", gloss: "privacy vs steps", inAll: true, cells: show((*experiments.Cells).TableVII, experiments.PrintTableVII)},
+	{id: "fig10", gloss: "communication", inAll: true, run: show(experiments.Config.Figure10, experiments.PrintFigure10)},
+	{id: "fig10x", gloss: "wire codec sweep", inAll: true, run: show(experiments.Config.Figure10X, experiments.PrintFigure10X)},
+	{id: "fig11", gloss: "robustness", inAll: true, cells: show((*experiments.Cells).Figure11, experiments.PrintFigure11)},
+	{id: "ablations", cells: show((*experiments.Cells).Ablations, experiments.PrintAblations)},
 }
 
 // experimentHelp renders the table as the id list of the -exp flag text.

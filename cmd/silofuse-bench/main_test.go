@@ -15,11 +15,12 @@ func TestResolveExperiments(t *testing.T) {
 		want    string // comma-joined resolved ids
 		wantErr string // substring of the error; "" means success
 	}{
-		{spec: "all", want: "table2,quality,table5,table6,table7,fig10,fig10x,fig11"},
+		{spec: "all", want: "table2,table3,table4,table5,table6,table7,fig10,fig10x,fig11"},
 		{spec: "fig10,fig10x", want: "fig10,fig10x"},
 		{spec: "fig11,table3,table4", want: "fig11,table3,table4"},
 		{spec: "ablations", want: "ablations"},
-		{spec: "table2,quality,nosuch", wantErr: `unknown experiment "nosuch"`},
+		{spec: "table2,table3,nosuch", wantErr: `unknown experiment "nosuch"`},
+		{spec: "quality", wantErr: `unknown experiment "quality"`},
 		{spec: "nosuch,table2", wantErr: `unknown experiment "nosuch"`},
 		{spec: "fig10,all", wantErr: `unknown experiment "all"`},
 		{spec: "fig10,", wantErr: `unknown experiment ""`},
@@ -55,8 +56,9 @@ func TestResolveExperiments(t *testing.T) {
 	}
 }
 
-// TestExperimentTableWellFormed checks what resolveExperiments assumes of
-// the table: ids are unique and every entry can run.
+// TestExperimentTableWellFormed checks what resolveExperiments and main
+// assume of the table: ids are unique and every entry either projects the
+// cell set or runs on its own, never both.
 func TestExperimentTableWellFormed(t *testing.T) {
 	seen := make(map[string]bool)
 	for _, e := range experimentTable {
@@ -64,8 +66,8 @@ func TestExperimentTableWellFormed(t *testing.T) {
 			t.Errorf("experiment id %q appears twice in the table", e.id)
 		}
 		seen[e.id] = true
-		if e.run == nil {
-			t.Errorf("experiment %q has no run function", e.id)
+		if (e.run == nil) == (e.cells == nil) {
+			t.Errorf("experiment %q must have exactly one of run and cells", e.id)
 		}
 	}
 }

@@ -201,7 +201,7 @@ func (a *Autoencoder) Train(train *tabular.Table, iters, batch int) float64 {
 	if measureAllocs {
 		var ms1 runtime.MemStats
 		runtime.ReadMemStats(&ms1)
-		a.Rec.TrainAllocs("ae", iters, ms1.Mallocs-ms0.Mallocs, ms1.TotalAlloc-ms0.TotalAlloc)
+		a.Rec.TrainAllocs("ae", iters, ms1.Mallocs-ms0.Mallocs)
 	}
 	if tailCount == 0 {
 		return 0

@@ -182,7 +182,7 @@ func (m *Model) Train(data *tensor.Matrix, iters, batch int) float64 {
 	if m.Rec != nil {
 		var ms1 runtime.MemStats
 		runtime.ReadMemStats(&ms1)
-		m.Rec.TrainAllocs("diffusion", iters, ms1.Mallocs-ms0.Mallocs, ms1.TotalAlloc-ms0.TotalAlloc)
+		m.Rec.TrainAllocs("diffusion", iters, ms1.Mallocs-ms0.Mallocs)
 	}
 	if tailCount == 0 {
 		return 0

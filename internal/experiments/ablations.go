@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"silofuse/internal/core"
-	"silofuse/internal/metrics"
 )
 
 // AblationResult is one design-choice variant's quality scores.
@@ -28,59 +27,38 @@ type AblationResult struct {
 //     (15 at fast, 25 at standard).
 //
 // The default dataset is cardio (one of the paper's showcase datasets).
-func (c Config) Ablations() ([]AblationResult, error) {
-	cc := c
-	if cc.Datasets == nil {
-		cc.Datasets = []string{"cardio"}
-	}
-	specs, err := cc.datasets()
+func (c Config) Ablations() ([]AblationResult, error) { return project(c, (*Cells).Ablations) }
+
+// Ablations projects the ablation study from the set. Its baseline is Table
+// III's SiloFuse cell.
+func (s *Cells) Ablations() ([]AblationResult, error) {
+	specs, err := s.cfg.datasets("cardio")
 	if err != nil {
 		return nil, err
 	}
-	variants := []struct {
-		name  string
-		apply func(*core.Options)
+	ablations := []struct {
+		name string
+		v    variant
 	}{
-		{"baseline", func(*core.Options) {}},
-		{"no-whitening", func(o *core.Options) { o.DisableLatentWhitening = true }},
-		{"mean-decode", func(o *core.Options) { o.DecodeSampling = false }},
-		{"cosine-schedule", func(o *core.Options) { o.CosineSchedule = true }},
-		{"ema-0.995", func(o *core.Options) { o.EMADecay = 0.995 }},
-		{"steps-5", func(o *core.Options) { o.SynthSteps = 5 }},
+		{"baseline", variant{}},
+		{"no-whitening", variant{"no-whitening", func(o *core.Options) { o.DisableLatentWhitening = true }}},
+		{"mean-decode", variant{"mean-decode", func(o *core.Options) { o.DecodeSampling = false }}},
+		{"cosine-schedule", variant{"cosine-schedule", func(o *core.Options) { o.CosineSchedule = true }}},
+		{"ema-0.995", variant{"ema-0.995", func(o *core.Options) { o.EMADecay = 0.995 }}},
+		{"steps-5", s.cfg.steps(5)},
 	}
 	var out []AblationResult
 	for _, spec := range specs {
-		train, test := cc.prepare(spec)
-		for _, v := range variants {
-			var res, util []float64
-			for trial := 0; trial < cc.Trials; trial++ {
-				opts := cc.Opts
-				opts.Seed = cc.Seed + int64(trial)*TrialSeedStride
-				v.apply(&opts)
-				m := core.NewSiloFuse(opts)
-				if err := m.Fit(train); err != nil {
-					return nil, fmt.Errorf("ablation %s: %w", v.name, err)
-				}
-				synth, err := m.Sample(cc.SynthRows)
-				if err != nil {
-					return nil, err
-				}
-				r, err := metrics.Resemblance(train, synth, cc.ResCfg)
-				if err != nil {
-					return nil, err
-				}
-				u, err := metrics.Utility(train, synth, test, cc.UtilCfg)
-				if err != nil {
-					return nil, err
-				}
-				res = append(res, r.Score)
-				util = append(util, u.Score)
-			}
-			name := v.name
+		for _, a := range ablations {
+			name := a.name
 			if len(specs) > 1 {
-				name = spec.Name + "/" + v.name
+				name = spec.Name + "/" + a.name
 			}
-			out = append(out, AblationResult{Variant: name, Resemblance: statOf(res), Utility: statOf(util)})
+			out = append(out, AblationResult{
+				Variant:     name,
+				Resemblance: s.stat(spec, "silofuse", a.v, "resemblance"),
+				Utility:     s.stat(spec, "silofuse", a.v, "utility"),
+			})
 		}
 	}
 	return out, nil

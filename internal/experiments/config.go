@@ -1,7 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation section (Tables II–VII, Figures 10–11). Each experiment has a
-// runner returning structured results plus a formatter that prints the same
-// rows/series the paper reports. Scale (rows, iterations, trials) is
+// evaluation section (Tables II–VII, Figures 10–11). Tables III–VII, Figure
+// 11 and the ablations are projections of one set of cells (cells.go), each
+// fitted once however many of them read it; Table II and Figures 10/10x
+// measure schemas and bytes, not scores, and run on their own. A formatter
+// prints each as the paper reports it. Scale (rows, iterations, trials) is
 // configurable; Fast() keeps CPU runs to seconds per cell while preserving
 // the qualitative shape, Standard() runs bigger.
 package experiments
@@ -9,6 +11,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"math/rand"
 
 	"silofuse/internal/core"
 	"silofuse/internal/datagen"
@@ -87,9 +90,13 @@ func Standard() Config {
 	}
 }
 
-// datasets resolves the configured dataset subset.
-func (c Config) datasets() ([]datagen.Spec, error) {
+// datasets resolves the configured dataset subset, or when there is none
+// the experiment's own def, or else all nine.
+func (c Config) datasets(def ...string) ([]datagen.Spec, error) {
 	names := c.Datasets
+	if names == nil {
+		names = def
+	}
 	if names == nil {
 		names = datagen.Names()
 	}
@@ -104,10 +111,14 @@ func (c Config) datasets() ([]datagen.Spec, error) {
 	return out, nil
 }
 
-// models resolves the configured model subset.
-func (c Config) models() []string {
+// models resolves the configured model subset, or when there is none the
+// experiment's own def, or else the full zoo.
+func (c Config) models(def ...string) []string {
 	if c.Models != nil {
 		return c.Models
+	}
+	if def != nil {
+		return def
 	}
 	return core.ModelNames()
 }
@@ -119,7 +130,7 @@ func (c Config) prepare(spec datagen.Spec) (train, test *tabular.Table) {
 		rows = c.RowCap
 	}
 	full := spec.Generate(rows, spec.Seed+c.Seed)
-	return full.Split(newSplitRng(spec.Seed+c.Seed), c.TestFrac)
+	return full.Split(rand.New(rand.NewSource((spec.Seed+c.Seed)*31)), c.TestFrac)
 }
 
 // Stat is a mean ± population standard deviation over trials.

@@ -3,9 +3,15 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
+	"math"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
+	"silofuse/internal/datagen"
 	"silofuse/internal/obs"
 )
 
@@ -321,5 +327,222 @@ func TestAblationsStructure(t *testing.T) {
 	PrintAblations(&buf, rows)
 	if !strings.Contains(buf.String(), "no-whitening") {
 		t.Fatal("printout incomplete")
+	}
+}
+
+// show prints project's projection of s with print, as silofuse-bench does.
+func show[T any](project func(*Cells) (T, error), print func(io.Writer, T)) func(*Cells, io.Writer) error {
+	return func(s *Cells, w io.Writer) error {
+		v, err := project(s)
+		if err == nil {
+			print(w, v)
+		}
+		return err
+	}
+}
+
+// tablesIIIToVI are the projections of Tables III, IV, VI and V, which read
+// one cell set between them; the grids come first, so record checks can
+// index them.
+var tablesIIIToVI = []func(*Cells, io.Writer) error{
+	show((*Cells).TableIII, PrintGrid),
+	show((*Cells).TableIV, PrintGrid),
+	show((*Cells).TableVI, PrintGrid),
+	show((*Cells).TableV, PrintTableV),
+}
+
+// runCells gathers the cells of projections into a set over c, runs it with
+// GOMAXPROCS at procs, and returns each projection's printout and the set's
+// cells.jsonl record.
+func runCells(t *testing.T, c Config, procs int, projections ...func(*Cells, io.Writer) error) (*Cells, []string, []byte) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	s := NewCells(c)
+	for _, p := range projections {
+		if err := p(s, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	printouts := make([]string, len(projections))
+	for i, p := range projections {
+		var buf bytes.Buffer
+		if err := p(s, &buf); err != nil {
+			t.Fatal(err)
+		}
+		printouts[i] = buf.String()
+	}
+	var record bytes.Buffer
+	if err := s.WriteRecord(&record); err != nil {
+		t.Fatal(err)
+	}
+	return s, printouts, record.Bytes()
+}
+
+// cellGridConfig is 2 datasets × 2 models × 2 trials at tinyConfig's scale.
+func cellGridConfig(models ...string) Config {
+	c := tinyConfig()
+	c.Datasets = []string{"loan", "diabetes"}
+	c.Models = models
+	c.Trials = 2
+	return c
+}
+
+// TestCellsParallelEqualsSequential: cells are independent, so one worker
+// and two print the same tables and write the same record, byte for byte.
+func TestCellsParallelEqualsSequential(t *testing.T) {
+	c := cellGridConfig("gan-linear", "silofuse")
+	_, seq, seqRecord := runCells(t, c, 1, tablesIIIToVI...)
+	_, par, parRecord := runCells(t, c, 2, tablesIIIToVI...)
+	for i := range seq {
+		if seq[i] != par[i] {
+			t.Errorf("printout %d differs:\nGOMAXPROCS 1:\n%s\nGOMAXPROCS 2:\n%s", i, seq[i], par[i])
+		}
+	}
+	if !bytes.Equal(seqRecord, parRecord) {
+		t.Errorf("cells.jsonl differs:\nGOMAXPROCS 1:\n%s\nGOMAXPROCS 2:\n%s", seqRecord, parRecord)
+	}
+	// 8 cells; resemblance, utility, the privacy composite and its three
+	// attacks on every cell, the association difference on trial 0's.
+	if lines := bytes.Count(seqRecord, []byte("\n")); lines != 8*6+4 {
+		t.Errorf("cells.jsonl has %d lines, want %d:\n%s", lines, 8*6+4, seqRecord)
+	}
+}
+
+// TestCellsFitOncePerCell counts fits by the training steps they record:
+// Tables III, IV, V and VI read |datasets| × |models| × trials cells between
+// them and fit each once, each on its own trace lane.
+func TestCellsFitOncePerCell(t *testing.T) {
+	c := cellGridConfig("gan-linear", "tabddpm")
+	rec := obs.NewRecorder()
+	c.Opts.Recorder = rec
+	s, _, _ := runCells(t, c, runtime.GOMAXPROCS(0), tablesIIIToVI...)
+	const cells = 2 * 2 * 2
+	if s.Len() != cells {
+		t.Errorf("set has %d cells, want %d", s.Len(), cells)
+	}
+	snap := rec.Snapshot()
+	fits := map[string]int64{
+		"gan":     snap.Counters["gan_steps_total"] / int64(c.Opts.GANIters),
+		"tabddpm": snap.Counters["tabddpm_steps_total"] / int64(c.Opts.DiffIters),
+	}
+	for model, n := range fits {
+		if n != cells/2 {
+			t.Errorf("%s fitted %d times, want %d", model, n, cells/2)
+		}
+	}
+	var docs []io.Reader
+	for _, r := range s.Recorders() {
+		var buf bytes.Buffer
+		if err := r.Trace.WriteChromeTrace(&buf); err != nil {
+			t.Fatal(err)
+		}
+		docs = append(docs, &buf)
+	}
+	var merged bytes.Buffer
+	if err := obs.MergeChromeTraces(&merged, docs...); err != nil {
+		t.Fatal(err)
+	}
+	if lanes := strings.Count(merged.String(), `"process_name"`); lanes != cells {
+		t.Errorf("merged trace has %d lanes, want one per cell (%d)", lanes, cells)
+	}
+}
+
+// TestCellsRecordEqualsPrintout: the grids a cells.jsonl record projects
+// are the grids its run printed, and every recorded value reads back to the
+// bits it was written from.
+func TestCellsRecordEqualsPrintout(t *testing.T) {
+	c := cellGridConfig("gan-linear", "latentdiff")
+	s, printed, record := runCells(t, c, runtime.GOMAXPROCS(0), tablesIIIToVI...)
+	back := readCells(t, c, record)
+	if back.Len() != s.Len() {
+		t.Fatalf("record holds %d cells, the run %d", back.Len(), s.Len())
+	}
+	for i, p := range tablesIIIToVI[:3] {
+		var buf bytes.Buffer
+		if err := p(back, &buf); err != nil {
+			t.Fatal(err)
+		}
+		if buf.String() != printed[i] {
+			t.Errorf("grid %d from the record:\n%s\nprinted:\n%s", i, buf.String(), printed[i])
+		}
+	}
+	want, _ := s.TableV()
+	got, _ := back.TableV()
+	for i := range want {
+		if got[i].MeanDiff != want[i].MeanDiff {
+			t.Errorf("Table V %s/%s: record %v, printed %v", want[i].Dataset, want[i].Model, got[i].MeanDiff, want[i].MeanDiff)
+		}
+	}
+	var again bytes.Buffer
+	if err := back.WriteRecord(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), record) {
+		t.Errorf("record does not re-write to its own bytes:\n%s\nwant:\n%s", again.Bytes(), record)
+	}
+}
+
+// readCells reads a cells.jsonl record back into a set over c, already
+// scored: its projections print what the run that wrote it printed, Table
+// V's heat maps aside (a heat map is not a metric and is not recorded).
+func readCells(t *testing.T, c Config, record []byte) *Cells {
+	t.Helper()
+	s := NewCells(c)
+	dec := json.NewDecoder(bytes.NewReader(record))
+	for dec.More() {
+		var l struct {
+			Dataset, Model, Variant, Metric string
+			Trial                           int
+			Value                           json.RawMessage
+		}
+		if err := dec.Decode(&l); err != nil {
+			t.Fatal(err)
+		}
+		spec, err := datagen.ByName(l.Dataset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl := s.cell(spec, l.Model, variant{name: l.Variant}, l.Trial, l.Metric)
+		if cl.scores == nil {
+			cl.scores = make(map[string]float64)
+		}
+		cl.scores[l.Metric] = parseRecordValue(t, l.Value)
+	}
+	return s
+}
+
+// parseRecordValue reads a recorded value: a JSON number, or a quoted
+// NaN/±Inf.
+func parseRecordValue(t *testing.T, raw json.RawMessage) float64 {
+	t.Helper()
+	v, err := strconv.ParseFloat(strings.Trim(string(raw), `"`), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// TestRecordValueBits: every line of a record is JSON, and a recorded value
+// reads back to its bits, NaN and the infinities included.
+func TestRecordValueBits(t *testing.T) {
+	s := NewCells(Fast())
+	loan, _ := datagen.ByName("loan")
+	values := []float64{0, math.Copysign(0, -1), 0.1, 83.80000000000001, 1e300, 5e-324, math.Inf(1), math.Inf(-1), math.NaN()}
+	for i, v := range values {
+		s.cell(loan, "silofuse", variant{name: "steps-5"}, i, "resemblance").scores = map[string]float64{"resemblance": v}
+	}
+	var record bytes.Buffer
+	if err := s.WriteRecord(&record); err != nil {
+		t.Fatal(err)
+	}
+	back := readCells(t, Fast(), record.Bytes())
+	for i, v := range values {
+		got := back.cell(loan, "silofuse", variant{name: "steps-5"}, i, "resemblance").scores["resemblance"]
+		if math.Float64bits(got) != math.Float64bits(v) {
+			t.Errorf("%v read back as %v from:\n%s", v, got, record.Bytes())
+		}
 	}
 }

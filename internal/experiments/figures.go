@@ -3,10 +3,8 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math/rand"
 
 	"silofuse/internal/core"
-	"silofuse/internal/metrics"
 	"silofuse/internal/obs"
 	"silofuse/internal/silo"
 )
@@ -46,23 +44,19 @@ func denseBytes(sent int64, rep map[string]silo.WireKindStats) int64 {
 // with iteration counts 50k / 500k / 5M (paper setup: 4 clients, equal
 // feature partitions).
 func (c Config) Figure10() ([]Figure10Series, error) {
-	cc := c
-	if cc.Datasets == nil {
-		cc.Datasets = []string{"abalone", "intrusion"}
-	}
 	iterCounts := []int{50_000, 500_000, 5_000_000}
-	specs, err := cc.datasets()
+	specs, err := c.datasets("abalone", "intrusion")
 	if err != nil {
 		return nil, err
 	}
 	var out []Figure10Series
 	for _, spec := range specs {
-		train, _ := cc.prepare(spec)
+		train, _ := c.prepare(spec)
 
 		// SiloFuse: run stacked training for real, count bytes. The count is
 		// independent of AEIters/DiffIters (proved by the silo tests), so one
 		// run covers all iteration counts.
-		sfOpts := cc.Opts
+		sfOpts := c.Opts
 		sfOpts.AEIters = 20
 		sfOpts.DiffIters = 20
 		sf := core.NewSiloFuse(sfOpts)
@@ -75,7 +69,7 @@ func (c Config) Figure10() ([]Figure10Series, error) {
 		// E2EDistr: measure a short real run, derive the exact per-iteration
 		// cost, scale.
 		const measured = 20
-		e2eOpts := cc.Opts
+		e2eOpts := c.Opts
 		e2eOpts.AEIters = measured
 		e2eOpts.DiffIters = 0
 		e2e := core.NewE2EDistr(e2eOpts)
@@ -159,25 +153,21 @@ type Figure10XRow struct {
 // activation/gradient exchange. Every run is deterministic, so the numbers
 // are comparable across invocations.
 func (c Config) Figure10X() ([]Figure10XRow, error) {
-	cc := c
-	if cc.Datasets == nil {
-		cc.Datasets = []string{"abalone"}
-	}
-	specs, err := cc.datasets()
+	specs, err := c.datasets("abalone")
 	if err != nil {
 		return nil, err
 	}
-	synthRows := cc.SynthRows
+	synthRows := c.SynthRows
 	if synthRows > 512 {
 		synthRows = 512
 	}
 	var out []Figure10XRow
 	for _, spec := range specs {
-		train, _ := cc.prepare(spec)
+		train, _ := c.prepare(spec)
 		for _, codecName := range []string{"f64", "f32", "q8"} {
 			// SiloFuse: stacked fit plus a synthesis pass, so both the
 			// latent upload and the synth-latent return leg are framed.
-			sfOpts := cc.Opts
+			sfOpts := c.Opts
 			sfOpts.AEIters = 20
 			sfOpts.DiffIters = 20
 			sfOpts.WireCodec = codecName
@@ -194,7 +184,7 @@ func (c Config) Figure10X() ([]Figure10XRow, error) {
 
 			// E2EDistr: the split forward/backward moves activations and
 			// gradients every iteration.
-			e2eOpts := cc.Opts
+			e2eOpts := c.Opts
 			e2eOpts.AEIters = 20
 			e2eOpts.DiffIters = 0
 			e2eOpts.WireCodec = codecName
@@ -265,52 +255,24 @@ type Figure11Point struct {
 // Figure11 reproduces the robustness experiment: SiloFuse resemblance and
 // utility under 4 vs 8 clients and default vs permuted feature assignment
 // (the paper permutes with seed 12343) on Heloc, Loan and Churn.
-func (c Config) Figure11() ([]Figure11Point, error) {
-	cc := c
-	if cc.Datasets == nil {
-		cc.Datasets = []string{"heloc", "loan", "churn"}
-	}
-	specs, err := cc.datasets()
+func (c Config) Figure11() ([]Figure11Point, error) { return project(c, (*Cells).Figure11) }
+
+// Figure11 projects Figure 11 from the set. The configured client count
+// with the default partition is Table III's SiloFuse cell.
+func (s *Cells) Figure11() ([]Figure11Point, error) {
+	specs, err := s.cfg.datasets("heloc", "loan", "churn")
 	if err != nil {
 		return nil, err
 	}
 	var out []Figure11Point
 	for _, spec := range specs {
-		train, test := cc.prepare(spec)
 		for _, clients := range []int{4, 8} {
 			for _, permuted := range []bool{false, true} {
-				var perm []int
-				if permuted {
-					perm = train.Schema.RandomPermutation(rand.New(rand.NewSource(PermutationSeed)))
-				}
-				var res, util []float64
-				for trial := 0; trial < cc.Trials; trial++ {
-					opts := cc.Opts
-					opts.Clients = clients
-					opts.Permutation = perm
-					opts.Seed = cc.Seed + int64(trial)*TrialSeedStride
-					m := core.NewSiloFuse(opts)
-					if err := m.Fit(train); err != nil {
-						return nil, err
-					}
-					synth, err := m.Sample(cc.SynthRows)
-					if err != nil {
-						return nil, err
-					}
-					r, err := metrics.Resemblance(train, synth, cc.ResCfg)
-					if err != nil {
-						return nil, err
-					}
-					u, err := metrics.Utility(train, synth, test, cc.UtilCfg)
-					if err != nil {
-						return nil, err
-					}
-					res = append(res, r.Score)
-					util = append(util, u.Score)
-				}
+				v := s.cfg.partition(spec, clients, permuted)
 				out = append(out, Figure11Point{
 					Dataset: spec.Name, Clients: clients, Permuted: permuted,
-					Resemblance: statOf(res), Utility: statOf(util),
+					Resemblance: s.stat(spec, "silofuse", v, "resemblance"),
+					Utility:     s.stat(spec, "silofuse", v, "utility"),
 				})
 			}
 		}

@@ -94,18 +94,21 @@ func NewManifest(run string, seed int64) *Manifest {
 // top-level spans, wire traffic from the bus_* counters, the codec-level
 // bytes-vs-error accounting from the wire_* metric families, and the full
 // metrics snapshot. A nil or disabled recorder leaves the manifest
-// unchanged.
-func (m *Manifest) FromRecorder(rec *obs.Recorder) {
+// unchanged. A run whose fits trace on several recorders over rec's registry
+// (silofuse-bench's cells) passes them as lanes: their top-level spans join
+// the phases, each timed from its own tracer's start.
+func (m *Manifest) FromRecorder(rec *obs.Recorder, lanes ...*obs.Recorder) {
 	if rec == nil {
 		return
 	}
-	for _, sp := range rec.Trace.Spans() {
-		if sp.Parent != "" {
-			continue
+	for _, r := range append([]*obs.Recorder{rec}, lanes...) {
+		for _, sp := range r.Trace.Spans() {
+			if sp.Parent == "" {
+				m.Phases = append(m.Phases, PhaseSummary{
+					Name: sp.Name, StartSec: sp.StartSec, DurSec: sp.DurSec, Attrs: sp.Attrs,
+				})
+			}
 		}
-		m.Phases = append(m.Phases, PhaseSummary{
-			Name: sp.Name, StartSec: sp.StartSec, DurSec: sp.DurSec, Attrs: sp.Attrs,
-		})
 	}
 	m.Metrics = rec.Snapshot()
 	m.Wire = mergeWire(m.Wire, parseWireMetrics(m.Metrics))

@@ -3,12 +3,9 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"strings"
+	"slices"
 
 	"silofuse/internal/core"
-	"silofuse/internal/metrics"
-	"silofuse/internal/privacy"
-	"silofuse/internal/tabular"
 )
 
 // TableIIRow is one dataset-statistics row of Table II.
@@ -52,148 +49,85 @@ func PrintTableII(w io.Writer, rows []TableIIRow) {
 	}
 }
 
+// Grid holds a (dataset, model) score matrix with per-cell trial stats.
+type Grid struct {
+	Title    string
+	Datasets []string
+	Models   []string // display names
+	Cells    map[string]map[string]Stat
+}
+
+// Cell returns the stat for (dataset, model display name).
+func (g *Grid) Cell(dataset, model string) Stat { return g.Cells[dataset][model] }
+
+// PPD returns the paper's "percentage point difference" row: the best
+// SiloFuse-vs-best-GAN margin per dataset.
+func (g *Grid) PPD(dataset string) float64 {
+	sf := g.Cells[dataset]["SiloFuse"].Mean
+	bestGAN := 0.0
+	for _, m := range []string{"GAN(conv)", "GAN(linear)"} {
+		if s, ok := g.Cells[dataset][m]; ok && s.Mean > bestGAN {
+			bestGAN = s.Mean
+		}
+	}
+	return sf - bestGAN
+}
+
 // TableIII computes the resemblance grid (models × datasets, mean±std over
 // trials) of Table III.
-func (c Config) TableIII() (*Grid, error) {
-	return c.scoreGrid("Table III: Resemblance", func(trial int, model string, d *preparedTables) (float64, error) {
-		_, synth, err := c.fitAndSample(model, d.train, trial)
-		if err != nil {
-			return 0, err
-		}
-		rep, err := metrics.Resemblance(d.train, synth, c.ResCfg)
-		if err != nil {
-			return 0, err
-		}
-		return rep.Score, nil
-	})
-}
+func (c Config) TableIII() (*Grid, error) { return project(c, (*Cells).TableIII) }
 
 // TableIV computes the utility grid of Table IV.
-func (c Config) TableIV() (*Grid, error) {
-	return c.scoreGrid("Table IV: Utility", func(trial int, model string, d *preparedTables) (float64, error) {
-		_, synth, err := c.fitAndSample(model, d.train, trial)
-		if err != nil {
-			return 0, err
-		}
-		rep, err := metrics.Utility(d.train, synth, d.test, c.UtilCfg)
-		if err != nil {
-			return 0, err
-		}
-		return rep.Score, nil
-	})
-}
-
-// Quality computes Tables III (resemblance) and IV (utility) in a single
-// pass: each (dataset, model, trial) fit serves both metrics, halving the
-// compute relative to running the tables separately.
-func (c Config) Quality() (resemblance, utility *Grid, err error) {
-	specs, err := c.datasets()
-	if err != nil {
-		return nil, nil, err
-	}
-	resemblance = &Grid{Title: "Table III: Resemblance", Cells: make(map[string]map[string]Stat)}
-	utility = &Grid{Title: "Table IV: Utility", Cells: make(map[string]map[string]Stat)}
-	for _, spec := range specs {
-		resemblance.Datasets = append(resemblance.Datasets, spec.Name)
-		utility.Datasets = append(utility.Datasets, spec.Name)
-	}
-	for _, spec := range specs {
-		train, test := c.prepare(spec)
-		resemblance.Cells[spec.Name] = make(map[string]Stat)
-		utility.Cells[spec.Name] = make(map[string]Stat)
-		for _, model := range c.models() {
-			var resVals, utilVals []float64
-			display := ""
-			for trial := 0; trial < c.Trials; trial++ {
-				m, synth, err := c.fitAndSample(model, train, trial)
-				if err != nil {
-					return nil, nil, fmt.Errorf("%s / %s: %w", spec.Name, model, err)
-				}
-				display = m.Name()
-				r, err := metrics.Resemblance(train, synth, c.ResCfg)
-				if err != nil {
-					return nil, nil, err
-				}
-				u, err := metrics.Utility(train, synth, test, c.UtilCfg)
-				if err != nil {
-					return nil, nil, err
-				}
-				resVals = append(resVals, r.Score)
-				utilVals = append(utilVals, u.Score)
-			}
-			resemblance.Cells[spec.Name][display] = statOf(resVals)
-			utility.Cells[spec.Name][display] = statOf(utilVals)
-			if !contains(resemblance.Models, display) {
-				resemblance.Models = append(resemblance.Models, display)
-				utility.Models = append(utility.Models, display)
-			}
-		}
-	}
-	return resemblance, utility, nil
-}
+func (c Config) TableIV() (*Grid, error) { return project(c, (*Cells).TableIV) }
 
 // TableVI computes the privacy grid of Table VI for the top three models
 // (TabDDPM, LatentDiff, SiloFuse) unless the config names others.
-func (c Config) TableVI() (*Grid, error) {
-	cc := c
-	if cc.Models == nil {
-		cc.Models = []string{"tabddpm", "latentdiff", "silofuse"}
-	}
-	return cc.scoreGrid("Table VI: Privacy", func(trial int, model string, d *preparedTables) (float64, error) {
-		_, synth, err := cc.fitAndSample(model, d.train, trial)
-		if err != nil {
-			return 0, err
-		}
-		rep, err := privacy.Evaluate(d.train, synth, cc.PrivCfg)
-		if err != nil {
-			return 0, err
-		}
-		return rep.Score, nil
-	})
+func (c Config) TableVI() (*Grid, error) { return project(c, (*Cells).TableVI) }
+
+// TableIII projects the resemblance grid of Table III from the set.
+func (s *Cells) TableIII() (*Grid, error) { return s.grid("Table III: Resemblance", "resemblance") }
+
+// TableIV projects the utility grid of Table IV from the set.
+func (s *Cells) TableIV() (*Grid, error) { return s.grid("Table IV: Utility", "utility") }
+
+// TableVI projects the privacy grid of Table VI from the set. Its cells are
+// Table III's: privacy is scored on the fits resemblance is.
+func (s *Cells) TableVI() (*Grid, error) {
+	return s.grid("Table VI: Privacy", "privacy", "tabddpm", "latentdiff", "silofuse")
 }
 
-// preparedTables bundles a dataset's train/test split.
-type preparedTables struct {
-	name        string
-	train, test *tabular.Table
-}
-
-// scoreGrid runs fn for every (dataset, model, trial) cell.
-func (c Config) scoreGrid(title string, fn func(trial int, model string, d *preparedTables) (float64, error)) (*Grid, error) {
-	specs, err := c.datasets()
+// grid is metric over every configured dataset × model (defModels when the
+// configuration names none), on the configured options.
+func (s *Cells) grid(title, metric string, defModels ...string) (*Grid, error) {
+	specs, err := s.cfg.datasets()
 	if err != nil {
 		return nil, err
 	}
 	grid := &Grid{Title: title, Cells: make(map[string]map[string]Stat)}
 	for _, spec := range specs {
 		grid.Datasets = append(grid.Datasets, spec.Name)
-	}
-	modelNames := c.models()
-	for _, spec := range specs {
-		train, test := c.prepare(spec)
-		d := &preparedTables{name: spec.Name, train: train, test: test}
 		grid.Cells[spec.Name] = make(map[string]Stat)
-		for _, model := range modelNames {
-			vals := make([]float64, 0, c.Trials)
-			display := ""
-			for trial := 0; trial < c.Trials; trial++ {
-				v, err := fn(trial, model, d)
-				if err != nil {
-					return nil, fmt.Errorf("%s / %s: %w", spec.Name, model, err)
-				}
-				vals = append(vals, v)
-				if display == "" {
-					m, _ := core.New(model, c.Opts)
-					display = m.Name()
-				}
+		for _, model := range s.cfg.models(defModels...) {
+			display, err := displayName(model, s.cfg.Opts)
+			if err != nil {
+				return nil, err
 			}
-			grid.Cells[spec.Name][display] = statOf(vals)
-			if !contains(grid.Models, display) {
+			grid.Cells[spec.Name][display] = s.stat(spec, model, variant{}, metric)
+			if !slices.Contains(grid.Models, display) {
 				grid.Models = append(grid.Models, display)
 			}
 		}
 	}
 	return grid, nil
+}
+
+// displayName is the name the paper's tables give model.
+func displayName(model string, opts core.Options) (string, error) {
+	m, err := core.New(model, opts)
+	if err != nil {
+		return "", err
+	}
+	return m.Name(), nil
 }
 
 // PrintGrid renders a grid in the paper's models-as-rows layout, including
@@ -212,22 +146,13 @@ func PrintGrid(w io.Writer, g *Grid) {
 		}
 		fmt.Fprintln(w)
 	}
-	if contains(g.Models, "SiloFuse") && (contains(g.Models, "GAN(conv)") || contains(g.Models, "GAN(linear)")) {
+	if slices.Contains(g.Models, "SiloFuse") && (slices.Contains(g.Models, "GAN(conv)") || slices.Contains(g.Models, "GAN(linear)")) {
 		fmt.Fprintf(w, "%-12s", "PPD(vs GAN)")
 		for _, d := range g.Datasets {
 			fmt.Fprintf(w, " %14.1f", g.PPD(d))
 		}
 		fmt.Fprintln(w)
 	}
-}
-
-func contains(xs []string, v string) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 // TableVCell is one correlation-difference analysis of Table V.
@@ -240,41 +165,24 @@ type TableVCell struct {
 
 // TableV computes the correlation-difference matrices for the paper's two
 // showcase datasets (Cardio and Intrusion) and top three models.
-func (c Config) TableV() ([]TableVCell, error) {
-	cc := c
-	if cc.Datasets == nil {
-		cc.Datasets = []string{"cardio", "intrusion"}
-	}
-	if cc.Models == nil {
-		cc.Models = []string{"silofuse", "latentdiff", "tabddpm"}
-	}
-	specs, err := cc.datasets()
+func (c Config) TableV() ([]TableVCell, error) { return project(c, (*Cells).TableV) }
+
+// TableV projects Table V from the set: the first trial's cells of Table
+// III, scored on their association difference.
+func (s *Cells) TableV() ([]TableVCell, error) {
+	specs, err := s.cfg.datasets("cardio", "intrusion")
 	if err != nil {
 		return nil, err
 	}
 	var out []TableVCell
 	for _, spec := range specs {
-		train, _ := cc.prepare(spec)
-		for _, model := range cc.Models {
-			m, synth, err := cc.fitAndSample(model, train, 0)
+		for _, model := range s.cfg.models("silofuse", "latentdiff", "tabddpm") {
+			display, err := displayName(model, s.cfg.Opts)
 			if err != nil {
 				return nil, err
 			}
-			diff, mean := metrics.AssociationDifference(train, synth)
-			heat := &strings.Builder{}
-			shades := []byte(" .:-=+*#%@")
-			for i := 0; i < diff.Rows; i++ {
-				for j := 0; j < diff.Cols; j++ {
-					v := diff.At(i, j)
-					idx := int(v * float64(len(shades)-1) * 2) // saturate at 0.5
-					if idx >= len(shades) {
-						idx = len(shades) - 1
-					}
-					heat.WriteByte(shades[idx])
-				}
-				heat.WriteByte('\n')
-			}
-			out = append(out, TableVCell{Dataset: spec.Name, Model: m.Name(), MeanDiff: mean, HeatMap: heat.String()})
+			cl := s.cell(spec, model, variant{}, 0, "association_mean_diff")
+			out = append(out, TableVCell{Dataset: spec.Name, Model: display, MeanDiff: cl.scores["association_mean_diff"], HeatMap: cl.heat})
 		}
 	}
 	return out, nil
@@ -298,41 +206,21 @@ type TableVIIRow struct {
 // TableVII sweeps the number of inference denoising steps (2, 5, 25) and
 // reports the privacy score of the centralized latent model (whose 25-step
 // column matches Table VI's LatentDiff row in the paper).
-func (c Config) TableVII() ([]TableVIIRow, error) {
-	cc := c
-	if cc.Datasets == nil {
-		cc.Datasets = []string{"abalone", "heloc"}
-	}
-	steps := []int{2, 5, 25}
-	specs, err := cc.datasets()
+func (c Config) TableVII() ([]TableVIIRow, error) { return project(c, (*Cells).TableVII) }
+
+// TableVII projects Table VII from the set: one LatentDiff fit per step
+// count (see Config.steps).
+func (s *Cells) TableVII() ([]TableVIIRow, error) {
+	specs, err := s.cfg.datasets("abalone", "heloc")
 	if err != nil {
 		return nil, err
 	}
+	steps := []int{2, 5, 25}
 	var out []TableVIIRow
 	for _, spec := range specs {
-		train, _ := cc.prepare(spec)
 		row := TableVIIRow{Dataset: spec.Name, Steps: steps}
 		for _, st := range steps {
-			vals := make([]float64, 0, cc.Trials)
-			for trial := 0; trial < cc.Trials; trial++ {
-				opts := cc.Opts
-				opts.Seed = cc.Seed + int64(trial)*TrialSeedStride
-				m := core.NewLatentDiff(opts)
-				if err := m.Fit(train); err != nil {
-					return nil, err
-				}
-				m.SetSynthSteps(st)
-				synth, err := m.Sample(cc.SynthRows)
-				if err != nil {
-					return nil, err
-				}
-				rep, err := privacy.Evaluate(train, synth, cc.PrivCfg)
-				if err != nil {
-					return nil, err
-				}
-				vals = append(vals, rep.Score)
-			}
-			row.Scores = append(row.Scores, statOf(vals))
+			row.Scores = append(row.Scores, s.stat(spec, "latentdiff", s.cfg.steps(st), "privacy"))
 		}
 		out = append(out, row)
 	}

@@ -187,7 +187,7 @@ func (g *GAN) Train(train *tabular.Table, iters, batch int) float64 {
 	if g.Rec != nil {
 		var ms1 runtime.MemStats
 		runtime.ReadMemStats(&ms1)
-		g.Rec.TrainAllocs("gan", iters, ms1.Mallocs-ms0.Mallocs, ms1.TotalAlloc-ms0.TotalAlloc)
+		g.Rec.TrainAllocs("gan", iters, ms1.Mallocs-ms0.Mallocs)
 	}
 	return gLoss
 }

@@ -175,19 +175,19 @@ func (r *Recorder) TrainStep(stage string, loss float64, rows int, d time.Durati
 	}
 }
 
-// TrainAllocs records the heap-allocation cost of a finished training loop
-// of the named stage: allocs and bytes are runtime.MemStats deltas
-// (Mallocs, TotalAlloc) measured across steps optimisation steps. They land
-// in the <stage>_allocs_per_step and <stage>_alloc_bytes_per_step gauges,
-// the perf counterpart to <stage>_step_seconds. Training loops re-running
-// within one process overwrite the gauges, so a snapshot reflects the most
-// recent loop — steady state, once workspaces are warm.
-func (r *Recorder) TrainAllocs(stage string, steps int, allocs, bytes uint64) {
+// TrainAllocs records the heap-allocation count of a finished training loop
+// of the named stage: allocs is a runtime.MemStats.Mallocs delta measured
+// across steps optimisation steps. It lands in the <stage>_allocs_per_step
+// gauge, the perf counterpart to <stage>_step_seconds. The delta is
+// whole-process: a loop that overlaps other work — silofuse-bench's
+// concurrent cells — counts that work's allocations too. Training loops
+// re-running within one process overwrite the gauge, so a snapshot reflects
+// the most recent loop — steady state, once workspaces are warm.
+func (r *Recorder) TrainAllocs(stage string, steps int, allocs uint64) {
 	if r == nil || steps <= 0 {
 		return
 	}
 	r.Reg.Gauge(stage + "_allocs_per_step").Set(float64(allocs) / float64(steps))
-	r.Reg.Gauge(stage + "_alloc_bytes_per_step").Set(float64(bytes) / float64(steps))
 }
 
 // Message records one transport send of the given message kind: it bumps

@@ -158,7 +158,7 @@ func (p *E2EPipeline) trainRange(start, end, total int) (float64, int, error) {
 	if p.Rec != nil {
 		var ms1 runtime.MemStats
 		runtime.ReadMemStats(&ms1)
-		p.Rec.TrainAllocs("e2e", end-start, ms1.Mallocs-ms0.Mallocs, ms1.TotalAlloc-ms0.TotalAlloc)
+		p.Rec.TrainAllocs("e2e", end-start, ms1.Mallocs-ms0.Mallocs)
 	}
 	if tailCount > 0 {
 		span.SetAttr("loss", tailLoss/float64(tailCount))

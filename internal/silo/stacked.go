@@ -208,7 +208,7 @@ func (p *Pipeline) TrainStackedFrom(ck *Checkpoint) (aeLoss, diffLoss float64, e
 		if p.Rec != nil {
 			var ms1 runtime.MemStats
 			runtime.ReadMemStats(&ms1)
-			p.Rec.TrainAllocs("ae", p.Cfg.AEIters*len(p.Clients), ms1.Mallocs-ms0.Mallocs, ms1.TotalAlloc-ms0.TotalAlloc)
+			p.Rec.TrainAllocs("ae", p.Cfg.AEIters*len(p.Clients), ms1.Mallocs-ms0.Mallocs)
 		}
 		for _, l := range losses {
 			aeLoss += l
