@@ -9,14 +9,15 @@ build:
 vet:
 	$(GO) vet ./...
 
-# lint runs the repo's own determinism/hot-path/concurrency analyzers
-# (silofuse-vet) plus go vet and a gofmt check. The tree must stay clean:
+# lint runs the repo's own analyzers (silofuse-vet: maprange, floateq,
+# precisioncast) plus go vet and a gofmt check. The tree must stay clean:
 # silofuse-vet exits nonzero on any finding, and unformatted files fail the
-# gofmt step. -stats prints per-analyzer finding counts and wall-time so an
-# analyzer that suddenly gets slow or noisy is visible in the CI log. The greps
-# keep three imports out of the module, each with its reason beside it.
+# gofmt step. The greps keep three imports out of the module, each with its
+# reason beside it.
+# Determinism, allocation-free kernels and lock discipline are not lint's:
+# the fingerprint oracle, the AllocsPerRun pins and `make race` hold them.
 lint:
-	$(GO) run ./cmd/silofuse-vet -stats .
+	$(GO) run ./cmd/silofuse-vet .
 	$(GO) vet ./...
 	@! grep -rn '"encoding/gob"' --include='*.go' . || { echo "encoding/gob: frames (internal/silo/frame.go) and checkpoints (internal/nn/checkpoint.go) are the two formats this module speaks"; exit 1; }
 	@! grep -rnE '"net/http(/[a-z]+)?"' --include='*.go' . || { echo "net/http: a run is read from the files it leaves (-trace, -metrics, results/<run>/); nothing is served live"; exit 1; }

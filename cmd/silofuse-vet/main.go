@@ -1,5 +1,6 @@
-// Command silofuse-vet runs the repository's determinism and hot-path
-// analyzers (internal/analysis) over a module tree and reports findings as
+// Command silofuse-vet runs the repository's source analyzers
+// (internal/analysis: maprange, floateq, precisioncast) over a module tree
+// and reports findings as
 //
 //	file:line:col: analyzer: message
 //
@@ -10,11 +11,9 @@
 //
 // Usage:
 //
-//	silofuse-vet [-list] [-stats] [dir]
+//	silofuse-vet [-list] [dir]
 //
-// dir defaults to the current directory and must contain go.mod. -stats
-// prints a per-analyzer finding-count and wall-time table to stderr after
-// the findings, so `make lint` surfaces analyzer cost regressions.
+// dir defaults to the current directory and must contain go.mod.
 package main
 
 import (
@@ -22,16 +21,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 
 	"silofuse/internal/analysis"
 )
 
 func main() {
 	list := flag.Bool("list", false, "list analyzers and exit")
-	stats := flag.Bool("stats", false, "print per-analyzer finding counts and wall-time to stderr")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: silofuse-vet [-list] [-stats] [dir]\n")
+		fmt.Fprintf(os.Stderr, "usage: silofuse-vet [-list] [dir]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -39,7 +36,7 @@ func main() {
 	analyzers := analysis.All()
 	if *list {
 		for _, a := range analyzers {
-			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
+			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
 		}
 		return
 	}
@@ -53,19 +50,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "silofuse-vet: %v\n", err)
 		os.Exit(2)
 	}
-	diags, perAnalyzer := analysis.RunTimed(analyzers, pkgs)
+	diags := analysis.Run(analyzers, pkgs)
 	absRoot, _ := filepath.Abs(root)
 	for _, d := range diags {
 		if rel, err := filepath.Rel(absRoot, d.Pos.Filename); err == nil && !filepath.IsAbs(rel) {
 			d.Pos.Filename = rel
 		}
 		fmt.Println(d)
-	}
-	if *stats {
-		fmt.Fprintf(os.Stderr, "%-14s %9s %12s\n", "analyzer", "findings", "wall-time")
-		for _, s := range perAnalyzer {
-			fmt.Fprintf(os.Stderr, "%-14s %9d %12s\n", s.Name, s.Findings, s.Elapsed.Round(time.Microsecond))
-		}
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "silofuse-vet: %d finding(s) in %d package(s)\n", len(diags), len(pkgs))

@@ -1,28 +1,20 @@
 // Package analysis is silofuse's source-level invariant checker: a small,
 // pure-stdlib (go/parser, go/ast, go/types, go/importer — no x/tools)
-// analyzer framework plus the repo-specific analyzers behind the
+// analyzer framework plus the three repo-specific analyzers behind the
 // silofuse-vet command.
 //
-// The paper's evaluation assumes bit-reproducible runs at a fixed seed, and
-// the zero-allocation hot path is otherwise guaranteed only by after-the-fact
-// runtime tests. The analyzers here reject the patterns that silently break
-// those stories — wall-clock reads in deterministic packages, globally seeded
-// randomness, allocating constructs inside //silofuse:noalloc kernels,
-// unsorted map iteration feeding ordered output, unguarded nil receivers in
-// the telemetry layer, exact float comparisons outside blessed
-// bitwise-parity tests, and float64<->float32 conversions outside the
-// audited precision boundary — at analysis time, before any experiment runs.
+// An analyzer stays here only while it catches a bug no test catches
+// (DESIGN.md, "Every analyzer shows a catch, or goes"). Three do: map
+// iteration that orders output nobody compares across runs (maprange), exact
+// float comparisons where a tolerance was meant (floateq), and
+// float64<->float32 conversions outside the audited precision boundary
+// (precisioncast) — each changes an output without failing a test.
+// Randomness, clock reads, allocation, nil receivers and locking are held by
+// tests instead: the fit fingerprint oracle, the AllocsPerRun pins, the
+// nil-receiver test in internal/obs and the race detector.
 //
-// A second family enforces concurrency discipline, which the race detector
-// can only catch probabilistically: //silofuse:guardedby mutex annotations
-// on struct fields (guardedby), termination paths for every go statement
-// (goroutinelife), and close/send/receive contracts plus hot-path channel
-// capacity (chansafety).
-//
-// Source files opt out of individual checks with annotation comments
-// (//silofuse:noalloc, //silofuse:walltime-ok, //silofuse:bitwise-ok,
-// //silofuse:precision-ok, //silofuse:locked, //silofuse:fire-and-forget,
-// //silofuse:unbuffered-ok, //silofuse:chan-ok); see the Annotations type
+// Source files opt out of a check with an annotation comment
+// (//silofuse:bitwise-ok, //silofuse:precision-ok); see the Annotations type
 // for placement rules.
 package analysis
 
@@ -32,7 +24,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"time"
 )
 
 // Diagnostic is one finding: a position, the analyzer that produced it, and
@@ -82,29 +73,10 @@ func (p *Pass) Report(pos token.Pos, format string, args ...any) {
 // sorted by file, line, column, then analyzer name, so output and tests are
 // deterministic regardless of package traversal order.
 func Run(analyzers []*Analyzer, pkgs []*Package) []Diagnostic {
-	diags, _ := RunTimed(analyzers, pkgs)
-	return diags
-}
-
-// Stat aggregates one analyzer's cost and yield across a RunTimed call, so
-// the lint driver can surface analyzer regressions (cost in wall-time,
-// noise in finding counts) without profiling.
-type Stat struct {
-	Name     string
-	Findings int
-	Elapsed  time.Duration
-}
-
-// RunTimed is Run plus per-analyzer stats, ordered like the analyzers slice.
-func RunTimed(analyzers []*Analyzer, pkgs []*Package) ([]Diagnostic, []Stat) {
 	var diags []Diagnostic
-	stats := make([]Stat, len(analyzers))
-	for i, a := range analyzers {
-		stats[i].Name = a.Name
-	}
 	for _, pkg := range pkgs {
-		for i, a := range analyzers {
-			pass := &Pass{
+		for _, a := range analyzers {
+			a.Run(&Pass{
 				Analyzer: a,
 				Fset:     pkg.Fset,
 				Files:    pkg.Syntax,
@@ -112,16 +84,11 @@ func RunTimed(analyzers []*Analyzer, pkgs []*Package) ([]Diagnostic, []Stat) {
 				Info:     pkg.Info,
 				Annot:    pkg.Annot,
 				diags:    &diags,
-			}
-			before := len(diags)
-			start := time.Now()
-			a.Run(pass)
-			stats[i].Elapsed += time.Since(start)
-			stats[i].Findings += len(diags) - before
+			})
 		}
 	}
 	sortDiags(diags)
-	return diags, stats
+	return diags
 }
 
 func sortDiags(diags []Diagnostic) {
@@ -142,57 +109,5 @@ func sortDiags(diags []Diagnostic) {
 
 // All returns the full silofuse analyzer suite in a stable order.
 func All() []*Analyzer {
-	return []*Analyzer{
-		SeededRand,
-		Walltime,
-		NoAlloc,
-		MapRange,
-		NilRecorder,
-		FloatEq,
-		PrecisionCast,
-		GuardedBy,
-		GoroutineLife,
-		ChanSafety,
-	}
-}
-
-// calleeFunc resolves a call expression to the *types.Func it invokes
-// (package function or method), or nil when the callee is not a named
-// function (builtin, conversion, func-typed variable, ...).
-func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	var id *ast.Ident
-	switch fn := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		id = fn
-	case *ast.SelectorExpr:
-		id = fn.Sel
-	default:
-		return nil
-	}
-	f, _ := info.Uses[id].(*types.Func)
-	return f
-}
-
-// isPkgFunc reports whether f is the package-level function pkgPath.name
-// (not a method).
-func isPkgFunc(f *types.Func, pkgPath, name string) bool {
-	if f == nil || f.Pkg() == nil {
-		return false
-	}
-	sig, ok := f.Type().(*types.Signature)
-	if !ok || sig.Recv() != nil {
-		return false
-	}
-	return f.Pkg().Path() == pkgPath && f.Name() == name
-}
-
-// enclosingFunc returns the innermost FuncDecl in file whose body spans pos,
-// or nil for positions outside any function declaration.
-func enclosingFunc(file *ast.File, pos token.Pos) *ast.FuncDecl {
-	for _, decl := range file.Decls {
-		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Pos() <= pos && pos <= fd.End() {
-			return fd
-		}
-	}
-	return nil
+	return []*Analyzer{MapRange, FloatEq, PrecisionCast}
 }

@@ -19,13 +19,6 @@ import (
 //   - trailing a statement: covers that line;
 //   - in the file's package doc comment: covers the whole file.
 const (
-	// AnnotNoAlloc marks a function as a steady-state hot-path kernel: its
-	// body must stay free of allocating constructs (make/append/new,
-	// composite literals, closures, string concatenation).
-	AnnotNoAlloc = "noalloc"
-	// AnnotWalltimeOK exempts a wall-clock read in a deterministic package.
-	// It requires a justification string.
-	AnnotWalltimeOK = "walltime-ok"
 	// AnnotBitwiseOK exempts an exact float comparison — the warm-vs-cold
 	// bitwise-parity tests and deliberate sentinel comparisons.
 	AnnotBitwiseOK = "bitwise-ok"
@@ -33,29 +26,6 @@ const (
 	// blessed precision boundary (the silo/codec package and the tensor
 	// conversion kernels). It requires a justification string.
 	AnnotPrecisionOK = "precision-ok"
-	// AnnotGuardedBy declares, on a struct field's line (trailing or the
-	// line above), the sibling mutex field that must be held around every
-	// access of the field: //silofuse:guardedby <mu>. The argument is the
-	// mutex field's name and is required; the named field must exist in the
-	// same struct and be a sync.Mutex or sync.RWMutex.
-	AnnotGuardedBy = "guardedby"
-	// AnnotLocked marks, in a function's doc comment, that the function is
-	// only ever called with the named mutex already held
-	// (//silofuse:locked <mu>) — the escape hatch for helpers that touch
-	// guarded fields without locking themselves. The mutex name is required.
-	AnnotLocked = "locked"
-	// AnnotFireAndForget justifies a go statement with no visible
-	// termination path (no stop-channel select, no WaitGroup tracking):
-	// //silofuse:fire-and-forget <why>. The justification is required.
-	AnnotFireAndForget = "fire-and-forget"
-	// AnnotUnbufferedOK justifies an unbuffered make(chan T) in a hot-path
-	// package, where a rendezvous channel stalls the sender until a receiver
-	// arrives. It requires a justification string.
-	AnnotUnbufferedOK = "unbuffered-ok"
-	// AnnotChanOK exempts a chansafety close/send/receive finding — a
-	// close-then-send pair or closed-channel receive whose safety argument
-	// lives outside what the analyzer can see. It requires a justification.
-	AnnotChanOK = "chan-ok"
 )
 
 const annotPrefix = "silofuse:"
@@ -204,47 +174,4 @@ func (e annotEntry) covers(line int) bool {
 		return e.line == line
 	}
 	return e.line == line-1
-}
-
-// LookupField finds a line-scoped directive for a struct field at pos —
-// trailing the field's line or standing alone on the line above. Unlike
-// Lookup it ignores function- and file-scoped directives, which have no
-// field-annotation meaning.
-func (a *Annotations) LookupField(name string, pos token.Pos) (arg string, ok bool) {
-	p := a.fset.Position(pos)
-	for _, e := range a.lines[p.Filename] {
-		if e.name == name && e.covers(p.Line) {
-			return e.arg, true
-		}
-	}
-	return "", false
-}
-
-// FuncAnnotated reports whether fd's doc comment carries the directive.
-func FuncAnnotated(name string, fd *ast.FuncDecl) bool {
-	if fd == nil || fd.Doc == nil {
-		return false
-	}
-	for _, c := range fd.Doc.List {
-		if n, _, ok := parseDirective(c); ok && n == name {
-			return true
-		}
-	}
-	return false
-}
-
-// FuncAnnotArgs returns the argument of every occurrence of the directive in
-// fd's doc comment (a function may be //silofuse:locked under more than one
-// mutex). ok is false when the directive is absent.
-func FuncAnnotArgs(name string, fd *ast.FuncDecl) (args []string, ok bool) {
-	if fd == nil || fd.Doc == nil {
-		return nil, false
-	}
-	for _, c := range fd.Doc.List {
-		if n, arg, found := parseDirective(c); found && n == name {
-			args = append(args, arg)
-			ok = true
-		}
-	}
-	return args, ok
 }

@@ -4,9 +4,6 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -38,28 +35,28 @@ func TestAnnotationScopes(t *testing.T) {
 //silofuse:bitwise-ok parity harness compares bit patterns
 package p
 
-import "sync"
+var wide = 1.5
 
-type box struct {
-	mu sync.Mutex
-	//silofuse:guardedby mu
-	standalone int
-	neighbour  int
-	trailing   int //silofuse:guardedby mu
-	after      int
-}
+var (
+	//silofuse:precision-ok rounded once for the table
+	standalone = float32(wide)
+	neighbour  = float32(wide)
+	trailing   = float32(wide) //silofuse:precision-ok rounded once for the table
+	after      = float32(wide)
+)
 
-// doc-scoped directive covers the body.
+// kernel: a doc-scoped directive covers the body.
 //
-//silofuse:locked mu
-func (b *box) helper() { b.standalone++ }
+//silofuse:precision-ok dedicated conversion kernel
+func kernel(x float64) float32 { return float32(x) }
 
-func (b *box) plain() { b.trailing++ }
+func plain(x float64) float32 { return float32(x) }
 
-func body() {
-	//silofuse:walltime-ok progress logging only
-	_ = 1
-	_ = 2
+func body(x float64) (float32, float32) {
+	//silofuse:precision-ok wire value, error accounted upstream
+	a := float32(x)
+	b := float32(x)
+	return a, b
 }
 `
 	fset, f, annot := parseAnnotations(t, src)
@@ -71,15 +68,15 @@ func body() {
 		wantOK    bool
 		wantArg   string
 	}{
-		{"file scope covers any line", AnnotBitwiseOK, 22, true, "parity harness compares bit patterns"},
-		{"standalone covers next line", AnnotGuardedBy, 11, true, "mu"},
-		{"standalone does not bleed past one line", AnnotGuardedBy, 12, false, ""},
-		{"trailing covers its own line", AnnotGuardedBy, 13, true, "mu"},
-		{"trailing does not cover the next line", AnnotGuardedBy, 14, false, ""},
-		{"func doc covers body lines", AnnotLocked, 20, true, "mu"},
-		{"func doc does not cover other funcs", AnnotLocked, 22, false, ""},
-		{"standalone in body covers next stmt", AnnotWalltimeOK, 26, true, "progress logging only"},
-		{"standalone in body does not cover later stmts", AnnotWalltimeOK, 27, false, ""},
+		{"file scope covers any line", AnnotBitwiseOK, 21, true, "parity harness compares bit patterns"},
+		{"standalone covers next line", AnnotPrecisionOK, 10, true, "rounded once for the table"},
+		{"standalone does not bleed past one line", AnnotPrecisionOK, 11, false, ""},
+		{"trailing covers its own line", AnnotPrecisionOK, 12, true, "rounded once for the table"},
+		{"trailing does not cover the next line", AnnotPrecisionOK, 13, false, ""},
+		{"func doc covers body lines", AnnotPrecisionOK, 19, true, "dedicated conversion kernel"},
+		{"func doc does not cover other funcs", AnnotPrecisionOK, 21, false, ""},
+		{"standalone in body covers next stmt", AnnotPrecisionOK, 25, true, "wire value, error accounted upstream"},
+		{"standalone in body does not cover later stmts", AnnotPrecisionOK, 26, false, ""},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -90,183 +87,4 @@ func body() {
 			}
 		})
 	}
-}
-
-// TestLookupFieldIgnoresWiderScopes pins that field annotations only resolve
-// from line-scoped directives: a //silofuse:guardedby in a file or function
-// doc comment must not annotate every field it happens to span.
-func TestLookupFieldIgnoresWiderScopes(t *testing.T) {
-	const src = `// Package p.
-//
-//silofuse:guardedby mu
-package p
-
-import "sync"
-
-type box struct {
-	mu sync.Mutex
-	n  int
-}
-`
-	fset, f, annot := parseAnnotations(t, src)
-	if arg, ok := annot.LookupField(AnnotGuardedBy, posOnLine(fset, f, 10)); ok {
-		t.Fatalf("LookupField resolved file-scoped directive (arg %q); field scope must be line-local", arg)
-	}
-	if _, ok := annot.Lookup(AnnotGuardedBy, posOnLine(fset, f, 10)); !ok {
-		t.Fatal("Lookup should still see the file-scoped directive")
-	}
-}
-
-// TestFuncAnnotArgs pins multi-occurrence extraction: a helper may be
-// //silofuse:locked under more than one mutex.
-func TestFuncAnnotArgs(t *testing.T) {
-	const src = `package p
-
-// helper needs both locks.
-//
-//silofuse:locked mu
-//silofuse:locked stateMu
-func helper() {}
-
-func bare() {}
-`
-	_, f, _ := parseAnnotations(t, src)
-	var helper, bare *ast.FuncDecl
-	for _, d := range f.Decls {
-		if fd, ok := d.(*ast.FuncDecl); ok {
-			switch fd.Name.Name {
-			case "helper":
-				helper = fd
-			case "bare":
-				bare = fd
-			}
-		}
-	}
-	args, ok := FuncAnnotArgs(AnnotLocked, helper)
-	if !ok || len(args) != 2 || args[0] != "mu" || args[1] != "stateMu" {
-		t.Fatalf("FuncAnnotArgs(locked, helper) = (%v, %v), want ([mu stateMu], true)", args, ok)
-	}
-	if _, ok := FuncAnnotArgs(AnnotLocked, bare); ok {
-		t.Fatal("FuncAnnotArgs reported a directive on an unannotated function")
-	}
-	if _, ok := FuncAnnotArgs(AnnotLocked, nil); ok {
-		t.Fatal("FuncAnnotArgs must tolerate a nil FuncDecl")
-	}
-}
-
-// TestAnnotationValidation drives the validation paths through the real
-// analyzers: unknown or ill-typed guard names are rejected, and the
-// justification-required directives reject an empty argument.
-func TestAnnotationValidation(t *testing.T) {
-	tests := []struct {
-		name string
-		src  string
-		want string // substring of exactly one expected diagnostic; "" = clean
-	}{
-		{
-			name: "guardedby unknown mutex rejected",
-			src: `package p
-import "sync"
-type s struct {
-	mu sync.Mutex
-	//silofuse:guardedby nosuch
-	n int
-}
-`,
-			want: `guard "nosuch" is not a field of struct s`,
-		},
-		{
-			name: "guardedby non-mutex guard rejected",
-			src: `package p
-import "sync"
-type s struct {
-	wg sync.WaitGroup
-	//silofuse:guardedby wg
-	n int
-}
-`,
-			want: "is not a sync.Mutex or sync.RWMutex",
-		},
-		{
-			name: "guardedby empty arg rejected",
-			src: `package p
-import "sync"
-type s struct {
-	mu sync.Mutex
-	//silofuse:guardedby
-	n int
-}
-`,
-			want: "needs a mutex field name",
-		},
-		{
-			name: "fire-and-forget requires justification",
-			src: `package p
-func f() {
-	//silofuse:fire-and-forget
-	go func() {}()
-}
-`,
-			want: "fire-and-forget annotation needs a one-line justification",
-		},
-		{
-			name: "fire-and-forget with justification is clean",
-			src: `package p
-func f() {
-	//silofuse:fire-and-forget best-effort cache warmer, process exit reaps it
-	go func() {}()
-}
-`,
-			want: "",
-		},
-		{
-			name: "locked requires mutex name",
-			src: `package p
-import "sync"
-type s struct {
-	mu sync.Mutex
-	//silofuse:guardedby mu
-	n int
-}
-//silofuse:locked
-func (x *s) f() { x.n++ }
-`,
-			want: "locked annotation on f needs a mutex field name",
-		},
-	}
-	for _, tc := range tests {
-		t.Run(tc.name, func(t *testing.T) {
-			diags := analyzeSource(t, tc.src)
-			if tc.want == "" {
-				if len(diags) != 0 {
-					t.Fatalf("expected clean source, got %v", diags)
-				}
-				return
-			}
-			found := false
-			for _, d := range diags {
-				if strings.Contains(d.Message, tc.want) {
-					found = true
-				}
-			}
-			if !found {
-				t.Fatalf("no diagnostic containing %q; got %v", tc.want, diags)
-			}
-		})
-	}
-}
-
-// analyzeSource type-checks one in-memory source file as its own package and
-// runs the full analyzer suite over it.
-func analyzeSource(t *testing.T, src string) []Diagnostic {
-	t.Helper()
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "a.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := LoadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return Run(All(), []*Package{pkg})
 }

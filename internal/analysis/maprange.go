@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -121,4 +122,32 @@ func hasSortCall(p *Pass, fd *ast.FuncDecl) bool {
 		return true
 	})
 	return found
+}
+
+// calleeFunc resolves a call expression to the *types.Func it invokes
+// (package function or method), or nil when the callee is not a named
+// function (builtin, conversion, func-typed variable, ...).
+func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
+	var id *ast.Ident
+	switch fn := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		id = fn
+	case *ast.SelectorExpr:
+		id = fn.Sel
+	default:
+		return nil
+	}
+	f, _ := info.Uses[id].(*types.Func)
+	return f
+}
+
+// enclosingFunc returns the innermost FuncDecl in file whose body spans pos,
+// or nil for positions outside any function declaration.
+func enclosingFunc(file *ast.File, pos token.Pos) *ast.FuncDecl {
+	for _, decl := range file.Decls {
+		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Pos() <= pos && pos <= fd.End() {
+			return fd
+		}
+	}
+	return nil
 }

@@ -6,13 +6,11 @@ import (
 )
 
 // TestRepoSelfCheck runs the full analyzer suite over this repository and
-// requires a clean tree — the same gate `make lint` applies. Every invariant
-// the analyzers encode (no global randomness, no wall-clock reads in
-// deterministic packages, annotated allocation-free kernels, sorted map
-// emission, nil-safe telemetry, tolerance-based float comparison) must hold
-// in the shipped source, so a change that breaks one fails here before it
-// reaches CI. Removing a //silofuse:noalloc annotation from any *Into kernel
-// also fails here, through the noalloc coverage rule.
+// requires a clean tree — the same gate `make lint` applies. The invariants
+// the analyzers encode (sorted map emission, tolerance-based float
+// comparison, float64<->float32 conversions only at the precision boundary)
+// must hold in the shipped source, so a change that breaks one fails here
+// before it reaches CI.
 func TestRepoSelfCheck(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short mode")

@@ -155,8 +155,6 @@ func (a *Autoencoder) LatentDim() int { return a.Cfg.Latent }
 
 // TrainStep runs one optimisation step on a batch table and returns the
 // total reconstruction NLL.
-//
-//silofuse:noalloc
 func (a *Autoencoder) TrainStep(batch *tabular.Table) float64 {
 	z := a.encoder.Forward(batch.Data, true)
 	out := a.decoder.Forward(z, true)

@@ -56,8 +56,6 @@ func (l *inputLayer) term(sp tabular.Span, v float64) (row int, coef float64) {
 
 // Forward maps raw rows x (one column per schema column, categories as
 // codes) to featurise(x)·W + b.
-//
-//silofuse:noalloc
 func (l *inputLayer) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
 	if x.Cols != len(l.enc.Spans) {
 		panic(fmt.Sprintf("autoencoder: encoder fitted on %d cols, got %d", len(l.enc.Spans), x.Cols))
@@ -86,8 +84,6 @@ func (l *inputLayer) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
 // BackwardParams accumulates dW = featurise(x)ᵀ·g as a scatter-add of the
 // rows of g, in ascending row order, and db = Σ_rows g. The input is data,
 // so there is no input gradient to compute.
-//
-//silofuse:noalloc
 func (l *inputLayer) BackwardParams(gradOut *tensor.Matrix) {
 	wGrad := l.W.EnsureGrad()
 	for r := 0; r < gradOut.Rows; r++ {

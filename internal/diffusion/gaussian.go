@@ -31,8 +31,6 @@ func (g *Gaussian) QSample(x0 *tensor.Matrix, ts []int, eps *tensor.Matrix) *ten
 
 // QSampleInto is the destination-passing form of QSample: the noised batch
 // is written into dst (same shape as x0) and returned.
-//
-//silofuse:noalloc
 func (g *Gaussian) QSampleInto(dst, x0 *tensor.Matrix, ts []int, eps *tensor.Matrix) *tensor.Matrix {
 	for i := 0; i < x0.Rows; i++ {
 		ab := g.S.AlphaBar[ts[i]]
@@ -56,8 +54,6 @@ func (g *Gaussian) SampleTimesteps(rng *rand.Rand, n int) []int {
 }
 
 // SampleTimestepsInto fills ts with uniform timesteps in [1, T].
-//
-//silofuse:noalloc
 func (g *Gaussian) SampleTimestepsInto(rng *rand.Rand, ts []int) {
 	for i := range ts {
 		ts[i] = 1 + rng.Intn(g.S.T)

@@ -122,8 +122,6 @@ func (m *Model) ReleaseTraining() {
 // TrainStep performs one optimisation step on a batch of clean data x0:
 // sample t and ε, noise to x_t, predict ε, minimise MSE (paper eq. 5).
 // It returns the batch loss.
-//
-//silofuse:noalloc
 func (m *Model) TrainStep(x0 *tensor.Matrix) float64 {
 	if m.emaDecay > 0 && m.ema == nil {
 		m.ema = nn.NewEMA(m.Net.Params(), m.emaDecay) // the average starts at the weights the run starts at
@@ -224,8 +222,6 @@ func (m *Model) Sample(n, steps int) *tensor.Matrix {
 
 // SampleWithRng is Sample with an explicit randomness source, for callers
 // that need reproducible draws independent of training state.
-//
-//silofuse:noalloc
 func (m *Model) SampleWithRng(rng *rand.Rand, n, steps int) *tensor.Matrix {
 	if m.precision == "f32" {
 		return tensor.To64(m.sample32(rng, n, steps))

@@ -44,8 +44,6 @@ func LaneRng(seed int64, lane int) *rand.Rand {
 // matrix aliases a persistent workspace — callers that keep the rows must
 // Clone. Under f32 precision the lanes fall back to sequential
 // per-lane sampling (the float32 path has its own snapshot workflow).
-//
-//silofuse:noalloc
 func (m *Model) SampleBatchWithRngs(rngs []*rand.Rand, ns []int, steps int) *tensor.Matrix {
 	if len(rngs) != len(ns) {
 		panic("diffusion: SampleBatchWithRngs rngs/ns length mismatch")

@@ -21,8 +21,8 @@ import (
 )
 
 // Experiment-level seed constants. Every source of randomness an experiment
-// draws beyond Config.Seed is named here so the seededrand analyzer (and a
-// reader) can see at a glance that figure reproduction is fully pinned.
+// draws beyond Config.Seed is named here so a reader can see at a glance
+// that figure reproduction is fully pinned.
 const (
 	// PermutationSeed seeds the column permutation of the Figure 11
 	// permuted-split ablation. It is fixed independently of Config.Seed so

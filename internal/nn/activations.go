@@ -28,8 +28,6 @@ type GELU struct {
 // Forward applies gelu elementwise, on the tensor worker pool once the
 // batch is large enough. A training Forward also keeps the erf term for
 // Backward; an evaluation Forward allocates and stores nothing for it.
-//
-//silofuse:noalloc
 func (g *GELU) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	g.input, g.kept = x, train
 	g.out = tensor.Ensure(g.out, x.Rows, x.Cols)
@@ -42,8 +40,6 @@ func (g *GELU) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 
 // Backward multiplies by gelu'(x) = Φ(x) + x·φ(x), with Φ from the erf the
 // Forward kept when there is one and recomputed otherwise — the same bits.
-//
-//silofuse:noalloc
 func (g *GELU) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 	if g.kept {
 		g.kept = false // the gradient replaces the erf, element by element

@@ -74,8 +74,6 @@ func (d *DiffusionMLP) WarmTimesteps(maxT int) {
 }
 
 // Forward predicts the noise for inputs x at per-row timesteps ts.
-//
-//silofuse:noalloc
 func (d *DiffusionMLP) Forward(x *tensor.Matrix, ts []int, train bool) *tensor.Matrix {
 	h := d.inProj.Forward(x, train)
 	if !train && uniformTimestep(ts) {
@@ -116,8 +114,6 @@ func uniformTimestep(ts []int) bool {
 
 // Backward propagates the output gradient, accumulating parameter gradients,
 // and returns dL/dx.
-//
-//silofuse:noalloc
 func (d *DiffusionMLP) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 	g := d.outProj.Backward(gradOut)
 	g = d.blocks.Backward(g)

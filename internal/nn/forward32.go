@@ -29,8 +29,6 @@ func NewLinear32FromLinear(l *Linear) *Linear32 {
 }
 
 // Forward computes xW + b with the f32 fused kernel.
-//
-//silofuse:noalloc
 func (l *Linear32) Forward(x *tensor.Matrix32) *tensor.Matrix32 {
 	l.out = tensor.Ensure32(l.out, x.Rows, l.W.Cols)
 	return tensor.MatMulAddRow32Into(l.out, x, l.W, l.B)
@@ -45,8 +43,6 @@ type GELU32 struct {
 }
 
 // Forward applies gelu elementwise.
-//
-//silofuse:noalloc
 func (g *GELU32) Forward(x *tensor.Matrix32) *tensor.Matrix32 {
 	g.out = tensor.Ensure32(g.out, x.Rows, x.Cols)
 	for i, v := range x.Data {
@@ -88,8 +84,6 @@ func NewSequential32(s *Sequential) (*Sequential32, error) {
 }
 
 // Forward applies every layer in order.
-//
-//silofuse:noalloc
 func (s *Sequential32) Forward(x *tensor.Matrix32) *tensor.Matrix32 {
 	for _, l := range s.Layers {
 		x = l.Forward(x)
@@ -155,8 +149,6 @@ func (d *DiffusionMLP32) embedRow32(t int) []float32 {
 
 // Forward predicts the noise for inputs x at per-row timesteps ts, in
 // evaluation mode (dropout off).
-//
-//silofuse:noalloc
 func (d *DiffusionMLP32) Forward(x *tensor.Matrix32, ts []int) *tensor.Matrix32 {
 	d.tfeat = tensor.Ensure32(d.tfeat, len(ts), d.TimeDim)
 	for i, t := range ts {

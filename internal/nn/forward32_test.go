@@ -87,7 +87,7 @@ func TestDiffusionMLP32MatchesEval(t *testing.T) {
 	assertClose32(t, "DiffusionMLP32 cold timestep", want2, got2, 1e-4)
 }
 
-// TestForward32SteadyStateAllocs pins the noalloc contract of the f32
+// TestForward32SteadyStateAllocs pins the zero-allocation contract of the f32
 // inference path: after one warm call, Forward reuses every workspace.
 func TestForward32SteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))

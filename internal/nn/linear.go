@@ -28,8 +28,6 @@ func NewLinear(rng *rand.Rand, in, out int) *Linear {
 }
 
 // Forward computes xW + b.
-//
-//silofuse:noalloc
 func (l *Linear) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
 	l.input = x
 	l.out = tensor.Ensure(l.out, x.Rows, l.W.Value.Cols)
@@ -41,8 +39,6 @@ func (l *Linear) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
 // call, which puts it on the same column-vectorised kernel as Forward; each
 // output element is still summed in ascending-k order from +0, so for finite
 // weights the bits equal the dot-product form tensor.MatMulT2Into.
-//
-//silofuse:noalloc
 func (l *Linear) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 	l.BackwardParams(gradOut)
 	w := l.W.Value
@@ -54,8 +50,6 @@ func (l *Linear) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 // BackwardParams is Backward without the input gradient: it accumulates dW
 // and db exactly as Backward does and skips g Wᵀ. For the first layer of a
 // network, whose input gradient nobody reads.
-//
-//silofuse:noalloc
 func (l *Linear) BackwardParams(gradOut *tensor.Matrix) {
 	w := l.W.Value
 	if dW := tensor.Ensure(l.dW, w.Rows, w.Cols); dW != l.dW {

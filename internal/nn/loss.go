@@ -16,8 +16,6 @@ func MSELoss(pred, target *tensor.Matrix) (float64, *tensor.Matrix) {
 
 // MSELossInto is the destination-passing form of MSELoss: the gradient is
 // written into grad (which must match pred's shape) and the loss returned.
-//
-//silofuse:noalloc
 func MSELossInto(pred, target, grad *tensor.Matrix) float64 {
 	if grad.Rows != pred.Rows || grad.Cols != pred.Cols {
 		panic("nn: MSELossInto grad shape mismatch")
@@ -44,8 +42,6 @@ func Softmax(logits *tensor.Matrix) *tensor.Matrix {
 // SoftmaxRowInto stores softmax(row) into dst, which must have row's length
 // (dst may be row itself). It is one row of Softmax, for callers whose
 // logits are a span of a wider row.
-//
-//silofuse:noalloc
 func SoftmaxRowInto(dst, row []float64) {
 	max := math.Inf(-1)
 	for _, v := range row {
@@ -83,8 +79,6 @@ func CrossEntropyLoss(logits *tensor.Matrix, labels []int) (float64, *tensor.Mat
 // length, and returns the row's loss term -log p[label] (not divided by n).
 // It is the allocation-free form for callers whose logits are a span of a
 // wider row.
-//
-//silofuse:noalloc
 func CrossEntropyRowInto(g, logits []float64, label int, n float64) float64 {
 	SoftmaxRowInto(g, logits)
 	term := -math.Log(math.Max(g[label], 1e-12))

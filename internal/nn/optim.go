@@ -108,8 +108,6 @@ func (s *adamSweep) RunRange(lo, hi int) {
 }
 
 // Step applies one Adam update and zeroes gradients.
-//
-//silofuse:noalloc
 func (a *Adam) Step() {
 	a.t++
 	a.moments()

@@ -22,13 +22,12 @@ import (
 // acquisition plus a struct store. A nil *FlightRecorder is a no-op,
 // matching the package's recorder contract.
 type FlightRecorder struct {
-	mu    sync.Mutex
-	start time.Time //silofuse:guardedby mu
-	//silofuse:guardedby mu
+	mu      sync.Mutex // guards every field below
+	start   time.Time
 	entries []FlightEntry
-	next    int    //silofuse:guardedby mu
-	seq     uint64 //silofuse:guardedby mu
-	full    bool   //silofuse:guardedby mu
+	next    int
+	seq     uint64
+	full    bool
 }
 
 // FlightEntry is one recorded operation. Op names the operation ("train",

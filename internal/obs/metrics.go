@@ -74,13 +74,10 @@ func (g *Gauge) Value() float64 {
 // Registry is a concurrency-safe collection of named metrics. Metric
 // accessors create on first use, so call sites never pre-register.
 type Registry struct {
-	mu sync.Mutex
-	//silofuse:guardedby mu
+	mu       sync.Mutex // guards the three maps
 	counters map[string]*Counter
-	//silofuse:guardedby mu
-	gauges map[string]*Gauge
-	//silofuse:guardedby mu
-	hists map[string]*Histogram
+	gauges   map[string]*Gauge
+	hists    map[string]*Histogram
 }
 
 // NewRegistry creates an empty registry.

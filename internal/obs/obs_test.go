@@ -4,8 +4,10 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -327,6 +329,42 @@ func TestRecorderNilSafe(t *testing.T) {
 	}
 	if tr.Spans() != nil {
 		t.Fatal("nil tracer Spans should be nil")
+	}
+}
+
+// TestNilReceiversAreNoOps calls every exported method of every pointer type
+// the package hands out on a nil receiver, with zero arguments (io.Discard
+// for a writer), and requires none to panic: "nil is telemetry off" holds for
+// the whole surface, not only the methods the hot paths happen to call. A new
+// handle type belongs in the list.
+func TestNilReceiversAreNoOps(t *testing.T) {
+	writer := reflect.TypeOf((*io.Writer)(nil)).Elem()
+	for _, h := range []any{
+		(*Recorder)(nil), (*Tracer)(nil), (*Span)(nil), (*Registry)(nil),
+		(*Counter)(nil), (*Gauge)(nil), (*Histogram)(nil),
+		(*EventWriter)(nil), (*FlightRecorder)(nil),
+	} {
+		v := reflect.ValueOf(h)
+		for i := 0; i < v.NumMethod(); i++ {
+			name := v.Type().String() + "." + v.Type().Method(i).Name
+			m := v.Method(i)
+			args := make([]reflect.Value, m.Type().NumIn())
+			for j := range args {
+				if in := m.Type().In(j); in == writer {
+					args[j] = reflect.ValueOf(io.Discard)
+				} else {
+					args[j] = reflect.Zero(in)
+				}
+			}
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Errorf("%s on a nil receiver panics: %v", name, p)
+					}
+				}()
+				m.Call(args)
+			}()
+		}
 	}
 }
 

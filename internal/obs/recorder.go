@@ -14,8 +14,7 @@ const trainEventEvery = 50
 // default and means "telemetry off": every method (and every span it hands
 // out) guards the nil receiver, so hot paths pay one pointer comparison and
 // nothing else. Instrumented loops read the clock through the recorder's
-// nil-gated Now/Since, which keeps the deterministic packages free of
-// direct time.Now calls (pinned by the walltime analyzer):
+// nil-gated Now/Since, so a run without telemetry never reads the clock:
 //
 //	t0 := m.Rec.Now() // zero Time when telemetry is off
 //	loss := step()

@@ -141,11 +141,11 @@ type Resetter interface {
 // close-then-send panic). rec is deliberately unguarded — SetRecorder's
 // contract is "call before traffic starts".
 type LocalBus struct {
-	mu      sync.Mutex
-	boxes   map[string]chan *Envelope //silofuse:guardedby mu
-	stats   Stats                     //silofuse:guardedby mu
-	closeMu sync.RWMutex
-	closed  bool //silofuse:guardedby closeMu
+	mu      sync.Mutex // guards boxes and stats
+	boxes   map[string]chan *Envelope
+	stats   Stats
+	closeMu sync.RWMutex // guards closed
+	closed  bool
 	rec     *obs.Recorder
 }
 

@@ -115,18 +115,14 @@ type ChaosBus struct {
 	seed  uint64
 	prof  ChaosProfile
 
-	mu sync.Mutex
-	//silofuse:guardedby mu
-	pseudo map[string]uint64 // per-link seq for unsequenced envelopes
-	//silofuse:guardedby mu
-	attempts map[chaosKey]int // delivery attempts per message identity
-	sends    int              //silofuse:guardedby mu
-	fired    bool             //silofuse:guardedby mu
-	//silofuse:guardedby mu
-	crashed map[string]bool
-	//silofuse:guardedby mu
-	stash map[string][]stashed // held-back envelopes per recipient
-	stats ChaosStats           //silofuse:guardedby mu
+	mu       sync.Mutex        // guards every field below
+	pseudo   map[string]uint64 // per-link seq for unsequenced envelopes
+	attempts map[chaosKey]int  // delivery attempts per message identity
+	sends    int
+	fired    bool
+	crashed  map[string]bool
+	stash    map[string][]stashed // held-back envelopes per recipient
+	stats    ChaosStats
 }
 
 // chaosKey identifies one logical message on one link.

@@ -2,6 +2,7 @@ package silo
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -58,8 +59,18 @@ func TestLocalBusConcurrentSendRecv(t *testing.T) {
 // TestLocalBusCloseDuringSends races Close against in-flight Sends. The
 // closeMu protocol guarantees a clean partition: each Send either returns
 // ErrBusClosed, or its message is delivered before the inbox closes — so the
-// drained count must equal the accepted-send count exactly.
+// drained count must equal the accepted-send count exactly. Each round lets
+// a different number of sends through before Close, so Close lands mid-stream
+// rather than before the first send: a Send that released closeMu before its
+// channel send would then panic on the closed inbox, or show as a race under
+// -race.
 func TestLocalBusCloseDuringSends(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		localBusCloseDuringSends(t, int64(round*40))
+	}
+}
+
+func localBusCloseDuringSends(t *testing.T, closeAfter int64) {
 	const senders, perSender = 8, 300
 	bus := NewLocalBus()
 	// Materialise the inbox before the Close race starts: Close only closes
@@ -107,6 +118,9 @@ func TestLocalBusCloseDuringSends(t *testing.T) {
 	go func() {
 		defer close(closer)
 		<-start
+		for atomic.LoadInt64(&accepted) < closeAfter {
+			runtime.Gosched()
+		}
 		_ = bus.Close()
 		_ = bus.Close() // idempotent under contention
 	}()

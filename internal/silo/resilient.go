@@ -61,18 +61,14 @@ type ResilientBus struct {
 	cfg   ResilientConfig
 	rec   *obs.Recorder
 
-	mu sync.Mutex
-	//silofuse:guardedby mu
-	nextSeq map[string]uint64 // link -> last assigned seq
-	//silofuse:guardedby mu
-	expect map[string]uint64 // link -> next expected seq
-	//silofuse:guardedby mu
-	pending map[string]map[uint64]*Envelope // out-of-order buffer per link
-	//silofuse:guardedby mu
-	ready        map[string][]*Envelope // in-order queue per recipient
-	stats        Stats                  //silofuse:guardedby mu
-	retries      int64                  //silofuse:guardedby mu
-	redeliveries int64                  //silofuse:guardedby mu
+	mu           sync.Mutex                      // guards every field below
+	nextSeq      map[string]uint64               // link -> last assigned seq
+	expect       map[string]uint64               // link -> next expected seq
+	pending      map[string]map[uint64]*Envelope // out-of-order buffer per link
+	ready        map[string][]*Envelope          // in-order queue per recipient
+	stats        Stats
+	retries      int64
+	redeliveries int64
 }
 
 // NewResilientBus wraps inner with the given retry policy; zero cfg fields

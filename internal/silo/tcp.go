@@ -19,9 +19,9 @@ import (
 type endpoint struct {
 	rec *obs.Recorder
 
-	statsMu   sync.Mutex
-	stats     Stats         //silofuse:guardedby statsMu
-	ioTimeout time.Duration //silofuse:guardedby statsMu
+	statsMu   sync.Mutex // guards stats and ioTimeout
+	stats     Stats
+	ioTimeout time.Duration
 }
 
 func newEndpoint() endpoint {
@@ -57,10 +57,10 @@ type link struct {
 	dir  string // this direction's Stats.BytesByDir bucket
 
 	sendMu sync.Mutex
-	buf    []byte //silofuse:guardedby sendMu
+	buf    []byte
 
 	recvMu sync.Mutex
-	r      *bufio.Reader //silofuse:guardedby recvMu
+	r      *bufio.Reader
 }
 
 func (ep *endpoint) newLink(conn net.Conn, dir string) *link {
@@ -89,7 +89,6 @@ func (l *link) send(e *Envelope) error {
 		// Per-message write deadline so a dead socket fails the send instead
 		// of blocking forever. The deadline is IO plumbing, never observed by
 		// the deterministic protocol logic.
-		//silofuse:walltime-ok socket write deadline, not on the deterministic data path
 		l.conn.SetWriteDeadline(time.Now().Add(timeout))
 	}
 	written, err := l.conn.Write(frame)
@@ -129,16 +128,11 @@ type TCPHub struct {
 	done  chan struct{} // closed by Close; releases a route blocked on a full inbox
 	wg    sync.WaitGroup
 
-	mu sync.Mutex
-	//silofuse:guardedby mu
-	conns map[net.Conn]struct{} // every accepted connection still being served, registered or not
-	//silofuse:guardedby mu
-	peers map[string]*link
-	//silofuse:guardedby mu
-	closing bool
-	//silofuse:guardedby mu
-	beats map[string]int64 // heartbeats received per peer
-	//silofuse:guardedby mu
+	mu         sync.Mutex            // guards every field below
+	conns      map[net.Conn]struct{} // every accepted connection still being served, registered or not
+	peers      map[string]*link
+	closing    bool
+	beats      map[string]int64 // heartbeats received per peer
 	reconnects map[string]int64 // re-registrations per peer
 }
 
@@ -164,7 +158,7 @@ func NewTCPHub(name, addr string) (*TCPHub, error) {
 		endpoint:   newEndpoint(),
 		ln:         ln,
 		inbox:      make(chan *Envelope, 1024),
-		done:       make(chan struct{}), //silofuse:unbuffered-ok close-only stop signal, never sent on
+		done:       make(chan struct{}),
 		conns:      make(map[net.Conn]struct{}),
 		peers:      make(map[string]*link),
 		beats:      make(map[string]int64),
@@ -524,7 +518,7 @@ func (p *TCPPeer) Reconnect(addr string) error {
 // precisely what the missing beats will reveal. The returned stop function
 // is idempotent and waits for the goroutine to exit.
 func (p *TCPPeer) StartHeartbeat(every time.Duration) (stop func()) {
-	done := make(chan struct{}) //silofuse:unbuffered-ok close-only stop signal, never sent on
+	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {

@@ -12,8 +12,6 @@ import "math/rand"
 
 // ConvertInto32 narrows src into dst (same shape) with IEEE
 // round-to-nearest and returns dst.
-//
-//silofuse:noalloc
 func ConvertInto32(dst *Matrix32, src *Matrix) *Matrix32 {
 	if dst.Rows != src.Rows || dst.Cols != src.Cols {
 		panic("tensor: ConvertInto32 shape mismatch")
@@ -27,8 +25,6 @@ func ConvertInto32(dst *Matrix32, src *Matrix) *Matrix32 {
 
 // ConvertInto64 widens src into dst (same shape) and returns dst. Widening
 // is exact: every float32 value is representable as a float64.
-//
-//silofuse:noalloc
 func ConvertInto64(dst *Matrix, src *Matrix32) *Matrix {
 	if dst.Rows != src.Rows || dst.Cols != src.Cols {
 		panic("tensor: ConvertInto64 shape mismatch")

@@ -36,19 +36,13 @@ func elementwiseInto(kern kernelFn, dst, a, b *Matrix, op string) *Matrix {
 }
 
 // AddInto stores a+b into dst (dst may alias a or b) and returns dst.
-//
-//silofuse:noalloc
 func AddInto(dst, a, b *Matrix) *Matrix { return elementwiseInto(addElems, dst, a, b, "AddInto") }
 
 // SubInto stores a-b into dst (dst may alias a or b) and returns dst.
-//
-//silofuse:noalloc
 func SubInto(dst, a, b *Matrix) *Matrix { return elementwiseInto(subElems, dst, a, b, "SubInto") }
 
 // MulElemInto stores the Hadamard product a*b into dst (dst may alias a or
 // b) and returns dst.
-//
-//silofuse:noalloc
 func MulElemInto(dst, a, b *Matrix) *Matrix {
 	return elementwiseInto(mulElems, dst, a, b, "MulElemInto")
 }
@@ -124,8 +118,6 @@ func geluGradElems(x, gradOut, keep, dst *Matrix, lo, hi int) {
 
 // GELUInto stores gelu(x) = x·Φ(x) into dst (dst may alias x) and returns
 // dst.
-//
-//silofuse:noalloc
 func GELUInto(dst, x *Matrix) *Matrix {
 	dst.assertSameShape(x, "GELUInto")
 	n := len(dst.Data)
@@ -137,8 +129,6 @@ func GELUInto(dst, x *Matrix) *Matrix {
 // must not alias x or dst), for GELUGradKeptInto to read: erf is most of both
 // kernels' cost, and a training step would otherwise take it twice per
 // element.
-//
-//silofuse:noalloc
 func GELUKeepInto(dst, keep, x *Matrix) *Matrix {
 	dst.assertSameShape(x, "GELUKeepInto")
 	keep.assertSameShape(x, "GELUKeepInto")
@@ -150,8 +140,6 @@ func GELUKeepInto(dst, keep, x *Matrix) *Matrix {
 // GELUGradKeptInto is GELUGradInto for an x whose 1 + erf(x/√2) GELUKeepInto
 // left in keep; same bits, one erf fewer per element. dst may alias keep (or
 // either other operand): each element is read before it is written.
-//
-//silofuse:noalloc
 func GELUGradKeptInto(dst, x, keep, gradOut *Matrix) *Matrix {
 	x.assertSameShape(gradOut, "GELUGradKeptInto")
 	keep.assertSameShape(x, "GELUGradKeptInto")
@@ -163,8 +151,6 @@ func GELUGradKeptInto(dst, x, keep, gradOut *Matrix) *Matrix {
 
 // GELUGradInto stores gradOut · gelu'(x), with gelu'(x) = Φ(x) + x·φ(x),
 // into dst (dst may alias either operand) and returns dst.
-//
-//silofuse:noalloc
 func GELUGradInto(dst, x, gradOut *Matrix) *Matrix {
 	return elementwiseInto(geluGradElems, dst, x, gradOut, "GELUGradInto")
 }

@@ -51,8 +51,6 @@ func MatMul(a, b *Matrix) *Matrix {
 // MatMulInto stores a @ b into dst (which must not alias a or b) and
 // returns dst. It is the allocation-free form of MatMul: same kernel, same
 // reduction order, same bits.
-//
-//silofuse:noalloc
 func MatMulInto(dst, a, b *Matrix) *Matrix {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulInto shape mismatch %dx%d @ %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -66,8 +64,6 @@ func MatMulInto(dst, a, b *Matrix) *Matrix {
 // row added to every output row after that row's accumulation finishes —
 // exactly the arithmetic of MatMul followed by AddRowVector, fused into one
 // pass over the output. dst must not alias a or b.
-//
-//silofuse:noalloc
 func MatMulAddRowInto(dst, a, b, bias *Matrix) *Matrix {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulAddRowInto shape mismatch %dx%d @ %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -161,8 +157,6 @@ func MatMulT1(a, b *Matrix) *Matrix {
 
 // MatMulT1Into stores aᵀ @ b into dst (which must not alias a or b) and
 // returns dst.
-//
-//silofuse:noalloc
 func MatMulT1Into(dst, a, b *Matrix) *Matrix {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulT1Into shape mismatch %dx%d, %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -227,8 +221,6 @@ func MatMulT2(a, b *Matrix) *Matrix {
 
 // MatMulT2Into stores a @ bᵀ into dst (which must not alias a or b) and
 // returns dst.
-//
-//silofuse:noalloc
 func MatMulT2Into(dst, a, b *Matrix) *Matrix {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulT2Into shape mismatch %dx%d, %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))

@@ -26,8 +26,6 @@ func sharesData32(x, y *Matrix32) bool {
 
 // MatMul32Into stores a @ b into dst (which must not alias a or b) and
 // returns dst — the float32 twin of MatMulInto.
-//
-//silofuse:noalloc
 func MatMul32Into(dst, a, b *Matrix32) *Matrix32 {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMul32Into shape mismatch %dx%d @ %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -40,8 +38,6 @@ func MatMul32Into(dst, a, b *Matrix32) *Matrix32 {
 // MatMulAddRow32Into stores a @ b + bias into dst, where bias is a
 // 1 x b.Cols row added after each output row's accumulation finishes — the
 // float32 twin of MatMulAddRowInto, backing the f32 Linear forward.
-//
-//silofuse:noalloc
 func MatMulAddRow32Into(dst, a, b, bias *Matrix32) *Matrix32 {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulAddRow32Into shape mismatch %dx%d @ %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))

@@ -120,7 +120,7 @@ func TestConvertRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSteadyState32KernelAllocs pins the noalloc contract for the f32
+// TestSteadyState32KernelAllocs pins the zero-allocation contract for the f32
 // kernels and conversion kernels.
 func TestSteadyState32KernelAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))

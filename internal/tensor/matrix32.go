@@ -61,8 +61,6 @@ func (m *Matrix32) Clone() *Matrix32 {
 
 // Add32Into stores a + b elementwise into dst (shapes must match) and
 // returns dst.
-//
-//silofuse:noalloc
 func Add32Into(dst, a, b *Matrix32) *Matrix32 {
 	if a.Rows != b.Rows || a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != a.Cols {
 		panic(fmt.Sprintf("tensor: Add32Into shape mismatch %dx%d + %dx%d -> %dx%d",

@@ -198,8 +198,6 @@ func dispatchKernel32(kern kernel32Fn, a, b, c, dst *Matrix32, n, work int) {
 // multiply-add or per element) is below parallelThreshold or only one P is
 // available, otherwise in chunks on the worker pool, returning when every
 // chunk has finished.
-//
-//silofuse:noalloc
 func ParallelRange(k RangeKernel, n, work int) {
 	var t chunkTask
 	t.ranger = k

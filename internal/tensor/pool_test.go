@@ -473,7 +473,6 @@ func TestPooledDispatchAllocs(t *testing.T) {
 type busyRange struct{ d time.Duration }
 
 func (k *busyRange) RunRange(lo, hi int) {
-	//silofuse:walltime-ok a benchmark's fixed-length chunk; it computes nothing
 	for t0 := time.Now(); time.Since(t0) < k.d; {
 	}
 }

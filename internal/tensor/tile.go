@@ -41,8 +41,6 @@ func useTile(k, n int) bool { return kernelTier == tierAVX512 && k > 0 && n >= t
 // everything else through the axpy kernels. A non-nil bias, one addend per
 // output column, is added to every row once its accumulation has finished:
 // in the tile's last store, or by a sweep behind the axpy kernels.
-//
-//silofuse:noalloc
 func matmulRange(a, b, out *Matrix, bias []float64, lo, hi int, t1 bool) {
 	kw := a.Cols
 	if t1 {
@@ -125,8 +123,6 @@ func countNonzero(vs []float64) int {
 // packed kc x 16 panel of b then serves every strip of the group from L1. A
 // later k block resumes each chain from the value the previous one stored, and
 // the last one adds the bias, if there is one, as it stores.
-//
-//silofuse:noalloc
 func tilePanels(a, b, out *Matrix, bias []float64, g0 int, dense uint64, t1 bool) {
 	var panel [tileKC * tileN]float64
 	n, lda := b.Cols, a.Cols

@@ -64,8 +64,6 @@ func expSubGo(dst, row []float64, max float64) {
 // ExpSubInto stores exp(row[j] - max) into dst[j] for every j of dst (which
 // may be row itself): the exponentials of a softmax row, whose sum the caller
 // then takes in column order. Each is math.Exp's result to the bit.
-//
-//silofuse:noalloc
 func ExpSubInto(dst, row []float64, max float64) {
 	row = row[:len(dst)]
 	for lanes() && len(dst) > 0 {
@@ -99,8 +97,6 @@ func adamGo(w, g, m, v []float64, c *AdamCoef) {
 // and moments m and v (all of w's length), and clears g. Every operation is a
 // multiply, add, divide or square root, which IEEE 754 rounds correctly, so
 // the eight-lane sweep and the Go loop agree to the bit by construction.
-//
-//silofuse:noalloc
 func AdamUpdate(w, g, m, v []float64, c *AdamCoef) {
 	g, m, v = g[:len(w)], m[:len(w)], v[:len(w)]
 	if kernelTier != tierAVX512 {

@@ -38,8 +38,6 @@ func EnsureInts(v []int, n int) []int {
 }
 
 // CopyInto copies src into dst (shapes must match) and returns dst.
-//
-//silofuse:noalloc
 func CopyInto(dst, src *Matrix) *Matrix {
 	dst.assertSameShape(src, "CopyInto")
 	copy(dst.Data, src.Data)
@@ -53,8 +51,6 @@ func CopyInto(dst, src *Matrix) *Matrix {
 // the matmul that consumes it. Bands of source rows go to the worker pool
 // once the matrix clears parallelThreshold elements; every element is a
 // plain copy, so the split cannot change the result.
-//
-//silofuse:noalloc
 func TransposeInto(dst, m *Matrix) *Matrix {
 	if dst.Rows != m.Cols || dst.Cols != m.Rows {
 		panic(fmt.Sprintf("tensor: TransposeInto dst shape %dx%d, want %dx%d", dst.Rows, dst.Cols, m.Cols, m.Rows))
@@ -84,8 +80,6 @@ func transposeRows(m, _, _, dst *Matrix, lo, hi int) {
 
 // GatherRowsInto copies the rows of m selected by idx into dst, in order.
 // dst must be len(idx) x m.Cols.
-//
-//silofuse:noalloc
 func (m *Matrix) GatherRowsInto(dst *Matrix, idx []int) *Matrix {
 	if dst.Rows != len(idx) || dst.Cols != m.Cols {
 		panic(fmt.Sprintf("tensor: GatherRowsInto dst shape %dx%d, want %dx%d", dst.Rows, dst.Cols, len(idx), m.Cols))
@@ -98,8 +92,6 @@ func (m *Matrix) GatherRowsInto(dst *Matrix, idx []int) *Matrix {
 
 // ColSumsInto accumulates the per-column sums of m into out, which must
 // have length Cols and is cleared first. Summation order matches ColSums.
-//
-//silofuse:noalloc
 func (m *Matrix) ColSumsInto(out []float64) []float64 {
 	if len(out) != m.Cols {
 		panic(fmt.Sprintf("tensor: ColSumsInto length %d != cols %d", len(out), m.Cols))
