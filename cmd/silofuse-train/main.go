@@ -39,7 +39,6 @@ type config struct {
 	chaosSeed          int64
 	wireCodec          string
 	computePrecision   string
-	batchSample        bool
 }
 
 func main() {
@@ -63,7 +62,6 @@ func main() {
 	flag.Int64Var(&c.chaosSeed, "chaos-seed", 1, "seed of the deterministic fault schedule (with -chaos-profile)")
 	flag.StringVar(&c.wireCodec, "wire-codec", "f64", "precision tier framing tensor payloads on the wire: f64 (lossless, default), f32, q8")
 	flag.StringVar(&c.computePrecision, "compute-precision", "f64", "kernel precision for sampling and decode (training is always f64): f64 or f32")
-	flag.BoolVar(&c.batchSample, "batch-sample", false, "route synthesis through the batched sampler: concurrent requests stack into one denoising pass (silofuse only)")
 	flag.Parse()
 
 	if err := run(c); err != nil {
@@ -118,7 +116,6 @@ func run(c config) error {
 		return fmt.Errorf("unknown compute precision %q (want f64 or f32)", c.computePrecision)
 	}
 	opts.ComputePrecision = c.computePrecision
-	opts.BatchSampling = c.batchSample
 	var rec *silofuse.Recorder
 	if c.tracePath != "" || c.metrics || c.runName != "" {
 		rec = silofuse.NewRecorder()

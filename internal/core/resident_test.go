@@ -89,11 +89,12 @@ func TestFittedModelIsItsCheckpoint(t *testing.T) {
 // sampleWorkspaceBytes is what an n-row request leaves sized in a model's
 // layers: every Linear and GELU output of the backbone (dropout is the
 // identity when sampling) and of each client's decoder, the one projected
-// timestep row, and the input each first layer still points at.
+// timestep row, the input each first layer still points at, and the
+// sampler's two ping-pong matrices (one of them that input) and timesteps.
 func sampleWorkspaceBytes(s *SiloFuse, n int) int64 {
 	d := s.pipe.Cfg.Diff
 	dim := s.pipe.Coord.Model.Net.In
-	elems := n*(d.Hidden*(1+2*d.Depth)+2*dim) + d.Hidden + d.TimeDim
+	elems := n*(d.Hidden*(1+2*d.Depth)+3*dim+1) + d.Hidden + d.TimeDim
 	for _, c := range s.pipe.Clients {
 		heads := 0
 		for _, col := range c.Data.Schema.Columns {

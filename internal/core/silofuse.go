@@ -22,11 +22,6 @@ type SiloFuse struct {
 	bus  silo.Bus
 	wire *silo.CodecBus
 	pipe *silo.Pipeline
-
-	// sampleCalls counts batched-sampling invocations; each call derives a
-	// distinct lane-rng seed from it so successive Sample calls draw fresh
-	// rows while staying reproducible for a fixed call sequence.
-	sampleCalls int64
 }
 
 // validComputePrecision rejects anything but the two supported compute
@@ -150,34 +145,12 @@ func (s *SiloFuse) Fit(train *tabular.Table) error {
 	return nil
 }
 
-// Sample implements Synthesizer using the share-post-generation mode. With
-// BatchSampling enabled the call runs as a one-lane batch through the
-// batched sampler.
+// Sample implements Synthesizer using the share-post-generation mode.
 func (s *SiloFuse) Sample(n int) (*tabular.Table, error) {
 	if s.pipe == nil {
 		return nil, fmt.Errorf("%s: Sample before Fit", s.name)
 	}
-	if s.Opts.BatchSampling {
-		tables, err := s.SampleBatch([]int{n})
-		if err != nil {
-			return nil, err
-		}
-		return tables[0], nil
-	}
 	return s.pipe.SynthesizeShared(0, n, s.Opts.DecodeSampling)
-}
-
-// SampleBatch serves len(ns) concurrent synthesis requests in one stacked
-// denoising round; request k receives ns[k] rows. Each call advances the
-// lane-seed counter, so repeated batches draw fresh rows while a fixed call
-// sequence stays reproducible.
-func (s *SiloFuse) SampleBatch(ns []int) ([]*tabular.Table, error) {
-	if s.pipe == nil {
-		return nil, fmt.Errorf("%s: SampleBatch before Fit", s.name)
-	}
-	seed := s.Opts.Seed + s.sampleCalls<<32
-	s.sampleCalls++
-	return s.pipe.SynthesizeSharedBatch(0, seed, ns, s.Opts.DecodeSampling)
 }
 
 // SamplePartitioned draws n rows but keeps the result vertically

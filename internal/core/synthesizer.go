@@ -100,11 +100,6 @@ type Options struct {
 	// bit-identical) or "f32" (float32 kernels, ~2x memory bandwidth).
 	// Training always runs in float64.
 	ComputePrecision string
-
-	// BatchSampling routes Sample through the batched sampler: concurrent
-	// synthesis requests stack into one denoising ping-pong (SampleBatch),
-	// and single Sample calls run as a one-lane batch.
-	BatchSampling bool
 }
 
 // DefaultOptions returns CPU-scaled settings that preserve the paper's

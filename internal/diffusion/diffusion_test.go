@@ -287,23 +287,6 @@ func TestModelLearnsBimodalDistribution(t *testing.T) {
 	}
 }
 
-func TestDenoiseFromIntermediateStep(t *testing.T) {
-	g := NewGaussian(LinearSchedule(50, 1e-4, 0.02))
-	rng := rand.New(rand.NewSource(8))
-	xt := tensor.New(4, 3).Randn(rng, 1)
-	out := g.Denoise(rng, zeroPredictor{}, xt, 25, 5, 0)
-	if out.Rows != 4 || out.Cols != 3 {
-		t.Fatalf("shape %v", out)
-	}
-	// tStart=0 returns input unchanged.
-	same := g.Denoise(rng, zeroPredictor{}, xt, 0, 5, 0)
-	for i := range xt.Data {
-		if same.Data[i] != xt.Data[i] {
-			t.Fatal("tStart=0 must be identity")
-		}
-	}
-}
-
 // TestModelX0Parameterisation trains an x0-predicting model on the same
 // bimodal target and checks samples recover both modes — verifying the
 // x̂0 → ε̂ conversion in Predict.

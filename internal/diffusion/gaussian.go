@@ -62,8 +62,8 @@ func (g *Gaussian) SampleTimestepsInto(rng *rand.Rand, ts []int) {
 
 // ddimStep applies one DDIM update from timestep t to tPrev, writing the
 // denoised batch into next: x0 is recovered from the noise prediction, then
-// re-noised toward tPrev with optional eta-scaled stochasticity. This is
-// the single inner update shared by Sample and Denoise.
+// re-noised toward tPrev with optional eta-scaled stochasticity. At eta=0
+// sigma is exactly 0 and rng is never read.
 func (g *Gaussian) ddimStep(rng *rand.Rand, x, epsPred, next *tensor.Matrix, t, tPrev int, eta float64) {
 	ab := g.S.AlphaBar[t]
 	abPrev := g.S.AlphaBar[tPrev]
@@ -86,65 +86,33 @@ func (g *Gaussian) ddimStep(rng *rand.Rand, x, epsPred, next *tensor.Matrix, t, 
 	}
 }
 
+// denoise is the one reverse-process loop every sampler runs: for each
+// timestep of seq, net predicts the noise of the whole batch x at that
+// timestep (ts, one entry per row, is filled here) and ddimStep writes the
+// update into buf; the two then swap, so the loop allocates nothing. It
+// returns the denoised batch and the spare buffer.
+func (g *Gaussian) denoise(rng *rand.Rand, net NoisePredictor, x, buf *tensor.Matrix, ts, seq []int, eta float64) (out, spare *tensor.Matrix) {
+	for si, t := range seq {
+		tPrev := 0
+		if si+1 < len(seq) {
+			tPrev = seq[si+1]
+		}
+		for i := range ts {
+			ts[i] = t
+		}
+		g.ddimStep(rng, x, net.Predict(x, ts), buf, t, tPrev, eta)
+		x, buf = buf, x
+	}
+	return x, buf
+}
+
 // Sample runs DDIM-style strided ancestral sampling: starting from pure
 // Gaussian noise it denoises over steps strided timesteps using net's noise
 // predictions. eta=0 gives deterministic DDIM; eta=1 recovers DDPM-like
-// stochastic sampling. Two ping-pong buffers are reused across all steps,
-// so the per-step loop performs no allocation.
+// stochastic sampling. The buffers are the call's own; Model samples through
+// the same loop over buffers it keeps.
 func (g *Gaussian) Sample(rng *rand.Rand, net NoisePredictor, n, dim, steps int, eta float64) *tensor.Matrix {
 	x := tensor.New(n, dim).Randn(rng, 1)
-	buf := tensor.New(n, dim)
-	seq := g.S.StridedTimesteps(steps)
-	ts := make([]int, n)
-	for si, t := range seq {
-		tPrev := 0
-		if si+1 < len(seq) {
-			tPrev = seq[si+1]
-		}
-		for i := range ts {
-			ts[i] = t
-		}
-		epsPred := net.Predict(x, ts)
-		g.ddimStep(rng, x, epsPred, buf, t, tPrev, eta)
-		x, buf = buf, x
-	}
-	return x
-}
-
-// Denoise runs the reverse process starting from the provided noisy matrix
-// at timestep tStart instead of pure noise — used by the paper's privacy
-// sensitivity experiment (Table VII) and the end-to-end baselines, where
-// training reconstructs partially noised latents.
-func (g *Gaussian) Denoise(rng *rand.Rand, net NoisePredictor, xt *tensor.Matrix, tStart, steps int, eta float64) *tensor.Matrix {
-	x := xt.Clone()
-	if tStart < 1 {
-		return x
-	}
-	// Build a strided descending sequence from tStart.
-	if steps > tStart {
-		steps = tStart
-	}
-	seq := make([]int, steps)
-	for i := 0; i < steps; i++ {
-		seq[i] = 1 + (tStart-1)*(steps-1-i)/maxInt(steps-1, 1)
-	}
-	if steps == 1 {
-		seq[0] = tStart
-	}
-	n := x.Rows
-	buf := tensor.New(n, x.Cols)
-	ts := make([]int, n)
-	for si, t := range seq {
-		tPrev := 0
-		if si+1 < len(seq) {
-			tPrev = seq[si+1]
-		}
-		for i := range ts {
-			ts[i] = t
-		}
-		epsPred := net.Predict(x, ts)
-		g.ddimStep(rng, x, epsPred, buf, t, tPrev, eta)
-		x, buf = buf, x
-	}
-	return x
+	out, _ := g.denoise(rng, net, x, tensor.New(n, dim), make([]int, n), g.S.StridedTimesteps(steps), eta)
+	return out
 }

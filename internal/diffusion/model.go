@@ -71,14 +71,14 @@ type Model struct {
 
 	predEps *tensor.Matrix // Predict's x0→ε workspace
 
-	// Batched-sampling workspaces (SampleBatchWithRngs): the stacked
-	// ping-pong matrices, the shared timestep slice, and the strided
+	// Sampling workspaces (SampleBatchWithRngs, which every sample runs
+	// through): the ping-pong matrices, the timestep slice, and the strided
 	// inference schedule cached by step count (StridedTimesteps allocates,
 	// so the warm path reuses the last schedule while steps is unchanged).
-	sbX, sbBuf *tensor.Matrix
-	sbTs       []int
-	sbSeq      []int
-	sbSteps    int
+	sampleX, sampleBuf *tensor.Matrix
+	sampleTs           []int
+	sampleSeq          []int
+	sampleSteps        int
 }
 
 // NewModel builds a model from cfg, drawing initial weights from rng.
@@ -221,12 +221,10 @@ func (m *Model) Sample(n, steps int) *tensor.Matrix {
 }
 
 // SampleWithRng is Sample with an explicit randomness source, for callers
-// that need reproducible draws independent of training state.
+// that need reproducible draws independent of training state. It is the
+// one-lane case of SampleBatchWithRngs; the returned rows are the caller's.
 func (m *Model) SampleWithRng(rng *rand.Rand, n, steps int) *tensor.Matrix {
-	if m.precision == "f32" {
-		return tensor.To64(m.sample32(rng, n, steps))
-	}
-	return m.G.Sample(rng, m, n, m.Net.In, steps, 0)
+	return m.SampleBatchWithRngs([]*rand.Rand{rng}, []int{n}, steps).Clone()
 }
 
 // sample32 runs the reduced-precision sampling loop. The backbone weights

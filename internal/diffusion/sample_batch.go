@@ -6,12 +6,11 @@ import (
 	"silofuse/internal/tensor"
 )
 
-// Batched sampling: K concurrent synthesis requests stack into one
-// denoising ping-pong over a single batch matrix. Each request is a "lane"
-// with its own rng (derive with LaneRng); the backbone forward and the
-// eta=0 DDIM update are both row-independent, so lane k of the batch is
-// bit-identical to a sequential SampleWithRng call with the same rng and
-// row count — the property the batched-sampling equivalence test pins.
+// Lanes: a batch of sampling requests stacks into one denoising loop over
+// a single batch matrix. Each request is a "lane" with its own rng (derive
+// with LaneRng); the backbone forward and the eta=0 DDIM update are both
+// row-independent, so lane k of the batch is bit-identical to the same lane
+// sampled alone. Model.SampleWithRng is the one-lane case.
 
 // laneTag keeps the lane-rng derivation apart from any other stream a
 // caller derives from the same seed.
@@ -41,73 +40,46 @@ func LaneRng(seed int64, lane int) *rand.Rand {
 // matrix holds the lanes vertically in lane order. Deterministic DDIM
 // (eta=0) only, which is the repository's sole sampling mode; the lanes
 // would couple through a shared noise stream otherwise. The returned
-// matrix aliases a persistent workspace — callers that keep the rows must
-// Clone. Under f32 precision the lanes fall back to sequential
-// per-lane sampling (the float32 path has its own snapshot workflow).
+// matrix aliases the model's sampling workspace, overwritten by the next
+// call — callers that keep the rows must Clone. Under f32 precision each
+// lane runs the float32 loop on its own.
 func (m *Model) SampleBatchWithRngs(rngs []*rand.Rand, ns []int, steps int) *tensor.Matrix {
 	if len(rngs) != len(ns) {
 		panic("diffusion: SampleBatchWithRngs rngs/ns length mismatch")
-	}
-	if m.precision == "f32" {
-		return m.sampleBatchSequential(rngs, ns, steps)
 	}
 	total := 0
 	for _, n := range ns {
 		total += n
 	}
 	dim := m.Net.In
-	m.sbX = tensor.Ensure(m.sbX, total, dim)
-	m.sbBuf = tensor.Ensure(m.sbBuf, total, dim)
+	m.sampleX = tensor.Ensure(m.sampleX, total, dim)
+	if m.precision == "f32" {
+		lo := 0
+		for k, cnt := range ns {
+			copy(m.sampleX.Data[lo*dim:(lo+cnt)*dim], tensor.To64(m.sample32(rngs[k], cnt, steps)).Data)
+			lo += cnt
+		}
+		return m.sampleX
+	}
+	m.sampleBuf = tensor.Ensure(m.sampleBuf, total, dim)
 	// Initial noise, one lane at a time: lane k's row block consumes
-	// rngs[k] in row-major data order, exactly as Randn would for a
-	// sequential n=ns[k] call (std=1, and ×1.0 is bitwise exact).
+	// rngs[k] in row-major data order, exactly as Randn would for the lane
+	// alone (std=1, and ×1.0 is bitwise exact).
 	lo := 0
 	for k, cnt := range ns {
-		data := m.sbX.Data[lo*dim : (lo+cnt)*dim]
+		data := m.sampleX.Data[lo*dim : (lo+cnt)*dim]
 		for i := range data {
 			data[i] = rngs[k].NormFloat64()
 		}
 		lo += cnt
 	}
-	if m.sbSeq == nil || m.sbSteps != steps {
-		m.sbSeq = m.G.S.StridedTimesteps(steps)
-		m.sbSteps = steps
+	if m.sampleSeq == nil || m.sampleSteps != steps {
+		m.sampleSeq = m.G.S.StridedTimesteps(steps)
+		m.sampleSteps = steps
 	}
-	seq := m.sbSeq
-	m.sbTs = tensor.EnsureInts(m.sbTs, total)
-	x, buf := m.sbX, m.sbBuf
-	for si, t := range seq {
-		tPrev := 0
-		if si+1 < len(seq) {
-			tPrev = seq[si+1]
-		}
-		for i := range m.sbTs {
-			m.sbTs[i] = t
-		}
-		epsPred := m.Predict(x, m.sbTs)
-		// eta=0: sigma is exactly 0, so the rng is never consumed and nil
-		// is safe — lane independence depends on it.
-		m.G.ddimStep(nil, x, epsPred, buf, t, tPrev, 0)
-		x, buf = buf, x
-	}
-	m.sbX, m.sbBuf = x, buf
-	return x
-}
-
-// sampleBatchSequential is the f32 fallback: per-lane SampleWithRng calls
-// (each takes its own float32 snapshot) stacked
-// into one output matrix.
-func (m *Model) sampleBatchSequential(rngs []*rand.Rand, ns []int, steps int) *tensor.Matrix {
-	total := 0
-	for _, n := range ns {
-		total += n
-	}
-	out := tensor.New(total, m.Net.In)
-	lo := 0
-	for k, cnt := range ns {
-		z := m.SampleWithRng(rngs[k], cnt, steps)
-		copy(out.Data[lo*m.Net.In:(lo+cnt)*m.Net.In], z.Data)
-		lo += cnt
-	}
-	return out
+	m.sampleTs = tensor.EnsureInts(m.sampleTs, total)
+	// eta=0: the rng is never read, so nil is safe — lane independence
+	// depends on it.
+	m.sampleX, m.sampleBuf = m.G.denoise(nil, m, m.sampleX, m.sampleBuf, m.sampleTs, m.sampleSeq, 0)
+	return m.sampleX
 }

@@ -58,17 +58,23 @@ func TestSampleBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestSampleBatchSingleLaneMatchesSample checks the degenerate K=1 batch
-// against the plain sampler, so batched synthesis can transparently replace
-// the single-request path.
+// TestSampleBatchSingleLaneMatchesSample checks the one-lane case that
+// Model.Sample runs against Gaussian.Sample, the same loop over fresh
+// buffers with the model as predictor: the bits must agree, also after a
+// call of another shape has resized the model's sampling workspace.
 func TestSampleBatchSingleLaneMatchesSample(t *testing.T) {
 	m := batchSampleModel(t, 33)
-	const n, steps = 6, 15
-	batched := m.SampleBatchWithRngs([]*rand.Rand{rand.New(rand.NewSource(5))}, []int{n}, steps).Clone()
-	seq := m.SampleWithRng(rand.New(rand.NewSource(5)), n, steps)
-	for i := range seq.Data {
-		if math.Float64bits(batched.Data[i]) != math.Float64bits(seq.Data[i]) {
-			t.Fatalf("element %d: batched %v, sequential %v", i, batched.Data[i], seq.Data[i])
+	const steps = 15
+	for _, n := range []int{6, 9, 6} {
+		got := m.SampleWithRng(rand.New(rand.NewSource(5)), n, steps)
+		want := m.G.Sample(rand.New(rand.NewSource(5)), m, n, m.Net.In, steps, 0)
+		if got.Rows != n || got.Cols != want.Cols {
+			t.Fatalf("n=%d: shape %dx%d, want %dx%d", n, got.Rows, got.Cols, n, want.Cols)
+		}
+		for i := range want.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+				t.Fatalf("n=%d element %d: model %v, gaussian %v", n, i, got.Data[i], want.Data[i])
+			}
 		}
 	}
 }

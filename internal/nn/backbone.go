@@ -99,7 +99,7 @@ func (d *DiffusionMLP) Forward(x *tensor.Matrix, ts []int, train bool) *tensor.M
 }
 
 // uniformTimestep reports whether ts has more than one entry and all are
-// equal, as in every step of Gaussian.Sample, Denoise and SampleBatchWithRngs.
+// equal, as in every step of the diffusion package's denoising loop.
 func uniformTimestep(ts []int) bool {
 	if len(ts) < 2 {
 		return false

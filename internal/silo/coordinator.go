@@ -106,27 +106,6 @@ func (c *Coordinator) SampleLatents(n, steps int) ([]*tensor.Matrix, error) {
 	return c.splitLatents(z)
 }
 
-// SampleLatentsBatch draws len(ns) synthesis lanes in one stacked
-// denoising loop: lane k contributes ns[k] rows from the rng derived with
-// diffusion.LaneRng(seed, lane0+k). Lane independence makes the stacked
-// run bit-identical to len(ns) sequential single-lane calls with the same
-// lane ids. Returns the stacked batch split into per-client partitions,
-// like SampleLatents.
-func (c *Coordinator) SampleLatentsBatch(seed int64, lane0 int, ns []int, steps int) ([]*tensor.Matrix, error) {
-	if c.Model == nil {
-		return nil, fmt.Errorf("silo: coordinator has no trained model")
-	}
-	rngs := make([]*rand.Rand, len(ns))
-	for k := range rngs {
-		rngs[k] = diffusion.LaneRng(seed, lane0+k)
-	}
-	// The batched sampler returns a workspace-aliasing matrix; clone before
-	// colouring in place.
-	z := c.Model.SampleBatchWithRngs(rngs, ns, steps).Clone()
-	c.colour(z)
-	return c.splitLatents(z)
-}
-
 // fitLatentScaler records per-dimension mean/std of the training latents.
 func (c *Coordinator) fitLatentScaler(z *tensor.Matrix) {
 	c.latMean = make([]float64, z.Cols)

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -180,12 +181,14 @@ func TestReleasedModelHoldsOnlyWeights(t *testing.T) {
 	}
 
 	// Sampling sizes forward outputs for its own batch (each layer also
-	// points at the input it was last given), and nothing else.
+	// points at the input it was last given), and the sampler its ping-pong
+	// matrices, timesteps and inference schedule, and nothing else.
 	if _, err := loaded.SynthesizeShared(0, 8, false); err != nil {
 		t.Fatal(err)
 	}
+	sampling := []string{".out", ".input", ".tfeat1", ".sampleX", ".sampleBuf", ".sampleTs", ".sampleSeq"}
 	for _, path := range pipelineHolds(loaded) {
-		if !strings.HasSuffix(path, ".out") && !strings.HasSuffix(path, ".input") && !strings.HasSuffix(path, ".tfeat1") {
+		if !slices.ContainsFunc(sampling, func(s string) bool { return strings.HasSuffix(path, s) }) {
 			t.Errorf("after a Sample a loaded pipeline holds %s", path)
 		}
 	}
@@ -193,23 +196,25 @@ func TestReleasedModelHoldsOnlyWeights(t *testing.T) {
 
 // TestEMASurvivesSaveLoad: the checkpoint stores the backbone's weights and
 // nothing about the average, so what TrainDiffusion leaves in the weights has
-// to be what Sample reads. Lane-seeded synthesis from the fitted model and
-// from its loaded checkpoint must agree cell for cell, with the average off
-// and on. (With it on, a loaded model used to sample from the average of a
-// fresh random initialisation.)
+// to be what Sample reads. Synthesis from the fitted model and from its loaded
+// checkpoint, each coordinator rng re-seeded alike, must agree cell for cell,
+// with the average off and on. (With it on, a loaded model used to sample
+// from the average of a fresh random initialisation.)
 func TestEMASurvivesSaveLoad(t *testing.T) {
 	for _, decay := range []float64{0, 0.995} {
 		fitted, loaded := fittedAndLoaded(t, releaseConfig(decay))
-		for lane := 0; lane < 2; lane++ {
-			want, err := fitted.SynthesizeSharedLane(0, 17, lane, 9, false)
+		for seed := int64(17); seed < 19; seed++ {
+			fitted.Coord.rng.Seed(seed)
+			want, err := fitted.SynthesizeShared(0, 9, false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := loaded.SynthesizeSharedLane(0, 17, lane, 9, false)
+			loaded.Coord.rng.Seed(seed)
+			got, err := loaded.SynthesizeShared(0, 9, false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameTable(t, fmt.Sprintf("decay %v, lane %d, loaded vs fitted", decay, lane), want, got)
+			sameTable(t, fmt.Sprintf("decay %v, seed %d, loaded vs fitted", decay, seed), want, got)
 		}
 	}
 }

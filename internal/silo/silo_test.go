@@ -236,42 +236,6 @@ func TestSynthesizeInvalidRequester(t *testing.T) {
 	}
 }
 
-// TestSynthesizeSharedBatchMatchesLanes pins the batched-synthesis
-// property at the pipeline level: K stacked requests served in one
-// denoising loop return, request for request, exactly the tables that K
-// sequential single-lane calls with the same seed produce.
-func TestSynthesizeSharedBatchMatchesLanes(t *testing.T) {
-	tb := loanTable(t, 150)
-	cfg := smallConfig(2)
-	cfg.AEIters, cfg.DiffIters = 40, 60
-	p, err := NewPipeline(NewLocalBus(), tb, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := p.TrainStacked(); err != nil {
-		t.Fatal(err)
-	}
-	const seed = 11
-	ns := []int{3, 5, 2}
-	tables, err := p.SynthesizeSharedBatch(0, seed, ns, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tables) != len(ns) {
-		t.Fatalf("batch returned %d tables, want %d", len(tables), len(ns))
-	}
-	for k, n := range ns {
-		if tables[k].Data.Rows != n {
-			t.Fatalf("request %d got %d rows, want %d", k, tables[k].Data.Rows, n)
-		}
-		lane, err := p.SynthesizeSharedLane(0, seed, k, n, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameTable(t, "batch-lane", lane, tables[k])
-	}
-}
-
 // TestE2ECommunicationGrowsLinearly verifies the Figure 10 contrast: the
 // end-to-end pipeline's traffic is proportional to iteration count.
 func TestE2ECommunicationGrowsLinearly(t *testing.T) {

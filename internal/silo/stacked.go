@@ -364,23 +364,13 @@ func (p *Pipeline) TrainStackedResilient(rc RecoveryConfig) (aeLoss, diffLoss fl
 
 // SynthesizePartitioned executes Algorithm 2: a requesting client triggers
 // synthesis, the coordinator denoises fresh latents and distributes each
-// partition, and every client decodes locally. The result stays vertically
-// partitioned — the paper's strong-privacy mode.
+// partition, and every client decodes its own concurrently. The result stays
+// vertically partitioned, in client order — the paper's strong-privacy mode.
 func (p *Pipeline) SynthesizePartitioned(requester int, n int, sample bool) ([]*tabular.Table, error) {
 	span := p.Rec.StartSpan("synthesis")
 	span.SetAttr("rows", n)
 	span.SetAttr("steps", p.Cfg.SynthSteps)
 	defer span.End()
-	return p.synthesize(requester, sample, func() ([]*tensor.Matrix, error) {
-		return p.Coord.SampleLatents(n, p.Cfg.SynthSteps)
-	})
-}
-
-// synthesize runs one Algorithm 2 round for the requesting client: its
-// synth-req reaches the coordinator, draw samples the latent partitions, the
-// coordinator distributes them and every client decodes its own
-// concurrently. The partitions come back in client order.
-func (p *Pipeline) synthesize(requester int, sample bool, draw func() ([]*tensor.Matrix, error)) ([]*tabular.Table, error) {
 	if requester < 0 || requester >= len(p.Clients) {
 		return nil, fmt.Errorf("silo: invalid requesting client %d", requester)
 	}
@@ -394,7 +384,7 @@ func (p *Pipeline) synthesize(requester int, sample bool, draw func() ([]*tensor
 		return nil, fmt.Errorf("silo: coordinator expected synth request, got %q", env.Kind)
 	}
 
-	parts, err := draw()
+	parts, err := p.Coord.SampleLatents(n, p.Cfg.SynthSteps)
 	if err != nil {
 		return nil, err
 	}
@@ -428,59 +418,6 @@ func (p *Pipeline) synthesize(requester int, sample bool, draw func() ([]*tensor
 		}
 	}
 	return out, nil
-}
-
-// SynthesizeSharedBatch stacks len(ns) concurrent synthesis requests into
-// one denoising ping-pong: request k receives ns[k] rows drawn from
-// sampling lane k (diffusion.LaneRng(seed, k)). One protocol round serves
-// all requests — one synth-req, one latent distribution, one decode per
-// client — and lane independence makes request k's rows bit-identical to a
-// sequential SynthesizeSharedLane(requester, seed, k, ns[k], sample) call.
-func (p *Pipeline) SynthesizeSharedBatch(requester int, seed int64, ns []int, sample bool) ([]*tabular.Table, error) {
-	joined, err := p.synthesizeSharedStacked(requester, seed, 0, ns, sample)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*tabular.Table, len(ns))
-	off := 0
-	for k, n := range ns {
-		idx := make([]int, n)
-		for i := range idx {
-			idx[i] = off + i
-		}
-		out[k] = joined.SelectRows(idx)
-		off += n
-	}
-	return out, nil
-}
-
-// SynthesizeSharedLane serves a single synthesis request on an explicit
-// sampling lane — the sequential comparator for SynthesizeSharedBatch.
-func (p *Pipeline) SynthesizeSharedLane(requester int, seed int64, lane, n int, sample bool) (*tabular.Table, error) {
-	return p.synthesizeSharedStacked(requester, seed, lane, []int{n}, sample)
-}
-
-// synthesizeSharedStacked runs the batched Algorithm 2 round: synth-req,
-// one stacked latent batch sampled on lanes lane0..lane0+len(ns)-1,
-// distribution, parallel decode, vertical join. The returned table holds
-// the lanes' rows stacked in lane order.
-func (p *Pipeline) synthesizeSharedStacked(requester int, seed int64, lane0 int, ns []int, sample bool) (*tabular.Table, error) {
-	total := 0
-	for _, n := range ns {
-		total += n
-	}
-	span := p.Rec.StartSpan("synthesis")
-	span.SetAttr("rows", total)
-	span.SetAttr("lanes", len(ns))
-	span.SetAttr("steps", p.Cfg.SynthSteps)
-	defer span.End()
-	out, err := p.synthesize(requester, sample, func() ([]*tensor.Matrix, error) {
-		return p.Coord.SampleLatentsBatch(seed, lane0, ns, p.Cfg.SynthSteps)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return tabular.JoinVertical(p.Schema, p.Parts, out)
 }
 
 // SynthesizeShared runs SynthesizePartitioned and then joins the partitions
