@@ -56,9 +56,12 @@ cross-arm64:
 	GOARCH=arm64 $(GO) vet ./internal/tensor/
 
 # test-chaos runs the deterministic fault-injection suite under the race
-# detector: the chaos matrix (every fault class against stacked training,
-# VFL and synthesis), crash recovery over TCP, and the retransmit byte
-# accounting invariants.
+# detector: the chaos matrix (every transparently recoverable fault class
+# against stacked training and synthesis, plain and codec-framed, and against
+# VFL's split-learning traffic), crash recovery through the one recovery
+# loop (TrainStackedResilient over the stacked checkpoint: in process, plain
+# and codec-framed, and over TCP), and the retransmit byte accounting
+# invariants.
 test-chaos:
 	$(GO) test -race -timeout 20m -run 'Chaos|Resilient|Recovery|Heartbeat' -count=1 ./internal/silo/
 
@@ -80,9 +83,10 @@ race:
 # dense, row dictionary and Huffman-coded: a refusal allocates no more than
 # the body a coded blob stands for (eight bytes per blob byte, a bit per
 # symbol) and a hash table of its rows, an accepted body no more than its
-# dense expansion on top. The three checkpoint loaders (stacked, E2E, VFL) on
-# streams: a refusal must wrap nn.ErrCheckpoint and allocate no more than a
-# valid stream does. All: never a panic, and whatever decodes must re-encode
+# dense expansion on top. The one checkpoint loader (stacked) on streams,
+# seeded with every phase's stream and with copies under the retired E2E and
+# VFL kind bytes: a refusal must wrap nn.ErrCheckpoint and allocate no more
+# than a valid stream does. All: never a panic, and whatever decodes must re-encode
 # to the bytes it was read from.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime 10s ./internal/silo/

@@ -45,8 +45,6 @@ func main() {
 	runName := flag.String("run", "", "write results/<run>/manifest.json — the run's perf record: phases, step histograms, wire bytes by kind and codec — and cells.jsonl, every cell's scores, and stream results/<run>/events.jsonl")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU pprof profile covering the whole run to this path (read it with go tool pprof)")
 	memProfile := flag.String("memprofile", "", "write a heap pprof profile at the end of the run to this path")
-	chaosProfile := flag.String("chaos-profile", "", "inject transport faults during distributed training: drop, dup, reorder, delay, corrupt, flaky, blackhole, crash (empty disables)")
-	chaosSeed := flag.Int64("chaos-seed", 1, "seed of the deterministic fault schedule (with -chaos-profile)")
 	wireCodec := flag.String("wire-codec", "", "wire codec framing dense tensor payloads: f64 (raw binary, lossless; the default), f32 (half the payload bytes), q8 (int8 quantization); fig10x sweeps all codecs regardless")
 	computePrecision := flag.String("compute-precision", "", "kernel precision for sampling and decode (training is always f64): f64 (default) or f32")
 	flag.Parse()
@@ -86,12 +84,6 @@ func main() {
 		if *o.flag > 0 {
 			*o.dst = *o.flag
 		}
-	}
-	if *chaosProfile != "" {
-		_, err := silofuse.ChaosProfileByName(*chaosProfile)
-		exitOn(err, 2)
-		cfg.Opts.ChaosProfile = *chaosProfile
-		cfg.Opts.ChaosSeed = *chaosSeed
 	}
 	_, err = silofuse.WireCodecByName(*wireCodec)
 	exitOn(err, 2)

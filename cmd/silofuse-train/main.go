@@ -35,8 +35,6 @@ type config struct {
 	tracePath          string
 	metrics            bool
 	runName            string
-	chaosProfile       string
-	chaosSeed          int64
 	wireCodec          string
 	computePrecision   string
 }
@@ -58,8 +56,6 @@ func main() {
 	flag.StringVar(&c.tracePath, "trace", "", "write a Chrome-trace JSON of the run to this path")
 	flag.BoolVar(&c.metrics, "metrics", false, "print the metrics text exposition to stderr after the run")
 	flag.StringVar(&c.runName, "run", "", "write results/<run>/manifest.json with config, phases and wire stats, and stream results/<run>/events.jsonl")
-	flag.StringVar(&c.chaosProfile, "chaos-profile", "", "inject transport faults during distributed training: drop, dup, reorder, delay, corrupt, flaky, blackhole, crash (empty disables)")
-	flag.Int64Var(&c.chaosSeed, "chaos-seed", 1, "seed of the deterministic fault schedule (with -chaos-profile)")
 	flag.StringVar(&c.wireCodec, "wire-codec", "f64", "precision tier framing tensor payloads on the wire: f64 (lossless, default), f32, q8")
 	flag.StringVar(&c.computePrecision, "compute-precision", "f64", "kernel precision for sampling and decode (training is always f64): f64 or f32")
 	flag.Parse()
@@ -101,20 +97,10 @@ func run(c config) error {
 		opts.DiffIters = c.iters
 		opts.GANIters = c.iters
 	}
-	if c.chaosProfile != "" {
-		if _, err := silofuse.ChaosProfileByName(c.chaosProfile); err != nil {
-			return err
-		}
-		opts.ChaosProfile = c.chaosProfile
-		opts.ChaosSeed = c.chaosSeed
-	}
 	if _, err := silofuse.WireCodecByName(c.wireCodec); err != nil {
 		return err
 	}
 	opts.WireCodec = c.wireCodec
-	if c.computePrecision != "" && c.computePrecision != "f64" && c.computePrecision != "f32" {
-		return fmt.Errorf("unknown compute precision %q (want f64 or f32)", c.computePrecision)
-	}
 	opts.ComputePrecision = c.computePrecision
 	var rec *silofuse.Recorder
 	if c.tracePath != "" || c.metrics || c.runName != "" {

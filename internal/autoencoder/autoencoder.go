@@ -28,22 +28,16 @@ import (
 // 32 in the centralized model (split evenly across clients in the
 // distributed one), and latent size equal to the number of raw features.
 type Config struct {
-	Hidden  int     // hidden layer width
-	Embed   int     // bottleneck-adjacent embedding width
-	Latent  int     // latent feature count (paper: = #raw features)
-	LR      float64 // Adam learning rate
-	Dropout float64
+	Hidden int     // hidden layer width
+	Embed  int     // bottleneck-adjacent embedding width
+	Latent int     // latent feature count (paper: = #raw features)
+	LR     float64 // Adam learning rate
 	// DecodePrecision selects the decoder forward tier for Decode: "" or
 	// "f64" is the historical float64 path (bit-identical, the default);
 	// "f32" runs the decoder MLP in float32 on the reduced-precision
 	// kernels, widening once before the distributional heads (whose
 	// sampling/argmax logic stays float64). Training always runs float64.
 	DecodePrecision string
-}
-
-// DefaultConfig returns CPU-scaled defaults; latent must be set per client.
-func DefaultConfig(latent int) Config {
-	return Config{Hidden: 256, Embed: 32, Latent: latent, LR: 1e-3}
 }
 
 // headSpan locates one column's slice of the decoder head output.
@@ -145,9 +139,10 @@ func (a *Autoencoder) ReleaseTraining() {
 	a.lossGrad, a.ce, a.encPad = nil, ceRows{}, nil
 }
 
-// ParamCount returns the number of trainable scalars.
-func (a *Autoencoder) ParamCount() int {
-	return nn.ParamCount(a.encoder.Params()) + nn.ParamCount(a.decoder.Params())
+// Params returns the encoder's parameters followed by the decoder's, the
+// order a checkpoint records them in.
+func (a *Autoencoder) Params() []*nn.Param {
+	return append(append([]*nn.Param{}, a.encoder.Params()...), a.decoder.Params()...)
 }
 
 // LatentDim returns the latent width s_i contributed by this client.

@@ -25,6 +25,11 @@ func loanTable(t *testing.T, rows int) *tabular.Table {
 	return spec.Generate(rows, 42)
 }
 
+// testConfig is the CPU-scaled configuration the tests train at.
+func testConfig(latent int) Config {
+	return Config{Hidden: 256, Embed: 32, Latent: latent, LR: 1e-3}
+}
+
 func TestNewDefaultsLatentToFeatureCount(t *testing.T) {
 	tb := loanTable(t, 100)
 	a := New(rand.New(rand.NewSource(1)), tb, Config{Hidden: 32, Embed: 8, LR: 1e-3})
@@ -35,7 +40,7 @@ func TestNewDefaultsLatentToFeatureCount(t *testing.T) {
 
 func TestEncodeShape(t *testing.T) {
 	tb := loanTable(t, 50)
-	a := New(rand.New(rand.NewSource(2)), tb, DefaultConfig(6))
+	a := New(rand.New(rand.NewSource(2)), tb, testConfig(6))
 	z := a.Encode(tb)
 	if z.Rows != 50 || z.Cols != 6 {
 		t.Fatalf("latent shape %v", z)
@@ -44,7 +49,7 @@ func TestEncodeShape(t *testing.T) {
 
 func TestDecodeRejectsWrongWidth(t *testing.T) {
 	tb := loanTable(t, 20)
-	a := New(rand.New(rand.NewSource(3)), tb, DefaultConfig(6))
+	a := New(rand.New(rand.NewSource(3)), tb, testConfig(6))
 	z := a.Encode(tb)
 	if _, err := a.Decode(z.SliceCols(0, 3), false, rand.New(rand.NewSource(4))); err == nil {
 		t.Fatal("expected width error")
@@ -53,7 +58,7 @@ func TestDecodeRejectsWrongWidth(t *testing.T) {
 
 func TestDecodeProducesValidTable(t *testing.T) {
 	tb := loanTable(t, 60)
-	a := New(rand.New(rand.NewSource(5)), tb, DefaultConfig(0))
+	a := New(rand.New(rand.NewSource(5)), tb, testConfig(0))
 	z := a.Encode(tb)
 	dec, err := a.Decode(z, true, rand.New(rand.NewSource(6)))
 	if err != nil {
@@ -117,7 +122,7 @@ func TestReconstruction(t *testing.T) {
 func TestLatentsMaskValues(t *testing.T) {
 	tb := loanTable(t, 300)
 	rng := rand.New(rand.NewSource(8))
-	a := New(rng, tb, DefaultConfig(0))
+	a := New(rng, tb, testConfig(0))
 	a.Train(tb, 200, 64)
 	z := a.Encode(tb)
 	for zc := 0; zc < z.Cols; zc++ {
@@ -140,8 +145,8 @@ func TestLatentsMaskValues(t *testing.T) {
 
 func TestDeterministicTraining(t *testing.T) {
 	tb := loanTable(t, 100)
-	a1 := New(rand.New(rand.NewSource(9)), tb, DefaultConfig(0))
-	a2 := New(rand.New(rand.NewSource(9)), tb, DefaultConfig(0))
+	a1 := New(rand.New(rand.NewSource(9)), tb, testConfig(0))
+	a2 := New(rand.New(rand.NewSource(9)), tb, testConfig(0))
 	l1 := a1.Train(tb, 50, 32)
 	l2 := a2.Train(tb, 50, 32)
 	if l1 != l2 {
@@ -149,25 +154,17 @@ func TestDeterministicTraining(t *testing.T) {
 	}
 }
 
-func TestParamCountPositive(t *testing.T) {
-	tb := loanTable(t, 30)
-	a := New(rand.New(rand.NewSource(10)), tb, DefaultConfig(0))
-	if a.ParamCount() <= 0 {
-		t.Fatal("no parameters?")
-	}
-}
-
 func TestSaveLoadRoundTrip(t *testing.T) {
 	tb := loanTable(t, 150)
-	a := New(rand.New(rand.NewSource(20)), tb, DefaultConfig(0))
+	a := New(rand.New(rand.NewSource(20)), tb, testConfig(0))
 	a.Train(tb, 100, 64)
 
 	var buf bytes.Buffer
-	if err := a.Save(&buf); err != nil {
+	if err := nn.SaveParams(&buf, a.Params()); err != nil {
 		t.Fatal(err)
 	}
-	b := New(rand.New(rand.NewSource(99)), tb, DefaultConfig(0))
-	if err := b.Load(&buf); err != nil {
+	b := New(rand.New(rand.NewSource(99)), tb, testConfig(0))
+	if err := nn.LoadParams(&buf, b.Params()); err != nil {
 		t.Fatal(err)
 	}
 	za := a.Encode(tb)
@@ -181,13 +178,13 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 func TestLoadWrongArchitecture(t *testing.T) {
 	tb := loanTable(t, 100)
-	a := New(rand.New(rand.NewSource(21)), tb, DefaultConfig(0))
+	a := New(rand.New(rand.NewSource(21)), tb, testConfig(0))
 	var buf bytes.Buffer
-	if err := a.Save(&buf); err != nil {
+	if err := nn.SaveParams(&buf, a.Params()); err != nil {
 		t.Fatal(err)
 	}
 	other := New(rand.New(rand.NewSource(22)), tb, Config{Hidden: 32, Embed: 8, LR: 1e-3})
-	if err := other.Load(&buf); err == nil {
+	if err := nn.LoadParams(&buf, other.Params()); err == nil {
 		t.Fatal("expected architecture mismatch error")
 	}
 }
@@ -230,7 +227,7 @@ func TestReconstructionLossRowwise(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		prev := runtime.GOMAXPROCS(procs)
 		for name, tb := range map[string]*tabular.Table{"loan": loanTable(t, 64), "wide 32": wideTable(t, 32), "wide 16": wideTable(t, 16)} {
-			a := New(rand.New(rand.NewSource(11)), tb, DefaultConfig(0))
+			a := New(rand.New(rand.NewSource(11)), tb, testConfig(0))
 			rng := rand.New(rand.NewSource(12))
 			width := a.spans[len(a.spans)-1].hi
 			for round := 0; round < 3; round++ {
@@ -257,7 +254,7 @@ func TestReconstructionLossRowwise(t *testing.T) {
 // rng draws (heads in schema order, rows within a head).
 func TestDecodeMatchesMatrixSoftmax(t *testing.T) {
 	tb := loanTable(t, 40)
-	a := New(rand.New(rand.NewSource(13)), tb, DefaultConfig(0))
+	a := New(rand.New(rand.NewSource(13)), tb, testConfig(0))
 	z := tensor.New(25, a.LatentDim()).Randn(rand.New(rand.NewSource(14)), 1)
 	for _, sample := range []bool{false, true} {
 		got, err := a.Decode(z, sample, rand.New(rand.NewSource(15)))

@@ -278,7 +278,7 @@ func TestTrainStepWarmAllocs(t *testing.T) {
 // the churn fit: a single 2932-way column, batch 256, hidden 256.
 func BenchmarkAETrainStepWide(b *testing.B) {
 	tb := wideTable(b, 256)
-	a := New(rand.New(rand.NewSource(39)), tb, DefaultConfig(1))
+	a := New(rand.New(rand.NewSource(39)), tb, testConfig(1))
 	a.TrainStep(tb)
 	b.ReportAllocs()
 	b.ResetTimer()

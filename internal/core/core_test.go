@@ -202,22 +202,6 @@ func TestLatentDiffIsCentralized(t *testing.T) {
 	}
 }
 
-func TestSetSynthSteps(t *testing.T) {
-	tb := loanTable(t, 200)
-	m := NewSiloFuse(tinyOptions())
-	if err := m.Fit(tb); err != nil {
-		t.Fatal(err)
-	}
-	m.SetSynthSteps(2)
-	out, err := m.Sample(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Rows() != 10 {
-		t.Fatal("sampling with 2 steps failed")
-	}
-}
-
 func TestTabDDPMCategoricalValidity(t *testing.T) {
 	tb := loanTable(t, 300)
 	m := NewTabDDPM(tinyOptions())

@@ -14,8 +14,7 @@ type E2E struct {
 	Opts Options
 	name string
 
-	bus  silo.Bus
-	wire *silo.CodecBus
+	bus  *silo.CodecBus
 	pipe *silo.E2EPipeline
 }
 
@@ -42,12 +41,11 @@ func (e *E2E) Name() string { return e.name }
 // decoders. The iteration budget is AEIters+DiffIters to match the stacked
 // models' total optimisation work.
 func (e *E2E) Fit(train *tabular.Table) error {
-	bus, cb, wire, err := chaosBus(e.Opts)
+	bus, err := transport(e.Opts)
 	if err != nil {
 		return fmt.Errorf("%s: %w", e.name, err)
 	}
 	e.bus = bus
-	e.wire = wire
 	sf := SiloFuse{Opts: e.Opts}
 	cfg := sf.pipelineConfig()
 	pipe, err := silo.NewE2EPipeline(e.bus, train, cfg)
@@ -56,18 +54,7 @@ func (e *E2E) Fit(train *tabular.Table) error {
 	}
 	pipe.SetRecorder(e.Opts.Recorder)
 	e.pipe = pipe
-	iters := e.Opts.AEIters + e.Opts.DiffIters
-	if cb != nil {
-		rc := silo.RecoveryConfig{OnPeerDead: func(peer string) error {
-			cb.Revive(peer)
-			return nil
-		}}
-		if _, err := pipe.TrainResilient(iters, 0, rc); err != nil {
-			return fmt.Errorf("%s: train: %w", e.name, err)
-		}
-		return nil
-	}
-	if _, err := pipe.Train(iters); err != nil {
+	if _, err := pipe.Train(e.Opts.AEIters + e.Opts.DiffIters); err != nil {
 		return fmt.Errorf("%s: train: %w", e.name, err)
 	}
 	return nil
@@ -92,8 +79,8 @@ func (e *E2E) CommStats() silo.Stats {
 // WireReport returns the per-kind bytes-vs-error accounting of the wire
 // codec layer (nil before Fit).
 func (e *E2E) WireReport() map[string]silo.WireKindStats {
-	if e.wire == nil {
+	if e.bus == nil {
 		return nil
 	}
-	return e.wire.WireReport()
+	return e.bus.WireReport()
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"testing"
 )
@@ -56,9 +57,24 @@ func TestComputePrecisionF32EndToEnd(t *testing.T) {
 }
 
 func TestComputePrecisionRejectsUnknown(t *testing.T) {
+	tb := loanTable(t, 80)
 	opts := tinyOptions()
 	opts.ComputePrecision = "bf16"
-	if err := NewSiloFuse(opts).Fit(loanTable(t, 80)); err == nil {
+	if err := NewSiloFuse(opts).Fit(tb); err == nil {
 		t.Fatal("expected error for unknown compute precision")
+	}
+	// Load builds its bus through the same function as Fit, so a model saved
+	// at a valid precision is refused under an unknown one instead of
+	// sampling in f64.
+	fitted := NewSiloFuse(tinyOptions())
+	if err := fitted.Fit(tb); err != nil {
+		t.Fatal(err)
+	}
+	var saved bytes.Buffer
+	if err := fitted.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	if err := NewSiloFuse(opts).Load(tb, &saved); err == nil {
+		t.Fatal("Load accepted an unknown compute precision")
 	}
 }

@@ -19,50 +19,28 @@ type SiloFuse struct {
 	Opts Options
 	name string
 
-	bus  silo.Bus
-	wire *silo.CodecBus
+	bus  *silo.CodecBus
 	pipe *silo.Pipeline
 }
 
-// validComputePrecision rejects anything but the two supported compute
-// tiers, so a typo fails loudly at Fit instead of silently running f64.
-func validComputePrecision(p string) error {
-	switch p {
-	case "", "f64", "f32":
-		return nil
-	}
-	return fmt.Errorf("unknown compute precision %q (want f64 or f32)", p)
-}
-
-// chaosBus builds the training transport for opts: a LocalBus, optionally
-// wrapped — when a chaos profile is configured — in a seeded ChaosBus
-// (fault injection) and a ResilientBus (retries, dedup, checksums), and
-// always topped by a CodecBus framing dense tensor payloads through the
+// transport builds the in-process bus a model trains and samples over: a
+// LocalBus topped by a CodecBus framing dense tensor payloads through the
 // configured wire codec (f64 by default, which is bit-lossless; a tensor
 // that repeats rows goes as a row dictionary, smaller than its native
-// frame). The returned ChaosBus is non-nil only under a chaos profile; it
-// is needed for crash recovery (Revive). The CodecBus is returned for its
-// per-kind bytes-vs-error report.
-func chaosBus(opts Options) (silo.Bus, *silo.ChaosBus, *silo.CodecBus, error) {
+// frame), kept for its per-kind bytes-vs-error report. Fit and Load both
+// build it here, so both refuse an unknown wire codec or compute precision
+// instead of silently running f64.
+func transport(opts Options) (*silo.CodecBus, error) {
 	id, err := codec.ByName(opts.WireCodec)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	if err := validComputePrecision(opts.ComputePrecision); err != nil {
-		return nil, nil, nil, err
+	switch opts.ComputePrecision {
+	case "", "f64", "f32":
+	default:
+		return nil, fmt.Errorf("unknown compute precision %q (want f64 or f32)", opts.ComputePrecision)
 	}
-	var bus silo.Bus = silo.NewLocalBus()
-	var cb *silo.ChaosBus
-	if opts.ChaosProfile != "" && opts.ChaosProfile != "none" {
-		prof, err := silo.ChaosProfileByName(opts.ChaosProfile)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		cb = silo.NewChaosBus(bus, opts.ChaosSeed, prof)
-		bus = silo.NewResilientBus(cb, silo.DefaultResilientConfig())
-	}
-	wire := silo.NewCodecBus(bus, id)
-	return wire, cb, wire, nil
+	return silo.NewCodecBus(silo.NewLocalBus(), id), nil
 }
 
 // NewSiloFuse builds the distributed model over Opts.Clients silos.
@@ -114,31 +92,18 @@ func (s *SiloFuse) pipelineConfig() silo.PipelineConfig {
 }
 
 // Fit implements Synthesizer: it runs Algorithm 1 over an in-process bus.
-// With a chaos profile configured the bus injects faults and training runs
-// with phase-level recovery (reviving crashed peers between attempts).
 func (s *SiloFuse) Fit(train *tabular.Table) error {
-	bus, cb, wire, err := chaosBus(s.Opts)
+	bus, err := transport(s.Opts)
 	if err != nil {
 		return fmt.Errorf("%s: %w", s.name, err)
 	}
 	s.bus = bus
-	s.wire = wire
 	pipe, err := silo.NewPipeline(s.bus, train, s.pipelineConfig())
 	if err != nil {
 		return fmt.Errorf("%s: %w", s.name, err)
 	}
 	pipe.SetRecorder(s.Opts.Recorder)
 	s.pipe = pipe
-	if cb != nil {
-		rc := silo.RecoveryConfig{OnPeerDead: func(peer string) error {
-			cb.Revive(peer)
-			return nil
-		}}
-		if _, _, _, err := pipe.TrainStackedResilient(rc); err != nil {
-			return fmt.Errorf("%s: train: %w", s.name, err)
-		}
-		return nil
-	}
 	if _, _, err := pipe.TrainStacked(); err != nil {
 		return fmt.Errorf("%s: train: %w", s.name, err)
 	}
@@ -173,19 +138,10 @@ func (s *SiloFuse) CommStats() silo.Stats {
 // WireReport returns the per-kind bytes-vs-error accounting of the wire
 // codec layer (nil before Fit).
 func (s *SiloFuse) WireReport() map[string]silo.WireKindStats {
-	if s.wire == nil {
+	if s.bus == nil {
 		return nil
 	}
-	return s.wire.WireReport()
-}
-
-// SetSynthSteps changes the number of inference denoising steps after
-// fitting (used by the Table VII privacy-sensitivity sweep).
-func (s *SiloFuse) SetSynthSteps(steps int) {
-	s.Opts.SynthSteps = steps
-	if s.pipe != nil {
-		s.pipe.Cfg.SynthSteps = steps
-	}
+	return s.bus.WireReport()
 }
 
 // Save persists the trained model state (all client autoencoders, the
@@ -201,14 +157,11 @@ func (s *SiloFuse) Save(w io.Writer) error {
 // table (which supplies the schema and the featuriser statistics the
 // architectures were built with) and the same Options.
 func (s *SiloFuse) Load(train *tabular.Table, r io.Reader) error {
-	id, err := codec.ByName(s.Opts.WireCodec)
+	bus, err := transport(s.Opts)
 	if err != nil {
 		return fmt.Errorf("%s: %w", s.name, err)
 	}
-	// Restored models synthesize fault-free; the codec layer still frames
-	// synthesis traffic so byte accounting matches a trained instance.
-	s.wire = silo.NewCodecBus(silo.NewLocalBus(), id)
-	s.bus = s.wire
+	s.bus = bus
 	pipe, err := silo.NewPipeline(s.bus, train, s.pipelineConfig())
 	if err != nil {
 		return fmt.Errorf("%s: %w", s.name, err)

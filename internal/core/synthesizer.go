@@ -77,16 +77,6 @@ type Options struct {
 	// internal/obs). nil disables telemetry at near-zero cost.
 	Recorder *obs.Recorder
 
-	// ChaosProfile, when set to a profile name (see
-	// silo.ChaosProfileByName; "" or "none" disables), makes the distributed
-	// models train over a fault-injecting transport: the in-process bus is
-	// wrapped in a seeded ChaosBus plus a ResilientBus, and stacked training
-	// runs with phase-level recovery. Used to demonstrate the
-	// recovery-equals-baseline guarantee under benchmark conditions.
-	ChaosProfile string
-	// ChaosSeed seeds the deterministic fault schedule.
-	ChaosSeed int64
-
 	// WireCodec selects the precision tier framing dense tensor payloads on
 	// the bus (see internal/silo/codec): "" or "f64" (lossless, default —
 	// bit-identical accounting and results), "f32" (half the payload bytes,

@@ -157,16 +157,6 @@ func (s Spec) Generate(rows int, seed int64) *tabular.Table {
 	return t
 }
 
-// GenerateDefault draws min(cap, PaperRows) rows with the spec's seed.
-// cap <= 0 means the full paper row count.
-func (s Spec) GenerateDefault(cap int) *tabular.Table {
-	rows := s.PaperRows
-	if cap > 0 && rows > cap {
-		rows = cap
-	}
-	return s.Generate(rows, s.Seed)
-}
-
 func randSlice(rng *rand.Rand, n int, std float64) []float64 {
 	out := make([]float64, n)
 	for i := range out {

@@ -186,7 +186,8 @@ func TestMultinomialPosteriorIsDistribution(t *testing.T) {
 			x0[i] /= sum
 		}
 		tt := 2 + rng.Intn(48)
-		post := m.PosteriorProbs(rng.Intn(k), tt, x0)
+		tPrev := 1 + rng.Intn(tt-1)
+		post := m.PosteriorProbsStrided(rng.Intn(k), tt, tPrev, x0)
 		total := 0.0
 		for _, p := range post {
 			if p < 0 {
@@ -207,22 +208,64 @@ func TestMultinomialPosteriorBehaviour(t *testing.T) {
 	// At small t corruption is unlikely, so the posterior must follow x_t
 	// regardless of the x0 prediction.
 	x0 := []float64{0.01, 0.01, 0.97, 0.01}
-	post := m.PosteriorProbs(0, 2, x0)
+	post := m.PosteriorProbsStrided(0, 2, 1, x0)
 	if post[0] < 0.9 {
 		t.Fatalf("posterior should follow x_t at small t: %v", post)
 	}
 	// When x_t agrees with a confident x0 prediction, the posterior is even
 	// more concentrated on that category.
-	agree := m.PosteriorProbs(2, 50, x0)
+	agree := m.PosteriorProbsStrided(2, 50, 49, x0)
 	if agree[2] < 0.9 {
 		t.Fatalf("agreement case should concentrate on the category: %v", agree)
 	}
 	// With a uniform x0 prediction, the posterior still leans toward x_t.
 	uniform := []float64{0.25, 0.25, 0.25, 0.25}
-	lean := m.PosteriorProbs(1, 50, uniform)
+	lean := m.PosteriorProbsStrided(1, 50, 49, uniform)
 	for j, p := range lean {
 		if j != 1 && p >= lean[1] {
 			t.Fatalf("posterior should lean toward x_t: %v", lean)
+		}
+	}
+}
+
+// TestMultinomialPosteriorOneStep: a jump of one timestep is the one-step
+// posterior, written out here from its definition — likelihood β_t/K, plus
+// α_t for the category x_t itself, times the prior ᾱ_{t−1}·x̂0 + (1−ᾱ_{t−1})/K,
+// normalised. The strided form reaches α_t as ᾱ_t/ᾱ_{t−1}, so the two agree
+// to rounding, not bit for bit.
+func TestMultinomialPosteriorOneStep(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, s := range []*Schedule{LinearSchedule(200, 1e-4, 0.02), CosineSchedule(200)} {
+		for _, k := range []int{2, 3, 7} {
+			m := NewMultinomial(s, k)
+			x0 := make([]float64, k)
+			for _, tt := range []int{2, 3, 50, 120, 199, 200} {
+				sum := 0.0
+				for j := range x0 {
+					x0[j] = rng.Float64()
+					sum += x0[j]
+				}
+				for j := range x0 {
+					x0[j] /= sum
+				}
+				xt := rng.Intn(k)
+				want := make([]float64, k)
+				norm := 0.0
+				for j := range want {
+					like := s.Beta[tt] / float64(k)
+					if j == xt {
+						like += s.Alpha[tt]
+					}
+					want[j] = like * (s.AlphaBar[tt-1]*x0[j] + (1-s.AlphaBar[tt-1])/float64(k))
+					norm += want[j]
+				}
+				got := m.PosteriorProbsStrided(xt, tt, tt-1, x0)
+				for j := range want {
+					if d := math.Abs(got[j] - want[j]/norm); d > 1e-12 {
+						t.Fatalf("K=%d t=%d x_t=%d: p[%d] = %v, one-step formula %v (diff %g)", k, tt, xt, j, got[j], want[j]/norm, d)
+					}
+				}
+			}
 		}
 	}
 }
@@ -284,41 +327,6 @@ func TestModelLearnsBimodalDistribution(t *testing.T) {
 	// Anti-correlation preserved.
 	if c := stats.Pearson(out.Col(0), out.Col(1)); c > -0.5 {
 		t.Fatalf("correlation not preserved: %v", c)
-	}
-}
-
-// TestModelX0Parameterisation trains an x0-predicting model on the same
-// bimodal target and checks samples recover both modes — verifying the
-// x̂0 → ε̂ conversion in Predict.
-func TestModelX0Parameterisation(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
-	n := 512
-	data := tensor.New(n, 2)
-	for i := 0; i < n; i++ {
-		c := 1.5
-		if i%2 == 0 {
-			c = -1.5
-		}
-		data.Set(i, 0, c+0.2*rng.NormFloat64())
-		data.Set(i, 1, -c+0.2*rng.NormFloat64())
-	}
-	cfg := ModelConfig{Dim: 2, Hidden: 64, Depth: 3, TimeDim: 16, T: 100, LR: 2e-3, PredictX0: true}
-	m := NewModel(rand.New(rand.NewSource(17)), cfg)
-	m.Train(data, 1500, 128)
-	out := m.Sample(512, 25)
-	pos, neg := 0, 0
-	for i := 0; i < out.Rows; i++ {
-		if out.At(i, 0) > 0 {
-			pos++
-		} else {
-			neg++
-		}
-	}
-	if pos < out.Rows/5 || neg < out.Rows/5 {
-		t.Fatalf("x0-parameterised model collapsed: %d/%d", pos, neg)
-	}
-	if ks := stats.KSStatistic(data.Col(0), out.Col(0)); ks > 0.3 {
-		t.Fatalf("x0 marginal KS = %v", ks)
 	}
 }
 

@@ -1,7 +1,6 @@
 package diffusion
 
 import (
-	"math"
 	"math/rand"
 	"runtime"
 	"silofuse/internal/nn"
@@ -24,12 +23,6 @@ type ModelConfig struct {
 	// training stabiliser. ReleaseTraining makes the average the model's
 	// weights, so sampling, Save and Load all read it.
 	EMADecay float64
-	// PredictX0 switches the network parameterisation from ε-prediction
-	// (the paper's eq. 2) to x0-prediction: the backbone regresses the
-	// clean input directly and sampling converts its output back to an
-	// implied ε. Useful at very low step counts where ε-prediction is
-	// ill-conditioned near t≈T.
-	PredictX0 bool
 	// Precision selects the sampling compute tier: "" or "f64" runs the
 	// historical float64 path (bit-identical, the default); "f32" runs the
 	// DDIM sampling loop — backbone forward, ping-pong buffers and
@@ -38,19 +31,12 @@ type ModelConfig struct {
 	Precision string
 }
 
-// DefaultModelConfig returns the paper's backbone configuration scaled to
-// CPU-friendly widths; dim must be set by the caller.
-func DefaultModelConfig(dim int) ModelConfig {
-	return ModelConfig{Dim: dim, Hidden: 256, Depth: 8, TimeDim: 32, T: 200, LR: 1e-3, Dropout: 0.01}
-}
-
 // Model couples the Gaussian process mechanics with a trainable noise
 // predictor and its optimiser — the coordinator's generative backbone 𝒢.
 type Model struct {
-	G         *Gaussian
-	Net       *nn.DiffusionMLP
-	Opt       *nn.Adam
-	PredictX0 bool
+	G   *Gaussian
+	Net *nn.DiffusionMLP
+	Opt *nn.Adam
 	// Rec, when non-nil, receives per-step loss/throughput telemetry from
 	// Train (stage "diffusion"). nil means telemetry off at zero cost.
 	Rec *obs.Recorder
@@ -68,8 +54,6 @@ type Model struct {
 	ema                              *nn.EMA
 	tsBuf                            []int
 	epsBuf, xtBuf, gradBuf, batchBuf *tensor.Matrix
-
-	predEps *tensor.Matrix // Predict's x0→ε workspace
 
 	// Sampling workspaces (SampleBatchWithRngs, which every sample runs
 	// through): the ping-pong matrices, the timestep slice, and the strided
@@ -95,7 +79,6 @@ func NewModel(rng *rand.Rand, cfg ModelConfig) *Model {
 		G:         NewGaussian(sch),
 		Net:       net,
 		Opt:       nn.NewAdam(net.Params(), cfg.LR),
-		PredictX0: cfg.PredictX0,
 		rng:       rng,
 		precision: cfg.Precision,
 		emaDecay:  cfg.EMADecay,
@@ -134,12 +117,8 @@ func (m *Model) TrainStep(x0 *tensor.Matrix) float64 {
 	m.xtBuf = tensor.Ensure(m.xtBuf, x0.Rows, x0.Cols)
 	xt := m.G.QSampleInto(m.xtBuf, x0, ts, eps)
 	pred := m.Net.Forward(xt, ts, true)
-	target := eps
-	if m.PredictX0 {
-		target = x0
-	}
 	m.gradBuf = tensor.Ensure(m.gradBuf, pred.Rows, pred.Cols)
-	loss := nn.MSELossInto(pred, target, m.gradBuf)
+	loss := nn.MSELossInto(pred, eps, m.gradBuf)
 	m.Net.Backward(m.gradBuf)
 	m.Opt.Step()
 	if m.ema != nil {
@@ -188,30 +167,9 @@ func (m *Model) Train(data *tensor.Matrix, iters, batch int) float64 {
 	return tailLoss / float64(tailCount)
 }
 
-// Predict implements NoisePredictor in evaluation mode (no dropout). Under
-// x0-parameterisation the network output x̂0 is converted to the implied
-// noise ε̂ = (x_t − sqrt(ᾱ)·x̂0)/sqrt(1−ᾱ), so the DDIM sampler works
-// unchanged.
+// Predict implements NoisePredictor in evaluation mode (no dropout).
 func (m *Model) Predict(x *tensor.Matrix, ts []int) *tensor.Matrix {
-	out := m.Net.Forward(x, ts, false)
-	if !m.PredictX0 {
-		return out
-	}
-	m.predEps = tensor.Ensure(m.predEps, out.Rows, out.Cols)
-	eps := m.predEps
-	for i := 0; i < out.Rows; i++ {
-		ab := m.G.S.AlphaBar[ts[i]]
-		sa := math.Sqrt(ab)
-		sb := math.Sqrt(1 - ab)
-		if sb < 1e-6 {
-			sb = 1e-6
-		}
-		xr, or, er := x.Row(i), out.Row(i), eps.Row(i)
-		for j := range er {
-			er[j] = (xr[j] - sa*or[j]) / sb
-		}
-	}
-	return eps
+	return m.Net.Forward(x, ts, false)
 }
 
 // Sample draws n synthetic rows using steps inference timesteps, from the
@@ -238,39 +196,13 @@ func (m *Model) sample32(rng *rand.Rand, n, steps int) *tensor.Matrix32 {
 		// condition.
 		panic(err)
 	}
-	p := &predictor32{g: m.G, net: net32, predictX0: m.PredictX0}
+	p := &predictor32{net: net32}
 	return m.G.Sample32(rng, p, n, m.Net.In, steps, 0)
 }
 
-// predictor32 adapts the float32 backbone snapshot to NoisePredictor32,
-// including the x0→ε conversion under x0-parameterisation (the float32
-// rendering of Model.Predict).
-type predictor32 struct {
-	g         *Gaussian
-	net       *nn.DiffusionMLP32
-	predictX0 bool
-	eps       *tensor.Matrix32
-}
+// predictor32 adapts the float32 backbone snapshot to NoisePredictor32.
+type predictor32 struct{ net *nn.DiffusionMLP32 }
 
 func (p *predictor32) Predict32(x *tensor.Matrix32, ts []int) *tensor.Matrix32 {
-	out := p.net.Forward(x, ts)
-	if !p.predictX0 {
-		return out
-	}
-	p.eps = tensor.Ensure32(p.eps, out.Rows, out.Cols)
-	eps := p.eps
-	for i := 0; i < out.Rows; i++ {
-		ab := p.g.S.AlphaBar[ts[i]]
-		sa := float32(math.Sqrt(ab)) //silofuse:precision-ok schedule constants computed in float64, narrowed once per row
-		sbf := math.Sqrt(1 - ab)
-		if sbf < 1e-6 {
-			sbf = 1e-6
-		}
-		sb := float32(sbf) //silofuse:precision-ok schedule constants computed in float64, narrowed once per row
-		xr, or, er := x.Row(i), out.Row(i), eps.Row(i)
-		for j := range er {
-			er[j] = (xr[j] - sa*or[j]) / sb
-		}
-	}
-	return eps
+	return p.net.Forward(x, ts)
 }

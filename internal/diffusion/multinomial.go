@@ -39,36 +39,12 @@ func (m *Multinomial) QSampleCodes(rng *rand.Rand, codes []int, ts []int) []int 
 	return out
 }
 
-// PosteriorProbs returns q(x_{t-1} | x_t = xt, x̂0 = x0Probs) as a length-K
-// probability vector: the normalised product of the one-step-back likelihood
-// term and the ᾱ_{t-1}-smoothed x0 prediction.
-func (m *Multinomial) PosteriorProbs(xt, t int, x0Probs []float64) []float64 {
-	k := float64(m.K)
-	alpha := m.S.Alpha[t]
-	beta := m.S.Beta[t]
-	abPrev := m.S.AlphaBar[t-1]
-	out := make([]float64, m.K)
-	sum := 0.0
-	for j := 0; j < m.K; j++ {
-		// Likelihood of reaching xt from category j in one step.
-		like := beta / k
-		if j == xt {
-			like += alpha
-		}
-		// Prior of being at category j at t-1 given x0 prediction.
-		prior := abPrev*x0Probs[j] + (1-abPrev)/k
-		out[j] = like * prior
-		sum += out[j]
-	}
-	for j := range out {
-		out[j] /= sum
-	}
-	return out
-}
-
-// PosteriorProbsStrided generalises PosteriorProbs to a strided jump from
-// timestep t to tPrev < t: the one-step transition is replaced by the
-// effective multi-step transition with keep probability ᾱ_t/ᾱ_{tPrev}.
+// PosteriorProbsStrided returns q(x_{tPrev} | x_t = xt, x̂0 = x0Probs) for a
+// strided jump from timestep t to tPrev < t as a length-K probability vector:
+// the normalised product of the likelihood of reaching xt — kept with the
+// effective multi-step probability ᾱ_t/ᾱ_{tPrev}, else resampled uniformly —
+// and the ᾱ_{tPrev}-smoothed x0 prediction. At tPrev = t−1 it is the
+// one-step posterior of Hoogeboom et al.
 func (m *Multinomial) PosteriorProbsStrided(xt, t, tPrev int, x0Probs []float64) []float64 {
 	k := float64(m.K)
 	alphaEff := m.S.AlphaBar[t] / m.S.AlphaBar[tPrev]
@@ -98,18 +74,6 @@ func (m *Multinomial) SampleStepStrided(rng *rand.Rand, xt, t, tPrev int, x0Prob
 		return SampleCategorical(rng, x0Probs)
 	}
 	return SampleCategorical(rng, m.PosteriorProbsStrided(xt, t, tPrev, x0Probs))
-}
-
-// SampleStep draws x_{t-1} from the posterior; at t=1 it samples x0
-// directly from the predicted distribution.
-func (m *Multinomial) SampleStep(rng *rand.Rand, xt, t int, x0Probs []float64) int {
-	var probs []float64
-	if t <= 1 {
-		probs = x0Probs
-	} else {
-		probs = m.PosteriorProbs(xt, t, x0Probs)
-	}
-	return SampleCategorical(rng, probs)
 }
 
 // SampleCategorical draws an index from an (assumed normalised) probability

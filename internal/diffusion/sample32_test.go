@@ -11,13 +11,13 @@ import (
 // The f32 sampling path promises: same structure, same rng stream, rounding
 // -scale divergence from the f64 path. Two models with identical weights
 // and seeds — one per precision — must therefore produce samples that agree
-// within an accumulated-rounding tolerance, for both parameterisations.
+// within an accumulated-rounding tolerance.
 
-func trainedPair(t *testing.T, predictX0 bool) (*Model, *Model) {
+func trainedPair(t *testing.T) (*Model, *Model) {
 	t.Helper()
 	cfg := ModelConfig{
 		Dim: 4, Hidden: 32, Depth: 2, TimeDim: 8, T: 50,
-		LR: 1e-3, EMADecay: 0.99, PredictX0: predictX0,
+		LR: 1e-3, EMADecay: 0.99,
 	}
 	cfg32 := cfg
 	cfg32.Precision = "f32"
@@ -54,7 +54,7 @@ func sampleDiff(t *testing.T, m64, m32 *Model, n, steps int) (maxDiff, scale flo
 }
 
 func TestSample32MatchesF64WithinTolerance(t *testing.T) {
-	m64, m32 := trainedPair(t, false)
+	m64, m32 := trainedPair(t)
 	maxDiff, scale := sampleDiff(t, m64, m32, 64, 10)
 	if maxDiff == 0 { //silofuse:bitwise-ok a zero max diff proves the f32 path was skipped, not a tolerance check
 		t.Fatal("f32 sampling is bit-identical to f64 — the f32 path is not being exercised")
@@ -63,14 +63,6 @@ func TestSample32MatchesF64WithinTolerance(t *testing.T) {
 	// stays orders of magnitude below the data scale.
 	if maxDiff > 1e-2*(1+scale) {
 		t.Fatalf("f32 sample diverged: max diff %g at scale %g", maxDiff, scale)
-	}
-}
-
-func TestSample32MatchesF64PredictX0(t *testing.T) {
-	m64, m32 := trainedPair(t, true)
-	maxDiff, scale := sampleDiff(t, m64, m32, 64, 10)
-	if maxDiff > 1e-2*(1+scale) {
-		t.Fatalf("f32 x0-parameterised sample diverged: max diff %g at scale %g", maxDiff, scale)
 	}
 }
 
@@ -99,7 +91,7 @@ func TestSample32StochasticEtaStreamAligned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &predictor32{g: m.G, net: net32}
+	p := &predictor32{net: net32}
 	s64 := m.G.Sample(rand.New(rand.NewSource(46)), m, 32, 4, 8, 1.0)
 	s32 := tensor.To64(m.G.Sample32(rand.New(rand.NewSource(46)), p, 32, 4, 8, 1.0))
 	var maxDiff, scale float64

@@ -21,7 +21,7 @@ func TestManifestFromRecorderAndWrite(t *testing.T) {
 	rec.TrainStep("ae", 1.5, 64, time.Millisecond)
 	sp.End()
 	sp = rec.StartSpan("diffusion-train")
-	child := sp.Child("inner") // nested spans must not become phases
+	child := rec.StartSpan("inner") // nested spans must not become phases
 	child.End()
 	sp.End()
 	rec.Message("latents", 4096, time.Millisecond)

@@ -194,50 +194,3 @@ func TestRegressorGeneralises(t *testing.T) {
 		t.Fatalf("held-out D2 = %v", d2)
 	}
 }
-
-func TestRegressorFeatureImportance(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	n := 500
-	x := tensor.New(n, 4).Randn(rng, 1)
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		y[i] = 3 * x.At(i, 2) // only feature 2 matters
-	}
-	r := NewRegressor(DefaultParams())
-	if err := r.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	imp := r.FeatureImportance(4)
-	sum := 0.0
-	for _, v := range imp {
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("importance must normalise: %v", imp)
-	}
-	for j, v := range imp {
-		if j != 2 && v >= imp[2] {
-			t.Fatalf("feature 2 should dominate: %v", imp)
-		}
-	}
-}
-
-func TestClassifierFeatureImportance(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	n := 500
-	x := tensor.New(n, 3).Randn(rng, 1)
-	labels := make([]int, n)
-	for i := 0; i < n; i++ {
-		if x.At(i, 0) > 0 {
-			labels[i] = 1
-		}
-	}
-	c := NewClassifier(DefaultParams(), 2)
-	if err := c.Fit(x, labels); err != nil {
-		t.Fatal(err)
-	}
-	imp := c.FeatureImportance(3)
-	if imp[0] < imp[1] || imp[0] < imp[2] {
-		t.Fatalf("feature 0 should dominate: %v", imp)
-	}
-}

@@ -2,10 +2,8 @@
 package metrics
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"silofuse/internal/datagen"
@@ -213,36 +211,5 @@ func TestAssociationMatrixConstantColumn(t *testing.T) {
 	m := AssociationMatrix(tb)
 	if m.At(0, 1) != 0 {
 		t.Fatalf("constant column should associate 0: %v", m.At(0, 1))
-	}
-}
-
-func TestColumnDetails(t *testing.T) {
-	real, same, _ := cardioTables(t)
-	details, err := ColumnDetails(real, same, DefaultResemblanceConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(details) != real.Schema.NumColumns() {
-		t.Fatalf("details = %d", len(details))
-	}
-	for _, d := range details {
-		for _, v := range []float64{d.Similarity, d.JS, d.KS} {
-			if v < 0 || v > 1 {
-				t.Fatalf("%s: score out of range: %+v", d.Name, d)
-			}
-		}
-		// Fresh sample from the same distribution: high per-column fit.
-		if d.JS < 0.7 {
-			t.Fatalf("%s: JS too low for same-distribution sample: %v", d.Name, d.JS)
-		}
-	}
-	var buf bytes.Buffer
-	PrintColumnDetails(&buf, details)
-	if !strings.Contains(buf.String(), "Similarity") {
-		t.Fatal("printout incomplete")
-	}
-	// Mismatched schema errors.
-	if _, err := ColumnDetails(real, real.SelectColumns([]int{0}), DefaultResemblanceConfig()); err == nil {
-		t.Fatal("expected schema mismatch")
 	}
 }

@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"math"
-
-	"silofuse/internal/tensor"
-)
+import "silofuse/internal/tensor"
 
 const invSqrt2 = 0.7071067811865476 // 1/sqrt(2)
 
@@ -95,89 +91,3 @@ func (l *LeakyReLU) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 
 // Params returns nil; LeakyReLU has no parameters.
 func (l *LeakyReLU) Params() []*Param { return nil }
-
-// ReLU rectified linear unit.
-type ReLU struct {
-	input    *tensor.Matrix
-	out, gin *tensor.Matrix
-}
-
-// Forward applies max(0, x) elementwise.
-func (r *ReLU) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
-	r.input = x
-	r.out = tensor.Ensure(r.out, x.Rows, x.Cols)
-	for i, v := range x.Data {
-		r.out.Data[i] = math.Max(0, v)
-	}
-	return r.out
-}
-
-// Backward zeroes gradients where the input was negative.
-func (r *ReLU) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
-	r.gin = tensor.Ensure(r.gin, gradOut.Rows, gradOut.Cols)
-	for i, v := range r.input.Data {
-		if v <= 0 {
-			r.gin.Data[i] = 0
-		} else {
-			r.gin.Data[i] = gradOut.Data[i]
-		}
-	}
-	return r.gin
-}
-
-// Params returns nil; ReLU has no parameters.
-func (r *ReLU) Params() []*Param { return nil }
-
-// Tanh hyperbolic tangent activation.
-type Tanh struct {
-	output *tensor.Matrix
-	gin    *tensor.Matrix
-}
-
-// Forward applies tanh elementwise.
-func (t *Tanh) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
-	t.output = tensor.Ensure(t.output, x.Rows, x.Cols)
-	for i, v := range x.Data {
-		t.output.Data[i] = math.Tanh(v)
-	}
-	return t.output
-}
-
-// Backward multiplies by 1 - tanh(x)^2.
-func (t *Tanh) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
-	t.gin = tensor.Ensure(t.gin, gradOut.Rows, gradOut.Cols)
-	for i, y := range t.output.Data {
-		t.gin.Data[i] = gradOut.Data[i] * (1 - y*y)
-	}
-	return t.gin
-}
-
-// Params returns nil; Tanh has no parameters.
-func (t *Tanh) Params() []*Param { return nil }
-
-// Sigmoid logistic activation.
-type Sigmoid struct {
-	output *tensor.Matrix
-	gin    *tensor.Matrix
-}
-
-// Forward applies 1/(1+e^-x) elementwise.
-func (s *Sigmoid) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
-	s.output = tensor.Ensure(s.output, x.Rows, x.Cols)
-	for i, v := range x.Data {
-		s.output.Data[i] = 1 / (1 + math.Exp(-v))
-	}
-	return s.output
-}
-
-// Backward multiplies by σ(x)(1-σ(x)).
-func (s *Sigmoid) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
-	s.gin = tensor.Ensure(s.gin, gradOut.Rows, gradOut.Cols)
-	for i, y := range s.output.Data {
-		s.gin.Data[i] = gradOut.Data[i] * (y * (1 - y))
-	}
-	return s.gin
-}
-
-// Params returns nil; Sigmoid has no parameters.
-func (s *Sigmoid) Params() []*Param { return nil }

@@ -17,9 +17,9 @@ import (
 //
 //	nameLen u16 | name | rows u32 | cols u32 | rows·cols f64
 //
-// Weights, Adam moments, latents and scalars (1×n) are all records. A model
-// describes its stream once, as calls on a Checkpoint, and that description
-// both saves and loads it. Saving streams through one fixed buffer and holds
+// Weights, latents and scalars (1×n) are all records. A model describes its
+// stream once, as calls on a Checkpoint, and that description both saves and
+// loads it. Saving streams through one fixed buffer and holds
 // no second copy of anything. Loading compares each record's header with the
 // one the model just named before reading a data byte, then fills the tensor
 // the model already owns: nothing is ever sized by a field of the stream.
@@ -181,25 +181,6 @@ func (c *Checkpoint) Ints(name string, vs []int) {
 func (c *Checkpoint) Params(section string, ps []*Param) {
 	for i, p := range ps {
 		c.Tensor(paramRecord(section, i, p.Name), p.Value.Rows, p.Value.Cols, p.Value.Data)
-	}
-}
-
-// Adam saves or loads the step counter and moment estimates a bit-identical
-// resume needs (the bias correction depends on t, the updates on m and v). An
-// optimiser that has not stepped yet saves the zero moments it would start
-// from. A load also zeroes the parameter gradients, so a half-finished
-// iteration cannot leak accumulated gradient into the resumed run.
-func (c *Checkpoint) Adam(section string, a *Adam) {
-	t := []int{a.t}
-	c.Ints(section+"/adam.t", t)
-	a.t = t[0]
-	a.moments()
-	for i := range a.m {
-		c.Tensor(paramRecord(section, i, "adam.m"), a.m[i].Rows, a.m[i].Cols, a.m[i].Data)
-		c.Tensor(paramRecord(section, i, "adam.v"), a.v[i].Rows, a.v[i].Cols, a.v[i].Data)
-	}
-	if c.Loading() {
-		a.ZeroGrads()
 	}
 }
 

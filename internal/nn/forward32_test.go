@@ -57,7 +57,7 @@ func TestSequential32DropsDropoutAndMatchesEval(t *testing.T) {
 }
 
 func TestSequential32RejectsUnsupportedLayer(t *testing.T) {
-	if _, err := NewSequential32(NewSequential(&Tanh{})); err == nil {
+	if _, err := NewSequential32(NewSequential(NewLeakyReLU(0.2))); err == nil {
 		t.Fatal("expected error for layer without an f32 forward")
 	}
 }

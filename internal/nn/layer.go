@@ -49,9 +49,6 @@ func (p *Param) EnsureGrad() *tensor.Matrix {
 	return p.Grad
 }
 
-// Size returns the number of scalar parameters.
-func (p *Param) Size() int { return len(p.Value.Data) }
-
 // Layer is one differentiable module.
 type Layer interface {
 	// Forward computes the layer output for x. train toggles behaviour of
@@ -119,15 +116,6 @@ func (s *Sequential) Params() []*Param {
 		ps = append(ps, l.Params()...)
 	}
 	return ps
-}
-
-// ParamCount returns the total number of scalar parameters in ps.
-func ParamCount(ps []*Param) int {
-	n := 0
-	for _, p := range ps {
-		n += p.Size()
-	}
-	return n
 }
 
 // ZeroGrads clears the gradient of every parameter that has one.

@@ -148,21 +148,3 @@ func GaussianNLLElem(mean, logVar, target float64) (nll, gMean, gLogVar float64)
 	}
 	return nll, gMean, gLogVar
 }
-
-// KLStandardNormal computes the KL divergence of N(mu, exp(logVar)) from
-// N(0, I), averaged over the batch, and its gradients. Used for the optional
-// VAE-style regularisation of autoencoder latents.
-func KLStandardNormal(mu, logVar *tensor.Matrix) (float64, *tensor.Matrix, *tensor.Matrix) {
-	n := float64(mu.Rows)
-	gMu := tensor.New(mu.Rows, mu.Cols)
-	gLV := tensor.New(mu.Rows, mu.Cols)
-	loss := 0.0
-	for i := range mu.Data {
-		lv := logVar.Data[i]
-		v := math.Exp(lv)
-		loss += 0.5 * (v + mu.Data[i]*mu.Data[i] - 1 - lv)
-		gMu.Data[i] = mu.Data[i] / n
-		gLV.Data[i] = 0.5 * (v - 1) / n
-	}
-	return loss / n, gMu, gLV
-}

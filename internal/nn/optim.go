@@ -6,50 +6,10 @@ import (
 	"silofuse/internal/tensor"
 )
 
-// Optimizer updates parameters from their accumulated gradients.
-type Optimizer interface {
-	// Step applies one update and zeroes the gradients.
-	Step()
-	// ZeroGrads clears gradients without updating.
-	ZeroGrads()
-}
-
-// SGD is plain stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR, Momentum float64
-	params       []*Param
-	velocity     []*tensor.Matrix
-}
-
-// NewSGD creates an SGD optimiser over params.
-func NewSGD(params []*Param, lr, momentum float64) *SGD {
-	vel := make([]*tensor.Matrix, len(params))
-	for i, p := range params {
-		vel[i] = tensor.New(p.Value.Rows, p.Value.Cols)
-	}
-	return &SGD{LR: lr, Momentum: momentum, params: params, velocity: vel}
-}
-
-// Step applies v = m·v - lr·g; w += v, then zeroes gradients.
-func (s *SGD) Step() {
-	for i, p := range s.params {
-		v, g := s.velocity[i], p.EnsureGrad().Data
-		for j := range p.Value.Data {
-			v.Data[j] = s.Momentum*v.Data[j] - s.LR*g[j]
-			p.Value.Data[j] += v.Data[j]
-		}
-	}
-	s.ZeroGrads()
-}
-
-// ZeroGrads clears all parameter gradients.
-func (s *SGD) ZeroGrads() { ZeroGrads(s.params) }
-
 // Adam implements the Adam optimiser (Kingma & Ba) with bias correction.
 // The paper trains every model with Adam at lr=1e-3. The moment estimates are
-// training state: allocated by the first Step (or a checkpoint that carries
-// them) and dropped by ReleaseTraining, so an optimiser that is not stepping
-// holds nothing.
+// training state: allocated by the first Step and dropped by ReleaseTraining,
+// so an optimiser that is not stepping holds nothing.
 type Adam struct {
 	LR, Beta1, Beta2, Eps float64
 	// ClipNorm, when > 0, rescales the global gradient norm to at most this
@@ -68,22 +28,9 @@ func NewAdam(params []*Param, lr float64) *Adam {
 	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, params: params}
 }
 
-// moments allocates the zero moment estimates a run starts from.
-func (a *Adam) moments() {
-	if a.m != nil {
-		return
-	}
-	a.m = make([]*tensor.Matrix, len(a.params))
-	a.v = make([]*tensor.Matrix, len(a.params))
-	for i, p := range a.params {
-		a.m[i] = tensor.New(p.Value.Rows, p.Value.Cols)
-		a.v[i] = tensor.New(p.Value.Rows, p.Value.Cols)
-	}
-}
-
 // ReleaseTraining drops the moments, the step count and every parameter's
 // gradient. What is left is what NewAdam returned, so a later Step starts a
-// fresh run — as it does on a model loaded from a checkpoint without moments.
+// fresh run — as it does on a model loaded from a checkpoint.
 func (a *Adam) ReleaseTraining() {
 	a.m, a.v, a.t, a.sweep = nil, nil, 0, adamSweep{}
 	for _, p := range a.params {
@@ -110,7 +57,14 @@ func (s *adamSweep) RunRange(lo, hi int) {
 // Step applies one Adam update and zeroes gradients.
 func (a *Adam) Step() {
 	a.t++
-	a.moments()
+	if a.m == nil { // the zero moment estimates a run starts from
+		a.m = make([]*tensor.Matrix, len(a.params))
+		a.v = make([]*tensor.Matrix, len(a.params))
+		for i, p := range a.params {
+			a.m[i] = tensor.New(p.Value.Rows, p.Value.Cols)
+			a.v[i] = tensor.New(p.Value.Rows, p.Value.Cols)
+		}
+	}
 	if a.ClipNorm > 0 {
 		total := 0.0
 		for _, p := range a.params {

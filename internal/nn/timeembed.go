@@ -3,8 +3,6 @@ package nn
 import (
 	"math"
 	"sync"
-
-	"silofuse/internal/tensor"
 )
 
 // The geometric frequency ladder depends only on the embedding width, so it
@@ -40,14 +38,4 @@ func SinusoidalEmbedding(t int, out []float64) {
 		out[i] = math.Sin(tf * freq)
 		out[half+i] = math.Cos(tf * freq)
 	}
-}
-
-// TimestepFeatures returns the (batch, dim) matrix of sinusoidal embeddings
-// for a batch of timesteps.
-func TimestepFeatures(ts []int, dim int) *tensor.Matrix {
-	out := tensor.New(len(ts), dim)
-	for i, t := range ts {
-		SinusoidalEmbedding(t, out.Row(i))
-	}
-	return out
 }

@@ -10,7 +10,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -168,17 +167,6 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms[name] = h.Stats()
 	}
 	return s
-}
-
-// WriteJSON writes the snapshot as indented JSON. A nil registry writes an
-// empty snapshot.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	if r == nil {
-		r = NewRegistry()
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Snapshot())
 }
 
 // WriteText writes every metric in a Prometheus-flavoured line format,

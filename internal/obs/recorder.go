@@ -92,16 +92,6 @@ func (r *Recorder) SetFlight(fr *FlightRecorder) {
 	})
 }
 
-// FlightNote forwards one operation to the attached flight recorder; a nil
-// recorder or absent ring ignores the call. Transport code uses this for
-// receive-side notes that have no metric counterpart.
-func (r *Recorder) FlightNote(op, name, peer string, value float64) {
-	if r == nil {
-		return
-	}
-	r.Flight.Note(op, name, peer, value)
-}
-
 // wireBytesByKind snapshots the cumulative bus_bytes_total_* counters.
 func (r *Recorder) wireBytesByKind() map[string]int64 {
 	out := make(map[string]int64)
@@ -122,9 +112,6 @@ func (r *Recorder) NextFlow() uint64 {
 	}
 	return uint64(r.Trace.PID())<<32 | (r.flow.Add(1) & 0xffffffff)
 }
-
-// Enabled reports whether the recorder collects anything.
-func (r *Recorder) Enabled() bool { return r != nil }
 
 // Now reads the wall clock, or returns the zero Time on a nil recorder. The
 // deterministic packages (tensor, nn, diffusion, autoencoder, core, silo)

@@ -90,19 +90,6 @@ func (t *Tracer) PID() int {
 	return t.pid
 }
 
-// SetOnSpanEnd registers fn as the only span-end hook, replacing any hooks
-// registered before. Hooks run after every span ends (outside the tracer's
-// lock), with the finished span's summary. The Recorder uses this to stream
-// phase records to an event log.
-func (t *Tracer) SetOnSpanEnd(fn func(SpanInfo)) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.onEnd = []func(SpanInfo){fn}
-}
-
 // AddOnSpanEnd registers fn alongside any existing span-end hooks, so
 // several consumers (an event log, a flight recorder) can observe span
 // ends independently.
@@ -172,14 +159,6 @@ func (t *Tracer) flowEvent(name string, id uint64, phase, verb string) {
 			TS: ts, PID: t.pid, TID: 1, Scope: "t"},
 		traceEvent{Name: "msg " + name, Cat: "bus", Phase: phase,
 			TS: ts, PID: t.pid, TID: 1, ID: id, BP: bp})
-}
-
-// Child opens a sub-span of s. On a nil span it returns nil.
-func (s *Span) Child(name string) *Span {
-	if s == nil {
-		return nil
-	}
-	return s.tr.StartSpan(name)
 }
 
 // SetAttr attaches a key/value attribute to the span; attributes are

@@ -56,11 +56,11 @@ type ChaosProfile struct {
 	NotifyPeers     []string
 }
 
-// ChaosProfileByName resolves the named fault profiles exposed by the
-// -chaos-profile flag. Recoverable profiles keep MaxConsecutiveDrops below
-// the resilient layer's default retry budget; "blackhole" intentionally
-// exceeds it to exercise the ErrPeerDead path, and "crash" kills client c1
-// after its first upload.
+// ChaosProfileByName resolves the named fault profiles exposed by
+// silofuse-demo's -chaos-profile flag. Recoverable profiles keep
+// MaxConsecutiveDrops below the resilient layer's default retry budget;
+// "blackhole" intentionally exceeds it to exercise the ErrPeerDead path, and
+// "crash" kills client c1 after its first upload.
 func ChaosProfileByName(name string) (ChaosProfile, error) {
 	switch name {
 	case "", "none":

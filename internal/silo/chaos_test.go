@@ -224,45 +224,6 @@ func TestChaosCrashRecoveryStacked(t *testing.T) {
 	sameTable(t, "crash/stacked", baseOut, out)
 }
 
-// TestChaosCrashRecoveryVFL: the crash class against split learning — c1
-// dies on its very first send, TrainResilient restores the iteration-0
-// checkpoint after the revive, and the recovered run matches the fault-free
-// baseline bit for bit (per-iteration rng derivation replays the exact
-// batch stream).
-func TestChaosCrashRecoveryVFL(t *testing.T) {
-	baseLoss, basePred := chaosVFLRun(t, NewLocalBus())
-
-	rb, cb := resilientChaos(5, mustProfile(t, "crash"))
-	silos, labels, cfg := chaosVFLSetup(t)
-	v, err := NewVFLClassifier(silos, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rc := RecoveryConfig{OnPeerDead: func(peer string) error {
-		cb.Revive(peer)
-		return nil
-	}}
-	loss, err := v.TrainResilient(rb, silos, labels, 100, 64, 25, rc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loss != baseLoss {
-		t.Fatalf("vfl crash recovery loss %v diverges from baseline %v", loss, baseLoss)
-	}
-	pred, err := v.Predict(silos)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range basePred {
-		if pred[i] != basePred[i] {
-			t.Fatalf("vfl crash recovery prediction %d diverges", i)
-		}
-	}
-	if got := cb.FaultStats().Crashes; got != 1 {
-		t.Fatalf("crashes = %d, want 1", got)
-	}
-}
-
 // TestChaosCorruptFailsTyped: payload corruption must never silently poison
 // training — the checksum catches the flipped bit and the run fails with
 // the typed ErrCorruptPayload instead of hanging or converging on garbage.

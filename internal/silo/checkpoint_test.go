@@ -16,15 +16,16 @@ import (
 	"silofuse/internal/tensor"
 )
 
-// checkpointFixture holds one small trained model of each family that
-// persists itself and loads any byte string into the one its kind byte names.
+// checkpointFixture holds one small trained model of each family: the
+// stacked pipeline, which persists itself and loads any byte string, and the
+// E2E and VFL models, whose client indexes TestClientIndex reads.
 type checkpointFixture struct {
 	stacked *Pipeline
 	e2e     *E2EPipeline
 	vfl     *VFLClassifier
-	// budget is the most a valid stream of any kind makes its loader
-	// allocate: the fixed buffer, record names and — stacked only — the
-	// backbone and latents built from the pipeline's own shapes.
+	// budget is the most a valid stream makes the loader allocate: the fixed
+	// buffer, record names, and the backbone and latents built from the
+	// pipeline's own shapes.
 	budget uint64
 }
 
@@ -38,7 +39,7 @@ func allocatedBy(f func()) uint64 {
 
 // newCheckpointFixture trains the three models and returns them with the
 // valid streams every mutant is derived from: a stacked checkpoint at each
-// phase plus SaveState's, an E2E and a VFL checkpoint.
+// phase plus SaveState's.
 func newCheckpointFixture(t testing.TB) (*checkpointFixture, [][]byte) {
 	t.Helper()
 	must := func(err error) {
@@ -84,14 +85,12 @@ func newCheckpointFixture(t testing.TB) (*checkpointFixture, [][]byte) {
 	must(err)
 	_, err = fx.e2e.Train(2)
 	must(err)
-	save(func(w io.Writer) error { return fx.e2e.SaveCheckpoint(w, 2) })
 
 	silos, labels, vcfg := chaosVFLSetup(t)
 	fx.vfl, err = NewVFLClassifier(silos, vcfg)
 	must(err)
 	_, err = fx.vfl.Train(NewLocalBus(), silos, labels, 2, 32)
 	must(err)
-	save(func(w io.Writer) error { return fx.vfl.SaveCheckpoint(w, 2) })
 
 	for _, s := range streams {
 		s := s
@@ -103,40 +102,30 @@ func newCheckpointFixture(t testing.TB) (*checkpointFixture, [][]byte) {
 	return fx, streams
 }
 
-// load hands data to the loader its kind byte names (stacked when there is
-// none) and, when it loads, returns what the model re-saves.
+// load hands data to the stacked loader and, when it loads, returns what the
+// pipeline re-saves.
 func (fx *checkpointFixture) load(data []byte) ([]byte, error) {
 	var out bytes.Buffer
-	kind := kindStacked
-	if len(data) > 5 {
-		kind = data[5]
+	ck, err := fx.stacked.LoadCheckpoint(bytes.NewReader(data))
+	if err != nil {
+		return nil, err
 	}
-	switch kind {
-	case kindE2E:
-		iter, err := fx.e2e.LoadCheckpoint(bytes.NewReader(data))
-		if err != nil {
-			return nil, err
-		}
-		err = fx.e2e.SaveCheckpoint(&out, iter)
-		return out.Bytes(), err
-	case kindVFL:
-		iter, err := fx.vfl.LoadCheckpoint(bytes.NewReader(data))
-		if err != nil {
-			return nil, err
-		}
-		err = fx.vfl.SaveCheckpoint(&out, iter)
-		return out.Bytes(), err
-	default:
-		ck, err := fx.stacked.LoadCheckpoint(bytes.NewReader(data))
-		if err != nil {
-			return nil, err
-		}
-		err = fx.stacked.SaveCheckpoint(&out, ck)
-		return out.Bytes(), err
-	}
+	err = fx.stacked.SaveCheckpoint(&out, ck)
+	return out.Bytes(), err
 }
 
-// check is the loaders' contract on arbitrary bytes: never a panic; a refusal
+// retiredKinds are the header kind bytes of the E2E and VFL checkpoints,
+// which no loader reads any more.
+var retiredKinds = []byte{'E', 'V'}
+
+// withKind returns a copy of stream s whose header names kind.
+func withKind(s []byte, kind byte) []byte {
+	m := append([]byte(nil), s...)
+	m[5] = kind
+	return m
+}
+
+// check is the loader's contract on arbitrary bytes: never a panic; a refusal
 // wraps nn.ErrCheckpoint; nothing is allocated beyond what a valid stream
 // costs, whatever the stream claims; and what loads re-saves to exactly the
 // bytes it was read from, so no two byte strings mean the same checkpoint.
@@ -177,7 +166,7 @@ func recordEnds(t testing.TB, s []byte) []int {
 // flipped in every byte of the stream header and of the first record's
 // header, and for each later record in one byte of its header (which one
 // moves with the record, so every field is hit many times over) and in its
-// first value. About a thousand seeds: the fuzzer replays them all for
+// first value. About two thousand seeds: the fuzzer replays them all for
 // coverage before it mutates anything, and `make fuzz-smoke` gives it 10 s.
 func checkpointMutants(t testing.TB, streams [][]byte) [][]byte {
 	t.Helper()
@@ -208,76 +197,41 @@ func checkpointMutants(t testing.TB, streams [][]byte) [][]byte {
 	return out
 }
 
-// FuzzCheckpointLoad holds the three checkpoint loaders to
-// checkpointFixture.check. Its seeds are the mutants above, which a plain
-// `go test` runs too.
+// FuzzCheckpointLoad holds the stacked checkpoint loader to
+// checkpointFixture.check. Its seeds are the mutants above of every valid
+// stream and of its copies under the retired E2E and VFL kind bytes, which a
+// plain `go test` runs too.
 func FuzzCheckpointLoad(f *testing.F) {
 	fx, streams := newCheckpointFixture(f)
+	for _, s := range streams {
+		for _, kind := range retiredKinds {
+			streams = append(streams, withKind(s, kind))
+		}
+	}
 	for _, data := range checkpointMutants(f, streams) {
 		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) { fx.check(t, data) })
 }
 
-// TestCheckpointKindsDoNotCross: a valid stream of one family is refused by
-// the loaders of the other two, and SaveState's stream by nothing but a
-// mid-training phase.
+// TestCheckpointKindsDoNotCross: a valid stacked stream loads, the same
+// stream under a retired E2E or VFL kind byte is refused, and SaveState's
+// stream is loaded by nothing but a mid-training phase.
 func TestCheckpointKindsDoNotCross(t *testing.T) {
 	fx, streams := newCheckpointFixture(t)
 	for _, s := range streams {
 		r := func() io.Reader { return bytes.NewReader(s) }
-		_, errS := fx.stacked.LoadCheckpoint(r())
-		_, errE := fx.e2e.LoadCheckpoint(r())
-		_, errV := fx.vfl.LoadCheckpoint(r())
-		for kind, err := range map[byte]error{kindStacked: errS, kindE2E: errE, kindVFL: errV} {
-			if kind == s[5] && err != nil || kind != s[5] && !errors.Is(err, nn.ErrCheckpoint) {
-				t.Errorf("%c stream into the %c loader: %v", s[5], kind, err)
-			}
+		if _, err := fx.stacked.LoadCheckpoint(r()); s[5] != kindStacked || err != nil {
+			t.Errorf("%c stream into the stacked loader: %v", s[5], err)
 		}
-		if s[5] != kindStacked {
-			continue
+		for _, kind := range retiredKinds {
+			if _, err := fx.stacked.LoadCheckpoint(bytes.NewReader(withKind(s, kind))); !errors.Is(err, nn.ErrCheckpoint) {
+				t.Errorf("stream of the retired kind %c into the stacked loader: %v", kind, err)
+			}
 		}
 		ck, _ := fx.stacked.LoadCheckpoint(r())
 		if err := fx.stacked.LoadState(r()); ck.Phase == PhaseDiffusion && err != nil || ck.Phase != PhaseDiffusion && !errors.Is(err, nn.ErrCheckpoint) {
 			t.Errorf("LoadState of a phase-%d checkpoint: %v", ck.Phase, err)
-		}
-	}
-}
-
-// TestResilientCheckpointReusesBuffer pins what TrainResilient's in-memory
-// checkpoint costs once warm: the stream goes into the reused bytes.Buffer,
-// which grew on the first save and never again, and a save allocates the
-// writer's fixed buffer and record names, not a copy of the model.
-func TestResilientCheckpointReusesBuffer(t *testing.T) {
-	fx, _ := newCheckpointFixture(t)
-	silos, labels, _ := chaosVFLSetup(t)
-	for name, m := range map[string]struct {
-		save  func(io.Writer, int) error
-		train func(from int) error
-	}{
-		"e2e": {fx.e2e.SaveCheckpoint, func(from int) error { _, err := fx.e2e.TrainFrom(from, from+1); return err }},
-		"vfl": {fx.vfl.SaveCheckpoint, func(from int) error {
-			_, err := fx.vfl.TrainFrom(NewLocalBus(), silos, labels, from, from+1, 32)
-			return err
-		}},
-	} {
-		var buf bytes.Buffer
-		if err := m.save(&buf, 2); err != nil {
-			t.Fatal(err)
-		}
-		size, grown := buf.Len(), buf.Cap()
-		for it := 2; it < 6; it++ {
-			if err := m.train(it); err != nil {
-				t.Fatal(err)
-			}
-			buf.Reset()
-			var err error
-			if got := allocatedBy(func() { err = m.save(&buf, it+1) }); err != nil || got > 64<<10 {
-				t.Fatalf("%s: warm save allocated %d bytes for a %d-byte stream (err %v)", name, got, size, err)
-			}
-			if buf.Len() != size || buf.Cap() != grown {
-				t.Fatalf("%s: buffer %d of %d bytes after a warm save, was %d of %d", name, buf.Len(), buf.Cap(), size, grown)
-			}
 		}
 	}
 }
@@ -320,7 +274,7 @@ func TestClientIndex(t *testing.T) {
 		if err := fx.e2e.Bus.Send(stray); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := fx.e2e.TrainFrom(2, 3); !errors.Is(err, ErrUnknownSender) {
+		if _, err := fx.e2e.Train(1); !errors.Is(err, ErrUnknownSender) {
 			t.Errorf("e2e step after an activation from %q: %v", from, err)
 		}
 		fx.e2e.Bus = NewLocalBus() // the failed step left its clients' messages behind

@@ -81,9 +81,6 @@ func NewCodecBus(inner Bus, id codec.ID) *CodecBus {
 	return &CodecBus{inner: inner, id: id, wire: make(map[Kind]*wireAgg)}
 }
 
-// Codec returns the bus's wire codec id.
-func (b *CodecBus) Codec() codec.ID { return b.id }
-
 // SetRecorder implements RecorderSetter: wire codec metrics land on rec,
 // and the recorder is forwarded to the wrapped transport.
 func (b *CodecBus) SetRecorder(rec *obs.Recorder) {

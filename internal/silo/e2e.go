@@ -2,7 +2,6 @@ package silo
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"runtime"
@@ -93,33 +92,10 @@ func NewE2EPipeline(bus Bus, data *tabular.Table, cfg PipelineConfig) (*E2EPipel
 }
 
 // Train runs iters joint iterations and returns the mean combined loss
-// (L_G + mean L_AE) over the final 10% of steps.
+// (L_G + mean L_AE) over the final 10% of steps. Batch indices and diffusion
+// noise are drawn from a generator derived from (seed, iteration), shared
+// between the parties, so no index messages are needed.
 func (p *E2EPipeline) Train(iters int) (float64, error) {
-	return p.TrainFrom(0, iters)
-}
-
-// TrainFrom runs iterations [start, iters) — the resume form of Train.
-// Batch indices and diffusion noise are drawn from a generator derived from
-// (seed, iteration) — still shared between the parties, so no index
-// messages are needed — which makes a resumed run replay exactly the
-// stream an uninterrupted one would have drawn.
-func (p *E2EPipeline) TrainFrom(start, iters int) (float64, error) {
-	sum, count, err := p.trainRange(start, iters, iters)
-	if err != nil {
-		return 0, err
-	}
-	if count == 0 {
-		return 0, nil
-	}
-	return sum / float64(count), nil
-}
-
-// trainRange runs iterations [start, end) of a total-iteration run and
-// returns the summed loss over the iterations that fall in the final 10%
-// of the *total* run (so chunked resilient training recombines to the same
-// tail mean as an uninterrupted run). On error the partial tail
-// accumulation is discarded — the caller replays the chunk.
-func (p *E2EPipeline) trainRange(start, end, total int) (float64, int, error) {
 	batch := p.Cfg.Batch
 	rows := p.Clients[0].Data.Rows()
 	if batch > rows {
@@ -127,9 +103,9 @@ func (p *E2EPipeline) trainRange(start, end, total int) (float64, int, error) {
 	}
 	span := p.Rec.StartSpan("e2e-train")
 	span.SetAttr("clients", len(p.Clients))
-	span.SetAttr("iters", end-start)
+	span.SetAttr("iters", iters)
 	defer span.End()
-	tail := total - total/10
+	tail := iters - iters/10
 	var tailLoss float64
 	var tailCount int
 	idx := make([]int, batch)
@@ -137,7 +113,7 @@ func (p *E2EPipeline) trainRange(start, end, total int) (float64, int, error) {
 	if p.Rec != nil {
 		runtime.ReadMemStats(&ms0)
 	}
-	for it := start; it < end; it++ {
+	for it := 0; it < iters; it++ {
 		rng := derivedRng(p.Cfg.Seed, e2eIterSalt, it)
 		for i := range idx {
 			idx[i] = rng.Intn(rows)
@@ -145,7 +121,7 @@ func (p *E2EPipeline) trainRange(start, end, total int) (float64, int, error) {
 		t0 := p.Rec.Now()
 		loss, err := p.trainStep(rng, idx)
 		if err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 		if p.Rec != nil {
 			p.Rec.TrainStep("e2e", loss, batch, p.Rec.Since(t0))
@@ -158,12 +134,14 @@ func (p *E2EPipeline) trainRange(start, end, total int) (float64, int, error) {
 	if p.Rec != nil {
 		var ms1 runtime.MemStats
 		runtime.ReadMemStats(&ms1)
-		p.Rec.TrainAllocs("e2e", end-start, ms1.Mallocs-ms0.Mallocs)
+		p.Rec.TrainAllocs("e2e", iters, ms1.Mallocs-ms0.Mallocs)
 	}
-	if tailCount > 0 {
-		span.SetAttr("loss", tailLoss/float64(tailCount))
+	if tailCount == 0 {
+		return 0, nil
 	}
-	return tailLoss, tailCount, nil
+	mean := tailLoss / float64(tailCount)
+	span.SetAttr("loss", mean)
+	return mean, nil
 }
 
 // trainStep executes one end-to-end iteration over the bus, drawing all
@@ -303,51 +281,6 @@ func (p *E2EPipeline) trainStep(rng *rand.Rand, idx []int) (float64, error) {
 		c.AE.Step()
 	}
 	return lossG + lossAE, nil
-}
-
-// checkpoint describes the joint-training state: the iteration reached, then
-// weights plus Adam momenta of the backbone and of every client autoencoder.
-func (p *E2EPipeline) checkpoint(c *nn.Checkpoint, iter int) (int, error) {
-	it := []int{iter}
-	c.Ints("iter", it)
-	c.Params("net", p.net.Params())
-	c.Adam("net", p.opt)
-	for _, cl := range p.Clients {
-		cl.AE.Training(c, cl.ID)
-	}
-	return it[0], c.Close()
-}
-
-// SaveCheckpoint streams the joint-training state to w, so TrainFrom(iter, …)
-// resumes bit-identically (for Dropout = 0 models, whose forward passes draw
-// no randomness beyond the per-iteration stream).
-func (p *E2EPipeline) SaveCheckpoint(w io.Writer, iter int) error {
-	_, err := p.checkpoint(nn.NewCheckpointWriter(w, kindE2E), iter)
-	return err
-}
-
-// LoadCheckpoint restores state written by SaveCheckpoint and returns the
-// iteration to resume from. Accumulated gradients from a half-finished
-// iteration are zeroed.
-func (p *E2EPipeline) LoadCheckpoint(r io.Reader) (int, error) {
-	return p.checkpoint(nn.NewCheckpointReader(r, kindE2E), 0)
-}
-
-// TrainResilient runs joint training under trainResilient; per-iteration rng
-// derivation makes a recovered run bit-identical to a fault-free one. The
-// returned loss is the same final-10% tail mean Train reports.
-func (p *E2EPipeline) TrainResilient(iters, every int, rc RecoveryConfig) (float64, error) {
-	var tailSum float64
-	var tailCount int
-	err := trainResilient("e2e", p.Bus, parties(p.Clients, p.Coord), iters, every, rc, p.SaveCheckpoint, p.LoadCheckpoint, func(start, end int) error {
-		sum, count, err := p.trainRange(start, end, iters)
-		tailSum, tailCount = tailSum+sum, tailCount+count
-		return err
-	})
-	if err != nil || tailCount == 0 {
-		return 0, err
-	}
-	return tailSum / float64(tailCount), nil
 }
 
 // clientIndex maps a client's bus ID to its position, built once per model:

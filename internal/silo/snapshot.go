@@ -9,12 +9,9 @@ import (
 	"silofuse/internal/tensor"
 )
 
-// Checkpoint stream kinds (nn/checkpoint.go's header byte).
-const (
-	kindStacked byte = 'S'
-	kindE2E     byte = 'E'
-	kindVFL     byte = 'V'
-)
+// kindStacked is the stacked pipeline's checkpoint kind (nn/checkpoint.go's
+// header byte), the one kind a silo checkpoint has.
+const kindStacked byte = 'S'
 
 // SaveState writes the trained pipeline state (client autoencoders,
 // coordinator backbone, latent scaler) to w: a PhaseDiffusion checkpoint
@@ -114,17 +111,4 @@ func (p *Pipeline) checkpoint(c *nn.Checkpoint, ck *Checkpoint) error {
 		c.Params("backbone", p.Coord.Model.Net.Params())
 	}
 	return c.Close()
-}
-
-// ParamCount reports the total trainable scalars across all actors (clients
-// plus backbone, when built).
-func (p *Pipeline) ParamCount() int {
-	total := 0
-	for _, c := range p.Clients {
-		total += c.AE.ParamCount()
-	}
-	if p.Coord.Model != nil {
-		total += nn.ParamCount(p.Coord.Model.Net.Params())
-	}
-	return total
 }

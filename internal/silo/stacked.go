@@ -1,10 +1,8 @@
 package silo
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"runtime"
 	"sync"
 
@@ -275,52 +273,6 @@ type RecoveryConfig struct {
 	// here — re-dial its TCPPeer, revive a chaos crash. Returning an error
 	// aborts recovery.
 	OnPeerDead func(peer string) error
-}
-
-// trainResilient runs chunk over [0, iters) in pieces of `every` iterations
-// (default 50), saving an in-memory checkpoint into one reused buffer after
-// each. A piece that dies with ErrPeerDead invokes the recovery hook, resets
-// the bus sequencing, restores the last checkpoint and is replayed; any other
-// error, and retry exhaustion, aborts.
-func trainResilient(what string, bus Bus, names []string, iters, every int, rc RecoveryConfig,
-	save func(io.Writer, int) error, load func(io.Reader) (int, error), chunk func(start, end int) error) error {
-	if every <= 0 {
-		every = 50
-	}
-	if rc.MaxPhaseRetries <= 0 {
-		rc.MaxPhaseRetries = 2
-	}
-	var ck bytes.Buffer
-	if err := save(&ck, 0); err != nil {
-		return err
-	}
-	for start, retries := 0, 0; start < iters; {
-		end := min(start+every, iters)
-		if err := chunk(start, end); err != nil {
-			if !errors.Is(err, ErrPeerDead) || retries >= rc.MaxPhaseRetries {
-				return err
-			}
-			retries++
-			if rc.OnPeerDead != nil {
-				if herr := rc.OnPeerDead(DeadPeerName(err)); herr != nil {
-					return fmt.Errorf("silo: %s recovery aborted: %w", what, herr)
-				}
-			}
-			if rs, ok := bus.(Resetter); ok {
-				rs.Reset(names)
-			}
-			if _, err := load(bytes.NewReader(ck.Bytes())); err != nil {
-				return err
-			}
-			continue // replay the interrupted chunk
-		}
-		start = end
-		ck.Reset()
-		if err := save(&ck, start); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // parties lists every actor name on the bus, clients first.

@@ -2,7 +2,6 @@ package silo
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 
 	"silofuse/internal/nn"
@@ -10,11 +9,10 @@ import (
 	"silofuse/internal/tensor"
 )
 
-// Per-iteration rng derivation: resumable training loops (VFL, E2E) draw
-// each iteration's randomness from a generator seeded by (run seed, salt,
-// iteration), so resuming from an iteration-boundary checkpoint replays
-// exactly the stream an uninterrupted run would have drawn — the basis of
-// the recovery-equals-baseline guarantee.
+// Per-iteration rng derivation: the per-iteration training loops (VFL, E2E)
+// draw each iteration's randomness from a generator seeded by (run seed,
+// salt, iteration). The E2EDistr loss bits the fit fingerprint pins are drawn
+// through it.
 const (
 	iterSeedStride = 1_000_003
 	vflIterSalt    = 424_243
@@ -96,17 +94,9 @@ func NewVFLClassifier(parts []*tabular.Table, cfg VFLConfig) (*VFLClassifier, er
 // Train runs iters split-learning iterations over bus. parts are the
 // clients' aligned feature partitions; labels live at the coordinator.
 // Every iteration sends one embedding per client up and one gradient per
-// client down (all byte-accounted).
+// client down (all byte-accounted). Each iteration draws its batch from a
+// generator derived from (seed, iteration).
 func (v *VFLClassifier) Train(bus Bus, parts []*tabular.Table, labels []int, iters, batch int) (float64, error) {
-	return v.TrainFrom(bus, parts, labels, 0, iters, batch)
-}
-
-// TrainFrom runs iterations [start, iters) — the resume form of Train.
-// Each iteration draws its batch from a generator derived from (seed,
-// iteration), so TrainFrom(…, k, iters, …) after restoring an iteration-k
-// checkpoint replays exactly the stream an uninterrupted Train would have
-// produced.
-func (v *VFLClassifier) TrainFrom(bus Bus, parts []*tabular.Table, labels []int, start, iters, batch int) (float64, error) {
 	if len(parts) != len(v.bottoms) {
 		return 0, fmt.Errorf("silo: vfl built for %d clients, got %d parts", len(v.bottoms), len(parts))
 	}
@@ -119,7 +109,7 @@ func (v *VFLClassifier) TrainFrom(bus Bus, parts []*tabular.Table, labels []int,
 	}
 	var loss float64
 	idx := make([]int, batch)
-	for it := start; it < iters; it++ {
+	for it := 0; it < iters; it++ {
 		rng := derivedRng(v.seed, vflIterSalt, it)
 		for i := range idx {
 			idx[i] = rng.Intn(rows)
@@ -198,55 +188,4 @@ func (v *VFLClassifier) Predict(parts []*tabular.Table) ([]int, error) {
 		pred[i] = best
 	}
 	return pred, nil
-}
-
-// checkpoint describes the full mid-training state: the iteration reached,
-// then each bottom's and the head's weights and Adam momenta.
-func (v *VFLClassifier) checkpoint(c *nn.Checkpoint, iter int) (int, error) {
-	it := []int{iter}
-	c.Ints("iter", it)
-	for i, b := range v.bottoms {
-		section := fmt.Sprint("bottom", i)
-		c.Params(section, b.Params())
-		c.Adam(section, v.optBot[i])
-	}
-	c.Params("head", v.head.Params())
-	c.Adam("head", v.optHead)
-	return it[0], c.Close()
-}
-
-// SaveCheckpoint streams the mid-training state to w, so TrainFrom can
-// resume bit-identically.
-func (v *VFLClassifier) SaveCheckpoint(w io.Writer, iter int) error {
-	_, err := v.checkpoint(nn.NewCheckpointWriter(w, kindVFL), iter)
-	return err
-}
-
-// LoadCheckpoint restores state written by SaveCheckpoint and returns the
-// iteration to resume from.
-func (v *VFLClassifier) LoadCheckpoint(r io.Reader) (int, error) {
-	return v.checkpoint(nn.NewCheckpointReader(r, kindVFL), 0)
-}
-
-func vflParties(clients int) []string {
-	ps := make([]string, 0, clients+1)
-	for i := 0; i < clients; i++ {
-		ps = append(ps, fmt.Sprintf("c%d", i))
-	}
-	return append(ps, "coord")
-}
-
-// TrainResilient runs split training under trainResilient; because each
-// iteration's randomness is derived from (seed, iteration), the recovered
-// run is bit-identical to a fault-free one.
-func (v *VFLClassifier) TrainResilient(bus Bus, parts []*tabular.Table, labels []int, iters, batch, every int, rc RecoveryConfig) (float64, error) {
-	var loss float64
-	err := trainResilient("vfl", bus, vflParties(len(parts)), iters, every, rc, v.SaveCheckpoint, v.LoadCheckpoint, func(start, end int) (err error) {
-		loss, err = v.TrainFrom(bus, parts, labels, start, end, batch)
-		return err
-	})
-	if err != nil {
-		return 0, err
-	}
-	return loss, nil
 }

@@ -295,13 +295,6 @@ func Frequencies(cats []int, k int) []float64 {
 	return out
 }
 
-// SortedCopy returns an ascending-sorted copy of xs.
-func SortedCopy(xs []float64) []float64 {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return s
-}
-
 // QuantileCorrelation resamples both sorted samples onto a common grid and
 // returns their Pearson correlation — a Q–Q plot linearity score used as the
 // numeric column-similarity metric.

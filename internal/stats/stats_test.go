@@ -250,14 +250,3 @@ func TestClamp(t *testing.T) {
 		t.Fatal("clamp wrong")
 	}
 }
-
-func TestSortedCopyDoesNotMutate(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	s := SortedCopy(xs)
-	if xs[0] != 3 {
-		t.Fatal("input mutated")
-	}
-	if s[0] != 1 || s[2] != 3 {
-		t.Fatal("not sorted")
-	}
-}

@@ -108,17 +108,6 @@ func (s *Schema) CategoricalIndexes() []int {
 	return out
 }
 
-// NumericIndexes returns the indexes of numeric columns.
-func (s *Schema) NumericIndexes() []int {
-	var out []int
-	for i, c := range s.Columns {
-		if c.Kind == Numeric {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // OneHotWidth returns the encoded feature size (paper's "#Aft."): the sum of
 // categorical cardinalities plus the number of numeric columns.
 func (s *Schema) OneHotWidth() int {

@@ -68,12 +68,8 @@ func TestOneHotWidth(t *testing.T) {
 func TestCategoricalAndNumericIndexes(t *testing.T) {
 	s := testSchema(t)
 	ci := s.CategoricalIndexes()
-	ni := s.NumericIndexes()
 	if len(ci) != 2 || ci[0] != 1 || ci[1] != 3 {
 		t.Fatalf("cat idx = %v", ci)
-	}
-	if len(ni) != 2 || ni[0] != 0 || ni[1] != 2 {
-		t.Fatalf("num idx = %v", ni)
 	}
 }
 
@@ -342,35 +338,5 @@ func TestHeadClamps(t *testing.T) {
 	}
 	if tb.Head(2).Rows() != 2 {
 		t.Fatal("Head(2) wrong")
-	}
-}
-
-func TestDescribe(t *testing.T) {
-	tb := testTable(t)
-	sums := tb.Describe()
-	if len(sums) != 4 {
-		t.Fatalf("summaries = %d", len(sums))
-	}
-	age := sums[0]
-	if age.Kind != Numeric || age.Mean != 32.5 || age.Min != 25 || age.Max != 40 {
-		t.Fatalf("age summary wrong: %+v", age)
-	}
-	if age.Median != 32.5 {
-		t.Fatalf("age median = %v", age.Median)
-	}
-	color := sums[1]
-	if color.Kind != Categorical || color.Cardinality != 3 {
-		t.Fatalf("color summary wrong: %+v", color)
-	}
-	if color.TopCode != 1 || math.Abs(color.TopFraction-0.5) > 1e-12 {
-		t.Fatalf("color top wrong: %+v", color)
-	}
-	if color.Entropy <= 0 {
-		t.Fatal("entropy should be positive for a non-degenerate column")
-	}
-	var buf bytes.Buffer
-	PrintDescribe(&buf, sums)
-	if !strings.Contains(buf.String(), "age") {
-		t.Fatal("printout incomplete")
 	}
 }

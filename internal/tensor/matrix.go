@@ -178,20 +178,6 @@ func (m *Matrix) AddRowVector(v []float64) *Matrix {
 	return m
 }
 
-// Apply sets each element to f(element) in place and returns m.
-func (m *Matrix) Apply(f func(float64) float64) *Matrix {
-	for i := range m.Data {
-		m.Data[i] = f(m.Data[i])
-	}
-	return m
-}
-
-// Map returns a new matrix with f applied elementwise.
-func (m *Matrix) Map(f func(float64) float64) *Matrix {
-	out := m.Clone()
-	return out.Apply(f)
-}
-
 // Sum returns the sum of all elements.
 func (m *Matrix) Sum() float64 {
 	s := 0.0
