@@ -203,13 +203,15 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # bench-layout prints where the linker put the inner loop of the benchmark's
-# reference kernel (benchmark/speed.go) and that address mod 64. The loop is
-# faster inside one 64-byte line than across two, every setup_s / rows_per_s /
-# op_ms_p50 is divided by its speed, and any change to the size of a linked
-# package moves it (ROADMAP item 8). Run it on the parent and on the change
-# before believing a timing delta: unless both print the same mod 64, the
-# delta is layout.
+# reference kernel (benchmark/speed.go) and that address mod 64, and fails
+# unless it is 0. The loop is faster inside one 64-byte line than across two,
+# every setup_s / rows_per_s / op_ms_p50 is divided by its speed, and any
+# change to the size of a linked package moves it (ROADMAP item 8): at 32 mod
+# 64 the reference kernel reads the box about 1.6 times faster, and every
+# timing metric that much slower, than at 0. Run it on the parent and on the
+# change before believing a timing delta.
 bench-layout:
 	@bin=$$(mktemp) && $(GO) build -o $$bin ./benchmark && \
 	addr=$$($(GO) tool nm $$bin | awk '$$3 == "main.kernel.func1" { print $$1 }') && rm -f $$bin && \
-	echo "main.kernel.func1 at 0x$$addr, $$((0x$$addr % 64)) mod 64"
+	echo "main.kernel.func1 at 0x$$addr, $$((0x$$addr % 64)) mod 64" && \
+	if [ $$((0x$$addr % 64)) -ne 0 ]; then echo "bench-layout: the reference kernel's loop is not at 0 mod 64; timing metrics read layout, not the change"; exit 1; fi

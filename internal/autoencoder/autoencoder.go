@@ -74,7 +74,7 @@ type Autoencoder struct {
 	lossGrad *tensor.Matrix // reconstructionLoss's persistent gradient workspace
 	ce       ceRows         // reconstructionLoss's softmax-CE kernel and per-row terms
 	encPad   *tensor.Matrix // Encode's padded final chunk
-	probs    []float64      // Decode's softmax row, as long as the widest categorical head
+	softmax  softmaxRows    // Decode's pooled softmax of one categorical head
 }
 
 // New builds an autoencoder for the columns of train and fits the input
@@ -88,7 +88,7 @@ func New(rng *rand.Rand, train *tabular.Table, cfg Config) *Autoencoder {
 	// Head layout: [mean, logVar] per numeric column, card logits per
 	// categorical column, in schema order.
 	var spans []headSpan
-	off, widest := 0, 0
+	off := 0
 	for j, c := range train.Schema.Columns {
 		sp := headSpan{col: j, kind: c.Kind, lo: off}
 		if c.Kind == tabular.Numeric {
@@ -98,7 +98,6 @@ func New(rng *rand.Rand, train *tabular.Table, cfg Config) *Autoencoder {
 		}
 		sp.hi = off
 		spans = append(spans, sp)
-		widest = max(widest, c.Cardinality)
 	}
 
 	input := newInputLayer(rng, enc, cfg.Hidden)
@@ -119,7 +118,6 @@ func New(rng *rand.Rand, train *tabular.Table, cfg Config) *Autoencoder {
 		),
 		spans: spans,
 		rng:   rng,
-		probs: make([]float64, widest),
 	}
 	params := append(a.encoder.Params(), a.decoder.Params()...)
 	a.opt = nn.NewAdam(params, cfg.LR)
@@ -136,7 +134,7 @@ func (a *Autoencoder) ReleaseTraining() {
 	a.encoder.ReleaseTraining()
 	a.decoder.ReleaseTraining()
 	a.opt.ReleaseTraining()
-	a.lossGrad, a.ce, a.encPad = nil, ceRows{}, nil
+	a.lossGrad, a.ce, a.encPad, a.softmax = nil, ceRows{}, nil, softmaxRows{}
 }
 
 // Params returns the encoder's parameters followed by the decoder's, the
@@ -324,9 +322,14 @@ func (a *Autoencoder) Decode(z *tensor.Matrix, sample bool, rng *rand.Rand) (*ta
 				data.Set(i, sp.col, v*a.Enc.Std[sp.col]+a.Enc.Mean[sp.col])
 			}
 		case tabular.Categorical:
-			row := a.probs[:sp.hi-sp.lo]
+			// Every row's softmax first, in place over its logits and on
+			// the pool once the head is wide enough; then the draws,
+			// serially and in row order, so the rng is read as it was
+			// when each row's softmax came just before its draw.
+			a.softmax = softmaxRows{out: out, lo: sp.lo, hi: sp.hi}
+			tensor.ParallelRange(&a.softmax, z.Rows, z.Rows*(sp.hi-sp.lo))
 			for i := 0; i < z.Rows; i++ {
-				nn.SoftmaxRowInto(row, out.Row(i)[sp.lo:sp.hi])
+				row := out.Row(i)[sp.lo:sp.hi]
 				var code int
 				if sample {
 					code = sampleIndex(rng, row)
@@ -354,6 +357,20 @@ func (a *Autoencoder) decodeForward(z *tensor.Matrix) (*tensor.Matrix, error) {
 		return nil, fmt.Errorf("autoencoder: f32 decode: %w", err)
 	}
 	return tensor.To64(dec32.Forward(tensor.To32(z))), nil
+}
+
+// softmaxRows is the softmax of one categorical head's span of the decoder
+// output, in place, as a tensor.RangeKernel over rows.
+type softmaxRows struct {
+	out    *tensor.Matrix
+	lo, hi int
+}
+
+func (k *softmaxRows) RunRange(r0, r1 int) {
+	for i := r0; i < r1; i++ {
+		row := k.out.Row(i)[k.lo:k.hi]
+		nn.SoftmaxRowInto(row, row)
+	}
 }
 
 func argmax(xs []float64) int {

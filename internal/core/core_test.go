@@ -62,7 +62,8 @@ func TestSampleBeforeFitErrors(t *testing.T) {
 
 // TestAllModelsFitAndSample is the integration smoke test: every model in
 // the zoo trains briefly on the loan dataset and produces a valid table
-// with the right schema.
+// with the right schema. A negative row count is refused with an error,
+// before a message is sent, and zero rows is an empty table.
 func TestAllModelsFitAndSample(t *testing.T) {
 	tb := loanTable(t, 300)
 	for _, name := range ModelNames() {
@@ -79,6 +80,22 @@ func TestAllModelsFitAndSample(t *testing.T) {
 			}
 			if err := m.Fit(tb); err != nil {
 				t.Fatal(err)
+			}
+			sent := func() int64 {
+				if c, ok := m.(interface{ CommStats() silo.Stats }); ok {
+					return c.CommStats().Messages
+				}
+				return 0
+			}
+			before := sent()
+			if _, err := m.Sample(-1); err == nil {
+				t.Fatal("Sample(-1) returned no error")
+			}
+			if after := sent(); after != before {
+				t.Fatalf("Sample(-1) sent %d messages before refusing", after-before)
+			}
+			if empty, err := m.Sample(0); err != nil || empty.Rows() != 0 {
+				t.Fatalf("Sample(0) = %v, %v; want an empty table", empty, err)
 			}
 			out, err := m.Sample(40)
 			if err != nil {

@@ -65,6 +65,9 @@ func (e *E2E) Sample(n int) (*tabular.Table, error) {
 	if e.pipe == nil {
 		return nil, fmt.Errorf("%s: Sample before Fit", e.name)
 	}
+	if err := checkRows(e.name, n); err != nil {
+		return nil, err
+	}
 	return e.pipe.Synthesize(n, e.Opts.DecodeSampling)
 }
 

@@ -46,5 +46,8 @@ func (m *GANModel) Sample(n int) (*tabular.Table, error) {
 	if m.g == nil {
 		return nil, fmt.Errorf("%s: Sample before Fit", m.name)
 	}
+	if err := checkRows(m.name, n); err != nil {
+		return nil, err
+	}
 	return m.g.Sample(n)
 }

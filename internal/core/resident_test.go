@@ -7,6 +7,7 @@ import (
 
 	"silofuse/internal/datagen"
 	"silofuse/internal/tabular"
+	"silofuse/internal/tensor"
 )
 
 // liveHeap is the heap in use once everything unreachable has been collected
@@ -26,8 +27,8 @@ func liveHeap() int64 {
 // where a fitted churn model used to keep 7.9 times its checkpoint (a
 // gradient, two Adam moments and a dW scratch per weight, every training
 // batch's activations) and a loaded one 2.9 times. A Sample(64) then adds
-// the forward outputs of one 64-row batch and nothing that grows with the
-// training batch or the table.
+// the forward outputs of one 64-row batch, the packed weights its products
+// read, and nothing that grows with the training batch or the table.
 func TestFittedModelIsItsCheckpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full-width fits")
@@ -89,12 +90,15 @@ func TestFittedModelIsItsCheckpoint(t *testing.T) {
 // sampleWorkspaceBytes is what an n-row request leaves sized in a model's
 // layers: every Linear and GELU output of the backbone (dropout is the
 // identity when sampling) and of each client's decoder, the one projected
-// timestep row, the input each first layer still points at, and the
-// sampler's two ping-pong matrices (one of them that input) and timesteps.
+// timestep row, the input each first layer still points at, the sampler's
+// two ping-pong matrices (one of them that input) and timesteps, and the
+// packed weights of every Linear whose n-row product runs on the tile.
 func sampleWorkspaceBytes(s *SiloFuse, n int) int64 {
 	d := s.pipe.Cfg.Diff
 	dim := s.pipe.Coord.Model.Net.In
 	elems := n*(d.Hidden*(1+2*d.Depth)+3*dim+1) + d.Hidden + d.TimeDim
+	panels := tensor.PanelBytes(n, dim, d.Hidden) + d.Depth*tensor.PanelBytes(n, d.Hidden, d.Hidden) +
+		tensor.PanelBytes(n, d.Hidden, dim) // the time projection's one row is no strip
 	for _, c := range s.pipe.Clients {
 		heads := 0
 		for _, col := range c.Data.Schema.Columns {
@@ -104,7 +108,10 @@ func sampleWorkspaceBytes(s *SiloFuse, n int) int64 {
 				heads += col.Cardinality
 			}
 		}
-		elems += n * (c.AE.Cfg.Latent + 2*c.AE.Cfg.Embed + 2*c.AE.Cfg.Hidden + heads)
+		ae := c.AE.Cfg
+		elems += n * (ae.Latent + 2*ae.Embed + 2*ae.Hidden + heads)
+		panels += tensor.PanelBytes(n, ae.Latent, ae.Embed) + tensor.PanelBytes(n, ae.Embed, ae.Hidden) +
+			tensor.PanelBytes(n, ae.Hidden, heads)
 	}
-	return 8 * int64(elems)
+	return 8*int64(elems) + int64(panels)
 }

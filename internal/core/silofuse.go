@@ -115,6 +115,9 @@ func (s *SiloFuse) Sample(n int) (*tabular.Table, error) {
 	if s.pipe == nil {
 		return nil, fmt.Errorf("%s: Sample before Fit", s.name)
 	}
+	if err := checkRows(s.name, n); err != nil {
+		return nil, err
+	}
 	return s.pipe.SynthesizeShared(0, n, s.Opts.DecodeSampling)
 }
 
@@ -123,6 +126,9 @@ func (s *SiloFuse) Sample(n int) (*tabular.Table, error) {
 func (s *SiloFuse) SamplePartitioned(n int) ([]*tabular.Table, error) {
 	if s.pipe == nil {
 		return nil, fmt.Errorf("%s: SamplePartitioned before Fit", s.name)
+	}
+	if err := checkRows(s.name, n); err != nil {
+		return nil, err
 	}
 	return s.pipe.SynthesizePartitioned(0, n, s.Opts.DecodeSampling)
 }

@@ -134,6 +134,15 @@ func FastOptions() Options {
 	return o
 }
 
+// checkRows refuses a negative row count, before a model draws or sends
+// anything.
+func checkRows(model string, n int) error {
+	if n < 0 {
+		return fmt.Errorf("%s: cannot sample %d rows", model, n)
+	}
+	return nil
+}
+
 // ModelNames lists the registry names in the paper's table order.
 func ModelNames() []string {
 	return []string{"gan-conv", "gan-linear", "e2e", "e2edistr", "tabddpm", "latentdiff", "silofuse"}

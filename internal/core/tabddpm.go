@@ -149,6 +149,9 @@ func (m *TabDDPM) Sample(n int) (*tabular.Table, error) {
 	if m.net == nil {
 		return nil, fmt.Errorf("TabDDPM: Sample before Fit")
 	}
+	if err := checkRows("TabDDPM", n); err != nil {
+		return nil, err
+	}
 	width := m.enc.Width()
 	seq := m.gauss.S.StridedTimesteps(m.Opts.SynthSteps)
 

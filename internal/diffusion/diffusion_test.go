@@ -2,11 +2,13 @@
 package diffusion
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"silofuse/internal/nn"
 	"silofuse/internal/stats"
 	"silofuse/internal/tensor"
 )
@@ -45,6 +47,43 @@ func TestCosineScheduleInvariants(t *testing.T) {
 	}
 	if s.AlphaBar[s.T] > 0.05 {
 		t.Fatalf("cosine terminal AlphaBar = %v", s.AlphaBar[s.T])
+	}
+}
+
+// TestCosineScheduleClosedForm holds CosineSchedule to Nichol and Dhariwal's
+// closed form, written out here on its own: ᾱ_t = f(t)/f(0) with
+// f(t) = cos²(((t/T) + 0.008)/1.008 · π/2), and β_t = 1 - ᾱ_t/ᾱ_{t-1} capped
+// at 0.999. Wherever no clip fires, ᾱ_t and β_t must agree to 1e-12. The
+// cap fires once, at t = T, where f(T) is cos² of π/2 and β_T would be 1:
+// there the code's β is exactly 0.999. The code's extra floor of 1e-5 on β
+// never fires at these T: the smallest closed-form β is β_1, 4.1e-5 at
+// T = 1000 and larger at smaller T.
+func TestCosineScheduleClosedForm(t *testing.T) {
+	for _, T := range []int{100, 200, 1000} {
+		f := func(t int) float64 {
+			c := math.Cos((float64(t)/float64(T) + 0.008) / 1.008 * math.Pi / 2)
+			return c * c
+		}
+		s := CosineSchedule(T)
+		for tt := 1; tt <= T; tt++ {
+			abPrev, ab := f(tt-1)/f(0), f(tt)/f(0)
+			beta := 1 - ab/abPrev
+			if beta < 1e-5 {
+				t.Fatalf("T=%d: closed-form β_%d = %v is under the code's floor", T, tt, beta)
+			}
+			if beta > 0.999 {
+				if tt != T {
+					t.Fatalf("T=%d: the 0.999 cap fires at t=%d, before t=T", T, tt)
+				}
+				if s.Beta[tt] != 0.999 {
+					t.Fatalf("T=%d: capped β_T = %v, want 0.999", T, s.Beta[tt])
+				}
+				continue
+			}
+			if math.Abs(s.AlphaBar[tt]-ab) > 1e-12 || math.Abs(s.Beta[tt]-beta) > 1e-12 {
+				t.Fatalf("T=%d, t=%d: ᾱ %v β %v, closed form ᾱ %v β %v", T, tt, s.AlphaBar[tt], s.Beta[tt], ab, beta)
+			}
+		}
 	}
 }
 
@@ -375,6 +414,39 @@ func TestReleaseFoldsEMA(t *testing.T) {
 			if v != avg[i][j] {
 				t.Fatal("sampling must leave the weights alone")
 			}
+		}
+	}
+}
+
+// TestSampleAfterRetrainReadsNewWeights: a model that has sampled holds its
+// Linear weights packed for inference. Trained on under EMA and released
+// (Fold), its next Sample must read the weights it has now: it must equal,
+// with ==, a model that never sampled and was loaded with those weights.
+func TestSampleAfterRetrainReadsNewWeights(t *testing.T) {
+	cfg := ModelConfig{Dim: 8, Hidden: 32, Depth: 2, TimeDim: 8, T: 20, LR: 5e-2, EMADecay: 0.9}
+	m := NewModel(rand.New(rand.NewSource(20)), cfg)
+	data := tensor.New(32, cfg.Dim).Randn(rand.New(rand.NewSource(21)), 1)
+	m.TrainStep(data)
+	m.ReleaseTraining()
+	m.SampleWithRng(rand.New(rand.NewSource(22)), 64, 5)
+	for step := 0; step < 5; step++ {
+		m.TrainStep(data)
+	}
+	m.ReleaseTraining()
+
+	fresh := NewModel(rand.New(rand.NewSource(23)), cfg)
+	var stream bytes.Buffer
+	if err := nn.SaveParams(&stream, m.Net.Params()); err != nil {
+		t.Fatal(err)
+	}
+	if err := nn.LoadParams(&stream, fresh.Net.Params()); err != nil {
+		t.Fatal(err)
+	}
+	got := m.SampleWithRng(rand.New(rand.NewSource(24)), 64, 5)
+	want := fresh.SampleWithRng(rand.New(rand.NewSource(24)), 64, 5)
+	for i := range want.Data {
+		if got.Data[i] != want.Data[i] {
+			t.Fatalf("sample %d is %v, a model loaded with the same weights draws %v", i, got.Data[i], want.Data[i])
 		}
 	}
 }

@@ -181,6 +181,9 @@ func (c *Checkpoint) Ints(name string, vs []int) {
 func (c *Checkpoint) Params(section string, ps []*Param) {
 	for i, p := range ps {
 		c.Tensor(paramRecord(section, i, p.Name), p.Value.Rows, p.Value.Cols, p.Value.Data)
+		if c.Loading() {
+			p.Changed()
+		}
 	}
 }
 

@@ -35,5 +35,6 @@ func (e *EMA) Update() {
 func (e *EMA) Fold() {
 	for i, p := range e.params {
 		copy(p.Value.Data, e.shadow[i])
+		p.Changed()
 	}
 }

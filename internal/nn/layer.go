@@ -29,11 +29,21 @@ import "silofuse/internal/tensor"
 // is training state: nil until the first Backward through the parameter's
 // layer (EnsureGrad), and nil again once the optimiser's ReleaseTraining has
 // run, so a model that is not training holds its values and nothing else.
+//
+// Every write to Value's elements after construction goes through Changed,
+// which is what tells a layer that keeps a packed copy of the weights for
+// inference (Linear) to rebuild it: the optimisers' steps, EMA's Fold and a
+// checkpoint load call it.
 type Param struct {
 	Name  string
 	Value *tensor.Matrix
 	Grad  *tensor.Matrix
+
+	version uint64 // counts Changed calls
 }
+
+// Changed records that Value's elements have been written.
+func (p *Param) Changed() { p.version++ }
 
 // NewParam wraps value as a parameter; its gradient is allocated on first use.
 func NewParam(name string, value *tensor.Matrix) *Param {
@@ -69,10 +79,21 @@ type Sequential struct {
 // NewSequential builds a Sequential from the given layers.
 func NewSequential(layers ...Layer) *Sequential { return &Sequential{Layers: layers} }
 
-// Forward applies every layer in order.
+// Forward applies every layer in order. At inference a Linear followed by a
+// GELU runs as one product with the activation as its epilogue, leaving both
+// layers what their own Forwards would have left.
 func (s *Sequential) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	for _, l := range s.Layers {
-		x = l.Forward(x, train)
+	for i := 0; i < len(s.Layers); i++ {
+		if !train && i+1 < len(s.Layers) {
+			l, linear := s.Layers[i].(*Linear)
+			g, gelu := s.Layers[i+1].(*GELU)
+			if linear && gelu {
+				x = l.forwardGELU(x, g)
+				i++
+				continue
+			}
+		}
+		x = s.Layers[i].Forward(x, train)
 	}
 	return x
 }

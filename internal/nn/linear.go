@@ -17,6 +17,12 @@ type Linear struct {
 	// view of dW's storage.
 	out, dW, gin, wT *tensor.Matrix
 	bsums            []float64
+
+	// packed is W in the tile's panel layout for inference Forwards, as of
+	// W's version packedAt: weights that have not changed since are not
+	// packed again.
+	packed   tensor.Packed
+	packedAt uint64
 }
 
 // NewLinear creates a Linear layer with Kaiming-uniform initialised weights.
@@ -27,11 +33,38 @@ func NewLinear(rng *rand.Rand, in, out int) *Linear {
 	return &Linear{W: NewParam("linear.W", w), B: NewParam("linear.b", b)}
 }
 
-// Forward computes xW + b.
-func (l *Linear) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
+// Forward computes xW + b. A training Forward packs W's panels per call, as
+// its weights change every step; an inference Forward reads them from the
+// packed copy, which is rebuilt only when W has changed since it was made.
+// The bits are the same either way.
+func (l *Linear) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
+	if !train {
+		return l.infer(x, nil)
+	}
 	l.input = x
 	l.out = tensor.Ensure(l.out, x.Rows, l.W.Value.Cols)
 	return tensor.MatMulAddRowInto(l.out, x, l.W.Value, l.B.Value)
+}
+
+// forwardGELU is an inference Forward of l followed by g's, as one product
+// with GELU applied to each pool chunk's rows: l and g keep what their own
+// Forwards keep, so a Backward after it sees no difference.
+func (l *Linear) forwardGELU(x *tensor.Matrix, g *GELU) *tensor.Matrix {
+	g.out = tensor.Ensure(g.out, x.Rows, l.W.Value.Cols)
+	g.input, g.kept = l.infer(x, g.out), false
+	return g.out
+}
+
+// infer is an inference Forward that also stores gelu of its output into
+// act unless act is nil. It reads W from the packed copy.
+func (l *Linear) infer(x, act *tensor.Matrix) *tensor.Matrix {
+	l.input = x
+	l.out = tensor.Ensure(l.out, x.Rows, l.W.Value.Cols)
+	if l.packed.Matrix() != l.W.Value || l.packedAt != l.W.version {
+		l.packed.Repack(l.W.Value)
+		l.packedAt = l.W.version
+	}
+	return tensor.MatMulAddRowPackedInto(l.out, x, &l.packed, l.B.Value, act)
 }
 
 // Backward accumulates dW = xᵀg, db = Σ_rows g and returns g Wᵀ. The product
@@ -72,7 +105,8 @@ func (l *Linear) BackwardParams(gradOut *tensor.Matrix) {
 	}
 }
 
-// ReleaseTraining drops the cached input and every workspace.
+// ReleaseTraining drops the cached input, every workspace and the packed
+// weights.
 func (l *Linear) ReleaseTraining() { *l = Linear{W: l.W, B: l.B} }
 
 // Params returns the weight and bias parameters.

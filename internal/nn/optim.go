@@ -87,6 +87,7 @@ func (a *Adam) Step() {
 	for i, p := range a.params {
 		s.w, s.g, s.m, s.v = p.Value.Data, p.EnsureGrad().Data, a.m[i].Data, a.v[i].Data
 		tensor.ParallelRange(s, len(s.w), len(s.w))
+		p.Changed()
 	}
 }
 

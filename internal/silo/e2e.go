@@ -304,6 +304,9 @@ func (p *E2EPipeline) Synthesize(n int, sample bool) (*tabular.Table, error) {
 	span.SetAttr("rows", n)
 	span.SetAttr("steps", p.Cfg.SynthSteps)
 	defer span.End()
+	if n < 0 {
+		return nil, fmt.Errorf("silo: cannot synthesize %d rows", n)
+	}
 	z := p.gauss.Sample(p.rng, netPredictor{p.net}, n, p.net.In, p.Cfg.SynthSteps, 0)
 	parts, err := p.Coord.splitLatents(z)
 	if err != nil {

@@ -326,6 +326,9 @@ func (p *Pipeline) SynthesizePartitioned(requester int, n int, sample bool) ([]*
 	if requester < 0 || requester >= len(p.Clients) {
 		return nil, fmt.Errorf("silo: invalid requesting client %d", requester)
 	}
+	if n < 0 {
+		return nil, fmt.Errorf("silo: cannot synthesize %d rows", n)
+	}
 	req := &Envelope{From: p.Clients[requester].ID, To: p.Coord.ID, Kind: KindSynthReq}
 	if err := p.Bus.Send(req); err != nil {
 		return nil, err

@@ -76,10 +76,10 @@ func MatMulAddRowInto(dst, a, b, bias *Matrix) *Matrix {
 	return dst
 }
 
-func matmulRows(a, b, _, out *Matrix, lo, hi int) { matmulRange(a, b, out, nil, lo, hi, false) }
+func matmulRows(a, b, _, out *Matrix, lo, hi int) { matmulRange(a, b, out, nil, nil, lo, hi, false) }
 
 func matmulAddRowRows(a, b, bias, out *Matrix, lo, hi int) {
-	matmulRange(a, b, out, bias.Data, lo, hi, false)
+	matmulRange(a, b, out, bias.Data, nil, lo, hi, false)
 }
 
 // addRowRange adds the row vector to output rows [lo, hi), each of which has
@@ -167,7 +167,7 @@ func MatMulT1Into(dst, a, b *Matrix) *Matrix {
 }
 
 // matmulT1Cols stores aᵀ@b for output rows [lo, hi).
-func matmulT1Cols(a, b, _, out *Matrix, lo, hi int) { matmulRange(a, b, out, nil, lo, hi, true) }
+func matmulT1Cols(a, b, _, out *Matrix, lo, hi int) { matmulRange(a, b, out, nil, nil, lo, hi, true) }
 
 // matmulT1Axpy accumulates aᵀ@b for output rows [lo, hi) on the axpy
 // kernels. Four r-rows are fused per axpy4 pass (same scheme as axpyRows:

@@ -180,11 +180,16 @@ func dispatchKernel(kern kernelFn, a, b, c, dst *Matrix, n, work int) {
 // (which, like any chunking, never changes bits), and on the assembly tiers
 // their multiply-adds are cheap enough to have a threshold of their own.
 func dispatchMatmul(kern kernelFn, a, b, c, dst *Matrix, n, work int) {
-	threshold := matmulParallelThreshold
+	dispatch(chunkTask{kern: kern, a: a, b: b, c: c, dst: dst}, n, work, tileM, matmulThreshold())
+}
+
+// matmulThreshold is the multiply-add count from which an accumulating
+// matmul goes to the pool on this process's tier.
+func matmulThreshold() int {
 	if kernelTier == tierGo {
-		threshold = parallelThreshold
+		return parallelThreshold
 	}
-	dispatch(chunkTask{kern: kern, a: a, b: b, c: c, dst: dst}, n, work, tileM, threshold)
+	return matmulParallelThreshold
 }
 
 // dispatchKernel32 is dispatchKernel for float32 kernels: same thresholds,

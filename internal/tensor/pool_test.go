@@ -394,7 +394,14 @@ func TestSteadyStateKernelAllocs(t *testing.T) {
 	bias := randMat(rng, 1, 64)
 	dst, keep := New(64, 64), New(64, 64)
 	ranger := &countRange{visits: make([]int32, 64), out: make([]float64, 64)}
+	var packed Packed
+	packed.Repack(b)
 	checks := map[string]func(){
+		"MatMulAddRowPackedInto": func() { MatMulAddRowPackedInto(dst, a, &packed, bias, keep) },
+		"Repack+MatMulAddRowPackedInto": func() {
+			packed.Repack(b)
+			MatMulAddRowPackedInto(dst, a, &packed, bias, keep)
+		},
 		"MatMulInto":       func() { MatMulInto(dst, a, b) },
 		"MatMulT1Into":     func() { MatMulT1Into(dst, a, b) },
 		"MatMulT2Into":     func() { MatMulT2Into(dst, a, b) },
@@ -435,15 +442,18 @@ func TestPooledDispatchAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	// Big enough to clear parallelThreshold on the elementwise kernels too.
 	a, b := randMat(rng, 256, 256), randMat(rng, 256, 256)
-	dst := New(256, 256)
+	dst, act, bias := New(256, 256), New(256, 256), randMat(rng, 1, 256)
 	ranger := &countRange{visits: make([]int32, 256), out: make([]float64, 256)}
+	var packed Packed
+	packed.Repack(b)
 	checks := map[string]func(){
-		"MatMulInto":    func() { MatMulInto(dst, a, b) },
-		"GELUInto":      func() { GELUInto(dst, a) },
-		"GELUGradInto":  func() { GELUGradInto(dst, a, b) },
-		"AddInto":       func() { AddInto(dst, a, b) },
-		"TransposeInto": func() { TransposeInto(dst, a) },
-		"ParallelRange": func() { ParallelRange(ranger, len(ranger.out), parallelThreshold) },
+		"MatMulAddRowPackedInto": func() { MatMulAddRowPackedInto(dst, a, &packed, bias, act) },
+		"MatMulInto":             func() { MatMulInto(dst, a, b) },
+		"GELUInto":               func() { GELUInto(dst, a) },
+		"GELUGradInto":           func() { GELUGradInto(dst, a, b) },
+		"AddInto":                func() { AddInto(dst, a, b) },
+		"TransposeInto":          func() { TransposeInto(dst, a) },
+		"ParallelRange":          func() { ParallelRange(ranger, len(ranger.out), parallelThreshold) },
 	}
 	const warmup, batches, calls = 1000, 5, 100
 	var ms0, ms1 runtime.MemStats

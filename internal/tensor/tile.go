@@ -40,8 +40,10 @@ func useTile(k, n int) bool { return kernelTier == tierAVX512 && k > 0 && n >= t
 // this process's tier: dense strips through the tile where there is one,
 // everything else through the axpy kernels. A non-nil bias, one addend per
 // output column, is added to every row once its accumulation has finished:
-// in the tile's last store, or by a sweep behind the axpy kernels.
-func matmulRange(a, b, out *Matrix, bias []float64, lo, hi int, t1 bool) {
+// in the tile's last store, or by a sweep behind the axpy kernels. A non-nil
+// panels holds b already packed (Packed's layout), and the tile reads it
+// instead of packing b itself.
+func matmulRange(a, b, out *Matrix, bias, panels []float64, lo, hi int, t1 bool) {
 	kw := a.Cols
 	if t1 {
 		kw = a.Rows
@@ -59,7 +61,11 @@ func matmulRange(a, b, out *Matrix, bias []float64, lo, hi int, t1 bool) {
 				dense |= 1 << s
 			}
 		}
-		if dense != 0 {
+		switch {
+		case dense == 0:
+		case panels != nil:
+			tilePacked(a, b.Cols, out, bias, panels, g0, dense)
+		default:
 			tilePanels(a, b, out, bias, g0, dense, t1)
 		}
 		// Runs of sparse strips, and the rows past the last whole strip.
@@ -125,35 +131,57 @@ func countNonzero(vs []float64) int {
 // the last one adds the bias, if there is one, as it stores.
 func tilePanels(a, b, out *Matrix, bias []float64, g0 int, dense uint64, t1 bool) {
 	var panel [tileKC * tileN]float64
-	n, lda := b.Cols, a.Cols
+	n := b.Cols
 	// a@b reads coefficient (i, k) at a[i][k]; aᵀ@b reads it at a[k][i].
-	kw, aRow, aStep := a.Cols, lda, 1
+	kw, aRow, aStep := a.Cols, a.Cols, 1
 	if t1 {
-		kw, aRow, aStep = a.Rows, 1, lda
+		kw, aRow, aStep = a.Rows, 1, a.Cols
 	}
 	for k0 := 0; k0 < kw; k0 += tileKC {
 		kc := min(tileKC, kw-k0)
 		for j0 := 0; j0 < n; j0 += tileN {
-			mask := uint32(1)<<min(tileN, n-j0) - 1
 			// The tile streams b from a packed, zero-padded copy of the
 			// panel whatever b's width is: unpacked, a power-of-two width
 			// strides the panel's rows onto a handful of cache sets and a
 			// 2932-wide one onto a page per k.
-			packPanel16(&panel[0], &b.Data[k0*n+j0], uintptr(n)*8, kc, mask)
-			var addend *float64
-			if bias != nil && k0+kc == kw {
-				addend = &bias[j0]
-			}
-			for s, m := 0, dense; m != 0; s, m = s+1, m>>1 {
-				if m&1 == 0 {
-					continue
-				}
-				i0 := g0 + s*tileM
-				tile8x16(&out.Data[i0*n+j0], uintptr(n)*8,
-					&a.Data[i0*aRow+k0*aStep], uintptr(aRow)*8, uintptr(aStep)*8,
-					&panel[0], kc, mask, k0 > 0, addend)
-			}
+			packPanel16(&panel[0], &b.Data[k0*n+j0], uintptr(n)*8, kc, panelMask(n, j0))
+			tileStrips(a, out, bias, &panel[0], g0, dense, aRow, aStep, k0, kc, kw, j0)
 		}
+	}
+}
+
+// tilePacked is tilePanels for a@b whose panels were packed ahead of time:
+// the same loop over the same panels in the order Packed stores them.
+func tilePacked(a *Matrix, n int, out *Matrix, bias, panels []float64, g0 int, dense uint64) {
+	kw, off := a.Cols, 0
+	for k0 := 0; k0 < kw; k0 += tileKC {
+		kc := min(tileKC, kw-k0)
+		for j0 := 0; j0 < n; j0 += tileN {
+			tileStrips(a, out, bias, &panels[off], g0, dense, a.Cols, 1, k0, kc, kw, j0)
+			off += kc * tileN
+		}
+	}
+}
+
+// panelMask enables the columns of the 16-wide panel at j0 that b has.
+func panelMask(n, j0 int) uint32 { return uint32(1)<<min(tileN, n-j0) - 1 }
+
+// tileStrips runs one kc x 16 panel, at k0 and output column j0, over every
+// strip of the group at g0 whose bit is set in dense.
+func tileStrips(a, out *Matrix, bias []float64, panel *float64, g0 int, dense uint64, aRow, aStep, k0, kc, kw, j0 int) {
+	n, mask := out.Cols, panelMask(out.Cols, j0)
+	var addend *float64
+	if bias != nil && k0+kc == kw {
+		addend = &bias[j0]
+	}
+	for s, m := 0, dense; m != 0; s, m = s+1, m>>1 {
+		if m&1 == 0 {
+			continue
+		}
+		i0 := g0 + s*tileM
+		tile8x16(&out.Data[i0*n+j0], uintptr(n)*8,
+			&a.Data[i0*aRow+k0*aStep], uintptr(aRow)*8, uintptr(aStep)*8,
+			panel, kc, mask, k0 > 0, addend)
 	}
 }
 

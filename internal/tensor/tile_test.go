@@ -118,8 +118,8 @@ func TestTileMatchesGoReference(t *testing.T) {
 					// 500 rows go as two ragged chunks of 250, so row tails run
 					// beside tiles; the others as one chunk after an empty one.
 					cut := m / 500 * 250
-					matmulRange(form.a, b, got, form.bias, 0, cut, form.t1)
-					matmulRange(form.a, b, got, form.bias, cut, m, form.t1)
+					matmulRange(form.a, b, got, form.bias, nil, 0, cut, form.t1)
+					matmulRange(form.a, b, got, form.bias, nil, cut, m, form.t1)
 					assertSameFloats(t, fmt.Sprintf("%s %dx%dx%d", form.name, m, k, n), form.want.Data, got.Data)
 					if buf[2] != guard || buf[3+m*n] != guard {
 						t.Fatalf("%s %dx%dx%d: element outside dst changed", form.name, m, k, n)
