@@ -68,14 +68,16 @@ test-chaos:
 # The transport and telemetry layers are exercised under the race detector;
 # the silo package trains real models, so give it a generous timeout. The
 # tensor package is included because its worker pool is the one piece of
-# hand-rolled concurrency under every training loop; core and experiments
-# ride along because they drive the concurrent protocols end to end. The
+# hand-rolled concurrency under every training loop, and nn because a
+# training step hands its dropout masks to that pool from another goroutine
+# while the products run; core and experiments ride along because they drive
+# the concurrent protocols end to end. The
 # detector instruments Go code only: it does not see the loads and stores of
 # the tile, axpy and lane-kernel assembly, so a race on a matrix that only those kernels
 # touch goes unreported here; `go test -race -tags purego` covers the same kernels
 # as instrumented Go loops.
 race:
-	$(GO) test -race -timeout 30m ./internal/silo/... ./internal/obs/... ./internal/tensor/... ./internal/core/... ./internal/experiments/... ./internal/diffusion/...
+	$(GO) test -race -timeout 30m ./internal/silo/... ./internal/obs/... ./internal/tensor/... ./internal/nn/... ./internal/core/... ./internal/experiments/... ./internal/diffusion/...
 
 # fuzz-smoke runs the three decoders of outside bytes against mutated input
 # for a fixed short budget each. The wire decoder on frames: malformed input

@@ -184,10 +184,10 @@ func sampleCategory(rng *rand.Rand, logits, w, b, z []float64, factors int) int 
 			max = l
 		}
 	}
+	tensor.ExpSubInto(logits, logits, max) // math.Exp's bits, on the lane kernel where there is one
 	sum := 0.0
-	for k := range logits {
-		logits[k] = math.Exp(logits[k] - max)
-		sum += logits[k]
+	for _, e := range logits {
+		sum += e
 	}
 	u := rng.Float64() * sum
 	acc := 0.0

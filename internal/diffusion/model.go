@@ -54,6 +54,7 @@ type Model struct {
 	ema                              *nn.EMA
 	tsBuf                            []int
 	epsBuf, xtBuf, gradBuf, batchBuf *tensor.Matrix
+	noise                            noiseDraw
 
 	// Sampling workspaces (SampleBatchWithRngs, which every sample runs
 	// through): the ping-pong matrices, the timestep slice, and the strided
@@ -100,6 +101,21 @@ func (m *Model) ReleaseTraining() {
 	m.Net.ReleaseTraining()
 	m.Opt.ReleaseTraining()
 	m.tsBuf, m.epsBuf, m.xtBuf, m.gradBuf, m.batchBuf = nil, nil, nil, nil, nil
+	m.noise = noiseDraw{}
+}
+
+// noiseDraw draws a step's ε on the pool, beside the packing of the step's
+// weights, and says when it is done. Nothing else reads the model's rng
+// until then, so the draw is the one the step would take itself.
+type noiseDraw struct {
+	eps  *tensor.Matrix
+	rng  *rand.Rand
+	done chan struct{}
+}
+
+func (d *noiseDraw) RunRange(_, _ int) {
+	d.eps.Randn(d.rng, 1)
+	d.done <- struct{}{}
 }
 
 // TrainStep performs one optimisation step on a batch of clean data x0:
@@ -113,13 +129,20 @@ func (m *Model) TrainStep(x0 *tensor.Matrix) float64 {
 	ts := m.tsBuf
 	m.G.SampleTimestepsInto(m.rng, ts)
 	m.epsBuf = tensor.Ensure(m.epsBuf, x0.Rows, x0.Cols)
-	eps := m.epsBuf.Randn(m.rng, 1)
+	if m.noise.done == nil {
+		m.noise.done = make(chan struct{}, 1)
+	}
+	m.noise.eps, m.noise.rng = m.epsBuf, m.rng
+	tensor.Beside(&m.noise)
+	m.Net.Prepack(x0.Rows)
+	<-m.noise.done
+	eps := m.epsBuf
 	m.xtBuf = tensor.Ensure(m.xtBuf, x0.Rows, x0.Cols)
 	xt := m.G.QSampleInto(m.xtBuf, x0, ts, eps)
 	pred := m.Net.Forward(xt, ts, true)
 	m.gradBuf = tensor.Ensure(m.gradBuf, pred.Rows, pred.Cols)
 	loss := nn.MSELossInto(pred, eps, m.gradBuf)
-	m.Net.Backward(m.gradBuf)
+	m.Net.BackwardParams(m.gradBuf) // x_t is data: nobody reads its gradient
 	m.Opt.Step()
 	if m.ema != nil {
 		m.ema.Update()

@@ -3,6 +3,7 @@ package diffusion
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"silofuse/internal/tensor"
@@ -30,6 +31,34 @@ func TestTrainStepSteadyStateAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(20, func() { m.TrainStep(x0) }); allocs != 0 {
 		t.Fatalf("warm TrainStep performs %v allocs, want 0", allocs)
+	}
+}
+
+// TestTrainStepWithDropoutAllocs is TestTrainStepSteadyStateAllocs with the
+// paper's dropout of 0.01, whose masks are drawn beside the products and ε
+// beside the packing: a warm step still allocates nothing, and it leaves the
+// process no more goroutines than it found, after every step and after
+// ReleaseTraining.
+func TestTrainStepWithDropoutAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	m := NewModel(rng, ModelConfig{Dim: 8, Hidden: 64, Depth: 3, TimeDim: 16, T: 100, LR: 1e-3, Dropout: 0.01})
+	x0 := tensor.New(32, 8).Randn(rng, 1)
+	for i := 0; i < 3; i++ {
+		m.TrainStep(x0)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { m.TrainStep(x0) }); allocs != 0 {
+		t.Fatalf("warm TrainStep with dropout performs %v allocs, want 0", allocs)
+	}
+	base := runtime.NumGoroutine()
+	for i := 0; i < 5; i++ {
+		m.TrainStep(x0)
+		if n := runtime.NumGoroutine(); n > base {
+			t.Fatalf("step %d: %d goroutines, %d before it", i, n, base)
+		}
+	}
+	m.ReleaseTraining()
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("after ReleaseTraining: %d goroutines, %d before", n, base)
 	}
 }
 
@@ -70,5 +99,20 @@ func BenchmarkSampleStep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i += steps {
 		m.SampleWithRng(rng, n, steps)
+	}
+}
+
+// BenchmarkTrainStepNarrow is one DDPM step at the coordinator's shape on
+// the train_narrow benchmark workload: latent 128, hidden 256, depth 4,
+// batch 256, dropout 0.01.
+func BenchmarkTrainStepNarrow(b *testing.B) {
+	rng := rand.New(rand.NewSource(52))
+	m := NewModel(rng, ModelConfig{Dim: 128, Hidden: 256, Depth: 4, TimeDim: 32, T: 200, LR: 1e-3, Dropout: 0.01})
+	x0 := tensor.New(256, 128).Randn(rng, 1)
+	m.TrainStep(x0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.TrainStep(x0)
 	}
 }

@@ -19,6 +19,8 @@ type GELU struct {
 	// Forward parks it there, in the workspace that is idle until Backward
 	// overwrites it with the gradient, so keeping it costs no memory.
 	kept bool
+
+	dropped droppedGrad // backwardDropped in flight, as a RangeKernel
 }
 
 // Forward applies gelu elementwise, on the tensor worker pool once the
@@ -43,6 +45,36 @@ func (g *GELU) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 	}
 	g.gin = tensor.Ensure(g.gin, gradOut.Rows, gradOut.Cols)
 	return tensor.GELUGradInto(g.gin, g.input, gradOut)
+}
+
+// backwardDropped is d's Backward followed by g's, for a GELU whose output d
+// dropped in training, as one pass on the pool: each chunk applies the mask
+// and then gelu' to its own elements. Both layers' workspaces end as their
+// own Backwards leave them.
+func (g *GELU) backwardDropped(gradOut *tensor.Matrix, d *Dropout) *tensor.Matrix {
+	d.gin = tensor.Ensure(d.gin, gradOut.Rows, gradOut.Cols)
+	g.kept = false
+	g.dropped = droppedGrad{g: g, d: d, gradOut: gradOut}
+	n := len(gradOut.Data)
+	tensor.ParallelRange(&g.dropped, n, n)
+	g.dropped = droppedGrad{}
+	return g.gin
+}
+
+// droppedGrad is backwardDropped's kernel: Dropout.Backward's product, then
+// GELU.Backward's from the erf its Forward kept, over the same elements.
+type droppedGrad struct {
+	g       *GELU
+	d       *Dropout
+	gradOut *tensor.Matrix
+}
+
+func (k *droppedGrad) RunRange(lo, hi int) {
+	masked, mask := k.d.gin.Data[lo:hi], k.d.mask.Data[lo:hi]
+	for i, v := range k.gradOut.Data[lo:hi] {
+		masked[i] = v * mask[i]
+	}
+	tensor.GELUGradKeptRange(k.g.gin, k.g.input, k.g.gin, k.d.gin, lo, hi)
 }
 
 // Params returns nil; GELU has no parameters.

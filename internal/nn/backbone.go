@@ -28,16 +28,37 @@ type DiffusionMLP struct {
 	// copies precomputed rows. hsum is the add-node workspace.
 	embed [][]float64
 	hsum  *tensor.Matrix
+	add   addNode // the add node, run as the time projection's epilogue
+
+	// drawer draws the blocks' dropout masks, in layer order, on the pool
+	// while a training Forward runs the products ahead of each.
+	drawer maskDrawer
+}
+
+// maskDrawer is the one serial job of a training Forward: every Dropout's
+// mask from the rng they share, one after another, each handed over as soon
+// as it is drawn. The products run meanwhile and nothing else reads that rng
+// until the last mask is drawn, so the stream is the one drawing each mask in
+// its own Forward would take.
+type maskDrawer struct{ drops []*Dropout }
+
+func (m *maskDrawer) RunRange(_, _ int) {
+	for _, d := range m.drops {
+		d.drawMask()
+		d.drawn <- struct{}{}
+	}
 }
 
 // NewDiffusionMLP builds a backbone with depth hidden blocks. timeDim is the
 // sinusoidal embedding width (must be even).
 func NewDiffusionMLP(rng *rand.Rand, in, hidden, out, depth, timeDim int, dropout float64) *DiffusionMLP {
 	var layers []Layer
+	var drops []*Dropout
 	for i := 0; i < depth; i++ {
 		layers = append(layers, NewLinear(rng, hidden, hidden), &GELU{})
 		if dropout > 0 {
-			layers = append(layers, NewDropout(rng, dropout))
+			drops = append(drops, NewDropout(rng, dropout))
+			layers = append(layers, drops[len(drops)-1])
 		}
 	}
 	return &DiffusionMLP{
@@ -46,6 +67,7 @@ func NewDiffusionMLP(rng *rand.Rand, in, hidden, out, depth, timeDim int, dropou
 		timeProj: NewLinear(rng, timeDim, hidden),
 		blocks:   NewSequential(layers...),
 		outProj:  NewLinear(rng, hidden, out),
+		drawer:   maskDrawer{drops: drops},
 	}
 }
 
@@ -73,8 +95,15 @@ func (d *DiffusionMLP) WarmTimesteps(maxT int) {
 	}
 }
 
-// Forward predicts the noise for inputs x at per-row timesteps ts.
+// Forward predicts the noise for inputs x at per-row timesteps ts. A training
+// Forward hands the dropout masks to the drawer first.
 func (d *DiffusionMLP) Forward(x *tensor.Matrix, ts []int, train bool) *tensor.Matrix {
+	if train && len(d.drawer.drops) > 0 {
+		for _, dr := range d.drawer.drops {
+			dr.prepare(x.Rows, d.Hidden)
+		}
+		tensor.Beside(&d.drawer)
+	}
 	h := d.inProj.Forward(x, train)
 	if !train && uniformTimestep(ts) {
 		// A denoising step: every row carries the same t, so its embedding
@@ -90,9 +119,11 @@ func (d *DiffusionMLP) Forward(x *tensor.Matrix, ts []int, train bool) *tensor.M
 		for i, t := range ts {
 			copy(d.tfeat.Row(i), d.embedRow(t))
 		}
-		te := d.timeProj.Forward(d.tfeat, train)
 		d.hsum = tensor.Ensure(d.hsum, h.Rows, h.Cols)
-		h = tensor.AddInto(d.hsum, h, te)
+		d.add = addNode{h: h, sum: d.hsum, te: d.timeProj}
+		d.timeProj.forward(d.tfeat, tensor.Epilogue{Then: &d.add})
+		d.add = addNode{}
+		h = d.hsum
 	}
 	h = d.blocks.Forward(h, train)
 	return d.outProj.Forward(h, train)
@@ -115,11 +146,55 @@ func uniformTimestep(ts []int) bool {
 // Backward propagates the output gradient, accumulating parameter gradients,
 // and returns dL/dx.
 func (d *DiffusionMLP) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
+	return d.inProj.backwardFrom(d.backwardTrunk(gradOut))
+}
+
+// BackwardParams is Backward for a caller that does not read dL/dx, as a
+// DDPM trained on fixed data does not: parameter gradients accumulate exactly
+// as in Backward, and the input projection's g·Wᵀ is skipped.
+func (d *DiffusionMLP) BackwardParams(gradOut *tensor.Matrix) {
+	d.inProj.paramsFrom(d.backwardTrunk(gradOut))
+}
+
+// backwardTrunk runs Backward down to the add node and returns its gradient,
+// packed: the add node fans it to both the input and the time projection,
+// and one packing serves both weight gradients.
+func (d *DiffusionMLP) backwardTrunk(gradOut *tensor.Matrix) *tensor.Packed {
 	g := d.outProj.Backward(gradOut)
 	g = d.blocks.Backward(g)
-	// The add node fans the gradient to both the input and time projections.
 	d.timeProj.BackwardParams(g) // nobody reads the gradient w.r.t. the sinusoidal features
-	return d.inProj.Backward(g)
+	return &d.timeProj.gradP
+}
+
+// Prepack packs every layer's weights as a training step on a batch of rows
+// rows reads them, so that the step's products find them packed: a caller
+// with serial work to do before the step, such as drawing its noise, runs
+// it beside this.
+func (d *DiffusionMLP) Prepack(rows int) {
+	// BackwardParams reads neither projection's Wᵀ; a Backward packs the
+	// input projection's when it reaches it.
+	d.inProj.prepack(rows, false)
+	d.timeProj.prepack(rows, false)
+	for _, l := range d.blocks.Layers {
+		if l, ok := l.(*Linear); ok {
+			l.prepack(rows, true)
+		}
+	}
+	d.outProj.prepack(rows, true)
+}
+
+// addNode stores h + te, te being the time projection's output, element by
+// element as AddInto adds them.
+type addNode struct {
+	h, sum *tensor.Matrix
+	te     *Linear
+}
+
+func (k *addNode) RunRange(lo, hi int) {
+	sum, te := k.sum.Data[lo:hi], k.te.out.Data[lo:hi]
+	for i, v := range k.h.Data[lo:hi] {
+		sum[i] = v + te[i]
+	}
 }
 
 // ReleaseTraining drops every layer's workspaces and the backbone's own. The

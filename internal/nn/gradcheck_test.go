@@ -49,17 +49,24 @@ func checkLayerGradients(t *testing.T, l Layer, x *tensor.Matrix, tol float64) {
 	for _, p := range l.Params() {
 		for i := range p.Value.Data {
 			orig := p.Value.Data[i]
-			p.Value.Data[i] = orig + h
+			perturb(p, i, orig+h)
 			lp := loss()
-			p.Value.Data[i] = orig - h
+			perturb(p, i, orig-h)
 			lm := loss()
-			p.Value.Data[i] = orig
+			perturb(p, i, orig)
 			num := (lp - lm) / (2 * h)
 			if math.Abs(num-p.Grad.Data[i]) > tol*(1+math.Abs(num)) {
 				t.Fatalf("param %s grad mismatch at %d: analytic %g vs numeric %g", p.Name, i, p.Grad.Data[i], num)
 			}
 		}
 	}
+}
+
+// perturb sets element i of p's value to v, as every writer of a value does:
+// through Changed, so that a layer holding p packed repacks it.
+func perturb(p *Param, i int, v float64) {
+	p.Value.Data[i] = v
+	p.Changed()
 }
 
 func TestLinearGradients(t *testing.T) {
@@ -147,11 +154,11 @@ func TestDiffusionMLPGradients(t *testing.T) {
 	for _, p := range d.Params() {
 		for i := 0; i < len(p.Value.Data); i += 7 { // sample every 7th for speed
 			orig := p.Value.Data[i]
-			p.Value.Data[i] = orig + h
+			perturb(p, i, orig+h)
 			lp := loss()
-			p.Value.Data[i] = orig - h
+			perturb(p, i, orig-h)
 			lm := loss()
-			p.Value.Data[i] = orig
+			perturb(p, i, orig)
 			num := (lp - lm) / (2 * h)
 			if math.Abs(num-p.Grad.Data[i]) > 1e-4*(1+math.Abs(num)) {
 				t.Fatalf("param %s grad mismatch at %d: %g vs %g", p.Name, i, p.Grad.Data[i], num)
@@ -467,6 +474,7 @@ func TestLinearBackwardMatchesDotForm(t *testing.T) {
 				}
 				// Move the weights so a stale transposed copy would show.
 				l.W.Value.AddScaled(l.W.Grad, -0.01)
+				l.W.Changed()
 			}
 		}
 		runtime.GOMAXPROCS(prev)

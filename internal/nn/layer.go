@@ -40,6 +40,11 @@ type Param struct {
 	Grad  *tensor.Matrix
 
 	version uint64 // counts Changed calls
+
+	// gradZero says Grad holds +0 in every element and has not been handed
+	// out for writing since: Adam's sweep and ZeroGrads leave it so, and
+	// EnsureGrad, which every writer of Grad goes through, ends it.
+	gradZero bool
 }
 
 // Changed records that Value's elements have been written.
@@ -52,11 +57,24 @@ func NewParam(name string, value *tensor.Matrix) *Param {
 
 // EnsureGrad returns the gradient every Backward accumulates into and every
 // optimiser step reads, allocating it zeroed if nothing has written it yet.
+// Every write to Grad's elements goes through it.
 func (p *Param) EnsureGrad() *tensor.Matrix {
 	if p.Grad == nil {
 		p.Grad = tensor.New(p.Value.Rows, p.Value.Cols)
 	}
+	p.gradZero = false
 	return p.Grad
+}
+
+// accumGrad is EnsureGrad for a Backward that adds one contribution, and
+// reports whether the gradient is known to be all +0: freshly allocated, or
+// cleared by the optimiser or ZeroGrads and untouched since. The Backward
+// may then store its contribution in place of adding it, with the same bits:
+// +0 + x is x for every x a product or column sum yields, as their chains
+// start at +0 and so never end at -0.
+func (p *Param) accumGrad() (g *tensor.Matrix, zero bool) {
+	zero = p.Grad == nil || p.gradZero
+	return p.EnsureGrad(), zero
 }
 
 // Layer is one differentiable module.
@@ -79,17 +97,20 @@ type Sequential struct {
 // NewSequential builds a Sequential from the given layers.
 func NewSequential(layers ...Layer) *Sequential { return &Sequential{Layers: layers} }
 
-// Forward applies every layer in order. At inference a Linear followed by a
-// GELU runs as one product with the activation as its epilogue, leaving both
-// layers what their own Forwards would have left.
+// Forward applies every layer in order. A Linear followed by a GELU, and in
+// training by a Dropout too, runs as one product with the others as its
+// epilogue, leaving every layer what its own Forward would have left.
 func (s *Sequential) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	for i := 0; i < len(s.Layers); i++ {
-		if !train && i+1 < len(s.Layers) {
+		if i+1 < len(s.Layers) {
 			l, linear := s.Layers[i].(*Linear)
 			g, gelu := s.Layers[i+1].(*GELU)
 			if linear && gelu {
-				x = l.forwardGELU(x, g)
-				i++
+				d := s.trainingDropout(i+2, train)
+				x = l.forwardGELU(x, g, train, d)
+				if i++; d != nil {
+					i++
+				}
 				continue
 			}
 		}
@@ -98,9 +119,38 @@ func (s *Sequential) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	return x
 }
 
-// Backward propagates the gradient through all layers in reverse order.
+// trainingDropout returns layer i if it is a Dropout that drops something in
+// a training Forward, and nil otherwise.
+func (s *Sequential) trainingDropout(i int, train bool) *Dropout {
+	if !train || i >= len(s.Layers) {
+		return nil
+	}
+	if d, ok := s.Layers[i].(*Dropout); ok && d.P > 0 {
+		return d
+	}
+	return nil
+}
+
+// Backward propagates the gradient through all layers in reverse order. A
+// Dropout that dropped a GELU's output in training runs its Backward and the
+// GELU's as one pass.
 func (s *Sequential) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
-	for i := len(s.Layers) - 1; i >= 0; i-- {
+	return s.backwardDownTo(0, gradOut)
+}
+
+// backwardDownTo runs the Backwards of layers len-1 down to lo and returns
+// the gradient of layer lo's input.
+func (s *Sequential) backwardDownTo(lo int, gradOut *tensor.Matrix) *tensor.Matrix {
+	for i := len(s.Layers) - 1; i >= lo; i-- {
+		if i > lo {
+			d, _ := s.Layers[i].(*Dropout)
+			g, _ := s.Layers[i-1].(*GELU)
+			if d != nil && d.mask != nil && g != nil && g.kept {
+				gradOut = g.backwardDropped(gradOut, d)
+				i--
+				continue
+			}
+		}
 		gradOut = s.Layers[i].Backward(gradOut)
 	}
 	return gradOut
@@ -120,9 +170,7 @@ func (s *Sequential) BackwardParams(gradOut *tensor.Matrix) {
 	if len(s.Layers) == 0 {
 		return
 	}
-	for i := len(s.Layers) - 1; i > 0; i-- {
-		gradOut = s.Layers[i].Backward(gradOut)
-	}
+	gradOut = s.backwardDownTo(1, gradOut)
 	if first, ok := s.Layers[0].(paramsBackwarder); ok {
 		first.BackwardParams(gradOut)
 		return
@@ -144,6 +192,7 @@ func ZeroGrads(ps []*Param) {
 	for _, p := range ps {
 		if p.Grad != nil {
 			p.Grad.Zero()
+			p.gradZero = true
 		}
 	}
 }

@@ -13,16 +13,17 @@ type Linear struct {
 	input *tensor.Matrix // cached for Backward
 
 	// Persistent workspaces, reused verbatim while the batch shape is
-	// unchanged; see the layer contract in layer.go. wT is a transposed-shape
-	// view of dW's storage.
-	out, dW, gin, wT *tensor.Matrix
-	bsums            []float64
+	// unchanged; see the layer contract in layer.go. dW is only sized by a
+	// Backward that adds onto a gradient already holding something.
+	out, dW, gin *tensor.Matrix
+	bsums        []float64
 
-	// packed is W in the tile's panel layout for inference Forwards, as of
-	// W's version packedAt: weights that have not changed since are not
-	// packed again.
-	packed   tensor.Packed
-	packedAt uint64
+	// packed is W in the tile's panel layout as of W's version packedAt, and
+	// packedT is Wᵀ, packed from W, as of packedTAt: weights that have not
+	// changed since are not packed again. gradP is a Backward's gradOut,
+	// packed once for all the chunks of the weight gradient.
+	packed, packedT, gradP tensor.Packed
+	packedAt, packedTAt    uint64
 }
 
 // NewLinear creates a Linear layer with Kaiming-uniform initialised weights.
@@ -33,75 +34,130 @@ func NewLinear(rng *rand.Rand, in, out int) *Linear {
 	return &Linear{W: NewParam("linear.W", w), B: NewParam("linear.b", b)}
 }
 
-// Forward computes xW + b. A training Forward packs W's panels per call, as
-// its weights change every step; an inference Forward reads them from the
-// packed copy, which is rebuilt only when W has changed since it was made.
-// The bits are the same either way.
+// Forward computes xW + b, reading W from the packed copy, which is rebuilt
+// only when W has changed since it was made: once per step in training, once
+// per weight update at inference. The bits are the same as packing W per
+// call.
 func (l *Linear) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	if !train {
-		return l.infer(x, nil)
+	return l.forward(x, tensor.Epilogue{})
+}
+
+// forwardGELU is a Forward of l followed by g's and, unless d is nil, a
+// training Forward of d's, as one product: each pool chunk applies GELU and
+// the dropout mask to its own rows while they are cache-hot. Every layer
+// keeps what its own Forward keeps, so a Backward after it sees no
+// difference.
+func (l *Linear) forwardGELU(x *tensor.Matrix, g *GELU, train bool, d *Dropout) *tensor.Matrix {
+	rows, n := x.Rows, l.W.Value.Cols
+	g.out = tensor.Ensure(g.out, rows, n)
+	ep := tensor.Epilogue{Act: g.out}
+	if train {
+		g.gin = tensor.Ensure(g.gin, rows, n)
+		ep.Keep = g.gin
 	}
-	l.input = x
-	l.out = tensor.Ensure(l.out, x.Rows, l.W.Value.Cols)
-	return tensor.MatMulAddRowInto(l.out, x, l.W.Value, l.B.Value)
+	out := g.out
+	if d != nil {
+		ep.Then, out = d.applier(g.out)
+	}
+	g.input, g.kept = l.forward(x, ep), train
+	return out
 }
 
-// forwardGELU is an inference Forward of l followed by g's, as one product
-// with GELU applied to each pool chunk's rows: l and g keep what their own
-// Forwards keep, so a Backward after it sees no difference.
-func (l *Linear) forwardGELU(x *tensor.Matrix, g *GELU) *tensor.Matrix {
-	g.out = tensor.Ensure(g.out, x.Rows, l.W.Value.Cols)
-	g.input, g.kept = l.infer(x, g.out), false
-	return g.out
-}
-
-// infer is an inference Forward that also stores gelu of its output into
-// act unless act is nil. It reads W from the packed copy.
-func (l *Linear) infer(x, act *tensor.Matrix) *tensor.Matrix {
+// forward is a Forward with the epilogue ep.
+func (l *Linear) forward(x *tensor.Matrix, ep tensor.Epilogue) *tensor.Matrix {
 	l.input = x
 	l.out = tensor.Ensure(l.out, x.Rows, l.W.Value.Cols)
+	l.refresh()
+	return tensor.MatMulAddRowPackedInto(l.out, x, &l.packed, l.B.Value, ep)
+}
+
+// Backward accumulates dW = xᵀg, db = Σ_rows g and returns g Wᵀ. The product
+// is taken as g @ (Wᵀ), with Wᵀ packed from W once per weight version, which
+// puts it on the same column-vectorised kernel as Forward; each output
+// element is still summed in ascending-k order from +0, so for finite
+// weights the bits equal the dot-product form tensor.MatMulT2Into.
+func (l *Linear) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
+	l.gradP.Repack(gradOut)
+	return l.backwardFrom(&l.gradP)
+}
+
+// backwardFrom is Backward for the gradOut g stands for.
+func (l *Linear) backwardFrom(g *tensor.Packed) *tensor.Matrix {
+	l.paramsFrom(g)
+	gradOut, w := g.Matrix(), l.W.Value
+	l.refreshT()
+	l.gin = tensor.Ensure(l.gin, gradOut.Rows, w.Rows)
+	return tensor.MatMulPackedInto(l.gin, gradOut, &l.packedT)
+}
+
+// refresh makes packed stand for W as it is now, unless it already does;
+// refreshT does the same for packedT.
+func (l *Linear) refresh() {
 	if l.packed.Matrix() != l.W.Value || l.packedAt != l.W.version {
 		l.packed.Repack(l.W.Value)
 		l.packedAt = l.W.version
 	}
-	return tensor.MatMulAddRowPackedInto(l.out, x, &l.packed, l.B.Value, act)
 }
 
-// Backward accumulates dW = xᵀg, db = Σ_rows g and returns g Wᵀ. The product
-// is taken as g @ (Wᵀ) on a transposed copy of the weights refreshed every
-// call, which puts it on the same column-vectorised kernel as Forward; each
-// output element is still summed in ascending-k order from +0, so for finite
-// weights the bits equal the dot-product form tensor.MatMulT2Into.
-func (l *Linear) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
-	l.BackwardParams(gradOut)
-	w := l.W.Value
-	tensor.TransposeInto(l.wT, w) // into dW's storage, dead since BackwardParams added it to W.Grad
-	l.gin = tensor.Ensure(l.gin, gradOut.Rows, w.Rows)
-	return tensor.MatMulInto(l.gin, gradOut, l.wT)
+func (l *Linear) refreshT() {
+	if l.packedT.Matrix() != l.W.Value || l.packedTAt != l.W.version {
+		l.packedT.RepackT(l.W.Value)
+		l.packedTAt = l.W.version
+	}
+}
+
+// prepack packs W, and Wᵀ if withT, as a training step on a batch of rows
+// rows will read them, ahead of the step.
+func (l *Linear) prepack(rows int, withT bool) {
+	l.refresh()
+	l.packed.Pack(rows)
+	if withT {
+		l.refreshT()
+		l.packedT.Pack(rows)
+	}
 }
 
 // BackwardParams is Backward without the input gradient: it accumulates dW
 // and db exactly as Backward does and skips g Wᵀ. For the first layer of a
 // network, whose input gradient nobody reads.
 func (l *Linear) BackwardParams(gradOut *tensor.Matrix) {
+	l.gradP.Repack(gradOut)
+	l.paramsFrom(&l.gradP)
+}
+
+// paramsFrom is BackwardParams for the gradOut g stands for, which another
+// layer fed the same gradient may have packed already.
+//
+// A gradient known to be all +0 (the first Backward after a step) takes dW
+// and db in place, and one that already holds a contribution (a second
+// Backward before the step, as in a GAN discriminator's real-then-fake pass)
+// has them added from a workspace: the bits of adding every time.
+func (l *Linear) paramsFrom(g *tensor.Packed) {
 	w := l.W.Value
-	if dW := tensor.Ensure(l.dW, w.Rows, w.Cols); dW != l.dW {
-		// Wᵀ has as many elements as dW, and dW is dead once it has been
-		// added into W.Grad: Backward's transposed copy borrows dW's
-		// storage under its own shape, so it costs the layer no memory.
-		l.dW, l.wT = dW, tensor.FromSlice(w.Cols, w.Rows, dW.Data)
+	wGrad, zero := l.W.accumGrad()
+	dW := wGrad
+	if !zero {
+		l.dW = tensor.Ensure(l.dW, w.Rows, w.Cols)
+		dW = l.dW
 	}
-	tensor.MatMulT1Into(l.dW, l.input, gradOut)
-	wGrad := l.W.EnsureGrad()
-	tensor.AddInto(wGrad, wGrad, l.dW)
-	// Two-phase bias reduction: column sums land in a scratch vector first
-	// and are added to the grad in one pass, preserving the FP accumulation
-	// order of the old ColSums-then-add code across repeated Backwards.
-	l.bsums = tensor.EnsureVec(l.bsums, gradOut.Cols)
-	gradOut.ColSumsInto(l.bsums)
-	bGrad := l.B.EnsureGrad().Data
-	for j, v := range l.bsums {
-		bGrad[j] += v
+	bGrad, bZero := l.B.accumGrad()
+	sums := bGrad.Data
+	if !bZero {
+		l.bsums = tensor.EnsureVec(l.bsums, w.Cols)
+		sums = l.bsums
+	}
+	tensor.MatMulT1PackedInto(dW, l.input, g, sums)
+	if !zero {
+		tensor.AddInto(wGrad, wGrad, dW)
+	}
+	if !bZero {
+		// Two-phase bias reduction: column sums land in a scratch vector
+		// first and are added to the grad in one pass, preserving the FP
+		// accumulation order of the old ColSums-then-add code across
+		// repeated Backwards.
+		for j, v := range l.bsums {
+			bGrad.Data[j] += v
+		}
 	}
 }
 

@@ -38,20 +38,27 @@ func (a *Adam) ReleaseTraining() {
 	}
 }
 
-// adamSweep is the update of one parameter as a tensor.RangeKernel: every
-// element depends on its own weight, gradient and moments only, so a
-// parameter past tensor's parallel threshold (the autoencoder's one-hot-wide
-// head, a backbone's hidden x hidden block) is swept by the worker pool and
-// smaller ones inline, with the same bits either way.
+// adamSweep is the update of every parameter as one tensor.RangeKernel over
+// their elements laid end to end: every element depends on its own weight,
+// gradient and moments only, so the whole step is one dispatch on the worker
+// pool (or inline when it is small), with the same bits however it is cut.
 type adamSweep struct {
-	w, g, m, v []float64
-	c          tensor.AdamCoef
+	a    *Adam
+	ends []int // ends[i] is one past parameter i's last element
+	c    tensor.AdamCoef
 }
 
 // RunRange updates elements [lo, hi) and clears their gradients, which
 // nothing reads between the update and the zeroing Step promises.
 func (s *adamSweep) RunRange(lo, hi int) {
-	tensor.AdamUpdate(s.w[lo:hi], s.g[lo:hi], s.m[lo:hi], s.v[lo:hi], &s.c)
+	start := 0
+	for i, end := range s.ends {
+		if lo < end && start < hi {
+			p, a, b := s.a.params[i], max(lo, start)-start, min(hi, end)-start
+			tensor.AdamUpdate(p.Value.Data[a:b], p.Grad.Data[a:b], s.a.m[i].Data[a:b], s.a.v[i].Data[a:b], &s.c)
+		}
+		start = end
+	}
 }
 
 // Step applies one Adam update and zeroes gradients.
@@ -60,9 +67,13 @@ func (a *Adam) Step() {
 	if a.m == nil { // the zero moment estimates a run starts from
 		a.m = make([]*tensor.Matrix, len(a.params))
 		a.v = make([]*tensor.Matrix, len(a.params))
+		a.sweep.ends = make([]int, len(a.params))
+		total := 0
 		for i, p := range a.params {
 			a.m[i] = tensor.New(p.Value.Rows, p.Value.Cols)
 			a.v[i] = tensor.New(p.Value.Rows, p.Value.Cols)
+			total += len(p.Value.Data)
+			a.sweep.ends[i] = total
 		}
 	}
 	if a.ClipNorm > 0 {
@@ -81,13 +92,19 @@ func (a *Adam) Step() {
 		}
 	}
 	s := &a.sweep
+	s.a = a
 	s.c.LR, s.c.Beta1, s.c.Beta2, s.c.Eps = a.LR, a.Beta1, a.Beta2, a.Eps
 	s.c.BC1 = 1 - math.Pow(a.Beta1, float64(a.t))
 	s.c.BC2 = 1 - math.Pow(a.Beta2, float64(a.t))
-	for i, p := range a.params {
-		s.w, s.g, s.m, s.v = p.Value.Data, p.EnsureGrad().Data, a.m[i].Data, a.v[i].Data
-		tensor.ParallelRange(s, len(s.w), len(s.w))
+	for _, p := range a.params {
+		p.EnsureGrad()
+	}
+	if n := len(s.ends); n > 0 {
+		tensor.ParallelRange(s, s.ends[n-1], s.ends[n-1])
+	}
+	for _, p := range a.params {
 		p.Changed()
+		p.gradZero = true // the sweep stored +0 over every gradient
 	}
 }
 

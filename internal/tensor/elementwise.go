@@ -149,6 +149,12 @@ func GELUGradKeptInto(dst, x, keep, gradOut *Matrix) *Matrix {
 	return dst
 }
 
+// GELUGradKeptRange is GELUGradKeptInto over the elements [lo, hi) alone,
+// for a RangeKernel that fuses it with work of its own on the same elements.
+func GELUGradKeptRange(dst, x, keep, gradOut *Matrix, lo, hi int) {
+	geluGradElems(x, gradOut, keep, dst, lo, hi)
+}
+
 // GELUGradInto stores gradOut · gelu'(x), with gelu'(x) = Φ(x) + x·φ(x),
 // into dst (dst may alias either operand) and returns dst.
 func GELUGradInto(dst, x, gradOut *Matrix) *Matrix {

@@ -32,10 +32,10 @@ func TestPackedMatchesUnpacked(t *testing.T) {
 					for _, procs := range []int{1, 2} {
 						prev := runtime.GOMAXPROCS(procs)
 						name := fmt.Sprintf("%dx%d @ %dx%d, %d procs", rows, k, k, n, procs)
-						got := MatMulAddRowPackedInto(dirty(rows, n), a, &p, bias, nil)
+						got := MatMulAddRowPackedInto(dirty(rows, n), a, &p, bias, Epilogue{})
 						assertSameBits(t, name, want, got)
 						got, act := dirty(rows, n), dirty(rows, n)
-						MatMulAddRowPackedInto(got, a, &p, bias, act)
+						MatMulAddRowPackedInto(got, a, &p, bias, Epilogue{Act: act})
 						assertSameBits(t, name+" with GELU", want, got)
 						assertSameBits(t, name+", its GELU", wantAct, act)
 						runtime.GOMAXPROCS(prev)

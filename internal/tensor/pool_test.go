@@ -394,13 +394,22 @@ func TestSteadyStateKernelAllocs(t *testing.T) {
 	bias := randMat(rng, 1, 64)
 	dst, keep := New(64, 64), New(64, 64)
 	ranger := &countRange{visits: make([]int32, 64), out: make([]float64, 64)}
-	var packed Packed
+	var packed, packedT, packedG Packed
 	packed.Repack(b)
+	sums := make([]float64, 64)
 	checks := map[string]func(){
-		"MatMulAddRowPackedInto": func() { MatMulAddRowPackedInto(dst, a, &packed, bias, keep) },
+		"MatMulAddRowPackedInto": func() { MatMulAddRowPackedInto(dst, a, &packed, bias, Epilogue{Act: keep}) },
 		"Repack+MatMulAddRowPackedInto": func() {
 			packed.Repack(b)
-			MatMulAddRowPackedInto(dst, a, &packed, bias, keep)
+			MatMulAddRowPackedInto(dst, a, &packed, bias, Epilogue{Act: keep})
+		},
+		"RepackT+MatMulPackedInto": func() {
+			packedT.RepackT(b)
+			MatMulPackedInto(dst, a, &packedT)
+		},
+		"Repack+MatMulT1PackedInto": func() {
+			packedG.Repack(b)
+			MatMulT1PackedInto(dst, a, &packedG, sums)
 		},
 		"MatMulInto":       func() { MatMulInto(dst, a, b) },
 		"MatMulT1Into":     func() { MatMulT1Into(dst, a, b) },
@@ -425,14 +434,14 @@ func TestSteadyStateKernelAllocs(t *testing.T) {
 // TestPooledDispatchAllocs holds a pooled dispatch to less than half an
 // allocation per call. The path is not allocation-free by construction: the
 // caller's wait on the done channel takes a runtime sudog on the P it parks
-// on and returns it on the P it wakes on, and callState comes from a
-// sync.Pool. Both caches are emptied by a GC cycle and refill in a burst of
-// up to 64 allocations, so the test collects once, warms the caches with a
-// fixed number of calls, and judges the median of several batches measured
-// with one MemStats pair each (the structs are hoisted: two fresh 5.8 KB
-// MemStats per call were themselves the garbage that started a cycle inside
-// the measured loop). One refill cannot move a median; an allocation made on
-// every call reads at least 1.0 in every batch.
+// on and returns it on the P it wakes on. That cache is emptied by a GC cycle
+// and refills in a burst of up to 64 allocations, so the test collects once,
+// warms the cache with a fixed number of calls, and judges the median of
+// several batches measured with one MemStats pair each (the structs are
+// hoisted: two fresh 5.8 KB MemStats per call were themselves the garbage
+// that started a cycle inside the measured loop). One refill cannot move a
+// median; an allocation made on every call reads at least 1.0 in every
+// batch.
 func TestPooledDispatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime allocates in the background, polluting MemStats deltas")
@@ -444,16 +453,25 @@ func TestPooledDispatchAllocs(t *testing.T) {
 	a, b := randMat(rng, 256, 256), randMat(rng, 256, 256)
 	dst, act, bias := New(256, 256), New(256, 256), randMat(rng, 1, 256)
 	ranger := &countRange{visits: make([]int32, 256), out: make([]float64, 256)}
-	var packed Packed
+	var packed, packedT, packedG Packed
 	packed.Repack(b)
+	sums := make([]float64, 256)
 	checks := map[string]func(){
-		"MatMulAddRowPackedInto": func() { MatMulAddRowPackedInto(dst, a, &packed, bias, act) },
-		"MatMulInto":             func() { MatMulInto(dst, a, b) },
-		"GELUInto":               func() { GELUInto(dst, a) },
-		"GELUGradInto":           func() { GELUGradInto(dst, a, b) },
-		"AddInto":                func() { AddInto(dst, a, b) },
-		"TransposeInto":          func() { TransposeInto(dst, a) },
-		"ParallelRange":          func() { ParallelRange(ranger, len(ranger.out), parallelThreshold) },
+		"MatMulAddRowPackedInto": func() { MatMulAddRowPackedInto(dst, a, &packed, bias, Epilogue{Act: act}) },
+		"RepackT+MatMulPackedInto": func() {
+			packedT.RepackT(b)
+			MatMulPackedInto(dst, a, &packedT)
+		},
+		"Repack+MatMulT1PackedInto": func() {
+			packedG.Repack(b)
+			MatMulT1PackedInto(dst, a, &packedG, sums)
+		},
+		"MatMulInto":    func() { MatMulInto(dst, a, b) },
+		"GELUInto":      func() { GELUInto(dst, a) },
+		"GELUGradInto":  func() { GELUGradInto(dst, a, b) },
+		"AddInto":       func() { AddInto(dst, a, b) },
+		"TransposeInto": func() { TransposeInto(dst, a) },
+		"ParallelRange": func() { ParallelRange(ranger, len(ranger.out), parallelThreshold) },
 	}
 	const warmup, batches, calls = 1000, 5, 100
 	var ms0, ms1 runtime.MemStats

@@ -48,7 +48,7 @@ func matmulRange(a, b, out *Matrix, bias, panels []float64, lo, hi int, t1 bool)
 	if t1 {
 		kw = a.Rows
 	}
-	if !useTile(kw, b.Cols) {
+	if !useTile(kw, out.Cols) {
 		axpyRange(a, b, out, bias, lo, hi, t1)
 		return
 	}
@@ -64,7 +64,7 @@ func matmulRange(a, b, out *Matrix, bias, panels []float64, lo, hi int, t1 bool)
 		switch {
 		case dense == 0:
 		case panels != nil:
-			tilePacked(a, b.Cols, out, bias, panels, g0, dense)
+			tilePacked(a, out, bias, panels, g0, dense, t1)
 		default:
 			tilePanels(a, b, out, bias, g0, dense, t1)
 		}
@@ -80,37 +80,67 @@ func matmulRange(a, b, out *Matrix, bias, panels []float64, lo, hi int, t1 bool)
 	}
 }
 
-// sparseStrip reports whether the skip path is the faster one for the strip
-// of output rows [i0, i0+8): at least three of every four coefficients are
-// zero. Counting costs at most 8·K compares against the 8·K·n multiply-adds
-// it steers, and stops at the row where the answer can no longer change.
-func sparseStrip(a *Matrix, i0 int, t1 bool) bool {
-	rows, width, first, stride := tileM, a.Cols, i0*a.Cols, a.Cols
-	if t1 {
-		rows, width, first = a.Rows, tileM, i0
+// matmulRangeT stores output rows [lo, hi) of a@wᵀ on the tile, for a wᵀ
+// that exists only as w: every strip runs on the tile, reading panels packed
+// ahead of time if panels is non-nil and packing them from w's rows per chunk
+// otherwise, and the rows past the last whole strip take the same add chains
+// from those panels or from w. The bias is added as in matmulRange.
+func matmulRangeT(a, w, out *Matrix, bias, panels []float64, lo, hi int) {
+	if !useTile(a.Cols, out.Cols) {
+		dotRowsT(a, w, out, bias, lo, hi)
+		return
 	}
-	dense := rows*width/4 + 1 // this many non-zeros make the strip dense
-	nonzero := 0
-	for r := 0; r < rows; r++ {
-		row := a.Data[first+r*stride:][:width]
-		// ±0 is all zero bits below the sign. Eight at a time, so that the
-		// runs of zeros a one-hot strip is made of cost one test per eight.
-		for ; len(row) >= 8; row = row[8:] {
-			v := (*[8]float64)(row)
-			if (math.Float64bits(v[0])|math.Float64bits(v[1])|math.Float64bits(v[2])|math.Float64bits(v[3])|
-				math.Float64bits(v[4])|math.Float64bits(v[5])|math.Float64bits(v[6])|math.Float64bits(v[7]))<<1 != 0 {
-				nonzero += countNonzero(v[:])
+	for g0 := lo; g0 < hi; g0 += stripGroup * tileM {
+		g1 := min(g0+stripGroup*tileM, hi)
+		strips := (g1 - g0) / tileM
+		if strips > 0 {
+			dense := uint64(1)<<strips - 1
+			if panels != nil {
+				tilePacked(a, out, bias, panels, g0, dense, false)
+			} else {
+				tilePanelsT(a, w, out, bias, g0, dense)
 			}
 		}
-		nonzero += countNonzero(row)
-		if nonzero >= dense {
-			return false
-		}
-		if (r+1)*width-nonzero > rows*width-dense {
-			return true
+		if panels != nil {
+			panelRows(a, out, bias, panels, g0+strips*tileM, g1)
+		} else {
+			dotRowsT(a, w, out, bias, g0+strips*tileM, g1)
 		}
 	}
-	return true
+}
+
+// sparseStrip reports whether the skip path is the faster one for the strip
+// of output rows [i0, i0+8): at least three of every four coefficients of its
+// first row are zero. One row decides because the operands the skip path
+// exists for, one-hot features, are sparse in every row, and a wrong guess
+// costs time, never bits. Counting stops as soon as the row is dense.
+func sparseStrip(a *Matrix, i0 int, t1 bool) bool {
+	if t1 {
+		// Row i0's coefficients are column i0 of a.
+		limit, nonzero := a.Rows/4, 0
+		for k := i0; k < len(a.Data); k += a.Cols {
+			if math.Float64bits(a.Data[k])<<1 != 0 {
+				if nonzero++; nonzero > limit {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	row := a.Row(i0)
+	limit, nonzero := len(row)/4, 0
+	// ±0 is all zero bits below the sign. Eight at a time, so that the runs
+	// of zeros a one-hot row is made of cost one test per eight.
+	for ; len(row) >= 8; row = row[8:] {
+		v := (*[8]float64)(row)
+		if (math.Float64bits(v[0])|math.Float64bits(v[1])|math.Float64bits(v[2])|math.Float64bits(v[3])|
+			math.Float64bits(v[4])|math.Float64bits(v[5])|math.Float64bits(v[6])|math.Float64bits(v[7]))<<1 != 0 {
+			if nonzero += countNonzero(v[:]); nonzero > limit {
+				return false
+			}
+		}
+	}
+	return nonzero+countNonzero(row) <= limit
 }
 
 func countNonzero(vs []float64) int {
@@ -150,17 +180,104 @@ func tilePanels(a, b, out *Matrix, bias []float64, g0 int, dense uint64, t1 bool
 	}
 }
 
-// tilePacked is tilePanels for a@b whose panels were packed ahead of time:
-// the same loop over the same panels in the order Packed stores them.
-func tilePacked(a *Matrix, n int, out *Matrix, bias, panels []float64, g0 int, dense uint64) {
-	kw, off := a.Cols, 0
+// tilePanelsT is tilePanels for a@wᵀ, packing each panel of wᵀ from w's
+// rows.
+func tilePanelsT(a, w, out *Matrix, bias []float64, g0 int, dense uint64) {
+	var panel [tileKC * tileN]float64
+	kw, n := a.Cols, out.Cols
 	for k0 := 0; k0 < kw; k0 += tileKC {
 		kc := min(tileKC, kw-k0)
 		for j0 := 0; j0 < n; j0 += tileN {
-			tileStrips(a, out, bias, &panels[off], g0, dense, a.Cols, 1, k0, kc, kw, j0)
+			packPanelT(panel[:kc*tileN], w, k0, j0)
+			tileStrips(a, out, bias, &panel[0], g0, dense, kw, 1, k0, kc, kw, j0)
+		}
+	}
+}
+
+// packPanelT packs the kc x 16 panel of wᵀ at k0 and column j0 into dst,
+// zero-padded past wᵀ's last column: panel row kk is column k0+kk of rows
+// j0.. of w. It writes the panel column by column, each from one contiguous
+// run of a row of w.
+func packPanelT(dst []float64, w *Matrix, k0, j0 int) {
+	kc, cols := len(dst)/tileN, min(tileN, w.Rows-j0)
+	for jj := 0; jj < cols; jj++ {
+		for kk, v := range w.Data[(j0+jj)*w.Cols+k0:][:kc] {
+			dst[kk*tileN+jj] = v
+		}
+	}
+	for jj := cols; jj < tileN; jj++ {
+		for kk := 0; kk < kc; kk++ {
+			dst[kk*tileN+jj] = 0
+		}
+	}
+}
+
+// dotRowsT stores output rows [lo, hi) of a@wᵀ from w itself, one element at
+// a time: the ascending-k chain from +0 of the axpy kernels, zero
+// coefficients skipped, then the bias. It takes the rows mod 8 of a product
+// whose wᵀ exists only as w.
+func dotRowsT(a, w, out *Matrix, bias []float64, lo, hi int) {
+	kw := a.Cols
+	for i := lo; i < hi; i++ {
+		arow, orow := a.Row(i), out.Row(i)
+		for j := range orow {
+			wrow := w.Data[j*kw:][:len(arow)]
+			s := 0.0
+			for k, av := range arow {
+				if av != 0 { //silofuse:bitwise-ok zero-skip sparsity fast path
+					s += av * wrow[k]
+				}
+			}
+			orow[j] = s
+		}
+	}
+	addRowRange(out, bias, lo, hi)
+}
+
+// tilePacked is tilePanels for a product whose panels were packed ahead of
+// time: the same loop over the same panels in the order Packed stores them.
+func tilePacked(a, out *Matrix, bias, panels []float64, g0 int, dense uint64, t1 bool) {
+	kw, aRow, aStep := a.Cols, a.Cols, 1
+	if t1 {
+		kw, aRow, aStep = a.Rows, 1, a.Cols
+	}
+	n, off := out.Cols, 0
+	for k0 := 0; k0 < kw; k0 += tileKC {
+		kc := min(tileKC, kw-k0)
+		for j0 := 0; j0 < n; j0 += tileN {
+			tileStrips(a, out, bias, &panels[off], g0, dense, aRow, aStep, k0, kc, kw, j0)
 			off += kc * tileN
 		}
 	}
+}
+
+// panelRows stores output rows [lo, hi) of a@b from b's panels alone, for the
+// rows past the last whole strip of a product that has no b but its panels:
+// per element the ascending-k chain of the axpy kernels, zero coefficients
+// skipped, then the bias.
+func panelRows(a, out *Matrix, bias, panels []float64, lo, hi int) {
+	if lo >= hi {
+		return
+	}
+	n, kw := out.Cols, a.Cols
+	clear(out.Data[lo*n : hi*n])
+	off := 0
+	for k0 := 0; k0 < kw; k0 += tileKC {
+		kc := min(tileKC, kw-k0)
+		for j0 := 0; j0 < n; j0 += tileN {
+			w := min(tileN, n-j0)
+			for i := lo; i < hi; i++ {
+				orow := out.Data[i*n+j0 : i*n+j0+w]
+				for kk, av := range a.Data[i*kw+k0 : i*kw+k0+kc] {
+					if av != 0 { //silofuse:bitwise-ok zero-skip sparsity fast path
+						axpy1(orow, panels[off+kk*tileN:][:w], av)
+					}
+				}
+			}
+			off += kc * tileN
+		}
+	}
+	addRowRange(out, bias, lo, hi)
 }
 
 // panelMask enables the columns of the 16-wide panel at j0 that b has.
