@@ -57,11 +57,11 @@ cross-arm64:
 
 # test-chaos runs the deterministic fault-injection suite under the race
 # detector: the chaos matrix (every transparently recoverable fault class
-# against stacked training and synthesis, plain and codec-framed, and against
-# VFL's split-learning traffic), crash recovery through the one recovery
-# loop (TrainStackedResilient over the stacked checkpoint: in process, plain
-# and codec-framed, and over TCP), and the retransmit byte accounting
-# invariants.
+# against stacked training and synthesis, plain and codec-framed, against
+# VFL's split-learning traffic and against E2EDistr's concurrent parties),
+# crash recovery through the one recovery loop (TrainStackedResilient over the
+# stacked checkpoint: in process, plain and codec-framed, and over TCP), and
+# the retransmit byte accounting invariants.
 test-chaos:
 	$(GO) test -race -timeout 20m -run 'Chaos|Resilient|Recovery|Heartbeat' -count=1 ./internal/silo/
 
@@ -75,9 +75,12 @@ test-chaos:
 # detector instruments Go code only: it does not see the loads and stores of
 # the tile, axpy and lane-kernel assembly, so a race on a matrix that only those kernels
 # touch goes unreported here; `go test -race -tags purego` covers the same kernels
-# as instrumented Go loops.
+# as instrumented Go loops. E2EDistr's parties run on goroutines of their own
+# and meet at handshakes, which must not deadlock when only one P runs them:
+# their tests run again at -cpu 1,2.
 race:
 	$(GO) test -race -timeout 30m ./internal/silo/... ./internal/obs/... ./internal/tensor/... ./internal/nn/... ./internal/core/... ./internal/experiments/... ./internal/diffusion/...
+	$(GO) test -race -timeout 10m -cpu 1,2 -count=1 -run 'E2E' ./internal/silo/
 
 # fuzz-smoke runs the three decoders of outside bytes against mutated input
 # for a fixed short budget each. The wire decoder on frames: malformed input

@@ -159,12 +159,12 @@ func (a *Autoencoder) TrainStep(batch *tabular.Table) float64 {
 }
 
 // Train runs iters minibatch steps and returns the mean loss over the final
-// 10% of iterations.
+// 10% of iterations, and at least the last one.
 func (a *Autoencoder) Train(train *tabular.Table, iters, batch int) float64 {
 	if batch > train.Rows() {
 		batch = train.Rows()
 	}
-	tail := iters - iters/10
+	tail := iters - max(1, iters/10)
 	var tailLoss float64
 	var tailCount int
 	idx := make([]int, batch)

@@ -11,6 +11,7 @@ import (
 
 	"silofuse/internal/datagen"
 	"silofuse/internal/nn"
+	"silofuse/internal/obs"
 	"silofuse/internal/stats"
 	"silofuse/internal/tabular"
 	"silofuse/internal/tensor"
@@ -285,5 +286,22 @@ func TestDecodeMatchesMatrixSoftmax(t *testing.T) {
 			}
 		}
 		sameBits(t, fmt.Sprintf("decode, sample %v", sample), want, got.Data)
+	}
+}
+
+// TestTrainShortRunReturnsLastLoss: a run of fewer than ten iterations
+// averages its last step, where 10% of the run used to round down to no step
+// and Train returned 0. For k = 1…9 Train returns the loss the Recorder saw
+// last: finite and positive.
+func TestTrainShortRunReturnsLastLoss(t *testing.T) {
+	tb := loanTable(t, 60)
+	a := New(rand.New(rand.NewSource(31)), tb, Config{Hidden: 32, Embed: 8, LR: 1e-3})
+	a.Rec = obs.NewRecorder()
+	for k := 1; k <= 9; k++ {
+		got := a.Train(tb, k, 16)
+		last := a.Rec.Reg.Gauge("ae_loss").Value()
+		if got != last || !(got > 0) || math.IsInf(got, 0) {
+			t.Errorf("Train(%d) = %v, last step's loss %v", k, got, last)
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"silofuse/internal/nn"
+	"silofuse/internal/obs"
 	"silofuse/internal/stats"
 	"silofuse/internal/tensor"
 )
@@ -512,6 +513,24 @@ func TestSampleAfterRetrainReadsNewWeights(t *testing.T) {
 	for i := range want.Data {
 		if got.Data[i] != want.Data[i] {
 			t.Fatalf("sample %d is %v, a model loaded with the same weights draws %v", i, got.Data[i], want.Data[i])
+		}
+	}
+}
+
+// TestTrainShortRunReturnsLastLoss: a run of fewer than ten iterations
+// averages its last step, where 10% of the run used to round down to no step
+// and Train returned 0. For k = 1…9 Train returns the loss the Recorder saw
+// last: finite and positive.
+func TestTrainShortRunReturnsLastLoss(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	m := NewModel(rng, ModelConfig{Dim: 4, Hidden: 16, Depth: 2, TimeDim: 8, T: 50, LR: 1e-3, Dropout: 0.01})
+	m.Rec = obs.NewRecorder()
+	data := tensor.New(40, 4).Randn(rng, 1)
+	for k := 1; k <= 9; k++ {
+		got := m.Train(data, k, 16)
+		last := m.Rec.Reg.Gauge("diffusion_loss").Value()
+		if got != last || !(got > 0) || math.IsInf(got, 0) {
+			t.Errorf("Train(%d) = %v, last step's loss %v", k, got, last)
 		}
 	}
 }

@@ -151,12 +151,13 @@ func (m *Model) TrainStep(x0 *tensor.Matrix) float64 {
 }
 
 // Train runs iters optimisation steps with minibatches of size batch drawn
-// uniformly from data, returning the mean loss of the final 10% of steps.
+// uniformly from data, returning the mean loss of the final 10% of steps,
+// and at least the last one.
 func (m *Model) Train(data *tensor.Matrix, iters, batch int) float64 {
 	if batch > data.Rows {
 		batch = data.Rows
 	}
-	tail := iters - iters/10
+	tail := iters - max(1, iters/10)
 	var tailLoss float64
 	var tailCount int
 	idx := make([]int, batch)

@@ -98,6 +98,7 @@ func (d *DiffusionMLP) WarmTimesteps(maxT int) {
 // Forward predicts the noise for inputs x at per-row timesteps ts. A training
 // Forward hands the dropout masks to the drawer first.
 func (d *DiffusionMLP) Forward(x *tensor.Matrix, ts []int, train bool) *tensor.Matrix {
+	d.outProj.refusePending() // before the drawer starts; BackwardInput pends every layer
 	if train && len(d.drawer.drops) > 0 {
 		for _, dr := range d.drawer.drops {
 			dr.prepare(x.Rows, d.Hidden)
@@ -144,26 +145,51 @@ func uniformTimestep(ts []int) bool {
 }
 
 // Backward propagates the output gradient, accumulating parameter gradients,
-// and returns dL/dx.
+// and returns dL/dx. It is BackwardInput followed by TakeGrads.
 func (d *DiffusionMLP) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
-	return d.inProj.backwardFrom(d.backwardTrunk(gradOut))
+	gin := d.BackwardInput(gradOut)
+	d.TakeGrads()
+	return gin
+}
+
+// BackwardInput is Backward's first pass: it returns dL/dx and leaves every
+// parameter gradient pending until TakeGrads, under the contract of
+// Sequential.BackwardInput. A caller that sends dL/dx on runs the weight
+// gradients while it is in flight.
+func (d *DiffusionMLP) BackwardInput(gradOut *tensor.Matrix) *tensor.Matrix {
+	g := d.outProj.BackwardInput(gradOut)
+	g = d.blocks.BackwardInput(g)
+	d.timeProj.pend(g) // nobody reads the gradient w.r.t. the sinusoidal features
+	return d.inProj.BackwardInput(g)
+}
+
+// TakeGrads accumulates the parameter gradients BackwardInput left pending.
+func (d *DiffusionMLP) TakeGrads() {
+	d.outProj.TakeGrads()
+	d.blocks.TakeGrads()
+	d.takeAddGrads()
 }
 
 // BackwardParams is Backward for a caller that does not read dL/dx, as a
 // DDPM trained on fixed data does not: parameter gradients accumulate exactly
-// as in Backward, and the input projection's g·Wᵀ is skipped.
+// as in Backward, each layer's as soon as its input gradient is known, and
+// the input projection's g·Wᵀ is skipped.
 func (d *DiffusionMLP) BackwardParams(gradOut *tensor.Matrix) {
-	d.inProj.paramsFrom(d.backwardTrunk(gradOut))
-}
-
-// backwardTrunk runs Backward down to the add node and returns its gradient,
-// packed: the add node fans it to both the input and the time projection,
-// and one packing serves both weight gradients.
-func (d *DiffusionMLP) backwardTrunk(gradOut *tensor.Matrix) *tensor.Packed {
 	g := d.outProj.Backward(gradOut)
 	g = d.blocks.Backward(g)
-	d.timeProj.BackwardParams(g) // nobody reads the gradient w.r.t. the sinusoidal features
-	return &d.timeProj.gradP
+	d.timeProj.pend(g)
+	d.inProj.pend(g)
+	d.takeAddGrads()
+}
+
+// takeAddGrads takes both projections' pending weight gradients from the add
+// node's gradient, which fans out to the input and the time projection: one
+// packing serves both.
+func (d *DiffusionMLP) takeAddGrads() {
+	d.timeProj.TakeGrads()
+	if d.inProj.gradOut != nil {
+		d.inProj.takeFrom(&d.timeProj.gradP)
+	}
 }
 
 // Prepack packs every layer's weights as a training step on a batch of rows

@@ -45,6 +45,11 @@ type Param struct {
 	// out for writing since: Adam's sweep and ZeroGrads leave it so, and
 	// EnsureGrad, which every writer of Grad goes through, ends it.
 	gradZero bool
+
+	// pending says a layer's BackwardInput has run and its TakeGrads, which
+	// writes this gradient, has not: an optimiser step now would read a
+	// gradient that is missing a contribution, and is refused.
+	pending bool
 }
 
 // Changed records that Value's elements have been written.
@@ -131,16 +136,46 @@ func (s *Sequential) trainingDropout(i int, train bool) *Dropout {
 	return nil
 }
 
+// splitBackwarder is a layer whose Backward is two passes that may run apart:
+// BackwardInput returns dL/d(input) and leaves the parameter gradients
+// pending, and TakeGrads accumulates them, reading only what the layer kept
+// from its Forward and the gradient it was given.
+type splitBackwarder interface {
+	BackwardInput(gradOut *tensor.Matrix) *tensor.Matrix
+	TakeGrads()
+}
+
 // Backward propagates the gradient through all layers in reverse order. A
 // Dropout that dropped a GELU's output in training runs its Backward and the
-// GELU's as one pass.
+// GELU's as one pass. It is BackwardInput followed by TakeGrads, with each
+// layer's parameter gradients taken as soon as its input gradient is: the
+// same products on the same operands, so the same bits.
 func (s *Sequential) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
-	return s.backwardDownTo(0, gradOut)
+	return s.backwardDownTo(0, gradOut, false)
+}
+
+// BackwardInput is Backward's first pass: it returns dL/d(input) and leaves
+// the parameter gradients of every layer that can split its Backward (a
+// *Linear) pending until TakeGrads. The pending gradients read the layers'
+// Forward caches and the gradients passed between them, so TakeGrads must
+// run before the next Forward and before the optimiser steps.
+func (s *Sequential) BackwardInput(gradOut *tensor.Matrix) *tensor.Matrix {
+	return s.backwardDownTo(0, gradOut, true)
+}
+
+// TakeGrads accumulates the parameter gradients BackwardInput left pending.
+func (s *Sequential) TakeGrads() {
+	for _, l := range s.Layers {
+		if l, ok := l.(splitBackwarder); ok {
+			l.TakeGrads()
+		}
+	}
 }
 
 // backwardDownTo runs the Backwards of layers len-1 down to lo and returns
-// the gradient of layer lo's input.
-func (s *Sequential) backwardDownTo(lo int, gradOut *tensor.Matrix) *tensor.Matrix {
+// the gradient of layer lo's input; with pend, each layer that can leaves its
+// parameter gradients pending.
+func (s *Sequential) backwardDownTo(lo int, gradOut *tensor.Matrix, pend bool) *tensor.Matrix {
 	for i := len(s.Layers) - 1; i >= lo; i-- {
 		if i > lo {
 			d, _ := s.Layers[i].(*Dropout)
@@ -150,6 +185,10 @@ func (s *Sequential) backwardDownTo(lo int, gradOut *tensor.Matrix) *tensor.Matr
 				i--
 				continue
 			}
+		}
+		if l, ok := s.Layers[i].(splitBackwarder); ok && pend {
+			gradOut = l.BackwardInput(gradOut)
+			continue
 		}
 		gradOut = s.Layers[i].Backward(gradOut)
 	}
@@ -170,7 +209,7 @@ func (s *Sequential) BackwardParams(gradOut *tensor.Matrix) {
 	if len(s.Layers) == 0 {
 		return
 	}
-	gradOut = s.backwardDownTo(1, gradOut)
+	gradOut = s.backwardDownTo(1, gradOut, false)
 	if first, ok := s.Layers[0].(paramsBackwarder); ok {
 		first.BackwardParams(gradOut)
 		return

@@ -22,8 +22,12 @@ type Linear struct {
 	// packedT is Wᵀ, packed from W, as of packedTAt: weights that have not
 	// changed since are not packed again. gradP is a Backward's gradOut,
 	// packed once for all the chunks of the weight gradient.
+	//
+	// gradOut is the gradient a BackwardInput left dW and db pending on, nil
+	// when none are.
 	packed, packedT, gradP tensor.Packed
 	packedAt, packedTAt    uint64
+	gradOut                *tensor.Matrix
 }
 
 // NewLinear creates a Linear layer with Kaiming-uniform initialised weights.
@@ -65,29 +69,64 @@ func (l *Linear) forwardGELU(x *tensor.Matrix, g *GELU, train bool, d *Dropout) 
 
 // forward is a Forward with the epilogue ep.
 func (l *Linear) forward(x *tensor.Matrix, ep tensor.Epilogue) *tensor.Matrix {
+	l.refusePending()
 	l.input = x
 	l.out = tensor.Ensure(l.out, x.Rows, l.W.Value.Cols)
 	l.refresh()
 	return tensor.MatMulAddRowPackedInto(l.out, x, &l.packed, l.B.Value, ep)
 }
 
-// Backward accumulates dW = xᵀg, db = Σ_rows g and returns g Wᵀ. The product
-// is taken as g @ (Wᵀ), with Wᵀ packed from W once per weight version, which
-// puts it on the same column-vectorised kernel as Forward; each output
-// element is still summed in ascending-k order from +0, so for finite
-// weights the bits equal the dot-product form tensor.MatMulT2Into.
+// Backward accumulates dW = xᵀg, db = Σ_rows g and returns g Wᵀ: it is
+// BackwardInput followed by TakeGrads. The product is taken as g @ (Wᵀ),
+// with Wᵀ packed from W once per weight version, which puts it on the same
+// column-vectorised kernel as Forward; each output element is still summed
+// in ascending-k order from +0, so for finite weights the bits equal the
+// dot-product form tensor.MatMulT2Into.
 func (l *Linear) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
-	l.gradP.Repack(gradOut)
-	return l.backwardFrom(&l.gradP)
+	gin := l.BackwardInput(gradOut)
+	l.TakeGrads()
+	return gin
 }
 
-// backwardFrom is Backward for the gradOut g stands for.
-func (l *Linear) backwardFrom(g *tensor.Packed) *tensor.Matrix {
-	l.paramsFrom(g)
-	gradOut, w := g.Matrix(), l.W.Value
+// BackwardInput is Backward's first pass: it returns g Wᵀ and leaves dW and
+// db pending until TakeGrads, which must run before the layer's next Forward
+// and before the optimiser steps. Until then the layer reads gradOut and its
+// cached input, so neither may be rewritten.
+func (l *Linear) BackwardInput(gradOut *tensor.Matrix) *tensor.Matrix {
+	l.pend(gradOut)
+	w := l.W.Value
 	l.refreshT()
 	l.gin = tensor.Ensure(l.gin, gradOut.Rows, w.Rows)
 	return tensor.MatMulPackedInto(l.gin, gradOut, &l.packedT)
+}
+
+// TakeGrads is Backward's second pass: it accumulates the dW and db a
+// BackwardInput left pending, and does nothing when none are.
+func (l *Linear) TakeGrads() {
+	if l.gradOut == nil {
+		return
+	}
+	l.gradP.Repack(l.gradOut)
+	l.takeFrom(&l.gradP)
+}
+
+// refusePending refuses a Forward while the layer's weight gradients are
+// pending: it would overwrite the input they are to be taken from.
+func (l *Linear) refusePending() {
+	if l.gradOut != nil {
+		panic("nn: Linear forward while its weight gradients are pending")
+	}
+}
+
+// pend records gradOut as the gradient the layer's weight gradients are
+// still to be taken from. A layer whose gradients are already pending is
+// refused: the earlier gradient would be lost.
+func (l *Linear) pend(gradOut *tensor.Matrix) {
+	if l.gradOut != nil {
+		panic("nn: Linear backward while its weight gradients are pending")
+	}
+	l.gradOut = gradOut
+	l.W.pending, l.B.pending = true, true
 }
 
 // refresh makes packed stand for W as it is now, unless it already does;
@@ -121,19 +160,21 @@ func (l *Linear) prepack(rows int, withT bool) {
 // and db exactly as Backward does and skips g Wᵀ. For the first layer of a
 // network, whose input gradient nobody reads.
 func (l *Linear) BackwardParams(gradOut *tensor.Matrix) {
-	l.gradP.Repack(gradOut)
-	l.paramsFrom(&l.gradP)
+	l.pend(gradOut)
+	l.TakeGrads()
 }
 
-// paramsFrom is BackwardParams for the gradOut g stands for, which another
+// takeFrom is TakeGrads for the pending gradOut g stands for, which another
 // layer fed the same gradient may have packed already.
 //
 // A gradient known to be all +0 (the first Backward after a step) takes dW
 // and db in place, and one that already holds a contribution (a second
 // Backward before the step, as in a GAN discriminator's real-then-fake pass)
 // has them added from a workspace: the bits of adding every time.
-func (l *Linear) paramsFrom(g *tensor.Packed) {
+func (l *Linear) takeFrom(g *tensor.Packed) {
 	w := l.W.Value
+	l.gradOut = nil
+	l.W.pending, l.B.pending = false, false
 	wGrad, zero := l.W.accumGrad()
 	dW := wGrad
 	if !zero {

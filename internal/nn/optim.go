@@ -61,8 +61,15 @@ func (s *adamSweep) RunRange(lo, hi int) {
 	}
 }
 
-// Step applies one Adam update and zeroes gradients.
+// Step applies one Adam update and zeroes gradients. A parameter whose
+// gradient a BackwardInput left pending is refused: the step would apply a
+// gradient that is missing its layer's contribution.
 func (a *Adam) Step() {
+	for _, p := range a.params {
+		if p.pending {
+			panic("nn: optimiser step over the pending gradient of " + p.Name)
+		}
+	}
 	a.t++
 	if a.m == nil { // the zero moment estimates a run starts from
 		a.m = make([]*tensor.Matrix, len(a.params))

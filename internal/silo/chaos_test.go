@@ -96,6 +96,29 @@ func TestChaosMatrixStackedTransparent(t *testing.T) {
 	}
 }
 
+// TestChaosMatrixE2ETransparent is the E2EDistr arm of the matrix: its
+// parties run at once, each on its own goroutine, and under every
+// transparently recoverable fault class, at two chaos seeds, the joint loss
+// keeps the bits of the fault-free LocalBus run.
+func TestChaosMatrixE2ETransparent(t *testing.T) {
+	run := func(bus Bus) float64 {
+		loss, err := e2eParties(t, bus).Train(12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return loss
+	}
+	base := run(NewLocalBus())
+	for _, name := range []string{"drop", "dup", "reorder", "delay", "flaky"} {
+		for _, seed := range []int64{1, 7} {
+			rb, _ := resilientChaos(seed, mustProfile(t, name))
+			if got := run(rb); got != base {
+				t.Fatalf("%s seed %d: e2e loss %v diverges from baseline %v", name, seed, got, base)
+			}
+		}
+	}
+}
+
 // chaosVFLSetup builds the partitioned-features classification task shared
 // by the VFL chaos tests.
 func chaosVFLSetup(t testing.TB) (silos []*tabular.Table, labels []int, cfg VFLConfig) {

@@ -118,9 +118,12 @@ func (b *CodecBus) Send(e *Envelope) error {
 }
 
 // record folds one framed send into the per-kind accounting and mirrors the
-// running aggregates to the recorder's wire_* metrics.
+// running aggregates to the recorder's wire_* metrics. The gauges are set
+// under the lock, from the aggregate: two sends of one kind cannot then
+// leave the older running value as the last one written.
 func (b *CodecBus) record(kind Kind, rawWire, encWire, values int64, st codec.ErrStats) {
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	a := b.wire[kind]
 	if a == nil {
 		a = &wireAgg{}
@@ -134,12 +137,15 @@ func (b *CodecBus) record(kind Kind, rawWire, encWire, values int64, st codec.Er
 	if st.Max > a.maxErr {
 		a.maxErr = st.Max
 	}
-	maxErr, meanErr := a.maxErr, 0.0
-	if a.values > 0 {
-		meanErr = a.errSum / float64(a.values)
+	b.rec.WireCodec(b.id.String(), string(kind), rawWire, encWire, a.maxErr, a.meanErr())
+}
+
+// meanErr is the value-weighted mean absolute reconstruction error so far.
+func (a *wireAgg) meanErr() float64 {
+	if a.values == 0 {
+		return 0
 	}
-	b.mu.Unlock()
-	b.rec.WireCodec(b.id.String(), string(kind), rawWire, encWire, maxErr, meanErr)
+	return a.errSum / float64(a.values)
 }
 
 // decode reconstructs a codec-framed envelope's tensor payload; unframed
@@ -209,17 +215,13 @@ func (b *CodecBus) WireReport() map[string]WireKindStats {
 	defer b.mu.Unlock()
 	out := make(map[string]WireKindStats, len(b.wire))
 	for kind, a := range b.wire {
-		meanErr := 0.0
-		if a.values > 0 {
-			meanErr = a.errSum / float64(a.values)
-		}
 		out[string(kind)] = WireKindStats{
 			Codec:    b.id.String(),
 			Messages: a.messages,
 			RawBytes: a.rawBytes,
 			Bytes:    a.encBytes,
 			MaxErr:   a.maxErr,
-			MeanErr:  meanErr,
+			MeanErr:  a.meanErr(),
 		}
 	}
 	return out

@@ -3,10 +3,13 @@ package silo
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
+	"silofuse/internal/obs"
 	"silofuse/internal/silo/codec"
 	"silofuse/internal/tensor"
 )
@@ -176,6 +179,46 @@ func TestCodecBusWireReport(t *testing.T) {
 			if !(rep.MaxErr > 0) || !(rep.MeanErr > 0) || rep.MeanErr > rep.MaxErr {
 				t.Fatalf("q8: implausible error stats %+v", rep)
 			}
+		}
+	}
+}
+
+// TestCodecBusGaugesUnderConcurrentSenders: the wire_err_* gauges are the
+// running aggregates, so however sends of one kind interleave, the last value
+// each gauge holds is the one WireReport gives. Setting them after the lock
+// was released let an older running value land last.
+func TestCodecBusGaugesUnderConcurrentSenders(t *testing.T) {
+	const senders, sends = 4, 3
+	payloads := make([]*tensor.Matrix, senders*sends)
+	rng := rand.New(rand.NewSource(5))
+	for i := range payloads {
+		payloads[i] = tensor.New(8, 5).Randn(rng, float64(1+i))
+	}
+	for rep := 0; rep < 200; rep++ {
+		rec := obs.NewRecorder()
+		bus := NewCodecBus(NewLocalBus(), codec.F32)
+		bus.SetRecorder(rec)
+		var wg sync.WaitGroup
+		for g := 0; g < senders; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := 0; k < sends; k++ {
+					e := &Envelope{From: fmt.Sprintf("c%d", g), To: "coord", Kind: KindActivation, Payload: payloads[g*sends+k]}
+					if err := bus.Send(e); err != nil {
+						t.Error(err)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		want := bus.WireReport()[string(KindActivation)]
+		suffix := "f32_" + string(KindActivation)
+		if got := rec.Reg.Gauge("wire_err_max_" + suffix).Value(); got != want.MaxErr {
+			t.Fatalf("rep %d: wire_err_max gauge %v, WireReport %v", rep, got, want.MaxErr)
+		}
+		if got := rec.Reg.Gauge("wire_err_mean_" + suffix).Value(); got != want.MeanErr {
+			t.Fatalf("rep %d: wire_err_mean gauge %v, WireReport %v", rep, got, want.MeanErr)
 		}
 	}
 }

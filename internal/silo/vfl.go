@@ -19,9 +19,12 @@ const (
 	e2eIterSalt    = 600_011
 )
 
-// derivedRng returns the deterministic generator for one training iteration.
-func derivedRng(seed, salt int64, it int) *rand.Rand {
-	return rand.New(rand.NewSource(seed + salt + int64(it)*iterSeedStride))
+// derivedRng reseeds r, a generator its party owns, as the deterministic
+// generator for one training iteration and returns it: the stream is that of
+// a fresh rand.NewSource of the iteration's seed, without allocating one.
+func derivedRng(r *rand.Rand, seed, salt int64, it int) *rand.Rand {
+	r.Seed(seed + salt + int64(it)*iterSeedStride)
+	return r
 }
 
 // VFLClassifier is the paper's future-work path made concrete: a vertical
@@ -109,8 +112,9 @@ func (v *VFLClassifier) Train(bus Bus, parts []*tabular.Table, labels []int, ite
 	}
 	var loss float64
 	idx := make([]int, batch)
+	rng := rand.New(rand.NewSource(0))
 	for it := 0; it < iters; it++ {
-		rng := derivedRng(v.seed, vflIterSalt, it)
+		derivedRng(rng, v.seed, vflIterSalt, it)
 		for i := range idx {
 			idx[i] = rng.Intn(rows)
 		}

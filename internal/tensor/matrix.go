@@ -233,24 +233,11 @@ func HStack(parts ...*Matrix) *Matrix {
 	if len(parts) == 0 {
 		return New(0, 0)
 	}
-	rows := parts[0].Rows
 	cols := 0
 	for _, p := range parts {
-		if p.Rows != rows {
-			panic(fmt.Sprintf("tensor: HStack row mismatch %d vs %d", p.Rows, rows))
-		}
 		cols += p.Cols
 	}
-	out := New(rows, cols)
-	for i := 0; i < rows; i++ {
-		dst := out.Row(i)
-		off := 0
-		for _, p := range parts {
-			copy(dst[off:], p.Row(i))
-			off += p.Cols
-		}
-	}
-	return out
+	return HStackInto(New(parts[0].Rows, cols), parts...)
 }
 
 // VStack concatenates matrices row-wise. All inputs must share column count.
@@ -280,11 +267,7 @@ func (m *Matrix) SliceCols(lo, hi int) *Matrix {
 	if lo < 0 || hi > m.Cols || lo > hi {
 		panic(fmt.Sprintf("tensor: SliceCols [%d,%d) out of range for %d cols", lo, hi, m.Cols))
 	}
-	out := New(m.Rows, hi-lo)
-	for i := 0; i < m.Rows; i++ {
-		copy(out.Row(i), m.Row(i)[lo:hi])
-	}
-	return out
+	return m.SliceColsInto(New(m.Rows, hi-lo), lo)
 }
 
 // SliceRows returns a copy of rows [lo, hi).

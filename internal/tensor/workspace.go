@@ -90,6 +90,43 @@ func (m *Matrix) GatherRowsInto(dst *Matrix, idx []int) *Matrix {
 	return dst
 }
 
+// HStackInto stores the column-wise concatenation of parts into dst, which
+// must have their common row count and the sum of their widths, and returns
+// dst: HStack into a workspace.
+func HStackInto(dst *Matrix, parts ...*Matrix) *Matrix {
+	cols := 0
+	for _, p := range parts {
+		if p.Rows != dst.Rows {
+			panic(fmt.Sprintf("tensor: HStack row mismatch %d vs %d", p.Rows, dst.Rows))
+		}
+		cols += p.Cols
+	}
+	if cols != dst.Cols {
+		panic(fmt.Sprintf("tensor: HStackInto dst has %d cols, parts %d", dst.Cols, cols))
+	}
+	for i := 0; i < dst.Rows; i++ {
+		row := dst.Row(i)
+		off := 0
+		for _, p := range parts {
+			copy(row[off:], p.Row(i))
+			off += p.Cols
+		}
+	}
+	return dst
+}
+
+// SliceColsInto copies columns [lo, lo+dst.Cols) of m into dst, which must
+// have m's row count, and returns dst: SliceCols into a workspace.
+func (m *Matrix) SliceColsInto(dst *Matrix, lo int) *Matrix {
+	if dst.Rows != m.Rows || lo < 0 || lo+dst.Cols > m.Cols {
+		panic(fmt.Sprintf("tensor: SliceColsInto %dx%d at column %d out of range for %dx%d", dst.Rows, dst.Cols, lo, m.Rows, m.Cols))
+	}
+	for i := 0; i < m.Rows; i++ {
+		copy(dst.Row(i), m.Row(i)[lo:lo+dst.Cols])
+	}
+	return dst
+}
+
 // ColSumsInto accumulates the per-column sums of m into out, which must
 // have length Cols and is cleared first. Summation order matches ColSums.
 func (m *Matrix) ColSumsInto(out []float64) []float64 {
