@@ -59,11 +59,11 @@ cross-arm64:
 # detector: the chaos matrix (every transparently recoverable fault class
 # against stacked training and synthesis, plain and codec-framed, against
 # VFL's split-learning traffic and against E2EDistr's concurrent parties),
-# crash recovery through the one recovery loop (TrainStackedResilient over the
-# stacked checkpoint: in process, plain and codec-framed, and over TCP), and
-# the retransmit byte accounting invariants.
+# the faults that must fail typed instead (corrupt payloads, a blackholed
+# link, a TCP peer whose socket is gone: ErrCorruptPayload or ErrPeerDead,
+# never a hang), and the retransmit byte accounting invariants.
 test-chaos:
-	$(GO) test -race -timeout 20m -run 'Chaos|Resilient|Recovery|Heartbeat' -count=1 ./internal/silo/
+	$(GO) test -race -timeout 20m -run 'Chaos|Resilient|TCPDeadPeer' -count=1 ./internal/silo/
 
 # The transport and telemetry layers are exercised under the race detector;
 # the silo package trains real models, so give it a generous timeout. The
@@ -136,9 +136,9 @@ codec-smoke:
 # obs-smoke exercises the fleet observability stack end to end:
 #   1. a healthy demo run over the TCP hub must write a run manifest that
 #      names the transport and carries the latent upload's measured bytes;
-#   2. a crash-profile run with peer revival disabled must exhaust the retry
-#      budget, exit non-zero, and leave parseable flight-recorder postmortems
-#      for every party;
+#   2. a blackhole-profile run, whose every send is dropped, must exhaust the
+#      retry budget into ErrPeerDead, exit non-zero, and leave parseable
+#      flight-recorder postmortems for every party;
 #   3. silofuse-obs must summarize the (possibly truncated) event stream.
 OBS_SMOKE_DIR ?= /tmp/silofuse_obs_smoke
 obs-smoke:
@@ -148,7 +148,7 @@ obs-smoke:
 	cd $(OBS_SMOKE_DIR) && ./silofuse-demo -clients 2 -rows 200 -iters 40 -synth 40 -run fleet
 	grep -q '"transport": "tcp"' $(OBS_SMOKE_DIR)/results/fleet/manifest.json
 	grep -Eq '"latents": [1-9][0-9]*' $(OBS_SMOKE_DIR)/results/fleet/manifest.json
-	cd $(OBS_SMOKE_DIR) && if ./silofuse-demo -clients 2 -rows 200 -iters 40 -synth 40 -run crash -chaos-profile crash -chaos-revive=false; then \
+	cd $(OBS_SMOKE_DIR) && if ./silofuse-demo -clients 2 -rows 200 -iters 40 -synth 40 -run crash -chaos-profile blackhole; then \
 		echo "obs-smoke: crash run unexpectedly succeeded"; exit 1; fi
 	test -s $(OBS_SMOKE_DIR)/results/crash/postmortem/c1.json
 	grep -q '"cause"' $(OBS_SMOKE_DIR)/results/crash/postmortem/c1.json

@@ -12,17 +12,16 @@
 // share a single timeline with send→recv flow arrows between them.
 //
 // Every party also keeps a flight recorder (a fixed-size ring of recent
-// operations); when -chaos-profile injects faults
-// and a typed transport error escapes recovery (e.g. -chaos-revive=false
-// exhausts the retry budget on a crashed peer), the rings are dumped to
-// results/<run>/postmortem/<party>.json for offline analysis with
-// silofuse-obs.
+// operations); when a typed transport error ends the run (a dead peer, say:
+// -chaos-profile blackhole drops every send until the retry budget is
+// spent), the rings are dumped to results/<run>/postmortem/<party>.json for
+// offline analysis with silofuse-obs.
 //
 // Usage:
 //
 //	silofuse-demo -dataset loan -clients 3 -rows 600
 //	silofuse-demo -clients 3 -trace demo.json -run demo
-//	silofuse-demo -clients 2 -run crash -chaos-profile crash -chaos-revive=false
+//	silofuse-demo -clients 2 -run crash -chaos-profile blackhole
 package main
 
 import (
@@ -34,7 +33,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"time"
 
 	"silofuse"
 )
@@ -49,7 +47,6 @@ type config struct {
 	runName            string
 	chaosProfile       string
 	chaosSeed          int64
-	chaosRevive        bool
 	wireCodec          string
 	computePrecision   string
 }
@@ -64,9 +61,8 @@ func main() {
 	flag.StringVar(&c.tracePath, "trace", "", "write a merged Chrome-trace JSON (one process lane per party) to this path")
 	flag.BoolVar(&c.metrics, "metrics", false, "print the metrics text exposition to stderr after the run")
 	flag.StringVar(&c.runName, "run", "", "write results/<run>/manifest.json and stream results/<run>/events.jsonl")
-	flag.StringVar(&c.chaosProfile, "chaos-profile", "", "inject transport faults on top of the TCP links: drop, dup, reorder, delay, corrupt, flaky, blackhole, crash (empty disables)")
+	flag.StringVar(&c.chaosProfile, "chaos-profile", "", "inject transport faults on top of the TCP links: drop, dup, reorder, delay, corrupt, flaky, blackhole (empty disables)")
 	flag.Int64Var(&c.chaosSeed, "chaos-seed", 1, "seed of the deterministic fault schedule (with -chaos-profile)")
-	flag.BoolVar(&c.chaosRevive, "chaos-revive", true, "revive crashed peers during phase recovery; =false lets a crash exhaust the retry budget and dump postmortems")
 	flag.StringVar(&c.wireCodec, "wire-codec", "f64", "precision tier framing tensor payloads on the wire: f64 (lossless), f32, q8")
 	flag.StringVar(&c.computePrecision, "compute-precision", "f64", "kernel precision for sampling and decode (training is always f64): f64 or f32")
 	flag.Parse()
@@ -140,8 +136,6 @@ func run(c config) error {
 			p.SetRecorder(clientRecs[i])
 		}
 		peers[name] = p
-		stop := p.StartHeartbeat(200 * time.Millisecond)
-		defer stop()
 		fmt.Printf("client %s connected\n", name)
 	}
 
@@ -151,15 +145,13 @@ func run(c config) error {
 	// stack either way, framing tensor payloads at the selected precision
 	// tier so every layer below moves the encoded blob.
 	var bus silofuse.Bus = &routedBus{hub: hub, peers: peers}
-	var cb *silofuse.ChaosBus
 	if c.chaosProfile != "" && c.chaosProfile != "none" {
 		prof, err := silofuse.ChaosProfileByName(c.chaosProfile)
 		if err != nil {
 			return err
 		}
-		cb = silofuse.NewChaosBus(bus, c.chaosSeed, prof)
-		bus = silofuse.NewResilientBus(cb, silofuse.DefaultResilientConfig())
-		fmt.Printf("chaos profile %q active (seed %d, revive=%v)\n", c.chaosProfile, c.chaosSeed, c.chaosRevive)
+		bus = silofuse.NewResilientBus(silofuse.NewChaosBus(bus, c.chaosSeed, prof), silofuse.DefaultResilientConfig())
+		fmt.Printf("chaos profile %q active (seed %d)\n", c.chaosProfile, c.chaosSeed)
 	}
 	codecID, err := silofuse.WireCodecByName(c.wireCodec)
 	if err != nil {
@@ -204,20 +196,7 @@ func run(c config) error {
 	}
 
 	fmt.Printf("\n== Algorithm 1: stacked training (%d AE iters, %d DDPM iters) ==\n", cfg.AEIters, cfg.DiffIters)
-	var aeLoss, diffLoss float64
-	if cb != nil {
-		rc := silofuse.RecoveryConfig{}
-		if c.chaosRevive {
-			rc.OnPeerDead = func(peer string) error {
-				fmt.Printf("reviving crashed peer %s\n", peer)
-				cb.Revive(peer)
-				return nil
-			}
-		}
-		aeLoss, diffLoss, _, err = pipe.TrainStackedResilient(rc)
-	} else {
-		aeLoss, diffLoss, err = pipe.TrainStacked()
-	}
+	aeLoss, diffLoss, err := pipe.TrainStacked()
 	if err != nil {
 		return dumpCrash(c, flights, err)
 	}
@@ -254,8 +233,8 @@ func run(c config) error {
 
 // dumpCrash writes every party's flight-recorder ring to
 // results/<run>/postmortem/<party>.json when a typed transport failure
-// (peer death past the retry budget, a corrupt payload) escapes recovery,
-// then returns the original error. Untyped errors and runs without -run
+// (a dead peer, a corrupt payload) ends the run, then returns the original
+// error. Untyped errors and runs without -run
 // pass through untouched.
 func dumpCrash(c config, flights map[string]*silofuse.FlightRecorder, err error) error {
 	if c.runName == "" || len(flights) == 0 ||

@@ -194,9 +194,9 @@ func run(c config) error {
 }
 
 // dumpCrash writes the flight-recorder tail to
-// results/<run>/postmortem/local.json when a typed transport failure (peer
-// death past the retry budget, a corrupt payload) escapes recovery, then
-// returns the original error.
+// results/<run>/postmortem/local.json when a typed transport failure (a
+// dead peer, a corrupt payload) ends the run, then returns the original
+// error.
 func dumpCrash(c config, rec *silofuse.Recorder, err error) error {
 	if rec == nil || c.runName == "" ||
 		!(errors.Is(err, silofuse.ErrPeerDead) || errors.Is(err, silofuse.ErrCorruptPayload)) {

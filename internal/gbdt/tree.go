@@ -40,17 +40,28 @@ type Tree struct {
 	nodes []node
 }
 
-// binner holds per-feature histogram bin edges, computed once per dataset.
+// binner holds per-feature histogram bin edges, computed once per dataset,
+// and the scratch every tree grown on that dataset reuses: the histograms,
+// the sample indexes being partitioned and the spill space of a partition.
 type binner struct {
 	edges [][]float64 // per feature, ascending candidate thresholds
+
+	hg, hh []float64 // per-bin gradient and hessian sums, widest feature's length
+	hc     []int     // per-bin sample counts
+	work   []int     // one tree's sample indexes, partitioned in place per node
+	spill  []int     // right-hand indexes during a partition
 }
 
 // newBinner computes up to bins-1 quantile-based candidate thresholds per
 // feature.
 func newBinner(x *tensor.Matrix, bins int) *binner {
 	b := &binner{edges: make([][]float64, x.Cols)}
+	col := make([]float64, x.Rows)
+	nb := 1
 	for f := 0; f < x.Cols; f++ {
-		col := x.Col(f)
+		for i := range col {
+			col[i] = x.At(i, f)
+		}
 		sort.Float64s(col)
 		var edges []float64
 		prev := math.NaN()
@@ -63,18 +74,29 @@ func newBinner(x *tensor.Matrix, bins int) *binner {
 			}
 		}
 		b.edges[f] = edges
+		nb = max(nb, len(edges)+1)
 	}
+	b.hg, b.hh, b.hc = make([]float64, nb), make([]float64, nb), make([]int, nb)
 	return b
 }
 
 // buildTree grows one tree on samples idx using gradients g and hessians h.
+// idx itself is left as it was.
 func buildTree(x *tensor.Matrix, g, h []float64, idx []int, bn *binner, p TreeParams) *Tree {
 	t := &Tree{}
-	t.grow(x, g, h, idx, bn, p, 0)
+	if cap(bn.work) < len(idx) {
+		bn.work, bn.spill = make([]int, len(idx)), make([]int, len(idx))
+	}
+	work := bn.work[:len(idx)]
+	copy(work, idx)
+	t.grow(x, g, h, work, bn, p, 0)
 	return t
 }
 
-// grow appends the subtree for idx and returns its node index.
+// grow appends the subtree for idx and returns its node index. It reorders
+// idx: the left child's samples come first, the right child's after them,
+// each in the order they had in idx, so every sum runs in the same order as
+// over freshly collected index lists.
 func (t *Tree) grow(x *tensor.Matrix, g, h []float64, idx []int, bn *binner, p TreeParams, depth int) int {
 	var sumG, sumH float64
 	for _, i := range idx {
@@ -105,9 +127,10 @@ func (t *Tree) grow(x *tensor.Matrix, g, h []float64, idx []int, bn *binner, p T
 		// Histogram of gradient stats per bin: bin k collects samples with
 		// value <= edges[k] (k < len(edges)); overflow bin holds the rest.
 		nb := len(edges) + 1
-		hg := make([]float64, nb)
-		hh := make([]float64, nb)
-		hc := make([]int, nb)
+		hg, hh, hc := bn.hg[:nb], bn.hh[:nb], bn.hc[:nb]
+		clear(hg)
+		clear(hh)
+		clear(hc)
 		for _, i := range idx {
 			v := x.At(i, f)
 			k := sort.SearchFloat64s(edges, v) // first edge >= v
@@ -139,19 +162,24 @@ func (t *Tree) grow(x *tensor.Matrix, g, h []float64, idx []int, bn *binner, p T
 		return makeLeaf()
 	}
 
-	var leftIdx, rightIdx []int
+	// Stable partition: left samples are compacted to the front, right ones
+	// wait in spill and follow them.
+	nl, nr := 0, 0
 	for _, i := range idx {
 		if x.At(i, bestFeat) <= bestThr {
-			leftIdx = append(leftIdx, i)
+			idx[nl] = i
+			nl++
 		} else {
-			rightIdx = append(rightIdx, i)
+			bn.spill[nr] = i
+			nr++
 		}
 	}
-	if len(leftIdx) == 0 || len(rightIdx) == 0 {
+	if nl == 0 || nr == 0 {
 		return makeLeaf()
 	}
-	l := t.grow(x, g, h, leftIdx, bn, p, depth+1)
-	r := t.grow(x, g, h, rightIdx, bn, p, depth+1)
+	copy(idx[nl:], bn.spill[:nr])
+	l := t.grow(x, g, h, idx[:nl], bn, p, depth+1)
+	r := t.grow(x, g, h, idx[nl:], bn, p, depth+1)
 	t.nodes[me] = node{feature: bestFeat, threshold: bestThr, left: l, right: r}
 	return me
 }

@@ -154,7 +154,9 @@ func propensitySimilarity(real, synth *tabular.Table, cfg ResemblanceConfig) (fl
 	r := real.Head(nr)
 	s := synth.Head(ns)
 	enc := tabular.NewEncoder(r)
-	x := tensor.VStack(enc.Transform(r), enc.Transform(s))
+	// One encoding of the stacked raw rows rather than a stack of two
+	// encodings: the encoded width is the wide side, so it is built once.
+	x := enc.Transform(&tabular.Table{Schema: r.Schema, Data: tensor.VStack(r.Data, s.Data)})
 	labels := make([]int, nr+ns)
 	for i := nr; i < nr+ns; i++ {
 		labels[i] = 1

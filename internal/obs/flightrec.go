@@ -13,7 +13,7 @@ import (
 // FlightRecorder is a fixed-capacity, allocation-bounded ring buffer of
 // recent telemetry operations — train events, span ends, bus
 // send/recv/retry traffic. It exists for the moment a run dies: when a typed
-// transport error escapes recovery, the last flightCapDefault operations of
+// transport error ends the run, the last flightCapDefault operations of
 // every party are dumped to results/<run>/postmortem/<party>.json, turning
 // "the run crashed" into a readable tail of what each process was doing.
 //
@@ -31,8 +31,8 @@ type FlightRecorder struct {
 }
 
 // FlightEntry is one recorded operation. Op names the operation ("train",
-// "span", "send", "recv", "retry", "redelivery", "corrupt", "reconnect",
-// "peer-down", "event", ...); Name and Peer carry its labels (message kind,
+// "span", "send", "recv", "retry", "redelivery", "corrupt", "peer-down",
+// "event", ...); Name and Peer carry its labels (message kind,
 // span name, peer id); Value carries its number (bytes, seconds, loss).
 type FlightEntry struct {
 	Seq   uint64  `json:"seq"`

@@ -241,15 +241,6 @@ func (r *Recorder) CorruptPayload(kind string) {
 	r.Flight.Note("corrupt", kind, "", 0)
 }
 
-// Reconnect notes a transport reconnect for the named peer in the flight
-// recorder.
-func (r *Recorder) Reconnect(peer string) {
-	if r == nil {
-		return
-	}
-	r.Flight.Note("reconnect", "", peer, 0)
-}
-
 // PeerDown notes a peer-death detection for the named peer in the flight
 // recorder, whose postmortem dump says which peer died.
 func (r *Recorder) PeerDown(peer string) {

@@ -30,15 +30,11 @@ const (
 	KindGradDown    Kind = "grad-down"    // coordinator -> client, E2E encoder gradients
 )
 
-// Control and accounting kinds of the fault-tolerance layer. KindRetransmit
-// never appears on an envelope: it is the Stats.ByKind bucket that collects
-// the bytes of every re-sent attempt, so ByKind[app kind] stays pure goodput
-// (first transmissions only) and Table VIII numbers survive a lossy network.
-const (
-	KindRetransmit Kind = "retransmit" // accounting bucket for re-sent bytes
-	KindHeartbeat  Kind = "heartbeat"  // peer -> hub liveness beacon
-	KindPeerDown   Kind = "peer-down"  // transport-injected death notice; From = dead peer
-)
+// KindRetransmit never appears on an envelope: it is the Stats.ByKind bucket
+// that collects the bytes of every re-sent attempt, so ByKind[app kind] stays
+// pure goodput (first transmissions only) and Table VIII numbers survive a
+// lossy network.
+const KindRetransmit Kind = "retransmit"
 
 // Envelope is one protocol message. Payload may be nil for control
 // messages.
@@ -116,19 +112,11 @@ type Bus interface {
 }
 
 // TryReceiver is implemented by transports whose inboxes can be polled
-// without blocking. It powers the chaos layer's receive-side faults and the
-// resilient layer's inter-attempt drain.
+// without blocking. It powers the chaos layer's receive-side faults.
 type TryReceiver interface {
 	// TryRecv pops a pending message for the recipient, or returns false
 	// immediately when the inbox is empty (or unreachable).
 	TryRecv(to string) (*Envelope, bool)
-}
-
-// Resetter is implemented by transports that can discard in-flight state
-// between recovery attempts: undelivered messages for the given parties and
-// any per-link sequencing.
-type Resetter interface {
-	Reset(parties []string)
 }
 
 // LocalBus is an in-process Bus using buffered channels. It is
@@ -240,8 +228,7 @@ func (b *LocalBus) Recv(to string) (*Envelope, error) {
 
 // TryRecv implements TryReceiver: it pops a pending message for the
 // recipient without blocking. The chaos layer uses it to look ahead in an
-// inbox (reorder/delay faults) and the resilient layer uses it to drain
-// stale in-flight messages between recovery attempts.
+// inbox (reorder/delay faults).
 func (b *LocalBus) TryRecv(to string) (*Envelope, bool) {
 	select {
 	case e, ok := <-b.box(to):

@@ -45,22 +45,12 @@ type ChaosProfile struct {
 
 	// CorruptPermille flips one payload bit in flight.
 	CorruptPermille int
-
-	// CrashPeer, when non-empty, kills that party after it has issued
-	// CrashAfterSends application sends: the triggering send and all later
-	// traffic to or from the peer fail with a PeerDeadError, and each party
-	// in NotifyPeers receives a KindPeerDown notice so blocked receivers
-	// wake. Revive clears the crash (the peer "restarts").
-	CrashPeer       string
-	CrashAfterSends int
-	NotifyPeers     []string
 }
 
 // ChaosProfileByName resolves the named fault profiles exposed by
 // silofuse-demo's -chaos-profile flag. Recoverable profiles keep
 // MaxConsecutiveDrops below the resilient layer's default retry budget;
-// "blackhole" intentionally exceeds it to exercise the ErrPeerDead path, and
-// "crash" kills client c1 after its first upload.
+// "blackhole" intentionally exceeds it to exercise the ErrPeerDead path.
 func ChaosProfileByName(name string) (ChaosProfile, error) {
 	switch name {
 	case "", "none":
@@ -85,8 +75,6 @@ func ChaosProfileByName(name string) (ChaosProfile, error) {
 		}, nil
 	case "blackhole":
 		return ChaosProfile{Name: name, DropPermille: 1000, MaxConsecutiveDrops: 1 << 30}, nil
-	case "crash":
-		return ChaosProfile{Name: name, CrashPeer: "c1", CrashAfterSends: 1, NotifyPeers: []string{"coord"}}, nil
 	default:
 		return ChaosProfile{}, errors.New("silo: unknown chaos profile " + name)
 	}
@@ -94,7 +82,7 @@ func ChaosProfileByName(name string) (ChaosProfile, error) {
 
 // ChaosStats counts injected faults.
 type ChaosStats struct {
-	Drops, Dups, Reorders, Delays, Corrupts, Crashes int64
+	Drops, Dups, Reorders, Delays, Corrupts int64
 }
 
 // stashed is one receive-side held-back envelope: age is the number of the
@@ -105,7 +93,7 @@ type stashed struct {
 }
 
 // ChaosBus wraps a Bus and injects faults from the profile's seeded
-// schedule. Send-side decisions (drop, duplicate, corrupt, crash) are pure
+// schedule. Send-side decisions (drop, duplicate, corrupt) are pure
 // functions of the message identity and therefore bit-deterministic;
 // receive-side faults (reorder, delay) have a seeded decision schedule but
 // act only on messages already in flight, so they can never block a
@@ -115,12 +103,9 @@ type ChaosBus struct {
 	seed  uint64
 	prof  ChaosProfile
 
-	mu       sync.Mutex        // guards every field below
-	pseudo   map[string]uint64 // per-link seq for unsequenced envelopes
-	attempts map[chaosKey]int  // delivery attempts per message identity
-	sends    int
-	fired    bool
-	crashed  map[string]bool
+	mu       sync.Mutex           // guards every field below
+	pseudo   map[string]uint64    // per-link seq for unsequenced envelopes
+	attempts map[chaosKey]int     // delivery attempts per message identity
 	stash    map[string][]stashed // held-back envelopes per recipient
 	stats    ChaosStats
 }
@@ -151,7 +136,6 @@ func NewChaosBus(inner Bus, seed int64, prof ChaosProfile) *ChaosBus {
 		prof:     prof,
 		pseudo:   make(map[string]uint64),
 		attempts: make(map[chaosKey]int),
-		crashed:  make(map[string]bool),
 		stash:    make(map[string][]stashed),
 	}
 }
@@ -201,12 +185,6 @@ func (c *ChaosBus) key(e *Envelope) chaosKey {
 
 // Send implements Bus, applying send-side faults.
 func (c *ChaosBus) Send(e *Envelope) error {
-	if e.Kind == KindHeartbeat || e.Kind == KindPeerDown {
-		return c.inner.Send(e)
-	}
-	if dead, err := c.checkCrash(e); dead {
-		return err
-	}
 	k := c.key(e)
 	c.mu.Lock()
 	c.attempts[k]++
@@ -254,40 +232,6 @@ func (c *ChaosBus) Send(e *Envelope) error {
 	return nil
 }
 
-// checkCrash updates the crash schedule for this send and reports whether
-// either endpoint is dead.
-func (c *ChaosBus) checkCrash(e *Envelope) (bool, error) {
-	if c.prof.CrashPeer == "" {
-		return false, nil
-	}
-	var notify []string
-	c.mu.Lock()
-	if e.From == c.prof.CrashPeer && !c.fired {
-		c.sends++
-		if c.sends >= c.prof.CrashAfterSends {
-			c.fired = true
-			c.crashed[c.prof.CrashPeer] = true
-			c.stats.Crashes++
-			notify = c.prof.NotifyPeers
-		}
-	}
-	var dead string
-	switch {
-	case c.crashed[e.From]:
-		dead = e.From
-	case c.crashed[e.To]:
-		dead = e.To
-	}
-	c.mu.Unlock()
-	for _, n := range notify {
-		_ = c.inner.Send(&Envelope{From: c.prof.CrashPeer, To: n, Kind: KindPeerDown})
-	}
-	if dead != "" {
-		return true, &PeerDeadError{Peer: dead}
-	}
-	return false, nil
-}
-
 // corruptible reports whether e carries tensor data the corrupt fault can
 // flip a bit in: a native float64 payload or a codec-framed blob.
 func corruptible(e *Envelope) bool {
@@ -318,14 +262,6 @@ func (c *ChaosBus) corrupt(e *Envelope, k chaosKey) *Envelope {
 	return &cp
 }
 
-// Revive clears a crashed peer so it can rejoin the protocol (the chaos
-// analogue of restarting a process).
-func (c *ChaosBus) Revive(peer string) {
-	c.mu.Lock()
-	delete(c.crashed, peer)
-	c.mu.Unlock()
-}
-
 // Recv implements Bus, applying receive-side faults. It never blocks while
 // holding a deliverable message, so reorder and delay cannot deadlock a
 // lockstep protocol: a delayed envelope is released as soon as nothing can
@@ -348,9 +284,6 @@ func (c *ChaosBus) Recv(to string) (*Envelope, error) {
 				return nil, err
 			}
 			e = got
-		}
-		if e.Kind == KindHeartbeat || e.Kind == KindPeerDown {
-			return e, nil
 		}
 		link := e.From + "->" + e.To
 		seq := e.Seq
@@ -438,20 +371,6 @@ func (c *ChaosBus) push(to string, e *Envelope, age int) {
 	c.mu.Lock()
 	c.stash[to] = append(c.stash[to], stashed{e: e, age: age})
 	c.mu.Unlock()
-}
-
-// TryRecv implements TryReceiver: held-back envelopes are released first so
-// a drain between recovery attempts sees everything in flight.
-func (c *ChaosBus) TryRecv(to string) (*Envelope, bool) {
-	c.mu.Lock()
-	if s := c.stash[to]; len(s) > 0 {
-		e := s[0].e
-		c.stash[to] = s[1:]
-		c.mu.Unlock()
-		return e, true
-	}
-	c.mu.Unlock()
-	return c.tryInner(to)
 }
 
 // Stats implements Bus by delegating to the wrapped transport.

@@ -10,8 +10,8 @@ import (
 )
 
 // codecEligible reports whether a message kind carries a dense tensor
-// payload the wire codec should frame. Control kinds (synth-req, heartbeat,
-// peer-down) pass through untouched.
+// payload the wire codec should frame. The control kind synth-req passes
+// through untouched.
 func codecEligible(k Kind) bool {
 	switch k {
 	case KindLatents, KindSynthLatent, KindActivation, KindDenoised, KindGradUp, KindGradDown:
@@ -177,30 +177,6 @@ func (b *CodecBus) Recv(to string) (*Envelope, error) {
 		return nil, err
 	}
 	return b.decode(e)
-}
-
-// TryRecv implements TryReceiver. An undecodable frame is passed through
-// raw: TryRecv callers are drain loops that discard the envelope anyway.
-func (b *CodecBus) TryRecv(to string) (*Envelope, bool) {
-	tr, ok := b.inner.(TryReceiver)
-	if !ok {
-		return nil, false
-	}
-	e, ok := tr.TryRecv(to)
-	if !ok {
-		return nil, false
-	}
-	if dec, err := b.decode(e); err == nil {
-		return dec, true
-	}
-	return e, true
-}
-
-// Reset implements Resetter by forwarding to the wrapped transport.
-func (b *CodecBus) Reset(parties []string) {
-	if rs, ok := b.inner.(Resetter); ok {
-		rs.Reset(parties)
-	}
 }
 
 // Stats implements Bus by delegating to the wrapped transport: the inner

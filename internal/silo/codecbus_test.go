@@ -364,40 +364,3 @@ func TestChaosCodecCorruptFailsTyped(t *testing.T) {
 		}
 	}
 }
-
-// TestChaosCrashRecoveryCodec: the crash class composed with lossy framing —
-// client c1 dies on its first upload, recovery revives it and replays the
-// phase, and the recovered run matches the same codec's fault-free baseline
-// bit for bit (the replayed frame encodes to the identical blob).
-func TestChaosCrashRecoveryCodec(t *testing.T) {
-	base := NewCodecBus(NewLocalBus(), codec.Q8)
-	baseAE, baseDiff, baseOut := chaosStackedRun(t, base)
-
-	wire, cb := codecChaos(codec.Q8, 2, mustProfile(t, "crash"))
-	tb := loanTable(t, 150)
-	cfg := smallConfig(2)
-	cfg.AEIters, cfg.DiffIters = 40, 60
-	p, err := NewPipeline(wire, tb, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rc := RecoveryConfig{OnPeerDead: func(peer string) error {
-		cb.Revive(peer)
-		return nil
-	}}
-	ae, diff, _, err := p.TrainStackedResilient(rc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := cb.FaultStats().Crashes; got != 1 {
-		t.Fatalf("crashes = %d, want 1", got)
-	}
-	if math.Float64bits(ae) != math.Float64bits(baseAE) || math.Float64bits(diff) != math.Float64bits(baseDiff) {
-		t.Fatalf("q8 crash recovery losses (%v, %v) diverge from codec baseline (%v, %v)", ae, diff, baseAE, baseDiff)
-	}
-	out, err := p.SynthesizeShared(0, 30, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameTable(t, "q8/crash", baseOut, out)
-}

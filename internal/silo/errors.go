@@ -7,12 +7,11 @@ import (
 
 // Transport fault classes surfaced as typed errors. Every failure mode of
 // the resilient fabric resolves to one of these sentinels (via errors.Is),
-// so callers can distinguish "the peer is gone, rejoin and resume from the
-// last checkpoint" from "the payload failed its checksum, the message must
-// be retransmitted" without string matching.
+// so callers can tell "a peer is gone, the run is over" from "the payload
+// failed its checksum" without string matching.
 var (
-	// ErrPeerDead means a party is unreachable: its connection dropped, it
-	// announced a crash, or a bounded retry budget was exhausted against it.
+	// ErrPeerDead means a party is unreachable: its connection dropped or a
+	// bounded retry budget was exhausted against it.
 	ErrPeerDead = errors.New("silo: peer dead")
 	// ErrCorruptPayload means an envelope arrived whose payload checksum did
 	// not match the sender's — the bytes were altered in flight.
@@ -25,8 +24,7 @@ var (
 )
 
 // PeerDeadError carries the name of the dead peer; it unwraps to
-// ErrPeerDead. Recovery drivers use the name to restart or re-dial exactly
-// the party that failed.
+// ErrPeerDead, so a caller can tell which party failed the run.
 type PeerDeadError struct {
 	Peer string
 	// Cause, when non-nil, is the underlying transport error.
@@ -42,13 +40,3 @@ func (e *PeerDeadError) Error() string {
 
 // Unwrap makes errors.Is(err, ErrPeerDead) true.
 func (e *PeerDeadError) Unwrap() error { return ErrPeerDead }
-
-// DeadPeerName extracts the peer name from an ErrPeerDead-class error chain,
-// or "" when the error carries no peer identity.
-func DeadPeerName(err error) string {
-	var pd *PeerDeadError
-	if errors.As(err, &pd) {
-		return pd.Peer
-	}
-	return ""
-}

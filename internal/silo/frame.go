@@ -62,13 +62,20 @@ const (
 // plus one chunk, whatever the length prefix claims.
 const frameChunk = 64 << 10
 
-// kindHello opens every TCP stream: From names the dialling peer, and a
-// non-zero Seq marks a re-dial.
-const kindHello Kind = "hello"
+// The TCP transport's own kinds. kindHello opens every stream, its From
+// naming the dialling peer; kindPeerDown is the notice a hub puts in its
+// own inbox when a peer's stream ends, From naming the dead peer. A hub
+// refuses either one arriving mid-stream (TCPHub.route).
+const (
+	kindHello    Kind = "hello"
+	kindPeerDown Kind = "peer-down"
+)
 
 // kindTable is the closed set of kinds a frame can carry; the index is the
-// wire code, so entries are only ever appended. KindRetransmit is absent:
-// it is an accounting bucket, never an envelope's kind.
+// wire code, so entries are only ever appended and a retired code stays
+// empty: 8 was a liveness beacon nothing read, and a frame under it is
+// refused. KindRetransmit is absent: it is an accounting bucket, never an
+// envelope's kind.
 var kindTable = [...]Kind{
 	1:  KindLatents,
 	2:  KindSynthReq,
@@ -77,14 +84,13 @@ var kindTable = [...]Kind{
 	5:  KindDenoised,
 	6:  KindGradUp,
 	7:  KindGradDown,
-	8:  KindHeartbeat,
-	9:  KindPeerDown,
+	9:  kindPeerDown,
 	10: kindHello,
 }
 
 func kindCode(k Kind) (byte, bool) {
 	for code := 1; code < len(kindTable); code++ {
-		if kindTable[code] == k {
+		if k != "" && kindTable[code] == k {
 			return byte(code), true
 		}
 	}
@@ -266,7 +272,7 @@ func decodeFrame(b []byte) (*Envelope, error) {
 		return nil, corruptFrame("malformed header in a %d-byte frame", len(b))
 	case flags&^frameKnownFlags != 0, flags&frameSequenced != 0 && !e.sequenced():
 		return nil, corruptFrame("frame flags %#x", flags)
-	case code == 0 || int(code) >= len(kindTable):
+	case int(code) >= len(kindTable) || kindTable[code] == "":
 		return nil, corruptFrame("unknown kind code %d", code)
 	case rows > MaxFrame || cols > MaxFrame:
 		return nil, corruptFrame("dimensions %dx%d exceed MaxFrame", rows, cols)

@@ -191,8 +191,8 @@ func TestWireSizeExactOverTCP(t *testing.T) {
 			t.Fatalf("payload %d: f64 body is %s (%d bytes), want %s", p, form, len(blob), f64Forms[p])
 		}
 		for _, kind := range kindTable[1:] {
-			if kind == kindHello || kind == KindPeerDown || kind == KindHeartbeat {
-				continue // stream opener, hub-injected notice, and hub-consumed beacon: below
+			if kind == "" || kind == kindHello || kind == kindPeerDown {
+				continue // retired code, stream opener and hub-injected notice: below
 			}
 			for _, body := range frameBodies {
 				for _, stamp := range frameStamps {
@@ -214,15 +214,14 @@ func TestWireSizeExactOverTCP(t *testing.T) {
 			}
 		}
 	}
-	// Control frames have no body; a heartbeat is counted by its sender and
-	// consumed by the hub. The last message is hub-bound on c0's stream, so
-	// once it arrives the hub has booked every forward that preceded it.
-	hop(&Envelope{From: "c0", Kind: KindHeartbeat}, 1)
+	// Control frames have no body. The last message is hub-bound on c0's
+	// stream, so once it arrives the hub has booked every forward that
+	// preceded it.
 	last := &Envelope{From: "c0", To: "coord", Kind: KindSynthReq}
 	hop(last, 1)
 	got, err := hub.Recv("coord")
 	check(last, got, err)
-	if frame, err := appendFrame(nil, &Envelope{From: "c1", To: "coord", Kind: KindPeerDown}); err != nil || len(frame) != frameMin+2+5 {
+	if frame, err := appendFrame(nil, &Envelope{From: "c1", To: "coord", Kind: kindPeerDown}); err != nil || len(frame) != frameMin+2+5 {
 		t.Fatalf("peer-down frame: %d bytes, %v", len(frame), err)
 	}
 
@@ -243,9 +242,6 @@ func TestWireSizeExactOverTCP(t *testing.T) {
 	}
 	if msgs != wantMsgs || byKind != wantBytes-hellos || rexmit != wantRexmit {
 		t.Fatalf("%d messages, %d bytes by kind, %d retransmitted; want %d, %d, %d", msgs, byKind, rexmit, wantMsgs, wantBytes-hellos, wantRexmit)
-	}
-	if n := hub.PeerHealth()["c0"].Heartbeats; n != 1 {
-		t.Fatalf("hub counted %d heartbeats from c0, want 1", n)
 	}
 }
 
@@ -340,7 +336,10 @@ func randomEnvelope(t testing.TB, rng *rand.Rand) *Envelope {
 		rng.Read(b)
 		return string(b)
 	}
-	kind := kindTable[1+rng.Intn(len(kindTable)-1)]
+	var kind Kind
+	for kind == "" { // a retired code carries no kind
+		kind = kindTable[1+rng.Intn(len(kindTable)-1)]
+	}
 	if rng.Intn(4) == 0 {
 		e := &Envelope{From: name(), To: name(), Kind: kind, Flow: rng.Uint64() >> uint(rng.Intn(64))}
 		if rng.Intn(2) == 0 {
@@ -466,12 +465,22 @@ func checkFrameDecode(t testing.TB, data []byte) {
 	}
 }
 
+// retiredKindFrame is the golden control frame with its kind byte set to
+// code 8, which kindTable keeps empty: a reader must refuse it.
+func retiredKindFrame() []byte {
+	frame, _ := hex.DecodeString(goldenFrames[0].hex)
+	frame[5] = 8
+	return frame
+}
+
 // FuzzFrameDecode holds readFrame to checkFrameDecode. Its seeds are the
-// mutants above, which a plain `go test` runs too.
+// mutants above and a frame under the retired kind code, which a plain
+// `go test` runs too.
 func FuzzFrameDecode(f *testing.F) {
 	for _, data := range frameMutants() {
 		f.Add(data)
 	}
+	f.Add(retiredKindFrame())
 	f.Fuzz(func(t *testing.T, data []byte) { checkFrameDecode(t, data) })
 }
 
@@ -565,42 +574,144 @@ func TestTCPHubCloseWaits(t *testing.T) {
 }
 
 // TestTCPHubCountsCorruptFrame: a peer whose stream stops being frames is
-// dropped, and the recorder says why before it says the peer is down.
+// dropped, and the recorder says why before it says the peer is down. So is
+// one whose stream carries a frame it may not: a stream speaks only for the
+// name it said hello with, and only in application kinds. No refused frame
+// reaches the hub's inbox, and a second hello for a registered name leaves
+// the live registration in place.
 func TestTCPHubCountsCorruptFrame(t *testing.T) {
-	hub, err := NewTCPHub("coord", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	frame := func(e *Envelope) []byte {
+		b, err := appendFrame(nil, e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
 	}
-	defer hub.Close()
-	rec := obs.NewRecorder()
-	flight := obs.NewFlightRecorder(0)
-	rec.SetFlight(flight)
-	hub.SetRecorder(rec)
+	for _, tc := range []struct {
+		name   string
+		after  []byte // what the stream writes after its hello
+		second bool   // a peer named c0 is registered before the stream dials
+	}{
+		{name: "not a frame", after: binary.LittleEndian.AppendUint32(nil, 1<<31)}, // a length no frame may have
+		{name: "another sender", after: frame(&Envelope{From: "c1", To: "coord", Kind: KindSynthReq})},
+		{name: "mid-stream hello", after: frame(&Envelope{From: "c0", Kind: kindHello})},
+		{name: "mid-stream peer-down", after: frame(&Envelope{From: "c0", To: "coord", Kind: kindPeerDown})},
+		{name: "retired kind code", after: retiredKindFrame()},
+		{name: "hello for a registered name", second: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			hub, err := NewTCPHub("coord", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer hub.Close()
+			rec := obs.NewRecorder()
+			flight := obs.NewFlightRecorder(0)
+			rec.SetFlight(flight)
+			hub.SetRecorder(rec)
 
-	conn, err := net.Dial("tcp", hub.Addr())
+			var live *TCPPeer
+			if tc.second {
+				if live, err = DialHub("c0", hub.Addr()); err != nil {
+					t.Fatal(err)
+				}
+				defer live.Close()
+				for len(hub.Peers()) == 0 {
+					time.Sleep(time.Millisecond)
+				}
+			}
+			conn, err := net.Dial("tcp", hub.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if _, err := conn.Write(append(frame(&Envelope{From: "c0", Kind: kindHello}), tc.after...)); err != nil {
+				t.Fatal(err)
+			}
+
+			got := make(chan error, 1)
+			go func() {
+				e, err := hub.Recv("coord")
+				if err == nil {
+					err = fmt.Errorf("delivered %s from %q", e.Kind, e.From)
+				}
+				got <- err
+			}()
+			var pd *PeerDeadError
+			select {
+			case err := <-got:
+				if !errors.As(err, &pd) || pd.Peer != "c0" {
+					t.Fatalf("hub.Recv: %v, want c0 dead", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("the stream was not refused: no peer-down within 5 s")
+			}
+			if n := rec.Snapshot().Counters["bus_corrupt_total_frame"]; n != 1 {
+				t.Fatalf("bus_corrupt_total_frame = %d, want 1", n)
+			}
+			var ops []string
+			for _, en := range flight.Entries() {
+				ops = append(ops, en.Op)
+			}
+			if got := strings.Join(ops, " "); !strings.Contains(got, "corrupt peer-down") {
+				t.Fatalf("flight recorder ops %q, want corrupt before peer-down", got)
+			}
+			if live != nil {
+				if err := live.Send(&Envelope{From: "c0", To: "coord", Kind: KindSynthReq}); err != nil {
+					t.Fatal(err)
+				}
+				if e, err := hub.Recv("coord"); err != nil || e.From != "c0" || e.Kind != KindSynthReq {
+					t.Fatalf("the live c0 after the refused hello: %v, %v", e, err)
+				}
+			}
+		})
+	}
+}
+
+// TestTCPHubCloseWakesRecv: Close wakes a Recv blocked on an empty hub and a
+// self-addressed Send blocked on a full inbox, as LocalBus's Close wakes its
+// receivers: both return an error wrapping ErrBusClosed, and no goroutine
+// is left behind.
+func TestTCPHubCloseWakesRecv(t *testing.T) {
+	start := runtime.NumGoroutine()
+	idle, err := NewTCPHub("coord", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	hello, err := appendFrame(nil, &Envelope{From: "c0", Kind: kindHello})
+	full, err := NewTCPHub("coord", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	garbage := binary.LittleEndian.AppendUint32(nil, 1<<31) // a length no frame may have
-	if _, err := conn.Write(append(hello, garbage...)); err != nil {
-		t.Fatal(err)
+	self := &Envelope{From: "coord", To: "coord", Kind: KindSynthReq}
+	for i := 0; i < cap(full.inbox); i++ {
+		if err := full.Send(self); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := hub.Recv("coord"); !errors.Is(err, ErrPeerDead) || DeadPeerName(err) != "c0" {
-		t.Fatalf("hub.Recv after a corrupt frame: %v, want c0 dead", err)
+	recv, send := make(chan error, 1), make(chan error, 1)
+	go func() {
+		_, err := idle.Recv("coord")
+		recv <- err
+	}()
+	go func() { send <- full.Send(self) }()
+	time.Sleep(20 * time.Millisecond) // let both block
+
+	idle.Close()
+	full.Close()
+	for name, ch := range map[string]chan error{"Recv on an empty hub": recv, "Send into a full inbox": send} {
+		select {
+		case err := <-ch:
+			if !errors.Is(err, ErrBusClosed) {
+				t.Fatalf("%s after Close: %v, want ErrBusClosed", name, err)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("%s still blocked 1 s after Close", name)
+		}
 	}
-	if n := rec.Snapshot().Counters["bus_corrupt_total_frame"]; n != 1 {
-		t.Fatalf("bus_corrupt_total_frame = %d, want 1", n)
-	}
-	var ops []string
-	for _, en := range flight.Entries() {
-		ops = append(ops, en.Op)
-	}
-	if got := strings.Join(ops, " "); !strings.Contains(got, "corrupt peer-down") {
-		t.Fatalf("flight recorder ops %q, want corrupt before peer-down", got)
+	for tries := 0; runtime.NumGoroutine() > start; tries++ {
+		if tries == 5000 {
+			t.Fatalf("%d goroutines after Close, %d before the hubs started", runtime.NumGoroutine(), start)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

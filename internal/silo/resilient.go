@@ -20,10 +20,6 @@ type ResilientConfig struct {
 	// determinism.
 	BackoffBase time.Duration
 	BackoffCap  time.Duration
-	// SendDeadline, when > 0, is forwarded to transports that support
-	// per-message IO deadlines (TCPHub/TCPPeer write deadlines), so a send
-	// into a dead socket fails instead of blocking forever.
-	SendDeadline time.Duration
 	// Sleep performs the backoff wait; nil means time.Sleep. Tests inject a
 	// no-op to run dense retry schedules instantly.
 	Sleep func(time.Duration)
@@ -34,11 +30,6 @@ type ResilientConfig struct {
 // their consecutive-drop bounds below this attempt budget.
 func DefaultResilientConfig() ResilientConfig {
 	return ResilientConfig{MaxAttempts: 4, BackoffBase: 2 * time.Millisecond, BackoffCap: 50 * time.Millisecond}
-}
-
-// deadlineSetter is implemented by transports with per-message IO deadlines.
-type deadlineSetter interface {
-	SetIOTimeout(d time.Duration)
 }
 
 // ResilientBus wraps a Bus with reliable, idempotent, integrity-checked
@@ -83,11 +74,6 @@ func NewResilientBus(inner Bus, cfg ResilientConfig) *ResilientBus {
 	}
 	if cfg.BackoffCap <= 0 {
 		cfg.BackoffCap = def.BackoffCap
-	}
-	if cfg.SendDeadline > 0 {
-		if ds, ok := inner.(deadlineSetter); ok {
-			ds.SetIOTimeout(cfg.SendDeadline)
-		}
 	}
 	return &ResilientBus{
 		inner:   inner,
@@ -183,11 +169,7 @@ func (r *ResilientBus) account(e *Envelope, size int64) {
 }
 
 // Send implements Bus with sequencing, checksumming and bounded retries.
-// Control envelopes (heartbeat, peer-down) pass through unsequenced.
 func (r *ResilientBus) Send(e *Envelope) error {
-	if e.Kind == KindHeartbeat || e.Kind == KindPeerDown {
-		return r.inner.Send(e)
-	}
 	link := e.From + "->" + e.To
 	r.mu.Lock()
 	r.nextSeq[link]++
@@ -223,8 +205,8 @@ func (r *ResilientBus) Send(e *Envelope) error {
 
 // Recv implements Bus: it delivers exactly the sender's application
 // message stream per link — duplicates discarded, out-of-order envelopes
-// buffered until their predecessors arrive, checksums verified. A
-// peer-down notice surfaces as a PeerDeadError instead of a message.
+// buffered until their predecessors arrive, checksums verified. The
+// wrapped transport's errors, a dead peer's among them, pass through.
 func (r *ResilientBus) Recv(to string) (*Envelope, error) {
 	for {
 		r.mu.Lock()
@@ -238,15 +220,6 @@ func (r *ResilientBus) Recv(to string) (*Envelope, error) {
 		e, err := r.inner.Recv(to)
 		if err != nil {
 			return nil, err
-		}
-		switch e.Kind {
-		case KindHeartbeat:
-			continue
-		case KindPeerDown:
-			if r.rec != nil {
-				r.rec.PeerDown(e.From)
-			}
-			return nil, &PeerDeadError{Peer: e.From}
 		}
 		// Discard stale duplicates by sequence number before checksum
 		// validation, as a real stack discards duplicate segments: the
@@ -319,29 +292,6 @@ func (r *ResilientBus) Recv(to string) (*Envelope, error) {
 			return e, nil
 		}
 	}
-}
-
-// Reset implements Resetter: it drains undelivered messages for the given
-// parties from the wrapped transport and clears all sequencing state, so a
-// phase re-run after a failure starts from a clean channel (stale
-// envelopes from the aborted attempt would otherwise collide with the
-// fresh sequence numbers).
-func (r *ResilientBus) Reset(parties []string) {
-	if tr, ok := r.inner.(TryReceiver); ok {
-		for _, p := range parties {
-			for {
-				if _, ok := tr.TryRecv(p); !ok {
-					break
-				}
-			}
-		}
-	}
-	r.mu.Lock()
-	r.nextSeq = make(map[string]uint64)
-	r.expect = make(map[string]uint64)
-	r.pending = make(map[string]map[uint64]*Envelope)
-	r.ready = make(map[string][]*Envelope)
-	r.mu.Unlock()
 }
 
 // Stats implements Bus with the attempt-level accounting described on the

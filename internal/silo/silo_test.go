@@ -2,9 +2,12 @@
 package silo
 
 import (
+	"errors"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"silofuse/internal/autoencoder"
 	"silofuse/internal/datagen"
@@ -474,8 +477,70 @@ func TestStackedOverTCP(t *testing.T) {
 	}
 }
 
-// routedBus lets in-process actors talk over real sockets: each party's
-// sends/receives are routed through its own TCP endpoint.
+// TestTCPDeadPeerFailsTyped: a client whose socket is closed before the
+// latent upload ends stacked training over the routed hub with an
+// ErrPeerDead-class error, promptly, and once the transports close no
+// goroutine is left behind.
+func TestTCPDeadPeerFailsTyped(t *testing.T) {
+	start := runtime.NumGoroutine()
+	hub, err := NewTCPHub("coord", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	peers := make(map[string]*TCPPeer, 2)
+	for _, name := range []string{"c0", "c1"} {
+		p, err := DialHub(name, hub.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		peers[name] = p
+	}
+	cfg := DefaultResilientConfig()
+	cfg.Sleep = func(time.Duration) {}
+	pcfg := smallConfig(2)
+	pcfg.AEIters, pcfg.DiffIters = 10, 10
+	pipe, err := NewPipeline(NewResilientBus(&routedBus{hub: hub, peers: peers}, cfg), loanTable(t, 120), pcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The autoencoder phase is silo-local and completes; c1's latent upload
+	// then meets the closed socket.
+	if err := peers["c1"].Close(); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := pipe.TrainStacked()
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrPeerDead) {
+			t.Fatalf("TrainStacked with c1's socket closed: %v, want ErrPeerDead", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("TrainStacked with c1's socket closed did not return within 10 s")
+	}
+
+	peers["c0"].Close()
+	if err := hub.Close(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > start && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > start {
+		buf := make([]byte, 1<<16)
+		t.Fatalf("%d goroutines after the failed run, %d before:\n%s", n, start, buf[:runtime.Stack(buf, true)])
+	}
+}
+
+// routedBus lets in-process actors talk over real sockets, the way separate
+// processes would: each party's sends and receives are routed through its
+// own TCP endpoint, clients on their dialed peers, the coordinator on the
+// hub.
 type routedBus struct {
 	hub   *TCPHub
 	peers map[string]*TCPPeer

@@ -1,7 +1,6 @@
 package silo
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -135,8 +134,8 @@ func maxInt(a, b int) int {
 }
 
 // TrainPhase marks how far stacked training has progressed; a Checkpoint
-// records the last completed phase so recovery re-runs only what a failure
-// interrupted.
+// records the last completed phase so a resumed run re-runs only what a
+// failure interrupted.
 type TrainPhase int
 
 // Stacked training phases, in protocol order. Phase boundaries are the
@@ -152,9 +151,9 @@ const (
 
 // Checkpoint is the resumable state of one stacked training run: the last
 // completed phase, the phase losses, and (once shipped) the collected
-// latents. In-process recovery passes the same Checkpoint back to
-// TrainStackedFrom; cross-process recovery serialises it with
-// SaveCheckpoint and restores with LoadCheckpoint.
+// latents. A process that stops mid-run serialises it with SaveCheckpoint;
+// a restarted one restores it with LoadCheckpoint and passes it to
+// TrainStackedFrom.
 type Checkpoint struct {
 	Phase    TrainPhase
 	AELoss   float64
@@ -175,7 +174,7 @@ func (p *Pipeline) TrainStacked() (aeLoss, diffLoss float64, err error) {
 // transport failure the returned Checkpoint state tells the caller exactly
 // where to resume: completed phases are never re-run, and re-running the
 // latent-ship phase is idempotent (encoding is deterministic and draws no
-// randomness when LatentNoiseStd is zero, so a recovered run is
+// randomness when LatentNoiseStd is zero, so a resumed run is
 // bit-identical to a fault-free one).
 func (p *Pipeline) TrainStackedFrom(ck *Checkpoint) (aeLoss, diffLoss float64, err error) {
 	if ck == nil {
@@ -261,57 +260,6 @@ func (p *Pipeline) TrainStackedFrom(ck *Checkpoint) (aeLoss, diffLoss float64, e
 		diffLoss = ck.DiffLoss
 	}
 	return aeLoss, diffLoss, nil
-}
-
-// RecoveryConfig governs phase-level retry after a peer death.
-type RecoveryConfig struct {
-	// MaxPhaseRetries bounds recovery attempts (default 2). Non-peer-death
-	// errors are never retried.
-	MaxPhaseRetries int
-	// OnPeerDead, when non-nil, is called with the dead peer's name (possibly
-	// empty if unknown) before each retry; callers restart the failed party
-	// here — re-dial its TCPPeer, revive a chaos crash. Returning an error
-	// aborts recovery.
-	OnPeerDead func(peer string) error
-}
-
-// parties lists every actor name on the bus, clients first.
-func parties(clients []*Client, coord *Coordinator) []string {
-	out := make([]string, 0, len(clients)+1)
-	for _, c := range clients {
-		out = append(out, c.ID)
-	}
-	return append(out, coord.ID)
-}
-
-// TrainStackedResilient runs stacked training with phase-level crash
-// recovery: when a peer dies mid-phase, the OnPeerDead hook lets the
-// caller restart it, the transport's in-flight state is reset, and
-// training resumes from the last completed phase in the checkpoint. The
-// returned Checkpoint reflects the final state even on error, so a caller
-// with an out-of-process recovery path can persist it via SaveCheckpoint.
-func (p *Pipeline) TrainStackedResilient(rc RecoveryConfig) (aeLoss, diffLoss float64, ck *Checkpoint, err error) {
-	if rc.MaxPhaseRetries <= 0 {
-		rc.MaxPhaseRetries = 2
-	}
-	ck = &Checkpoint{}
-	for attempt := 0; ; attempt++ {
-		aeLoss, diffLoss, err = p.TrainStackedFrom(ck)
-		if err == nil || !errors.Is(err, ErrPeerDead) || attempt >= rc.MaxPhaseRetries {
-			return aeLoss, diffLoss, ck, err
-		}
-		if p.Rec != nil {
-			p.Rec.PeerDown(DeadPeerName(err))
-		}
-		if rc.OnPeerDead != nil {
-			if herr := rc.OnPeerDead(DeadPeerName(err)); herr != nil {
-				return aeLoss, diffLoss, ck, fmt.Errorf("silo: recovery hook: %w", herr)
-			}
-		}
-		if rs, ok := p.Bus.(Resetter); ok {
-			rs.Reset(parties(p.Clients, p.Coord))
-		}
-	}
 }
 
 // SynthesizePartitioned executes Algorithm 2: a requesting client triggers

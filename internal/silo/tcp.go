@@ -8,20 +8,18 @@ import (
 	"net"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"silofuse/internal/obs"
 )
 
 // endpoint is what TCPHub and TCPPeer share: the traffic counters of one
-// party's sockets, the write deadline and the recorder its links book into.
+// party's sockets and the recorder its links book into.
 type endpoint struct {
 	rec *obs.Recorder
 
-	statsMu   sync.Mutex // guards stats and ioTimeout
-	stats     Stats
-	ioTimeout time.Duration
+	statsMu sync.Mutex // guards stats
+	stats   Stats
 }
 
 func newEndpoint() endpoint {
@@ -30,15 +28,6 @@ func newEndpoint() endpoint {
 
 // SetRecorder implements RecorderSetter.
 func (ep *endpoint) SetRecorder(rec *obs.Recorder) { ep.rec = rec }
-
-// SetIOTimeout installs a per-message write deadline on this endpoint's
-// sends; the resilient layer forwards its SendDeadline here. Zero disables
-// deadlines.
-func (ep *endpoint) SetIOTimeout(d time.Duration) {
-	ep.statsMu.Lock()
-	ep.ioTimeout = d
-	ep.statsMu.Unlock()
-}
 
 // Stats implements Bus. Each endpoint counts only what it writes to its
 // sockets; received bytes are the sending side's to count.
@@ -75,9 +64,6 @@ func (l *link) send(e *Envelope) error {
 	ep := l.ep
 	t0 := ep.rec.Now()
 	kind := e.statKind()
-	ep.statsMu.Lock()
-	timeout := ep.ioTimeout
-	ep.statsMu.Unlock()
 	l.sendMu.Lock()
 	frame, err := appendFrame(l.buf[:0], e)
 	if err != nil {
@@ -85,12 +71,6 @@ func (l *link) send(e *Envelope) error {
 		return err
 	}
 	l.buf = frame
-	if timeout > 0 {
-		// Per-message write deadline so a dead socket fails the send instead
-		// of blocking forever. The deadline is IO plumbing, never observed by
-		// the deterministic protocol logic.
-		l.conn.SetWriteDeadline(time.Now().Add(timeout))
-	}
 	written, err := l.conn.Write(frame)
 	l.sendMu.Unlock()
 	n, message := int64(written), e.Kind != kindHello
@@ -119,32 +99,25 @@ func (l *link) recv() (*Envelope, error) {
 // connections and routes envelopes between parties. Envelopes addressed to
 // the hub's own name land in its local inbox; everything else is forwarded
 // to the destination peer. It implements Bus with real measured wire bytes.
+//
+// A peer's stream speaks only for the name it said hello with: a frame from
+// another name, a hello or peer-down notice after the first frame, and a
+// hello for a name already registered all end the stream as a corrupt one.
+// A peer whose stream ends is dead for the rest of the run: the hub's Recv
+// reports it as a PeerDeadError.
 type TCPHub struct {
 	Name string
 	endpoint
 
 	ln    net.Listener
 	inbox chan *Envelope
-	done  chan struct{} // closed by Close; releases a route blocked on a full inbox
+	done  chan struct{} // closed by Close; releases a route, Send or Recv blocked on the inbox
 	wg    sync.WaitGroup
 
-	mu         sync.Mutex            // guards every field below
-	conns      map[net.Conn]struct{} // every accepted connection still being served, registered or not
-	peers      map[string]*link
-	closing    bool
-	beats      map[string]int64 // heartbeats received per peer
-	reconnects map[string]int64 // re-registrations per peer
-}
-
-// PeerHealth is the hub-side liveness view of one peer, which the heartbeat
-// and recovery tests observe: whether a connection is registered, how many
-// heartbeats it has delivered, how many times it has re-registered after a
-// disconnect, and the bytes the hub has written to it.
-type PeerHealth struct {
-	Connected  bool  `json:"connected"`
-	Heartbeats int64 `json:"heartbeats"`
-	Reconnects int64 `json:"reconnects"`
-	SentBytes  int64 `json:"sent_bytes"`
+	mu      sync.Mutex            // guards every field below
+	conns   map[net.Conn]struct{} // every accepted connection still being served, registered or not
+	peers   map[string]*link
+	closing bool
 }
 
 // NewTCPHub starts a hub listening on addr (e.g. "127.0.0.1:0").
@@ -154,15 +127,13 @@ func NewTCPHub(name, addr string) (*TCPHub, error) {
 		return nil, fmt.Errorf("silo: hub listen: %w", err)
 	}
 	h := &TCPHub{
-		Name:       name,
-		endpoint:   newEndpoint(),
-		ln:         ln,
-		inbox:      make(chan *Envelope, 1024),
-		done:       make(chan struct{}),
-		conns:      make(map[net.Conn]struct{}),
-		peers:      make(map[string]*link),
-		beats:      make(map[string]int64),
-		reconnects: make(map[string]int64),
+		Name:     name,
+		endpoint: newEndpoint(),
+		ln:       ln,
+		inbox:    make(chan *Envelope, 1024),
+		done:     make(chan struct{}),
+		conns:    make(map[net.Conn]struct{}),
+		peers:    make(map[string]*link),
 	}
 	h.wg.Add(1)
 	go h.acceptLoop()
@@ -206,7 +177,8 @@ func (h *TCPHub) acceptLoop() {
 
 // serveConn owns one accepted connection: it reads the hello, registers the
 // peer, routes its frames until the stream ends, then deregisters it and
-// announces the death.
+// announces the death. A hello for a name already registered is refused
+// like a corrupt frame, and the live registration stays.
 func (h *TCPHub) serveConn(conn net.Conn) {
 	defer h.wg.Done()
 	defer func() {
@@ -223,35 +195,27 @@ func (h *TCPHub) serveConn(conn net.Conn) {
 	name := hello.From
 	pc.dir = h.Name + "->" + name // before the link is shared
 	h.mu.Lock()
-	// A re-dial is visible two ways: a fresh connection superseding a live
-	// registration, or a hello that announces itself as a reconnect (Seq > 0)
-	// after the dead conn already deregistered. Count both.
-	redial := hello.Seq > 0
-	if old := h.peers[name]; old != nil {
-		redial = true
-		old.conn.Close() // superseded; its serveConn exits without deregistering us
+	taken := h.peers[name] != nil
+	if !taken {
+		h.peers[name] = pc
 	}
-	if redial {
-		h.reconnects[name]++
-	}
-	h.peers[name] = pc
 	h.mu.Unlock()
-	if h.rec != nil && hello.Seq > 0 {
-		h.rec.Reconnect(name) // peer announced a re-dial in its hello
+
+	if taken {
+		err = corruptFrame("hello from %q, a peer already registered", name)
+	} else {
+		err = h.route(pc, name)
 	}
 
-	err = h.route(pc, name)
-
-	// Deregister and announce the death unless a reconnect has already
-	// replaced this conn or the hub itself is shutting down.
+	// Deregister and announce the death unless the hub itself is shutting
+	// down.
 	h.mu.Lock()
-	stale := h.peers[name] != pc
-	closing := h.closing
-	if !stale {
+	if !taken {
 		delete(h.peers, name)
 	}
+	closing := h.closing
 	h.mu.Unlock()
-	if stale || closing {
+	if closing {
 		return
 	}
 	if h.rec != nil {
@@ -261,15 +225,16 @@ func (h *TCPHub) serveConn(conn net.Conn) {
 		h.rec.PeerDown(name)
 	}
 	select { // non-blocking: a full inbox must not wedge the accept path
-	case h.inbox <- &Envelope{From: name, To: h.Name, Kind: KindPeerDown}:
+	case h.inbox <- &Envelope{From: name, To: h.Name, Kind: kindPeerDown}:
 	default:
 	}
 }
 
 // route delivers one peer's frames until its stream ends and returns why it
 // ended: io.EOF for a clean close or a hub shutdown, an
-// ErrCorruptPayload-class error for bytes that were not a frame, the
-// connection's own error otherwise.
+// ErrCorruptPayload-class error for bytes that were not a frame or a frame
+// the stream may not carry (one from a name other than the hello's, a hello
+// or a peer-down notice), the connection's own error otherwise.
 func (h *TCPHub) route(pc *link, name string) error {
 	for {
 		e, err := pc.recv()
@@ -277,10 +242,8 @@ func (h *TCPHub) route(pc *link, name string) error {
 			return err
 		}
 		switch {
-		case e.Kind == KindHeartbeat:
-			h.mu.Lock()
-			h.beats[name]++
-			h.mu.Unlock()
+		case e.From != name || e.Kind == kindHello || e.Kind == kindPeerDown:
+			return corruptFrame("%s frame from %q on %q's stream", e.Kind, e.From, name)
 		case e.To == h.Name:
 			select {
 			case h.inbox <- e:
@@ -327,8 +290,12 @@ func (h *TCPHub) Send(e *Envelope) error {
 		if h.rec != nil {
 			h.rec.Message(string(e.Kind), 0, 0) // local delivery, no wire bytes
 		}
-		h.inbox <- e
-		return nil
+		select {
+		case h.inbox <- e:
+			return nil
+		case <-h.done:
+			return fmt.Errorf("silo: hub %q: %w", h.Name, ErrBusClosed)
+		}
 	}
 	dst := h.waitPeer(e.To)
 	if dst == nil {
@@ -338,77 +305,24 @@ func (h *TCPHub) Send(e *Envelope) error {
 }
 
 // Recv implements Bus for the hub side. A peer-down notice (injected when
-// a peer's connection dies) surfaces as a PeerDeadError — unless the peer
-// has already re-registered, in which case the stale notice is dropped.
+// a peer's stream ends) surfaces as a PeerDeadError; once Close has begun,
+// Recv returns an error wrapping ErrBusClosed instead of blocking.
 func (h *TCPHub) Recv(to string) (*Envelope, error) {
 	if to != h.Name {
 		return nil, fmt.Errorf("silo: hub Recv is only for %q", h.Name)
 	}
-	for {
-		e, ok := <-h.inbox
-		if !ok {
-			return nil, fmt.Errorf("silo: hub inbox closed")
-		}
-		if e.Kind == KindPeerDown {
-			h.mu.Lock()
-			revived := h.peers[e.From] != nil
-			h.mu.Unlock()
-			if revived {
-				continue
-			}
+	select {
+	case e := <-h.inbox:
+		if e.Kind == kindPeerDown {
 			return nil, &PeerDeadError{Peer: e.From}
 		}
 		if h.rec != nil {
 			h.rec.Trace.FlowRecv(string(e.Kind), e.Flow)
 		}
 		return e, nil
+	case <-h.done:
+		return nil, fmt.Errorf("silo: hub %q: %w", h.Name, ErrBusClosed)
 	}
-}
-
-// TryRecv implements TryReceiver for the hub's own inbox; other recipients
-// live behind peer sockets and cannot be polled, so the drain between
-// recovery attempts only touches hub-bound traffic (a restarted peer gets
-// a fresh stream anyway).
-func (h *TCPHub) TryRecv(to string) (*Envelope, bool) {
-	if to != h.Name {
-		return nil, false
-	}
-	select {
-	case e, ok := <-h.inbox:
-		if !ok {
-			return nil, false
-		}
-		return e, true
-	default:
-		return nil, false
-	}
-}
-
-// PeerHealth reports the hub-side liveness view of every peer it has ever
-// seen.
-func (h *TCPHub) PeerHealth() map[string]PeerHealth {
-	sent := h.Stats().BytesByDir
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make(map[string]PeerHealth)
-	for name := range h.peers {
-		out[name] = PeerHealth{Connected: true}
-	}
-	for name, n := range h.beats {
-		ph := out[name]
-		ph.Heartbeats = n
-		out[name] = ph
-	}
-	for name, n := range h.reconnects {
-		ph := out[name]
-		ph.Reconnects = n
-		out[name] = ph
-	}
-	for name, ph := range out {
-		ph.SentBytes = sent[h.Name+"->"+name]
-		out[name] = ph
-	}
-	return out
 }
 
 // Close shuts the hub down and returns once the accept loop and every
@@ -437,44 +351,34 @@ type TCPPeer struct {
 	Name string
 	endpoint
 
-	link atomic.Pointer[link] // replaced whole by Reconnect
+	link *link
 }
 
-// dial opens a stream to the hub and writes the hello, the first frame the
-// hub reads on it; seq > 0 announces a re-dial.
-func (p *TCPPeer) dial(addr string, seq uint64) (*link, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	l := p.newLink(conn, p.Name+"->hub")
-	if err := l.send(&Envelope{From: p.Name, Kind: kindHello, Seq: seq}); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("hello: %w", err)
-	}
-	return l, nil
-}
-
-// DialHub connects to a hub and announces the peer's name.
+// DialHub connects to a hub and announces the peer's name with a hello, the
+// first frame the hub reads on the stream.
 func DialHub(name, addr string) (*TCPPeer, error) {
-	p := &TCPPeer{Name: name, endpoint: newEndpoint()}
-	l, err := p.dial(addr, 0)
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("silo: dial hub: %w", err)
 	}
-	p.link.Store(l)
+	p := &TCPPeer{Name: name, endpoint: newEndpoint()}
+	p.link = p.newLink(conn, name+"->hub")
+	if err := p.link.send(&Envelope{From: name, Kind: kindHello}); err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("silo: dial hub: hello: %w", err)
+	}
 	return p, nil
 }
 
 // Send implements Bus (all traffic is routed via the hub).
 func (p *TCPPeer) Send(e *Envelope) error {
-	if p.rec != nil && e.Kind != KindHeartbeat {
+	if p.rec != nil {
 		if e.Flow == 0 {
 			e.Flow = p.rec.NextFlow()
 		}
 		p.rec.Trace.FlowSend(string(e.Kind), e.Flow)
 	}
-	return p.link.Load().send(e)
+	return p.link.send(e)
 }
 
 // Recv implements Bus; only the peer's own inbox is reachable.
@@ -482,7 +386,7 @@ func (p *TCPPeer) Recv(to string) (*Envelope, error) {
 	if to != p.Name {
 		return nil, fmt.Errorf("silo: peer %q cannot receive for %q", p.Name, to)
 	}
-	e, err := p.link.Load().recv()
+	e, err := p.link.recv()
 	if err != nil {
 		return nil, err
 	}
@@ -492,56 +396,5 @@ func (p *TCPPeer) Recv(to string) (*Envelope, error) {
 	return e, nil
 }
 
-// Reconnect re-dials the hub after a connection loss and announces the
-// peer under its existing name, superseding the dead registration at the
-// hub. Any Recv blocked on the old stream is unblocked with an error
-// first, and a Send still holding the old stream fails on its closed
-// socket. The hello is written before the new stream is published, so it is
-// the first frame on it. The peer's traffic counters live on the endpoint,
-// not the stream — a restarted transport keeps its byte accounting.
-func (p *TCPPeer) Reconnect(addr string) error {
-	p.link.Load().conn.Close()
-	l, err := p.dial(addr, 1)
-	if err != nil {
-		return fmt.Errorf("silo: reconnect %s: %w", p.Name, err)
-	}
-	p.link.Store(l)
-	if p.rec != nil {
-		p.rec.Reconnect(p.Name)
-	}
-	return nil
-}
-
-// StartHeartbeat launches a background goroutine that sends a KindHeartbeat
-// envelope to the hub every interval, feeding the hub's per-peer liveness
-// counters (PeerHealth). Send failures are ignored — a dead connection is
-// precisely what the missing beats will reveal. The returned stop function
-// is idempotent and waits for the goroutine to exit.
-func (p *TCPPeer) StartHeartbeat(every time.Duration) (stop func()) {
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		t := time.NewTicker(every)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				_ = p.Send(&Envelope{From: p.Name, Kind: KindHeartbeat})
-			}
-		}
-	}()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			close(done)
-			wg.Wait()
-		})
-	}
-}
-
 // Close closes the connection.
-func (p *TCPPeer) Close() error { return p.link.Load().conn.Close() }
+func (p *TCPPeer) Close() error { return p.link.conn.Close() }

@@ -58,6 +58,11 @@ func Quantile(xs []float64, q float64) float64 {
 	}
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
+	return sortedQuantile(s, q)
+}
+
+// sortedQuantile is Quantile of an already sorted, non-empty sample.
+func sortedQuantile(s []float64, q float64) float64 {
 	if q <= 0 {
 		return s[0]
 	}
@@ -297,17 +302,22 @@ func Frequencies(cats []int, k int) []float64 {
 
 // QuantileCorrelation resamples both sorted samples onto a common grid and
 // returns their Pearson correlation — a Q–Q plot linearity score used as the
-// numeric column-similarity metric.
+// numeric column-similarity metric. Each side is copied and sorted once, not
+// once per grid point.
 func QuantileCorrelation(x, y []float64, points int) float64 {
 	if len(x) == 0 || len(y) == 0 {
 		return 0
 	}
+	sx := append([]float64(nil), x...)
+	sy := append([]float64(nil), y...)
+	sort.Float64s(sx)
+	sort.Float64s(sy)
 	qx := make([]float64, points)
 	qy := make([]float64, points)
 	for i := 0; i < points; i++ {
 		q := float64(i) / float64(points-1)
-		qx[i] = Quantile(x, q)
-		qy[i] = Quantile(y, q)
+		qx[i] = sortedQuantile(sx, q)
+		qy[i] = sortedQuantile(sy, q)
 	}
 	return Pearson(qx, qy)
 }

@@ -241,10 +241,6 @@ type (
 	WireKindStats = silo.WireKindStats
 	// Checkpoint captures stacked-training progress for resume.
 	Checkpoint = silo.Checkpoint
-	// RecoveryConfig tunes phase-level recovery from peer death.
-	RecoveryConfig = silo.RecoveryConfig
-	// PeerHealth is the hub-side liveness view of one TCP peer.
-	PeerHealth = silo.PeerHealth
 	// PeerDeadError reports which peer died; it unwraps to ErrPeerDead.
 	PeerDeadError = silo.PeerDeadError
 )
@@ -282,7 +278,7 @@ var NewVFLClassifier = silo.NewVFLClassifier
 var NewChaosBus = silo.NewChaosBus
 
 // ChaosProfileByName resolves a named fault profile (drop, dup, reorder,
-// delay, corrupt, flaky, blackhole, crash; "none" or "" disables).
+// delay, corrupt, flaky, blackhole; "none" or "" disables).
 var ChaosProfileByName = silo.ChaosProfileByName
 
 // NewResilientBus wraps a Bus with reliable, idempotent delivery.
