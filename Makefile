@@ -56,12 +56,13 @@ cross-arm64:
 	GOARCH=arm64 $(GO) vet ./internal/tensor/
 
 # test-chaos runs the deterministic fault-injection suite under the race
-# detector: the chaos matrix (every transparently recoverable fault class
+# detector: the chaos matrix (seeded drops, the one recoverable fault class,
 # against stacked training and synthesis, plain and codec-framed, against
 # VFL's split-learning traffic and against E2EDistr's concurrent parties),
-# the faults that must fail typed instead (corrupt payloads, a blackholed
-# link, a TCP peer whose socket is gone: ErrCorruptPayload or ErrPeerDead,
-# never a hang), and the retransmit byte accounting invariants.
+# the faults that must fail typed instead (corrupt payloads, a repeated,
+# skipped or missing sequence number, a blackholed link, a TCP peer whose
+# socket is gone: ErrCorruptPayload or ErrPeerDead, never a hang), and the
+# retransmit byte accounting invariants.
 test-chaos:
 	$(GO) test -race -timeout 20m -run 'Chaos|Resilient|TCPDeadPeer' -count=1 ./internal/silo/
 

@@ -11,10 +11,13 @@
 // -trace merges everything into one Chrome-trace JSON whose process lanes
 // share a single timeline with send→recv flow arrows between them.
 //
-// Every party also keeps a flight recorder (a fixed-size ring of recent
-// operations); when a typed transport error ends the run (a dead peer, say:
-// -chaos-profile blackhole drops every send until the retry budget is
-// spent), the rings are dumped to results/<run>/postmortem/<party>.json for
+// -chaos-profile injects seeded faults under the checked-delivery layer:
+// drop loses sends that the bounded retry then delivers, so the run
+// completes; corrupt flips a payload bit that the checksum refuses
+// (ErrCorruptPayload); blackhole drops every send until the retry budget is
+// spent (ErrPeerDead). Every party also keeps a flight recorder (a
+// fixed-size ring of recent operations); when a typed transport error ends
+// the run, the rings are dumped to results/<run>/postmortem/<party>.json for
 // offline analysis with silofuse-obs.
 //
 // Usage:
@@ -61,7 +64,7 @@ func main() {
 	flag.StringVar(&c.tracePath, "trace", "", "write a merged Chrome-trace JSON (one process lane per party) to this path")
 	flag.BoolVar(&c.metrics, "metrics", false, "print the metrics text exposition to stderr after the run")
 	flag.StringVar(&c.runName, "run", "", "write results/<run>/manifest.json and stream results/<run>/events.jsonl")
-	flag.StringVar(&c.chaosProfile, "chaos-profile", "", "inject transport faults on top of the TCP links: drop, dup, reorder, delay, corrupt, flaky, blackhole (empty disables)")
+	flag.StringVar(&c.chaosProfile, "chaos-profile", "", "inject transport faults on top of the TCP links: drop, corrupt, blackhole (empty disables)")
 	flag.Int64Var(&c.chaosSeed, "chaos-seed", 1, "seed of the deterministic fault schedule (with -chaos-profile)")
 	flag.StringVar(&c.wireCodec, "wire-codec", "f64", "precision tier framing tensor payloads on the wire: f64 (lossless), f32, q8")
 	flag.StringVar(&c.computePrecision, "compute-precision", "f64", "kernel precision for sampling and decode (training is always f64): f64 or f32")
@@ -140,8 +143,10 @@ func run(c config) error {
 	}
 
 	// With a chaos profile the routed TCP bus gains the same fault-injection
-	// and reliable-delivery stack the in-process runs use: a seeded ChaosBus
-	// under a ResilientBus (retries, dedup, checksums). The CodecBus tops the
+	// and checked-delivery stack the in-process runs use: a seeded ChaosBus
+	// under a ResilientBus (retries, sequence and checksum checks). A drop is
+	// retried, a corrupt payload ends the run with ErrCorruptPayload and a
+	// blackhole with ErrPeerDead. The CodecBus tops the
 	// stack either way, framing tensor payloads at the selected precision
 	// tier so every layer below moves the encoded blob.
 	var bus silofuse.Bus = &routedBus{hub: hub, peers: peers}

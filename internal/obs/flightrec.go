@@ -31,9 +31,9 @@ type FlightRecorder struct {
 }
 
 // FlightEntry is one recorded operation. Op names the operation ("train",
-// "span", "send", "recv", "retry", "redelivery", "corrupt", "peer-down",
-// "event", ...); Name and Peer carry its labels (message kind,
-// span name, peer id); Value carries its number (bytes, seconds, loss).
+// "span", "send", "recv", "retry", "corrupt", "peer-down", "event", ...);
+// Name and Peer carry its labels (message kind, span name, peer id); Value
+// carries its number (bytes, seconds, loss).
 type FlightEntry struct {
 	Seq   uint64  `json:"seq"`
 	TSec  float64 `json:"t_sec"`

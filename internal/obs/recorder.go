@@ -222,15 +222,6 @@ func (r *Recorder) Retry(kind string, d time.Duration) {
 	r.Flight.Note("retry", kind, "", d.Seconds())
 }
 
-// Redelivery notes a receiver-side duplicate discard (an envelope whose
-// sequence number was already delivered) in the flight recorder.
-func (r *Recorder) Redelivery(kind string) {
-	if r == nil {
-		return
-	}
-	r.Flight.Note("redelivery", kind, "", 0)
-}
-
 // CorruptPayload records a checksum-failed envelope:
 // bus_corrupt_total_<kind>.
 func (r *Recorder) CorruptPayload(kind string) {

@@ -47,12 +47,12 @@ const KindRetransmit Kind = "retransmit"
 // Zero means "no trace context"; the field is fixed-width on the wire, so a
 // traced run moves exactly the bytes of an untraced one.
 // Seq, Sum and Rexmit belong to the resilient delivery layer and are zero
-// on a bare bus: Seq numbers each From->To link's messages from 1 for
-// receiver-side dedup and reordering, Sum is an FNV-1a checksum over the
-// routing fields and payload bits (the pair costs 16 frame bytes, only on
-// messages that layer stamped), and Rexmit marks a retry attempt so
-// transports account its bytes under KindRetransmit instead of the
-// message's own kind.
+// on a bare bus: Seq numbers each From->To link's messages from 1 so the
+// receiver can check that each is the link's next, Sum is an FNV-1a
+// checksum over the routing fields and payload bits (the pair costs 16
+// frame bytes, only on messages that layer stamped), and Rexmit marks a
+// retry attempt so transports account its bytes under KindRetransmit
+// instead of the message's own kind.
 // Codec, Rows, Cols and Blob belong to the wire-codec layer (see CodecBus):
 // when Codec is non-zero, Blob holds the tensor payload encoded by
 // internal/silo/codec and Rows/Cols are its dimensions (the dims ride the
@@ -102,6 +102,14 @@ type RecorderSetter interface {
 }
 
 // Bus moves envelopes between named parties and accounts for every byte.
+//
+// Every transport delivers each From->To link's messages in the order they
+// were sent and exactly once: a Send that returns nil has handed its
+// envelope to the link, one that returns an error has not, and a link is one
+// channel or one TCP stream. The protocols send each link's messages from
+// one goroutine, so no message overtakes or repeats another; the resilient
+// layer (resilient.go) checks that contract instead of repairing breaches
+// of it.
 type Bus interface {
 	// Send delivers an envelope to the recipient's inbox.
 	Send(e *Envelope) error
@@ -109,14 +117,6 @@ type Bus interface {
 	Recv(to string) (*Envelope, error)
 	// Stats returns a snapshot of traffic counters.
 	Stats() Stats
-}
-
-// TryReceiver is implemented by transports whose inboxes can be polled
-// without blocking. It powers the chaos layer's receive-side faults.
-type TryReceiver interface {
-	// TryRecv pops a pending message for the recipient, or returns false
-	// immediately when the inbox is empty (or unreachable).
-	TryRecv(to string) (*Envelope, bool)
 }
 
 // LocalBus is an in-process Bus using buffered channels. It is
@@ -193,7 +193,7 @@ func (b *LocalBus) Send(e *Envelope) error {
 }
 
 // Close marks the bus closed and closes every inbox channel, so blocked
-// Recv calls return an error and pollers observe termination. Subsequent
+// Recv calls return an error once the inbox is drained. Subsequent
 // Sends fail with ErrBusClosed. Close waits for in-flight Sends to finish
 // delivering (they hold closeMu's read side), so it must not be called from
 // a goroutine a pending Send is waiting on: with an inbox full and its
@@ -224,24 +224,6 @@ func (b *LocalBus) Recv(to string) (*Envelope, error) {
 		b.rec.Trace.FlowRecv(string(e.Kind), e.Flow)
 	}
 	return e, nil
-}
-
-// TryRecv implements TryReceiver: it pops a pending message for the
-// recipient without blocking. The chaos layer uses it to look ahead in an
-// inbox (reorder/delay faults).
-func (b *LocalBus) TryRecv(to string) (*Envelope, bool) {
-	select {
-	case e, ok := <-b.box(to):
-		if !ok {
-			return nil, false
-		}
-		if b.rec != nil {
-			b.rec.Trace.FlowRecv(string(e.Kind), e.Flow)
-		}
-		return e, true
-	default:
-		return nil, false
-	}
 }
 
 // Stats implements Bus.

@@ -31,48 +31,23 @@ type ChaosProfile struct {
 	DropPermille        int
 	MaxConsecutiveDrops int
 
-	// DupPermille delivers the message twice (network duplication).
-	DupPermille int
-
-	// ReorderPermille swaps the message with the next one already pending in
-	// the recipient's inbox.
-	ReorderPermille int
-
-	// DelayPermille holds the message back for up to MaxDelayRecvs of the
-	// recipient's subsequent receives, letting later messages overtake it.
-	DelayPermille int
-	MaxDelayRecvs int
-
 	// CorruptPermille flips one payload bit in flight.
 	CorruptPermille int
 }
 
 // ChaosProfileByName resolves the named fault profiles exposed by
-// silofuse-demo's -chaos-profile flag. Recoverable profiles keep
-// MaxConsecutiveDrops below the resilient layer's default retry budget;
-// "blackhole" intentionally exceeds it to exercise the ErrPeerDead path.
+// silofuse-demo's -chaos-profile flag: "drop" keeps MaxConsecutiveDrops
+// below the resilient layer's default retry budget, so every message still
+// arrives; "corrupt" must end a run with ErrCorruptPayload and "blackhole",
+// which exceeds the budget, with ErrPeerDead.
 func ChaosProfileByName(name string) (ChaosProfile, error) {
 	switch name {
 	case "", "none":
 		return ChaosProfile{Name: "none"}, nil
 	case "drop":
 		return ChaosProfile{Name: name, DropPermille: 250, MaxConsecutiveDrops: 2}, nil
-	case "dup":
-		return ChaosProfile{Name: name, DupPermille: 300}, nil
-	case "reorder":
-		return ChaosProfile{Name: name, ReorderPermille: 300}, nil
-	case "delay":
-		return ChaosProfile{Name: name, DelayPermille: 300, MaxDelayRecvs: 3}, nil
 	case "corrupt":
 		return ChaosProfile{Name: name, CorruptPermille: 120}, nil
-	case "flaky":
-		return ChaosProfile{
-			Name:         name,
-			DropPermille: 150, MaxConsecutiveDrops: 2,
-			DupPermille:     150,
-			ReorderPermille: 150,
-			DelayPermille:   150, MaxDelayRecvs: 2,
-		}, nil
 	case "blackhole":
 		return ChaosProfile{Name: name, DropPermille: 1000, MaxConsecutiveDrops: 1 << 30}, nil
 	default:
@@ -82,31 +57,23 @@ func ChaosProfileByName(name string) (ChaosProfile, error) {
 
 // ChaosStats counts injected faults.
 type ChaosStats struct {
-	Drops, Dups, Reorders, Delays, Corrupts int64
-}
-
-// stashed is one receive-side held-back envelope: age is the number of the
-// recipient's remaining receives it may sit out.
-type stashed struct {
-	e   *Envelope
-	age int
+	Drops, Corrupts int64
 }
 
 // ChaosBus wraps a Bus and injects faults from the profile's seeded
-// schedule. Send-side decisions (drop, duplicate, corrupt) are pure
-// functions of the message identity and therefore bit-deterministic;
-// receive-side faults (reorder, delay) have a seeded decision schedule but
-// act only on messages already in flight, so they can never block a
-// delivery that the protocol is waiting for — liveness is unconditional.
+// schedule. Every decision (drop, corrupt) is taken on the send side as a
+// pure function of the message identity, so it is bit-deterministic. It
+// never duplicates or reorders a message: a link of any transport delivers
+// in order and once, and a fault the program cannot meet is not one to
+// fake.
 type ChaosBus struct {
 	inner Bus
 	seed  uint64
 	prof  ChaosProfile
 
-	mu       sync.Mutex           // guards every field below
-	pseudo   map[string]uint64    // per-link seq for unsequenced envelopes
-	attempts map[chaosKey]int     // delivery attempts per message identity
-	stash    map[string][]stashed // held-back envelopes per recipient
+	mu       sync.Mutex        // guards every field below
+	pseudo   map[string]uint64 // per-link seq for unsequenced envelopes
+	attempts map[chaosKey]int  // delivery attempts per message identity
 	stats    ChaosStats
 }
 
@@ -117,15 +84,13 @@ type chaosKey struct {
 }
 
 // Fault decision lanes: each fault class hashes the same message identity
-// through a distinct lane so decisions are independent.
+// through a distinct lane so decisions are independent. Lanes 3-5 belonged
+// to retired classes; the numbers stay so a seed keeps its decisions.
 const (
-	laneDrop = 1 + iota
-	laneDropCount
-	laneDup
-	laneReorder
-	laneDelay
-	laneCorrupt
-	laneCorruptBit
+	laneDrop       = 1
+	laneDropCount  = 2
+	laneCorrupt    = 6
+	laneCorruptBit = 7
 )
 
 // NewChaosBus wraps inner with the seeded fault schedule.
@@ -136,7 +101,6 @@ func NewChaosBus(inner Bus, seed int64, prof ChaosProfile) *ChaosBus {
 		prof:     prof,
 		pseudo:   make(map[string]uint64),
 		attempts: make(map[chaosKey]int),
-		stash:    make(map[string][]stashed),
 	}
 }
 
@@ -207,29 +171,7 @@ func (c *ChaosBus) Send(e *Envelope) error {
 		hit(c.decide(k.link, k.seq, laneCorrupt), c.prof.CorruptPermille) && attempt == 1 {
 		send = c.corrupt(e, k)
 	}
-	if err := c.inner.Send(send); err != nil {
-		return err
-	}
-	if c.prof.DupPermille > 0 && hit(c.decide(k.link, k.seq, laneDup), c.prof.DupPermille) && attempt == 1 {
-		c.mu.Lock()
-		c.stats.Dups++
-		c.mu.Unlock()
-		// A network duplicate is an independent copy of the serialized
-		// bytes: deep-copy the payload so the late copy stays intact even
-		// after the application mutates the first delivery in place.
-		dup := *send
-		if dup.Payload != nil {
-			dup.Payload = tensor.FromSlice(dup.Payload.Rows, dup.Payload.Cols,
-				append([]float64(nil), dup.Payload.Data...))
-		}
-		if dup.Blob != nil {
-			dup.Blob = append([]byte(nil), dup.Blob...)
-		}
-		if err := c.inner.Send(&dup); err != nil {
-			return err
-		}
-	}
-	return nil
+	return c.inner.Send(send)
 }
 
 // corruptible reports whether e carries tensor data the corrupt fault can
@@ -262,116 +204,8 @@ func (c *ChaosBus) corrupt(e *Envelope, k chaosKey) *Envelope {
 	return &cp
 }
 
-// Recv implements Bus, applying receive-side faults. It never blocks while
-// holding a deliverable message, so reorder and delay cannot deadlock a
-// lockstep protocol: a delayed envelope is released as soon as nothing can
-// overtake it.
-func (c *ChaosBus) Recv(to string) (*Envelope, error) {
-	for {
-		if e := c.popDue(to); e != nil {
-			return e, nil
-		}
-		var e *Envelope
-		if c.holding(to) {
-			got, ok := c.tryInner(to)
-			if !ok {
-				return c.popStash(to), nil
-			}
-			e = got
-		} else {
-			got, err := c.inner.Recv(to)
-			if err != nil {
-				return nil, err
-			}
-			e = got
-		}
-		link := e.From + "->" + e.To
-		seq := e.Seq
-		if c.prof.ReorderPermille > 0 && hit(c.decide(link, seq, laneReorder), c.prof.ReorderPermille) {
-			if next, ok := c.tryInner(to); ok {
-				c.push(to, e, 0)
-				c.mu.Lock()
-				c.stats.Reorders++
-				c.mu.Unlock()
-				return next, nil
-			}
-		}
-		if c.prof.DelayPermille > 0 && hit(c.decide(link, seq, laneDelay), c.prof.DelayPermille) {
-			c.push(to, e, c.prof.MaxDelayRecvs)
-			c.mu.Lock()
-			c.stats.Delays++
-			c.mu.Unlock()
-			continue
-		}
-		return e, nil
-	}
-}
-
-// tryInner polls the inner bus without blocking; a transport without
-// TryRecv disables receive-side faults.
-func (c *ChaosBus) tryInner(to string) (*Envelope, bool) {
-	if tr, ok := c.inner.(TryReceiver); ok {
-		return tr.TryRecv(to)
-	}
-	return nil, false
-}
-
-// popDue ages the recipient's stash by one receive and releases the first
-// envelope whose delay has expired.
-func (c *ChaosBus) popDue(to string) *Envelope {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := c.stash[to]
-	for i := range s {
-		s[i].age--
-	}
-	for i := range s {
-		if s[i].age <= 0 {
-			e := s[i].e
-			c.stash[to] = append(s[:i], s[i+1:]...)
-			return e
-		}
-	}
-	return nil
-}
-
-func (c *ChaosBus) holding(to string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.stash[to]) > 0
-}
-
-// popStash force-releases the oldest held envelope — the liveness valve
-// used when nothing can overtake it anyway.
-func (c *ChaosBus) popStash(to string) *Envelope {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := c.stash[to]
-	e := s[0].e
-	c.stash[to] = s[1:]
-	return e
-}
-
-// push stashes a held-back envelope. The stash models packets in flight —
-// serialized bytes, not shared memory — so the payload is deep-copied:
-// once the sender's wave completes it may legitimately reuse the payload
-// buffer, and a held reference would see the mutation.
-func (c *ChaosBus) push(to string, e *Envelope, age int) {
-	if e.Payload != nil || e.Blob != nil {
-		cp := *e
-		if e.Payload != nil {
-			cp.Payload = tensor.FromSlice(e.Payload.Rows, e.Payload.Cols,
-				append([]float64(nil), e.Payload.Data...))
-		}
-		if e.Blob != nil {
-			cp.Blob = append([]byte(nil), e.Blob...)
-		}
-		e = &cp
-	}
-	c.mu.Lock()
-	c.stash[to] = append(c.stash[to], stashed{e: e, age: age})
-	c.mu.Unlock()
-}
+// Recv implements Bus by delegating to the wrapped transport.
+func (c *ChaosBus) Recv(to string) (*Envelope, error) { return c.inner.Recv(to) }
 
 // Stats implements Bus by delegating to the wrapped transport.
 func (c *ChaosBus) Stats() Stats { return c.inner.Stats() }

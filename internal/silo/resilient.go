@@ -32,34 +32,34 @@ func DefaultResilientConfig() ResilientConfig {
 	return ResilientConfig{MaxAttempts: 4, BackoffBase: 2 * time.Millisecond, BackoffCap: 50 * time.Millisecond}
 }
 
-// ResilientBus wraps a Bus with reliable, idempotent, integrity-checked
-// delivery: every application send is stamped with a per-link sequence
-// number and an FNV-1a payload checksum, failed sends are retried up to
-// MaxAttempts times under deterministic exponential backoff, and the
-// receive side deduplicates and reorders by sequence number so the
-// application observes exactly the fault-free message stream. Failures
-// that survive the retry budget surface as typed errors: ErrPeerDead when
-// a party is unreachable, ErrCorruptPayload when a checksum fails.
+// ResilientBus wraps a Bus with bounded retries and checked delivery: every
+// application send is stamped with a per-link sequence number and an FNV-1a
+// payload checksum, and a failed send is retried up to MaxAttempts times
+// under deterministic exponential backoff. A failed Send delivered nothing
+// (the Bus contract), so a retry cannot repeat a message, and the receive
+// side accepts only the link's next sequence number with a checksum that
+// verifies. Anything else surfaces as a typed error: ErrPeerDead when the
+// peer is gone or the retry budget runs out, ErrCorruptPayload for a bad
+// checksum, a repeated or skipped sequence number, or an unstamped
+// envelope.
 //
 // Stats reports the frame bytes of every transmission attempt (Seq and Sum
 // included: 16 bytes a message), split so Table VIII numbers stay faithful
 // under faults: ByKind[app kind] counts first transmissions only (goodput,
 // invariant across chaos seeds) and ByKind[KindRetransmit] collects all
 // re-sent bytes; Bytes is their sum. What actually reached the wrapped
-// transport (duplicates a chaos layer injected, say) is on its own Stats.
+// transport (less the attempts a chaos layer dropped, say) is on its own
+// Stats.
 type ResilientBus struct {
 	inner Bus
 	cfg   ResilientConfig
 	rec   *obs.Recorder
 
-	mu           sync.Mutex                      // guards every field below
-	nextSeq      map[string]uint64               // link -> last assigned seq
-	expect       map[string]uint64               // link -> next expected seq
-	pending      map[string]map[uint64]*Envelope // out-of-order buffer per link
-	ready        map[string][]*Envelope          // in-order queue per recipient
-	stats        Stats
-	retries      int64
-	redeliveries int64
+	mu      sync.Mutex        // guards every field below
+	nextSeq map[string]uint64 // link -> last assigned seq
+	expect  map[string]uint64 // link -> last accepted seq; the next is one more
+	stats   Stats
+	retries int64
 }
 
 // NewResilientBus wraps inner with the given retry policy; zero cfg fields
@@ -80,15 +80,13 @@ func NewResilientBus(inner Bus, cfg ResilientConfig) *ResilientBus {
 		cfg:     cfg,
 		nextSeq: make(map[string]uint64),
 		expect:  make(map[string]uint64),
-		pending: make(map[string]map[uint64]*Envelope),
-		ready:   make(map[string][]*Envelope),
 		stats:   Stats{BytesByDir: make(map[string]int64), ByKind: make(map[Kind]int64)},
 	}
 }
 
-// SetRecorder implements RecorderSetter: retry/redelivery metrics land on
-// rec, and the recorder is forwarded to the wrapped transport for its
-// per-message telemetry.
+// SetRecorder implements RecorderSetter: retry and corrupt-payload notes
+// land on rec, and the recorder is forwarded to the wrapped transport for
+// its per-message telemetry.
 func (r *ResilientBus) SetRecorder(rec *obs.Recorder) {
 	r.rec = rec
 	if rs, ok := r.inner.(RecorderSetter); ok {
@@ -203,95 +201,31 @@ func (r *ResilientBus) Send(e *Envelope) error {
 	return &PeerDeadError{Peer: e.To, Cause: fmt.Errorf("%d attempts exhausted: %w", r.cfg.MaxAttempts, err)}
 }
 
-// Recv implements Bus: it delivers exactly the sender's application
-// message stream per link — duplicates discarded, out-of-order envelopes
-// buffered until their predecessors arrive, checksums verified. The
-// wrapped transport's errors, a dead peer's among them, pass through.
+// Recv implements Bus: it returns the link's next envelope when its Seq is
+// the one after the last accepted and its checksum verifies, and an error
+// wrapping ErrCorruptPayload otherwise. The wrapped transport's errors, a
+// dead peer's among them, pass through.
 func (r *ResilientBus) Recv(to string) (*Envelope, error) {
-	for {
-		r.mu.Lock()
-		if q := r.ready[to]; len(q) > 0 {
-			e := q[0]
-			r.ready[to] = q[1:]
-			r.mu.Unlock()
-			return e, nil
-		}
-		r.mu.Unlock()
-		e, err := r.inner.Recv(to)
-		if err != nil {
-			return nil, err
-		}
-		// Discard stale duplicates by sequence number before checksum
-		// validation, as a real stack discards duplicate segments: the
-		// in-order copy already delivered, so whatever this late copy's
-		// payload looks like must not fail the run.
-		if e.Seq != 0 {
-			link := e.From + "->" + e.To
-			r.mu.Lock()
-			if exp := r.expect[link]; exp != 0 && e.Seq < exp {
-				r.redeliveries++
-				r.mu.Unlock()
-				if r.rec != nil {
-					r.rec.Redelivery(string(e.Kind))
-				}
-				continue
-			}
-			r.mu.Unlock()
-		}
-		if e.Sum != 0 && checksumEnvelope(e) != e.Sum {
-			if r.rec != nil {
-				r.rec.CorruptPayload(string(e.Kind))
-			}
-			return nil, fmt.Errorf("silo: %s->%s %s seq %d failed checksum: %w", e.From, e.To, e.Kind, e.Seq, ErrCorruptPayload)
-		}
-		if e.Seq == 0 {
-			return e, nil // unsequenced sender (bare bus)
-		}
-		link := e.From + "->" + e.To
-		r.mu.Lock()
-		exp := r.expect[link]
-		if exp == 0 {
-			exp = 1
-		}
-		switch {
-		case e.Seq < exp: // already delivered: duplicate
-			r.redeliveries++
-			r.mu.Unlock()
-			if r.rec != nil {
-				r.rec.Redelivery(string(e.Kind))
-			}
-		case e.Seq > exp: // early: hold until the gap fills
-			pm := r.pending[link]
-			if pm == nil {
-				pm = make(map[uint64]*Envelope)
-				r.pending[link] = pm
-			}
-			_, dup := pm[e.Seq]
-			if !dup {
-				pm[e.Seq] = e
-			} else {
-				r.redeliveries++
-			}
-			r.mu.Unlock()
-			if dup && r.rec != nil {
-				r.rec.Redelivery(string(e.Kind))
-			}
-		default: // in order: deliver, then release consecutive holds
-			r.expect[link] = exp + 1
-			pm := r.pending[link]
-			for {
-				next, ok := pm[r.expect[link]]
-				if !ok {
-					break
-				}
-				delete(pm, r.expect[link])
-				r.expect[link]++
-				r.ready[to] = append(r.ready[to], next)
-			}
-			r.mu.Unlock()
-			return e, nil
-		}
+	e, err := r.inner.Recv(to)
+	if err != nil {
+		return nil, err
 	}
+	link := e.From + "->" + e.To
+	sumOK := e.Sum == checksumEnvelope(e)
+	r.mu.Lock()
+	want := r.expect[link] + 1
+	ok := sumOK && e.Seq == want
+	if ok {
+		r.expect[link] = want
+	}
+	r.mu.Unlock()
+	if ok {
+		return e, nil
+	}
+	if r.rec != nil {
+		r.rec.CorruptPayload(string(e.Kind))
+	}
+	return nil, fmt.Errorf("silo: %s %s seq %d, want seq %d with a valid checksum: %w", link, e.Kind, e.Seq, want, ErrCorruptPayload)
 }
 
 // Stats implements Bus with the attempt-level accounting described on the
@@ -307,11 +241,4 @@ func (r *ResilientBus) Retries() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.retries
-}
-
-// Redeliveries reports the number of receiver-side duplicate discards.
-func (r *ResilientBus) Redeliveries() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.redeliveries
 }

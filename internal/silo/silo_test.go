@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -385,50 +384,6 @@ func TestTCPHubRoundTrip(t *testing.T) {
 	// Real bytes were counted on the wire.
 	if peer.Stats().Bytes <= 0 || hub.Stats().Bytes <= 0 {
 		t.Fatal("wire bytes not counted")
-	}
-}
-
-func TestTCPPeerToPeerViaHub(t *testing.T) {
-	hub, err := NewTCPHub("coord", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hub.Close()
-	a, err := DialHub("a", hub.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := DialHub("b", hub.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-
-	// Give the hub a moment to register both peers via their hellos: send
-	// and receive in a goroutine pair.
-	var wg sync.WaitGroup
-	var recvErr error
-	var got *Envelope
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		got, recvErr = b.Recv("b")
-	}()
-	m := tensor.New(1, 2).Fill(7)
-	// Retry until the hub has registered b.
-	for i := 0; i < 100; i++ {
-		if err := a.Send(&Envelope{From: "a", To: "b", Kind: KindLatents, Payload: m}); err != nil {
-			t.Fatal(err)
-		}
-		break
-	}
-	wg.Wait()
-	if recvErr != nil {
-		t.Fatal(recvErr)
-	}
-	if got.From != "a" || got.Payload.At(0, 1) != 7 {
-		t.Fatal("peer-to-peer forward failed")
 	}
 }
 

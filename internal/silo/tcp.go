@@ -96,13 +96,13 @@ func (l *link) recv() (*Envelope, error) {
 }
 
 // TCPHub is the coordinator-side transport: it listens for client
-// connections and routes envelopes between parties. Envelopes addressed to
-// the hub's own name land in its local inbox; everything else is forwarded
-// to the destination peer. It implements Bus with real measured wire bytes.
+// connections, takes what they send into its own inbox and sends to each of
+// them on its stream. It implements Bus with real measured wire bytes.
 //
-// A peer's stream speaks only for the name it said hello with: a frame from
-// another name, a hello or peer-down notice after the first frame, and a
-// hello for a name already registered all end the stream as a corrupt one.
+// A peer's stream speaks only for the name it said hello with and only to
+// the hub: a frame from another name or for another recipient, a hello or
+// peer-down notice after the first frame, and a hello for a name already
+// registered all end the stream as a corrupt one.
 // A peer whose stream ends is dead for the rest of the run: the hub's Recv
 // reports it as a PeerDeadError.
 type TCPHub struct {
@@ -230,38 +230,33 @@ func (h *TCPHub) serveConn(conn net.Conn) {
 	}
 }
 
-// route delivers one peer's frames until its stream ends and returns why it
-// ended: io.EOF for a clean close or a hub shutdown, an
+// route delivers one peer's frames to the hub's inbox until its stream ends
+// and returns why it ended: io.EOF for a clean close or a hub shutdown, an
 // ErrCorruptPayload-class error for bytes that were not a frame or a frame
-// the stream may not carry (one from a name other than the hello's, a hello
-// or a peer-down notice), the connection's own error otherwise.
+// the stream may not carry (one from a name other than the hello's, one
+// addressed to anyone but the hub, a hello or a peer-down notice), the
+// connection's own error otherwise. Every protocol's client traffic is for
+// the coordinator, which is the hub, so the hub forwards nothing.
 func (h *TCPHub) route(pc *link, name string) error {
 	for {
 		e, err := pc.recv()
 		if err != nil {
 			return err
 		}
-		switch {
-		case e.From != name || e.Kind == kindHello || e.Kind == kindPeerDown:
-			return corruptFrame("%s frame from %q on %q's stream", e.Kind, e.From, name)
-		case e.To == h.Name:
-			select {
-			case h.inbox <- e:
-			case <-h.done:
-				return io.EOF
-			}
-		default:
-			if dst := h.waitPeer(e.To); dst != nil {
-				_ = dst.send(e)
-			}
+		if e.From != name || e.To != h.Name || e.Kind == kindHello || e.Kind == kindPeerDown {
+			return corruptFrame("%s frame from %q to %q on %q's stream", e.Kind, e.From, e.To, name)
+		}
+		select {
+		case h.inbox <- e:
+		case <-h.done:
+			return io.EOF
 		}
 	}
 }
 
 // waitPeer returns the destination's link, waiting briefly for its hello to
-// be processed: peers dial concurrently, so a forwarded message can
-// otherwise race the recipient's registration and be dropped. A closing hub
-// stops waiting.
+// be processed: peers dial concurrently, so the hub's first message to a
+// peer can otherwise race its registration. A closing hub stops waiting.
 func (h *TCPHub) waitPeer(name string) *link {
 	for i := 0; i < 1000; i++ {
 		h.mu.Lock()

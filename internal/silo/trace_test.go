@@ -187,44 +187,6 @@ func decodeDoc(t *testing.T, data []byte) traceDoc {
 	return doc
 }
 
-// TestTraceContextForwarded: a peer→peer message forwarded through the hub
-// keeps its flow id end to end.
-func TestTraceContextForwarded(t *testing.T) {
-	reg := obs.NewRegistry()
-	aRec := obs.NewPartyRecorder(reg, 2, "a")
-	bRec := obs.NewPartyRecorder(reg, 3, "b")
-
-	hub, err := NewTCPHub("coord", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hub.Close()
-	pa, err := DialHub("a", hub.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pa.Close()
-	pa.SetRecorder(aRec)
-	pb, err := DialHub("b", hub.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pb.Close()
-	pb.SetRecorder(bRec)
-
-	e := &Envelope{From: "a", To: "b", Kind: KindActivation}
-	if err := pa.Send(e); err != nil {
-		t.Fatal(err)
-	}
-	got, err := pb.Recv("b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Flow != e.Flow || e.Flow == 0 {
-		t.Fatalf("forwarded flow = %d, want %d (nonzero)", got.Flow, e.Flow)
-	}
-}
-
 // TestStackedPartyRecorders runs the full pipeline with per-party recorders
 // over TCP-free local transports and checks that coordinator and client
 // spans land on their own lanes while metrics aggregate in the shared

@@ -228,7 +228,8 @@ type (
 	ChaosProfile = silo.ChaosProfile
 	// ChaosStats counts the faults a ChaosBus actually injected.
 	ChaosStats = silo.ChaosStats
-	// ResilientBus wraps a Bus with retries, dedup and payload checksums.
+	// ResilientBus wraps a Bus with bounded retries and checks each link's
+	// sequence numbers and payload checksums.
 	ResilientBus = silo.ResilientBus
 	// ResilientConfig tunes the ResilientBus retry policy.
 	ResilientConfig = silo.ResilientConfig
@@ -277,11 +278,11 @@ var NewVFLClassifier = silo.NewVFLClassifier
 // NewChaosBus wraps a Bus with a deterministic seeded fault injector.
 var NewChaosBus = silo.NewChaosBus
 
-// ChaosProfileByName resolves a named fault profile (drop, dup, reorder,
-// delay, corrupt, flaky, blackhole; "none" or "" disables).
+// ChaosProfileByName resolves a named fault profile (drop, corrupt,
+// blackhole; "none" or "" disables).
 var ChaosProfileByName = silo.ChaosProfileByName
 
-// NewResilientBus wraps a Bus with reliable, idempotent delivery.
+// NewResilientBus wraps a Bus with bounded retries and checked delivery.
 var NewResilientBus = silo.NewResilientBus
 
 // DefaultResilientConfig returns the production retry policy.
