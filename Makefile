@@ -56,13 +56,13 @@ cross-arm64:
 	GOARCH=arm64 $(GO) vet ./internal/tensor/
 
 # test-chaos runs the deterministic fault-injection suite under the race
-# detector: the chaos matrix (seeded drops, the one recoverable fault class,
-# against stacked training and synthesis, plain and codec-framed, against
-# VFL's split-learning traffic and against E2EDistr's concurrent parties),
-# the faults that must fail typed instead (corrupt payloads, a repeated,
-# skipped or missing sequence number, a blackholed link, a TCP peer whose
-# socket is gone: ErrCorruptPayload or ErrPeerDead, never a hang), and the
-# retransmit byte accounting invariants.
+# detector: the fault-free resilient stack, bit-identical to a bare run and
+# 16 frame bytes dearer a message, against stacked training and synthesis,
+# plain and codec-framed, against VFL's split-learning traffic and against
+# E2EDistr's concurrent parties; and the faults that must fail typed
+# (corrupt payloads, a repeated, skipped or missing sequence number, a
+# blackholed link, a TCP peer whose socket is gone: ErrCorruptPayload or
+# ErrPeerDead, with or without the resilient layer, never a hang).
 test-chaos:
 	$(GO) test -race -timeout 20m -run 'Chaos|Resilient|TCPDeadPeer' -count=1 ./internal/silo/
 
@@ -137,9 +137,10 @@ codec-smoke:
 # obs-smoke exercises the fleet observability stack end to end:
 #   1. a healthy demo run over the TCP hub must write a run manifest that
 #      names the transport and carries the latent upload's measured bytes;
-#   2. a blackhole-profile run, whose every send is dropped, must exhaust the
-#      retry budget into ErrPeerDead, exit non-zero, and leave parseable
-#      flight-recorder postmortems for every party;
+#   2. a blackhole-profile run, whose every send is dropped, must end at the
+#      first drop with ErrPeerDead, exit non-zero, say on stdout that it
+#      injected drops, and leave parseable flight-recorder postmortems for
+#      every party;
 #   3. silofuse-obs must summarize the (possibly truncated) event stream.
 OBS_SMOKE_DIR ?= /tmp/silofuse_obs_smoke
 obs-smoke:
@@ -149,8 +150,9 @@ obs-smoke:
 	cd $(OBS_SMOKE_DIR) && ./silofuse-demo -clients 2 -rows 200 -iters 40 -synth 40 -run fleet
 	grep -q '"transport": "tcp"' $(OBS_SMOKE_DIR)/results/fleet/manifest.json
 	grep -Eq '"latents": [1-9][0-9]*' $(OBS_SMOKE_DIR)/results/fleet/manifest.json
-	cd $(OBS_SMOKE_DIR) && if ./silofuse-demo -clients 2 -rows 200 -iters 40 -synth 40 -run crash -chaos-profile blackhole; then \
+	cd $(OBS_SMOKE_DIR) && if ./silofuse-demo -clients 2 -rows 200 -iters 40 -synth 40 -run crash -chaos-profile blackhole > crash.out; then \
 		echo "obs-smoke: crash run unexpectedly succeeded"; exit 1; fi
+	grep -Eq '^chaos injected [1-9][0-9]* drops' $(OBS_SMOKE_DIR)/crash.out
 	test -s $(OBS_SMOKE_DIR)/results/crash/postmortem/c1.json
 	grep -q '"cause"' $(OBS_SMOKE_DIR)/results/crash/postmortem/c1.json
 	grep -q '"cause"' $(OBS_SMOKE_DIR)/results/crash/postmortem/coord.json

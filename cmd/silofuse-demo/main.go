@@ -12,13 +12,13 @@
 // share a single timeline with send→recv flow arrows between them.
 //
 // -chaos-profile injects seeded faults under the checked-delivery layer:
-// drop loses sends that the bounded retry then delivers, so the run
-// completes; corrupt flips a payload bit that the checksum refuses
-// (ErrCorruptPayload); blackhole drops every send until the retry budget is
-// spent (ErrPeerDead). Every party also keeps a flight recorder (a
-// fixed-size ring of recent operations); when a typed transport error ends
-// the run, the rings are dumped to results/<run>/postmortem/<party>.json for
-// offline analysis with silofuse-obs.
+// corrupt flips a payload bit that the checksum refuses (ErrCorruptPayload);
+// blackhole drops every send, and the first drop ends the run (ErrPeerDead).
+// The run's last line counts the faults injected, whether it succeeded or
+// not. Every party also keeps a flight recorder (a fixed-size ring of
+// recent operations); when a typed transport error ends the run, the rings
+// are dumped to results/<run>/postmortem/<party>.json for offline analysis
+// with silofuse-obs.
 //
 // Usage:
 //
@@ -64,7 +64,7 @@ func main() {
 	flag.StringVar(&c.tracePath, "trace", "", "write a merged Chrome-trace JSON (one process lane per party) to this path")
 	flag.BoolVar(&c.metrics, "metrics", false, "print the metrics text exposition to stderr after the run")
 	flag.StringVar(&c.runName, "run", "", "write results/<run>/manifest.json and stream results/<run>/events.jsonl")
-	flag.StringVar(&c.chaosProfile, "chaos-profile", "", "inject transport faults on top of the TCP links: drop, corrupt, blackhole (empty disables)")
+	flag.StringVar(&c.chaosProfile, "chaos-profile", "", "inject transport faults on top of the TCP links: corrupt, blackhole (empty disables)")
 	flag.Int64Var(&c.chaosSeed, "chaos-seed", 1, "seed of the deterministic fault schedule (with -chaos-profile)")
 	flag.StringVar(&c.wireCodec, "wire-codec", "f64", "precision tier framing tensor payloads on the wire: f64 (lossless), f32, q8")
 	flag.StringVar(&c.computePrecision, "compute-precision", "f64", "kernel precision for sampling and decode (training is always f64): f64 or f32")
@@ -144,19 +144,23 @@ func run(c config) error {
 
 	// With a chaos profile the routed TCP bus gains the same fault-injection
 	// and checked-delivery stack the in-process runs use: a seeded ChaosBus
-	// under a ResilientBus (retries, sequence and checksum checks). A drop is
-	// retried, a corrupt payload ends the run with ErrCorruptPayload and a
-	// blackhole with ErrPeerDead. The CodecBus tops the
-	// stack either way, framing tensor payloads at the selected precision
-	// tier so every layer below moves the encoded blob.
+	// under a ResilientBus (sequence and checksum checks). A corrupt payload
+	// ends the run with ErrCorruptPayload and a drop with ErrPeerDead. The
+	// CodecBus tops the stack either way, framing tensor payloads at the
+	// selected precision tier so every layer below moves the encoded blob.
 	var bus silofuse.Bus = &routedBus{hub: hub, peers: peers}
 	if c.chaosProfile != "" && c.chaosProfile != "none" {
 		prof, err := silofuse.ChaosProfileByName(c.chaosProfile)
 		if err != nil {
 			return err
 		}
-		bus = silofuse.NewResilientBus(silofuse.NewChaosBus(bus, c.chaosSeed, prof), silofuse.DefaultResilientConfig())
+		chaos := silofuse.NewChaosBus(bus, c.chaosSeed, prof)
+		bus = silofuse.NewResilientBus(chaos)
 		fmt.Printf("chaos profile %q active (seed %d)\n", c.chaosProfile, c.chaosSeed)
+		defer func() {
+			fs := chaos.FaultStats()
+			fmt.Printf("chaos injected %d drops, %d corrupts\n", fs.Drops, fs.Corrupts)
+		}()
 	}
 	codecID, err := silofuse.WireCodecByName(c.wireCodec)
 	if err != nil {

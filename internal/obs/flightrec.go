@@ -12,7 +12,7 @@ import (
 
 // FlightRecorder is a fixed-capacity, allocation-bounded ring buffer of
 // recent telemetry operations — train events, span ends, bus
-// send/recv/retry traffic. It exists for the moment a run dies: when a typed
+// send/recv traffic. It exists for the moment a run dies: when a typed
 // transport error ends the run, the last flightCapDefault operations of
 // every party are dumped to results/<run>/postmortem/<party>.json, turning
 // "the run crashed" into a readable tail of what each process was doing.
@@ -31,7 +31,7 @@ type FlightRecorder struct {
 }
 
 // FlightEntry is one recorded operation. Op names the operation ("train",
-// "span", "send", "recv", "retry", "corrupt", "peer-down", "event", ...);
+// "span", "send", "recv", "corrupt", "peer-down", "event", ...);
 // Name and Peer carry its labels (message kind, span name, peer id); Value
 // carries its number (bytes, seconds, loss).
 type FlightEntry struct {

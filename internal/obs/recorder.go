@@ -209,19 +209,6 @@ func (r *Recorder) WireCodec(codec, kind string, raw, enc int64, maxErr, meanErr
 	r.Reg.Gauge("wire_err_mean_" + suffix).Set(meanErr)
 }
 
-// Retry records one transport retransmission of the given message kind
-// after a backoff of d: it bumps bus_retries_total_<kind> and notes the
-// backoff in the flight recorder. Retransmitted bytes themselves are
-// accounted by Message under the "retransmit" kind, keeping goodput
-// counters invariant under faults.
-func (r *Recorder) Retry(kind string, d time.Duration) {
-	if r == nil {
-		return
-	}
-	r.Reg.Counter("bus_retries_total_" + kind).Inc()
-	r.Flight.Note("retry", kind, "", d.Seconds())
-}
-
 // CorruptPayload records a checksum-failed envelope:
 // bus_corrupt_total_<kind>.
 func (r *Recorder) CorruptPayload(kind string) {

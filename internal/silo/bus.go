@@ -30,12 +30,6 @@ const (
 	KindGradDown    Kind = "grad-down"    // coordinator -> client, E2E encoder gradients
 )
 
-// KindRetransmit never appears on an envelope: it is the Stats.ByKind bucket
-// that collects the bytes of every re-sent attempt, so ByKind[app kind] stays
-// pure goodput (first transmissions only) and Table VIII numbers survive a
-// lossy network.
-const KindRetransmit Kind = "retransmit"
-
 // Envelope is one protocol message. Payload may be nil for control
 // messages.
 //
@@ -46,13 +40,11 @@ const KindRetransmit Kind = "retransmit"
 // processes merge into one timeline with send→recv arrows between lanes.
 // Zero means "no trace context"; the field is fixed-width on the wire, so a
 // traced run moves exactly the bytes of an untraced one.
-// Seq, Sum and Rexmit belong to the resilient delivery layer and are zero
-// on a bare bus: Seq numbers each From->To link's messages from 1 so the
-// receiver can check that each is the link's next, Sum is an FNV-1a
-// checksum over the routing fields and payload bits (the pair costs 16
-// frame bytes, only on messages that layer stamped), and Rexmit marks a
-// retry attempt so transports account its bytes under KindRetransmit
-// instead of the message's own kind.
+// Seq and Sum belong to the resilient delivery layer and are zero on a bare
+// bus: Seq numbers each From->To link's messages from 1 so the receiver can
+// check that each is the link's next, and Sum is an FNV-1a checksum over the
+// routing fields and payload bits (the pair costs 16 frame bytes, only on
+// messages that layer stamped).
 // Codec, Rows, Cols and Blob belong to the wire-codec layer (see CodecBus):
 // when Codec is non-zero, Blob holds the tensor payload encoded by
 // internal/silo/codec and Rows/Cols are its dimensions (the dims ride the
@@ -72,16 +64,6 @@ type Envelope struct {
 	Flow     uint64
 	Seq      uint64
 	Sum      uint64
-	Rexmit   bool
-}
-
-// statKind returns the Stats.ByKind bucket for this envelope: retransmitted
-// attempts land under KindRetransmit so per-kind counters stay goodput.
-func (e *Envelope) statKind() Kind {
-	if e.Rexmit {
-		return KindRetransmit
-	}
-	return e.Kind
 }
 
 // Stats aggregates transport traffic.
@@ -105,11 +87,13 @@ type RecorderSetter interface {
 //
 // Every transport delivers each From->To link's messages in the order they
 // were sent and exactly once: a Send that returns nil has handed its
-// envelope to the link, one that returns an error has not, and a link is one
-// channel or one TCP stream. The protocols send each link's messages from
-// one goroutine, so no message overtakes or repeats another; the resilient
-// layer (resilient.go) checks that contract instead of repairing breaches
-// of it.
+// envelope to the link, and a link is one channel or one TCP stream. The
+// protocols send each link's messages from one goroutine, so no message
+// overtakes or repeats another; the resilient layer (resilient.go) checks
+// that contract instead of repairing breaches of it. A Send that returns an
+// error is final, not worth a retry: LocalBus fails only once closed or
+// without a recipient, and a TCP write that fails has broken its stream, so
+// the TCP transports report it as a PeerDeadError.
 type Bus interface {
 	// Send delivers an envelope to the recipient's inbox.
 	Send(e *Envelope) error
@@ -172,7 +156,6 @@ func (b *LocalBus) Send(e *Envelope) error {
 		b.rec.Trace.FlowSend(string(e.Kind), e.Flow)
 	}
 	size := e.WireSize()
-	kind := e.statKind()
 	b.closeMu.RLock()
 	if b.closed {
 		b.closeMu.RUnlock()
@@ -182,12 +165,12 @@ func (b *LocalBus) Send(e *Envelope) error {
 	b.stats.Messages++
 	b.stats.Bytes += size
 	b.stats.BytesByDir[e.From+"->"+e.To] += size
-	b.stats.ByKind[kind] += size
+	b.stats.ByKind[e.Kind] += size
 	b.mu.Unlock()
 	b.box(e.To) <- e
 	b.closeMu.RUnlock()
 	if b.rec != nil {
-		b.rec.Message(string(kind), size, b.rec.Since(t0))
+		b.rec.Message(string(e.Kind), size, b.rec.Since(t0))
 	}
 	return nil
 }

@@ -9,11 +9,8 @@ import (
 	"silofuse/internal/tensor"
 )
 
-// ErrDropped models a delivery deadline expiring on a lossy link: the
-// ChaosBus returns it from Send instead of delivering the envelope, exactly
-// as a sender with a per-message ack timeout would observe a drop. It is
-// transient — the ResilientBus retries it — unlike the terminal ErrPeerDead.
-var ErrDropped = errors.New("silo: message dropped (delivery deadline exceeded)")
+// errChaosDrop is the cause of the PeerDeadError a dropped send returns.
+var errChaosDrop = errors.New("chaos dropped the message")
 
 // ChaosProfile describes a seeded fault schedule. Probabilities are in
 // permille (0–1000) and are evaluated by a pure hash of (seed, link,
@@ -23,33 +20,27 @@ var ErrDropped = errors.New("silo: message dropped (delivery deadline exceeded)"
 type ChaosProfile struct {
 	Name string
 
-	// DropPermille is the per-message probability that delivery fails with
-	// ErrDropped. A dropped message stays dropped for up to
-	// MaxConsecutiveDrops attempts (hash-chosen per message), then goes
-	// through — keeping recoverable profiles within the resilient layer's
-	// retry budget.
-	DropPermille        int
-	MaxConsecutiveDrops int
+	// DropPermille is the per-message probability that the send fails with
+	// a PeerDeadError naming the recipient, as a broken TCP stream's would:
+	// a dropped message ends the run.
+	DropPermille int
 
 	// CorruptPermille flips one payload bit in flight.
 	CorruptPermille int
 }
 
 // ChaosProfileByName resolves the named fault profiles exposed by
-// silofuse-demo's -chaos-profile flag: "drop" keeps MaxConsecutiveDrops
-// below the resilient layer's default retry budget, so every message still
-// arrives; "corrupt" must end a run with ErrCorruptPayload and "blackhole",
-// which exceeds the budget, with ErrPeerDead.
+// silofuse-demo's -chaos-profile flag: "corrupt" must end a run with
+// ErrCorruptPayload and "blackhole", which drops every send, with
+// ErrPeerDead.
 func ChaosProfileByName(name string) (ChaosProfile, error) {
 	switch name {
 	case "", "none":
 		return ChaosProfile{Name: "none"}, nil
-	case "drop":
-		return ChaosProfile{Name: name, DropPermille: 250, MaxConsecutiveDrops: 2}, nil
 	case "corrupt":
 		return ChaosProfile{Name: name, CorruptPermille: 120}, nil
 	case "blackhole":
-		return ChaosProfile{Name: name, DropPermille: 1000, MaxConsecutiveDrops: 1 << 30}, nil
+		return ChaosProfile{Name: name, DropPermille: 1000}, nil
 	default:
 		return ChaosProfile{}, errors.New("silo: unknown chaos profile " + name)
 	}
@@ -62,19 +53,19 @@ type ChaosStats struct {
 
 // ChaosBus wraps a Bus and injects faults from the profile's seeded
 // schedule. Every decision (drop, corrupt) is taken on the send side as a
-// pure function of the message identity, so it is bit-deterministic. It
-// never duplicates or reorders a message: a link of any transport delivers
-// in order and once, and a fault the program cannot meet is not one to
-// fake.
+// pure function of the message identity, so it is bit-deterministic, and
+// every message is sent once. It never duplicates, reorders or drops a
+// message only to deliver it later: a link of any transport delivers in
+// order and once, its failed send is final, and a fault the program cannot
+// meet is not one to fake.
 type ChaosBus struct {
 	inner Bus
 	seed  uint64
 	prof  ChaosProfile
 
-	mu       sync.Mutex        // guards every field below
-	pseudo   map[string]uint64 // per-link seq for unsequenced envelopes
-	attempts map[chaosKey]int  // delivery attempts per message identity
-	stats    ChaosStats
+	mu     sync.Mutex        // guards every field below
+	pseudo map[string]uint64 // per-link seq for unsequenced envelopes
+	stats  ChaosStats
 }
 
 // chaosKey identifies one logical message on one link.
@@ -84,11 +75,10 @@ type chaosKey struct {
 }
 
 // Fault decision lanes: each fault class hashes the same message identity
-// through a distinct lane so decisions are independent. Lanes 3-5 belonged
+// through a distinct lane so decisions are independent. Lanes 2-5 belonged
 // to retired classes; the numbers stay so a seed keeps its decisions.
 const (
 	laneDrop       = 1
-	laneDropCount  = 2
 	laneCorrupt    = 6
 	laneCorruptBit = 7
 )
@@ -96,11 +86,10 @@ const (
 // NewChaosBus wraps inner with the seeded fault schedule.
 func NewChaosBus(inner Bus, seed int64, prof ChaosProfile) *ChaosBus {
 	return &ChaosBus{
-		inner:    inner,
-		seed:     uint64(seed),
-		prof:     prof,
-		pseudo:   make(map[string]uint64),
-		attempts: make(map[chaosKey]int),
+		inner:  inner,
+		seed:   uint64(seed),
+		prof:   prof,
+		pseudo: make(map[string]uint64),
 	}
 }
 
@@ -134,7 +123,7 @@ func (c *ChaosBus) decide(link string, seq, lane uint64) uint64 {
 func hit(h uint64, permille int) bool { return int(h%1000) < permille }
 
 // key derives the message identity: the resilient layer's sequence number
-// when present (stable across retransmissions), else a per-link counter.
+// when present, else a per-link counter.
 func (c *ChaosBus) key(e *Envelope) chaosKey {
 	link := e.From + "->" + e.To
 	if e.Seq != 0 {
@@ -150,25 +139,14 @@ func (c *ChaosBus) key(e *Envelope) chaosKey {
 // Send implements Bus, applying send-side faults.
 func (c *ChaosBus) Send(e *Envelope) error {
 	k := c.key(e)
-	c.mu.Lock()
-	c.attempts[k]++
-	attempt := c.attempts[k]
-	c.mu.Unlock()
 	if c.prof.DropPermille > 0 && hit(c.decide(k.link, k.seq, laneDrop), c.prof.DropPermille) {
-		drops := 1
-		if c.prof.MaxConsecutiveDrops > 1 {
-			drops = 1 + int(c.decide(k.link, k.seq, laneDropCount)%uint64(c.prof.MaxConsecutiveDrops))
-		}
-		if attempt <= drops {
-			c.mu.Lock()
-			c.stats.Drops++
-			c.mu.Unlock()
-			return ErrDropped
-		}
+		c.mu.Lock()
+		c.stats.Drops++
+		c.mu.Unlock()
+		return &PeerDeadError{Peer: e.To, Cause: errChaosDrop}
 	}
 	send := e
-	if c.prof.CorruptPermille > 0 && corruptible(e) &&
-		hit(c.decide(k.link, k.seq, laneCorrupt), c.prof.CorruptPermille) && attempt == 1 {
+	if c.prof.CorruptPermille > 0 && corruptible(e) && hit(c.decide(k.link, k.seq, laneCorrupt), c.prof.CorruptPermille) {
 		send = c.corrupt(e, k)
 	}
 	return c.inner.Send(send)
@@ -184,9 +162,9 @@ func corruptible(e *Envelope) bool {
 }
 
 // corrupt returns a copy of e with one hash-chosen payload bit flipped, so
-// the original sender retains intact data for retransmission. Codec-framed
-// envelopes get a bit flipped in the encoded blob — the corruption happens
-// on the serialized wire representation, exactly as a network would.
+// the sender's own data stays intact. Codec-framed envelopes get a bit
+// flipped in the encoded blob — the corruption happens on the serialized
+// wire representation, exactly as a network would.
 func (c *ChaosBus) corrupt(e *Envelope, k chaosKey) *Envelope {
 	cp := *e
 	if e.Payload != nil && len(e.Payload.Data) > 0 {

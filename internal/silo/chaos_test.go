@@ -1,25 +1,23 @@
-//silofuse:bitwise-ok chaos recovery tests pin bit-identical recovery against fault-free baselines
+//silofuse:bitwise-ok resilient-layer tests pin bit-identical runs against bare-bus baselines
 package silo
 
 import (
 	"errors"
-	"strings"
+	"math"
 	"testing"
 	"time"
 
 	"silofuse/internal/datagen"
 	"silofuse/internal/obs"
+	"silofuse/internal/silo/codec"
 	"silofuse/internal/tabular"
 )
 
-// resilientChaos builds the standard fault-tolerant test stack: a LocalBus
-// wrapped in a seeded ChaosBus and a ResilientBus with no-op backoff sleeps
-// (the retry schedule is deterministic either way; sleeping only adds
-// wall-clock to the suite).
+// resilientChaos builds the standard fault-injection test stack: a LocalBus
+// wrapped in a seeded ChaosBus and a ResilientBus.
 func resilientChaos(seed int64, prof ChaosProfile) (*ResilientBus, *ChaosBus) {
 	cb := NewChaosBus(NewLocalBus(), seed, prof)
 	cfg := DefaultResilientConfig()
-	cfg.Sleep = func(time.Duration) {}
 	return NewResilientBus(cb, cfg), cb
 }
 
@@ -66,50 +64,6 @@ func chaosStackedRun(t *testing.T, bus Bus) (aeLoss, diffLoss float64, out *tabu
 	return aeLoss, diffLoss, out
 }
 
-// TestChaosMatrixStackedTransparent is the stacked-training and synthesis
-// arm of the chaos matrix: under seeded drops, at two chaos seeds, training
-// losses and synthesised output are bit-identical to the fault-free
-// baseline — the resilient layer's retries absorb the drops without
-// perturbing a single float.
-func TestChaosMatrixStackedTransparent(t *testing.T) {
-	baseAE, baseDiff, baseOut := chaosStackedRun(t, NewLocalBus())
-	for _, seed := range []int64{1, 7} {
-		rb, cb := resilientChaos(seed, mustProfile(t, "drop"))
-		ae, diff, out := chaosStackedRun(t, rb)
-		if ae != baseAE || diff != baseDiff {
-			t.Fatalf("drop/stacked seed %d: losses (%v, %v) diverge from baseline (%v, %v)",
-				seed, ae, diff, baseAE, baseDiff)
-		}
-		sameTable(t, "drop/stacked", baseOut, out)
-		faults := cb.FaultStats()
-		rexmit := rb.Stats().ByKind[KindRetransmit]
-		if (faults.Drops > 0) != (rexmit > 0) {
-			t.Fatalf("drop/stacked seed %d: %d drops but %d retransmit bytes", seed, faults.Drops, rexmit)
-		}
-	}
-}
-
-// TestChaosMatrixE2ETransparent is the E2EDistr arm of the matrix: its
-// parties run at once, each on its own goroutine, and under seeded drops, at
-// two chaos seeds, the joint loss keeps the bits of the fault-free LocalBus
-// run.
-func TestChaosMatrixE2ETransparent(t *testing.T) {
-	run := func(bus Bus) float64 {
-		loss, err := e2eParties(t, bus).Train(12)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return loss
-	}
-	base := run(NewLocalBus())
-	for _, seed := range []int64{1, 7} {
-		rb, _ := resilientChaos(seed, mustProfile(t, "drop"))
-		if got := run(rb); got != base {
-			t.Fatalf("drop seed %d: e2e loss %v diverges from baseline %v", seed, got, base)
-		}
-	}
-}
-
 // chaosVFLSetup builds the partitioned-features classification task shared
 // by the VFL chaos tests.
 func chaosVFLSetup(t testing.TB) (silos []*tabular.Table, labels []int, cfg VFLConfig) {
@@ -154,29 +108,6 @@ func chaosVFLRun(t *testing.T, bus Bus) (float64, []int) {
 	return loss, pred
 }
 
-// TestChaosMatrixVFLTransparent is the split-learning arm of the matrix:
-// VFL training under seeded drops recovers the exact fault-free loss and
-// predictions. The dense message stream (4 messages x 100 iterations) makes
-// the drops actually fire, which the fault counters pin.
-func TestChaosMatrixVFLTransparent(t *testing.T) {
-	baseLoss, basePred := chaosVFLRun(t, NewLocalBus())
-	t.Run("drop", func(t *testing.T) {
-		rb, cb := resilientChaos(3, mustProfile(t, "drop"))
-		loss, pred := chaosVFLRun(t, rb)
-		if loss != baseLoss {
-			t.Fatalf("vfl loss %v diverges from baseline %v", loss, baseLoss)
-		}
-		for i := range basePred {
-			if pred[i] != basePred[i] {
-				t.Fatalf("prediction %d diverges", i)
-			}
-		}
-		if drops, rexmit := cb.FaultStats().Drops, rb.Stats().ByKind[KindRetransmit]; drops == 0 || rexmit == 0 {
-			t.Fatalf("drop profile injected %d drops, %d retransmit bytes", drops, rexmit)
-		}
-	})
-}
-
 // TestChaosCorruptFailsTyped: payload corruption must never silently poison
 // training — the checksum catches the flipped bit and the run fails with
 // the typed ErrCorruptPayload instead of hanging or converging on garbage.
@@ -208,25 +139,90 @@ func TestChaosCorruptFailsTyped(t *testing.T) {
 	}
 }
 
-// TestChaosBlackholeFailsTyped: a link that drops everything must exhaust
-// the bounded retry budget and surface the typed ErrPeerDead — promptly,
-// not hang (the no-op sleep makes the whole budget run in microseconds).
+// TestResilientTransparent: over a fault-free resilient stack, stacked
+// training and synthesis (bare and under the f32 and q8 codecs), E2EDistr
+// and VFL compute the bits of the bare run, and the transport under the
+// layer books the bare run's messages at 16 frame bytes more each, Seq and
+// Sum. E2EDistr's parties run on their own goroutines, so its case also pins
+// that each link delivers in order: the layer refuses any envelope that is
+// not its link's next.
+func TestResilientTransparent(t *testing.T) {
+	stacked := func(t *testing.T, bus Bus) []float64 {
+		ae, diff, out := chaosStackedRun(t, bus)
+		return append([]float64{ae, diff}, out.Data.Data...)
+	}
+	framed := func(id codec.ID) func(Bus) Bus {
+		return func(b Bus) Bus { return NewCodecBus(b, id) }
+	}
+	for _, tc := range []struct {
+		name string
+		wrap func(Bus) Bus // the layer over the resilient one, nil for none
+		run  func(*testing.T, Bus) []float64
+	}{
+		{name: "stacked", run: stacked},
+		{name: "stacked-f32", wrap: framed(codec.F32), run: stacked},
+		{name: "stacked-q8", wrap: framed(codec.Q8), run: stacked},
+		{name: "e2e", run: func(t *testing.T, bus Bus) []float64 {
+			loss, err := e2eParties(t, bus).Train(12)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return []float64{loss}
+		}},
+		{name: "vfl", run: func(t *testing.T, bus Bus) []float64 {
+			loss, pred := chaosVFLRun(t, bus)
+			out := []float64{loss}
+			for _, p := range pred {
+				out = append(out, float64(p))
+			}
+			return out
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			wrap := tc.wrap
+			if wrap == nil {
+				wrap = func(b Bus) Bus { return b }
+			}
+			bare, under := NewLocalBus(), NewLocalBus()
+			want := tc.run(t, wrap(bare))
+			got := tc.run(t, wrap(NewResilientBus(under, DefaultResilientConfig())))
+			if len(got) != len(want) {
+				t.Fatalf("%d results, the bare run has %d", len(got), len(want))
+			}
+			for i, v := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(v) {
+					t.Fatalf("result %d is %v, the bare run's %v", i, got[i], v)
+				}
+			}
+			bs, rs := bare.Stats(), under.Stats()
+			if rs.Messages != bs.Messages || rs.Bytes != bs.Bytes+16*bs.Messages {
+				t.Fatalf("%d B in %d msgs, want the bare run's %d B in %d msgs plus 16 B each", rs.Bytes, rs.Messages, bs.Bytes, bs.Messages)
+			}
+		})
+	}
+}
+
+// TestChaosBlackholeFailsTyped: a link that drops everything ends the run
+// over the resilient layer at the first drop with a typed ErrPeerDead that
+// names the dead peer, promptly, with each client's upload sent exactly
+// once. The same run without the layer is
+// TestStackedTrainingSurfacesTransportFailure.
 func TestChaosBlackholeFailsTyped(t *testing.T) {
-	rb, _ := resilientChaos(1, mustProfile(t, "blackhole"))
 	tb := loanTable(t, 120)
 	cfg := smallConfig(2)
 	cfg.AEIters, cfg.DiffIters = 10, 10
-	p, err := NewPipeline(rb, tb, cfg)
+	cb := NewChaosBus(NewLocalBus(), 1, mustProfile(t, "blackhole"))
+	p, err := NewPipeline(NewResilientBus(cb, DefaultResilientConfig()), tb, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, _, trainErr := p.TrainStacked()
-	if !errors.Is(trainErr, ErrPeerDead) {
-		t.Fatalf("stacked over blackhole: err = %v, want ErrPeerDead", trainErr)
-	}
 	var pd *PeerDeadError
 	if !errors.As(trainErr, &pd) || pd.Peer == "" {
-		t.Fatalf("blackhole error %v does not name the dead peer", trainErr)
+		t.Fatalf("resilient stacked over blackhole: err = %v, want ErrPeerDead naming the dead peer", trainErr)
+	}
+	if drops := cb.FaultStats().Drops; drops != int64(cfg.Clients) {
+		t.Fatalf("resilient stacked over blackhole: %d drops, want one per client upload (%d)", drops, cfg.Clients)
 	}
 
 	silos, labels, vcfg := chaosVFLSetup(t)
@@ -234,150 +230,49 @@ func TestChaosBlackholeFailsTyped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb2, _ := resilientChaos(1, mustProfile(t, "blackhole"))
-	if _, err := v.Train(rb2, silos, labels, 10, 64); !errors.Is(err, ErrPeerDead) {
+	rb, _ := resilientChaos(1, mustProfile(t, "blackhole"))
+	if _, err := v.Train(rb, silos, labels, 10, 64); !errors.Is(err, ErrPeerDead) {
 		t.Fatalf("vfl over blackhole: err = %v, want ErrPeerDead", err)
 	}
 }
 
-// TestResilientByteAccounting pins the goodput/retransmit split the bench
-// tables rely on: total bytes decompose exactly into per-kind goodput plus
-// the retransmit bucket, goodput is invariant across chaos seeds (first
-// transmissions are the application's message stream, which recovery
-// replays exactly), and a fault-free resilient run costs a bare LocalBus
-// run's bytes plus the 16 frame bytes of Seq and Sum on every message. The
-// baseline for the faulty runs is therefore the fault-free resilient stack.
+// TestResilientByteAccounting: the layer books nothing of its own. Its Stats
+// are the wrapped transport's, and on a VFL run every kind and every link
+// costs the bare run's bytes plus a positive multiple of 16, the multiples
+// adding up to the message count on either split.
 func TestResilientByteAccounting(t *testing.T) {
-	bare := NewLocalBus()
-	baseLoss, _ := chaosVFLRun(t, bare)
-
-	cfgR := DefaultResilientConfig()
-	cfgR.Sleep = func(time.Duration) {}
-	clean := NewResilientBus(NewLocalBus(), cfgR)
-	if loss, _ := chaosVFLRun(t, clean); loss != baseLoss {
-		t.Fatalf("fault-free resilient run loss %v diverges from bare bus %v", loss, baseLoss)
+	bare, under := NewLocalBus(), NewLocalBus()
+	chaosVFLRun(t, bare)
+	rb := NewResilientBus(under, DefaultResilientConfig())
+	chaosVFLRun(t, rb)
+	bs, rs := bare.Stats(), rb.Stats()
+	if us := under.Stats(); rs.Bytes != us.Bytes || rs.Messages != us.Messages {
+		t.Fatalf("resilient layer reports %d B in %d msgs, the transport under it %d B in %d msgs", rs.Bytes, rs.Messages, us.Bytes, us.Messages)
 	}
-	cleanStats := clean.Stats()
-	if want := bare.Stats().Bytes + 16*cleanStats.Messages; cleanStats.Bytes != want || cleanStats.Messages != bare.Stats().Messages {
-		t.Fatalf("fault-free resilient run: %d B in %d msgs, want the bare bus's %d B in %d msgs plus 16 B of sequencing each = %d B",
-			cleanStats.Bytes, cleanStats.Messages, bare.Stats().Bytes, bare.Stats().Messages, want)
+	if n := stampedMessages(t, rs.ByKind, bs.ByKind); n != bs.Messages {
+		t.Fatalf("kinds stamped %d msgs, want %d", n, bs.Messages)
 	}
-	if cleanStats.ByKind[KindRetransmit] != 0 {
-		t.Fatalf("fault-free run booked %d retransmit bytes", cleanStats.ByKind[KindRetransmit])
-	}
-
-	for seed := int64(1); seed <= 5; seed++ {
-		rb, cb := resilientChaos(seed, mustProfile(t, "drop"))
-		if loss, _ := chaosVFLRun(t, rb); loss != baseLoss {
-			t.Fatalf("seed %d: loss diverges under drop profile", seed)
-		}
-		st := rb.Stats()
-		var byKind int64
-		for _, b := range st.ByKind {
-			byKind += b
-		}
-		if byKind != st.Bytes {
-			t.Fatalf("seed %d: ByKind sums to %d, Bytes = %d", seed, byKind, st.Bytes)
-		}
-		goodput := st.Bytes - st.ByKind[KindRetransmit]
-		if goodput != cleanStats.Bytes {
-			t.Fatalf("seed %d: goodput %d != fault-free bytes %d", seed, goodput, cleanStats.Bytes)
-		}
-		if st.Messages != cleanStats.Messages {
-			t.Fatalf("seed %d: %d goodput messages, want %d", seed, st.Messages, cleanStats.Messages)
-		}
-		for kind, b := range cleanStats.ByKind {
-			if st.ByKind[kind] != b {
-				t.Fatalf("seed %d: ByKind[%s] = %d, want %d (per-kind goodput must be seed-invariant)", seed, kind, st.ByKind[kind], b)
-			}
-		}
-		if cb.FaultStats().Drops == 0 || st.ByKind[KindRetransmit] == 0 {
-			t.Fatalf("seed %d: drop profile injected no observable faults", seed)
-		}
-		if rb.Retries() == 0 {
-			t.Fatalf("seed %d: retransmit bytes booked but no retries counted", seed)
-		}
+	if n := stampedMessages(t, rs.BytesByDir, bs.BytesByDir); n != bs.Messages {
+		t.Fatalf("links stamped %d msgs, want %d", n, bs.Messages)
 	}
 }
 
-// TestResilientWireSizePinnedOverTCP pins the resilient layer's byte
-// accounting against the sockets under it: over a whole stacked fit and a
-// synthesis, the bytes the hub and the peers wrote are exactly the bytes the
-// resilient layer booked (sequencing and checksum fields included) plus the
-// one hello that opened each peer's stream, so Table VIII numbers computed
-// from the goodput/retransmit split are measured traffic.
-func TestResilientWireSizePinnedOverTCP(t *testing.T) {
-	hub, err := NewTCPHub("coord", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+// stampedMessages checks that got has want's keys, each costing want's bytes
+// plus a positive multiple of 16, and returns the sum of the multiples.
+func stampedMessages[K comparable](t *testing.T, got, want map[K]int64) int64 {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d keys, the bare run has %d", len(got), len(want))
 	}
-	defer hub.Close()
-	peers := make(map[string]*TCPPeer, 2)
-	for _, name := range []string{"c0", "c1"} {
-		p, err := DialHub(name, hub.Addr())
-		if err != nil {
-			t.Fatal(err)
+	var n int64
+	for key, b := range want {
+		extra := got[key] - b
+		if extra <= 0 || extra%16 != 0 {
+			t.Fatalf("%v: %d B, want the bare run's %d B plus a positive multiple of 16", key, got[key], b)
 		}
-		defer p.Close()
-		peers[name] = p
+		n += extra / 16
 	}
-	cfg := DefaultResilientConfig()
-	cfg.Sleep = func(time.Duration) {}
-	rb := NewResilientBus(&routedBus{hub: hub, peers: peers}, cfg)
-
-	tb := loanTable(t, 120)
-	pcfg := smallConfig(2)
-	pcfg.AEIters, pcfg.DiffIters = 10, 10
-	pipe, err := NewPipeline(rb, tb, pcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := pipe.TrainStacked(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pipe.SynthesizeShared(0, 30, false); err != nil {
-		t.Fatal(err)
-	}
-
-	measured := hub.Stats().Bytes
-	var hellos int64
-	for name, p := range peers {
-		measured += p.Stats().Bytes
-		hellos += (&Envelope{From: name, Kind: kindHello}).WireSize()
-	}
-	booked := rb.Stats().Bytes
-	if booked == 0 || measured != booked+hellos {
-		t.Fatalf("sockets carried %d bytes, the resilient layer booked %d + %d of hellos", measured, booked, hellos)
-	}
-}
-
-// TestResilientRetryMetrics: the retry path must be visible in
-// the observability layer, not just the Stats split.
-func TestResilientRetryMetrics(t *testing.T) {
-	rec := obs.NewRecorder()
-	rb, _ := resilientChaos(3, mustProfile(t, "drop"))
-	rb.SetRecorder(rec)
-	silos, labels, cfg := chaosVFLSetup(t)
-	v, err := NewVFLClassifier(silos, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := v.Train(rb, silos, labels, 60, 64); err != nil {
-		t.Fatal(err)
-	}
-	counters := rec.Snapshot().Counters
-	var retries int64
-	for name, val := range counters {
-		if strings.HasPrefix(name, "bus_retries_total") {
-			retries += val
-		}
-	}
-	if retries == 0 {
-		t.Fatalf("no bus_retries_total counters recorded: %v", counters)
-	}
-	if retries != rb.Retries() {
-		t.Fatalf("metrics count %v retries, bus counted %d", retries, rb.Retries())
-	}
+	return n
 }
 
 // TestResilientRefusesOutOfSequence: every link delivers in order and once,

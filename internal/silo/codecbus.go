@@ -49,8 +49,8 @@ type wireAgg struct {
 // payloads through the precision-tiered wire codec on Send and decodes them
 // back to native tensors on Recv, so the application protocol is oblivious
 // to the wire representation while every layer below it — checksums,
-// retries, dedup, chaos faults, byte accounting — operates on the encoded
-// blob, exactly as a real network stack would.
+// chaos faults, byte accounting — operates on the encoded blob, exactly as
+// a real network stack would.
 //
 // The default f64 codec is bit-lossless, so a default run's losses and
 // outputs are bit-identical to a run without the wrapper. Its dense blob is

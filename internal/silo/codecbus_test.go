@@ -303,40 +303,11 @@ func TestCodecBusCompression(t *testing.T) {
 }
 
 // codecChaos builds the full four-layer stack under test: application ->
-// CodecBus (framing) -> ResilientBus (retries, sequence and checksums) ->
+// CodecBus (framing) -> ResilientBus (sequence and checksums) ->
 // ChaosBus (fault injection) -> LocalBus.
 func codecChaos(id codec.ID, seed int64, prof ChaosProfile) (*CodecBus, *ChaosBus) {
 	rb, cb := resilientChaos(seed, prof)
 	return NewCodecBus(rb, id), cb
-}
-
-// TestChaosMatrixCodecTransparent extends the chaos matrix across wire
-// codecs: under seeded drops, a run framed with each codec recovers losses
-// and synthesised output bit-identical to that codec's own fault-free
-// baseline. Retries resend the identical encoded blob, so lossy framing
-// composes with fault recovery without compounding error. The baseline is the same
-// stack with no faults injected — like with like: sequencing costs 16 frame
-// bytes a message, so goodput is compared against a sequenced run.
-func TestChaosMatrixCodecTransparent(t *testing.T) {
-	for _, id := range []codec.ID{codec.F32, codec.Q8} {
-		base, _ := codecChaos(id, 7, mustProfile(t, "none"))
-		baseAE, baseDiff, baseOut := chaosStackedRun(t, base)
-		wire, cb := codecChaos(id, 7, mustProfile(t, "drop"))
-		ae, diff, out := chaosStackedRun(t, wire)
-		label := id.String() + "/drop"
-		if math.Float64bits(ae) != math.Float64bits(baseAE) || math.Float64bits(diff) != math.Float64bits(baseDiff) {
-			t.Fatalf("%s: losses (%v, %v) diverge from codec baseline (%v, %v)", label, ae, diff, baseAE, baseDiff)
-		}
-		sameTable(t, label, baseOut, out)
-		st := wire.Stats()
-		goodput := st.Bytes - st.ByKind[KindRetransmit]
-		if goodput != base.Stats().Bytes {
-			t.Fatalf("%s: goodput %d B != fault-free %d B", label, goodput, base.Stats().Bytes)
-		}
-		if cb.FaultStats().Drops == 0 || st.ByKind[KindRetransmit] == 0 {
-			t.Fatalf("%s: drop profile injected no observable faults", label)
-		}
-	}
 }
 
 // TestChaosCodecCorruptFailsTyped: a bit flipped inside the encoded blob

@@ -10,8 +10,9 @@ import (
 // so callers can tell "a peer is gone, the run is over" from "the payload
 // failed its checksum" without string matching.
 var (
-	// ErrPeerDead means a party is unreachable: its connection dropped or a
-	// bounded retry budget was exhausted against it.
+	// ErrPeerDead means a party is unreachable: its stream ended, a write to
+	// it failed, or the hub has no stream to it. No send is retried, so the
+	// first failure ends the run.
 	ErrPeerDead = errors.New("silo: peer dead")
 	// ErrCorruptPayload means an envelope arrived whose payload checksum did
 	// not match the sender's — the bytes were altered in flight.

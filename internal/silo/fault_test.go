@@ -11,25 +11,27 @@ import (
 )
 
 // TestStackedTrainingSurfacesTransportFailure: a bare (unwrapped) ChaosBus
-// blackhole fails every delivery, and without the resilient layer the raw
-// transport error must surface from training rather than be swallowed. The
-// typed-error path through the resilient stack is pinned separately by
+// blackhole fails every delivery, and without the resilient layer the
+// failure must still surface from training as a typed ErrPeerDead naming the
+// dead peer, with each client's upload sent exactly once, rather than be
+// swallowed or hang. The run over the resilient layer is
 // TestChaosBlackholeFailsTyped.
 func TestStackedTrainingSurfacesTransportFailure(t *testing.T) {
-	tb := loanTable(t, 100)
+	tb := loanTable(t, 120)
 	cfg := smallConfig(2)
 	cfg.AEIters, cfg.DiffIters = 10, 10
-	prof, err := ChaosProfileByName("blackhole")
+	cb := NewChaosBus(NewLocalBus(), 1, mustProfile(t, "blackhole"))
+	p, err := NewPipeline(cb, tb, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bus := NewChaosBus(NewLocalBus(), 1, prof)
-	p, err := NewPipeline(bus, tb, cfg)
-	if err != nil {
-		t.Fatal(err)
+	_, _, trainErr := p.TrainStacked()
+	var pd *PeerDeadError
+	if !errors.As(trainErr, &pd) || pd.Peer == "" {
+		t.Fatalf("bare stacked over blackhole: err = %v, want ErrPeerDead naming the dead peer", trainErr)
 	}
-	if _, _, err := p.TrainStacked(); !errors.Is(err, ErrDropped) {
-		t.Fatalf("expected dropped-delivery error to surface, got %v", err)
+	if drops := cb.FaultStats().Drops; drops != int64(cfg.Clients) {
+		t.Fatalf("bare stacked over blackhole: %d drops, want one per client upload (%d)", drops, cfg.Clients)
 	}
 }
 

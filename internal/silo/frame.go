@@ -16,7 +16,7 @@ import (
 // construction:
 //
 //	u32   length  little-endian; the whole frame, these four bytes included
-//	u8    flags   frameSequenced | frameRexmit | frameNative
+//	u8    flags   frameSequenced | frameNative
 //	u8    kind    index into kindTable
 //	u8+n  From    length byte, then the name
 //	u8+n  To
@@ -32,16 +32,16 @@ import (
 // Three rules keep the accounting honest. The flow id is fixed-width and
 // always present, so attaching a recorder moves exactly the bytes an
 // untraced run moves. Seq and Sum cost their 16 bytes only on messages the
-// resilient layer stamped, and Rexmit is a flag bit. A native Payload is
-// written as the f64 codec's dense body with frameNative set, which only
-// tells the reader to hand the tensor back as Payload: there is one float
-// encoding, and the uncompressed reference stays uncompressed.
+// resilient layer stamped. A native Payload is written as the f64 codec's
+// dense body with frameNative set, which only tells the reader to hand the
+// tensor back as Payload: there is one float encoding, and the uncompressed
+// reference stays uncompressed. Flag bit 1 (value 2) is retired, as kind
+// code 8 is: a frame that sets it is refused.
 const (
-	frameSequenced = 1 << iota // Seq and Sum follow Flow
-	frameRexmit                // Envelope.Rexmit
-	frameNative                // deliver the f64 body as Envelope.Payload
+	frameSequenced = 1 // Seq and Sum follow Flow
+	frameNative    = 4 // deliver the f64 body as Envelope.Payload
 
-	frameKnownFlags = frameSequenced | frameRexmit | frameNative
+	frameKnownFlags = frameSequenced | frameNative
 )
 
 // MaxFrame caps the length prefix a reader accepts and a writer emits, and
@@ -74,8 +74,7 @@ const (
 // kindTable is the closed set of kinds a frame can carry; the index is the
 // wire code, so entries are only ever appended and a retired code stays
 // empty: 8 was a liveness beacon nothing read, and a frame under it is
-// refused. KindRetransmit is absent: it is an accounting bucket, never an
-// envelope's kind.
+// refused.
 var kindTable = [...]Kind{
 	1:  KindLatents,
 	2:  KindSynthReq,
@@ -142,9 +141,6 @@ func appendFrame(dst []byte, e *Envelope) ([]byte, error) {
 	var flags byte
 	if sequenced {
 		flags |= frameSequenced
-	}
-	if e.Rexmit {
-		flags |= frameRexmit
 	}
 	if e.Payload != nil {
 		flags |= frameNative
@@ -284,7 +280,6 @@ func decodeFrame(b []byte) (*Envelope, error) {
 		return nil, corruptFrame("native payload framed as a %d-byte %s body for %dx%d", len(body), id, rows, cols)
 	}
 	e.Kind = kindTable[code]
-	e.Rexmit = flags&frameRexmit != 0
 	if id == codec.None {
 		return e, nil
 	}

@@ -26,8 +26,8 @@ import (
 var frameBodies = []string{"native", "f64", "f32", "q8"}
 
 // frameStamps are the header variants: as the application sent it, stamped
-// by the resilient layer, a retry of that, and carrying a trace context.
-var frameStamps = []string{"bare", "sequenced", "retransmit", "traced"}
+// by the resilient layer, and carrying a trace context.
+var frameStamps = []string{"bare", "sequenced", "traced"}
 
 // buildEnvelope makes one envelope of the kind × body × stamp grid.
 func buildEnvelope(t testing.TB, from, to string, kind Kind, body, stamp string, m *tensor.Matrix) *Envelope {
@@ -49,8 +49,6 @@ func buildEnvelope(t testing.TB, from, to string, kind Kind, body, stamp string,
 	switch stamp {
 	case "sequenced":
 		e.Seq, e.Sum = 7, checksumEnvelope(e)
-	case "retransmit":
-		e.Seq, e.Sum, e.Rexmit = 7, checksumEnvelope(e), true
 	case "traced":
 		e.Flow = 3<<32 | 41
 	}
@@ -63,9 +61,9 @@ func sameEnvelope(sent, got *Envelope) error {
 	switch {
 	case got.From != sent.From || got.To != sent.To || got.Kind != sent.Kind:
 		return fmt.Errorf("routing %s->%s %s, sent %s->%s %s", got.From, got.To, got.Kind, sent.From, sent.To, sent.Kind)
-	case got.Flow != sent.Flow || got.Seq != sent.Seq || got.Sum != sent.Sum || got.Rexmit != sent.Rexmit:
-		return fmt.Errorf("stamps flow=%d seq=%d sum=%d rexmit=%v, sent flow=%d seq=%d sum=%d rexmit=%v",
-			got.Flow, got.Seq, got.Sum, got.Rexmit, sent.Flow, sent.Seq, sent.Sum, sent.Rexmit)
+	case got.Flow != sent.Flow || got.Seq != sent.Seq || got.Sum != sent.Sum:
+		return fmt.Errorf("stamps flow=%d seq=%d sum=%d, sent flow=%d seq=%d sum=%d",
+			got.Flow, got.Seq, got.Sum, sent.Flow, sent.Seq, sent.Sum)
 	case got.Codec != sent.Codec || got.Rows != sent.Rows || got.Cols != sent.Cols || !bytes.Equal(got.Blob, sent.Blob):
 		return fmt.Errorf("codec body %s %dx%d (%d B), sent %s %dx%d (%d B)",
 			got.Codec, got.Rows, got.Cols, len(got.Blob), sent.Codec, sent.Rows, sent.Cols, len(sent.Blob))
@@ -90,15 +88,15 @@ func sameEnvelope(sent, got *Envelope) error {
 // loopback hub, the bytes the hub and the peers wrote to their sockets are
 // exactly the sum of the envelopes' WireSize, and the frame appendFrame
 // builds is WireSize long. Hellos open the streams and count as
-// bytes but not as messages or under any kind; retransmits land under
-// KindRetransmit; everything arrives as it was sent.
+// bytes but not as messages or under any kind; everything arrives as it
+// was sent.
 func TestWireSizeExactOverTCP(t *testing.T) {
 	hub, err := NewTCPHub("coord", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer hub.Close()
-	var wantBytes, wantMsgs, wantRexmit, hellos int64
+	var wantBytes, wantMsgs, hellos int64
 	peers := map[string]*TCPPeer{}
 	for _, name := range []string{"c0", "c1"} {
 		p, err := DialHub(name, hub.Addr())
@@ -129,9 +127,6 @@ func TestWireSizeExactOverTCP(t *testing.T) {
 		}
 		wantBytes += e.WireSize()
 		wantMsgs++
-		if e.Rexmit {
-			wantRexmit += e.WireSize()
-		}
 		send := hub.Send
 		if p := peers[e.From]; p != nil {
 			send = p.Send
@@ -217,11 +212,10 @@ func TestWireSizeExactOverTCP(t *testing.T) {
 		t.Fatalf("peer-down frame: %d bytes, %v", len(frame), err)
 	}
 
-	var total, msgs, byKind, byDir, rexmit int64
+	var total, msgs, byKind, byDir int64
 	for _, st := range []Stats{hub.Stats(), c0.Stats(), c1.Stats()} {
 		total += st.Bytes
 		msgs += st.Messages
-		rexmit += st.ByKind[KindRetransmit]
 		for _, b := range st.ByKind {
 			byKind += b
 		}
@@ -232,8 +226,8 @@ func TestWireSizeExactOverTCP(t *testing.T) {
 	if total != wantBytes || byDir != wantBytes {
 		t.Fatalf("sockets carried %d bytes (%d by direction), the envelopes' WireSize sums to %d", total, byDir, wantBytes)
 	}
-	if msgs != wantMsgs || byKind != wantBytes-hellos || rexmit != wantRexmit {
-		t.Fatalf("%d messages, %d bytes by kind, %d retransmitted; want %d, %d, %d", msgs, byKind, rexmit, wantMsgs, wantBytes-hellos, wantRexmit)
+	if msgs != wantMsgs || byKind != wantBytes-hellos {
+		t.Fatalf("%d messages, %d bytes by kind; want %d, %d", msgs, byKind, wantMsgs, wantBytes-hellos)
 	}
 }
 
@@ -260,10 +254,10 @@ var goldenFrames = []struct {
 			"000000000000f03f" + "00000000000000c0",
 	},
 	{
-		name: "f32 sequenced retransmit",
-		env: &Envelope{From: "c0", To: "coord", Kind: KindActivation, Seq: 5, Sum: 0x1122334455667788, Rexmit: true,
+		name: "f32 sequenced",
+		env: &Envelope{From: "c0", To: "coord", Kind: KindActivation, Seq: 5, Sum: 0x1122334455667788,
 			Codec: codec.F32, Rows: 2, Cols: 1, Blob: []byte{0x00, 0x00, 0x80, 0x3f, 0x00, 0x00, 0x00, 0xc0}},
-		hex: "32000000" + "03" + "04" + "026330" + "05636f6f7264" + "02" + "02" + "01" +
+		hex: "32000000" + "01" + "04" + "026330" + "05636f6f7264" + "02" + "02" + "01" +
 			"0000000000000000" + "0500000000000000" + "8877665544332211" +
 			"0000803f" + "000000c0",
 	},
@@ -335,7 +329,7 @@ func randomEnvelope(t testing.TB, rng *rand.Rand) *Envelope {
 	if rng.Intn(4) == 0 {
 		e := &Envelope{From: name(), To: name(), Kind: kind, Flow: rng.Uint64() >> uint(rng.Intn(64))}
 		if rng.Intn(2) == 0 {
-			e.Seq, e.Sum, e.Rexmit = uint64(rng.Intn(3)), rng.Uint64()>>uint(rng.Intn(64)), rng.Intn(2) == 0
+			e.Seq, e.Sum = uint64(rng.Intn(3)), rng.Uint64()>>uint(rng.Intn(64))
 		}
 		return e
 	}
@@ -383,7 +377,6 @@ func TestAppendFrameRefuses(t *testing.T) {
 	long := strings.Repeat("x", 256)
 	for name, e := range map[string]*Envelope{
 		"unknown kind":        {From: "a", To: "b", Kind: "garbage"},
-		"accounting bucket":   {From: "a", To: "b", Kind: KindRetransmit},
 		"long sender":         {From: long, To: "b", Kind: KindLatents},
 		"long recipient":      {From: "a", To: long, Kind: KindLatents},
 		"blob without codec":  {From: "a", To: "b", Kind: KindLatents, Blob: []byte("{}")},
@@ -462,6 +455,14 @@ func checkFrameDecode(t testing.TB, data []byte) {
 func retiredKindFrame() []byte {
 	frame, _ := hex.DecodeString(goldenFrames[0].hex)
 	frame[5] = 8
+	return frame
+}
+
+// retiredFlagFrame is the golden control frame with flag bit 1 set, which
+// once marked a retransmitted attempt: a reader must refuse it.
+func retiredFlagFrame() []byte {
+	frame, _ := hex.DecodeString(goldenFrames[0].hex)
+	frame[4] |= 2
 	return frame
 }
 
@@ -590,6 +591,7 @@ func TestTCPHubCountsCorruptFrame(t *testing.T) {
 		{name: "mid-stream hello", after: frame(&Envelope{From: "c0", Kind: kindHello})},
 		{name: "mid-stream peer-down", after: frame(&Envelope{From: "c0", To: "coord", Kind: kindPeerDown})},
 		{name: "retired kind code", after: retiredKindFrame()},
+		{name: "retired flag bit", after: retiredFlagFrame()},
 		{name: "hello for a registered name", second: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -663,8 +665,8 @@ func TestTCPHubCountsCorruptFrame(t *testing.T) {
 
 // TestTCPHubCloseWakesRecv: Close wakes a Recv blocked on an empty hub and a
 // self-addressed Send blocked on a full inbox, as LocalBus's Close wakes its
-// receivers: both return an error wrapping ErrBusClosed, and no goroutine
-// is left behind.
+// receivers: both return an error wrapping ErrBusClosed, as does a Send to a
+// peer after Close, and no goroutine is left behind.
 func TestTCPHubCloseWakesRecv(t *testing.T) {
 	start := runtime.NumGoroutine()
 	idle, err := NewTCPHub("coord", "127.0.0.1:0")
@@ -700,6 +702,9 @@ func TestTCPHubCloseWakesRecv(t *testing.T) {
 		case <-time.After(time.Second):
 			t.Fatalf("%s still blocked 1 s after Close", name)
 		}
+	}
+	if err := idle.Send(&Envelope{From: "coord", To: "c0", Kind: KindSynthLatent}); !errors.Is(err, ErrBusClosed) {
+		t.Fatalf("Send to a peer after Close: %v, want ErrBusClosed", err)
 	}
 	for tries := 0; runtime.NumGoroutine() > start; tries++ {
 		if tries == 5000 {

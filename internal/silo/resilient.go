@@ -1,92 +1,56 @@
 package silo
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sync"
-	"time"
 
 	"silofuse/internal/obs"
 )
 
-// ResilientConfig tunes the reliable-delivery wrapper.
-type ResilientConfig struct {
-	// MaxAttempts bounds transmissions per message (first try + retries).
-	MaxAttempts int
-	// BackoffBase is the wait before the first retry; each further retry
-	// doubles it, capped at BackoffCap. The schedule is a pure function of
-	// the attempt number — no clock reads — so retry timing never perturbs
-	// determinism.
-	BackoffBase time.Duration
-	BackoffCap  time.Duration
-	// Sleep performs the backoff wait; nil means time.Sleep. Tests inject a
-	// no-op to run dense retry schedules instantly.
-	Sleep func(time.Duration)
-}
+// ResilientConfig is empty: the layer has nothing left to tune. It stays,
+// with DefaultResilientConfig, only because the benchmark's ResilientBus
+// probe builds one; both go when that probe does.
+type ResilientConfig struct{}
 
-// DefaultResilientConfig returns the production retry policy: 4 attempts
-// with 2ms→50ms exponential backoff. The recoverable chaos profiles keep
-// their consecutive-drop bounds below this attempt budget.
-func DefaultResilientConfig() ResilientConfig {
-	return ResilientConfig{MaxAttempts: 4, BackoffBase: 2 * time.Millisecond, BackoffCap: 50 * time.Millisecond}
-}
+// DefaultResilientConfig returns the empty ResilientConfig. It stays only
+// for the benchmark probe, like the type.
+func DefaultResilientConfig() ResilientConfig { return ResilientConfig{} }
 
-// ResilientBus wraps a Bus with bounded retries and checked delivery: every
-// application send is stamped with a per-link sequence number and an FNV-1a
-// payload checksum, and a failed send is retried up to MaxAttempts times
-// under deterministic exponential backoff. A failed Send delivered nothing
-// (the Bus contract), so a retry cannot repeat a message, and the receive
-// side accepts only the link's next sequence number with a checksum that
-// verifies. Anything else surfaces as a typed error: ErrPeerDead when the
-// peer is gone or the retry budget runs out, ErrCorruptPayload for a bad
-// checksum, a repeated or skipped sequence number, or an unstamped
-// envelope.
+// ResilientBus wraps a Bus with checked delivery: every application send is
+// stamped with a per-link sequence number and an FNV-1a payload checksum and
+// handed to the wrapped transport once, and the receive side accepts only
+// the link's next sequence number with a checksum that verifies. A failed
+// send is passed through: no transport has a send that fails and then
+// succeeds on a retry, and a dead peer already comes back as ErrPeerDead.
+// A bad checksum, a repeated or skipped sequence number and an unstamped
+// envelope each surface as ErrCorruptPayload.
 //
-// Stats reports the frame bytes of every transmission attempt (Seq and Sum
-// included: 16 bytes a message), split so Table VIII numbers stay faithful
-// under faults: ByKind[app kind] counts first transmissions only (goodput,
-// invariant across chaos seeds) and ByKind[KindRetransmit] collects all
-// re-sent bytes; Bytes is their sum. What actually reached the wrapped
-// transport (less the attempts a chaos layer dropped, say) is on its own
-// Stats.
+// The layer books nothing of its own: Stats is the wrapped transport's,
+// which charges each message's frame with Seq and Sum in it, 16 bytes more
+// than on a bare bus.
 type ResilientBus struct {
 	inner Bus
-	cfg   ResilientConfig
 	rec   *obs.Recorder
 
 	mu      sync.Mutex        // guards every field below
 	nextSeq map[string]uint64 // link -> last assigned seq
 	expect  map[string]uint64 // link -> last accepted seq; the next is one more
-	stats   Stats
-	retries int64
 }
 
-// NewResilientBus wraps inner with the given retry policy; zero cfg fields
-// take the DefaultResilientConfig values.
-func NewResilientBus(inner Bus, cfg ResilientConfig) *ResilientBus {
-	def := DefaultResilientConfig()
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = def.MaxAttempts
-	}
-	if cfg.BackoffBase <= 0 {
-		cfg.BackoffBase = def.BackoffBase
-	}
-	if cfg.BackoffCap <= 0 {
-		cfg.BackoffCap = def.BackoffCap
-	}
+// NewResilientBus wraps inner. The config is empty and kept only for the
+// benchmark probe's call.
+func NewResilientBus(inner Bus, _ ResilientConfig) *ResilientBus {
 	return &ResilientBus{
 		inner:   inner,
-		cfg:     cfg,
 		nextSeq: make(map[string]uint64),
 		expect:  make(map[string]uint64),
-		stats:   Stats{BytesByDir: make(map[string]int64), ByKind: make(map[Kind]int64)},
 	}
 }
 
-// SetRecorder implements RecorderSetter: retry and corrupt-payload notes
-// land on rec, and the recorder is forwarded to the wrapped transport for
-// its per-message telemetry.
+// SetRecorder implements RecorderSetter: corrupt-payload notes land on rec,
+// and the recorder is forwarded to the wrapped transport for its
+// per-message telemetry.
 func (r *ResilientBus) SetRecorder(rec *obs.Recorder) {
 	r.rec = rec
 	if rs, ok := r.inner.(RecorderSetter); ok {
@@ -95,9 +59,9 @@ func (r *ResilientBus) SetRecorder(rec *obs.Recorder) {
 }
 
 // checksumEnvelope hashes the routing fields, sequence number and payload
-// bits with 64-bit FNV-1a. Flow and Rexmit are excluded: they legitimately
-// differ between transmission attempts of the same message. A zero result
-// is mapped to 1 so 0 keeps meaning "no checksum".
+// bits with 64-bit FNV-1a. Flow is excluded: it is trace context, stamped
+// by the transport after the checksum. A zero result is mapped to 1 so 0
+// keeps meaning "no checksum".
 func checksumEnvelope(e *Envelope) uint64 {
 	const prime = 1099511628211
 	h := uint64(14695981039346656037)
@@ -134,71 +98,16 @@ func checksumEnvelope(e *Envelope) uint64 {
 	return h
 }
 
-// backoff returns the deterministic wait before the given attempt (>= 2).
-func (r *ResilientBus) backoff(attempt int) time.Duration {
-	d := r.cfg.BackoffBase << uint(attempt-2)
-	if d > r.cfg.BackoffCap || d <= 0 {
-		d = r.cfg.BackoffCap
-	}
-	return d
-}
-
-func (r *ResilientBus) sleep(d time.Duration) {
-	if r.cfg.Sleep != nil {
-		r.cfg.Sleep(d)
-		return
-	}
-	time.Sleep(d)
-}
-
-// account books one transmission attempt.
-func (r *ResilientBus) account(e *Envelope, size int64) {
-	r.mu.Lock()
-	if e.Rexmit {
-		r.retries++
-		r.stats.ByKind[KindRetransmit] += size
-	} else {
-		r.stats.Messages++
-		r.stats.ByKind[e.Kind] += size
-	}
-	r.stats.Bytes += size
-	r.stats.BytesByDir[e.From+"->"+e.To] += size
-	r.mu.Unlock()
-}
-
-// Send implements Bus with sequencing, checksumming and bounded retries.
+// Send implements Bus: it stamps Seq and Sum and sends once.
 func (r *ResilientBus) Send(e *Envelope) error {
 	link := e.From + "->" + e.To
 	r.mu.Lock()
-	r.nextSeq[link]++
-	e.Seq = r.nextSeq[link]
+	seq := r.nextSeq[link] + 1
+	r.nextSeq[link] = seq
 	r.mu.Unlock()
+	e.Seq = seq
 	e.Sum = checksumEnvelope(e)
-	size := e.WireSize()
-	var err error
-	for attempt := 1; attempt <= r.cfg.MaxAttempts; attempt++ {
-		send := e
-		if attempt > 1 {
-			d := r.backoff(attempt)
-			if r.rec != nil {
-				r.rec.Retry(string(e.Kind), d)
-			}
-			r.sleep(d)
-			cp := *e
-			cp.Rexmit = true
-			cp.Flow = 0 // each attempt gets its own trace context
-			send = &cp
-		}
-		r.account(send, size)
-		err = r.inner.Send(send)
-		if err == nil {
-			return nil
-		}
-		if errors.Is(err, ErrPeerDead) {
-			return err
-		}
-	}
-	return &PeerDeadError{Peer: e.To, Cause: fmt.Errorf("%d attempts exhausted: %w", r.cfg.MaxAttempts, err)}
+	return r.inner.Send(e)
 }
 
 // Recv implements Bus: it returns the link's next envelope when its Seq is
@@ -228,17 +137,5 @@ func (r *ResilientBus) Recv(to string) (*Envelope, error) {
 	return nil, fmt.Errorf("silo: %s %s seq %d, want seq %d with a valid checksum: %w", link, e.Kind, e.Seq, want, ErrCorruptPayload)
 }
 
-// Stats implements Bus with the attempt-level accounting described on the
-// type.
-func (r *ResilientBus) Stats() Stats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return copyStats(r.stats)
-}
-
-// Retries reports the number of retransmission attempts issued.
-func (r *ResilientBus) Retries() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.retries
-}
+// Stats implements Bus by delegating to the wrapped transport.
+func (r *ResilientBus) Stats() Stats { return r.inner.Stats() }

@@ -84,8 +84,8 @@ func TestLocalBusRejectsNoRecipient(t *testing.T) {
 
 // TestEnvelopeWireSize: WireSize is the length of the frame, field by field —
 // a header that grows with the names and the dimension varints, 16 bytes
-// when the resilient layer stamped the message, nothing for a flow id or the
-// retransmit flag, and the codec's body.
+// when the resilient layer stamped the message, nothing for a flow id, and
+// the codec's body.
 func TestEnvelopeWireSize(t *testing.T) {
 	size := func(e *Envelope) int64 {
 		t.Helper()
@@ -105,8 +105,8 @@ func TestEnvelopeWireSize(t *testing.T) {
 	if got := size(&Envelope{From: "c12", To: "coord", Kind: KindSynthReq}); got != ctrl+6 {
 		t.Fatalf("longer names cost %d, want %d", got, ctrl+6)
 	}
-	if got := size(&Envelope{From: "a", To: "b", Kind: KindSynthReq, Flow: 1 << 40, Rexmit: true}); got != ctrl {
-		t.Fatalf("flow id and retransmit flag cost %d bytes", got-ctrl)
+	if got := size(&Envelope{From: "a", To: "b", Kind: KindSynthReq, Flow: 1 << 40}); got != ctrl {
+		t.Fatalf("flow id costs %d bytes", got-ctrl)
 	}
 	if got := size(&Envelope{From: "a", To: "b", Kind: KindSynthReq, Seq: 1, Sum: 9}); got != ctrl+16 {
 		t.Fatalf("sequencing costs %d bytes, want 16", got-ctrl)
@@ -432,63 +432,92 @@ func TestStackedOverTCP(t *testing.T) {
 	}
 }
 
-// TestTCPDeadPeerFailsTyped: a client whose socket is closed before the
-// latent upload ends stacked training over the routed hub with an
-// ErrPeerDead-class error, promptly, and once the transports close no
-// goroutine is left behind.
+// TestTCPDeadPeerFailsTyped: the TCP transport says itself that a peer is
+// dead. A client whose socket is closed before the latent upload ends
+// stacked training over the routed hub with an ErrPeerDead-class error,
+// promptly, with the resilient layer and without it; a hub's send to a peer
+// whose stream has ended fails the same way; and once the transports close
+// no goroutine is left behind.
 func TestTCPDeadPeerFailsTyped(t *testing.T) {
 	start := runtime.NumGoroutine()
+	for _, resilient := range []bool{true, false} {
+		hub, err := NewTCPHub("coord", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		peers := make(map[string]*TCPPeer, 2)
+		for _, name := range []string{"c0", "c1"} {
+			p, err := DialHub(name, hub.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			peers[name] = p
+		}
+		var bus Bus = &routedBus{hub: hub, peers: peers}
+		if resilient {
+			bus = NewResilientBus(bus, DefaultResilientConfig())
+		}
+		pcfg := smallConfig(2)
+		pcfg.AEIters, pcfg.DiffIters = 10, 10
+		pipe, err := NewPipeline(bus, loanTable(t, 120), pcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		// The autoencoder phase is silo-local and completes; c1's latent
+		// upload then meets the closed socket.
+		if err := peers["c1"].Close(); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() {
+			_, _, err := pipe.TrainStacked()
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if !errors.Is(err, ErrPeerDead) {
+				t.Fatalf("TrainStacked (resilient %v) with c1's socket closed: %v, want ErrPeerDead", resilient, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("TrainStacked (resilient %v) with c1's socket closed did not return within 10 s", resilient)
+		}
+
+		peers["c0"].Close()
+		if err := hub.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The hub learns of c0's closed socket from its stream's end, and a send
+	// to c0 after that names c0 dead.
 	hub, err := NewTCPHub("coord", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	peers := make(map[string]*TCPPeer, 2)
-	for _, name := range []string{"c0", "c1"} {
-		p, err := DialHub(name, hub.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		peers[name] = p
-	}
-	cfg := DefaultResilientConfig()
-	cfg.Sleep = func(time.Duration) {}
-	pcfg := smallConfig(2)
-	pcfg.AEIters, pcfg.DiffIters = 10, 10
-	pipe, err := NewPipeline(NewResilientBus(&routedBus{hub: hub, peers: peers}, cfg), loanTable(t, 120), pcfg)
+	p, err := DialHub("c0", hub.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// The autoencoder phase is silo-local and completes; c1's latent upload
-	// then meets the closed socket.
-	if err := peers["c1"].Close(); err != nil {
-		t.Fatal(err)
+	p.Close()
+	var pd *PeerDeadError
+	if _, err := hub.Recv("coord"); !errors.As(err, &pd) || pd.Peer != "c0" {
+		t.Fatalf("hub.Recv after c0 closed: %v, want c0 dead", err)
 	}
-	done := make(chan error, 1)
-	go func() {
-		_, _, err := pipe.TrainStacked()
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if !errors.Is(err, ErrPeerDead) {
-			t.Fatalf("TrainStacked with c1's socket closed: %v, want ErrPeerDead", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("TrainStacked with c1's socket closed did not return within 10 s")
+	if err := hub.Send(&Envelope{From: "coord", To: "c0", Kind: KindSynthLatent}); !errors.As(err, &pd) || pd.Peer != "c0" {
+		t.Fatalf("hub.Send to the closed c0: %v, want c0 dead", err)
 	}
-
-	peers["c0"].Close()
 	if err := hub.Close(); err != nil {
 		t.Fatal(err)
 	}
+
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > start && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	if n := runtime.NumGoroutine(); n > start {
 		buf := make([]byte, 1<<16)
-		t.Fatalf("%d goroutines after the failed run, %d before:\n%s", n, start, buf[:runtime.Stack(buf, true)])
+		t.Fatalf("%d goroutines after the failed runs, %d before:\n%s", n, start, buf[:runtime.Stack(buf, true)])
 	}
 }
 

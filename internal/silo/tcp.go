@@ -59,11 +59,12 @@ func (ep *endpoint) newLink(conn net.Conn, dir string) *link {
 // send frames e, writes the frame with one conn.Write and books the bytes
 // written — the frame's length, e.WireSize(), unless the write failed part
 // way — under the envelope's kind. A hello opens the stream and counts as
-// bytes only, not as a message.
+// bytes only, not as a message. A failed write has broken the stream, and
+// may have left a torn frame on it, so it is a PeerDeadError naming the
+// recipient: nothing can be sent on that stream again.
 func (l *link) send(e *Envelope) error {
 	ep := l.ep
 	t0 := ep.rec.Now()
-	kind := e.statKind()
 	l.sendMu.Lock()
 	frame, err := appendFrame(l.buf[:0], e)
 	if err != nil {
@@ -79,13 +80,16 @@ func (l *link) send(e *Envelope) error {
 	ep.stats.BytesByDir[l.dir] += n
 	if message {
 		ep.stats.Messages++
-		ep.stats.ByKind[kind] += n
+		ep.stats.ByKind[e.Kind] += n
 	}
 	ep.statsMu.Unlock()
 	if message && ep.rec != nil {
-		ep.rec.Message(string(kind), n, ep.rec.Since(t0))
+		ep.rec.Message(string(e.Kind), n, ep.rec.Since(t0))
 	}
-	return err
+	if err != nil {
+		return &PeerDeadError{Peer: e.To, Cause: err}
+	}
+	return nil
 }
 
 // recv reads the next frame off the stream.
@@ -104,7 +108,7 @@ func (l *link) recv() (*Envelope, error) {
 // peer-down notice after the first frame, and a hello for a name already
 // registered all end the stream as a corrupt one.
 // A peer whose stream ends is dead for the rest of the run: the hub's Recv
-// reports it as a PeerDeadError.
+// reports it as a PeerDeadError, and so does a Send to it.
 type TCPHub struct {
 	Name string
 	endpoint
@@ -254,20 +258,28 @@ func (h *TCPHub) route(pc *link, name string) error {
 	}
 }
 
+// errNoStream is the cause of the PeerDeadError a hub's Send returns for a
+// peer it has no stream to.
+var errNoStream = errors.New("the hub has no stream to it")
+
 // waitPeer returns the destination's link, waiting briefly for its hello to
 // be processed: peers dial concurrently, so the hub's first message to a
-// peer can otherwise race its registration. A closing hub stops waiting.
-func (h *TCPHub) waitPeer(name string) *link {
+// peer can otherwise race its registration. A closing hub stops waiting
+// with ErrBusClosed; a peer with no stream after the wait is dead.
+func (h *TCPHub) waitPeer(name string) (*link, error) {
 	for i := 0; i < 1000; i++ {
 		h.mu.Lock()
 		pc, closing := h.peers[name], h.closing
 		h.mu.Unlock()
-		if pc != nil || closing {
-			return pc
+		switch {
+		case pc != nil:
+			return pc, nil
+		case closing:
+			return nil, fmt.Errorf("silo: hub %q: %w", h.Name, ErrBusClosed)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	return nil
+	return nil, &PeerDeadError{Peer: name, Cause: errNoStream}
 }
 
 // Send implements Bus for the hub side.
@@ -292,9 +304,9 @@ func (h *TCPHub) Send(e *Envelope) error {
 			return fmt.Errorf("silo: hub %q: %w", h.Name, ErrBusClosed)
 		}
 	}
-	dst := h.waitPeer(e.To)
-	if dst == nil {
-		return fmt.Errorf("silo: hub has no peer %q", e.To)
+	dst, err := h.waitPeer(e.To)
+	if err != nil {
+		return err
 	}
 	return dst.send(e)
 }

@@ -228,11 +228,9 @@ type (
 	ChaosProfile = silo.ChaosProfile
 	// ChaosStats counts the faults a ChaosBus actually injected.
 	ChaosStats = silo.ChaosStats
-	// ResilientBus wraps a Bus with bounded retries and checks each link's
-	// sequence numbers and payload checksums.
+	// ResilientBus wraps a Bus and checks each link's sequence numbers and
+	// payload checksums.
 	ResilientBus = silo.ResilientBus
-	// ResilientConfig tunes the ResilientBus retry policy.
-	ResilientConfig = silo.ResilientConfig
 	// CodecBus frames dense tensor payloads through a precision-tiered wire
 	// codec (f64 lossless, f32, q8) with per-kind bytes-vs-error accounting.
 	CodecBus = silo.CodecBus
@@ -248,7 +246,8 @@ type (
 
 // Typed failures of the fault-tolerant bus stack and of loading a model.
 var (
-	// ErrPeerDead marks a party as unreachable after the retry budget.
+	// ErrPeerDead marks a party as unreachable: its stream ended or a send
+	// to it failed.
 	ErrPeerDead = silo.ErrPeerDead
 	// ErrCorruptPayload marks a payload that failed its checksum.
 	ErrCorruptPayload = silo.ErrCorruptPayload
@@ -278,15 +277,15 @@ var NewVFLClassifier = silo.NewVFLClassifier
 // NewChaosBus wraps a Bus with a deterministic seeded fault injector.
 var NewChaosBus = silo.NewChaosBus
 
-// ChaosProfileByName resolves a named fault profile (drop, corrupt,
-// blackhole; "none" or "" disables).
+// ChaosProfileByName resolves a named fault profile (corrupt, blackhole;
+// "none" or "" disables).
 var ChaosProfileByName = silo.ChaosProfileByName
 
-// NewResilientBus wraps a Bus with bounded retries and checked delivery.
-var NewResilientBus = silo.NewResilientBus
-
-// DefaultResilientConfig returns the production retry policy.
-var DefaultResilientConfig = silo.DefaultResilientConfig
+// NewResilientBus wraps a Bus with checked delivery: per-link sequence
+// numbers and payload checksums.
+func NewResilientBus(inner Bus) *ResilientBus {
+	return silo.NewResilientBus(inner, silo.ResilientConfig{})
+}
 
 // NewCodecBus wraps a Bus with precision-tiered tensor payload framing.
 var NewCodecBus = silo.NewCodecBus
