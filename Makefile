@@ -90,9 +90,9 @@ race:
 # the body a coded blob stands for (eight bytes per blob byte, a bit per
 # symbol) and a hash table of its rows, an accepted body no more than its
 # dense expansion on top. The one checkpoint loader (stacked) on streams,
-# seeded with every phase's stream and with copies under the retired E2E and
-# VFL kind bytes: a refusal must wrap nn.ErrCheckpoint and allocate no more
-# than a valid stream does. All: never a panic, and whatever decodes must re-encode
+# seeded with SaveState's stream, with whitening on and off, and with copies
+# under the retired E2E and VFL kind bytes: a refusal must wrap
+# nn.ErrCheckpoint and allocate no more than a valid stream does. All: never a panic, and whatever decodes must re-encode
 # to the bytes it was read from.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime 10s ./internal/silo/

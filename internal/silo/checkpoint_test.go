@@ -5,7 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"io"
+	"math"
 	"runtime"
 	"testing"
 
@@ -16,16 +16,18 @@ import (
 	"silofuse/internal/tensor"
 )
 
-// checkpointFixture holds one small trained model of each family: the
-// stacked pipeline, which persists itself and loads any byte string, and the
-// E2E and VFL models, whose client indexes TestClientIndex reads.
+// checkpointFixture holds one small trained model of each family: two fits
+// of the stacked pipeline, which persist themselves and load any byte string,
+// and the E2E and VFL models, whose client indexes TestClientIndex reads.
 type checkpointFixture struct {
-	stacked *Pipeline
+	// stacked are the stacked fits, the first with latent whitening and the
+	// second without, so both shapes of SaveState's stream are covered.
+	stacked [2]*Pipeline
 	e2e     *E2EPipeline
 	vfl     *VFLClassifier
-	// budget is the most a valid stream makes the loader allocate: the fixed
-	// buffer, record names, and the backbone and latents built from the
-	// pipeline's own shapes.
+	// budget is the most a valid stream makes a loader allocate: the fixed
+	// buffer, record names, and the backbone built from the pipeline's own
+	// shapes.
 	budget uint64
 }
 
@@ -37,9 +39,9 @@ func allocatedBy(f func()) uint64 {
 	return b.TotalAlloc - a.TotalAlloc
 }
 
-// newCheckpointFixture trains the three models and returns them with the
-// valid streams every mutant is derived from: a stacked checkpoint at each
-// phase plus SaveState's.
+// newCheckpointFixture trains the models and returns them with the valid
+// streams every mutant is derived from: SaveState's stream of each stacked
+// fit, in the order of fx.stacked.
 func newCheckpointFixture(t testing.TB) (*checkpointFixture, [][]byte) {
 	t.Helper()
 	must := func(err error) {
@@ -57,29 +59,18 @@ func newCheckpointFixture(t testing.TB) (*checkpointFixture, [][]byte) {
 	cfg.AEIters, cfg.DiffIters, cfg.Batch = 2, 2, 16
 
 	fx := &checkpointFixture{}
-	var streams [][]byte
-	save := func(write func(io.Writer) error) {
-		t.Helper()
+	streams := make([][]byte, len(fx.stacked))
+	for i := range fx.stacked {
+		cfg.DisableLatentWhitening = i == 1
+		fx.stacked[i], err = NewPipeline(NewLocalBus(), tb, cfg)
+		must(err)
+		_, _, err = fx.stacked[i].TrainStacked()
+		must(err)
 		var buf bytes.Buffer
-		must(write(&buf))
-		streams = append(streams, buf.Bytes())
+		must(fx.stacked[i].SaveState(&buf))
+		streams[i] = buf.Bytes()
 	}
-
-	fx.stacked, err = NewPipeline(NewLocalBus(), tb, cfg)
-	must(err)
-	done := &Checkpoint{}
-	_, _, err = fx.stacked.TrainStackedFrom(done)
-	must(err)
-	for _, ck := range []*Checkpoint{
-		{},
-		{Phase: PhaseAE, AELoss: done.AELoss},
-		{Phase: PhaseLatents, AELoss: done.AELoss, latents: done.latents},
-		done,
-	} {
-		ck := ck
-		save(func(w io.Writer) error { return fx.stacked.SaveCheckpoint(w, ck) })
-	}
-	save(fx.stacked.SaveState)
+	cfg.DisableLatentWhitening = false
 
 	fx.e2e, err = NewE2EPipeline(NewLocalBus(), tb, cfg)
 	must(err)
@@ -92,25 +83,23 @@ func newCheckpointFixture(t testing.TB) (*checkpointFixture, [][]byte) {
 	_, err = fx.vfl.Train(NewLocalBus(), silos, labels, 2, 32)
 	must(err)
 
-	for _, s := range streams {
+	for i, s := range streams {
 		s := s
-		fx.budget = max(fx.budget, allocatedBy(func() { _, err = fx.load(s) }))
+		fx.budget = max(fx.budget, allocatedBy(func() { _, err = load(fx.stacked[i], s) }))
 		if err != nil {
-			t.Fatalf("valid %c stream of %d bytes: %v", s[5], len(s), err)
+			t.Fatalf("valid stream %d of %d bytes: %v", i, len(s), err)
 		}
 	}
 	return fx, streams
 }
 
-// load hands data to the stacked loader and, when it loads, returns what the
-// pipeline re-saves.
-func (fx *checkpointFixture) load(data []byte) ([]byte, error) {
-	var out bytes.Buffer
-	ck, err := fx.stacked.LoadCheckpoint(bytes.NewReader(data))
-	if err != nil {
+// load hands data to p's loader and, when it loads, returns what p re-saves.
+func load(p *Pipeline, data []byte) ([]byte, error) {
+	if err := p.LoadState(bytes.NewReader(data)); err != nil {
 		return nil, err
 	}
-	err = fx.stacked.SaveCheckpoint(&out, ck)
+	var out bytes.Buffer
+	err := p.SaveState(&out)
 	return out.Bytes(), err
 }
 
@@ -125,22 +114,25 @@ func withKind(s []byte, kind byte) []byte {
 	return m
 }
 
-// check is the loader's contract on arbitrary bytes: never a panic; a refusal
-// wraps nn.ErrCheckpoint; nothing is allocated beyond what a valid stream
-// costs, whatever the stream claims; and what loads re-saves to exactly the
-// bytes it was read from, so no two byte strings mean the same checkpoint.
+// check is the loader's contract on arbitrary bytes, held by both stacked
+// fits: never a panic; a refusal wraps nn.ErrCheckpoint; nothing is allocated
+// beyond what a valid stream costs, whatever the stream claims; and what
+// loads re-saves to exactly the bytes it was read from, so no two byte
+// strings mean the same checkpoint.
 func (fx *checkpointFixture) check(t *testing.T, data []byte) {
 	t.Helper()
-	var resaved []byte
-	var err error
-	if got := allocatedBy(func() { resaved, err = fx.load(data) }); got > 2*fx.budget+64<<10 {
-		t.Fatalf("loading %d bytes allocated %d, a valid stream at most %d", len(data), got, fx.budget)
-	}
-	switch {
-	case err != nil && !errors.Is(err, nn.ErrCheckpoint):
-		t.Fatalf("error %v on %d bytes does not wrap nn.ErrCheckpoint", err, len(data))
-	case err == nil && !bytes.Equal(resaved, data):
-		t.Fatalf("accepted %d bytes that re-save to %d different ones", len(data), len(resaved))
+	for i, p := range fx.stacked {
+		var resaved []byte
+		var err error
+		if got := allocatedBy(func() { resaved, err = load(p, data) }); got > 2*fx.budget+64<<10 {
+			t.Fatalf("fit %d loading %d bytes allocated %d, a valid stream at most %d", i, len(data), got, fx.budget)
+		}
+		switch {
+		case err != nil && !errors.Is(err, nn.ErrCheckpoint):
+			t.Fatalf("fit %d: error %v on %d bytes does not wrap nn.ErrCheckpoint", i, err, len(data))
+		case err == nil && !bytes.Equal(resaved, data):
+			t.Fatalf("fit %d accepted %d bytes that re-save to %d different ones", i, len(data), len(resaved))
+		}
 	}
 }
 
@@ -166,18 +158,21 @@ func recordEnds(t testing.TB, s []byte) []int {
 // flipped in every byte of the stream header and of the first record's
 // header, and for each later record in one byte of its header (which one
 // moves with the record, so every field is hit many times over) and in its
-// first value. About two thousand seeds: the fuzzer replays them all for
-// coverage before it mutates anything, and `make fuzz-smoke` gives it 10 s.
+// first value; and every bit of the two preamble records' four values, the
+// one preamble LoadState accepts. About two and a half thousand seeds: the
+// fuzzer replays them all for coverage before it mutates anything, and
+// `make fuzz-smoke` gives it 10 s.
 func checkpointMutants(t testing.TB, streams [][]byte) [][]byte {
 	t.Helper()
 	var out [][]byte
 	for _, s := range streams {
 		out = append(out, s, append(append([]byte(nil), s...), 0))
-		flip := func(i int) {
+		flipBit := func(i, bit int) {
 			m := append([]byte(nil), s...)
-			m[i] ^= 1 << (i % 8)
+			m[i] ^= 1 << bit
 			out = append(out, m)
 		}
+		flip := func(i int) { flipBit(i, i%8) }
 		for i := 0; i < 6; i++ {
 			flip(i)
 		}
@@ -192,15 +187,18 @@ func checkpointMutants(t testing.TB, streams [][]byte) [][]byte {
 			if at+header < ends[k+1] {
 				flip(at + header)
 			}
+			for b := 0; k < 2 && b < 8*(ends[k+1]-at-header); b++ {
+				flipBit(at+header+b/8, b%8)
+			}
 		}
 	}
 	return out
 }
 
 // FuzzCheckpointLoad holds the stacked checkpoint loader to
-// checkpointFixture.check. Its seeds are the mutants above of every valid
-// stream and of its copies under the retired E2E and VFL kind bytes, which a
-// plain `go test` runs too.
+// checkpointFixture.check. Its seeds are the mutants above of SaveState's
+// stream with whitening on and off and of their copies under the retired E2E
+// and VFL kind bytes, which a plain `go test` runs too.
 func FuzzCheckpointLoad(f *testing.F) {
 	fx, streams := newCheckpointFixture(f)
 	for _, s := range streams {
@@ -214,24 +212,91 @@ func FuzzCheckpointLoad(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) { fx.check(t, data) })
 }
 
-// TestCheckpointKindsDoNotCross: a valid stacked stream loads, the same
-// stream under a retired E2E or VFL kind byte is refused, and SaveState's
-// stream is loaded by nothing but a mid-training phase.
+// TestCheckpointKindsDoNotCross: SaveState's stream loads into the fit that
+// wrote it and is refused by the fit with the other whitening setting, and
+// the same stream under a retired E2E or VFL kind byte is refused by both.
 func TestCheckpointKindsDoNotCross(t *testing.T) {
 	fx, streams := newCheckpointFixture(t)
-	for _, s := range streams {
-		r := func() io.Reader { return bytes.NewReader(s) }
-		if _, err := fx.stacked.LoadCheckpoint(r()); s[5] != kindStacked || err != nil {
-			t.Errorf("%c stream into the stacked loader: %v", s[5], err)
-		}
-		for _, kind := range retiredKinds {
-			if _, err := fx.stacked.LoadCheckpoint(bytes.NewReader(withKind(s, kind))); !errors.Is(err, nn.ErrCheckpoint) {
-				t.Errorf("stream of the retired kind %c into the stacked loader: %v", kind, err)
+	for i, s := range streams {
+		for j, p := range fx.stacked {
+			if err := p.LoadState(bytes.NewReader(s)); i == j && err != nil || i != j && !errors.Is(err, nn.ErrCheckpoint) {
+				t.Errorf("stream %d into fit %d: %v", i, j, err)
+			}
+			for _, kind := range retiredKinds {
+				if err := p.LoadState(bytes.NewReader(withKind(s, kind))); !errors.Is(err, nn.ErrCheckpoint) {
+					t.Errorf("stream %d of the retired kind %c into fit %d: %v", i, kind, j, err)
+				}
 			}
 		}
-		ck, _ := fx.stacked.LoadCheckpoint(r())
-		if err := fx.stacked.LoadState(r()); ck.Phase == PhaseDiffusion && err != nil || ck.Phase != PhaseDiffusion && !errors.Is(err, nn.ErrCheckpoint) {
-			t.Errorf("LoadState of a phase-%d checkpoint: %v", ck.Phase, err)
+	}
+}
+
+// TestLoadStateRefusesMidRunStreams: LoadState accepts only the preamble
+// SaveState writes, phase [3, 0] and loss [0, 0]. The streams a mid-training
+// checkpoint used to write — an earlier phase, collected latents, recorded
+// losses, a −0 loss — are refused with nn.ErrCheckpoint.
+func TestLoadStateRefusesMidRunStreams(t *testing.T) {
+	fx, streams := newCheckpointFixture(t)
+	p, s := fx.stacked[0], streams[0]
+	ends := recordEnds(t, s)
+	name := func(at int) string {
+		return string(s[at+2 : at+2+int(binary.LittleEndian.Uint16(s[at:]))])
+	}
+	if name(ends[0]) != "phase" || name(ends[1]) != "loss" {
+		t.Fatalf("stream opens with records %q, %q", name(ends[0]), name(ends[1]))
+	}
+	// set returns a copy of m, a stream laid out as s, with value i of the
+	// record at `at` set to v.
+	set := func(m []byte, at, i int, v float64) []byte {
+		m = append([]byte(nil), m...)
+		off := at + 2 + len(name(at)) + 8 + 8*i
+		binary.LittleEndian.PutUint64(m[off:], math.Float64bits(v))
+		return m
+	}
+	phase, loss := ends[0], ends[1]
+
+	// The latents record went between the clients' and the scaler's records.
+	mean := -1
+	for _, at := range ends[:len(ends)-1] {
+		if name(at) == "latent.mean" {
+			mean = at
+		}
+	}
+	if mean < 0 {
+		t.Fatal("no latent.mean record in the whitened stream")
+	}
+	total := 0
+	for _, c := range p.Clients {
+		total += c.LatentDim()
+	}
+	rows := p.Clients[0].Data.Rows()
+	latents := binary.LittleEndian.AppendUint16(nil, uint16(len("latents")))
+	latents = append(latents, "latents"...)
+	latents = binary.LittleEndian.AppendUint32(latents, uint32(rows))
+	latents = binary.LittleEndian.AppendUint32(latents, uint32(total))
+	latents = append(latents, make([]byte, 8*rows*total)...)
+	flagged := set(s, phase, 1, 1)
+	withLatents := append(append(append([]byte(nil), flagged[:mean]...), latents...), flagged[mean:]...)
+
+	if err := p.LoadState(bytes.NewReader(s)); err != nil {
+		t.Fatalf("SaveState's own stream: %v", err)
+	}
+	negZero := math.Copysign(0, -1)
+	for _, m := range []struct {
+		what string
+		data []byte
+	}{
+		{"phase 0", set(s, phase, 0, 0)},
+		{"phase 1", set(s, phase, 0, 1)},
+		{"phase 2", set(s, phase, 0, 2)},
+		{"latents flag 1 with a latents record", withLatents},
+		{"nonzero AE loss", set(s, loss, 0, 0.5)},
+		{"nonzero diffusion loss", set(s, loss, 1, 0.25)},
+		{"-0 AE loss", set(s, loss, 0, negZero)},
+		{"-0 diffusion loss", set(s, loss, 1, negZero)},
+	} {
+		if err := p.LoadState(bytes.NewReader(m.data)); !errors.Is(err, nn.ErrCheckpoint) {
+			t.Errorf("%s: %v, want nn.ErrCheckpoint", m.what, err)
 		}
 	}
 }

@@ -571,7 +571,9 @@ func TestTCPHubCloseWaits(t *testing.T) {
 // one whose stream carries a frame it may not: a stream speaks only for the
 // name it said hello with, only to the hub, and only in application kinds. No refused frame
 // reaches the hub's inbox, and a second hello for a registered name leaves
-// the live registration in place.
+// the live registration in place. A hello under a name the hub has reported
+// dead is refused the same way, and the name stays dead: a dead peer is dead
+// for the rest of the hub's life.
 func TestTCPHubCountsCorruptFrame(t *testing.T) {
 	frame := func(e *Envelope) []byte {
 		b, err := appendFrame(nil, e)
@@ -584,6 +586,7 @@ func TestTCPHubCountsCorruptFrame(t *testing.T) {
 		name   string
 		after  []byte // what the stream writes after its hello
 		second bool   // a peer named c0 is registered before the stream dials
+		dead   bool   // a peer named c0 registered and died before the stream dials
 	}{
 		{name: "not a frame", after: binary.LittleEndian.AppendUint32(nil, 1<<31)}, // a length no frame may have
 		{name: "another sender", after: frame(&Envelope{From: "c1", To: "coord", Kind: KindSynthReq})},
@@ -593,6 +596,7 @@ func TestTCPHubCountsCorruptFrame(t *testing.T) {
 		{name: "retired kind code", after: retiredKindFrame()},
 		{name: "retired flag bit", after: retiredFlagFrame()},
 		{name: "hello for a registered name", second: true},
+		{name: "re-hello after death", dead: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			hub, err := NewTCPHub("coord", "127.0.0.1:0")
@@ -613,6 +617,17 @@ func TestTCPHubCountsCorruptFrame(t *testing.T) {
 				defer live.Close()
 				for len(hub.Peers()) == 0 {
 					time.Sleep(time.Millisecond)
+				}
+			}
+			if tc.dead {
+				gone, err := DialHub("c0", hub.Addr())
+				if err != nil {
+					t.Fatal(err)
+				}
+				gone.Close()
+				var pd *PeerDeadError
+				if _, err := hub.Recv("coord"); !errors.As(err, &pd) || pd.Peer != "c0" {
+					t.Fatalf("hub.Recv after the first c0 closed: %v, want c0 dead", err)
 				}
 			}
 			conn, err := net.Dial("tcp", hub.Addr())
@@ -657,6 +672,11 @@ func TestTCPHubCountsCorruptFrame(t *testing.T) {
 				}
 				if e, err := hub.Recv("coord"); err != nil || e.From != "c0" || e.Kind != KindSynthReq {
 					t.Fatalf("the live c0 after the refused hello: %v, %v", e, err)
+				}
+			}
+			if tc.dead {
+				if err := hub.Send(&Envelope{From: "coord", To: "c0", Kind: KindSynthLatent}); !errors.As(err, &pd) || pd.Peer != "c0" {
+					t.Fatalf("hub.Send to c0 after the refused re-hello: %v, want c0 dead", err)
 				}
 			}
 		})

@@ -490,7 +490,8 @@ func TestTCPDeadPeerFailsTyped(t *testing.T) {
 	}
 
 	// The hub learns of c0's closed socket from its stream's end, and a send
-	// to c0 after that names c0 dead.
+	// to c0 after that names c0 dead at once: the hub remembers the death
+	// instead of waiting for a hello that cannot come.
 	hub, err := NewTCPHub("coord", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -504,8 +505,12 @@ func TestTCPDeadPeerFailsTyped(t *testing.T) {
 	if _, err := hub.Recv("coord"); !errors.As(err, &pd) || pd.Peer != "c0" {
 		t.Fatalf("hub.Recv after c0 closed: %v, want c0 dead", err)
 	}
+	sent := time.Now()
 	if err := hub.Send(&Envelope{From: "coord", To: "c0", Kind: KindSynthLatent}); !errors.As(err, &pd) || pd.Peer != "c0" {
 		t.Fatalf("hub.Send to the closed c0: %v, want c0 dead", err)
+	}
+	if took := time.Since(sent); took > 100*time.Millisecond {
+		t.Fatalf("hub.Send to the closed c0 took %v, want under 100 ms", took)
 	}
 	if err := hub.Close(); err != nil {
 		t.Fatal(err)

@@ -9,7 +9,6 @@ import (
 	"silofuse/internal/diffusion"
 	"silofuse/internal/obs"
 	"silofuse/internal/tabular"
-	"silofuse/internal/tensor"
 )
 
 // PipelineConfig configures a cross-silo training pipeline.
@@ -111,7 +110,7 @@ func NewPipeline(bus Bus, data *tabular.Table, cfg PipelineConfig) (*Pipeline, e
 		clients[i] = NewClient(names[i], local, aeCfg, cfg.Seed+int64(i)*1000)
 		// Clients train concurrently in the AE phase, so per-client global
 		// MemStats windows would count each other's allocations; the phase
-		// is measured once, at the pipeline level, in TrainStackedFrom.
+		// is measured once, at the pipeline level, in TrainStacked.
 		clients[i].AE.SkipAllocStats = true
 	}
 	coord := NewCoordinator("coord", names, cfg.Seed+999_999)
@@ -133,132 +132,77 @@ func maxInt(a, b int) int {
 	return b
 }
 
-// TrainPhase marks how far stacked training has progressed; a Checkpoint
-// records the last completed phase so a resumed run re-runs only what a
-// failure interrupted.
-type TrainPhase int
-
-// Stacked training phases, in protocol order. Phase boundaries are the
-// checkpoint/resume granularity: the AE and diffusion phases are entirely
-// local to their parties, so only the latent-ship phase can be interrupted
-// by a transport fault.
-const (
-	PhaseNone      TrainPhase = iota // nothing completed
-	PhaseAE                          // local autoencoder training done
-	PhaseLatents                     // latents shipped and collected
-	PhaseDiffusion                   // diffusion trained — run complete
-)
-
-// Checkpoint is the resumable state of one stacked training run: the last
-// completed phase, the phase losses, and (once shipped) the collected
-// latents. A process that stops mid-run serialises it with SaveCheckpoint;
-// a restarted one restores it with LoadCheckpoint and passes it to
-// TrainStackedFrom.
-type Checkpoint struct {
-	Phase    TrainPhase
-	AELoss   float64
-	DiffLoss float64
-
-	latents *tensor.Matrix // collected Z, present from PhaseLatents on
-}
-
-// TrainStacked executes Algorithm 1: parallel local autoencoder training,
-// a single latent upload per client, then coordinator-local diffusion
-// training. It returns the mean tail losses of both phases.
+// TrainStacked executes Algorithm 1 once, start to finish: parallel local
+// autoencoder training, a single latent upload per client, then
+// coordinator-local diffusion training. It returns the mean tail losses of
+// both phases. A transport failure during the upload ends the run with the
+// transport's error; a finished fit is persisted whole with SaveState.
 func (p *Pipeline) TrainStacked() (aeLoss, diffLoss float64, err error) {
-	return p.TrainStackedFrom(nil)
-}
-
-// TrainStackedFrom runs Algorithm 1 starting after the last phase recorded
-// in ck (nil means from scratch), updating ck as each phase completes. On a
-// transport failure the returned Checkpoint state tells the caller exactly
-// where to resume: completed phases are never re-run, and re-running the
-// latent-ship phase is idempotent (encoding is deterministic and draws no
-// randomness when LatentNoiseStd is zero, so a resumed run is
-// bit-identical to a fault-free one).
-func (p *Pipeline) TrainStackedFrom(ck *Checkpoint) (aeLoss, diffLoss float64, err error) {
-	if ck == nil {
-		ck = &Checkpoint{}
-	}
 	// Phase 1: local autoencoder training, clients in parallel.
-	if ck.Phase < PhaseAE {
-		span := p.Rec.StartSpan("ae-train")
-		span.SetAttr("clients", len(p.Clients))
-		span.SetAttr("iters", p.Cfg.AEIters)
-		losses := make([]float64, len(p.Clients))
-		// Allocation accounting brackets the whole parallel phase: a single
-		// global MemStats window over all clients is deterministic, where
-		// overlapping per-client windows are not (see SkipAllocStats).
-		var ms0 runtime.MemStats
-		if p.Rec != nil {
-			runtime.ReadMemStats(&ms0)
-		}
-		var wg sync.WaitGroup
-		for i, c := range p.Clients {
-			wg.Add(1)
-			go func(i int, c *Client) {
-				defer wg.Done()
-				losses[i] = c.TrainLocal(p.Cfg.AEIters, p.Cfg.Batch)
-			}(i, c)
-		}
-		wg.Wait()
-		if p.Rec != nil {
-			var ms1 runtime.MemStats
-			runtime.ReadMemStats(&ms1)
-			p.Rec.TrainAllocs("ae", p.Cfg.AEIters*len(p.Clients), ms1.Mallocs-ms0.Mallocs)
-		}
-		for _, l := range losses {
-			aeLoss += l
-		}
-		aeLoss /= float64(len(losses))
-		span.SetAttr("loss", aeLoss)
-		span.End()
-		ck.Phase, ck.AELoss = PhaseAE, aeLoss
-	} else {
-		aeLoss = ck.AELoss
+	span := p.Rec.StartSpan("ae-train")
+	span.SetAttr("clients", len(p.Clients))
+	span.SetAttr("iters", p.Cfg.AEIters)
+	losses := make([]float64, len(p.Clients))
+	// Allocation accounting brackets the whole parallel phase: a single
+	// global MemStats window over all clients is deterministic, where
+	// overlapping per-client windows are not (see SkipAllocStats).
+	var ms0 runtime.MemStats
+	if p.Rec != nil {
+		runtime.ReadMemStats(&ms0)
 	}
+	var wg sync.WaitGroup
+	for i, c := range p.Clients {
+		wg.Add(1)
+		go func(i int, c *Client) {
+			defer wg.Done()
+			losses[i] = c.TrainLocal(p.Cfg.AEIters, p.Cfg.Batch)
+		}(i, c)
+	}
+	wg.Wait()
+	if p.Rec != nil {
+		var ms1 runtime.MemStats
+		runtime.ReadMemStats(&ms1)
+		p.Rec.TrainAllocs("ae", p.Cfg.AEIters*len(p.Clients), ms1.Mallocs-ms0.Mallocs)
+	}
+	for _, l := range losses {
+		aeLoss += l
+	}
+	aeLoss /= float64(len(losses))
+	span.SetAttr("loss", aeLoss)
+	span.End()
 
 	// Phase 2: single latent upload per client (the one communication round).
-	if ck.Phase < PhaseLatents {
-		ship := p.Rec.StartSpan("latent-ship")
-		errs := make([]error, len(p.Clients))
-		var wg sync.WaitGroup
-		for i, c := range p.Clients {
-			wg.Add(1)
-			go func(i int, c *Client) {
-				defer wg.Done()
-				errs[i] = c.UploadLatents(p.Bus, p.Coord.ID, p.Cfg.LatentNoiseStd)
-			}(i, c)
-		}
-		wg.Wait()
-		for _, e := range errs {
-			if e != nil {
-				ship.End()
-				return aeLoss, 0, e
-			}
-		}
-		z, err := p.Coord.CollectLatents(p.Bus)
-		if err != nil {
-			ship.End()
-			return aeLoss, 0, err
-		}
-		ship.SetAttr("rows", z.Rows)
-		ship.SetAttr("width", z.Cols)
-		ship.End()
-		ck.Phase, ck.latents = PhaseLatents, z
+	ship := p.Rec.StartSpan("latent-ship")
+	errs := make([]error, len(p.Clients))
+	for i, c := range p.Clients {
+		wg.Add(1)
+		go func(i int, c *Client) {
+			defer wg.Done()
+			errs[i] = c.UploadLatents(p.Bus, p.Coord.ID, p.Cfg.LatentNoiseStd)
+		}(i, c)
 	}
+	wg.Wait()
+	for _, e := range errs {
+		if e != nil {
+			ship.End()
+			return aeLoss, 0, e
+		}
+	}
+	z, err := p.Coord.CollectLatents(p.Bus)
+	if err != nil {
+		ship.End()
+		return aeLoss, 0, err
+	}
+	ship.SetAttr("rows", z.Rows)
+	ship.SetAttr("width", z.Cols)
+	ship.End()
 
 	// Phase 3: coordinator-local diffusion training.
-	if ck.Phase < PhaseDiffusion {
-		dspan := p.Rec.StartSpan("diffusion-train")
-		dspan.SetAttr("iters", p.Cfg.DiffIters)
-		diffLoss = p.Coord.TrainDiffusion(ck.latents, p.Cfg.Diff, p.Cfg.DiffIters, p.Cfg.Batch)
-		dspan.SetAttr("loss", diffLoss)
-		dspan.End()
-		ck.Phase, ck.DiffLoss = PhaseDiffusion, diffLoss
-	} else {
-		diffLoss = ck.DiffLoss
-	}
+	dspan := p.Rec.StartSpan("diffusion-train")
+	dspan.SetAttr("iters", p.Cfg.DiffIters)
+	diffLoss = p.Coord.TrainDiffusion(z, p.Cfg.Diff, p.Cfg.DiffIters, p.Cfg.Batch)
+	dspan.SetAttr("loss", diffLoss)
+	dspan.End()
 	return aeLoss, diffLoss, nil
 }
 

@@ -106,9 +106,9 @@ func (l *link) recv() (*Envelope, error) {
 // A peer's stream speaks only for the name it said hello with and only to
 // the hub: a frame from another name or for another recipient, a hello or
 // peer-down notice after the first frame, and a hello for a name already
-// registered all end the stream as a corrupt one.
+// registered or already dead all end the stream as a corrupt one.
 // A peer whose stream ends is dead for the rest of the run: the hub's Recv
-// reports it as a PeerDeadError, and so does a Send to it.
+// reports it as a PeerDeadError, and so does a Send to it, at once.
 type TCPHub struct {
 	Name string
 	endpoint
@@ -120,7 +120,7 @@ type TCPHub struct {
 
 	mu      sync.Mutex            // guards every field below
 	conns   map[net.Conn]struct{} // every accepted connection still being served, registered or not
-	peers   map[string]*link
+	peers   map[string]*link      // a name whose stream ended stays, with a nil link
 	closing bool
 }
 
@@ -151,8 +151,10 @@ func (h *TCPHub) Addr() string { return h.ln.Addr().String() }
 func (h *TCPHub) Peers() []string {
 	h.mu.Lock()
 	names := make([]string, 0, len(h.peers))
-	for name := range h.peers {
-		names = append(names, name)
+	for name, pc := range h.peers {
+		if pc != nil {
+			names = append(names, name)
+		}
 	}
 	h.mu.Unlock()
 	sort.Strings(names)
@@ -180,9 +182,9 @@ func (h *TCPHub) acceptLoop() {
 }
 
 // serveConn owns one accepted connection: it reads the hello, registers the
-// peer, routes its frames until the stream ends, then deregisters it and
-// announces the death. A hello for a name already registered is refused
-// like a corrupt frame, and the live registration stays.
+// peer, routes its frames until the stream ends, then marks it dead and
+// announces the death. A hello for a name already registered, live or dead,
+// is refused like a corrupt frame, and the registration stays as it was.
 func (h *TCPHub) serveConn(conn net.Conn) {
 	defer h.wg.Done()
 	defer func() {
@@ -199,7 +201,7 @@ func (h *TCPHub) serveConn(conn net.Conn) {
 	name := hello.From
 	pc.dir = h.Name + "->" + name // before the link is shared
 	h.mu.Lock()
-	taken := h.peers[name] != nil
+	_, taken := h.peers[name]
 	if !taken {
 		h.peers[name] = pc
 	}
@@ -211,11 +213,11 @@ func (h *TCPHub) serveConn(conn net.Conn) {
 		err = h.route(pc, name)
 	}
 
-	// Deregister and announce the death unless the hub itself is shutting
-	// down.
+	// Mark the peer dead and announce the death unless the hub itself is
+	// shutting down.
 	h.mu.Lock()
 	if !taken {
-		delete(h.peers, name)
+		h.peers[name] = nil
 	}
 	closing := h.closing
 	h.mu.Unlock()
@@ -258,24 +260,32 @@ func (h *TCPHub) route(pc *link, name string) error {
 	}
 }
 
-// errNoStream is the cause of the PeerDeadError a hub's Send returns for a
-// peer it has no stream to.
-var errNoStream = errors.New("the hub has no stream to it")
+// errNoStream and errStreamEnded are the causes of the PeerDeadError a hub's
+// Send returns for a peer that never registered and for one whose stream
+// has ended.
+var (
+	errNoStream    = errors.New("the hub has no stream to it")
+	errStreamEnded = errors.New("its stream to the hub has ended")
+)
 
 // waitPeer returns the destination's link, waiting briefly for its hello to
 // be processed: peers dial concurrently, so the hub's first message to a
 // peer can otherwise race its registration. A closing hub stops waiting
-// with ErrBusClosed; a peer with no stream after the wait is dead.
+// with ErrBusClosed; a peer whose stream has ended is dead at once, and one
+// with no stream after the wait is dead too.
 func (h *TCPHub) waitPeer(name string) (*link, error) {
 	for i := 0; i < 1000; i++ {
 		h.mu.Lock()
-		pc, closing := h.peers[name], h.closing
+		pc, known := h.peers[name]
+		closing := h.closing
 		h.mu.Unlock()
 		switch {
 		case pc != nil:
 			return pc, nil
 		case closing:
 			return nil, fmt.Errorf("silo: hub %q: %w", h.Name, ErrBusClosed)
+		case known:
+			return nil, &PeerDeadError{Peer: name, Cause: errStreamEnded}
 		}
 		time.Sleep(2 * time.Millisecond)
 	}

@@ -238,8 +238,6 @@ type (
 	WireCodec = codec.ID
 	// WireKindStats is one kind's bytes-vs-error record under a wire codec.
 	WireKindStats = silo.WireKindStats
-	// Checkpoint captures stacked-training progress for resume.
-	Checkpoint = silo.Checkpoint
 	// PeerDeadError reports which peer died; it unwraps to ErrPeerDead.
 	PeerDeadError = silo.PeerDeadError
 )
