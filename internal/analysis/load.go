@@ -137,6 +137,24 @@ func (l *loader) unit(path, dir string, names []string) (*Package, error) {
 	}, nil
 }
 
+// externalTests type-checks the external test package of path as the go tool
+// builds it: against path with its in-package test files (names), which an
+// export_test.go may add to, and with every module package it imports built
+// against that variant too. It therefore has a loader of its own, sharing
+// only the file set and the standard library.
+func (l *loader) externalTests(path, dir string, names, xtest []string) (*Package, error) {
+	xl := &loader{fset: l.fset, root: l.root, modPath: l.modPath, std: l.std,
+		cache: make(map[string]*types.Package), loading: make(map[string]bool)}
+	if len(names) > 0 {
+		under, err := xl.unit(path, dir, names)
+		if err != nil {
+			return nil, err
+		}
+		xl.cache[path] = under.Types
+	}
+	return xl.unit(path+"_test", dir, xtest)
+}
+
 // LoadModule loads every package under the module rooted at root (its go.mod
 // names the module path), including in-package and external test files, and
 // returns the analysis units in deterministic path order. Directories named
@@ -201,7 +219,7 @@ func LoadModule(root string) ([]*Package, error) {
 			pkgs = append(pkgs, pkg)
 		}
 		if len(bp.XTestGoFiles) > 0 {
-			pkg, err := l.unit(path+"_test", dir, bp.XTestGoFiles)
+			pkg, err := l.externalTests(path, dir, names, bp.XTestGoFiles)
 			if err != nil {
 				return nil, err
 			}

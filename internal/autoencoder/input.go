@@ -18,11 +18,12 @@ import (
 // hidden dW scratch is ever built.
 //
 // The weights it trains are bit-identical to those of nn.Linear on
-// Transform(x): nn.Linear's kernels start each output row at +0, add the
-// terms a[k]·W[k] in ascending k and skip every a[k] == 0, and the loops
-// below apply the same terms in the same order (spans ascend in k; 1·w is
-// exactly w). The parameter gradient is likewise the dense kernel's
-// ascending-row sum, on the condition that it is clear at entry — one
+// Transform(x): nn.Linear's kernels start each output row at +0, fuse the
+// terms a[k]·W[k] into it in ascending k, skip every a[k] == 0 and end with
+// the last add of the bias (or +0), and the loops below apply the same terms
+// in the same order (spans ascend in k; 1·w is exactly w) and the same last
+// add. The parameter gradient is likewise the dense kernel's ascending-row
+// sum, on the condition that it is clear at entry — one
 // backward per optimiser step, which is how every training loop runs;
 // onto an already accumulated gradient the same terms associate
 // differently than Linear's dW-then-add.
@@ -75,7 +76,7 @@ func (l *inputLayer) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
 			tensor.Axpy(dst, w.Row(k), coef)
 		}
 		for j, bv := range bias {
-			dst[j] += bv
+			dst[j] += bv + 0 // the dense kernels' last add: -0 read as +0
 		}
 	}
 	return l.out
@@ -94,6 +95,18 @@ func (l *inputLayer) BackwardParams(gradOut *tensor.Matrix) {
 				continue
 			}
 			tensor.Axpy(wGrad.Row(k), g, coef)
+		}
+	}
+	// The dense kernels end every chain with +0 added, which stores a chain
+	// an underflowing product left at -0 as +0. A categorical term's
+	// coefficient is 1, whose products are exact and never underflow, so
+	// only a numeric column's row can need it.
+	for _, sp := range l.enc.Spans {
+		if sp.Kind != tabular.Categorical {
+			row := wGrad.Row(sp.Lo)
+			for j := range row {
+				row[j] += 0
+			}
 		}
 	}
 	// Column sums first, then one add into the gradient: nn.Linear's order.

@@ -38,6 +38,18 @@ import (
 // adult to 175,122, churn to 115,638, the activations to 49,803 / 100,036
 // and denoised, grad-up and grad-down from 7,276 B per iteration to the
 // values below.
+//
+// The arithmetic changed once on purpose: every matmul step became one fused
+// multiply-add, every product's last add +0 or the bias with -0 read as +0,
+// and each Horner step of erf one fused multiply-add. That re-pinned the
+// stacked fits — adult Save stream 8867f8ab01363bb2 → ac7bd8bbcef1d41c,
+// digest ca7aab42035bbed5 → c216d7573a4a30bf, sampled table
+// adfaef4b8c6463d3 → b2447910773a6043, latents 175,122 → 175,011 B; churn
+// b2dee736ffe4e254 → 7ac7d05c0e03864c, 4c4d457d516bfdd2 → 6152ac6c2dd6698e,
+// 72d9f39046383eb4 → e35c7f3f1884b2a1, 115,638 → 115,628 B. E2EDistr's loss
+// bits and per-kind bytes did not move: its messages go as float32, which
+// rounds the last-bit differences away, and its loss differs from the old
+// one at some iterations but not at the 10th and 20th.
 func TestFitFingerprintOracle(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("hashes were recorded on amd64; a compiler that fuses multiply-adds rounds differently")
@@ -53,8 +65,8 @@ func TestFitFingerprintOracle(t *testing.T) {
 		wantDigest               uint64
 		wantLatentBytes          int64
 	}{
-		{"adult", 4000, 22, 500, 25, 0x8867f8ab01363bb2, 0xadfaef4b8c6463d3, 0xca7aab42035bbed5, 175122},
-		{"churn", 2000, 2, 64, 5, 0xb2dee736ffe4e254, 0x72d9f39046383eb4, 0x4c4d457d516bfdd2, 115638},
+		{"adult", 4000, 22, 500, 25, 0xac7bd8bbcef1d41c, 0xb2447910773a6043, 0xc216d7573a4a30bf, 175011},
+		{"churn", 2000, 2, 64, 5, 0x7ac7d05c0e03864c, 0xe35c7f3f1884b2a1, 0x6152ac6c2dd6698e, 115628},
 	}
 	for _, c := range cases {
 		spec, err := datagen.ByName(c.dataset)

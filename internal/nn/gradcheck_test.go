@@ -452,8 +452,9 @@ func sparseGrad(rng *rand.Rand, rows, cols int) *tensor.Matrix {
 }
 
 // TestLinearBackwardMatchesDotForm pins the input gradient to the bits of
-// the dot-product form g·Wᵀ = MatMulT2Into(g, W) that Backward computed
-// before it moved to a transposed-weight workspace, on dense and sparse
+// g·Wᵀ = MatMulT2Into(g, W), the product Backward computed before it moved to
+// a transposed-weight workspace (a dot-product loop then, now the same chains
+// on panels of Wᵀ packed per call), on dense and sparse
 // gradients, serially and through the pool, warm and after a weight update.
 func TestLinearBackwardMatchesDotForm(t *testing.T) {
 	for _, procs := range []int{1, 4} {

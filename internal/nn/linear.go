@@ -79,9 +79,9 @@ func (l *Linear) forward(x *tensor.Matrix, ep tensor.Epilogue) *tensor.Matrix {
 // Backward accumulates dW = xᵀg, db = Σ_rows g and returns g Wᵀ: it is
 // BackwardInput followed by TakeGrads. The product is taken as g @ (Wᵀ),
 // with Wᵀ packed from W once per weight version, which puts it on the same
-// column-vectorised kernel as Forward; each output element is still summed
-// in ascending-k order from +0, so for finite weights the bits equal the
-// dot-product form tensor.MatMulT2Into.
+// column-vectorised kernel as Forward; each output element is still the
+// ascending-k chain from +0, so for finite weights the bits equal
+// tensor.MatMulT2Into's.
 func (l *Linear) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 	gin := l.BackwardInput(gradOut)
 	l.TakeGrads()

@@ -2,10 +2,8 @@
 
 package tensor
 
-// kernelTier is decided once at start-up from the CPU alone: an assembly
-// kernel runs only when the processor has its instructions and the operating
-// system saves the registers it uses across context switches.
-var kernelTier = detectTier()
+// kernelTier is decided once at start-up from the CPU alone (detectTier).
+var kernelTier = detectTier(cpuWords())
 
 // cpuid executes CPUID with the given leaf and sub-leaf.
 func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
@@ -29,7 +27,8 @@ func axpy1AVX2(dst, b []float64, a float64)
 // consecutive k), panel holds kc packed 16-wide rows of b, bit j of mask
 // enables output column j, accumulate resumes the chains from dst instead of
 // starting them at +0, and a non-nil bias points at sixteen addends (as many
-// as mask enables are read) that every row takes before it is stored.
+// as mask enables are read) that every row takes, -0 read as +0, before it is
+// stored.
 //
 //go:noescape
 func tile8x16(dst *float64, ldd uintptr, a *float64, aRow, aStep uintptr, panel *float64, kc int, mask uint32, accumulate bool, bias *float64)
@@ -39,35 +38,20 @@ func tile8x16(dst *float64, ldd uintptr, a *float64, aRow, aStep uintptr, panel 
 //go:noescape
 func packPanel16(dst, src *float64, stride uintptr, kc int, mask uint32)
 
-func detectTier() tier {
-	const (
-		osxsave = 1 << 27 // leaf 1 ECX: XGETBV enabled by the OS
-		avx     = 1 << 28 // leaf 1 ECX
-		avx2    = 1 << 5  // leaf 7 sub-leaf 0 EBX
-		avx512f = 1 << 16 // leaf 7 sub-leaf 0 EBX
-		ymmXMM  = 0x6     // XCR0: SSE and AVX state both enabled
-		zmmK    = 0xe0    // XCR0: opmask, ZMM0-15 upper halves and ZMM16-31 state
-	)
-	maxLeaf, _, _, _ := cpuid(0, 0)
-	if maxLeaf < 7 {
-		return tierGo
+// cpuWords reads the CPUID and XGETBV words detectTier decides from, each
+// only where the CPU says it may be read.
+func cpuWords() (maxLeaf, c1, b7, xcr0 uint32) {
+	maxLeaf, _, _, _ = cpuid(0, 0)
+	if maxLeaf >= 1 {
+		_, _, c1, _ = cpuid(1, 0)
 	}
-	_, _, c1, _ := cpuid(1, 0)
-	if c1&osxsave == 0 || c1&avx == 0 {
-		return tierGo
+	if maxLeaf >= 7 {
+		_, b7, _, _ = cpuid(7, 0)
 	}
-	xcr0, _ := xgetbv()
-	if xcr0&ymmXMM != ymmXMM {
-		return tierGo
+	if c1&cpuOSXSAVE != 0 {
+		xcr0, _ = xgetbv()
 	}
-	_, b7, _, _ := cpuid(7, 0)
-	switch {
-	case b7&avx2 == 0:
-		return tierGo
-	case b7&avx512f != 0 && xcr0&zmmK == zmmK:
-		return tierAVX512
-	}
-	return tierAVX2
+	return maxLeaf, c1, b7, xcr0
 }
 
 func axpy4(dst, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64) {

@@ -3,11 +3,12 @@
 #include "textflag.h"
 
 // Both kernels vectorise across j only. A lane holds one dst[j] and runs
-// that element's add chain in coefficient order with a separate rounded
-// multiply (VMULPD) and rounded add (VADDPD) per step — never VFMADD, which
-// rounds once — so each lane computes exactly what the Go reference does.
+// that element's chain in coefficient order, one fused multiply-add per step
+// (VFMADD231PD, rounded once: acc = fl(a·b + acc)), so each lane computes
+// exactly what the Go reference's math.FMA does. FMA3 is VEX-encoded, and
+// the tier that calls these kernels requires its CPUID bit (detectTier).
 // Loads and stores are unaligned (VMOVUPD, and VEX memory operands do not
-// fault on alignment). The scalar tails use VEX-encoded VMULSD/VADDSD so no
+// fault on alignment). The scalar tails use VEX-encoded VFMADD231SD so no
 // legacy-SSE instruction runs with dirty upper halves, and VZEROUPPER
 // before RET spares the Go code that follows the AVX→SSE transition stall.
 
@@ -33,22 +34,14 @@ axpy4_loop8:
 	JGE  axpy4_tail4
 	VMOVUPD (DI)(AX*8), Y4
 	VMOVUPD 32(DI)(AX*8), Y5
-	VMULPD (R8)(AX*8), Y0, Y6
-	VMULPD 32(R8)(AX*8), Y0, Y7
-	VADDPD Y6, Y4, Y4
-	VADDPD Y7, Y5, Y5
-	VMULPD (R9)(AX*8), Y1, Y6
-	VMULPD 32(R9)(AX*8), Y1, Y7
-	VADDPD Y6, Y4, Y4
-	VADDPD Y7, Y5, Y5
-	VMULPD (R10)(AX*8), Y2, Y6
-	VMULPD 32(R10)(AX*8), Y2, Y7
-	VADDPD Y6, Y4, Y4
-	VADDPD Y7, Y5, Y5
-	VMULPD (R11)(AX*8), Y3, Y6
-	VMULPD 32(R11)(AX*8), Y3, Y7
-	VADDPD Y6, Y4, Y4
-	VADDPD Y7, Y5, Y5
+	VFMADD231PD (R8)(AX*8), Y0, Y4
+	VFMADD231PD 32(R8)(AX*8), Y0, Y5
+	VFMADD231PD (R9)(AX*8), Y1, Y4
+	VFMADD231PD 32(R9)(AX*8), Y1, Y5
+	VFMADD231PD (R10)(AX*8), Y2, Y4
+	VFMADD231PD 32(R10)(AX*8), Y2, Y5
+	VFMADD231PD (R11)(AX*8), Y3, Y4
+	VFMADD231PD 32(R11)(AX*8), Y3, Y5
 	VMOVUPD Y4, (DI)(AX*8)
 	VMOVUPD Y5, 32(DI)(AX*8)
 	ADDQ $8, AX
@@ -60,14 +53,10 @@ axpy4_tail4:
 	CMPQ AX, DX
 	JGE  axpy4_tail1
 	VMOVUPD (DI)(AX*8), Y4
-	VMULPD (R8)(AX*8), Y0, Y6
-	VADDPD Y6, Y4, Y4
-	VMULPD (R9)(AX*8), Y1, Y6
-	VADDPD Y6, Y4, Y4
-	VMULPD (R10)(AX*8), Y2, Y6
-	VADDPD Y6, Y4, Y4
-	VMULPD (R11)(AX*8), Y3, Y6
-	VADDPD Y6, Y4, Y4
+	VFMADD231PD (R8)(AX*8), Y0, Y4
+	VFMADD231PD (R9)(AX*8), Y1, Y4
+	VFMADD231PD (R10)(AX*8), Y2, Y4
+	VFMADD231PD (R11)(AX*8), Y3, Y4
 	VMOVUPD Y4, (DI)(AX*8)
 	ADDQ $4, AX
 
@@ -75,14 +64,10 @@ axpy4_tail1:
 	CMPQ AX, CX
 	JGE  axpy4_done
 	VMOVSD (DI)(AX*8), X4
-	VMULSD (R8)(AX*8), X0, X6
-	VADDSD X6, X4, X4
-	VMULSD (R9)(AX*8), X1, X6
-	VADDSD X6, X4, X4
-	VMULSD (R10)(AX*8), X2, X6
-	VADDSD X6, X4, X4
-	VMULSD (R11)(AX*8), X3, X6
-	VADDSD X6, X4, X4
+	VFMADD231SD (R8)(AX*8), X0, X4
+	VFMADD231SD (R9)(AX*8), X1, X4
+	VFMADD231SD (R10)(AX*8), X2, X4
+	VFMADD231SD (R11)(AX*8), X3, X4
 	VMOVSD X4, (DI)(AX*8)
 	INCQ AX
 	JMP  axpy4_tail1
@@ -104,10 +89,10 @@ TEXT ·axpy1AVX2(SB), NOSPLIT, $0-56
 axpy1_loop8:
 	CMPQ AX, DX
 	JGE  axpy1_tail4
-	VMULPD (R8)(AX*8), Y0, Y6
-	VMULPD 32(R8)(AX*8), Y0, Y7
-	VADDPD (DI)(AX*8), Y6, Y4
-	VADDPD 32(DI)(AX*8), Y7, Y5
+	VMOVUPD (DI)(AX*8), Y4
+	VMOVUPD 32(DI)(AX*8), Y5
+	VFMADD231PD (R8)(AX*8), Y0, Y4
+	VFMADD231PD 32(R8)(AX*8), Y0, Y5
 	VMOVUPD Y4, (DI)(AX*8)
 	VMOVUPD Y5, 32(DI)(AX*8)
 	ADDQ $8, AX
@@ -118,16 +103,16 @@ axpy1_tail4:
 	ANDQ $~3, DX
 	CMPQ AX, DX
 	JGE  axpy1_tail1
-	VMULPD (R8)(AX*8), Y0, Y6
-	VADDPD (DI)(AX*8), Y6, Y4
+	VMOVUPD (DI)(AX*8), Y4
+	VFMADD231PD (R8)(AX*8), Y0, Y4
 	VMOVUPD Y4, (DI)(AX*8)
 	ADDQ $4, AX
 
 axpy1_tail1:
 	CMPQ AX, CX
 	JGE  axpy1_done
-	VMULSD (R8)(AX*8), X0, X6
-	VADDSD (DI)(AX*8), X6, X4
+	VMOVSD (DI)(AX*8), X4
+	VFMADD231SD (R8)(AX*8), X0, X4
 	VMOVSD X4, (DI)(AX*8)
 	INCQ AX
 	JMP  axpy1_tail1

@@ -61,7 +61,7 @@ const invSqrt2 = 0.7071067811865476
 // geluGo stores gelu(x[i]) into dst[i], and t into keep[i] unless keep is nil.
 func geluGo(dst, keep, x []float64) {
 	for i, v := range x {
-		t := 1 + math.Erf(v*invSqrt2)
+		t := 1 + erf(v*invSqrt2)
 		if keep != nil {
 			keep[i] = t
 		}
@@ -77,7 +77,7 @@ func geluGradGo(dst, x, keep, g []float64) {
 		if keep != nil {
 			t = keep[i]
 		} else {
-			t = 1 + math.Erf(v*invSqrt2)
+			t = 1 + erf(v*invSqrt2)
 		}
 		pdf := math.Exp(-0.5*v*v) / math.Sqrt(2*math.Pi)
 		dst[i] = g[i] * (0.5*t + v*pdf)

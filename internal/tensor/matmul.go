@@ -82,17 +82,23 @@ func matmulAddRowRows(a, b, bias, out *Matrix, lo, hi int) {
 	matmulRange(a, b, out, bias.Data, nil, lo, hi, false)
 }
 
-// addRowRange adds the row vector to output rows [lo, hi), each of which has
-// finished accumulating. It is the bias add wherever the tile's store does
-// not make it: the axpy tiers, and the rows the tile leaves to them.
+// addRowRange finishes output rows [lo, hi), each of which has finished
+// accumulating: it adds the row vector, -0 read as +0, or +0 where there is
+// none. It is the last add wherever the tile's store does not make it: the
+// axpy tiers, and the rows the tile leaves to them. Because the addend is
+// never -0, no product stores -0 (tile.go, "Bits").
 func addRowRange(out *Matrix, row []float64, lo, hi int) {
 	if row == nil {
+		dst := out.Data[lo*out.Cols : hi*out.Cols]
+		for j := range dst {
+			dst[j] += 0
+		}
 		return
 	}
 	for i := lo; i < hi; i++ {
 		dst := out.Row(i)[:len(row)]
 		for j, v := range row {
-			dst[j] += v
+			dst[j] += v + 0
 		}
 	}
 }
@@ -215,7 +221,7 @@ func MatMulT2(a, b *Matrix) *Matrix {
 		panic(fmt.Sprintf("tensor: MatMulT2 shape mismatch %dx%d, %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	out := New(a.Rows, b.Rows)
-	dispatchKernel(matmulT2Rows, a, b, nil, out, a.Rows, a.Rows*a.Cols*b.Rows)
+	dispatchMatmul(matmulT2Rows, a, b, nil, out, a.Rows, a.Rows*a.Cols*b.Rows)
 	return out
 }
 
@@ -226,44 +232,12 @@ func MatMulT2Into(dst, a, b *Matrix) *Matrix {
 		panic(fmt.Sprintf("tensor: MatMulT2Into shape mismatch %dx%d, %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	checkInto(dst, a, b, a.Rows, b.Rows, "MatMulT2Into")
-	dispatchKernel(matmulT2Rows, a, b, nil, dst, a.Rows, a.Rows*a.Cols*b.Rows)
+	dispatchMatmul(matmulT2Rows, a, b, nil, dst, a.Rows, a.Rows*a.Cols*b.Rows)
 	return dst
 }
 
-// matmulT2Rows computes a@bᵀ rows [lo, hi). Four output columns (rows of b)
-// are produced per pass with four independent dot-product accumulators —
-// each still summed in ascending-k order — so the loads of arow are shared
-// and the add chains pipeline instead of serialising on FP latency.
-func matmulT2Rows(a, b, _, out *Matrix, lo, hi int) {
-	kw := a.Cols
-	for i := lo; i < hi; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		j := 0
-		for ; j+3 < b.Rows; j += 4 {
-			b0 := b.Data[j*kw : (j+1)*kw][:len(arow)]
-			b1 := b.Data[(j+1)*kw : (j+2)*kw][:len(arow)]
-			b2 := b.Data[(j+2)*kw : (j+3)*kw][:len(arow)]
-			b3 := b.Data[(j+3)*kw : (j+4)*kw][:len(arow)]
-			var s0, s1, s2, s3 float64
-			for k, av := range arow {
-				s0 += av * b0[k]
-				s1 += av * b1[k]
-				s2 += av * b2[k]
-				s3 += av * b3[k]
-			}
-			orow[j] = s0
-			orow[j+1] = s1
-			orow[j+2] = s2
-			orow[j+3] = s3
-		}
-		for ; j < b.Rows; j++ {
-			brow := b.Row(j)[:len(arow)]
-			s := 0.0
-			for k, av := range arow {
-				s += av * brow[k]
-			}
-			orow[j] = s
-		}
-	}
-}
+// matmulT2Rows computes a@bᵀ rows [lo, hi) on the kernels of a product whose
+// bᵀ exists only as b (matmulRangeT): on the tile from panels of bᵀ that each
+// chunk packs from b's rows, and elsewhere one element at a time. Its bits
+// are every other product's.
+func matmulT2Rows(a, b, _, out *Matrix, lo, hi int) { matmulRangeT(a, b, out, nil, nil, lo, hi) }

@@ -39,8 +39,9 @@ func assertSameBits(t *testing.T, op string, want, got *Matrix) {
 }
 
 // naiveMatMulSkip is the reference implementation: for every output element the
-// reduction runs in ascending-k order, the order every optimised kernel
-// (blocked, unrolled, pooled) must reproduce exactly.
+// reduction runs in ascending-k order from +0, one fused multiply-add per
+// non-zero coefficient, and ends with the last add of +0 — the chain every
+// optimised kernel (blocked, unrolled, pooled) must reproduce exactly.
 func naiveMatMulSkip(a, b *Matrix) *Matrix {
 	out := New(a.Rows, b.Cols)
 	for i := 0; i < a.Rows; i++ {
@@ -51,12 +52,27 @@ func naiveMatMulSkip(a, b *Matrix) *Matrix {
 				if av == 0 {
 					continue
 				}
-				s += av * b.At(k, j)
+				s = math.FMA(av, b.At(k, j), s)
 			}
-			out.Set(i, j, s)
+			out.Set(i, j, s+0)
 		}
 	}
 	return out
+}
+
+// underflowRows makes every seventh row of a hold only coefficients whose
+// products with a b of ordinary magnitude round to zero or to a few
+// subnormals: ±0 and ±2**-1074. A fused chain over them can end at -0 (a
+// negative product too small to round to anything else), which a path that
+// multiplies zero coefficients could turn into +0 and a path that skips them
+// would keep; the last add of every product must store both as +0.
+func underflowRows(rng *rand.Rand, a *Matrix) *Matrix {
+	for i := 0; i < a.Rows; i += 7 {
+		for j := range a.Row(i) {
+			a.Data[i*a.Cols+j] = math.Copysign([]float64{0, math.SmallestNonzeroFloat64, 3 * math.SmallestNonzeroFloat64}[rng.Intn(3)], rng.NormFloat64())
+		}
+	}
+	return a
 }
 
 // sprinkleZeros forces exact zeros into a so the kernels' sparse-skip and
@@ -106,7 +122,7 @@ func TestMatMulMatchesNaiveReference(t *testing.T) {
 				assertSameBits(t, "MatMulInto vs naive", want, MatMulInto(dirty(m, n), a, b))
 				// xᵀ@b via the T1 kernel against the same reference.
 				assertSameBits(t, "MatMulT1Into vs naive", want, MatMulT1Into(dirty(m, n), at, b))
-				// a@bᵀ via the dot-form T2 kernel: no skip, same bits for finite b.
+				// a@bᵀ via the T2 kernel, from b's rows: same bits for finite b.
 				assertSameBits(t, "MatMulT2Into vs naive", want, MatMulT2Into(dirty(m, n), a, bt))
 				assertSameBits(t, "MatMulAddRowInto vs naive", wantBias, MatMulAddRowInto(dirty(m, n), a, b, bias))
 				runtime.GOMAXPROCS(prev)
@@ -190,8 +206,8 @@ func TestGELUIntoMatchesFormula(t *testing.T) {
 	x, g := randMat(rng, 300, 256), randMat(rng, 300, 256)
 	want, wantGrad := New(300, 256), New(300, 256)
 	for i, v := range x.Data {
-		want.Data[i] = 0.5 * v * (1 + math.Erf(v*invSqrt2))
-		cdf := 0.5 * (1 + math.Erf(v*invSqrt2))
+		want.Data[i] = 0.5 * v * (1 + erf(v*invSqrt2))
+		cdf := 0.5 * (1 + erf(v*invSqrt2))
 		pdf := math.Exp(-0.5*v*v) / math.Sqrt(2*math.Pi)
 		wantGrad.Data[i] = g.Data[i] * (cdf + v*pdf)
 	}

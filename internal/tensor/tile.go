@@ -8,13 +8,20 @@ import "math"
 // output once per four k. The loop nest here feeds it and decides what it
 // does not take.
 //
-// Bits. A lane is one output column and k only ascends, so an element's add
-// chain is the reference's — except that the tile multiplies a zero
-// coefficient where the axpy kernels skip it. That is the identity: a chain
-// that starts at +0 can never hold -0 under round-to-nearest (x + -x is +0,
-// +0 + -0 is +0), so adding the ±0 product of a zero coefficient and a
-// finite b leaves every bit alone. A k block boundary stores the chain's
-// value and loads it back, which is no arithmetic at all.
+// Bits. A lane is one output column and k only ascends, so an element's chain
+// of fused multiply-adds is the reference's — except that the tile multiplies
+// a zero coefficient where the axpy kernels skip it. Fusing the ±0 product of
+// a zero coefficient and a finite b into the chain leaves a non-zero chain
+// alone, and a zero one at ±0: the two chains differ at most in the sign of a
+// zero. That sign can differ, because fma(a, b, +0) is -0 where a·b is a
+// negative product too small to round to anything else (a rounded multiply
+// followed by an add made that +0), and the tile may then turn the -0 into +0
+// where the skip keeps it. So every product ends with one last add whose
+// addend is never -0 — the bias with -0 read as +0, or +0 where there is no
+// bias — in the tile's last store (tileStrips) and in the sweep behind the
+// axpy kernels (addRowRange): a zero is stored as +0, and every path stores
+// the same bits. A k block boundary stores the chain's value and loads it
+// back, which is no arithmetic at all.
 //
 // Not taken, and left to the axpy kernels: strips whose coefficients are
 // mostly zero (one-hot inputs, where skipping beats multiplying), the
@@ -38,11 +45,11 @@ func useTile(k, n int) bool { return kernelTier == tierAVX512 && k > 0 && n >= t
 
 // matmulRange stores output rows [lo, hi) of a@b (or of aᵀ@b when t1) on
 // this process's tier: dense strips through the tile where there is one,
-// everything else through the axpy kernels. A non-nil bias, one addend per
-// output column, is added to every row once its accumulation has finished:
-// in the tile's last store, or by a sweep behind the axpy kernels. A non-nil
-// panels holds b already packed (Packed's layout), and the tile reads it
-// instead of packing b itself.
+// everything else through the axpy kernels. Every row takes the last add once
+// its accumulation has finished — a non-nil bias, one addend per output
+// column, or +0 — in the tile's last store, or by a sweep behind the axpy
+// kernels. A non-nil panels holds b already packed (Packed's layout), and the
+// tile reads it instead of packing b itself.
 func matmulRange(a, b, out *Matrix, bias, panels []float64, lo, hi int, t1 bool) {
 	kw := a.Cols
 	if t1 {
@@ -84,7 +91,7 @@ func matmulRange(a, b, out *Matrix, bias, panels []float64, lo, hi int, t1 bool)
 // that exists only as w: every strip runs on the tile, reading panels packed
 // ahead of time if panels is non-nil and packing them from w's rows per chunk
 // otherwise, and the rows past the last whole strip take the same add chains
-// from those panels or from w. The bias is added as in matmulRange.
+// from those panels or from w. The last add is made as in matmulRange.
 func matmulRangeT(a, w, out *Matrix, bias, panels []float64, lo, hi int) {
 	if !useTile(a.Cols, out.Cols) {
 		dotRowsT(a, w, out, bias, lo, hi)
@@ -158,7 +165,7 @@ func countNonzero(vs []float64) int {
 // group's block of a stays in L2 while every column panel passes over it; one
 // packed kc x 16 panel of b then serves every strip of the group from L1. A
 // later k block resumes each chain from the value the previous one stored, and
-// the last one adds the bias, if there is one, as it stores.
+// the last one makes the last add as it stores.
 func tilePanels(a, b, out *Matrix, bias []float64, g0 int, dense uint64, t1 bool) {
 	var panel [tileKC * tileN]float64
 	n := b.Cols
@@ -213,9 +220,9 @@ func packPanelT(dst []float64, w *Matrix, k0, j0 int) {
 }
 
 // dotRowsT stores output rows [lo, hi) of a@wᵀ from w itself, one element at
-// a time: the ascending-k chain from +0 of the axpy kernels, zero
-// coefficients skipped, then the bias. It takes the rows mod 8 of a product
-// whose wᵀ exists only as w.
+// a time: the ascending-k chain of fused multiply-adds from +0 of the axpy
+// kernels, zero coefficients skipped, then the last add. It takes the rows
+// mod 8 of a product whose wᵀ exists only as w, and all of one off the tile.
 func dotRowsT(a, w, out *Matrix, bias []float64, lo, hi int) {
 	kw := a.Cols
 	for i := lo; i < hi; i++ {
@@ -225,7 +232,7 @@ func dotRowsT(a, w, out *Matrix, bias []float64, lo, hi int) {
 			s := 0.0
 			for k, av := range arow {
 				if av != 0 { //silofuse:bitwise-ok zero-skip sparsity fast path
-					s += av * wrow[k]
+					s = math.FMA(av, wrow[k], s)
 				}
 			}
 			orow[j] = s
@@ -254,7 +261,7 @@ func tilePacked(a, out *Matrix, bias, panels []float64, g0 int, dense uint64, t1
 // panelRows stores output rows [lo, hi) of a@b from b's panels alone, for the
 // rows past the last whole strip of a product that has no b but its panels:
 // per element the ascending-k chain of the axpy kernels, zero coefficients
-// skipped, then the bias.
+// skipped, then the last add.
 func panelRows(a, out *Matrix, bias, panels []float64, lo, hi int) {
 	if lo >= hi {
 		return
@@ -283,13 +290,21 @@ func panelRows(a, out *Matrix, bias, panels []float64, lo, hi int) {
 // panelMask enables the columns of the 16-wide panel at j0 that b has.
 func panelMask(n, j0 int) uint32 { return uint32(1)<<min(tileN, n-j0) - 1 }
 
+// noBias is the addend row of a product without a bias: the +0 its last add
+// takes.
+var noBias [tileN]float64
+
 // tileStrips runs one kc x 16 panel, at k0 and output column j0, over every
-// strip of the group at g0 whose bit is set in dense.
+// strip of the group at g0 whose bit is set in dense. The last k block makes
+// the product's last add as it stores.
 func tileStrips(a, out *Matrix, bias []float64, panel *float64, g0 int, dense uint64, aRow, aStep, k0, kc, kw, j0 int) {
 	n, mask := out.Cols, panelMask(out.Cols, j0)
 	var addend *float64
-	if bias != nil && k0+kc == kw {
-		addend = &bias[j0]
+	if k0+kc == kw {
+		addend = &noBias[0]
+		if bias != nil {
+			addend = &bias[j0]
+		}
 	}
 	for s, m := 0, dense; m != 0; s, m = s+1, m>>1 {
 		if m&1 == 0 {

@@ -8,9 +8,9 @@
 // per call instead of once per four k.
 //
 // The arithmetic is the axpy rule unchanged: a lane is one output column, each
-// k contributes one rounded multiply (VMULPD) and one rounded add (VADDPD) —
-// never VFMADD, which rounds once — and k only ever ascends, so a lane runs
-// exactly the add chain of the Go reference for its output element.
+// k contributes one fused multiply-add (VFMADD231PD, acc = fl(a·b + acc),
+// rounded once), and k only ever ascends, so a lane runs exactly the chain of
+// the Go reference (math.FMA) for its output element.
 //
 // The B panel is packed: 16 consecutive float64 per k, zero-padded past the
 // matrix edge, so its loads need no mask. Only dst is touched through the
@@ -23,18 +23,18 @@
 // kernels.
 //
 // A non-nil bias is a row of sixteen addends for the tile's columns, read
-// through the same opmasks and added to every row of the tile before the
-// store: (chain) + bias, the add the row-vector sweep made as a second pass
-// over the output. The caller passes it on the last k block only.
+// through the same opmasks, turned from -0 to +0 by adding +0, and added to
+// every row of the tile before the store: (chain) + (bias + 0), the add the
+// row-vector sweep makes behind the axpy kernels. The caller passes it on the
+// last k block, and a row of zeros there when the product has no bias, so a
+// chain that an underflowing product left at -0 is stored as +0 (tile.go).
 
-// One row of the tile for one k: broadcast the coefficient, multiply both
-// halves of the B row by it, add into the row's two accumulators.
+// One row of the tile for one k: broadcast the coefficient and fuse its
+// products with both halves of the B row into the row's two accumulators.
 #define TILE_ROW(amem, acc0, acc1) \
 	VBROADCASTSD amem, Z18   \
-	VMULPD       Z16, Z18, Z19 \
-	VMULPD       Z17, Z18, Z20 \
-	VADDPD       Z19, acc0, acc0 \
-	VADDPD       Z20, acc1, acc1
+	VFMADD231PD  Z16, Z18, acc0 \
+	VFMADD231PD  Z17, Z18, acc1
 
 #define TILE_LOAD(acc0, acc1) \
 	VMOVUPD.Z (DI), K1, acc0   \
@@ -125,6 +125,9 @@ tile_k:
 	JZ    tile_store
 	VMOVUPD.Z (AX), K1, Z16
 	VMOVUPD.Z 64(AX), K2, Z17
+	VPXORQ    Z18, Z18, Z18
+	VADDPD    Z18, Z16, Z16
+	VADDPD    Z18, Z17, Z17
 	TILE_BIAS(Z0, Z1)
 	TILE_BIAS(Z2, Z3)
 	TILE_BIAS(Z4, Z5)

@@ -60,7 +60,8 @@ func offsetMatrix(rows, cols int, guard float64) (*Matrix, []float64) {
 
 // TestTileMatchesGoReference drives the tile loop nest directly, in both
 // coefficient layouts, over every column mask and both sides of the k-block
-// seam, and requires the bits of the ascending-k zero-skip reference. b holds
+// seam, and requires the bits of the ascending-k zero-skip reference, also on
+// rows whose products underflow (underflowRows). b holds
 // ±Inf and NaN only in rows whose coefficients are all non-zero: multiplying
 // a zero by them is the one place the tile and the skip differ, and it is
 // outside the contract (as it is for MatMulT2Into). Each shape runs again with
@@ -81,6 +82,7 @@ func TestTileMatchesGoReference(t *testing.T) {
 				for i := range a.Data {
 					a.Data[i] = tileCoef(rng)
 				}
+				underflowRows(rng, a)
 				b, _ := offsetMatrix(k, n, guard)
 				for i := range b.Data {
 					b.Data[i] = rng.NormFloat64()
@@ -165,13 +167,14 @@ func TestTileMaskedStoreGuards(t *testing.T) {
 
 // TestMatMulTiersAgree runs the public kernels on every tier this process
 // has and requires identical bits from each, serially and pooled, on a dirty
-// destination.
+// destination, with rows whose products underflow (underflowRows) beside
+// dense rows with zeros.
 func TestMatMulTiersAgree(t *testing.T) {
 	prev := runtime.GOMAXPROCS(2)
 	defer runtime.GOMAXPROCS(prev)
 	rng := rand.New(rand.NewSource(42))
 	const m, k, n = 100, 300, 37
-	a, b, bias := sprinkleZeros(rng, randMat(rng, m, k)), randMat(rng, k, n), randMat(rng, 1, n)
+	a, b, bias := underflowRows(rng, sprinkleZeros(rng, randMat(rng, m, k))), randMat(rng, k, n), randMat(rng, 1, n)
 	at := a.T()
 	want := naiveMatMulSkip(a, b)
 	for _, tr := range allTiers {

@@ -9,16 +9,13 @@ import "math"
 var lanesMatch = kernelTier == tierAVX512 && expLanesMatchStdlib()
 
 // expLanesMatchStdlib reports whether exp8 reproduces this process's math.Exp.
-// exp8 mirrors math.Exp's FMA path, so the CPU must have the FMA instructions;
-// whether math.Exp then takes that path is the standard library's decision —
-// it does when the CPU has them, GODEBUG=cpu.fma=off reverses that, and a
-// later release may change the algorithm — and the two paths differ in the
-// last bit of four of these 64 arguments. Call only on the AVX-512 tier.
+// exp8 mirrors math.Exp's FMA path, which needs the FMA instructions the
+// AVX-512 tier already requires; whether math.Exp takes that path is the
+// standard library's decision — it does when the CPU has them,
+// GODEBUG=cpu.fma=off reverses that, and a later release may change the
+// algorithm — and the two paths differ in the last bit of four of these 64
+// arguments. Call only on the AVX-512 tier.
 func expLanesMatchStdlib() bool {
-	const fma = 1 << 12 // leaf 1 ECX
-	if _, _, c1, _ := cpuid(1, 0); c1&fma == 0 {
-		return false
-	}
 	var x, got [64]float64
 	for i := range x {
 		x[i] = float64(i-32) * 0.37

@@ -7,10 +7,12 @@
 // element: a lane is one element and runs the scalar code's operations in the
 // scalar code's order, so it ends in the scalar code's bits.
 //
-//   - erf is the Go compiler's rendering of math.erf: every x*y + z is a
-//     rounded VMULPD followed by a rounded VADDPD, never an FMA (the amd64
-//     compiler does not fuse; TestGoDoesNotFuseMulAdd), and divisions are
-//     VDIVPD.
+//   - erf is vmath.go's erf, math/erf.go with each Horner step of its
+//     polynomials fused: one VFMADD213PD, acc = fl(acc·t + c), where the Go
+//     writes math.FMA. Every other x*y + z (x + x·y, the tail's exponent
+//     argument) is a rounded VMULPD followed by a rounded VADDPD, as the
+//     amd64 compiler renders it (it does not fuse; TestGoDoesNotFuseMulAdd),
+//     and divisions are VDIVPD.
 //   - exp is math.archExp's FMA path instruction for instruction, fused
 //     exactly where that assembly fuses (the two VFNMADD231 reductions, the
 //     seven VFMADD213 Taylor terms, the last squaring step) and nowhere else.
@@ -198,11 +200,10 @@ DATA vm<>+SB6(SB)/8, $0x407DA874E79FE763
 DATA vm<>+SB7(SB)/8, $0xC03670E242712D62
 GLOBL vm<>(SB), RODATA, $664
 
-// One Horner step of the Go compiler's x*y + z: acc = acc*x, rounded, then
-// acc = acc + c, rounded.
+// One Horner step, erf's math.FMA(acc, x, c): acc = fl(acc*x + c), rounded
+// once.
 #define HORNER(c, x, acc) \
-	VMULPD      x, acc, acc \
-	VADDPD.BCST vm<>+c(SB), acc, acc
+	VFMADD213PD.BCST vm<>+c(SB), x, acc
 
 // LANE_MASK sets K7 to the elements that remain of n (R9) from index AX, at
 // most eight, and jumps to done when none do. It clobbers BX, CX and DX.
@@ -259,7 +260,7 @@ TEXT exp8<>(SB), NOSPLIT, $0-0
 	VMULPD            Z25, Z0, Z0                          // fr * 2**n
 	RET
 
-// erf8 is math.erf on eight lanes.
+// erf8 is vmath.go's erf on eight lanes.
 //
 //	in:  Z0 = y, K7 = live lanes
 //	out: Z1 = erf(y) in every live lane not in K6; K6 = the live lanes left

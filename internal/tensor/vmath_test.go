@@ -30,12 +30,14 @@ func goFusesMulAdd() bool {
 }
 
 // TestGoDoesNotFuseMulAdd states the assumption every cross-tier bit-identity
-// test in this package rests on: the Go loops (and math.Erf) round x*y and
-// then the sum, as the assembly's separate VMULPD/VADDPD do. The language
-// allows fusing; the amd64 compiler does not do it (go1.24, at GOAMD64=v1 and
-// v3 alike — v3 only makes math.FMA an instruction), the arm64, ppc64, s390x
-// and riscv64 compilers do. Where it is fused the Go loops are still the
-// whole kernel and agree with themselves, but not with an amd64 machine.
+// test in this package rests on: where the Go loops write x*y + z without
+// math.FMA (erf's x + x·y, the GELU and Adam expressions, and math.Exp's own
+// Go fallback), they round x*y and then the sum, as the assembly's separate
+// VMULPD/VADDPD do. The language allows fusing; the amd64 compiler does not do
+// it (go1.24, at GOAMD64=v1 and v3 alike — v3 only makes math.FMA an
+// instruction), the arm64, ppc64, s390x and riscv64 compilers do. Where it is
+// fused the Go loops are still the whole kernel and agree with themselves, but
+// not with an amd64 machine.
 func TestGoDoesNotFuseMulAdd(t *testing.T) {
 	skipIfGoFuses(t)
 	if got := mulAdd(1+0x1p-30, 1+0x1p-30, -(1 + 0x1p-29)); got != 0 {
@@ -160,41 +162,97 @@ func checkLanesRandom(t *testing.T, name string, count int, draw func() float64,
 	}
 }
 
+// erfSweep returns erf's test inputs: every binade, 2,048 ulps either side of
+// every branch seam, the special values, and vectors whose lanes each take a
+// different branch.
+func erfSweep(rng *rand.Rand) []float64 {
+	in := append(laneSpecials(), everyBinade(rng)...)
+	for _, seam := range []float64{0x1p-28, 0.84375, 1.25, 1 / 0.35, 6, 2.848094538889218e-306} {
+		for _, v := range around(seam, 2048) {
+			in = append(in, v, -v)
+		}
+	}
+	// Mixed vectors: consecutive lanes from different branches, so every
+	// blend mask occurs, with and without a lane the kernel hands back.
+	classes := []func() float64{
+		func() float64 { return rng.Float64() * 0.84375 },
+		func() float64 { return 0.84375 + rng.Float64()*(1.25-0.84375) },
+		func() float64 { return 1.25 + rng.Float64()*(1/0.35-1.25) },
+		func() float64 { return 1/0.35 + rng.Float64()*(6-1/0.35) },
+		func() float64 { return 6 + rng.Float64()*30 },
+		func() float64 { return rng.Float64() * 0x1p-28 },
+		math.NaN,
+	}
+	for i := 0; i < 1<<14; i++ {
+		c := classes[rng.Intn(len(classes)-rng.Intn(3))] // the last two are rarer
+		in = append(in, math.Copysign(c(), rng.NormFloat64()))
+	}
+	return in
+}
+
+// erfScales are the standard deviations of erf's random inputs: the scales
+// GELU sees and beyond.
+var erfScales = []float64{0.05, 0.3, invSqrt2, 1, 2, 4, 1e-8}
+
 // TestErfLanesMatchStdlib is the bit-equality property of the erf kernel
-// against math.Erf: every binade, 2,048 ulps either side of every branch
-// seam, the special values, vectors whose lanes each take a different branch,
-// every length and offset, and 10^7 random inputs over the scales GELU sees
-// and beyond.
+// against the Go erf (math/erf.go with fused Horner steps, which
+// TestErfWithinAnUlpOfStdlib holds to math.Erf): erfSweep's inputs at every
+// length and offset, and 10^7 random inputs over erfScales.
 func TestErfLanesMatchStdlib(t *testing.T) {
 	eachTier(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(60))
-		in := append(laneSpecials(), everyBinade(rng)...)
-		for _, seam := range []float64{0x1p-28, 0.84375, 1.25, 1 / 0.35, 6, 2.848094538889218e-306} {
-			for _, v := range around(seam, 2048) {
-				in = append(in, v, -v)
-			}
-		}
-		// Mixed vectors: consecutive lanes from different branches, so every
-		// blend mask occurs, with and without a lane the kernel hands back.
-		classes := []func() float64{
-			func() float64 { return rng.Float64() * 0.84375 },
-			func() float64 { return 0.84375 + rng.Float64()*(1.25-0.84375) },
-			func() float64 { return 1.25 + rng.Float64()*(1/0.35-1.25) },
-			func() float64 { return 1/0.35 + rng.Float64()*(6-1/0.35) },
-			func() float64 { return 6 + rng.Float64()*30 },
-			func() float64 { return rng.Float64() * 0x1p-28 },
-			math.NaN,
-		}
-		for i := 0; i < 1<<14; i++ {
-			c := classes[rng.Intn(len(classes)-rng.Intn(3))] // the last two are rarer
-			in = append(in, math.Copysign(c(), rng.NormFloat64()))
-		}
-		checkLanes(t, "erf", in, erfLanes, erfGo)
-		for _, scale := range []float64{0.05, 0.3, invSqrt2, 1, 2, 4, 1e-8} {
+		checkLanes(t, "erf", erfSweep(rng), erfLanes, erfGo)
+		for _, scale := range erfScales {
 			checkLanesRandom(t, fmt.Sprintf("erf scale %g", scale), laneRandomCount(),
 				func() float64 { return rng.NormFloat64() * scale }, erfLanes, erfGo)
 		}
 	})
+}
+
+// ulps is how many doubles lie between a and b (0 for equal bits, and for two
+// NaNs); -0 and +0 are one apart.
+func ulps(a, b float64) uint64 {
+	if math.IsNaN(a) && math.IsNaN(b) {
+		return 0
+	}
+	// Map the doubles onto the integers in their order.
+	key := func(v float64) int64 {
+		bits := int64(math.Float64bits(v))
+		if bits < 0 {
+			return math.MinInt64 - bits - 1
+		}
+		return bits
+	}
+	d := key(a) - key(b)
+	if d < 0 {
+		d = -d
+	}
+	return uint64(d)
+}
+
+// TestErfWithinAnUlpOfStdlib pins what fusing erf's Horner steps cost: over
+// the inputs the lane kernel is held to it on, the Go erf is within one ulp
+// of math.Erf. It says nothing about the kernel, whose test stays bit for
+// bit.
+func TestErfWithinAnUlpOfStdlib(t *testing.T) {
+	skipIfGoFuses(t)
+	rng := rand.New(rand.NewSource(60))
+	in := erfSweep(rng)
+	for _, scale := range erfScales {
+		for i := 0; i < laneRandomCount(); i++ {
+			in = append(in, rng.NormFloat64()*scale)
+		}
+	}
+	moved := 0
+	for _, v := range in {
+		got, want := erf(v), math.Erf(v)
+		if d := ulps(got, want); d > 1 {
+			t.Fatalf("erf(%v) = %v (%#x), math.Erf %v (%#x): %d ulps apart", v, got, math.Float64bits(got), want, math.Float64bits(want), d)
+		} else if d == 1 {
+			moved++
+		}
+	}
+	t.Logf("%d of %d results one ulp from math.Erf, the rest equal", moved, len(in))
 }
 
 // TestExpLanesMatchStdlib is the same property for the exp kernel against
@@ -292,9 +350,9 @@ func geluInput(rng *rand.Rand, n int, scale float64) *Matrix {
 // forward, the 1 + erf it keeps, and the backward.
 func geluScalar(want, wantKeep, wantGrad, x, g []float64) {
 	for i, v := range x {
-		wantKeep[i] = 1 + math.Erf(v*invSqrt2)
-		want[i] = 0.5 * v * (1 + math.Erf(v*invSqrt2))
-		cdf := 0.5 * (1 + math.Erf(v*invSqrt2))
+		wantKeep[i] = 1 + erf(v*invSqrt2)
+		want[i] = 0.5 * v * (1 + erf(v*invSqrt2))
+		cdf := 0.5 * (1 + erf(v*invSqrt2))
 		pdf := math.Exp(-0.5*v*v) / math.Sqrt(2*math.Pi)
 		wantGrad[i] = g[i] * (cdf + v*pdf)
 	}
