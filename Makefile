@@ -20,7 +20,7 @@ lint:
 	$(GO) run ./cmd/silofuse-vet .
 	$(GO) vet ./...
 	@! grep -rn '"encoding/gob"' --include='*.go' . || { echo "encoding/gob: frames (internal/silo/frame.go) and checkpoints (internal/nn/checkpoint.go) are the two formats this module speaks"; exit 1; }
-	@! grep -rnE '"net/http(/[a-z]+)?"' --include='*.go' . || { echo "net/http: a run is read from the files it leaves (-trace, -metrics, results/<run>/); nothing is served live"; exit 1; }
+	@! grep -rnE '"net/http(/[a-z]+)?"' --include='*.go' . || { echo "net/http: a run is read from the files it leaves (-trace, results/<run>/manifest.json, results/<run>/postmortem/); nothing is served live"; exit 1; }
 	@! grep -rn 'internal/obs/profile"' --include='*.go' . || { echo "internal/obs/profile: go tool pprof reads profiles; the in-repo decoder and phase profiler were deleted"; exit 1; }
 	@unformatted=$$(gofmt -l . | grep -v testdata); \
 	if [ -n "$$unformatted" ]; then \
@@ -93,11 +93,13 @@ race:
 # seeded with SaveState's stream, with whitening on and off, and with copies
 # under the retired E2E and VFL kind bytes: a refusal must wrap
 # nn.ErrCheckpoint and allocate no more than a valid stream does. All: never a panic, and whatever decodes must re-encode
-# to the bytes it was read from.
+# to the bytes it was read from. The checkpoint loader gets 20 s: replaying
+# its seeds for baseline coverage (each is loaded into two fits) takes about
+# 6 s before any mutation starts.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime 10s ./internal/silo/
 	$(GO) test -run '^$$' -fuzz FuzzCodecDecode -fuzztime 10s ./internal/silo/codec/
-	$(GO) test -run '^$$' -fuzz FuzzCheckpointLoad -fuzztime 10s ./internal/silo/
+	$(GO) test -run '^$$' -fuzz FuzzCheckpointLoad -fuzztime 20s ./internal/silo/
 
 # codec-smoke exercises the precision-tiered wire codecs end to end:
 #   1. an f32-codec + f32-compute run must complete and emit data (tolerance
@@ -141,7 +143,8 @@ codec-smoke:
 #      first drop with ErrPeerDead, exit non-zero, say on stdout that it
 #      injected drops, and leave parseable flight-recorder postmortems for
 #      every party;
-#   3. silofuse-obs must summarize the (possibly truncated) event stream.
+#   3. silofuse-obs must read both records back: the healthy run's phase
+#      rows from its manifest, and every party's cause from the postmortems.
 OBS_SMOKE_DIR ?= /tmp/silofuse_obs_smoke
 obs-smoke:
 	rm -rf $(OBS_SMOKE_DIR) && mkdir -p $(OBS_SMOKE_DIR)
@@ -156,7 +159,12 @@ obs-smoke:
 	test -s $(OBS_SMOKE_DIR)/results/crash/postmortem/c1.json
 	grep -q '"cause"' $(OBS_SMOKE_DIR)/results/crash/postmortem/c1.json
 	grep -q '"cause"' $(OBS_SMOKE_DIR)/results/crash/postmortem/coord.json
-	$(OBS_SMOKE_DIR)/silofuse-obs summary $(OBS_SMOKE_DIR)/results/fleet
+	$(OBS_SMOKE_DIR)/silofuse-obs summary $(OBS_SMOKE_DIR)/results/fleet > $(OBS_SMOKE_DIR)/fleet.summary
+	for phase in ae-train latent-ship diffusion-train synthesis; do \
+		grep -Eq "^$$phase " $(OBS_SMOKE_DIR)/fleet.summary || { echo "obs-smoke: no $$phase row"; cat $(OBS_SMOKE_DIR)/fleet.summary; exit 1; }; done
+	$(OBS_SMOKE_DIR)/silofuse-obs summary $(OBS_SMOKE_DIR)/results/crash > $(OBS_SMOKE_DIR)/crash.summary
+	for party in coord c0 c1; do \
+		grep -Eq "^$$party .* dead" $(OBS_SMOKE_DIR)/crash.summary || { echo "obs-smoke: no cause for $$party"; cat $(OBS_SMOKE_DIR)/crash.summary; exit 1; }; done
 
 # experiments-smoke runs the experiment cell engine end to end from the CLI.
 # Tables III, IV and VI on loan read 7 cells between them — Table VI scores
@@ -164,7 +172,7 @@ obs-smoke:
 #   1. results/cells/cells.jsonl with 26 lines: resemblance and utility of
 #      7 cells, the privacy composite and its three attacks of 3;
 #   2. a merged trace with one process lane per cell;
-#   3. a run directory silofuse-obs can summarize.
+#   3. a manifest whose phase table silofuse-obs prints.
 EXPERIMENTS_SMOKE_DIR ?= /tmp/silofuse_experiments_smoke
 experiments-smoke:
 	rm -rf $(EXPERIMENTS_SMOKE_DIR) && mkdir -p $(EXPERIMENTS_SMOKE_DIR)
@@ -173,7 +181,8 @@ experiments-smoke:
 	cd $(EXPERIMENTS_SMOKE_DIR) && ./silofuse-bench -exp table3,table4,table6 -datasets loan -rows 300 -scale fast -run cells -trace cells.json
 	test $$(wc -l < $(EXPERIMENTS_SMOKE_DIR)/results/cells/cells.jsonl) -eq 26
 	test $$(grep -o '"process_name"' $(EXPERIMENTS_SMOKE_DIR)/cells.json | wc -l) -eq 7
-	$(EXPERIMENTS_SMOKE_DIR)/silofuse-obs summary $(EXPERIMENTS_SMOKE_DIR)/results/cells
+	$(EXPERIMENTS_SMOKE_DIR)/silofuse-obs summary $(EXPERIMENTS_SMOKE_DIR)/results/cells > $(EXPERIMENTS_SMOKE_DIR)/cells.summary
+	grep -Eq '^(ae-train|diffusion-train|synthesis) ' $(EXPERIMENTS_SMOKE_DIR)/cells.summary || { cat $(EXPERIMENTS_SMOKE_DIR)/cells.summary; exit 1; }
 
 # bench-kernels runs the hot-path microbenchmarks (the axpy primitive as Go
 # loop vs AVX2; BenchmarkMatMulShapes — GFLOP/s of the products the fits and

@@ -41,8 +41,7 @@ func main() {
 	ganIters := flag.Int("gan-iters", 0, "override GAN iterations")
 	utilCols := flag.Int("util-cols", 0, "cap on utility target columns (0 = all)")
 	tracePath := flag.String("trace", "", "write a Chrome-trace JSON covering every model fitted, one lane per cell")
-	metricsFlag := flag.Bool("metrics", false, "print the metrics text exposition to stderr at the end")
-	runName := flag.String("run", "", "write results/<run>/manifest.json — the run's perf record: phases, step histograms, wire bytes by kind and codec — and cells.jsonl, every cell's scores, and stream results/<run>/events.jsonl")
+	runName := flag.String("run", "", "write results/<run>/manifest.json — the run's perf record: phases, step histograms, wire bytes by kind and codec — and cells.jsonl, every cell's scores")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU pprof profile covering the whole run to this path (read it with go tool pprof)")
 	memProfile := flag.String("memprofile", "", "write a heap pprof profile at the end of the run to this path")
 	wireCodec := flag.String("wire-codec", "", "wire codec framing dense tensor payloads: f64 (raw binary, lossless; the default), f32 (half the payload bytes), q8 (int8 quantization); fig10x sweeps all codecs regardless")
@@ -95,17 +94,9 @@ func main() {
 		exitOn(fmt.Errorf("unknown compute precision %q (want f64 or f32)", *computePrecision), 2)
 	}
 	var rec *silofuse.Recorder
-	if *tracePath != "" || *metricsFlag || *runName != "" {
+	if *tracePath != "" || *runName != "" {
 		rec = silofuse.NewRecorder()
 		cfg.Opts.Recorder = rec
-	}
-	var ew *silofuse.EventWriter // nil without -run: Emit is a no-op
-	if *runName != "" {
-		ew, err = silofuse.OpenEventLog(filepath.Join("results", *runName, "events.jsonl"))
-		exitOn(err, 1)
-		defer ew.Close()
-		rec.SetEvents(ew)
-		ew.Emit("run-start", map[string]any{"run": *runName, "exp": *exp, "scale": *scale, "seed": cfg.Seed})
 	}
 	// Every experiment that fits models reads its cells from one set: each
 	// projection is called once on the empty set to gather what it reads,
@@ -122,9 +113,7 @@ func main() {
 	if cells.Len() > 0 {
 		start := time.Now()
 		exitOn(cells.Run(), 1)
-		elapsed := time.Since(start)
-		fmt.Printf("[%d cells done in %s]\n", cells.Len(), elapsed.Round(time.Millisecond))
-		ew.Emit("experiment", map[string]any{"exp": "cells", "cells": cells.Len(), "dur_sec": elapsed.Seconds()})
+		fmt.Printf("[%d cells done in %s]\n", cells.Len(), time.Since(start).Round(time.Millisecond))
 	}
 	fmt.Println()
 	for _, e := range exps {
@@ -138,9 +127,7 @@ func main() {
 		if err != nil {
 			exitOn(fmt.Errorf("%s: %w", e.id, err), 1)
 		}
-		elapsed := time.Since(start)
-		fmt.Printf("\n[%s done in %s]\n\n", e.id, elapsed.Round(time.Millisecond))
-		ew.Emit("experiment", map[string]any{"exp": e.id, "dur_sec": elapsed.Seconds()})
+		fmt.Printf("\n[%s done in %s]\n\n", e.id, time.Since(start).Round(time.Millisecond))
 	}
 	if *cpuProfile != "" {
 		pprof.StopCPUProfile()
@@ -151,7 +138,7 @@ func main() {
 		exitOn(writeFile(*memProfile, func(w io.Writer) error { runtime.GC(); return pprof.WriteHeapProfile(w) }), 1)
 		fmt.Printf("wrote heap profile %s\n", *memProfile)
 	}
-	writeTelemetry(rec, cells, *tracePath, *metricsFlag, *runName, *exp, cfg.Seed)
+	writeTelemetry(rec, cells, *tracePath, *runName, *exp, cfg.Seed)
 }
 
 // exitOn prints a non-nil err and exits with code.
@@ -162,11 +149,11 @@ func exitOn(err error, code int) {
 	}
 }
 
-// writeTelemetry emits the optional trace file, metrics exposition and run
-// manifest once all experiments have finished. The trace merges rec's lane
-// with one lane per cell, in cell order; the manifest's phases are every
-// lane's; a -run also records the cells' scores in cells.jsonl.
-func writeTelemetry(rec *silofuse.Recorder, cells *experiments.Cells, tracePath string, metrics bool, runName, exp string, seed int64) {
+// writeTelemetry emits the optional trace file and run manifest once all
+// experiments have finished. The trace merges rec's lane with one lane per
+// cell, in cell order; the manifest's phases are every lane's; a -run also
+// records the cells' scores in cells.jsonl.
+func writeTelemetry(rec *silofuse.Recorder, cells *experiments.Cells, tracePath, runName, exp string, seed int64) {
 	if rec == nil {
 		return
 	}
@@ -179,9 +166,6 @@ func writeTelemetry(rec *silofuse.Recorder, cells *experiments.Cells, tracePath 
 		}
 		exitOn(writeFile(tracePath, func(w io.Writer) error { return silofuse.MergeChromeTraces(w, docs...) }), 1)
 		fmt.Printf("wrote trace %s\n", tracePath)
-	}
-	if metrics {
-		exitOn(rec.Reg.WriteText(os.Stderr), 1)
 	}
 	if runName != "" {
 		man := silofuse.NewRunManifest(runName, seed)

@@ -46,7 +46,6 @@ type config struct {
 	clients            int
 	rows, synth, iters int
 	tracePath          string
-	metrics            bool
 	runName            string
 	chaosProfile       string
 	chaosSeed          int64
@@ -62,8 +61,7 @@ func main() {
 	flag.IntVar(&c.synth, "synth", 100, "synthetic rows to generate")
 	flag.IntVar(&c.iters, "iters", 300, "training iterations per phase")
 	flag.StringVar(&c.tracePath, "trace", "", "write a merged Chrome-trace JSON (one process lane per party) to this path")
-	flag.BoolVar(&c.metrics, "metrics", false, "print the metrics text exposition to stderr after the run")
-	flag.StringVar(&c.runName, "run", "", "write results/<run>/manifest.json and stream results/<run>/events.jsonl")
+	flag.StringVar(&c.runName, "run", "", "write results/<run>/manifest.json, and results/<run>/postmortem/ if a transport failure ends the run")
 	flag.StringVar(&c.chaosProfile, "chaos-profile", "", "inject transport faults on top of the TCP links: corrupt, blackhole (empty disables)")
 	flag.Int64Var(&c.chaosSeed, "chaos-seed", 1, "seed of the deterministic fault schedule (with -chaos-profile)")
 	flag.StringVar(&c.wireCodec, "wire-codec", "f64", "precision tier framing tensor payloads on the wire: f64 (lossless), f32, q8")
@@ -88,7 +86,7 @@ func run(c config) error {
 	var coordRec *silofuse.Recorder
 	var clientRecs []*silofuse.Recorder
 	flights := map[string]*silofuse.FlightRecorder{}
-	telemetry := c.tracePath != "" || c.metrics || c.runName != ""
+	telemetry := c.tracePath != "" || c.runName != ""
 	if telemetry {
 		reg := silofuse.NewMetricsRegistry()
 		coordRec = silofuse.NewPartyRecorder(reg, 1, "coord")
@@ -102,23 +100,6 @@ func run(c config) error {
 			clientRecs[i].SetFlight(flights[name])
 		}
 	}
-	if c.runName != "" {
-		ew, err := silofuse.OpenEventLog(filepath.Join("results", c.runName, "events.jsonl"))
-		if err != nil {
-			return err
-		}
-		defer ew.Close()
-		// All parties stream into the same events.jsonl; the writer
-		// serialises concurrent emits.
-		coordRec.SetEvents(ew)
-		for _, r := range clientRecs {
-			r.SetEvents(ew)
-		}
-		ew.Emit("run-start", map[string]any{
-			"run": c.runName, "dataset": c.dataset, "clients": c.clients, "rows": c.rows,
-		})
-	}
-
 	hub, err := silofuse.NewTCPHub("coord", "127.0.0.1:0")
 	if err != nil {
 		return err
@@ -267,8 +248,8 @@ func dumpCrash(c config, flights map[string]*silofuse.FlightRecorder, err error)
 	return err
 }
 
-// writeTelemetry emits the merged trace, metrics exposition and run manifest
-// once the protocol has finished.
+// writeTelemetry emits the merged trace and run manifest once the protocol
+// has finished.
 func writeTelemetry(c config, hub *silofuse.TCPHub, peers map[string]*silofuse.TCPPeer,
 	coordRec *silofuse.Recorder, clientRecs []*silofuse.Recorder, resemblance float64) error {
 	if coordRec == nil {
@@ -299,11 +280,6 @@ func writeTelemetry(c config, hub *silofuse.TCPHub, peers map[string]*silofuse.T
 		}
 		fmt.Printf("wrote merged trace %s (%d process lanes)\n", c.tracePath, 1+len(clientRecs))
 	}
-	if c.metrics {
-		if err := coordRec.Reg.WriteText(os.Stderr); err != nil {
-			return err
-		}
-	}
 	if c.runName != "" {
 		man := silofuse.NewRunManifest(c.runName, 1)
 		man.Config["dataset"] = c.dataset
@@ -326,7 +302,6 @@ func writeTelemetry(c config, hub *silofuse.TCPHub, peers map[string]*silofuse.T
 			return err
 		}
 		fmt.Printf("wrote manifest %s\n", filepath.Join(dir, "manifest.json"))
-		coordRec.Events.Emit("run-end", map[string]any{"run": c.runName, "resemblance": resemblance})
 	}
 	return nil
 }

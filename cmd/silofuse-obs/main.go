@@ -1,16 +1,19 @@
-// Command silofuse-obs analyzes run telemetry offline: it summarizes a run
-// directory's event stream into a per-phase table.
+// Command silofuse-obs reads the records a run leaves in results/<run>/:
+// the manifest of a finished run and the flight-recorder postmortems of a
+// failed one.
 //
 // Usage:
 //
-//	silofuse-obs summary <run-dir|events.jsonl>
+//	silofuse-obs summary <run-dir>
 //
-// Event logs may be crash-truncated: a partial trailing line is skipped,
-// all prior lines parse.
+// summary prints the manifest's phase table (with each phase's loss) and its
+// wire bytes by message kind, then, for each postmortem, the party, the
+// error that ended its run and the last span it finished.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -48,17 +51,8 @@ func main() {
 
 func usage() {
 	fmt.Fprintf(os.Stderr, `usage:
-  silofuse-obs summary <run-dir|events.jsonl>
+  silofuse-obs summary <run-dir>
 `)
-}
-
-// eventsPath resolves a run-dir-or-file argument to its events file.
-func eventsPath(arg string) string {
-	st, err := os.Stat(arg)
-	if err == nil && st.IsDir() {
-		return filepath.Join(arg, "events.jsonl")
-	}
-	return arg
 }
 
 func runSummary(w io.Writer, args []string) error {
@@ -67,131 +61,94 @@ func runSummary(w io.Writer, args []string) error {
 		return err
 	}
 	if fs.NArg() != 1 {
-		return fmt.Errorf("summary wants one run directory or events.jsonl")
+		return fmt.Errorf("summary wants one run directory")
 	}
-	path := eventsPath(fs.Arg(0))
-	events, err := obs.ReadEventsFile(path)
+	dir := fs.Arg(0)
+	if st, err := os.Stat(dir); err != nil {
+		return err
+	} else if !st.IsDir() {
+		return fmt.Errorf("%s is not a run directory", dir)
+	}
+	found, err := summarizeManifest(w, dir)
 	if err != nil {
-		// A run dir without an event stream (crashed before the first
-		// flush) still has artifacts worth reporting; degrade instead of
-		// erroring.
-		if st, serr := os.Stat(fs.Arg(0)); serr == nil && st.IsDir() && os.IsNotExist(err) {
-			return summarizeArtifacts(w, fs.Arg(0))
-		}
 		return err
 	}
-	type phase struct {
-		name        string
-		start, dur  float64
-		loss        float64
-		hasLoss     bool
-		bytesByKind map[string]float64
+	dumps, err := filepath.Glob(filepath.Join(dir, "postmortem", "*.json"))
+	if err != nil {
+		return err
 	}
-	var phases []phase
-	trainSteps := make(map[string]int)
-	counts := make(map[string]int)
-	for _, ev := range events {
-		typ, _ := ev["type"].(string)
-		counts[typ]++
-		switch typ {
-		case "phase":
-			p := phase{}
-			p.name, _ = ev["name"].(string)
-			p.start, _ = ev["start_sec"].(float64)
-			p.dur, _ = ev["dur_sec"].(float64)
-			if attrs, ok := ev["attrs"].(map[string]any); ok {
-				if l, ok := attrs["loss"].(float64); ok {
-					p.loss, p.hasLoss = l, true
-				}
-			}
-			if byKind, ok := ev["bus_bytes_by_kind"].(map[string]any); ok {
-				p.bytesByKind = make(map[string]float64, len(byKind))
-				for k, v := range byKind {
-					if f, ok := v.(float64); ok {
-						p.bytesByKind[k] = f
-					}
-				}
-			}
-			phases = append(phases, p)
-		case "train":
-			if stage, ok := ev["stage"].(string); ok {
-				trainSteps[stage]++
-			}
+	if len(dumps) > 0 {
+		if err := summarizePostmortems(w, dumps); err != nil {
+			return err
 		}
 	}
-	fmt.Fprintf(w, "%s: %d events\n", path, len(events))
-	types := make([]string, 0, len(counts))
-	for t := range counts {
-		types = append(types, t)
-	}
-	sort.Strings(types)
-	for _, t := range types {
-		fmt.Fprintf(w, "  %-8s %d\n", t, counts[t])
-	}
-	if len(phases) == 0 {
-		fmt.Fprintln(w, "no phase events")
-		return nil
-	}
-	fmt.Fprintf(w, "\n%-16s  %9s  %9s  %12s  %s\n", "PHASE", "START(s)", "DUR(s)", "LOSS", "WIRE BYTES (cumulative)")
-	for _, p := range phases {
-		loss := "--"
-		if p.hasLoss {
-			loss = fmt.Sprintf("%.6g", p.loss)
-		}
-		var wire string
-		if len(p.bytesByKind) > 0 {
-			kinds := make([]string, 0, len(p.bytesByKind))
-			total := 0.0
-			for k, v := range p.bytesByKind {
-				kinds = append(kinds, k)
-				total += v
-			}
-			sort.Strings(kinds)
-			parts := make([]string, 0, len(kinds))
-			for _, k := range kinds {
-				parts = append(parts, fmt.Sprintf("%s=%.0f", k, p.bytesByKind[k]))
-			}
-			wire = fmt.Sprintf("%.0f (%s)", total, strings.Join(parts, " "))
-		}
-		fmt.Fprintf(w, "%-16s  %9.3f  %9.3f  %12s  %s\n", p.name, p.start, p.dur, loss, wire)
+	if !found && len(dumps) == 0 {
+		fmt.Fprintf(w, "%s: no manifest.json and no postmortem/; nothing to summarize\n", dir)
 	}
 	return nil
 }
 
-// summarizeArtifacts reports what a run directory holds when its
-// events.jsonl is absent: the manifest and postmortem dumps.
-func summarizeArtifacts(w io.Writer, dir string) error {
-	fmt.Fprintf(w, "%s: no events.jsonl; reporting available artifacts\n", dir)
-	found := false
+// summarizeManifest prints dir/manifest.json's phase table and wire bytes
+// by kind, and reports whether the manifest exists.
+func summarizeManifest(w io.Writer, dir string) (bool, error) {
+	path := filepath.Join(dir, "manifest.json")
+	data, err := os.ReadFile(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return false, nil
+	}
+	if err != nil {
+		return false, err
+	}
+	var man experiments.Manifest
+	if err := json.Unmarshal(data, &man); err != nil {
+		return false, fmt.Errorf("%s: %w", path, err)
+	}
+	fmt.Fprintf(w, "%s: run %q, seed %d, created %s\n", path, man.Run, man.Seed, man.CreatedAt.Format("2006-01-02 15:04:05"))
+	fmt.Fprintf(w, "%-16s  %9s  %9s  %12s\n", "PHASE", "START(s)", "DUR(s)", "LOSS")
+	for _, ph := range man.Phases {
+		loss := "--"
+		if l, ok := ph.Attrs["loss"].(float64); ok {
+			loss = fmt.Sprintf("%.6g", l)
+		}
+		fmt.Fprintf(w, "%-16s  %9.3f  %9.3f  %12s\n", ph.Name, ph.StartSec, ph.DurSec, loss)
+	}
+	kinds := make([]string, 0, len(man.WireBytesByKind))
+	var total int64
+	for k, v := range man.WireBytesByKind {
+		kinds = append(kinds, k)
+		total += v
+	}
+	sort.Strings(kinds)
+	parts := make([]string, len(kinds))
+	for i, k := range kinds {
+		parts[i] = fmt.Sprintf("%s=%d", k, man.WireBytesByKind[k])
+	}
+	fmt.Fprintf(w, "wire bytes: %d (%s)\n", total, strings.Join(parts, " "))
+	return true, nil
+}
 
-	manPath := filepath.Join(dir, "manifest.json")
-	if data, err := os.ReadFile(manPath); err == nil {
-		found = true
-		var man experiments.Manifest
-		if jerr := json.Unmarshal(data, &man); jerr != nil {
-			fmt.Fprintf(w, "\nmanifest.json: unparseable (%v)\n", jerr)
-		} else {
-			fmt.Fprintf(w, "\nmanifest.json: run %q, seed %d, created %s\n", man.Run, man.Seed, man.CreatedAt.Format("2006-01-02 15:04:05"))
-			if len(man.Phases) > 0 {
-				fmt.Fprintf(w, "%-16s  %9s  %9s\n", "PHASE", "START(s)", "DUR(s)")
-				for _, ph := range man.Phases {
-					fmt.Fprintf(w, "%-16s  %9.3f  %9.3f\n", ph.Name, ph.StartSec, ph.DurSec)
-				}
+// summarizePostmortems prints one row per dump: the party, the cause that
+// ended its run and the last span its flight recorder noted, which says the
+// phase it finished before the failure.
+func summarizePostmortems(w io.Writer, dumps []string) error {
+	sort.Strings(dumps)
+	fmt.Fprintf(w, "\npostmortems: %d\n%-8s  %-16s  %s\n", len(dumps), "PARTY", "LAST SPAN", "CAUSE")
+	for _, path := range dumps {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		var d obs.PostmortemDump
+		if err := json.Unmarshal(data, &d); err != nil {
+			return fmt.Errorf("%s: %w", path, err)
+		}
+		span := "--"
+		for _, e := range d.Entries {
+			if e.Op == "span" {
+				span = e.Name
 			}
 		}
-	}
-
-	if dumps, err := filepath.Glob(filepath.Join(dir, "postmortem", "*.json")); err == nil && len(dumps) > 0 {
-		found = true
-		sort.Strings(dumps)
-		fmt.Fprintf(w, "\npostmortem dumps: %d\n", len(dumps))
-		for _, d := range dumps {
-			fmt.Fprintf(w, "  %s\n", filepath.Base(d))
-		}
-	}
-
-	if !found {
-		fmt.Fprintln(w, "no manifest or postmortems either — empty run directory")
+		fmt.Fprintf(w, "%-8s  %-16s  %s\n", d.Party, span, d.Cause)
 	}
 	return nil
 }

@@ -9,52 +9,45 @@ import (
 )
 
 // TestRunSummary pins what a run directory yields in the states a run can
-// leave it in: a complete event stream, a stream a crash cut mid-line (all
-// whole lines still count), and no stream at all (the manifest and the
-// postmortems are reported instead of an error).
+// leave it in: a manifest (a finished run), postmortems without a manifest
+// (a run a transport failure ended), and nothing at all.
 func TestRunSummary(t *testing.T) {
 	const (
-		events = `{"type":"run-start","run":"x"}` + "\n" +
-			`{"type":"train","stage":"ae","step":50}` + "\n" +
-			`{"type":"phase","name":"ae-train","start_sec":0,"dur_sec":1.5,"attrs":{"loss":0.25},"bus_bytes_by_kind":{"latents":2048}}` + "\n"
-		manifest = `{"run":"x","seed":7,"phases":[{"name":"ae-train","start_sec":0,"dur_sec":1.5}]}`
+		manifest = `{"run":"x","seed":7,"phases":[` +
+			`{"name":"ae-train","start_sec":0,"dur_sec":1.5,"attrs":{"loss":0.25}},` +
+			`{"name":"latent-ship","start_sec":1.5,"dur_sec":0.1}],` +
+			`"wire_bytes_by_kind":{"latents":2048,"synth-req":16}}`
+		c1 = `{"party":"c1","cause":"silo: peer dead","entries":[` +
+			`{"seq":0,"op":"span","name":"ae-train"},{"seq":1,"op":"send","name":"latents"}]}`
+		coord = `{"party":"coord","cause":"silo: peer dead","entries":[{"seq":0,"op":"train","name":"ae"}]}`
 	)
 	for _, tc := range []struct {
-		name    string
-		files   map[string]string // path under the run dir -> content
-		want    []string          // substrings of the report
-		wantNot []string
+		name  string
+		files map[string]string // path under the run dir -> content
+		want  []string          // lines of the report, spaces collapsed
 	}{
 		{
-			name:  "whole stream",
-			files: map[string]string{"events.jsonl": events},
-			want:  []string{"3 events", "phase    1", "train    1", "ae-train", "0.25", "2048 (latents=2048)"},
-		},
-		{
-			name:  "crash-truncated stream parses up to the last whole line",
-			files: map[string]string{"events.jsonl": events + `{"type":"phase","name":"diffusion-tr`},
-			want:  []string{"3 events", "ae-train"},
-			// the fragment is dropped, not reported
-			wantNot: []string{"diffusion-tr"},
-		},
-		{
-			name:  "stream without phases",
-			files: map[string]string{"events.jsonl": `{"type":"run-start"}` + "\n"},
-			want:  []string{"1 events", "no phase events"},
-		},
-		{
-			name: "manifest and postmortems but no stream",
-			files: map[string]string{
-				"manifest.json":         manifest,
-				"postmortem/c1.json":    `{"cause":"peer dead"}`,
-				"postmortem/coord.json": `{"cause":"peer dead"}`,
+			name:  "manifest",
+			files: map[string]string{"manifest.json": manifest},
+			want: []string{
+				"ae-train 0.000 1.500 0.25",
+				"latent-ship 1.500 0.100 --",
+				"wire bytes: 2064 (latents=2048 synth-req=16)",
 			},
-			want: []string{"no events.jsonl", `run "x", seed 7`, "ae-train", "postmortem dumps: 2", "c1.json", "coord.json"},
+		},
+		{
+			name:  "postmortems without a manifest",
+			files: map[string]string{"postmortem/c1.json": c1, "postmortem/coord.json": coord},
+			want: []string{
+				"postmortems: 2",
+				"c1 ae-train silo: peer dead",
+				"coord -- silo: peer dead",
+			},
 		},
 		{
 			name:  "empty run directory",
 			files: map[string]string{},
-			want:  []string{"no events.jsonl", "empty run directory"},
+			want:  []string{"nothing to summarize"},
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -72,21 +65,22 @@ func TestRunSummary(t *testing.T) {
 			if err := runSummary(&out, []string{dir}); err != nil {
 				t.Fatal(err)
 			}
-			for _, w := range tc.want {
-				if !strings.Contains(out.String(), w) {
-					t.Errorf("report lacks %q:\n%s", w, out.String())
-				}
+			var lines []string
+			for _, l := range strings.Split(out.String(), "\n") {
+				lines = append(lines, strings.Join(strings.Fields(l), " "))
 			}
-			for _, w := range tc.wantNot {
-				if strings.Contains(out.String(), w) {
-					t.Errorf("report contains %q:\n%s", w, out.String())
+			report := strings.Join(lines, "\n")
+			for _, w := range tc.want {
+				if !strings.Contains(report, w) {
+					t.Errorf("report lacks %q:\n%s", w, out.String())
 				}
 			}
 		})
 	}
 
-	// A missing file named directly is an error; only a directory degrades.
-	if err := runSummary(new(bytes.Buffer), []string{filepath.Join(t.TempDir(), "nosuch.jsonl")}); err == nil {
-		t.Error("summary of a missing events file succeeded")
+	// A path that is not a run directory is an error.
+	missing := filepath.Join(t.TempDir(), "nosuch")
+	if err := runSummary(new(bytes.Buffer), []string{missing}); err == nil {
+		t.Error("summary of a missing run directory succeeded")
 	}
 }

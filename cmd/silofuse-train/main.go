@@ -8,11 +8,10 @@
 //	silofuse-train -dataset loan -model silofuse -rows 1000 -out synth.csv
 //	silofuse-train -dataset adult -model tabddpm -out synth.csv
 //	silofuse-train -dataset loan -partitioned -out synth  # synth.c0.csv ...
-//	silofuse-train -dataset loan -trace trace.json -metrics -run demo
+//	silofuse-train -dataset loan -trace trace.json -run demo
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -33,7 +32,6 @@ type config struct {
 	saveModel          string
 	loadModel          string
 	tracePath          string
-	metrics            bool
 	runName            string
 	wireCodec          string
 	computePrecision   string
@@ -54,8 +52,7 @@ func main() {
 	flag.StringVar(&c.saveModel, "save", "", "persist the trained model state to this path (silofuse only)")
 	flag.StringVar(&c.loadModel, "load", "", "restore model state from this path instead of training (silofuse only)")
 	flag.StringVar(&c.tracePath, "trace", "", "write a Chrome-trace JSON of the run to this path")
-	flag.BoolVar(&c.metrics, "metrics", false, "print the metrics text exposition to stderr after the run")
-	flag.StringVar(&c.runName, "run", "", "write results/<run>/manifest.json with config, phases and wire stats, and stream results/<run>/events.jsonl")
+	flag.StringVar(&c.runName, "run", "", "write results/<run>/manifest.json with config, phases, metrics and wire stats")
 	flag.StringVar(&c.wireCodec, "wire-codec", "f64", "precision tier framing tensor payloads on the wire: f64 (lossless, default), f32, q8")
 	flag.StringVar(&c.computePrecision, "compute-precision", "f64", "kernel precision for sampling and decode (training is always f64): f64 or f32")
 	flag.Parse()
@@ -103,24 +100,9 @@ func run(c config) error {
 	opts.WireCodec = c.wireCodec
 	opts.ComputePrecision = c.computePrecision
 	var rec *silofuse.Recorder
-	if c.tracePath != "" || c.metrics || c.runName != "" {
+	if c.tracePath != "" || c.runName != "" {
 		rec = silofuse.NewRecorder()
-		// The flight recorder keeps the last operations in a fixed ring; on a
-		// typed transport failure the tail is dumped as a postmortem.
-		rec.SetFlight(silofuse.NewFlightRecorder(0))
 		opts.Recorder = rec
-	}
-	if c.runName != "" {
-		ew, err := silofuse.OpenEventLog(filepath.Join("results", c.runName, "events.jsonl"))
-		if err != nil {
-			return err
-		}
-		defer ew.Close()
-		rec.SetEvents(ew)
-		ew.Emit("run-start", map[string]any{
-			"run": c.runName, "dataset": c.dataset, "model": c.model,
-			"clients": c.clients, "seed": c.seed,
-		})
 	}
 	m, err := silofuse.NewSynthesizer(c.model, opts)
 	if err != nil {
@@ -143,7 +125,7 @@ func run(c config) error {
 	} else {
 		fmt.Printf("training %s on %s (%d rows, %d columns)...\n", m.Name(), c.dataset, train.Rows(), train.Schema.NumColumns())
 		if err := m.Fit(train); err != nil {
-			return dumpCrash(c, rec, err)
+			return err
 		}
 	}
 	if c.saveModel != "" {
@@ -165,7 +147,7 @@ func run(c config) error {
 		}
 		parts, err := sf.SamplePartitioned(c.rows)
 		if err != nil {
-			return dumpCrash(c, rec, err)
+			return err
 		}
 		for i, p := range parts {
 			path := fmt.Sprintf("%s.c%d.csv", c.out, i)
@@ -179,7 +161,7 @@ func run(c config) error {
 
 	synth, err := m.Sample(c.rows)
 	if err != nil {
-		return dumpCrash(c, rec, err)
+		return err
 	}
 	if err := writeCSV(c.out, synth); err != nil {
 		return err
@@ -193,26 +175,8 @@ func run(c config) error {
 	return writeTelemetry(c, m, rec, final)
 }
 
-// dumpCrash writes the flight-recorder tail to
-// results/<run>/postmortem/local.json when a typed transport failure (a
-// dead peer, a corrupt payload) ends the run, then returns the original
-// error.
-func dumpCrash(c config, rec *silofuse.Recorder, err error) error {
-	if rec == nil || c.runName == "" ||
-		!(errors.Is(err, silofuse.ErrPeerDead) || errors.Is(err, silofuse.ErrCorruptPayload)) {
-		return err
-	}
-	path, derr := silofuse.DumpPostmortem(filepath.Join("results", c.runName), "local", rec.Flight, err)
-	if derr != nil {
-		fmt.Fprintln(os.Stderr, derr)
-	} else {
-		fmt.Printf("wrote postmortem %s\n", path)
-	}
-	return err
-}
-
-// writeTelemetry emits the optional trace file, metrics exposition and run
-// manifest once the run has finished.
+// writeTelemetry emits the optional trace file and run manifest once the
+// run has finished.
 func writeTelemetry(c config, m silofuse.Synthesizer, rec *silofuse.Recorder, final map[string]float64) error {
 	if rec == nil {
 		return nil
@@ -230,11 +194,6 @@ func writeTelemetry(c config, m silofuse.Synthesizer, rec *silofuse.Recorder, fi
 			return err
 		}
 		fmt.Printf("wrote trace %s\n", c.tracePath)
-	}
-	if c.metrics {
-		if err := rec.Reg.WriteText(os.Stderr); err != nil {
-			return err
-		}
 	}
 	if c.runName != "" {
 		man := silofuse.NewRunManifest(c.runName, c.seed)
@@ -260,13 +219,6 @@ func writeTelemetry(c config, m silofuse.Synthesizer, rec *silofuse.Recorder, fi
 			return err
 		}
 		fmt.Printf("wrote manifest %s\n", filepath.Join(dir, "manifest.json"))
-	}
-	if rec.Events != nil {
-		fields := map[string]any{"run": c.runName}
-		for k, v := range final {
-			fields[k] = v
-		}
-		rec.Events.Emit("run-end", fields)
 	}
 	return nil
 }

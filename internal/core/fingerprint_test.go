@@ -49,7 +49,9 @@ import (
 // 72d9f39046383eb4 → e35c7f3f1884b2a1, 115,638 → 115,628 B. E2EDistr's loss
 // bits and per-kind bytes did not move: its messages go as float32, which
 // rounds the last-bit differences away, and its loss differs from the old
-// one at some iterations but not at the 10th and 20th.
+// one at some iterations but not at the 10th and 20th. Its weights did move
+// (e2eWeightDigest at 10 / 20 iterations 39d636511572b9fb / 992cb1ab9ff3d2b7
+// before, the values below after), so that digest is pinned beside them.
 func TestFitFingerprintOracle(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("hashes were recorded on amd64; a compiler that fuses multiply-adds rounds differently")
@@ -109,12 +111,13 @@ func TestFitFingerprintOracle(t *testing.T) {
 	}
 	const densePerKindPerIter = 14444 // 128 × 14 values as dense f64 frames with four 27-byte headers
 	for _, c := range []struct {
-		iters    int
-		wantLoss uint64
-		wantSent map[silo.Kind]int64
+		iters      int
+		wantLoss   uint64
+		wantDigest uint64
+		wantSent   map[silo.Kind]int64
 	}{
-		{10, 0x4018542aed95c8f0, map[silo.Kind]int64{silo.KindActivation: 49803, silo.KindDenoised: 61905, silo.KindGradUp: 61679, silo.KindGradDown: 61688}},
-		{20, 0x40185a9ac377739c, map[silo.Kind]int64{silo.KindActivation: 100036, silo.KindDenoised: 123802, silo.KindGradUp: 123401, silo.KindGradDown: 123422}},
+		{10, 0x4018542aed95c8f0, 0x7ba59efaa95896c9, map[silo.Kind]int64{silo.KindActivation: 49803, silo.KindDenoised: 61905, silo.KindGradUp: 61679, silo.KindGradDown: 61688}},
+		{20, 0x40185a9ac377739c, 0x4e4e1a27c0470957, map[silo.Kind]int64{silo.KindActivation: 100036, silo.KindDenoised: 123802, silo.KindGradUp: 123401, silo.KindGradDown: 123422}},
 	} {
 		o := FastOptions()
 		o.Seed, o.AEIters, o.DiffIters, o.WireCodec = 1, c.iters/2, c.iters/2, "f32"
@@ -125,6 +128,9 @@ func TestFitFingerprintOracle(t *testing.T) {
 		}
 		if got := math.Float64bits(o.Recorder.Reg.Gauge("e2e_loss").Value()); got != c.wantLoss {
 			t.Errorf("e2edistr/f32, %d iterations: last loss bits %016x, oracle %016x", c.iters, got, c.wantLoss)
+		}
+		if got := e2eWeightDigest(m.pipe); got != c.wantDigest {
+			t.Errorf("e2edistr/f32, %d iterations: weight digest %016x, oracle %016x", c.iters, got, c.wantDigest)
 		}
 		st, rep := m.CommStats(), m.WireReport()
 		var total int64
@@ -170,5 +176,23 @@ func weightDigest(p *silo.Pipeline) uint64 {
 	mean, std := p.Coord.LatentScaler()
 	hashFloats(h, mean)
 	hashFloats(h, std)
+	return h.Sum64()
+}
+
+// e2eWeightDigest hashes what an E2EDistr fit learned: the joint backbone's
+// parameters, then each client's autoencoder's, in Params() order. The loss
+// bits and byte counts cannot see a last-bit change to the parties' f64
+// arithmetic, because the f32 wire codec rounds it away between them; the
+// weights keep it.
+func e2eWeightDigest(p *silo.E2EPipeline) uint64 {
+	h := fnv.New64a()
+	for _, q := range p.Net.Params() {
+		hashFloats(h, q.Value.Data)
+	}
+	for _, c := range p.Clients {
+		for _, q := range c.AE.Params() {
+			hashFloats(h, q.Value.Data)
+		}
+	}
 	return h.Sum64()
 }

@@ -131,7 +131,7 @@ func (s *Cells) stat(spec datagen.Spec, model string, v variant, metric string) 
 // Run fits, samples and scores every cell not yet scored, each once, on
 // runtime.GOMAXPROCS(0) workers, preparing each dataset once. With
 // Config.Opts.Recorder set, every cell records on a recorder of its own over
-// that recorder's registry and event log (Recorders), so two concurrent fits
+// that recorder's registry (Recorders), so two concurrent fits
 // never share a span stack. Its error joins the failed cells', in cell order;
 // after a cell fails, workers take no new cells.
 func (s *Cells) Run() error {
@@ -150,7 +150,6 @@ func (s *Cells) Run() error {
 	if rec := s.cfg.Opts.Recorder; rec != nil {
 		for _, cl := range todo {
 			cl.rec = obs.NewPartyRecorder(rec.Reg, 2+len(s.recs), cl.String()) // lane 1 is rec's
-			cl.rec.SetEvents(rec.Events)
 			s.recs = append(s.recs, cl.rec)
 		}
 	}

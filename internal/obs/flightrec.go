@@ -11,11 +11,11 @@ import (
 )
 
 // FlightRecorder is a fixed-capacity, allocation-bounded ring buffer of
-// recent telemetry operations — train events, span ends, bus
-// send/recv traffic. It exists for the moment a run dies: when a typed
-// transport error ends the run, the last flightCapDefault operations of
-// every party are dumped to results/<run>/postmortem/<party>.json, turning
-// "the run crashed" into a readable tail of what each process was doing.
+// recent telemetry operations — train steps, span ends, bus sends. It
+// exists for the moment a run dies: when a typed transport error ends the
+// run, the last flightCapDefault operations of every party are dumped to
+// results/<run>/postmortem/<party>.json, turning "the run crashed" into a
+// readable tail of what each process was doing.
 //
 // The ring is preallocated at construction; Note overwrites the oldest slot
 // in place, so steady-state recording allocates nothing and costs one mutex
@@ -31,9 +31,9 @@ type FlightRecorder struct {
 }
 
 // FlightEntry is one recorded operation. Op names the operation ("train",
-// "span", "send", "recv", "corrupt", "peer-down", "event", ...);
-// Name and Peer carry its labels (message kind, span name, peer id); Value
-// carries its number (bytes, seconds, loss).
+// "span", "send", "corrupt", "peer-down"); Name and Peer carry its labels
+// (message kind, span name, peer id); Value carries its number (bytes,
+// seconds, loss).
 type FlightEntry struct {
 	Seq   uint64  `json:"seq"`
 	TSec  float64 `json:"t_sec"`

@@ -10,10 +10,7 @@
 package obs
 
 import (
-	"fmt"
-	"io"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -23,23 +20,17 @@ type Counter struct {
 	v atomic.Int64
 }
 
-// Add increments the counter by n and returns the new count, so a caller
-// that acts on the value sees its own increment and no one else's. A nil
-// counter (from a nil registry) is a no-op returning 0.
-func (c *Counter) Add(n int64) int64 {
+// Add increments the counter by n. A nil counter (from a nil registry) is a
+// no-op.
+func (c *Counter) Add(n int64) {
 	if c == nil {
-		return 0
+		return
 	}
-	return c.v.Add(n)
+	c.v.Add(n)
 }
 
-// Inc increments the counter by one and returns the new count.
-func (c *Counter) Inc() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Add(1)
-}
+// Inc increments the counter by one.
+func (c *Counter) Inc() { c.Add(1) }
 
 // Value returns the current count (0 on a nil counter).
 func (c *Counter) Value() int64 {
@@ -167,37 +158,4 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms[name] = h.Stats()
 	}
 	return s
-}
-
-// WriteText writes every metric in a Prometheus-flavoured line format,
-// sorted by metric name: counters and gauges as `name value`, histograms as
-// `name_count`, `name_sum` and `name{quantile="..."}` lines.
-func (r *Registry) WriteText(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
-	s := r.Snapshot()
-	var lines []string
-	for name, v := range s.Counters {
-		lines = append(lines, fmt.Sprintf("%s %d", name, v))
-	}
-	for name, v := range s.Gauges {
-		lines = append(lines, fmt.Sprintf("%s %g", name, v))
-	}
-	for name, h := range s.Histograms {
-		lines = append(lines,
-			fmt.Sprintf("%s_count %d", name, h.Count),
-			fmt.Sprintf("%s_sum %g", name, h.Sum),
-			fmt.Sprintf("%s{quantile=\"0.5\"} %g", name, h.P50),
-			fmt.Sprintf("%s{quantile=\"0.95\"} %g", name, h.P95),
-			fmt.Sprintf("%s{quantile=\"0.99\"} %g", name, h.P99),
-		)
-	}
-	sort.Strings(lines)
-	for _, l := range lines {
-		if _, err := fmt.Fprintln(w, l); err != nil {
-			return err
-		}
-	}
-	return nil
 }

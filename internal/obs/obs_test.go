@@ -8,7 +8,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -161,36 +160,6 @@ func TestQuantileEdgeCases(t *testing.T) {
 	}
 }
 
-func TestWriteTextFormat(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("ae_steps_total").Add(3)
-	r.Gauge("ae_loss").Set(1.25)
-	r.Histogram("ae_step_seconds").Observe(0.5)
-	var buf bytes.Buffer
-	if err := r.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"ae_steps_total 3",
-		"ae_loss 1.25",
-		"ae_step_seconds_count 1",
-		"ae_step_seconds_sum 0.5",
-		`ae_step_seconds{quantile="0.5"} 0.5`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("text exposition missing %q:\n%s", want, out)
-		}
-	}
-	// Lines are sorted.
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	for i := 1; i < len(lines); i++ {
-		if lines[i] < lines[i-1] {
-			t.Fatalf("lines not sorted: %q after %q", lines[i], lines[i-1])
-		}
-	}
-}
-
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("bus_bytes_total_latents").Add(1024)
@@ -337,7 +306,7 @@ func TestNilReceiversAreNoOps(t *testing.T) {
 	for _, h := range []any{
 		(*Recorder)(nil), (*Tracer)(nil), (*Span)(nil), (*Registry)(nil),
 		(*Counter)(nil), (*Gauge)(nil), (*Histogram)(nil),
-		(*EventWriter)(nil), (*FlightRecorder)(nil),
+		(*FlightRecorder)(nil),
 	} {
 		v := reflect.ValueOf(h)
 		for i := 0; i < v.NumMethod(); i++ {
@@ -380,5 +349,34 @@ func TestRecorderMetrics(t *testing.T) {
 	}
 	if h := s.Histograms["ae_step_seconds"]; h.Count != 2 || h.Sum < 0.003 {
 		t.Fatalf("step histogram = %+v", h)
+	}
+}
+
+// TestTrainEventsConcurrentClients: the AE phase steps every client's
+// autoencoder on its own goroutine against one recorder and one stage, so
+// no step or row may be lost (run under -race by make race).
+func TestTrainEventsConcurrentClients(t *testing.T) {
+	const goroutines, steps = 8, 5000
+	r := NewRecorder()
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < steps; i++ {
+				r.TrainStep("ae", 1.0, 32, time.Microsecond)
+			}
+		}()
+	}
+	wg.Wait()
+	s := r.Snapshot()
+	if n := s.Counters["ae_steps_total"]; n != goroutines*steps {
+		t.Fatalf("ae_steps_total = %d after %d concurrent steps", n, goroutines*steps)
+	}
+	if n := s.Counters["ae_rows_total"]; n != 32*goroutines*steps {
+		t.Fatalf("ae_rows_total = %d, want %d", n, 32*goroutines*steps)
+	}
+	if h := s.Histograms["ae_step_seconds"]; h.Count != goroutines*steps {
+		t.Fatalf("step histogram count = %d, want %d", h.Count, goroutines*steps)
 	}
 }

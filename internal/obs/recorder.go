@@ -1,13 +1,9 @@
 package obs
 
 import (
-	"strings"
 	"sync/atomic"
 	"time"
 )
-
-// trainEventEvery is the per-stage step interval between "train" events.
-const trainEventEvery = 50
 
 // Recorder bundles a metrics registry and a tracer into the single
 // telemetry sink that instrumented code holds. A nil *Recorder is the
@@ -24,11 +20,6 @@ const trainEventEvery = 50
 type Recorder struct {
 	Reg   *Registry
 	Trace *Tracer
-	// Events, when non-nil, receives streaming run records: one "train"
-	// event every trainEventEvery optimisation steps per stage, and one
-	// "phase" event per finished trace span. Attach it with SetEvents so the
-	// phase hook is installed too.
-	Events *EventWriter
 	// Flight, when non-nil, receives a bounded trail of recent operations
 	// (train steps, span ends, bus traffic) for post-mortem dumps. Attach it
 	// with SetFlight so the span-end hook is installed too.
@@ -52,33 +43,6 @@ func NewPartyRecorder(reg *Registry, pid int, name string) *Recorder {
 	return &Recorder{Reg: reg, Trace: tr}
 }
 
-// SetEvents attaches the event sink and installs the span-end hook that
-// streams "phase" records (name, duration, attributes, cumulative wire bytes
-// by kind). Several recorders may share one EventWriter; it serialises
-// internally. The hook is added alongside the flight recorder's span-end
-// hook, if any — call SetEvents once per recorder.
-// A nil recorder or nil sink is a no-op.
-func (r *Recorder) SetEvents(ew *EventWriter) {
-	if r == nil || ew == nil {
-		return
-	}
-	r.Events = ew
-	r.Trace.AddOnSpanEnd(func(sp SpanInfo) {
-		fields := map[string]any{
-			"name":      sp.Name,
-			"start_sec": sp.StartSec,
-			"dur_sec":   sp.DurSec,
-		}
-		if len(sp.Attrs) > 0 {
-			fields["attrs"] = sp.Attrs
-		}
-		if byKind := r.wireBytesByKind(); len(byKind) > 0 {
-			fields["bus_bytes_by_kind"] = byKind
-		}
-		ew.Emit("phase", fields)
-	})
-}
-
 // SetFlight attaches the flight recorder and installs the span-end hook
 // that notes finished spans, so a post-mortem dump shows which phases
 // completed before the failure. A nil recorder or nil ring is a no-op.
@@ -87,20 +51,9 @@ func (r *Recorder) SetFlight(fr *FlightRecorder) {
 		return
 	}
 	r.Flight = fr
-	r.Trace.AddOnSpanEnd(func(sp SpanInfo) {
+	r.Trace.SetOnSpanEnd(func(sp SpanInfo) {
 		fr.Note("span", sp.Name, "", sp.DurSec)
 	})
-}
-
-// wireBytesByKind snapshots the cumulative bus_bytes_total_* counters.
-func (r *Recorder) wireBytesByKind() map[string]int64 {
-	out := make(map[string]int64)
-	for name, v := range r.Reg.Snapshot().Counters {
-		if kind, ok := strings.CutPrefix(name, "bus_bytes_total_"); ok {
-			out[kind] = v
-		}
-	}
-	return out
 }
 
 // NextFlow issues a flow id for cross-party message stitching, unique across
@@ -143,22 +96,11 @@ func (r *Recorder) TrainStep(stage string, loss float64, rows int, d time.Durati
 	if r == nil {
 		return
 	}
-	n := r.Reg.Counter(stage + "_steps_total").Inc()
+	r.Reg.Counter(stage + "_steps_total").Inc()
 	r.Reg.Counter(stage + "_rows_total").Add(int64(rows))
 	r.Reg.Gauge(stage + "_loss").Set(loss)
 	r.Reg.Histogram(stage + "_step_seconds").Observe(d.Seconds())
 	r.Flight.Note("train", stage, "", loss)
-	// n is this call's own post-increment value: concurrent callers on one
-	// stage each see a distinct n, so every multiple fires exactly once.
-	if r.Events != nil && n%trainEventEvery == 0 {
-		r.Events.Emit("train", map[string]any{
-			"stage":        stage,
-			"step":         n,
-			"loss":         loss,
-			"rows":         rows,
-			"step_seconds": d.Seconds(),
-		})
-	}
 }
 
 // TrainAllocs records the heap-allocation count of a finished training loop

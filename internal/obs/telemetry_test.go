@@ -5,187 +5,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
-	"sync"
 	"testing"
-	"time"
 )
-
-func TestEventWriter(t *testing.T) {
-	var buf bytes.Buffer
-	ew := NewEventWriter(&buf)
-	ew.Emit("run-start", map[string]any{"run": "x"})
-	ew.Emit("train", map[string]any{"loss": 0.5, "type": "overridden"})
-	var nilEW *EventWriter
-	nilEW.Emit("ignored", nil) // nil sink must be a no-op
-	if err := nilEW.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("lines = %d, want 2", len(lines))
-	}
-	for i, line := range lines {
-		var rec map[string]any
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatalf("line %d not JSON: %v", i, err)
-		}
-		if rec["seq"] != float64(i) {
-			t.Fatalf("line %d seq = %v, want %d", i, rec["seq"], i)
-		}
-		if _, err := time.Parse(time.RFC3339Nano, rec["time"].(string)); err != nil {
-			t.Fatalf("line %d time: %v", i, err)
-		}
-		if _, ok := rec["t_sec"].(float64); !ok {
-			t.Fatalf("line %d missing t_sec: %v", i, rec)
-		}
-	}
-	var second map[string]any
-	_ = json.Unmarshal([]byte(lines[1]), &second)
-	if second["type"] != "train" {
-		t.Fatalf("reserved key type not enforced: %v", second)
-	}
-}
-
-func TestEventWriterConcurrent(t *testing.T) {
-	var buf bytes.Buffer
-	ew := NewEventWriter(&buf)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				ew.Emit("train", map[string]any{"i": i})
-			}
-		}()
-	}
-	wg.Wait()
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 400 {
-		t.Fatalf("lines = %d, want 400", len(lines))
-	}
-	seen := make(map[float64]bool)
-	for _, line := range lines {
-		var rec map[string]any
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatalf("interleaved write produced bad JSON: %v", err)
-		}
-		seq := rec["seq"].(float64)
-		if seen[seq] {
-			t.Fatalf("duplicate seq %v", seq)
-		}
-		seen[seq] = true
-	}
-}
-
-// TestOpenEventLogAppends: successive writers on the same path accumulate.
-func TestOpenEventLogAppends(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sub", "events.jsonl")
-	for i := 0; i < 2; i++ {
-		ew, err := OpenEventLog(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ew.Emit("run-start", nil)
-		if err := ew.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := strings.Count(string(data), "\n"); n != 2 {
-		t.Fatalf("appended lines = %d, want 2", n)
-	}
-}
-
-// TestRecorderEvents: SetEvents streams train records every
-// trainEventEvery steps and phase records when spans end.
-func TestRecorderEvents(t *testing.T) {
-	var buf bytes.Buffer
-	r := NewRecorder()
-	r.SetEvents(NewEventWriter(&buf))
-	sp := r.StartSpan("ae-train")
-	for i := 0; i < 2*trainEventEvery; i++ {
-		r.TrainStep("ae", 1.0, 32, time.Millisecond)
-	}
-	r.Message("latents", 2048, time.Microsecond)
-	sp.SetAttr("clients", 2)
-	sp.End()
-
-	var train, phase int
-	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
-		var rec map[string]any
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatal(err)
-		}
-		switch rec["type"] {
-		case "train":
-			train++
-			if rec["stage"] != "ae" {
-				t.Fatalf("train event stage = %v", rec["stage"])
-			}
-		case "phase":
-			phase++
-			if rec["name"] != "ae-train" {
-				t.Fatalf("phase event name = %v", rec["name"])
-			}
-			byKind, ok := rec["bus_bytes_by_kind"].(map[string]any)
-			if !ok || byKind["latents"] != float64(2048) {
-				t.Fatalf("phase event bus_bytes_by_kind = %v", rec["bus_bytes_by_kind"])
-			}
-		}
-	}
-	if train != 2 { // steps 50 and 100
-		t.Fatalf("train events = %d, want 2", train)
-	}
-	if phase != 1 {
-		t.Fatalf("phase events = %d, want 1", phase)
-	}
-}
-
-// TestTrainEventsConcurrentClients: the AE phase steps every client's
-// autoencoder on its own goroutine against one recorder and one stage, so
-// the gate must act on each call's own post-increment count — exactly one
-// train event per multiple of trainEventEvery, none doubled, none skipped.
-func TestTrainEventsConcurrentClients(t *testing.T) {
-	const goroutines, steps = 8, 5000
-	var buf bytes.Buffer
-	r := NewRecorder()
-	r.SetEvents(NewEventWriter(&buf))
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < steps; i++ {
-				r.TrainStep("ae", 1.0, 32, time.Microsecond)
-			}
-		}()
-	}
-	wg.Wait()
-
-	seen := make(map[float64]bool)
-	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
-		var rec map[string]any
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatal(err)
-		}
-		step := rec["step"].(float64)
-		if seen[step] {
-			t.Fatalf("train event for step %v emitted twice", step)
-		}
-		seen[step] = true
-	}
-	if want := goroutines * steps / trainEventEvery; len(seen) != want {
-		t.Fatalf("train events = %d, want %d (a multiple of %d was skipped)", len(seen), want, trainEventEvery)
-	}
-}
 
 // TestNextFlowUnique: flow ids never collide across parties because the pid
 // occupies the high bits.

@@ -28,7 +28,7 @@ type Tracer struct {
 	events []traceEvent
 	open   []*Span
 	nextID int
-	onEnd  []func(SpanInfo)
+	onEnd  func(SpanInfo)
 }
 
 type traceEvent struct {
@@ -90,16 +90,15 @@ func (t *Tracer) PID() int {
 	return t.pid
 }
 
-// AddOnSpanEnd registers fn alongside any existing span-end hooks, so
-// several consumers (an event log, a flight recorder) can observe span
-// ends independently.
-func (t *Tracer) AddOnSpanEnd(fn func(SpanInfo)) {
+// SetOnSpanEnd installs fn as the one span-end hook, replacing any earlier
+// one; it runs outside the tracer's lock for every span that ends.
+func (t *Tracer) SetOnSpanEnd(fn func(SpanInfo)) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.onEnd = append(t.onEnd, fn)
+	t.onEnd = fn
 }
 
 // StartSpan opens a span named name. The caller must End it. Calling on a
@@ -182,12 +181,10 @@ func (s *Span) End() {
 	}
 	s.tr.mu.Lock()
 	info, ok := s.endLocked()
-	fns := append([]func(SpanInfo){}, s.tr.onEnd...)
+	fn := s.tr.onEnd
 	s.tr.mu.Unlock()
-	if ok {
-		for _, fn := range fns {
-			fn(info)
-		}
+	if ok && fn != nil {
+		fn(info)
 	}
 }
 
@@ -262,9 +259,9 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	}
 	events = append(events, t.events...)
 	out := chromeTrace{TraceEvents: events, DisplayTimeUnit: "ms", EpochMicros: t.epoch}
-	fns := append([]func(SpanInfo){}, t.onEnd...)
+	fn := t.onEnd
 	t.mu.Unlock()
-	for _, fn := range fns {
+	if fn != nil {
 		for _, info := range infos {
 			fn(info)
 		}

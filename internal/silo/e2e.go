@@ -38,7 +38,9 @@ type E2EPipeline struct {
 	Rec *obs.Recorder
 
 	gauss *diffusion.Gaussian
-	net   *nn.DiffusionMLP
+	// Net is the joint denoising backbone, trained at the coordinator with
+	// gradients that flow back through every client's autoencoder.
+	Net   *nn.DiffusionMLP
 	opt   *nn.Adam
 	rng   *rand.Rand
 	index clientIndex
@@ -83,12 +85,12 @@ func NewE2EPipeline(bus Bus, data *tabular.Table, cfg PipelineConfig) (*E2EPipel
 		Bus: bus, Schema: base.Schema, Parts: base.Parts,
 		Clients: base.Clients, Coord: base.Coord, Cfg: cfg,
 		gauss: diffusion.NewGaussian(sch),
-		net:   nn.NewDiffusionMLP(rng, total, cfg.Diff.Hidden, total, cfg.Diff.Depth, cfg.Diff.TimeDim, cfg.Diff.Dropout),
+		Net:   nn.NewDiffusionMLP(rng, total, cfg.Diff.Hidden, total, cfg.Diff.Depth, cfg.Diff.TimeDim, cfg.Diff.Dropout),
 		rng:   rng,
 		index: index,
 	}
-	p.net.WarmTimesteps(cfg.Diff.T)
-	p.opt = nn.NewAdam(p.net.Params(), cfg.Diff.LR)
+	p.Net.WarmTimesteps(cfg.Diff.T)
+	p.opt = nn.NewAdam(p.Net.Params(), cfg.Diff.LR)
 	p.Coord.latentDims = dims
 	return p, nil
 }
@@ -264,7 +266,7 @@ func (p *E2EPipeline) runCoordinator(iters, batch int, reports <-chan e2eReport,
 			close(ch) // a client waiting for a message leaves
 		}
 	}()
-	k, dim, rows := len(p.Clients), p.net.In, p.Clients[0].Data.Rows()
+	k, dim, rows := len(p.Clients), p.Net.In, p.Clients[0].Data.Rows()
 	ws := func() *tensor.Matrix { return tensor.New(batch, dim) }
 	eps, z, zt, gradPred, x0, gradX0, combined, dz := ws(), ws(), ws(), ws(), ws(), ws(), ws(), ws()
 	ts, sqab, sq1ab, losses := make([]int, batch), make([]float64, batch), make([]float64, batch), make([]float64, k)
@@ -292,7 +294,7 @@ func (p *E2EPipeline) runCoordinator(iters, batch int, reports <-chan e2eReport,
 			return 0, err
 		}
 		p.gauss.QSampleInto(zt, tensor.HStackInto(z, got...), ts, eps)
-		pred := p.net.Forward(zt, ts, true)
+		pred := p.Net.Forward(zt, ts, true)
 		lossG := nn.MSELossInto(pred, eps, gradPred)
 		// x0 estimate: (z_t - sqrt(1-ᾱ)·ε̂)/sqrt(ᾱ), per-row coefficients.
 		for i := 0; i < batch; i++ {
@@ -329,7 +331,7 @@ func (p *E2EPipeline) runCoordinator(iters, batch int, reports <-chan e2eReport,
 				cr[j] += coef * gr[j]
 			}
 		}
-		dzt := p.net.BackwardInput(combined)
+		dzt := p.Net.BackwardInput(combined)
 		for i := 0; i < batch; i++ {
 			dr, tr, gr := dz.Row(i), dzt.Row(i), gradX0.Row(i)
 			for j := range dr {
@@ -339,7 +341,7 @@ func (p *E2EPipeline) runCoordinator(iters, batch int, reports <-chan e2eReport,
 		err := p.scatter(KindGradDown, dz, dzParts, sent)
 		// The backbone's weight gradients and step, while the clients run
 		// their encoder backward and their next encode.
-		p.net.TakeGrads()
+		p.Net.TakeGrads()
 		if err != nil {
 			return 0, err
 		}
@@ -430,7 +432,7 @@ func (p *E2EPipeline) Synthesize(n int, sample bool) (*tabular.Table, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("silo: cannot synthesize %d rows", n)
 	}
-	z := p.gauss.Sample(p.rng, netPredictor{p.net}, n, p.net.In, p.Cfg.SynthSteps, 0)
+	z := p.gauss.Sample(p.rng, netPredictor{p.Net}, n, p.Net.In, p.Cfg.SynthSteps, 0)
 	parts, err := p.Coord.splitLatents(z)
 	if err != nil {
 		return nil, err

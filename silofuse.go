@@ -310,8 +310,6 @@ type (
 	Tracer = obs.Tracer
 	// TraceSpan is one span handle; nil-safe for disabled tracing.
 	TraceSpan = obs.Span
-	// EventWriter streams run events as JSON lines (events.jsonl).
-	EventWriter = obs.EventWriter
 	// RunManifest is the machine-readable per-run record
 	// (results/<run>/manifest.json).
 	RunManifest = experiments.Manifest
@@ -342,9 +340,6 @@ var NewTracer = obs.NewTracer
 // MergeChromeTraces stitches per-process Chrome traces into one timeline.
 var MergeChromeTraces = obs.MergeChromeTraces
 
-// OpenEventLog opens (appending) a streaming run-event JSONL file.
-var OpenEventLog = obs.OpenEventLog
-
 // NewRunManifest starts a run manifest.
 var NewRunManifest = experiments.NewManifest
 
@@ -358,10 +353,3 @@ var NewFlightRecorder = obs.NewFlightRecorder
 // DumpPostmortem writes runDir/postmortem/<party>.json from a party's
 // flight-recorder ring.
 var DumpPostmortem = obs.DumpPostmortem
-
-// ReadEvents parses an events.jsonl stream, tolerating a crash-truncated
-// trailing line.
-var ReadEvents = obs.ReadEvents
-
-// ReadEventsFile is ReadEvents over a file path.
-var ReadEventsFile = obs.ReadEventsFile
